@@ -10,12 +10,18 @@
 //!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!                     [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the full evaluation grid (workloads × all
-//! depths × all configurations) with the counter and site probes
-//! attached and writes the merged per-`(workload, config)` rollup —
-//! the input for `obs_report`'s attribution diff. `--events-out` /
-//! `--metrics-out` stream structured sweep events (JSONL) and a
-//! Prometheus-style metrics snapshot from the resilient runner.
+//! Every `(workload, depth, config)` cell is simulated once: the
+//! binary runs one sweep over `workloads × all depths × all
+//! configurations` and assembles Figure 5 from its ARVI-current cells
+//! and each Figure 6 depth from that depth's slice. A failed cell marks
+//! incomplete only the figures that contain it.
+//!
+//! `--obs-grid FILE` attaches the counter and site probes to every cell
+//! of that sweep as it runs and writes the merged
+//! per-`(workload, config)` rollup — the input for `obs_report`'s
+//! attribution diff. `--events-out` / `--metrics-out` stream structured
+//! sweep events (JSONL) and a Prometheus-style metrics snapshot from the
+//! resilient runner.
 //!
 //! Each workload is functionally emulated exactly once (per run — or
 //! once ever with `--trace-dir`), then every figure's grid replays the
@@ -34,10 +40,9 @@
 //! 95%-confidence-interval tables) — see the `fig5` docs.
 
 use arvi_bench::{
-    fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled, grid, handle_list_flags,
-    maybe_obs_grid, maybe_obs_pass, paper_tables, resilience_from_args, sample_plan_from_args,
-    threads_from_args, trace_dir_from_args, workloads_from_args, Fig6Data, Spec, SweepIncomplete,
-    TraceSet,
+    fig5_cell, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables,
+    run_flags_from_args, threads_from_args, trace_dir_from_args, workloads_from_args, GridRun,
+    Spec, SweepIncomplete, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -46,6 +51,10 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
+    let flags = run_flags_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let quick = args.iter().any(|a| a == "--quick");
     let threads = threads_from_args(&args);
     let trace_dir = trace_dir_from_args(&args);
@@ -68,122 +77,60 @@ fn main() {
         }
     }
 
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-
-    // A failed grid reports every failed cell and exits 3 — after all
-    // the other grids have run (and journaled), so one bad cell costs
-    // one re-run with --resume, not the whole evaluation.
+    // A failed cell marks its figures incomplete; the others still
+    // print, and the run exits 3 at the end — one bad cell costs one
+    // re-run with --resume, not the whole evaluation.
     let mut incomplete: Vec<SweepIncomplete> = Vec::new();
 
-    // One recording per workload feeds fig5 and all three fig6 depths.
-    let traces = TraceSet::record_resilient(
-        &workloads,
+    // One recording per workload, one sweep over the whole grid: every
+    // figure below is a slice of it.
+    let res = flags.res.as_ref();
+    let traces = TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), res);
+    let run = GridRun::run(
+        grid(&workloads, &Depth::all(), &PredictorConfig::all()),
         spec,
         threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
+        true,
+        &traces,
+        res,
+        flags.plan.as_ref(),
     );
 
-    let fig5 = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match fig5_tables_sampled(&workloads, spec, plan, true, threads, &traces, res.as_ref())
-            {
-                Ok((fig5a, fig5b, ci)) => {
-                    println!(
-                        "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    Some((fig5a, fig5b))
-                }
-                Err(e) => {
-                    incomplete.push(e);
-                    None
-                }
+    match run.fig5_tables(&workloads) {
+        Ok((fig5a, fig5b)) => {
+            if let (Some(plan), Some(ci)) = (&flags.plan, run.ci_table(fig5_cell)) {
+                println!(
+                    "== Figure 5 sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+                    ci.to_text()
+                );
             }
+            println!(
+                "== Figure 5(a): fraction of load branches ==\n{}",
+                fig5a.to_text()
+            );
+            println!(
+                "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
+                fig5b.to_text()
+            );
         }
-        (None, None) => Some(fig5_tables_over(
-            &workloads,
-            spec,
-            true,
-            threads,
-            Some(&traces),
-        )),
-        (None, Some(res)) => {
-            match fig5_tables_resilient(&workloads, spec, true, threads, Some(&traces), res) {
-                Ok(tables) => Some(tables),
-                Err(e) => {
-                    incomplete.push(e);
-                    None
-                }
-            }
-        }
-    };
-    if let Some((fig5a, fig5b)) = fig5 {
-        println!(
-            "== Figure 5(a): fraction of load branches ==\n{}",
-            fig5a.to_text()
-        );
-        println!(
-            "== Figure 5(b): accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
-            fig5b.to_text()
-        );
+        Err(e) => incomplete.push(e),
     }
 
     let mut headlines = Vec::new();
     for depth in Depth::all() {
-        let data = match (&plan, &resilience) {
-            (Some(plan), res) => {
-                match Fig6Data::collect_sampled(
-                    &workloads,
-                    depth,
-                    spec,
-                    plan,
-                    true,
-                    threads,
-                    &traces,
-                    res.as_ref(),
-                ) {
-                    Ok((data, ci)) => {
-                        println!(
-                            "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
-                            ci.to_text()
-                        );
-                        data
-                    }
-                    Err(e) => {
-                        incomplete.push(e);
-                        continue;
-                    }
-                }
-            }
-            (None, None) => {
-                Fig6Data::collect_over(&workloads, depth, spec, true, threads, Some(&traces))
-            }
-            (None, Some(res)) => {
-                match Fig6Data::collect_resilient(
-                    &workloads,
-                    depth,
-                    spec,
-                    true,
-                    threads,
-                    Some(&traces),
-                    res,
-                ) {
-                    Ok(data) => data,
-                    Err(e) => {
-                        incomplete.push(e);
-                        continue;
-                    }
-                }
+        let data = match run.fig6_data(&workloads, depth) {
+            Ok(data) => data,
+            Err(e) => {
+                incomplete.push(e);
+                continue;
             }
         };
+        if let (Some(plan), Some(ci)) = (&flags.plan, run.ci_table(|p| p.depth == depth)) {
+            println!(
+                "== Figure 6 sampled estimates, {depth} pipeline (plan {plan}): 95% confidence intervals ==\n{}",
+                ci.to_text()
+            );
+        }
         println!(
             "== Figure 6: prediction accuracy, {depth} pipeline ==\n{}",
             data.accuracy_table().to_text()
@@ -208,22 +155,15 @@ fn main() {
 
     // The evaluation's anchor cell: 20-stage, ARVI current value.
     maybe_obs_pass(
-        &args,
+        flags.obs.as_ref(),
         &workloads,
         Depth::D20,
         PredictorConfig::ArviCurrent,
         spec,
         Some(&traces),
     );
-    // The full evaluation grid, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &args,
-        &grid(&workloads, &Depth::all(), &PredictorConfig::all()),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
-    );
+    // The full evaluation grid, probed in-pass and merged (`--obs-grid`).
+    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
 
     if !incomplete.is_empty() {
         for e in &incomplete {

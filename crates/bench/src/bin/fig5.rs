@@ -11,9 +11,11 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the figure's grid (workloads × all pipeline
-//! depths, ARVI current value) with the counter and site probes attached
-//! and writes the merged per-`(workload, config)` rollup.
+//! `--obs-grid FILE` attaches the counter and site probes to every cell
+//! of the figure's grid (workloads × all pipeline depths, ARVI current
+//! value) as the sweep runs — on the fault-isolated runner, so each cell
+//! is simulated once — and writes the merged per-`(workload, config)`
+//! rollup.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -31,9 +33,8 @@
 //! (units are journaled and resumed individually).
 
 use arvi_bench::{
-    fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled, grid, handle_list_flags,
-    maybe_obs_grid, maybe_obs_pass, resilience_from_args, sample_plan_from_args, threads_from_args,
-    trace_dir_from_args, workloads_from_args, Spec, TraceSet,
+    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
+    threads_from_args, trace_dir_from_args, workloads_from_args, GridRun, Spec, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -42,6 +43,10 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
+    let flags = run_flags_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let quick = args.iter().any(|a| a == "--quick");
     let spec = if quick {
         Spec::quick()
@@ -51,49 +56,27 @@ fn main() {
     let threads = threads_from_args(&args);
     let trace_dir = trace_dir_from_args(&args);
     let workloads = workloads_from_args(&args);
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let traces = TraceSet::record_resilient(
-        &workloads,
+    let res = flags.res.as_ref();
+    let traces = TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), res);
+    let run = GridRun::run(
+        grid(&workloads, &Depth::all(), &[PredictorConfig::ArviCurrent]),
         spec,
         threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
+        true,
+        &traces,
+        res,
+        flags.plan.as_ref(),
     );
-    let (fig5a, fig5b) = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match fig5_tables_sampled(&workloads, spec, plan, true, threads, &traces, res.as_ref())
-            {
-                Ok((fig5a, fig5b, ci)) => {
-                    println!(
-                        "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    (fig5a, fig5b)
-                }
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-        (None, None) => fig5_tables_over(&workloads, spec, true, threads, Some(&traces)),
-        (None, Some(res)) => {
-            match fig5_tables_resilient(&workloads, spec, true, threads, Some(&traces), res) {
-                Ok(tables) => tables,
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-    };
+    let (fig5a, fig5b) = run.fig5_tables(&workloads).unwrap_or_else(|incomplete| {
+        eprintln!("{incomplete}");
+        std::process::exit(3);
+    });
+    if let (Some(plan), Some(ci)) = (&flags.plan, run.ci_table(|_| true)) {
+        println!(
+            "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+            ci.to_text()
+        );
+    }
     println!(
         "== Figure 5(a): fraction of load branches ==\n{}",
         fig5a.to_text()
@@ -104,20 +87,13 @@ fn main() {
     );
     // Figure 5(b)'s anchor cell: 20-stage, ARVI current value.
     maybe_obs_pass(
-        &args,
+        flags.obs.as_ref(),
         &workloads,
         Depth::D20,
         PredictorConfig::ArviCurrent,
         spec,
         Some(&traces),
     );
-    // The figure's depth sweep, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &args,
-        &grid(&workloads, &Depth::all(), &[PredictorConfig::ArviCurrent]),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
-    );
+    // The figure's depth sweep, probed in-pass and merged (`--obs-grid`).
+    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
 }

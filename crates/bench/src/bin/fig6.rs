@@ -10,11 +10,13 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
-//! `--obs-grid FILE` re-runs the figure's whole grid (workloads × all
-//! four configurations at the chosen depth) with the counter and site
-//! probes attached and writes the merged per-`(workload, config)`
-//! rollup — the input for `obs_report`'s ARVI-vs-baseline attribution
-//! diff.
+//! `--obs-grid FILE` attaches the counter and site probes to every cell
+//! of the figure's grid (workloads × all four configurations at the
+//! chosen depth) as the sweep runs — on the fault-isolated runner, so
+//! each cell is simulated once — and writes the merged
+//! per-`(workload, config)` rollup, the input for `obs_report`'s
+//! ARVI-vs-baseline attribution diff. Under `--sample` the rollup
+//! still needs full-window probes and takes one extra probed pass.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -29,9 +31,8 @@
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, resilience_from_args,
-    sample_plan_from_args, threads_from_args, trace_dir_from_args, workloads_from_args, Fig6Data,
-    Spec, TraceSet,
+    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
+    threads_from_args, trace_dir_from_args, workloads_from_args, GridRun, Spec, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -40,6 +41,10 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
+    let flags = run_flags_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     // First positional argument, skipping flag values (`--threads N`,
     // `--trace-dir DIR`, `--scenario X`, `--scenario-file F`).
     let value_flags = [
@@ -86,67 +91,29 @@ fn main() {
     let threads = threads_from_args(&args);
     let trace_dir = trace_dir_from_args(&args);
     let workloads = workloads_from_args(&args);
-    let resilience = resilience_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let traces = TraceSet::record_resilient(
-        &workloads,
+    let res = flags.res.as_ref();
+    let traces = TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), res);
+    let run = GridRun::run(
+        grid(&workloads, &[depth], &PredictorConfig::all()),
         spec,
         threads,
-        trace_dir.as_deref(),
-        resilience.as_ref(),
+        true,
+        &traces,
+        res,
+        flags.plan.as_ref(),
     );
-    let plan = sample_plan_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let data = match (&plan, &resilience) {
-        (Some(plan), res) => {
-            match Fig6Data::collect_sampled(
-                &workloads,
-                depth,
-                spec,
-                plan,
-                true,
-                threads,
-                &traces,
-                res.as_ref(),
-            ) {
-                Ok((data, ci)) => {
-                    println!(
-                        "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
-                        ci.to_text()
-                    );
-                    data
-                }
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-        (None, None) => {
-            Fig6Data::collect_over(&workloads, depth, spec, true, threads, Some(&traces))
-        }
-        (None, Some(res)) => {
-            match Fig6Data::collect_resilient(
-                &workloads,
-                depth,
-                spec,
-                true,
-                threads,
-                Some(&traces),
-                res,
-            ) {
-                Ok(data) => data,
-                Err(incomplete) => {
-                    eprintln!("{incomplete}");
-                    std::process::exit(3);
-                }
-            }
-        }
-    };
+    let data = run
+        .fig6_data(&workloads, depth)
+        .unwrap_or_else(|incomplete| {
+            eprintln!("{incomplete}");
+            std::process::exit(3);
+        });
+    if let (Some(plan), Some(ci)) = (&flags.plan, run.ci_table(|_| true)) {
+        println!(
+            "== Sampled estimates (plan {plan}): 95% confidence intervals ==\n{}",
+            ci.to_text()
+        );
+    }
     println!(
         "== Figure 6: prediction accuracy, {depth} pipeline ==\n{}",
         data.accuracy_table().to_text()
@@ -165,20 +132,13 @@ fn main() {
     );
     // The figure's headline cell at the chosen depth.
     maybe_obs_pass(
-        &args,
+        flags.obs.as_ref(),
         &workloads,
         depth,
         PredictorConfig::ArviCurrent,
         spec,
         Some(&traces),
     );
-    // The figure's full grid, probed and merged (`--obs-grid`).
-    maybe_obs_grid(
-        &args,
-        &grid(&workloads, &[depth], &PredictorConfig::all()),
-        spec,
-        threads,
-        Some(&traces),
-        resilience.as_ref(),
-    );
+    // The figure's full grid, probed in-pass and merged (`--obs-grid`).
+    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
 }

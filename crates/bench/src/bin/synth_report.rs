@@ -26,8 +26,9 @@
 use std::sync::Arc;
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_pass, run_sweep_with, scenario_workloads_from_args,
-    threads_from_args, trace_dir_from_args, write_report, Json, Spec, TraceSet, Workload,
+    grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_sweep_with,
+    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, Json, Spec,
+    TraceSet, Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -155,6 +156,10 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
+    let obs = obs_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let quick = args.iter().any(|a| a == "--quick");
     let threads = threads_from_args(&args);
     let trace_dir = trace_dir_from_args(&args);
@@ -330,7 +335,7 @@ fn main() {
 
     // The characterization's anchor cell: 20-stage, ARVI current value.
     maybe_obs_pass(
-        &args,
+        obs.as_ref(),
         &workloads,
         Depth::D20,
         PredictorConfig::ArviCurrent,

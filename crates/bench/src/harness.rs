@@ -3,6 +3,13 @@
 //! The Figure-5/6 grids fan out over the multi-threaded sweep runner in
 //! [`crate::sweep`]; results are assembled in deterministic grid order,
 //! so parallel output is identical to a sequential run.
+//!
+//! The experiment binaries run each invocation's grid once, as a
+//! [`GridRun`] in one of three modes (strict, fault-isolated or
+//! sampled), and assemble every figure from that one sweep's cells:
+//! `experiments` builds Figure 5 from the ARVI-current subset of the
+//! same `workloads × depths × configs` grid whose per-depth slices are
+//! Figure 6, so no cell is simulated twice.
 
 use std::sync::Arc;
 
@@ -13,11 +20,14 @@ use arvi_stats::{amean, Table};
 use arvi_trace::{Trace, TraceReplayer};
 use arvi_workloads::Benchmark;
 
-use arvi_sampling::SamplePlan;
+use arvi_sampling::{SamplePlan, SampleReport};
 
-use crate::resilience::{collect_results, run_sweep_resilient, Resilience, SweepIncomplete};
-use crate::sampling::{run_sweep_sampled, sample_ci_table};
-use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, TraceSet};
+use crate::resilience::{
+    collect_where, outcome_summary, run_sweep_resilient, timing_summary, CellOutcome, CellSuccess,
+    Degradation, Resilience, SweepIncomplete,
+};
+use crate::sampling::{ci_table, run_sweep_sampled};
+use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, SweepPoint, TraceSet};
 use crate::workload::Workload;
 
 /// Sweep parameters: instruction windows and the workload input seed.
@@ -108,25 +118,10 @@ pub fn run_one_traced(
 /// Figure 5: (a) the fraction of load branches per workload at each
 /// pipeline depth, and (b) prediction accuracy of calculated versus load
 /// branches (20-stage, ARVI current value) — returns the two tables.
+/// Runs the benchmark suite on all available cores, recording each
+/// benchmark's trace once in memory.
 pub fn fig5_tables(spec: Spec, progress: bool) -> (Table, Table) {
-    fig5_tables_threaded(spec, progress, default_threads())
-}
-
-/// [`fig5_tables`] with an explicit worker count (`1` = sequential).
-/// Records each benchmark's trace once in memory; use
-/// [`fig5_tables_with`] to share recordings across figures.
-pub fn fig5_tables_threaded(spec: Spec, progress: bool, threads: usize) -> (Table, Table) {
-    fig5_tables_over(&Workload::suite(), spec, progress, threads, None)
-}
-
-/// [`fig5_tables`] over a pre-recorded [`TraceSet`].
-pub fn fig5_tables_with(
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: &TraceSet,
-) -> (Table, Table) {
-    fig5_tables_over(&Workload::suite(), spec, progress, threads, Some(traces))
+    fig5_tables_over(&Workload::suite(), spec, progress, default_threads(), None)
 }
 
 /// [`fig5_tables`] over an explicit workload list (suite benchmarks,
@@ -147,60 +142,8 @@ pub fn fig5_tables_over(
     fig5_assemble(workloads, &depths, &results)
 }
 
-/// [`fig5_tables_over`] on the fault-isolated sweep runner: cell
-/// failures are collected into a [`SweepIncomplete`] (naming every
-/// failed cell, with a resume hint) instead of aborting the process,
-/// and completed cells are journaled/resumed per `res`.
-pub fn fig5_tables_resilient(
-    workloads: &[Workload],
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: &Resilience,
-) -> Result<(Table, Table), SweepIncomplete> {
-    let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let outcomes = run_sweep_resilient(&points, spec, threads, progress, traces, res);
-    if let Some(summary) = crate::resilience::outcome_summary(&outcomes) {
-        eprintln!("{summary}");
-    }
-    if let Some(timing) =
-        crate::resilience::timing_summary(&outcomes, traces.map(|t| t.record_elapsed()))
-    {
-        eprintln!("{timing}");
-    }
-    let results = collect_results(&points, outcomes)?;
-    Ok(fig5_assemble(workloads, &depths, &results))
-}
-
-/// [`fig5_tables_over`] under interval sampling: every cell estimates
-/// its window from `plan`'s units over the shared recording (see
-/// [`crate::sampling::run_sweep_sampled`]). Returns the two Figure-5
-/// tables plus the per-cell confidence-interval table.
-pub fn fig5_tables_sampled(
-    workloads: &[Workload],
-    spec: Spec,
-    plan: &SamplePlan,
-    progress: bool,
-    threads: usize,
-    traces: &TraceSet,
-    res: Option<&Resilience>,
-) -> Result<(Table, Table, Table), SweepIncomplete> {
-    let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
-    if let Some(summary) = crate::resilience::outcome_summary(&sweep.outcomes) {
-        eprintln!("{summary}");
-    }
-    let ci = sample_ci_table(&points, &sweep);
-    let results = collect_results(&points, sweep.outcomes)?;
-    let (fig5a, fig5b) = fig5_assemble(workloads, &depths, &results);
-    Ok((fig5a, fig5b, ci))
-}
-
 /// Builds the two Figure-5 tables from grid-ordered results (the shared
-/// tail of the strict and resilient paths).
+/// tail of [`fig5_tables_over`] and [`GridRun::fig5_tables`]).
 fn fig5_assemble(
     workloads: &[Workload],
     depths: &[Depth],
@@ -249,33 +192,16 @@ pub struct Fig6Data {
 }
 
 impl Fig6Data {
-    /// Runs the sweep on all available cores.
+    /// Runs the benchmark-suite sweep on all available cores, recording
+    /// each benchmark's trace once in memory.
     pub fn collect(depth: Depth, spec: Spec, progress: bool) -> Fig6Data {
-        Fig6Data::collect_threaded(depth, spec, progress, default_threads())
-    }
-
-    /// [`Fig6Data::collect`] with an explicit worker count (`1` =
-    /// sequential). Records each benchmark's trace once in memory; use
-    /// [`Fig6Data::collect_with`] to share recordings across depths.
-    pub fn collect_threaded(depth: Depth, spec: Spec, progress: bool, threads: usize) -> Fig6Data {
-        Fig6Data::collect_over(&Workload::suite(), depth, spec, progress, threads, None)
-    }
-
-    /// [`Fig6Data::collect`] over a pre-recorded [`TraceSet`].
-    pub fn collect_with(
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: &TraceSet,
-    ) -> Fig6Data {
         Fig6Data::collect_over(
             &Workload::suite(),
             depth,
             spec,
             progress,
-            threads,
-            Some(traces),
+            default_threads(),
+            None,
         )
     }
 
@@ -297,58 +223,8 @@ impl Fig6Data {
         Fig6Data::assemble(workloads, depth, flat)
     }
 
-    /// [`Fig6Data::collect_over`] on the fault-isolated sweep runner:
-    /// cell failures become a [`SweepIncomplete`] instead of aborting
-    /// the process, and completed cells are journaled/resumed per `res`.
-    pub fn collect_resilient(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: Option<&TraceSet>,
-        res: &Resilience,
-    ) -> Result<Fig6Data, SweepIncomplete> {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let outcomes = run_sweep_resilient(&points, spec, threads, progress, traces, res);
-        if let Some(summary) = crate::resilience::outcome_summary(&outcomes) {
-            eprintln!("{summary}");
-        }
-        if let Some(timing) =
-            crate::resilience::timing_summary(&outcomes, traces.map(|t| t.record_elapsed()))
-        {
-            eprintln!("{timing}");
-        }
-        let flat = collect_results(&points, outcomes)?;
-        Ok(Fig6Data::assemble(workloads, depth, flat))
-    }
-
-    /// [`Fig6Data::collect_over`] under interval sampling (see
-    /// [`crate::sampling::run_sweep_sampled`]): returns the dataset plus
-    /// the per-cell confidence-interval table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_sampled(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        plan: &SamplePlan,
-        progress: bool,
-        threads: usize,
-        traces: &TraceSet,
-        res: Option<&Resilience>,
-    ) -> Result<(Fig6Data, Table), SweepIncomplete> {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
-        if let Some(summary) = crate::resilience::outcome_summary(&sweep.outcomes) {
-            eprintln!("{summary}");
-        }
-        let ci = sample_ci_table(&points, &sweep);
-        let flat = collect_results(&points, sweep.outcomes)?;
-        Ok((Fig6Data::assemble(workloads, depth, flat), ci))
-    }
-
     /// Splits flat grid-ordered results per workload (the shared tail
-    /// of the strict and resilient paths).
+    /// of [`Fig6Data::collect_over`] and [`GridRun::fig6_data`]).
     fn assemble(workloads: &[Workload], depth: Depth, mut flat: Vec<SimResult>) -> Fig6Data {
         let configs = PredictorConfig::all();
         let mut results = Vec::new();
@@ -421,10 +297,125 @@ impl Fig6Data {
     }
 }
 
-/// Figure 6 tables for one depth: `(accuracy, normalized IPC)`.
-pub fn fig6_tables(depth: Depth, spec: Spec, progress: bool) -> (Table, Table) {
-    let data = Fig6Data::collect(depth, spec, progress);
-    (data.accuracy_table(), data.normalized_ipc_table())
+/// One sweep's per-cell outcomes over a grid, in grid order — the
+/// single simulation an experiment binary runs, from which it assembles
+/// every figure ([`GridRun::fig5_tables`], [`GridRun::fig6_data`]) and
+/// the `--obs-grid` rollup.
+#[derive(Debug)]
+pub struct GridRun {
+    /// The grid, in sweep order.
+    pub points: Vec<SweepPoint>,
+    /// One outcome per point.
+    pub outcomes: Vec<CellOutcome>,
+    /// Per-point sampled estimates when the run was sampled (`None`
+    /// entries for cells that did not sample), `None` otherwise.
+    pub reports: Option<Vec<Option<SampleReport>>>,
+}
+
+impl GridRun {
+    /// Runs `points` once over the shared recordings `traces`, in the
+    /// mode the flags select: sampled under `plan` (fault-isolated per
+    /// `res`), fault-isolated under `res`, or strict — fail-fast, a
+    /// panicking cell aborts the process — with neither. The
+    /// fault-isolated and sampled modes report their resilience/timing
+    /// summaries on stderr.
+    pub fn run(
+        points: Vec<SweepPoint>,
+        spec: Spec,
+        threads: usize,
+        progress: bool,
+        traces: &TraceSet,
+        res: Option<&Resilience>,
+        plan: Option<&SamplePlan>,
+    ) -> GridRun {
+        let (outcomes, reports) = match (plan, res) {
+            (Some(plan), res) => {
+                let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
+                if let Some(summary) = outcome_summary(&sweep.outcomes) {
+                    eprintln!("{summary}");
+                }
+                (sweep.outcomes, Some(sweep.reports))
+            }
+            (None, Some(res)) => {
+                let outcomes =
+                    run_sweep_resilient(&points, spec, threads, progress, Some(traces), res);
+                if let Some(summary) = outcome_summary(&outcomes) {
+                    eprintln!("{summary}");
+                }
+                if let Some(timing) = timing_summary(&outcomes, Some(traces.record_elapsed())) {
+                    eprintln!("{timing}");
+                }
+                (outcomes, None)
+            }
+            (None, None) => {
+                let outcomes = run_sweep_with(&points, spec, threads, progress, traces)
+                    .into_iter()
+                    .map(|result| {
+                        CellOutcome::Ok(CellSuccess {
+                            result,
+                            degradation: Degradation::None,
+                            resumed: false,
+                            duration: std::time::Duration::ZERO,
+                            sampled_units: 0,
+                            probes: None,
+                        })
+                    })
+                    .collect();
+                (outcomes, None)
+            }
+        };
+        GridRun {
+            points,
+            outcomes,
+            reports,
+        }
+    }
+
+    /// The results of the cells `keep` selects, in grid order, or every
+    /// failed cell among them (indexed by their position in this run,
+    /// which is what fault plans and journals count by).
+    pub fn results(
+        &self,
+        keep: impl Fn(&SweepPoint) -> bool,
+    ) -> Result<Vec<SimResult>, SweepIncomplete> {
+        collect_where(&self.points, &self.outcomes, keep)
+    }
+
+    /// The per-cell confidence-interval table of the cells `keep`
+    /// selects; `None` unless the run was sampled.
+    pub fn ci_table(&self, keep: impl Fn(&SweepPoint) -> bool) -> Option<Table> {
+        let reports = self.reports.as_ref()?;
+        Some(ci_table(
+            self.points.iter().zip(reports).filter(|(p, _)| keep(p)),
+        ))
+    }
+
+    /// Figure 5 from this run's ARVI-current cells: the run's grid must
+    /// be `workloads × Depth::all() × configs` with `configs` holding
+    /// ARVI current value. Incomplete when any of those cells failed.
+    pub fn fig5_tables(&self, workloads: &[Workload]) -> Result<(Table, Table), SweepIncomplete> {
+        let results = self.results(fig5_cell)?;
+        Ok(fig5_assemble(workloads, &Depth::all(), &results))
+    }
+
+    /// Figure 6 at `depth` from this run's cells at that depth: the run's
+    /// grid must be `workloads × depths × PredictorConfig::all()` with
+    /// `depths` holding `depth`. Incomplete when any of those cells
+    /// failed.
+    pub fn fig6_data(
+        &self,
+        workloads: &[Workload],
+        depth: Depth,
+    ) -> Result<Fig6Data, SweepIncomplete> {
+        let flat = self.results(|p| p.depth == depth)?;
+        Ok(Fig6Data::assemble(workloads, depth, flat))
+    }
+}
+
+/// Whether `point` is one of Figure 5's cells (ARVI current value, any
+/// depth).
+pub fn fig5_cell(point: &SweepPoint) -> bool {
+    point.config == PredictorConfig::ArviCurrent
 }
 
 /// Renders the paper's configuration tables (1, 2, 3 and 4) from the

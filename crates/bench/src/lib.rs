@@ -50,6 +50,9 @@
 //! `--trace-cycles START:END`, `--top-sites N`): when present, an extra
 //! probed pass runs after the tables and emits counter histograms,
 //! per-branch-site attribution and/or a Chrome trace — see [`obs`].
+//! `--obs-grid FILE` instead probes every cell of the main sweep and
+//! writes the merged rollup — see [`obs_grid`]. All of these flags are
+//! validated up front ([`run_flags_from_args`]).
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -75,16 +78,15 @@ pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, S
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
 pub use harness::{
-    fig5_tables, fig5_tables_over, fig5_tables_resilient, fig5_tables_sampled,
-    fig5_tables_threaded, fig5_tables_with, fig6_tables, paper_tables, run_one, run_one_traced,
-    Fig6Data, Spec,
+    fig5_cell, fig5_tables, fig5_tables_over, paper_tables, run_one, run_one_traced, Fig6Data,
+    GridRun, Spec,
 };
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
     attribution_diff, counters_from_json, counters_to_json, maybe_obs_grid, obs_grid_json,
-    run_obs_grid, sites_from_json, sites_to_json, Attribution, ObsGrid, ObsGroup, SiteDelta,
-    WorkloadAttribution,
+    run_obs_grid, sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup,
+    SiteDelta, WorkloadAttribution,
 };
 pub use report::{write_report, write_text, Json};
 pub use resilience::{
@@ -102,6 +104,7 @@ pub use sweep::{
 };
 pub use workload::Workload;
 
+use arvi_sampling::SamplePlan;
 use arvi_synth::ScenarioSpec;
 use arvi_workloads::Benchmark;
 
@@ -204,6 +207,33 @@ pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, Strin
         res.plan = Some(std::sync::Arc::new(FaultPlan::parse(&text)?));
     }
     Ok(Some(res))
+}
+
+/// The run-mode flags the experiment binaries share, parsed and
+/// validated together before any work starts — a malformed flag fails
+/// the invocation with nothing on stdout.
+#[derive(Debug)]
+pub struct RunFlags {
+    /// Fault tolerance and telemetry ([`resilience_from_args`]).
+    /// `--obs-grid` also selects the resilient runner, with
+    /// [`Resilience::probes`] on, so the rollup rides the main pass.
+    pub res: Option<Resilience>,
+    /// The `--sample` plan ([`sample_plan_from_args`]).
+    pub plan: Option<SamplePlan>,
+    /// The observability flags ([`obs_from_args`]).
+    pub obs: Option<ObsConfig>,
+}
+
+/// Parses [`RunFlags`] out of `args`; the error names the first
+/// malformed flag.
+pub fn run_flags_from_args(args: &[String]) -> Result<RunFlags, String> {
+    let obs = obs_from_args(args)?;
+    let plan = sample_plan_from_args(args)?;
+    let mut res = resilience_from_args(args)?;
+    if obs.as_ref().is_some_and(|o| o.grid.is_some()) {
+        res.get_or_insert_with(Resilience::new).probes = true;
+    }
+    Ok(RunFlags { res, plan, obs })
 }
 
 /// Parses the scenario-selection flags out of `args`:
@@ -427,6 +457,33 @@ mod tests {
         assert!(resilience_from_args(&args(&["--journal"])).is_err());
         assert!(resilience_from_args(&args(&["--deadline-ms", "soon"])).is_err());
         assert!(resilience_from_args(&args(&["--fault-plan", "/nonexistent/plan"])).is_err());
+    }
+
+    #[test]
+    fn run_flags_validate_every_flag_up_front() {
+        let flags = run_flags_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
+        assert!(flags.res.is_none() && flags.plan.is_none() && flags.obs.is_none());
+        // Malformed observability, sampling or resilience flags are
+        // all rejected before the binaries do any work.
+        for bad in [
+            vec!["--quick", "--probe", "bogus"],
+            vec!["--trace-cycles", "10"],
+            vec!["--obs-out", "o.json"],
+            vec!["--probe", "counters", "--top-sites", "many"],
+            vec!["--obs-grid"],
+            vec!["--sample", "nope"],
+            vec!["--deadline-ms", "soon"],
+        ] {
+            assert!(run_flags_from_args(&args(&bad)).is_err(), "{bad:?}");
+        }
+        // --obs-grid alone selects the resilient runner with probes on;
+        // without it the resilient runner stays probe-free.
+        let flags = run_flags_from_args(&args(&["--obs-grid", "g.json"])).unwrap();
+        assert!(flags.res.expect("resilient runner").probes);
+        let flags = run_flags_from_args(&args(&["--journal", "j.log"])).unwrap();
+        assert!(!flags.res.unwrap().probes);
+        let flags = run_flags_from_args(&args(&["--sample", "4:1000:500"])).unwrap();
+        assert_eq!(flags.plan, Some(SamplePlan::systematic(4, 1000, 500)));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The experiment binaries' observability pass: `--probe`, `--obs-out`,
 //! `--trace-cycles`, `--top-sites`.
 //!
-//! The figure sweeps themselves always run unprobed (the [`NullProbe`]
-//! machine — bit-identical and perf-guarded). When any probe flag is
+//! The figure sweeps themselves run unprobed (the [`NullProbe`]
+//! machine — bit-identical and perf-guarded) unless `--obs-grid` puts
+//! the counter+site probes on every cell of the main pass
+//! ([`crate::obs_grid`]). When any anchor-pass probe flag is
 //! present, the binary runs one *extra* probed pass per workload after
 //! the tables — at the figure's anchor depth/configuration, replaying
 //! the shared recordings when available — and renders the telemetry as
@@ -38,8 +40,8 @@ pub struct ObsConfig {
     /// `--top-sites N` rows in site tables (default 10).
     pub top_sites: usize,
     /// `--obs-grid PATH`: probe *every* cell of the sweep (not just the
-    /// anchor pass) and write the merged grid rollup here — see
-    /// [`crate::obs_grid`].
+    /// anchor pass), riding the main pass, and write the merged grid
+    /// rollup here — see [`crate::obs_grid`].
     pub grid: Option<PathBuf>,
 }
 
@@ -352,33 +354,25 @@ impl ObsReport {
     }
 }
 
-/// Runs and emits the observability pass when `args` ask for one;
-/// exits with code 2 on malformed flags. The experiment binaries call
-/// this once after their tables, at their figure's anchor
-/// depth/configuration. An `--obs-grid`-only invocation selects no
-/// anchor pass — the grid rollup is emitted by
-/// [`crate::obs_grid::maybe_obs_grid`] instead.
+/// Runs and emits the observability pass when `cfg` selects one (any
+/// of counters, sites or a trace window). The experiment binaries parse
+/// `cfg` with [`obs_from_args`] before any work and call this once after
+/// their tables, at their figure's anchor depth/configuration. An
+/// `--obs-grid`-only invocation selects no anchor pass — the grid rollup
+/// is emitted by [`crate::obs_grid::maybe_obs_grid`] instead.
 pub fn maybe_obs_pass(
-    args: &[String],
+    cfg: Option<&ObsConfig>,
     workloads: &[Workload],
     depth: Depth,
     config: PredictorConfig,
     spec: Spec,
     traces: Option<&TraceSet>,
 ) {
-    let cfg = match obs_from_args(args) {
-        Ok(None) => return,
-        Ok(Some(cfg)) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if !cfg.counters && !cfg.sites && cfg.trace.is_none() {
+    let Some(cfg) = cfg.filter(|c| c.counters || c.sites || c.trace.is_some()) else {
         return;
-    }
-    let report = run_obs_pass(workloads, depth, config, spec, &cfg, traces);
-    if let Err(e) = report.emit(&cfg) {
+    };
+    let report = run_obs_pass(workloads, depth, config, spec, cfg, traces);
+    if let Err(e) = report.emit(cfg) {
         eprintln!("error: cannot write observability output: {e}");
         std::process::exit(1);
     }

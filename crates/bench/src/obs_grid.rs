@@ -2,12 +2,15 @@
 //!
 //! The anchor pass ([`crate::obs`]) observes one `(depth, config)`
 //! point per workload. This module promotes the probe seam to the whole
-//! grid: [`run_obs_grid`] re-runs every [`SweepPoint`] with the
-//! counter+site probes attached — replaying the shared recordings, with
-//! the same per-cell panic isolation, kill handling and journal/resume
-//! semantics as the resilient sweep — and merges the telemetry per
-//! `(workload, config)` group and grid-wide into one `obs_grid.json`
-//! rollup ([`obs_grid_json`]).
+//! grid. The probes ride the main pass: with [`Resilience::probes`] set,
+//! the resilient runner attaches the counter+site probes to every cell
+//! it simulates (and journals them beside the sweep journal as
+//! `<journal>.obs`), so each `(workload, depth, config)` cell is
+//! simulated once per invocation. [`ObsGrid::from_outcomes`] then folds
+//! the probed outcomes per `(workload, config)` group and grid-wide, in
+//! point order, into one `obs_grid.json` rollup ([`obs_grid_json`]).
+//! [`run_obs_grid`] is the standalone form: one probed pass plus the
+//! fold, for callers without a sweep of their own to reuse.
 //!
 //! Merged probes need full-fidelity serialization (the lossy
 //! `CounterProbe::to_json` folds idle cycles into its issue buckets and
@@ -23,33 +26,30 @@
 //! "where does ARVI win" table, consumed by the `obs_report` binary.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
 use arvi_obs::{CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::{intern_name, simulate_source_probed, PredictorConfig, SimParams};
-use arvi_workloads::WorkloadSource;
+use arvi_sim::PredictorConfig;
 
-use crate::harness::Spec;
-use crate::obs::obs_from_args;
-use crate::report::{io_error_at, write_text, Json};
-use crate::resilience::{cell_fingerprint, panic_message, Resilience};
-use crate::sweep::{trace_len, SweepPoint, TraceSet};
+use crate::events::SweepTelemetry;
+use crate::harness::{GridRun, Spec};
+use crate::obs::ObsConfig;
+use crate::report::{write_text, Json};
+use crate::resilience::{run_sweep_resilient, CellOutcome, Resilience};
+use crate::sweep::{SweepPoint, TraceSet};
 
-/// The probes collected from one grid cell.
+/// The probes collected from one grid cell: what a probed sweep
+/// ([`Resilience::probes`]) carries out of each cell in
+/// [`crate::resilience::CellSuccess::probes`], and what the obs journal
+/// stores per cell.
 #[derive(Debug, Clone)]
-struct CellObs {
-    counters: CounterProbe,
-    sites: SiteProbe,
-}
-
-enum ObsCell {
-    Ok { obs: Box<CellObs>, resumed: bool },
-    Failed { reason: String },
+pub struct CellProbes {
+    /// Counter/histogram telemetry.
+    pub counters: CounterProbe,
+    /// Per-branch-site attribution.
+    pub sites: SiteProbe,
 }
 
 /// Merged telemetry for one `(workload, config)` group of the grid
@@ -68,8 +68,8 @@ pub struct ObsGroup {
     pub sites: SiteProbe,
 }
 
-/// The output of [`run_obs_grid`]: per-group and grid-wide merges plus
-/// per-cell accounting.
+/// The grid rollup ([`ObsGrid::from_outcomes`], [`run_obs_grid`]):
+/// per-group and grid-wide merges plus per-cell accounting.
 #[derive(Debug)]
 pub struct ObsGrid {
     /// The window every cell ran under.
@@ -78,7 +78,8 @@ pub struct ObsGrid {
     pub total: usize,
     /// Cells that produced telemetry (simulated or restored).
     pub completed: usize,
-    /// Cells restored from the obs journal instead of re-simulated.
+    /// Cells whose probes were restored from the obs journal instead of
+    /// re-simulated.
     pub resumed: usize,
     /// Failed/skipped cells: `(index, point, reason)`.
     pub failed: Vec<(usize, String, String)>,
@@ -94,107 +95,159 @@ pub struct ObsGrid {
     pub cells_committed: Vec<Option<u64>>,
 }
 
-/// Append-only journal of completed obs cells, stored beside the sweep
-/// journal as `<journal>.obs` (same line discipline: header comment,
-/// then one `<fingerprint-hex16> <compact-json>` line per cell).
-struct ObsJournal {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-}
-
-impl ObsJournal {
-    fn open_append(path: &Path, spec: Spec) -> std::io::Result<ObsJournal> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| io_error_at(path, e))?;
-        if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
-            writeln!(
-                file,
-                "# arvi obs journal v1 seed={} warmup={} measure={}",
-                spec.seed, spec.warmup, spec.measure
-            )
-            .map_err(|e| io_error_at(path, e))?;
-        }
-        Ok(ObsJournal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
-    }
-
-    fn append(&self, fingerprint: u64, obs: &CellObs) {
-        let entry = Json::obj([
-            ("counters", counters_to_json(&obs.counters)),
-            ("sites", sites_to_json(&obs.sites)),
-        ]);
-        let line = format!("{fingerprint:016x} {}", entry.render_compact());
-        let mut file = self.file.lock().expect("obs journal writer panicked");
-        if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
-            eprintln!(
-                "warning: cannot append to obs journal {}: {e}",
-                self.path.display()
-            );
-        }
-    }
-
-    fn load(path: &Path) -> HashMap<u64, CellObs> {
-        let mut entries = HashMap::new();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(_) => return entries,
-        };
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let parsed = line.split_once(' ').and_then(|(fp, json)| {
-                let fp = u64::from_str_radix(fp, 16).ok()?;
-                let entry = Json::parse(json).ok()?;
-                Some((
-                    fp,
-                    CellObs {
-                        counters: counters_from_json(entry.get("counters")?)?,
-                        sites: sites_from_json(entry.get("sites")?)?,
-                    },
-                ))
-            });
-            match parsed {
-                Some((fp, obs)) => {
-                    entries.insert(fp, obs);
-                }
-                None => eprintln!(
-                    "warning: obs journal {}: skipping malformed line {} \
-                     (torn write from an interrupted run?)",
-                    path.display(),
-                    ln + 1
-                ),
-            }
-        }
-        entries
-    }
-}
-
-/// The obs journal's conventional location beside a sweep journal.
-fn obs_journal_path(sweep_journal: &Path) -> PathBuf {
+/// The obs journal's location beside a sweep journal: `<journal>.obs`,
+/// one line per probed cell in the sweep journal's line discipline.
+pub(crate) fn obs_journal_path(sweep_journal: &Path) -> PathBuf {
     let mut os = sweep_journal.as_os_str().to_os_string();
     os.push(".obs");
     PathBuf::from(os)
 }
 
-/// Probes every grid point (counter + site probes, always both) and
-/// merges the telemetry. Mirrors the resilient sweep runner: cells run
-/// under `catch_unwind` on up to `threads` workers, a
-/// [`crate::resilience::FaultKind::KillAfter`] plan stops dispatch, and
-/// with a journal configured ([`Resilience::journal`] — the obs journal
-/// lives beside it as `<journal>.obs`) completed cells are appended as
-/// they finish and restored on [`Resilience::resume`]. Restored
-/// telemetry is byte-identical to re-simulated telemetry — the
-/// serialization is full-fidelity by construction.
+/// One obs journal entry: both probes, full fidelity.
+pub(crate) fn probes_to_json(probes: &CellProbes) -> Json {
+    Json::obj([
+        ("counters", counters_to_json(&probes.counters)),
+        ("sites", sites_to_json(&probes.sites)),
+    ])
+}
+
+/// Inverse of [`probes_to_json`]; `None` on any malformed field.
+pub(crate) fn probes_from_json(entry: &Json) -> Option<CellProbes> {
+    Some(CellProbes {
+        counters: counters_from_json(entry.get("counters")?)?,
+        sites: sites_from_json(entry.get("sites")?)?,
+    })
+}
+
+impl ObsGrid {
+    /// Folds a probed sweep's outcomes (one per point, from
+    /// [`run_sweep_resilient`] with [`Resilience::probes`] set) into the
+    /// rollup, merging cells in point order so the result is independent
+    /// of which worker finished which cell first. With `telemetry`, each
+    /// dispatched cell emits a `cell_end` event tagged `"pass":"obs"` as
+    /// its probes are merged (`ok`, `ok-resumed` or `failed`), then one
+    /// `obs_grid_end` whose `dur_us` spans the fold alone — the
+    /// simulation is already in the sweep's own span.
+    pub fn from_outcomes(
+        points: &[SweepPoint],
+        spec: Spec,
+        outcomes: Vec<CellOutcome>,
+        telemetry: Option<&SweepTelemetry>,
+    ) -> ObsGrid {
+        ObsGrid::fold(points, spec, outcomes, telemetry, Instant::now())
+    }
+
+    /// [`ObsGrid::from_outcomes`] with the `obs_grid_end` span starting
+    /// at `started`.
+    fn fold(
+        points: &[SweepPoint],
+        spec: Spec,
+        outcomes: Vec<CellOutcome>,
+        telemetry: Option<&SweepTelemetry>,
+        started: Instant,
+    ) -> ObsGrid {
+        assert_eq!(points.len(), outcomes.len(), "one outcome per point");
+        let mut grid = ObsGrid {
+            spec,
+            total: points.len(),
+            completed: 0,
+            resumed: 0,
+            failed: Vec::new(),
+            groups: Vec::new(),
+            counters: CounterProbe::new(),
+            sites: SiteProbe::new(),
+            cells_committed: vec![None; points.len()],
+        };
+        for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
+            // Cells a kill stopped before dispatch were never probed.
+            let dispatched = !matches!(outcome, CellOutcome::Skipped);
+            let probes = match outcome {
+                CellOutcome::Ok(s) => s
+                    .probes
+                    .map(|p| (p, s.resumed))
+                    .ok_or_else(|| "ran without probes".to_string()),
+                other => Err(other.failure().expect("non-ok outcome has a reason")),
+            };
+            let tag = match probes {
+                Ok((probes, resumed)) => {
+                    grid.merge(i, point, *probes);
+                    grid.resumed += resumed as usize;
+                    if resumed {
+                        "ok-resumed"
+                    } else {
+                        "ok"
+                    }
+                }
+                Err(reason) => {
+                    grid.failed.push((i, point.to_string(), reason));
+                    "failed"
+                }
+            };
+            if let Some(t) = telemetry.filter(|_| dispatched) {
+                t.event(
+                    "cell_end",
+                    vec![
+                        ("pass".to_string(), Json::str("obs")),
+                        ("cell".to_string(), Json::Num(i as f64)),
+                        ("point".to_string(), Json::str(point.to_string())),
+                        ("outcome".to_string(), Json::str(tag)),
+                    ],
+                );
+            }
+        }
+        if let Some(t) = telemetry {
+            t.event(
+                "obs_grid_end",
+                vec![
+                    ("cells".to_string(), Json::Num(grid.total as f64)),
+                    ("completed".to_string(), Json::Num(grid.completed as f64)),
+                    (
+                        "dur_us".to_string(),
+                        Json::Num(started.elapsed().as_micros() as f64),
+                    ),
+                ],
+            );
+        }
+        grid
+    }
+
+    /// Merges cell `i`'s probes into its group and the grid totals
+    /// (moved, not copied: a grid's site tables are most of its memory).
+    fn merge(&mut self, i: usize, point: &SweepPoint, probes: CellProbes) {
+        self.completed += 1;
+        self.cells_committed[i] = Some(probes.counters.committed);
+        self.counters.merge(&probes.counters);
+        self.sites.merge(&probes.sites);
+        let name = point.workload.name();
+        match self
+            .groups
+            .iter_mut()
+            .find(|g| g.workload == name && g.config == point.config)
+        {
+            Some(g) => {
+                g.cells += 1;
+                g.counters.merge(&probes.counters);
+                g.sites.merge(&probes.sites);
+            }
+            None => self.groups.push(ObsGroup {
+                workload: name.to_string(),
+                config: point.config,
+                cells: 1,
+                counters: probes.counters,
+                sites: probes.sites,
+            }),
+        }
+    }
+}
+
+/// Probes every grid point in one standalone pass and folds the
+/// telemetry: the resilient runner with [`Resilience::probes`] forced on
+/// (panic isolation, kill handling, and with a journal configured the
+/// `<journal>.obs` probe journal plus its resume), then
+/// [`ObsGrid::from_outcomes`]. For callers with no probed sweep of their
+/// own to fold — sampled runs, whose units carry no full-window probes,
+/// and tests. `res`'s telemetry receives only the fold's events, whose
+/// `obs_grid_end` span covers this whole pass.
 pub fn run_obs_grid(
     points: &[SweepPoint],
     spec: Spec,
@@ -203,200 +256,12 @@ pub fn run_obs_grid(
     res: Option<&Resilience>,
     progress: bool,
 ) -> ObsGrid {
-    let journal_path = res.and_then(|r| r.journal.as_deref()).map(obs_journal_path);
-    let prior = match (&journal_path, res.is_some_and(|r| r.resume)) {
-        (Some(path), true) => ObsJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = journal_path.as_ref().and_then(|path| {
-        ObsJournal::open_append(path, spec)
-            .map_err(|e| eprintln!("warning: cannot open obs journal: {e} (continuing without)"))
-            .ok()
-    });
-    let plan = res.and_then(|r| r.plan.as_deref());
-    let telemetry = res.and_then(|r| r.telemetry.as_deref());
-
-    let threads = threads.clamp(1, points.len().max(1));
-    let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ObsCell>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if plan.is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire))) {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(point) = points.get(i) else { break };
-        if progress {
-            eprintln!("obs grid: {point}");
-        }
-        if let Some(t) = telemetry {
-            t.event(
-                "cell_start",
-                vec![
-                    ("pass".to_string(), Json::str("obs")),
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
-                ],
-            );
-        }
-        let cell = run_obs_cell(point, spec, traces, &prior);
-        if let ObsCell::Ok {
-            obs,
-            resumed: false,
-        } = &cell
-        {
-            if let Some(journal) = &journal {
-                journal.append(cell_fingerprint(point, spec), obs);
-            }
-        }
-        if let Some(t) = telemetry {
-            let outcome = match &cell {
-                ObsCell::Ok { resumed: true, .. } => "ok-resumed",
-                ObsCell::Ok { .. } => "ok",
-                ObsCell::Failed { .. } => "failed",
-            };
-            t.event(
-                "cell_end",
-                vec![
-                    ("pass".to_string(), Json::str("obs")),
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
-                    ("outcome".to_string(), Json::str(outcome)),
-                ],
-            );
-        }
-        *slots[i].lock().expect("obs slot") = Some(cell);
-        completed.fetch_add(1, Ordering::Release);
-    };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-
-    // Merge sequentially in point order: the rollup is deterministic
-    // regardless of which worker finished which cell first.
-    let mut grid = ObsGrid {
-        spec,
-        total: points.len(),
-        completed: 0,
-        resumed: 0,
-        failed: Vec::new(),
-        groups: Vec::new(),
-        counters: CounterProbe::new(),
-        sites: SiteProbe::new(),
-        cells_committed: vec![None; points.len()],
-    };
-    for (i, (point, slot)) in points.iter().zip(slots).enumerate() {
-        let cell = slot.into_inner().expect("obs slot");
-        match cell {
-            Some(ObsCell::Ok { obs, resumed }) => {
-                grid.completed += 1;
-                grid.resumed += resumed as usize;
-                grid.cells_committed[i] = Some(obs.counters.committed);
-                grid.counters.merge(&obs.counters);
-                grid.sites.merge(&obs.sites);
-                let name = point.workload.name();
-                match grid
-                    .groups
-                    .iter_mut()
-                    .find(|g| g.workload == name && g.config == point.config)
-                {
-                    Some(g) => {
-                        g.cells += 1;
-                        g.counters.merge(&obs.counters);
-                        g.sites.merge(&obs.sites);
-                    }
-                    None => grid.groups.push(ObsGroup {
-                        workload: name.to_string(),
-                        config: point.config,
-                        cells: 1,
-                        counters: obs.counters,
-                        sites: obs.sites,
-                    }),
-                }
-            }
-            Some(ObsCell::Failed { reason }) => grid.failed.push((i, point.to_string(), reason)),
-            None => grid.failed.push((
-                i,
-                point.to_string(),
-                "skipped (run stopped before dispatch)".to_string(),
-            )),
-        }
-    }
-    if let Some(t) = telemetry {
-        t.event(
-            "obs_grid_end",
-            vec![
-                ("cells".to_string(), Json::Num(grid.total as f64)),
-                ("completed".to_string(), Json::Num(grid.completed as f64)),
-                (
-                    "dur_us".to_string(),
-                    Json::Num(start.elapsed().as_micros() as f64),
-                ),
-            ],
-        );
-    }
-    grid
-}
-
-fn run_obs_cell(
-    point: &SweepPoint,
-    spec: Spec,
-    traces: Option<&TraceSet>,
-    prior: &HashMap<u64, CellObs>,
-) -> ObsCell {
-    if let Some(obs) = prior.get(&cell_fingerprint(point, spec)) {
-        return ObsCell::Ok {
-            obs: Box::new(obs.clone()),
-            resumed: true,
-        };
-    }
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let probe = (CounterProbe::new(), SiteProbe::new());
-        let name = intern_name(point.workload.name());
-        let params = SimParams::for_depth(point.depth);
-        let replayer = traces.and_then(|t| {
-            t.get(&point.workload)
-                .filter(|tr| tr.len() >= trace_len(spec))
-                .and_then(|_| t.replayer(&point.workload))
-        });
-        let (_, (counters, sites)) = match replayer {
-            Some(replayer) => simulate_source_probed(
-                name,
-                replayer,
-                params,
-                point.config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-            None => simulate_source_probed(
-                name,
-                arvi_isa::Emulator::new(point.workload.program(spec.seed)),
-                params,
-                point.config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-        };
-        CellObs { counters, sites }
-    }));
-    match attempt {
-        Ok(obs) => ObsCell::Ok {
-            obs: Box::new(obs),
-            resumed: false,
-        },
-        Err(payload) => ObsCell::Failed {
-            reason: format!("panicked: {}", panic_message(payload.as_ref())),
-        },
-    }
+    let started = Instant::now();
+    let mut probed = res.cloned().unwrap_or_else(Resilience::new);
+    probed.probes = true;
+    let telemetry = probed.telemetry.take();
+    let outcomes = run_sweep_resilient(points, spec, threads, progress, traces, &probed);
+    ObsGrid::fold(points, spec, outcomes, telemetry.as_deref(), started)
 }
 
 fn n(v: u64) -> Json {
@@ -935,30 +800,29 @@ impl Attribution {
     }
 }
 
-/// Runs the grid-probe pass and writes the rollup when `--obs-grid` is
-/// present in `args`. Exits 2 on malformed flags (consistent with
-/// [`crate::obs::maybe_obs_pass`], which the binaries call first — by
-/// the time this runs the flags have already been validated) and 1 when
-/// the rollup cannot be written. The experiment binaries call this with
-/// their natural grid after the tables.
+/// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
+/// asks for one; exits 1 when the rollup cannot be written. The rollup
+/// folds the run's own probed outcomes — `--obs-grid` put the run on the
+/// resilient runner with probes on — except after a sampled run, whose
+/// units carry no full-window probes: that takes one separate probed
+/// pass through [`run_obs_grid`]. The experiment binaries call this
+/// after their tables.
 pub fn maybe_obs_grid(
-    args: &[String],
-    points: &[SweepPoint],
+    cfg: Option<&ObsConfig>,
+    run: GridRun,
     spec: Spec,
     threads: usize,
     traces: Option<&TraceSet>,
     res: Option<&Resilience>,
 ) {
-    let cfg = match obs_from_args(args) {
-        Ok(Some(cfg)) => cfg,
-        Ok(None) => return,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let Some(cfg) = cfg else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = run_obs_grid(points, spec, threads, traces, res, false);
+    let grid = if run.reports.is_some() {
+        run_obs_grid(&run.points, spec, threads, traces, res, false)
+    } else {
+        let telemetry = res.and_then(|r| r.telemetry.as_deref());
+        ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry)
+    };
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");

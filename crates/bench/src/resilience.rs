@@ -23,6 +23,11 @@
 //!   interrupted sweep resumes by skipping finished cells
 //!   ([`Resilience::resume`]). Trace files themselves are written
 //!   atomically by `arvi-trace` (temp file + fsync + rename).
+//! * **Probes in the pass** — with [`Resilience::probes`] (the
+//!   `--obs-grid` flag) every simulated cell carries the counter and
+//!   site probes out in [`CellSuccess::probes`], journaled beside the
+//!   sweep journal as `<journal>.obs`, so the grid rollup
+//!   ([`crate::obs_grid`]) never re-simulates a cell.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
 //!   `--fault-plan` text) flips bytes, truncates files, panics or
 //!   stalls chosen cells, and simulates a mid-grid kill, all
@@ -36,12 +41,18 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arvi_sim::{intern_name, PredictorConfig, SimResult};
+use arvi_obs::{CounterProbe, SiteProbe};
+use arvi_sim::{
+    intern_name, simulate_source, simulate_source_probed, InstSource, PredictorConfig, SimParams,
+    SimResult,
+};
 use arvi_stats::Accuracy;
-use arvi_trace::{StdIo, TraceError, TraceIo, REPLAY_PANIC_PREFIX};
+use arvi_trace::{StdIo, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
+use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
-use crate::harness::{run_one, run_one_traced, Spec};
+use crate::harness::Spec;
+use crate::obs_grid::{obs_journal_path, probes_from_json, probes_to_json, CellProbes};
 use crate::report::{io_error_at, Json};
 use crate::sweep::{trace_len, SweepPoint, TraceSet};
 use crate::workload::{fnv1a, FNV_OFFSET};
@@ -99,6 +110,10 @@ pub struct CellSuccess {
     /// [`crate::sampling::run_sweep_sampled`]; `0` for a full
     /// (unsampled) run.
     pub sampled_units: usize,
+    /// The counter and site probes the cell ran with, when the sweep
+    /// asked for them ([`Resilience::probes`]); restored from the obs
+    /// journal for resumed cells.
+    pub probes: Option<Box<CellProbes>>,
 }
 
 /// The structured outcome of one grid cell under
@@ -196,6 +211,11 @@ pub struct Resilience {
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
+    /// Attach the counter and site probes to every simulated cell
+    /// (`--obs-grid`). Probed results are bit-identical to unprobed
+    /// ones; with a journal the probes go to `<journal>.obs`, and a
+    /// resumed cell without an obs entry is re-simulated to get them.
+    pub probes: bool,
 }
 
 impl Resilience {
@@ -209,6 +229,7 @@ impl Resilience {
             rerecord: true,
             live_fallback: true,
             telemetry: None,
+            probes: false,
         }
     }
 
@@ -614,21 +635,27 @@ fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
     ))
 }
 
-/// Append-only journal of completed sweep cells: a header comment, then
-/// one `<fingerprint-hex16> <compact-json>` line per cell, appended
-/// (and flushed) as each cell finishes. Crash-tolerant on both ends: a
-/// torn final line from an interrupted writer is skipped (with a
-/// warning) by the loader, and everything before it still resumes.
+/// The append-only line discipline both journals share: a header
+/// comment naming the journal kind and spec, then one
+/// `<fingerprint-hex16> <compact-json>` line per entry, appended (and
+/// flushed) as entries complete. Crash-tolerant on both ends: a torn
+/// final line from an interrupted writer is skipped (with a warning) by
+/// the loader, and everything before it still resumes.
 #[derive(Debug)]
-pub struct SweepJournal {
+pub(crate) struct LineJournal {
+    kind: &'static str,
     path: PathBuf,
     file: Mutex<std::fs::File>,
 }
 
-impl SweepJournal {
-    /// Opens `path` for appending, writing a header line when the file
-    /// is new or empty.
-    pub fn open_append(path: &Path, spec: Spec) -> std::io::Result<SweepJournal> {
+impl LineJournal {
+    /// Opens `path` for appending, writing the header line when the
+    /// file is new or empty.
+    pub(crate) fn open_append(
+        kind: &'static str,
+        path: &Path,
+        spec: Spec,
+    ) -> std::io::Result<LineJournal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
         }
@@ -640,48 +667,53 @@ impl SweepJournal {
         if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
             writeln!(
                 file,
-                "# arvi sweep journal v1 seed={} warmup={} measure={}",
+                "# arvi {kind} journal v1 seed={} warmup={} measure={}",
                 spec.seed, spec.warmup, spec.measure
             )
             .map_err(|e| io_error_at(path, e))?;
         }
-        Ok(SweepJournal {
+        Ok(LineJournal {
+            kind,
             path: path.to_path_buf(),
             file: Mutex::new(file),
         })
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// [`LineJournal::open_append`], or `None` with a warning — a
+    /// journal that cannot open must not stop the sweep.
+    pub(crate) fn open_or_warn(kind: &'static str, path: &Path, spec: Spec) -> Option<LineJournal> {
+        LineJournal::open_append(kind, path, spec)
+            .map_err(|e| {
+                eprintln!(
+                    "warning: cannot open {kind} journal {}: {e} (continuing without)",
+                    path.display()
+                )
+            })
+            .ok()
     }
 
-    /// Appends one completed cell. Persistence failures only warn — a
-    /// full disk must not fail the sweep itself.
-    pub fn append(
-        &self,
-        fingerprint: u64,
-        result: &SimResult,
-        degradation: Degradation,
-        duration: Duration,
-    ) {
-        let line = format!(
-            "{fingerprint:016x} {}",
-            entry_json(result, degradation, duration).render_compact()
-        );
+    /// Appends one entry. Persistence failures only warn — a full disk
+    /// must not fail the sweep itself.
+    pub(crate) fn append(&self, fingerprint: u64, entry: &Json) {
+        let line = format!("{fingerprint:016x} {}", entry.render_compact());
         let mut file = self.file.lock().expect("journal writer panicked");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
-                "warning: cannot append to sweep journal {}: {e}",
+                "warning: cannot append to {} journal {}: {e}",
+                self.kind,
                 self.path.display()
             );
         }
     }
 
-    /// Loads every well-formed entry of the journal at `path`. A
-    /// missing file is an empty journal; malformed lines (e.g. a torn
+    /// Loads every entry of the journal at `path` that `parse` accepts.
+    /// A missing file is an empty journal; malformed lines (e.g. a torn
     /// final line from a crashed writer) are skipped with a warning.
-    pub fn load(path: &Path) -> HashMap<u64, (SimResult, Degradation, Duration)> {
+    pub(crate) fn load<T>(
+        kind: &str,
+        path: &Path,
+        parse: impl Fn(&Json) -> Option<T>,
+    ) -> HashMap<u64, T> {
         let mut entries = HashMap::new();
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -694,15 +726,14 @@ impl SweepJournal {
             }
             let parsed = line.split_once(' ').and_then(|(fp, json)| {
                 let fp = u64::from_str_radix(fp, 16).ok()?;
-                let entry = entry_from_json(&Json::parse(json).ok()?)?;
-                Some((fp, entry))
+                Some((fp, parse(&Json::parse(json).ok()?)?))
             });
             match parsed {
                 Some((fp, entry)) => {
                     entries.insert(fp, entry);
                 }
                 None => eprintln!(
-                    "warning: sweep journal {}: skipping malformed line {} \
+                    "warning: {kind} journal {}: skipping malformed line {} \
                      (torn write from an interrupted run?)",
                     path.display(),
                     ln + 1
@@ -710,6 +741,49 @@ impl SweepJournal {
             }
         }
         entries
+    }
+}
+
+/// Append-only journal of completed sweep cells, one
+/// [`LineJournal`] line per cell carrying the result counters.
+#[derive(Debug)]
+pub struct SweepJournal(LineJournal);
+
+impl SweepJournal {
+    /// Opens `path` for appending, writing a header line when the file
+    /// is new or empty.
+    pub fn open_append(path: &Path, spec: Spec) -> std::io::Result<SweepJournal> {
+        LineJournal::open_append("sweep", path, spec).map(SweepJournal)
+    }
+
+    /// [`SweepJournal::open_append`], or `None` with a warning.
+    pub(crate) fn open_or_warn(path: &Path, spec: Spec) -> Option<SweepJournal> {
+        LineJournal::open_or_warn("sweep", path, spec).map(SweepJournal)
+    }
+
+    /// The journal's path.
+    pub fn path(&self) -> &Path {
+        &self.0.path
+    }
+
+    /// Appends one completed cell. Persistence failures only warn — a
+    /// full disk must not fail the sweep itself.
+    pub fn append(
+        &self,
+        fingerprint: u64,
+        result: &SimResult,
+        degradation: Degradation,
+        duration: Duration,
+    ) {
+        self.0
+            .append(fingerprint, &entry_json(result, degradation, duration));
+    }
+
+    /// Loads every well-formed entry of the journal at `path`. A
+    /// missing file is an empty journal; malformed lines (e.g. a torn
+    /// final line from a crashed writer) are skipped with a warning.
+    pub fn load(path: &Path) -> HashMap<u64, (SimResult, Degradation, Duration)> {
+        LineJournal::load("sweep", path, entry_from_json)
     }
 }
 
@@ -724,7 +798,10 @@ impl SweepJournal {
 /// completed cells are appended as they finish; with
 /// [`Resilience::resume`], previously journaled cells are restored
 /// without re-running — restored results are bit-identical to simulated
-/// ones, they are the simulated ones.
+/// ones, they are the simulated ones. With [`Resilience::probes`], every
+/// cell also carries its counter and site probes
+/// ([`CellSuccess::probes`]), journaled to and restored from
+/// `<journal>.obs`.
 pub fn run_sweep_resilient(
     points: &[SweepPoint],
     spec: Spec,
@@ -737,16 +814,22 @@ pub fn run_sweep_resilient(
         (Some(path), true) => SweepJournal::load(path),
         _ => HashMap::new(),
     };
-    let journal = res.journal.as_ref().and_then(|path| {
-        SweepJournal::open_append(path, spec)
-            .map_err(|e| {
-                eprintln!(
-                    "warning: cannot open sweep journal {}: {e} (continuing without)",
-                    path.display()
-                )
-            })
-            .ok()
-    });
+    let journal = res
+        .journal
+        .as_deref()
+        .and_then(|path| SweepJournal::open_or_warn(path, spec));
+    let obs_path = res
+        .journal
+        .as_deref()
+        .filter(|_| res.probes)
+        .map(obs_journal_path);
+    let prior_probes = match (&obs_path, res.resume) {
+        (Some(path), true) => LineJournal::load("obs", path, probes_from_json),
+        _ => HashMap::new(),
+    };
+    let obs_journal = obs_path
+        .as_deref()
+        .and_then(|path| LineJournal::open_or_warn("obs", path, spec));
 
     let threads = threads.clamp(1, points.len().max(1));
     let telemetry = res.telemetry.as_deref();
@@ -785,16 +868,17 @@ pub fn run_sweep_resilient(
                 ],
             );
         }
-        let outcome = run_cell(i, point, spec, traces, res, &prior);
+        let outcome = run_cell(i, point, spec, traces, res, &prior, &prior_probes);
         if let CellOutcome::Ok(s) = &outcome {
             if !s.resumed {
-                if let Some(journal) = &journal {
-                    journal.append(
-                        cell_fingerprint(point, spec),
-                        &s.result,
-                        s.degradation,
-                        s.duration,
-                    );
+                let fp = cell_fingerprint(point, spec);
+                // A journaled cell re-run only for its probes keeps its
+                // original sweep-journal line.
+                if let (Some(journal), false) = (&journal, prior.contains_key(&fp)) {
+                    journal.append(fp, &s.result, s.degradation, s.duration);
+                }
+                if let (Some(journal), Some(probes)) = (&obs_journal, &s.probes) {
+                    journal.append(fp, &probes_to_json(probes));
                 }
             }
         }
@@ -913,6 +997,8 @@ fn emit_cell_events(
     t.cell_finished(key, simulated_duration, resumed, degraded);
 }
 
+type Simulated = (SimResult, Option<Box<CellProbes>>);
+
 fn run_cell(
     i: usize,
     point: &SweepPoint,
@@ -920,15 +1006,22 @@ fn run_cell(
     traces: Option<&TraceSet>,
     res: &Resilience,
     prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
+    prior_probes: &HashMap<u64, CellProbes>,
 ) -> CellOutcome {
-    if let Some((result, degradation, duration)) = prior.get(&cell_fingerprint(point, spec)) {
-        return CellOutcome::Ok(CellSuccess {
-            result: result.clone(),
-            degradation: *degradation,
-            resumed: true,
-            duration: *duration,
-            sampled_units: 0,
-        });
+    let fp = cell_fingerprint(point, spec);
+    if let Some((result, degradation, duration)) = prior.get(&fp) {
+        let probes = prior_probes.get(&fp);
+        // A probed sweep re-runs a cell journaled without its probes.
+        if !res.probes || probes.is_some() {
+            return CellOutcome::Ok(CellSuccess {
+                result: result.clone(),
+                degradation: *degradation,
+                resumed: true,
+                duration: *duration,
+                sampled_units: 0,
+                probes: probes.cloned().map(Box::new),
+            });
+        }
     }
     let start = Instant::now();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -940,21 +1033,26 @@ fn run_cell(
                 std::thread::sleep(stall);
             }
         }
-        let degrade = |reason: String| -> Result<(SimResult, Degradation), String> {
+        let live = || {
+            let program = point.workload.program(spec.seed);
+            let name = intern_name(program.name());
+            simulate_cell(
+                name,
+                arvi_isa::Emulator::new(program),
+                point,
+                spec,
+                res.probes,
+            )
+        };
+        let degrade = |reason: String| -> Result<(Simulated, Degradation), String> {
             if res.live_fallback {
-                Ok((
-                    run_one(&point.workload, point.depth, point.config, spec),
-                    Degradation::LiveEmulation,
-                ))
+                Ok((live(), Degradation::LiveEmulation))
             } else {
                 Err(reason)
             }
         };
         match traces {
-            None => Ok((
-                run_one(&point.workload, point.depth, point.config, spec),
-                Degradation::None,
-            )),
+            None => Ok((live(), Degradation::None)),
             Some(traces) => match traces.get(&point.workload) {
                 Some(trace) if trace.len() >= trace_len(spec) => {
                     let degradation = match traces.provenance(&point.workload) {
@@ -963,8 +1061,10 @@ fn run_cell(
                         }
                         _ => Degradation::None,
                     };
+                    let replayer = TraceReplayer::new(Arc::clone(trace));
+                    let name = intern_name(trace.name());
                     Ok((
-                        run_one_traced(trace, point.depth, point.config, spec),
+                        simulate_cell(name, replayer, point, spec, res.probes),
                         degradation,
                     ))
                 }
@@ -992,7 +1092,7 @@ fn run_cell(
             }
         }
         Ok(Err(message)) => CellOutcome::TraceError { message },
-        Ok(Ok((result, degradation))) => match res.deadline {
+        Ok(Ok(((result, probes), degradation))) => match res.deadline {
             Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
             _ => CellOutcome::Ok(CellSuccess {
                 result,
@@ -1000,9 +1100,32 @@ fn run_cell(
                 resumed: false,
                 duration: elapsed,
                 sampled_units: 0,
+                probes,
             }),
         },
     }
+}
+
+/// Simulates one cell from `source` — the same run as
+/// [`crate::harness::run_one`] / [`crate::harness::run_one_traced`] —
+/// with the counter and site probes attached when `probes` is set.
+fn simulate_cell<S: InstSource>(
+    name: &'static str,
+    source: S,
+    point: &SweepPoint,
+    spec: Spec,
+    probes: bool,
+) -> Simulated {
+    let params = SimParams::for_depth(point.depth);
+    let (warmup, measure) = (spec.warmup, spec.measure);
+    if !probes {
+        let result = simulate_source(name, source, params, point.config, warmup, measure);
+        return (result, None);
+    }
+    let probe = (CounterProbe::new(), SiteProbe::new());
+    let (result, (counters, sites)) =
+        simulate_source_probed(name, source, params, point.config, warmup, measure, probe);
+    (result, Some(Box::new(CellProbes { counters, sites })))
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1055,12 +1178,28 @@ pub fn collect_results(
     points: &[SweepPoint],
     outcomes: Vec<CellOutcome>,
 ) -> Result<Vec<SimResult>, SweepIncomplete> {
+    collect_where(points, &outcomes, |_| true)
+}
+
+/// [`collect_results`] over the cells `keep` selects: their results in
+/// grid order, or every failed cell among them (with its index in the
+/// full sweep).
+pub(crate) fn collect_where(
+    points: &[SweepPoint],
+    outcomes: &[CellOutcome],
+    keep: impl Fn(&SweepPoint) -> bool,
+) -> Result<Vec<SimResult>, SweepIncomplete> {
     assert_eq!(points.len(), outcomes.len(), "one outcome per point");
-    let mut results = Vec::with_capacity(outcomes.len());
+    let mut results = Vec::new();
     let mut failed = Vec::new();
+    let mut total = 0;
     for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
+        if !keep(point) {
+            continue;
+        }
+        total += 1;
         match outcome {
-            CellOutcome::Ok(s) => results.push(s.result),
+            CellOutcome::Ok(s) => results.push(s.result.clone()),
             other => failed.push((
                 i,
                 point.to_string(),
@@ -1071,10 +1210,7 @@ pub fn collect_results(
     if failed.is_empty() {
         Ok(results)
     } else {
-        Err(SweepIncomplete {
-            total: points.len(),
-            failed,
-        })
+        Err(SweepIncomplete { total, failed })
     }
 }
 
@@ -1191,6 +1327,7 @@ pub use crate::sweep::TraceProvenance;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_one;
     use arvi_sim::Depth;
     use arvi_workloads::Benchmark;
 
@@ -1361,6 +1498,7 @@ mod tests {
                 resumed,
                 duration: Duration::from_millis(40),
                 sampled_units: 0,
+                probes: None,
             })
         };
         assert_eq!(outcome_summary(&[ok(Degradation::None, false)]), None);
@@ -1389,6 +1527,7 @@ mod tests {
                 resumed,
                 duration: Duration::from_millis(ms),
                 sampled_units: 0,
+                probes: None,
             })
         };
         // Nothing ran in-process: resumed-only grids report no timing.

@@ -129,16 +129,10 @@ pub fn run_sweep_sampled(
         (Some(path), true) => SweepJournal::load(path),
         _ => HashMap::new(),
     };
-    let journal = res.journal.as_ref().and_then(|path| {
-        SweepJournal::open_append(path, spec)
-            .map_err(|e| {
-                eprintln!(
-                    "warning: cannot open sweep journal {}: {e} (continuing without)",
-                    path.display()
-                )
-            })
-            .ok()
-    });
+    let journal = res
+        .journal
+        .as_deref()
+        .and_then(|path| SweepJournal::open_or_warn(path, spec));
 
     let modes: Vec<CellMode> = points
         .iter()
@@ -321,6 +315,7 @@ fn run_fallback_cell(
             resumed: true,
             duration: *duration,
             sampled_units: 0,
+            probes: None,
         });
     }
     if !res.live_fallback {
@@ -348,6 +343,7 @@ fn run_fallback_cell(
                 resumed: false,
                 duration,
                 sampled_units: 0,
+                probes: None,
             })
         }
         Err(payload) => CellOutcome::Panicked {
@@ -415,6 +411,7 @@ fn assemble_cell(
             resumed: all_resumed,
             duration,
             sampled_units: units,
+            probes: None,
         }),
         Some(report),
     )
@@ -424,6 +421,14 @@ fn assemble_cell(
 /// accuracy estimates with 95% half-widths, unit counts and coverage.
 /// Cells without a report (live fallback, failures) show a dash.
 pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
+    ci_table(points.iter().zip(&sweep.reports))
+}
+
+/// [`sample_ci_table`] over any `(point, report)` rows — e.g. one
+/// figure's slice of a larger sampled grid.
+pub(crate) fn ci_table<'a>(
+    cells: impl Iterator<Item = (&'a SweepPoint, &'a Option<SampleReport>)>,
+) -> Table {
     let mut t = Table::new(vec![
         "workload".into(),
         "depth".into(),
@@ -435,7 +440,7 @@ pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
         "units".into(),
         "coverage".into(),
     ]);
-    for (point, report) in points.iter().zip(&sweep.reports) {
+    for (point, report) in cells {
         let mut row = vec![
             point.workload.name().to_string(),
             point.depth.to_string(),

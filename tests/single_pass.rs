@@ -1,0 +1,301 @@
+//! One simulation per grid cell: the contracts that let `--obs-grid`
+//! ride the main sweep and let `experiments` assemble every figure from
+//! one pass over its grid.
+//!
+//! 1. **Probes in the pass** — the rollup folded from a probed resilient
+//!    sweep is byte-identical to the standalone `run_obs_grid` rollup and
+//!    to a fold of cells probed directly through the simulator, and the
+//!    probed sweep's results equal an unprobed sweep's at 1 and 4
+//!    threads.
+//! 2. **One sweep, every figure** — Figure 5 and each Figure 6 depth
+//!    assembled from one `workloads × depths × configs` sweep equal the
+//!    per-figure sweeps, in strict, fault-isolated and sampled mode
+//!    (confidence-interval tables included), and a failed cell marks
+//!    only the figures that contain it incomplete.
+//! 3. **Resume adds probes** — a sweep journaled without probes, resumed
+//!    with them, re-simulates exactly the cells that have no obs-journal
+//!    entry, and the final rollup equals a direct run.
+
+use std::time::Duration;
+
+use arvi::obs::{CounterProbe, SiteProbe};
+use arvi::sampling::SamplePlan;
+use arvi::sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams};
+use arvi::stats::Table;
+use arvi::workloads::Benchmark;
+use arvi_bench::{
+    collect_results, fig5_cell, fig5_tables_over, grid, obs_grid_json, run_obs_grid,
+    run_sweep_resilient, CellOutcome, CellProbes, CellSuccess, Degradation, FaultPlan, Fig6Data,
+    GridRun, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
+};
+
+fn tiny_spec() -> Spec {
+    Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 3,
+    }
+}
+
+fn small_workloads() -> Vec<Workload> {
+    vec![
+        Workload::from(Benchmark::Compress),
+        Workload::from(Benchmark::Li),
+    ]
+}
+
+fn probed() -> Resilience {
+    let mut res = Resilience::new();
+    res.probes = true;
+    res
+}
+
+fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> String {
+    obs_grid_json(&ObsGrid::from_outcomes(points, spec, outcomes, None), 5).render()
+}
+
+/// Every result counter, rendered: `SimResult` has no `PartialEq`.
+fn results_of(points: &[SweepPoint], outcomes: Vec<CellOutcome>) -> String {
+    format!(
+        "{:?}",
+        collect_results(points, outcomes).expect("every cell ran")
+    )
+}
+
+#[test]
+fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
+    let spec = tiny_spec();
+    let workloads = small_workloads();
+    let points = grid(
+        &workloads,
+        &[Depth::D20, Depth::D40],
+        &PredictorConfig::all(),
+    );
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+
+    let standalone = run_obs_grid(&points, spec, 2, Some(&traces), None, false);
+    assert_eq!(
+        standalone.completed,
+        points.len(),
+        "{:?}",
+        standalone.failed
+    );
+    let standalone = obs_grid_json(&standalone, 5).render();
+
+    // Independent reference: every cell probed directly through the
+    // simulator, bypassing the sweep runner, then folded.
+    let direct: Vec<CellOutcome> = points
+        .iter()
+        .map(|p| {
+            let (result, (counters, sites)) = simulate_source_probed(
+                intern_name(p.workload.name()),
+                traces.replayer(&p.workload).expect("recorded"),
+                SimParams::for_depth(p.depth),
+                p.config,
+                spec.warmup,
+                spec.measure,
+                (CounterProbe::new(), SiteProbe::new()),
+            );
+            CellOutcome::Ok(CellSuccess {
+                result,
+                degradation: Degradation::None,
+                resumed: false,
+                duration: Duration::ZERO,
+                sampled_units: 0,
+                probes: Some(Box::new(CellProbes { counters, sites })),
+            })
+        })
+        .collect();
+    assert_eq!(rollup(&points, spec, direct), standalone, "direct fold");
+
+    for threads in [1, 4] {
+        let main_pass =
+            run_sweep_resilient(&points, spec, threads, false, Some(&traces), &probed());
+        assert_eq!(
+            rollup(&points, spec, main_pass.clone()),
+            standalone,
+            "main-pass rollup at {threads} threads"
+        );
+        let plain = run_sweep_resilient(
+            &points,
+            spec,
+            threads,
+            false,
+            Some(&traces),
+            &Resilience::new(),
+        );
+        assert!(plain.iter().all(|o| o.success().unwrap().probes.is_none()));
+        assert_eq!(
+            results_of(&points, main_pass),
+            results_of(&points, plain),
+            "probed results diverge from unprobed at {threads} threads"
+        );
+    }
+}
+
+fn fig5_text((a, b): (Table, Table)) -> String {
+    a.to_text() + &b.to_text()
+}
+
+fn fig6_text(data: Fig6Data) -> String {
+    data.accuracy_table().to_text() + &data.normalized_ipc_table().to_text()
+}
+
+fn ci_text(table: Option<Table>) -> Option<String> {
+    table.map(|t| t.to_text())
+}
+
+#[test]
+fn one_sweep_assembles_every_figure_in_every_mode() {
+    let spec = tiny_spec();
+    let workloads = small_workloads();
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let paper_grid = grid(&workloads, &Depth::all(), &PredictorConfig::all());
+    let fig5_grid = grid(&workloads, &Depth::all(), &[PredictorConfig::ArviCurrent]);
+
+    // The strict per-figure entry points are the reference for the
+    // full-run modes.
+    let fig5_ref = fig5_text(fig5_tables_over(&workloads, spec, false, 2, Some(&traces)));
+    let fig6_ref: Vec<String> = Depth::all()
+        .into_iter()
+        .map(|d| {
+            fig6_text(Fig6Data::collect_over(
+                &workloads,
+                d,
+                spec,
+                false,
+                2,
+                Some(&traces),
+            ))
+        })
+        .collect();
+
+    let res = Resilience::new();
+    let plan = SamplePlan::systematic(2, 500, 1_000);
+    for (mode, res, plan) in [
+        ("strict", None, None),
+        ("resilient", Some(&res), None),
+        ("sampled", None, Some(&plan)),
+    ] {
+        let run = GridRun::run(paper_grid.clone(), spec, 2, false, &traces, res, plan);
+        let fig5 = fig5_text(run.fig5_tables(&workloads).expect("complete"));
+        let fig6: Vec<String> = Depth::all()
+            .into_iter()
+            .map(|d| fig6_text(run.fig6_data(&workloads, d).expect("complete")))
+            .collect();
+        if plan.is_none() {
+            assert_eq!(fig5, fig5_ref, "{mode}: Figure 5");
+            assert_eq!(fig6, fig6_ref, "{mode}: Figure 6");
+        }
+
+        // Against each figure's own sweep in the same mode, confidence
+        // intervals included.
+        let own = |points| GridRun::run(points, spec, 2, false, &traces, res, plan);
+        let own5 = own(fig5_grid.clone());
+        assert_eq!(
+            fig5,
+            fig5_text(own5.fig5_tables(&workloads).unwrap()),
+            "{mode}: Figure 5 vs its own sweep"
+        );
+        assert_eq!(
+            ci_text(run.ci_table(fig5_cell)),
+            ci_text(own5.ci_table(|_| true)),
+            "{mode}: Figure 5 CI table"
+        );
+        assert_eq!(plan.is_some(), own5.ci_table(|_| true).is_some());
+        for (i, depth) in Depth::all().into_iter().enumerate() {
+            let own6 = own(grid(&workloads, &[depth], &PredictorConfig::all()));
+            assert_eq!(
+                fig6[i],
+                fig6_text(own6.fig6_data(&workloads, depth).unwrap()),
+                "{mode}: Figure 6 {depth} vs its own sweep"
+            );
+            assert_eq!(
+                ci_text(run.ci_table(|p| p.depth == depth)),
+                ci_text(own6.ci_table(|_| true)),
+                "{mode}: Figure 6 {depth} CI table"
+            );
+        }
+    }
+
+    // Cell 4 is the first workload's 40-stage baseline cell: it belongs
+    // to Figure 6 at 40 stages only.
+    assert_eq!(paper_grid[4].depth, Depth::D40);
+    assert!(!fig5_cell(&paper_grid[4]));
+    let faulted = Resilience::new().with_plan(FaultPlan::parse("panic-cell 4").unwrap());
+    let run = GridRun::run(paper_grid, spec, 2, false, &traces, Some(&faulted), None);
+    assert_eq!(fig5_text(run.fig5_tables(&workloads).unwrap()), fig5_ref);
+    for (i, depth) in Depth::all().into_iter().enumerate() {
+        match run.fig6_data(&workloads, depth) {
+            Ok(data) => {
+                assert_ne!(depth, Depth::D40);
+                assert_eq!(fig6_text(data), fig6_ref[i]);
+            }
+            Err(incomplete) => {
+                assert_eq!(depth, Depth::D40);
+                assert_eq!(incomplete.total, 2 * PredictorConfig::all().len());
+                assert_eq!(incomplete.failed.len(), 1);
+                assert_eq!(incomplete.failed[0].0, 4, "indexed within the sweep");
+            }
+        }
+    }
+}
+
+#[test]
+fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
+    let spec = tiny_spec();
+    let workloads = small_workloads();
+    let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let dir = std::env::temp_dir().join(format!("arvi-single-pass-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let journal = dir.join("sweep.journal");
+    let obs_journal = dir.join("sweep.journal.obs");
+    let lines = |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count();
+
+    // A plain journaled sweep: every cell journaled, no probes.
+    let plain = Resilience::new().with_journal(&journal);
+    let first = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &plain);
+    assert!(first.iter().all(|o| o.success().is_some()));
+    assert!(!obs_journal.exists(), "no probes, no obs journal");
+    assert_eq!(lines(&journal), 1 + points.len());
+
+    // Resumed with probes and killed after 3 cells: none has an obs
+    // entry, so all 3 re-run (probed) rather than resume.
+    let res = probed()
+        .with_journal(&journal)
+        .resuming()
+        .with_plan(FaultPlan::parse("kill-after 3").unwrap());
+    let killed = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
+    let done: Vec<&CellSuccess> = killed.iter().filter_map(|o| o.success()).collect();
+    assert_eq!(done.len(), 3);
+    assert!(done.iter().all(|s| !s.resumed && s.probes.is_some()));
+    assert_eq!(lines(&obs_journal), 1 + 3);
+    assert_eq!(
+        lines(&journal),
+        1 + points.len(),
+        "no duplicate sweep lines"
+    );
+
+    // Resumed with probes again: the 3 probed cells restore from both
+    // journals, the other 5 re-run, and the rollup matches a direct run.
+    let res = probed().with_journal(&journal).resuming();
+    let resumed = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &res);
+    let grid = ObsGrid::from_outcomes(&points, spec, resumed.clone(), None);
+    assert_eq!(grid.completed, points.len(), "{:?}", grid.failed);
+    assert_eq!(grid.resumed, 3);
+    let direct = run_obs_grid(&points, spec, 2, Some(&traces), None, false);
+    assert_eq!(
+        obs_grid_json(&grid, 5).render(),
+        obs_grid_json(&direct, 5).render(),
+        "resumed rollup must equal a direct run"
+    );
+    assert_eq!(lines(&obs_journal), 1 + points.len());
+    assert_eq!(lines(&journal), 1 + points.len());
+    assert_eq!(
+        results_of(&points, resumed),
+        results_of(&points, first),
+        "re-simulated cells reproduce their journaled results"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
