@@ -121,6 +121,56 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// `mat · vec` over GF(2): the XOR of the columns of `mat` selected by
+/// the set bits of `vec`.
+fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+    let mut sum = 0;
+    for col in mat {
+        if vec == 0 {
+            break;
+        }
+        if vec & 1 != 0 {
+            sum ^= col;
+        }
+        vec >>= 1;
+    }
+    sum
+}
+
+fn gf2_square(mat: &[u32; 32]) -> [u32; 32] {
+    std::array::from_fn(|n| gf2_times(mat, mat[n]))
+}
+
+/// CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// touching the bytes (zlib's `crc32_combine`, GF(2) matrix method).
+/// Costs O(log `len_b`) 32×32 bit-matrix squarings, so segments of one
+/// buffer can be checksummed on separate threads and joined exactly.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
+    // The operator that feeds one zero bit through the CRC register:
+    // shift right, XOR in the polynomial when a one falls out.
+    let mut op = [0u32; 32];
+    op[0] = 0xEDB8_8320;
+    for (n, col) in op.iter_mut().enumerate().skip(1) {
+        *col = 1 << (n - 1);
+    }
+    // Squared three times: one zero byte. Then square-and-multiply over
+    // the bits of `len_b` appends `len_b` zero bytes to `a`'s register.
+    for _ in 0..3 {
+        op = gf2_square(&op);
+    }
+    let mut crc = crc_a;
+    while len_b != 0 {
+        if len_b & 1 != 0 {
+            crc = gf2_times(&op, crc);
+        }
+        len_b >>= 1;
+        if len_b != 0 {
+            op = gf2_square(&op);
+        }
+    }
+    crc ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +243,26 @@ mod tests {
             .collect();
         for len in [0, 1, 7, 8, 9, 15, 16, 63, 64, 255, 1024] {
             assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Splitting any input anywhere, including at 0 and at its
+        /// length, and combining the two halves' CRCs gives the CRC of
+        /// the whole.
+        #[test]
+        fn crc32_combine_joins_any_split(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2_000),
+            at in 0..1_001u64,
+        ) {
+            let split = (at as usize * bytes.len()) / 1_000;
+            let (a, b) = bytes.split_at(split);
+            proptest::prop_assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&bytes)
+            );
         }
     }
 }

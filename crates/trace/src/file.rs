@@ -15,6 +15,16 @@
 //! footer fields — is rejected at load; the per-chunk CRCs additionally
 //! localize payload damage and guard in-memory chunk decoding.
 //!
+//! Loading reads the file into one buffer and keeps it: the loaded
+//! [`Trace`] addresses its payload inside that buffer, so a container
+//! costs its own size in memory, once. Every check still runs on every
+//! load — the file CRC, each chunk's CRC, a decode of every record and
+//! the total count — and the two scans over the bytes are spread over
+//! the available cores: the file CRC as per-segment CRCs joined with
+//! [`crc32_combine`](crate::codec::crc32_combine), the chunks as
+//! contiguous runs. Either way a corrupt file is rejected with the
+//! error a single front-to-back scan reports.
+//!
 //! The index lives *after* the payload so a writer can stream chunks
 //! without knowing the final count, and a reader can locate every chunk
 //! from the fixed-size footer — which is what lets replay seek straight
@@ -24,7 +34,9 @@
 
 use std::path::Path;
 
+use crate::codec::{crc32, crc32_combine};
 use crate::io::{StdIo, TraceIo};
+use crate::par::{cores, fan_out, span, workers};
 use crate::store::{ChunkInfo, Trace};
 use crate::TraceError;
 
@@ -83,7 +95,7 @@ impl Trace {
                 + 4
                 + self.name.len()
                 + 8
-                + self.data.len()
+                + self.encoded_bytes()
                 + self.chunks.len() * INDEX_ENTRY_LEN
                 + FOOTER_LEN,
         );
@@ -92,7 +104,7 @@ impl Trace {
         push_u32(&mut out, self.name.len() as u32);
         out.extend_from_slice(self.name.as_bytes());
         push_u64(&mut out, self.seed);
-        out.extend_from_slice(&self.data);
+        out.extend_from_slice(self.payload());
         let index_offset = out.len() as u64;
         for c in &self.chunks {
             push_u64(&mut out, c.offset);
@@ -104,15 +116,29 @@ impl Trace {
         push_u64(&mut out, index_offset);
         push_u32(&mut out, self.chunks.len() as u32);
         push_u64(&mut out, self.total);
-        let file_crc = crate::codec::crc32(&out);
+        let file_crc = crc32(&out);
         push_u32(&mut out, file_crc);
         out.extend_from_slice(FOOTER_MAGIC);
         out
     }
 
     /// Parses a trace from container bytes and fully verifies it (magic,
-    /// version, index bounds, every chunk checksum, every record).
+    /// file checksum, version, index bounds, every chunk checksum, every
+    /// record). Copies `buf`; loading from disk hands its buffer over
+    /// instead ([`Trace::read_from`]).
     pub fn from_bytes(buf: &[u8]) -> Result<Trace, TraceError> {
+        Trace::from_container(buf.to_vec(), cores())
+    }
+
+    /// Parses and verifies a container, keeping `buf` as the trace's
+    /// storage: the payload is addressed where it lies, not copied.
+    ///
+    /// The checks run in a fixed order — size, magic, file CRC, version,
+    /// index bounds, chunk bounds, chunks, total — and the two scans over
+    /// the bytes (the file CRC and the chunk checks) each run on up to
+    /// `cores` threads. Each scan joins its workers' results front to
+    /// back, so a given input yields the same error for any `cores`.
+    pub(crate) fn from_container(buf: Vec<u8>, cores: usize) -> Result<Trace, TraceError> {
         if buf.len() < 8 + 4 + 4 + 8 + FOOTER_LEN {
             return Err(TraceError::Truncated);
         }
@@ -125,11 +151,20 @@ impl Trace {
         }
         let crc_pos = buf.len() - CRC_TRAILER_LEN;
         let file_crc = u32::from_le_bytes(buf[crc_pos..crc_pos + 4].try_into().expect("4 bytes"));
-        if crate::codec::crc32(&buf[..crc_pos]) != file_crc {
+        let mut f = Parser {
+            buf: &buf,
+            pos: buf.len() - FOOTER_LEN,
+        };
+        let index_offset = f.u64()? as usize;
+        let chunk_count = f.u32()? as usize;
+        let total = f.u64()?;
+        // The unverified chunk count only sizes the split: the CRC comes
+        // out the same for any number of segments.
+        if par_crc32(&buf[..crc_pos], workers(cores, chunk_count)) != file_crc {
             return Err(TraceError::FileChecksumMismatch);
         }
 
-        let mut p = Parser { buf, pos: 8 };
+        let mut p = Parser { buf: &buf, pos: 8 };
         let version = p.u32()?;
         if version != FORMAT_VERSION {
             return Err(TraceError::BadVersion(version));
@@ -141,13 +176,6 @@ impl Trace {
         let seed = p.u64()?;
         let payload_start = p.pos;
 
-        let mut f = Parser {
-            buf,
-            pos: buf.len() - FOOTER_LEN,
-        };
-        let index_offset = f.u64()? as usize;
-        let chunk_count = f.u32()? as usize;
-        let total = f.u64()?;
         if index_offset < payload_start
             || index_offset
                 .checked_add(chunk_count * INDEX_ENTRY_LEN)
@@ -156,9 +184,9 @@ impl Trace {
             return Err(TraceError::corrupt("chunk index bounds are inconsistent"));
         }
 
-        let data = buf[payload_start..index_offset].to_vec();
+        let payload_len = index_offset - payload_start;
         let mut idx = Parser {
-            buf,
+            buf: &buf,
             pos: index_offset,
         };
         let mut chunks = Vec::with_capacity(chunk_count);
@@ -172,7 +200,7 @@ impl Trace {
             };
             if (info.offset as usize)
                 .checked_add(info.len as usize)
-                .is_none_or(|end| end > data.len())
+                .is_none_or(|end| end > payload_len)
             {
                 return Err(TraceError::corrupt("chunk payload out of bounds"));
             }
@@ -183,10 +211,11 @@ impl Trace {
             name,
             seed,
             total,
-            data,
+            data: buf,
+            payload_range: payload_start..index_offset,
             chunks,
         };
-        trace.verify()?;
+        trace.verify_on(cores)?;
         Ok(trace)
     }
 
@@ -218,8 +247,22 @@ impl Trace {
     /// implementation (the fault-injection seam).
     pub fn read_from_with(path: &Path, io: &dyn TraceIo) -> Result<Trace, TraceError> {
         let buf = io.read(path)?;
-        Trace::from_bytes(&buf).map_err(|e| e.for_path(path))
+        Trace::from_container(buf, cores()).map_err(|e| e.for_path(path))
     }
+}
+
+/// CRC-32 of `bytes` over `workers` contiguous segments, one per thread,
+/// joined with [`crc32_combine`]: equal to `crc32(bytes)` for any
+/// worker count.
+fn par_crc32(bytes: &[u8], workers: usize) -> u32 {
+    fan_out(workers, |w| {
+        let segment = &bytes[span(bytes.len(), workers, w)];
+        (crc32(segment), segment.len() as u64)
+    })
+    .into_iter()
+    .fold(0, |crc, (segment_crc, len)| {
+        crc32_combine(crc, segment_crc, len)
+    })
 }
 
 /// Locates chunk `chunk`'s payload inside raw container bytes without
@@ -275,6 +318,14 @@ mod tests {
         w.finish()
     }
 
+    /// Recomputes the file CRC after a deliberate edit, so the edit gets
+    /// past the whole-file check to the checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let crc_pos = bytes.len() - CRC_TRAILER_LEN;
+        let crc = crc32(&bytes[..crc_pos]);
+        bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn bytes_round_trip() {
         let trace = sample_trace();
@@ -312,9 +363,7 @@ mod tests {
         // different version field) is rejected by version, not checksum.
         let mut bytes = trace.to_bytes();
         bytes[8] = 99;
-        let crc_pos = bytes.len() - CRC_TRAILER_LEN;
-        let crc = crate::codec::crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         assert!(matches!(
             Trace::from_bytes(&bytes),
             Err(TraceError::BadVersion(99))
@@ -346,6 +395,74 @@ mod tests {
                 ),
                 "flip at byte {at} was not rejected by the file checksum"
             );
+        }
+    }
+
+    #[test]
+    fn loading_keeps_the_buffer_it_was_given() {
+        let bytes = sample_trace().to_bytes();
+        let at = bytes.as_ptr();
+        let trace = Trace::from_container(bytes, 2).unwrap();
+        assert_eq!(trace.data.as_ptr(), at, "the container was copied");
+        let header_len = 8 + 4 + 4 + "perl".len() + 8;
+        assert_eq!(trace.payload().as_ptr(), at.wrapping_add(header_len));
+        assert_eq!(trace.to_bytes(), trace.data, "bytes on disk changed");
+    }
+
+    #[test]
+    fn parallel_file_crc_equals_the_sequential_one() {
+        let bytes = sample_trace().to_bytes();
+        let body = &bytes[..bytes.len() - CRC_TRAILER_LEN];
+        for workers in 1..=5 {
+            assert_eq!(par_crc32(body, workers), crc32(body), "{workers} workers");
+        }
+        assert_eq!(par_crc32(&[], 3), 0);
+    }
+
+    /// Corrupt chunks 3 and 7 behind a valid file CRC: every worker
+    /// count reports chunk 3, the first a sequential scan meets, even
+    /// when another worker finds chunk 7 first.
+    #[test]
+    fn lowest_failing_chunk_is_reported_for_any_worker_count() {
+        let trace = sample_trace();
+        assert!(trace.chunk_count() >= 8, "{} chunks", trace.chunk_count());
+        let mut bytes = trace.to_bytes();
+        for chunk in [3, 7] {
+            let (off, len) = chunk_payload_span(&bytes, chunk).unwrap();
+            bytes[off + len / 2] ^= 0x20;
+        }
+        reseal(&mut bytes);
+        for cores in [1, 2, 4] {
+            match Trace::from_container(bytes.clone(), cores) {
+                Err(TraceError::ChecksumMismatch { chunk: 3 }) => {}
+                other => panic!("{cores} workers: expected chunk 3's mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    /// Flips across the whole container, with and without a resealed
+    /// file CRC: each input fails the same way on 1 to 4 workers.
+    #[test]
+    fn corrupt_inputs_fail_identically_on_any_worker_count() {
+        let good = sample_trace().to_bytes();
+        for at in (0..good.len()).step_by(41) {
+            for resealed in [false, true] {
+                let mut bad = good.clone();
+                bad[at] ^= 0x04;
+                if resealed {
+                    reseal(&mut bad);
+                }
+                let errors: Vec<String> = (1..=4)
+                    .map(|cores| match Trace::from_container(bad.clone(), cores) {
+                        Ok(_) => "ok".to_string(),
+                        Err(e) => format!("{e:?}"),
+                    })
+                    .collect();
+                assert!(
+                    errors.iter().all(|e| *e == errors[0]),
+                    "flip at {at} (resealed: {resealed}): {errors:?}"
+                );
+            }
         }
     }
 

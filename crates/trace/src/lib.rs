@@ -22,7 +22,10 @@
 //!   recording — **bit-identically** to the live emulation it captured.
 //! * [`Trace::write_to`] / [`Trace::read_from`] persist recordings in a
 //!   versioned container with per-chunk CRC-32 checksums and a footer
-//!   index ([`file`]); loading fully verifies the file.
+//!   index ([`file`]). Loading fully verifies the file — whole-file CRC,
+//!   every chunk CRC, every record decoded, the total count — with the
+//!   checks spread over all cores, and keeps the bytes it read as the
+//!   trace's storage, so a loaded trace holds one copy of the file.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -52,6 +55,7 @@ pub mod chunk;
 pub mod codec;
 pub mod file;
 pub mod io;
+mod par;
 pub mod replay;
 pub mod store;
 
@@ -114,6 +118,13 @@ pub enum TraceError {
         seq: u64,
         /// Instructions the trace actually holds.
         len: u64,
+    },
+    /// A seek target inside the trace's length that no record carries:
+    /// below the first recorded `seq`, or in a gap of a trace whose
+    /// sequence numbers are not dense.
+    SeekNotFound {
+        /// Requested instruction sequence number.
+        seq: u64,
     },
 }
 
@@ -190,6 +201,9 @@ impl fmt::Display for TraceError {
                     f,
                     "seek target {seq} is past the end of the trace ({len} instructions)"
                 )
+            }
+            TraceError::SeekNotFound { seq } => {
+                write!(f, "no record with sequence number {seq} to seek to")
             }
         }
     }

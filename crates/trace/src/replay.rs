@@ -7,6 +7,7 @@ use arvi_isa::DynInst;
 use arvi_sim::InstSource;
 
 use crate::store::Trace;
+use crate::TraceError;
 
 /// Prefix of every panic message raised by replay cursors on a corrupt
 /// chunk. File-loaded traces are fully verified at load and in-memory
@@ -143,25 +144,41 @@ impl Cursor {
     /// seek into a billion-instruction trace costs one binary search
     /// plus one chunk decode. Unlike [`Cursor::fast_forward`] this is
     /// absolute, not relative, and works regardless of the cursor's
-    /// current position.
-    fn seek_to_inst(&mut self, trace: &Trace, seq: u64) -> Result<(), crate::TraceError> {
+    /// current position. A failed seek leaves the cursor exhausted.
+    fn seek_to_inst(&mut self, trace: &Trace, seq: u64) -> Result<(), TraceError> {
+        let found = self.locate(trace, seq);
+        if found.is_err() {
+            self.buf.clear();
+            self.pos = 0;
+            self.chunk = trace.chunk_count();
+        }
+        found
+    }
+
+    fn locate(&mut self, trace: &Trace, seq: u64) -> Result<(), TraceError> {
         if seq >= trace.len() {
-            return Err(crate::TraceError::SeekPastEnd {
+            return Err(TraceError::SeekPastEnd {
                 seq,
                 len: trace.len(),
             });
         }
-        // The containing chunk is the last one whose first_seq <= seq.
-        let idx = trace.chunks().partition_point(|c| c.first_seq <= seq) - 1;
+        // The containing chunk is the last one whose first_seq <= seq;
+        // there is none when the trace's numbering starts above `seq`.
+        let idx = trace
+            .chunks()
+            .partition_point(|c| c.first_seq <= seq)
+            .checked_sub(1)
+            .ok_or(TraceError::SeekNotFound { seq })?;
         trace
             .decode_chunk_trusted(idx, &mut self.buf)
             .unwrap_or_else(|e| corrupt_chunk_panic(idx, trace, e));
         self.chunk = idx + 1;
         self.pos = (seq - trace.chunks()[idx].first_seq) as usize;
-        debug_assert!(
-            self.pos < self.buf.len(),
-            "index places {seq} in chunk {idx}"
-        );
+        // Dense numbering puts `seq` exactly here. A trace with gaps in
+        // its numbering can run past the chunk or land on another record.
+        if self.buf.get(self.pos).map(|d| d.seq) != Some(seq) {
+            return Err(TraceError::SeekNotFound { seq });
+        }
         Ok(())
     }
 }
@@ -197,14 +214,15 @@ impl<'a> TraceReader<'a> {
     /// `first_seq` column locates the containing chunk directly, so no
     /// prefix is decoded — the entry cost of a sampling unit anywhere
     /// in the trace is one binary search plus one chunk decode.
-    /// Returns [`TraceError::SeekPastEnd`](crate::TraceError::SeekPastEnd)
-    /// for a target at or beyond the end of the trace.
+    /// Returns [`TraceError::SeekPastEnd`] for a target at or beyond the
+    /// end of the trace. A failed seek leaves the reader exhausted.
     ///
     /// Assumes the dense zero-based sequence numbering that
     /// [`Trace::record`](crate::Trace::record) produces (`seq` equals
-    /// the record's position); hand-built traces with arbitrary `seq`
-    /// fields have no meaningful position-by-seq mapping to seek in.
-    pub fn seek_to_inst(&mut self, seq: u64) -> Result<(), crate::TraceError> {
+    /// the record's position). A hand-built trace whose numbering starts
+    /// above `seq` or has gaps yields [`TraceError::SeekNotFound`] for
+    /// any target that numbering does not place.
+    pub fn seek_to_inst(&mut self, seq: u64) -> Result<(), TraceError> {
         self.cursor.seek_to_inst(self.trace, seq)
     }
 }
@@ -448,6 +466,59 @@ mod tests {
         rp.fast_forward(200);
         rp.seek_to_inst(64).unwrap();
         assert_eq!(rp.next(), Some(reference[64]));
+    }
+
+    /// A hand-built trace: M88ksim records renumbered by `seq_of`, in
+    /// chunks of `chunk_insts`.
+    fn renumbered_trace(n: usize, chunk_insts: usize, seq_of: impl Fn(u64) -> u64) -> Trace {
+        let emu = Emulator::new(Benchmark::M88ksim.program(11));
+        let mut w = TraceWriter::new("m88ksim", 11).with_chunk_insts(chunk_insts);
+        for mut d in emu.take(n) {
+            d.seq = seq_of(d.seq);
+            w.push(d);
+        }
+        w.finish()
+    }
+
+    /// A stream numbered from 100: a target below the first chunk's
+    /// `first_seq` is an error, not an index underflow, and targets the
+    /// numbering does place still land on their record.
+    #[test]
+    fn seek_below_the_first_seq_is_an_error() {
+        let trace = renumbered_trace(300, 64, |s| s + 100);
+        for seq in [0u64, 50, 99] {
+            let mut r = TraceReader::new(&trace);
+            match r.seek_to_inst(seq) {
+                Err(TraceError::SeekNotFound { seq: s }) => assert_eq!(s, seq),
+                other => panic!("seek to {seq}: expected SeekNotFound, got {other:?}"),
+            }
+            assert_eq!(r.next(), None, "a failed seek leaves the reader exhausted");
+        }
+        let mut r = TraceReader::new(&trace);
+        r.seek_to_inst(150).unwrap();
+        assert_eq!(r.next().map(|d| d.seq), Some(150));
+    }
+
+    /// Even-only numbering: a target in a gap is an error whether its
+    /// offset runs past the end of the decoded chunk or lands on some
+    /// other record inside it, in release builds as well as debug.
+    #[test]
+    fn seek_into_a_numbering_gap_is_an_error() {
+        let trace = renumbered_trace(100, 4, |s| 2 * s);
+        // Chunk 0 holds seqs 0, 2, 4, 6: offset 7 is past its 4 records,
+        // and offset 3 would land on seq 6.
+        for seq in [7u64, 3, 9] {
+            let mut r = TraceReader::new(&trace);
+            match r.seek_to_inst(seq) {
+                Err(TraceError::SeekNotFound { seq: s }) => assert_eq!(s, seq),
+                other => panic!("seek to {seq}: expected SeekNotFound, got {other:?}"),
+            }
+            assert_eq!(r.next(), None, "a failed seek leaves the reader exhausted");
+        }
+        // A chunk's first record sits at offset 0, so it is still found.
+        let mut r = TraceReader::new(&trace);
+        r.seek_to_inst(8).unwrap();
+        assert_eq!(r.next().map(|d| d.seq), Some(8));
     }
 
     proptest::proptest! {

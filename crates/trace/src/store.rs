@@ -1,15 +1,19 @@
 //! The in-memory trace: encoded chunk payloads plus the chunk index.
 
+use std::ops::Range;
+
 use arvi_isa::DynInst;
 
 use crate::chunk::{decode_chunk, encode_chunk, DEFAULT_CHUNK_INSTS};
 use crate::codec::crc32;
+use crate::par::{cores, fan_out, span, workers};
 use crate::TraceError;
 
 /// Index entry for one encoded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkInfo {
-    /// Byte offset of the chunk payload inside [`Trace::data`].
+    /// Byte offset of the chunk payload from the start of the trace's
+    /// payload.
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u32,
@@ -34,7 +38,12 @@ pub struct Trace {
     pub(crate) name: String,
     pub(crate) seed: u64,
     pub(crate) total: u64,
+    /// The bytes the payload lives in: the writer's own buffer for a
+    /// recording, or the whole container as read for a loaded trace,
+    /// which is addressed in place rather than copied out.
     pub(crate) data: Vec<u8>,
+    /// Where the payload sits in `data`.
+    pub(crate) payload_range: Range<usize>,
     pub(crate) chunks: Vec<ChunkInfo>,
 }
 
@@ -103,7 +112,12 @@ impl Trace {
 
     /// Encoded payload size in bytes (excludes index and file framing).
     pub fn encoded_bytes(&self) -> usize {
-        self.data.len()
+        self.payload_range.len()
+    }
+
+    /// The encoded chunk payloads, back to back.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.data[self.payload_range.clone()]
     }
 
     /// The chunk index.
@@ -114,7 +128,7 @@ impl Trace {
     pub(crate) fn chunk_payload(&self, info: &ChunkInfo) -> Result<&[u8], TraceError> {
         let start = info.offset as usize;
         let end = start + info.len as usize;
-        self.data.get(start..end).ok_or(TraceError::Truncated)
+        self.payload().get(start..end).ok_or(TraceError::Truncated)
     }
 
     /// Checksums and decodes chunk `idx` into `out` (cleared first; its
@@ -156,13 +170,30 @@ impl Trace {
 
     /// Fully validates the trace: every chunk checksum, every record
     /// decodable, and the index count consistent with the payload.
+    ///
+    /// Chunks are checked on every available core. A corrupt trace
+    /// yields the error of its lowest failing chunk, the one a front to
+    /// back scan would stop at, whatever the core count.
     pub fn verify(&self) -> Result<(), TraceError> {
-        let mut buf = Vec::new();
-        let mut total = 0u64;
-        for idx in 0..self.chunks.len() {
-            self.decode_chunk_into(idx, &mut buf)?;
-            total += buf.len() as u64;
-        }
+        self.verify_on(cores())
+    }
+
+    /// [`Trace::verify`] on at most `cores` worker threads.
+    pub(crate) fn verify_on(&self, cores: usize) -> Result<(), TraceError> {
+        let n = self.chunks.len();
+        let workers = workers(cores, n);
+        let spans = fan_out(workers, |w| {
+            let mut buf = Vec::new();
+            let mut total = 0u64;
+            for idx in span(n, workers, w) {
+                self.decode_chunk_into(idx, &mut buf)?;
+                total += buf.len() as u64;
+            }
+            Ok(total)
+        });
+        // Spans are contiguous and in chunk order, and the sum stops at
+        // the first error: the lowest failing chunk's.
+        let total: u64 = spans.into_iter().sum::<Result<u64, TraceError>>()?;
         if total != self.total {
             return Err(TraceError::corrupt("chunk counts disagree with total"));
         }
@@ -236,6 +267,7 @@ impl TraceWriter {
             name: self.name,
             seed: self.seed,
             total: self.total,
+            payload_range: 0..self.data.len(),
             data: self.data,
             chunks: self.chunks,
         }

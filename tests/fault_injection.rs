@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use arvi::isa::{DynInst, Emulator};
 use arvi::sim::{Depth, PredictorConfig, SimResult};
-use arvi::trace::{quarantine_path, Trace, TraceReader};
+use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
     collect_results, run_sweep_emulated, run_sweep_resilient, run_sweep_with, trace_file_name,
@@ -63,12 +63,17 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, label: &str) {
 // ---------------------------------------------------------------------
 
 /// One recording shared by every proptest case: the container bytes and
-/// the records a healthy decode must reproduce.
+/// the records a healthy decode must reproduce. Small chunks (12 of
+/// them) put the load's parallel checks on the path every case takes.
 fn corpus() -> &'static (Vec<u8>, Vec<DynInst>) {
     static CORPUS: OnceLock<(Vec<u8>, Vec<DynInst>)> = OnceLock::new();
     CORPUS.get_or_init(|| {
-        let emu = Emulator::new(Benchmark::Compress.program(3));
-        let trace = Trace::record(emu, 1_500, "compress", 3);
+        let mut w = TraceWriter::new("compress", 3).with_chunk_insts(128);
+        for d in Emulator::new(Benchmark::Compress.program(3)).take(1_500) {
+            w.push(d);
+        }
+        let trace = w.finish();
+        assert_eq!(trace.chunk_count(), 12);
         let records: Vec<DynInst> = TraceReader::new(&trace).collect();
         (trace.to_bytes(), records)
     })
