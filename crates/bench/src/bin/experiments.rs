@@ -20,8 +20,8 @@
 //! of that sweep as it runs and writes the merged
 //! per-`(workload, config)` rollup — the input for `obs_report`'s
 //! attribution diff. `--events-out` / `--metrics-out` stream structured
-//! sweep events (JSONL) and a Prometheus-style metrics snapshot from the
-//! resilient runner.
+//! sweep events (JSONL) and a Prometheus-style metrics snapshot, in
+//! every mode.
 //!
 //! Each workload is functionally emulated exactly once (per run — or
 //! once ever with `--trace-dir`), then every figure's grid replays the
@@ -29,10 +29,10 @@
 //! `--scenario`/`--scenario-file` flag switches the grids to the named
 //! synthetic scenarios instead.
 //!
-//! Any fault-tolerance flag switches the grids to the fault-isolated
-//! sweep runner: cell failures are reported at the end (exit code 3)
-//! instead of aborting, completed cells are journaled as they finish,
-//! and `--resume` completes an interrupted run from its journal.
+//! Every cell is fault-isolated: cell failures are reported at the end
+//! (exit code 3) instead of aborting. With `--journal`, completed cells
+//! are journaled as they finish, and `--resume` completes an
+//! interrupted run from its journal.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
 //! every grid to SMARTS-style interval sampling over the shared
@@ -41,8 +41,7 @@
 
 use arvi_bench::{
     fig5_cell, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables,
-    run_flags_from_args, threads_from_args, trace_dir_from_args, workloads_from_args, GridRun,
-    Spec, SweepIncomplete, TraceSet,
+    run_flags_from_args, workloads_from_args, GridRun, Spec, SweepIncomplete, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -56,8 +55,7 @@ fn main() {
         std::process::exit(2);
     });
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
+    let threads = flags.threads;
     let suite_mode = !args
         .iter()
         .any(|a| a == "--scenario" || a == "--scenario-file");
@@ -85,7 +83,8 @@ fn main() {
     // One recording per workload, one sweep over the whole grid: every
     // figure below is a slice of it.
     let res = flags.res.as_ref();
-    let traces = TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), res);
+    let traces =
+        TraceSet::record_resilient(&workloads, spec, threads, flags.trace_dir.as_deref(), res);
     let run = GridRun::run(
         grid(&workloads, &Depth::all(), &PredictorConfig::all()),
         spec,

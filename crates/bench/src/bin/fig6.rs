@@ -20,10 +20,10 @@
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
-//! scenarios instead. Any fault-tolerance flag switches to the
-//! fault-isolated sweep runner: cell failures are reported (exit code
-//! 3) instead of aborting, and `--resume` completes an interrupted run
-//! from its journal.
+//! scenarios instead. Every cell is fault-isolated: cell failures are
+//! reported (exit code 3) instead of aborting, and with the
+//! fault-tolerance flags `--resume` completes an interrupted run from
+//! its journal.
 //!
 //! `--sample K:WARMUP:DETAIL` (or `stratified:K:WARMUP:DETAIL`) switches
 //! every cell to SMARTS-style interval sampling over the shared
@@ -32,7 +32,7 @@
 
 use arvi_bench::{
     grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
-    threads_from_args, trace_dir_from_args, workloads_from_args, GridRun, Spec, TraceSet,
+    workloads_from_args, GridRun, Spec, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -88,11 +88,11 @@ fn main() {
         Spec::default()
     };
 
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
+    let threads = flags.threads;
     let workloads = workloads_from_args(&args);
     let res = flags.res.as_ref();
-    let traces = TraceSet::record_resilient(&workloads, spec, threads, trace_dir.as_deref(), res);
+    let traces =
+        TraceSet::record_resilient(&workloads, spec, threads, flags.trace_dir.as_deref(), res);
     let run = GridRun::run(
         grid(&workloads, &[depth], &PredictorConfig::all()),
         spec,

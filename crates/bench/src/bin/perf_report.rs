@@ -61,9 +61,8 @@ use std::time::Instant;
 use arvi_bench::baseline::ScalarTwoBcGskew;
 use arvi_bench::{
     baseline, collect_results, grid, record_trace, run_obs_grid, run_one_traced,
-    run_sweep_emulated, run_sweep_resilient, run_sweep_sampled, run_sweep_with, threads_from_args,
-    trace_dir_from_args, trace_len, write_report, Json, Resilience, Spec, SweepPoint, TraceSet,
-    Workload,
+    run_sweep_resilient, run_sweep_sampled, run_sweep_with, threads_from_args, trace_dir_from_args,
+    trace_len, write_report, Json, Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 use arvi_bench::{conditional_branches, run_delayed, run_delayed_scalar};
 use arvi_core::{Ddt, DdtConfig, PhysReg};
@@ -325,8 +324,12 @@ fn fig6_points() -> Vec<SweepPoint> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
+    let (threads, trace_dir) = threads_from_args(&args)
+        .and_then(|t| Ok((t, trace_dir_from_args(&args)?)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -423,7 +426,8 @@ fn main() {
         threads
     );
     let t0 = Instant::now();
-    let emulated = run_sweep_emulated(&points, spec, threads, false);
+    let emulated = run_sweep_resilient(&points, spec, threads, false, None, &Resilience::new());
+    let emulated = collect_results(&points, emulated).expect("live sweep completed every cell");
     let emulated_s = t0.elapsed().as_secs_f64();
     let traces = TraceSet::record(&Workload::suite(), spec, threads, trace_dir.as_deref());
     let t0 = Instant::now();

@@ -161,8 +161,12 @@ fn main() {
         std::process::exit(2);
     });
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = threads_from_args(&args);
-    let trace_dir = trace_dir_from_args(&args);
+    let (threads, trace_dir) = threads_from_args(&args)
+        .and_then(|t| Ok((t, trace_dir_from_args(&args)?)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
     let out_path = args
         .iter()
         .position(|a| a == "--out")

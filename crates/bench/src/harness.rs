@@ -1,15 +1,17 @@
 //! Experiment driver: one function per paper artifact.
 //!
-//! The Figure-5/6 grids fan out over the multi-threaded sweep runner in
-//! [`crate::sweep`]; results are assembled in deterministic grid order,
-//! so parallel output is identical to a sequential run.
+//! The Figure-5/6 grids run on the one grid executor
+//! ([`crate::resilience::run_sweep_resilient`]); results are assembled
+//! in deterministic grid order, so parallel output is identical to a
+//! sequential run.
 //!
 //! The experiment binaries run each invocation's grid once, as a
-//! [`GridRun`] in one of three modes (strict, fault-isolated or
-//! sampled), and assemble every figure from that one sweep's cells:
-//! `experiments` builds Figure 5 from the ARVI-current subset of the
-//! same `workloads × depths × configs` grid whose per-depth slices are
-//! Figure 6, so no cell is simulated twice.
+//! [`GridRun`] — one executor call whatever the flags: the fault
+//! policy defaults to [`Resilience::new`], and a sample plan only
+//! changes the work items — and assemble every figure from that one
+//! sweep's cells: `experiments` builds Figure 5 from the ARVI-current
+//! subset of the same `workloads × depths × configs` grid whose
+//! per-depth slices are Figure 6, so no cell is simulated twice.
 
 use std::sync::Arc;
 
@@ -23,11 +25,11 @@ use arvi_workloads::Benchmark;
 use arvi_sampling::{SamplePlan, SampleReport};
 
 use crate::resilience::{
-    collect_where, outcome_summary, run_sweep_resilient, timing_summary, CellOutcome, CellSuccess,
-    Degradation, Resilience, SweepIncomplete,
+    collect_where, outcome_summary, run_grid, timing_summary, CellOutcome, Resilience,
+    SweepIncomplete,
 };
-use crate::sampling::{ci_table, run_sweep_sampled};
-use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, SweepPoint, TraceSet};
+use crate::sampling::ci_table;
+use crate::sweep::{default_threads, grid, run_sweep_with, SweepPoint, TraceSet};
 use crate::workload::Workload;
 
 /// Sweep parameters: instruction windows and the workload input seed.
@@ -135,11 +137,27 @@ pub fn fig5_tables_over(
 ) -> (Table, Table) {
     let depths = Depth::all();
     let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let results = match traces {
-        Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-        None => run_sweep(&points, spec, threads, progress),
-    };
+    let results = sweep_over(workloads, &points, spec, threads, progress, traces);
     fig5_assemble(workloads, &depths, &results)
+}
+
+/// [`run_sweep_with`] over `traces`, or over recordings of `workloads`
+/// made in memory first when there are none.
+fn sweep_over(
+    workloads: &[Workload],
+    points: &[SweepPoint],
+    spec: Spec,
+    threads: usize,
+    progress: bool,
+    traces: Option<&TraceSet>,
+) -> Vec<SimResult> {
+    match traces {
+        Some(traces) => run_sweep_with(points, spec, threads, progress, traces),
+        None => {
+            let traces = TraceSet::record(workloads, spec, threads, None);
+            run_sweep_with(points, spec, threads, progress, &traces)
+        }
+    }
 }
 
 /// Builds the two Figure-5 tables from grid-ordered results (the shared
@@ -216,10 +234,7 @@ impl Fig6Data {
         traces: Option<&TraceSet>,
     ) -> Fig6Data {
         let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let flat = match traces {
-            Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-            None => run_sweep(&points, spec, threads, progress),
-        };
+        let flat = sweep_over(workloads, &points, spec, threads, progress, traces);
         Fig6Data::assemble(workloads, depth, flat)
     }
 
@@ -313,12 +328,11 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    /// Runs `points` once over the shared recordings `traces`, in the
-    /// mode the flags select: sampled under `plan` (fault-isolated per
-    /// `res`), fault-isolated under `res`, or strict — fail-fast, a
-    /// panicking cell aborts the process — with neither. The
-    /// fault-isolated and sampled modes report their resilience/timing
-    /// summaries on stderr.
+    /// Runs `points` once over the shared recordings `traces` on the grid
+    /// executor, under `res` (the default policy, [`Resilience::new`],
+    /// when `None`) and, with `plan`, sampled. A failed cell never
+    /// aborts the run: it is reported by [`GridRun::results`]. The
+    /// resilience and timing summaries go to stderr.
     pub fn run(
         points: Vec<SweepPoint>,
         spec: Spec,
@@ -328,46 +342,20 @@ impl GridRun {
         res: Option<&Resilience>,
         plan: Option<&SamplePlan>,
     ) -> GridRun {
-        let (outcomes, reports) = match (plan, res) {
-            (Some(plan), res) => {
-                let sweep = run_sweep_sampled(&points, spec, plan, threads, progress, traces, res);
-                if let Some(summary) = outcome_summary(&sweep.outcomes) {
-                    eprintln!("{summary}");
-                }
-                (sweep.outcomes, Some(sweep.reports))
-            }
-            (None, Some(res)) => {
-                let outcomes =
-                    run_sweep_resilient(&points, spec, threads, progress, Some(traces), res);
-                if let Some(summary) = outcome_summary(&outcomes) {
-                    eprintln!("{summary}");
-                }
-                if let Some(timing) = timing_summary(&outcomes, Some(traces.record_elapsed())) {
-                    eprintln!("{timing}");
-                }
-                (outcomes, None)
-            }
-            (None, None) => {
-                let outcomes = run_sweep_with(&points, spec, threads, progress, traces)
-                    .into_iter()
-                    .map(|result| {
-                        CellOutcome::Ok(CellSuccess {
-                            result,
-                            degradation: Degradation::None,
-                            resumed: false,
-                            duration: std::time::Duration::ZERO,
-                            sampled_units: 0,
-                            probes: None,
-                        })
-                    })
-                    .collect();
-                (outcomes, None)
-            }
-        };
+        let default_res = Resilience::new();
+        let res = res.unwrap_or(&default_res);
+        let (outcomes, reports) =
+            run_grid(&points, spec, threads, progress, Some(traces), res, plan);
+        if let Some(summary) = outcome_summary(&outcomes) {
+            eprintln!("{summary}");
+        }
+        if let Some(timing) = timing_summary(&outcomes, Some(traces.record_elapsed())) {
+            eprintln!("{timing}");
+        }
         GridRun {
             points,
             outcomes,
-            reports,
+            reports: plan.map(|_| reports),
         }
     }
 

@@ -26,11 +26,15 @@
 //!   synthetic-scenario grid, emitting `BENCH_PR3.json` and a markdown
 //!   table with the paper-style separation summary.
 //!
-//! Experiment grids fan out over [`sweep::par_map`]: every
-//! `(benchmark, depth, configuration)` cell is an independent
-//! deterministic simulation, and results are returned in grid order, so
-//! parallel sweeps are bit-identical to sequential ones. All binaries
-//! accept `--threads N` (default: all cores; `1` = sequential).
+//! Experiment grids run on one executor
+//! ([`resilience::run_sweep_resilient`], on [`sweep::par_map_caught`]'s
+//! worker loop) in every mode — strict, fault-isolated, sampled and
+//! live: every `(benchmark, depth, configuration)` cell is an
+//! independent deterministic simulation (under `--sample`, one work
+//! item per sampling unit), each isolated from the others, and results
+//! are returned in grid order, so parallel sweeps are bit-identical to
+//! sequential ones. All binaries accept `--threads N` (default: all
+//! cores; `1` = sequential).
 //!
 //! Grids are record-once / replay-many (PR 2): each distinct
 //! `(benchmark, seed, window)` workload is emulated exactly once into a
@@ -99,8 +103,8 @@ pub use sampling::{
 };
 pub use sweep::{
     default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
-    run_sweep, run_sweep_emulated, run_sweep_with, trace_file_name, trace_len, try_record_trace,
-    SweepPoint, TraceProvenance, TraceSet, TRACE_SLACK,
+    run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint, TraceProvenance,
+    TraceSet, TRACE_SLACK,
 };
 pub use workload::Workload;
 
@@ -108,24 +112,37 @@ use arvi_sampling::SamplePlan;
 use arvi_synth::ScenarioSpec;
 use arvi_workloads::Benchmark;
 
+/// The value following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, an error when it has no value (end of arguments, or another
+/// flag where the value should be).
+pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .filter(|v| !v.starts_with('-'))
+            .map(Some)
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
 /// Parses a `--threads N` argument pair out of `args`, defaulting to all
-/// cores.
-pub fn threads_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(default_threads)
+/// cores; a missing or non-numeric `N` is an error.
+pub fn threads_from_args(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--threads")? {
+        None => Ok(default_threads()),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--threads: not a number: `{v}`")),
+    }
 }
 
 /// Parses a `--trace-dir DIR` argument pair out of `args`: the directory
 /// experiment binaries persist workload recordings to (and reload them
-/// from) instead of re-emulating on every run.
-pub fn trace_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
-    args.iter()
-        .position(|a| a == "--trace-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
+/// from) instead of re-emulating on every run. A missing `DIR` is an
+/// error.
+pub fn trace_dir_from_args(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
+    Ok(flag_value(args, "--trace-dir")?.map(std::path::PathBuf::from))
 }
 
 /// Parses the fault-tolerance flags out of `args`:
@@ -138,8 +155,9 @@ pub fn trace_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
 ///   directory without one).
 /// * `--fault-plan FILE` — inject the deterministic faults listed in
 ///   `FILE` (see [`FaultPlan::parse`] for the line syntax).
-/// * `--deadline-ms N` — soft per-cell deadline; slower cells are
-///   reported as timed out and their results discarded.
+/// * `--deadline-ms N` — soft per-work-item deadline (a whole cell, or
+///   under `--sample` one sampling unit); a slower item is reported as
+///   timed out, its result discarded, and its cell failed.
 /// * `--events-out FILE` — write a JSONL span log of sweep execution
 ///   events (cell start/end, record/replay/live phase, quarantines,
 ///   resume hits) to `FILE`.
@@ -147,31 +165,20 @@ pub fn trace_dir_from_args(args: &[String]) -> Option<std::path::PathBuf> {
 ///   in Prometheus text exposition format after every sweep.
 ///
 /// Returns `Ok(None)` when none of the flags are present (callers run
-/// the strict, fail-fast sweep), `Ok(Some(policy))` otherwise — the
-/// telemetry flags alone select the resilient runner, since only it
-/// emits events.
+/// the default policy, [`Resilience::new`]), `Ok(Some(policy))`
+/// otherwise.
 pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, String> {
-    let value_of = |flag: &str| -> Result<Option<&String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value")),
-        }
-    };
-    let journal = value_of("--journal")?;
+    let journal = flag_value(args, "--journal")?;
     let resume = args.iter().any(|a| a == "--resume");
-    let plan_path = value_of("--fault-plan")?;
-    let deadline_ms = value_of("--deadline-ms")?
+    let plan_path = flag_value(args, "--fault-plan")?;
+    let deadline_ms = flag_value(args, "--deadline-ms")?
         .map(|v| {
             v.parse::<u64>()
                 .map_err(|_| format!("--deadline-ms: not a number: `{v}`"))
         })
         .transpose()?;
-    let events_out = value_of("--events-out")?;
-    let metrics_out = value_of("--metrics-out")?;
+    let events_out = flag_value(args, "--events-out")?;
+    let metrics_out = flag_value(args, "--metrics-out")?;
     if journal.is_none()
         && !resume
         && plan_path.is_none()
@@ -194,7 +201,7 @@ pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, Strin
         Some(path) => Some(std::path::PathBuf::from(path)),
         // --resume without --journal: the conventional location.
         None if resume => Some(
-            trace_dir_from_args(args)
+            trace_dir_from_args(args)?
                 .unwrap_or_default()
                 .join("sweep.journal"),
         ),
@@ -214,9 +221,13 @@ pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, Strin
 /// the invocation with nothing on stdout.
 #[derive(Debug)]
 pub struct RunFlags {
+    /// Worker threads ([`threads_from_args`]).
+    pub threads: usize,
+    /// Where recordings persist ([`trace_dir_from_args`]).
+    pub trace_dir: Option<std::path::PathBuf>,
     /// Fault tolerance and telemetry ([`resilience_from_args`]).
-    /// `--obs-grid` also selects the resilient runner, with
-    /// [`Resilience::probes`] on, so the rollup rides the main pass.
+    /// `--obs-grid` also sets one, with [`Resilience::probes`] on, so the
+    /// rollup rides the main pass.
     pub res: Option<Resilience>,
     /// The `--sample` plan ([`sample_plan_from_args`]).
     pub plan: Option<SamplePlan>,
@@ -227,13 +238,21 @@ pub struct RunFlags {
 /// Parses [`RunFlags`] out of `args`; the error names the first
 /// malformed flag.
 pub fn run_flags_from_args(args: &[String]) -> Result<RunFlags, String> {
+    let threads = threads_from_args(args)?;
+    let trace_dir = trace_dir_from_args(args)?;
     let obs = obs_from_args(args)?;
     let plan = sample_plan_from_args(args)?;
     let mut res = resilience_from_args(args)?;
     if obs.as_ref().is_some_and(|o| o.grid.is_some()) {
         res.get_or_insert_with(Resilience::new).probes = true;
     }
-    Ok(RunFlags { res, plan, obs })
+    Ok(RunFlags {
+        threads,
+        trace_dir,
+        res,
+        plan,
+        obs,
+    })
 }
 
 /// Parses the scenario-selection flags out of `args`:
@@ -473,13 +492,25 @@ mod tests {
             vec!["--obs-grid"],
             vec!["--sample", "nope"],
             vec!["--deadline-ms", "soon"],
+            vec!["--quick", "--threads", "bogus"],
+            vec!["--threads"],
+            vec!["--threads", "--quick"],
+            vec!["--trace-dir"],
+            vec!["--trace-dir", "--quick"],
+            vec!["--resume", "--trace-dir"],
         ] {
             assert!(run_flags_from_args(&args(&bad)).is_err(), "{bad:?}");
         }
-        // --obs-grid alone selects the resilient runner with probes on;
-        // without it the resilient runner stays probe-free.
+        let flags = run_flags_from_args(&args(&["--threads", "3", "--trace-dir", "t"])).unwrap();
+        assert_eq!(flags.threads, 3);
+        assert_eq!(flags.trace_dir.as_deref(), Some(std::path::Path::new("t")));
+        let flags = run_flags_from_args(&args(&["--quick"])).unwrap();
+        assert_eq!(flags.threads, default_threads());
+        assert!(flags.trace_dir.is_none());
+        // --obs-grid alone sets a policy with probes on; without it the
+        // policy stays probe-free.
         let flags = run_flags_from_args(&args(&["--obs-grid", "g.json"])).unwrap();
-        assert!(flags.res.expect("resilient runner").probes);
+        assert!(flags.res.expect("a policy").probes);
         let flags = run_flags_from_args(&args(&["--journal", "j.log"])).unwrap();
         assert!(!flags.res.unwrap().probes);
         let flags = run_flags_from_args(&args(&["--sample", "4:1000:500"])).unwrap();
@@ -487,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flags_select_the_resilient_runner() {
+    fn telemetry_flags_set_a_policy() {
         let dir = std::env::temp_dir().join(format!("arvi-telflag-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = dir.join("events.jsonl");

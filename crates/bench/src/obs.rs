@@ -72,16 +72,7 @@ impl ObsConfig {
 ///
 /// Returns `Ok(None)` when no observability flag is present.
 pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
-    let value_of = |flag: &str| -> Result<Option<&String>, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(None),
-            Some(i) => args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value")),
-        }
-    };
+    let value_of = |flag: &str| crate::flag_value(args, flag);
     let probe = value_of("--probe")?;
     let trace_cycles = value_of("--trace-cycles")?;
     let out = value_of("--obs-out")?;

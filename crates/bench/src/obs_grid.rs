@@ -3,7 +3,7 @@
 //! The anchor pass ([`crate::obs`]) observes one `(depth, config)`
 //! point per workload. This module promotes the probe seam to the whole
 //! grid. The probes ride the main pass: with [`Resilience::probes`] set,
-//! the resilient runner attaches the counter+site probes to every cell
+//! the grid executor attaches the counter+site probes to every cell
 //! it simulates (and journals them beside the sweep journal as
 //! `<journal>.obs`), so each `(workload, depth, config)` cell is
 //! simulated once per invocation. [`ObsGrid::from_outcomes`] then folds
@@ -241,7 +241,7 @@ impl ObsGrid {
 }
 
 /// Probes every grid point in one standalone pass and folds the
-/// telemetry: the resilient runner with [`Resilience::probes`] forced on
+/// telemetry: the grid executor with [`Resilience::probes`] forced on
 /// (panic isolation, kill handling, and with a journal configured the
 /// `<journal>.obs` probe journal plus its resume), then
 /// [`ObsGrid::from_outcomes`]. For callers with no probed sweep of their
@@ -802,8 +802,8 @@ impl Attribution {
 
 /// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
 /// asks for one; exits 1 when the rollup cannot be written. The rollup
-/// folds the run's own probed outcomes — `--obs-grid` put the run on the
-/// resilient runner with probes on — except after a sampled run, whose
+/// folds the run's own probed outcomes — `--obs-grid` turned the grid
+/// executor's probes on — except after a sampled run, whose
 /// units carry no full-window probes: that takes one separate probed
 /// pass through [`run_obs_grid`]. The experiment binaries call this
 /// after their tables.

@@ -1,14 +1,19 @@
-//! Fault-tolerant sweeps: panic isolation, resumable runs, and a
-//! deterministic fault-injection harness.
+//! The grid executor: panic isolation, resumable runs, and a
+//! deterministic fault-injection harness, for every run mode.
 //!
 //! A full-spec grid is hours of compute; one corrupt cached trace or one
-//! panicking cell must not take the whole run down. This module makes
-//! the sweep pipeline crash-safe end to end:
+//! panicking cell must not take the whole run down. Every grid — strict
+//! (the default policy, [`Resilience::new`]), fault-isolated with
+//! journal or fault plan, and sampled under `--sample` — runs on one
+//! executor over `(cell, unit)` work items: a cell is one whole-cell
+//! item, or under a sample plan one item per sampling unit
+//! ([`crate::sampling`]). The same code gives every mode:
 //!
-//! * **Per-cell fault isolation** — [`run_sweep_resilient`] runs every
-//!   grid cell under `catch_unwind` with a soft deadline, and reports a
-//!   structured [`CellOutcome`] per cell instead of aborting the grid.
-//!   Panics whose message carries
+//! * **Per-cell fault isolation** — every work item runs under
+//!   `catch_unwind` (on [`crate::sweep::par_map_caught`]'s worker loop)
+//!   with a soft deadline, and each cell reports a structured
+//!   [`CellOutcome`] instead of aborting the grid; a failed unit fails
+//!   only its own cell. Panics whose message carries
 //!   [`arvi_trace::REPLAY_PANIC_PREFIX`] are classified as trace
 //!   failures, everything else as a generic cell panic.
 //! * **Graceful degradation** — a corrupt on-disk trace is quarantined
@@ -18,9 +23,9 @@
 //!   through the `InstSource` seam. Replay is bit-identical to live
 //!   emulation, so a degraded sweep still reports the same numbers —
 //!   the degradation is recorded in the outcome, not in the data.
-//! * **Durability** — completed cells are journaled (fingerprint +
-//!   result, one line per cell, appended as cells finish) so an
-//!   interrupted sweep resumes by skipping finished cells
+//! * **Durability** — completed work items are journaled (fingerprint +
+//!   result, one line per cell or sampling unit, appended as they
+//!   finish) so an interrupted sweep resumes by skipping finished items
 //!   ([`Resilience::resume`]). Trace files themselves are written
 //!   atomically by `arvi-trace` (temp file + fsync + rename).
 //! * **Probes in the pass** — with [`Resilience::probes`] (the
@@ -33,6 +38,9 @@
 //!   stalls chosen cells, and simulates a mid-grid kill, all
 //!   deterministically, so `tests/fault_injection.rs` and the CI fault
 //!   job exercise every failure path on demand.
+//! * **Telemetry** — with [`Resilience::telemetry`], one `cell_start`
+//!   and one `cell_end` event per cell (not per unit), bracketed by
+//!   `sweep_start`/`sweep_end`, plus the cumulative metrics export.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -42,6 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use arvi_obs::{CounterProbe, SiteProbe};
+use arvi_sampling::{run_unit, SamplePlan, SampleReport, SampleUnit};
 use arvi_sim::{
     intern_name, simulate_source, simulate_source_probed, InstSource, PredictorConfig, SimParams,
     SimResult,
@@ -54,7 +63,8 @@ use crate::events::SweepTelemetry;
 use crate::harness::Spec;
 use crate::obs_grid::{obs_journal_path, probes_from_json, probes_to_json, CellProbes};
 use crate::report::{io_error_at, Json};
-use crate::sweep::{trace_len, SweepPoint, TraceSet};
+use crate::sampling::{fold_units, unit_fingerprint};
+use crate::sweep::{par_map_caught, trace_len, SweepPoint, TraceSet};
 use crate::workload::{fnv1a, FNV_OFFSET};
 
 /// How a successful cell got its result.
@@ -106,8 +116,8 @@ pub struct CellSuccess {
     /// journaled duration of the original run (zero for entries written
     /// by journals that predate duration tracking).
     pub duration: Duration,
-    /// How many sampling units produced this result under
-    /// [`crate::sampling::run_sweep_sampled`]; `0` for a full
+    /// How many sampling units produced this result under a sample
+    /// plan ([`crate::sampling::run_sweep_sampled`]); `0` for a full
     /// (unsampled) run.
     pub sampled_units: usize,
     /// The counter and site probes the cell ran with, when the sweep
@@ -185,19 +195,22 @@ impl CellOutcome {
     }
 }
 
-/// Fault-tolerance policy for a sweep. [`Resilience::default`] journals
-/// nothing, injects nothing, and degrades gracefully (quarantine +
-/// re-record + live fallback all on).
-#[derive(Debug, Clone, Default)]
+/// Fault-tolerance policy for a sweep. [`Resilience::new`] (also
+/// [`Resilience::default`]) journals nothing, injects nothing, and
+/// degrades gracefully (quarantine + re-record + live fallback all on);
+/// it is the policy of a run with no fault-tolerance flags.
+#[derive(Debug, Clone)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
     pub journal: Option<PathBuf>,
     /// Restore completed cells from the journal instead of re-running
     /// them.
     pub resume: bool,
-    /// Soft per-cell deadline: a cell that runs longer is reported as
-    /// [`CellOutcome::TimedOut`] and its result discarded. (Soft: the
-    /// check is post-hoc — safe Rust cannot preempt a running cell.)
+    /// Soft per-work-item deadline: a whole cell, or under a sample plan
+    /// one sampling unit, that runs longer is reported as
+    /// [`CellOutcome::TimedOut`] (failing its cell) and its result
+    /// discarded. (Soft: the check is post-hoc — safe Rust cannot
+    /// preempt a running item.)
     pub deadline: Option<Duration>,
     /// Deterministic fault plan (testing/CI only).
     pub plan: Option<Arc<FaultPlan>>,
@@ -216,6 +229,13 @@ pub struct Resilience {
     /// ones; with a journal the probes go to `<journal>.obs`, and a
     /// resumed cell without an obs entry is re-simulated to get them.
     pub probes: bool,
+}
+
+impl Default for Resilience {
+    /// [`Resilience::new`].
+    fn default() -> Resilience {
+        Resilience::new()
+    }
 }
 
 impl Resilience {
@@ -282,23 +302,29 @@ pub enum FaultKind {
         /// Length to keep.
         len: u64,
     },
-    /// Panic inside grid cell `cell` (by dispatch index).
+    /// Panic inside grid cell `cell` (by index into the sweep's point
+    /// list). Fires once, on the cell's first dispatched work item —
+    /// the whole cell, or under a sample plan one of its units — and
+    /// fails only that cell.
     PanicCell {
         /// Cell index into the sweep's point list.
         cell: u32,
     },
-    /// Sleep `millis` before running grid cell `cell` (drives the
-    /// deadline path deterministically).
+    /// Sleep `millis` before running grid cell `cell`'s first dispatched
+    /// work item, like [`FaultKind::PanicCell`] (drives the deadline
+    /// path deterministically).
     StallCell {
         /// Cell index into the sweep's point list.
         cell: u32,
         /// Milliseconds to stall.
         millis: u64,
     },
-    /// Stop dispatching new cells once `cells` cells have completed —
-    /// a deterministic stand-in for kill -9 mid-sweep.
+    /// Stop dispatching new work items once `cells` items have
+    /// completed — a deterministic stand-in for kill -9 mid-sweep. Items
+    /// are cells, except under a sample plan, where each sampling unit
+    /// counts (a cell with unfinished units is skipped).
     KillAfter {
-        /// Completed-cell threshold.
+        /// Completed-work-item threshold.
         cells: u32,
     },
 }
@@ -313,7 +339,7 @@ pub enum FaultKind {
 /// truncate <workload> <len>         # short read of the container
 /// panic-cell <index>                # panic inside grid cell <index>
 /// stall-cell <index> <millis>       # sleep before cell <index>
-/// kill-after <count>                # stop dispatch after <count> cells
+/// kill-after <count>                # stop dispatch after <count> work items
 /// ```
 ///
 /// Read faults fire **once** (the first read of a matching file), so a
@@ -446,8 +472,8 @@ impl FaultPlan {
         }
     }
 
-    /// Whether a kill fault says to stop dispatching: `completed` cells
-    /// have finished and some `kill-after` threshold is reached. Sticky
+    /// Whether a kill fault says to stop dispatching: `completed` work
+    /// items have finished and some `kill-after` threshold is reached. Sticky
     /// (not consumed) — once tripped, every dispatcher sees it.
     pub fn kill_now(&self, completed: usize) -> bool {
         self.faults.iter().any(
@@ -788,14 +814,14 @@ impl SweepJournal {
 }
 
 /// Runs every grid point with per-cell fault isolation, returning one
-/// [`CellOutcome`] per point (item order, like
-/// [`crate::sweep::run_sweep_with`]). No cell failure aborts the grid.
+/// [`CellOutcome`] per point in grid order. No cell failure aborts the
+/// grid.
 ///
-/// With `traces` set, cells replay shared recordings exactly like the
-/// strict sweep; a workload without a usable recording degrades to live
-/// emulation (or to [`CellOutcome::TraceError`] when
-/// [`Resilience::live_fallback`] is off). With a journal configured,
-/// completed cells are appended as they finish; with
+/// With `traces` set, cells replay shared recordings; a workload without
+/// a usable recording degrades to live emulation (or to
+/// [`CellOutcome::TraceError`] when [`Resilience::live_fallback`] is
+/// off), and `traces: None` runs every cell live. With a journal
+/// configured, completed cells are appended as they finish; with
 /// [`Resilience::resume`], previously journaled cells are restored
 /// without re-running — restored results are bit-identical to simulated
 /// ones, they are the simulated ones. With [`Resilience::probes`], every
@@ -810,28 +836,57 @@ pub fn run_sweep_resilient(
     traces: Option<&TraceSet>,
     res: &Resilience,
 ) -> Vec<CellOutcome> {
-    let prior = match (&res.journal, res.resume) {
-        (Some(path), true) => SweepJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = res
-        .journal
-        .as_deref()
-        .and_then(|path| SweepJournal::open_or_warn(path, spec));
-    let obs_path = res
-        .journal
-        .as_deref()
-        .filter(|_| res.probes)
-        .map(obs_journal_path);
-    let prior_probes = match (&obs_path, res.resume) {
-        (Some(path), true) => LineJournal::load("obs", path, probes_from_json),
-        _ => HashMap::new(),
-    };
-    let obs_journal = obs_path
-        .as_deref()
-        .and_then(|path| LineJournal::open_or_warn("obs", path, spec));
+    run_grid(points, spec, threads, progress, traces, res, None).0
+}
 
-    let threads = threads.clamp(1, points.len().max(1));
+/// One work item of a grid: a cell index and, under a sample plan, the
+/// index of one of its sampling units (`None`: the whole cell).
+type WorkItem = (usize, Option<usize>);
+
+/// The grid executor behind every run mode: [`run_sweep_resilient`],
+/// [`crate::sampling::run_sweep_sampled`] and
+/// [`crate::harness::GridRun::run`].
+///
+/// The work list holds one whole-cell item per cell, except that under
+/// `sample` a cell with a usable recording contributes one item per
+/// sampling unit instead (a cell without one runs whole, live). Every
+/// item runs on [`par_map_caught`]'s one worker loop under the same
+/// isolation, fault plan, deadline, journal and resume; a cell's
+/// `cell_start` event goes out when its first item is dispatched, and
+/// its outcome is folded — and its `cell_end` emitted — when its last
+/// item finishes. Returns one outcome per point plus, for every cell
+/// that sampled, its [`SampleReport`].
+pub(crate) fn run_grid(
+    points: &[SweepPoint],
+    spec: Spec,
+    threads: usize,
+    progress: bool,
+    traces: Option<&TraceSet>,
+    res: &Resilience,
+    sample: Option<&SamplePlan>,
+) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>) {
+    let exec = Executor::new(points, spec, traces, res, sample);
+    let mut items: Vec<WorkItem> = Vec::new();
+    let cells: Vec<CellRun> = points
+        .iter()
+        .enumerate()
+        .map(|(i, point)| {
+            let first = items.len();
+            let sampled = exec.sampled_degradation(point);
+            match sampled {
+                Some(_) => items.extend((0..exec.units.len()).map(|j| (i, Some(j)))),
+                None => items.push((i, None)),
+            }
+            CellRun {
+                items: first..items.len(),
+                sampled,
+                started: AtomicBool::new(false),
+                pending: AtomicUsize::new(items.len() - first),
+                folded: Mutex::new(None),
+            }
+        })
+        .collect();
+
     let telemetry = res.telemetry.as_deref();
     let sweep_start = Instant::now();
     if let Some(t) = telemetry {
@@ -839,72 +894,63 @@ pub fn run_sweep_resilient(
             "sweep_start",
             vec![
                 ("cells".to_string(), Json::Num(points.len() as f64)),
-                ("threads".to_string(), Json::Num(threads as f64)),
+                (
+                    "threads".to_string(),
+                    Json::Num(threads.clamp(1, items.len().max(1)) as f64),
+                ),
             ],
         );
     }
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutcome>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if res
-            .plan
-            .as_deref()
-            .is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire)))
-        {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(point) = points.get(i) else { break };
-        if progress {
-            eprintln!("sweep: {point}");
-        }
-        if let Some(t) = telemetry {
-            t.event(
-                "cell_start",
-                vec![
-                    ("cell".to_string(), Json::Num(i as f64)),
-                    ("point".to_string(), Json::str(point.to_string())),
-                ],
-            );
-        }
-        let outcome = run_cell(i, point, spec, traces, res, &prior, &prior_probes);
-        if let CellOutcome::Ok(s) = &outcome {
-            if !s.resumed {
-                let fp = cell_fingerprint(point, spec);
-                // A journaled cell re-run only for its probes keeps its
-                // original sweep-journal line.
-                if let (Some(journal), false) = (&journal, prior.contains_key(&fp)) {
-                    journal.append(fp, &s.result, s.degradation, s.duration);
-                }
-                if let (Some(journal), Some(probes)) = (&obs_journal, &s.probes) {
-                    journal.append(fp, &probes_to_json(probes));
-                }
+    let slots: Vec<Mutex<Option<CellOutcome>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    par_map_caught(
+        &items,
+        threads,
+        |completed| res.plan.as_deref().is_some_and(|p| p.kill_now(completed)),
+        |&(cell, unit)| {
+            if !cells[cell].started.swap(true, Ordering::AcqRel) {
+                exec.cell_started(cell, progress);
             }
-        }
-        if let Some(t) = telemetry {
-            emit_cell_events(t, i, point, &outcome, traces.is_some());
-        }
-        *slots[i].lock().expect("outcome slot") = Some(outcome);
-        completed.fetch_add(1, Ordering::Release);
-    };
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
+            let outcome = exec.run_item(cell, unit);
+            exec.journal(cell, unit, &outcome);
+            outcome
+        },
+        |idx, caught| {
+            let cell = items[idx].0;
+            let outcome = caught.unwrap_or_else(|payload| {
+                let message = panic_message(payload.as_ref());
+                if message.contains(REPLAY_PANIC_PREFIX) {
+                    CellOutcome::TraceError { message }
+                } else {
+                    CellOutcome::Panicked { message }
+                }
+            });
+            *slots[idx].lock().expect("item slot") = Some(outcome);
+            let run = &cells[cell];
+            if run.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                let mut outcomes: Vec<CellOutcome> = slots[run.items.clone()]
+                    .iter()
+                    .map(|s| s.lock().expect("item slot").take().expect("item ran"))
+                    .collect();
+                let folded = match run.sampled {
+                    Some(degradation) => fold_units(&points[cell], spec, outcomes, degradation),
+                    None => (outcomes.pop().expect("one whole-cell item"), None),
+                };
+                if let Some(t) = telemetry {
+                    emit_cell_events(t, cell, &points[cell], &folded.0, traces.is_some());
+                }
+                *run.folded.lock().expect("cell slot") = Some(folded);
             }
-        });
-    }
-    let outcomes: Vec<CellOutcome> = slots
+        },
+    );
+    let (outcomes, reports): (Vec<CellOutcome>, Vec<Option<SampleReport>>) = cells
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("outcome slot")
-                .unwrap_or(CellOutcome::Skipped)
+        .map(|run| {
+            run.folded
+                .into_inner()
+                .expect("cell slot")
+                .unwrap_or((CellOutcome::Skipped, None))
         })
-        .collect();
+        .unzip();
     if let Some(t) = telemetry {
         for o in &outcomes {
             if matches!(o, CellOutcome::Skipped) {
@@ -927,7 +973,268 @@ pub fn run_sweep_resilient(
         );
         t.sweep_finished();
     }
-    outcomes
+    (outcomes, reports)
+}
+
+/// One cell's progress through the work list: its items' range, how it
+/// samples (`None`: one whole-cell item), whether any item has been
+/// dispatched, how many are still unfinished, and — once the last one
+/// finishes — its folded outcome and sampled estimate.
+struct CellRun {
+    items: std::ops::Range<usize>,
+    sampled: Option<Degradation>,
+    started: AtomicBool,
+    pending: AtomicUsize,
+    folded: Mutex<Option<(CellOutcome, Option<SampleReport>)>>,
+}
+
+/// Everything a work item needs, shared read-only by the workers.
+struct Executor<'a> {
+    points: &'a [SweepPoint],
+    spec: Spec,
+    traces: Option<&'a TraceSet>,
+    res: &'a Resilience,
+    sample: Option<&'a SamplePlan>,
+    /// The sample plan's units over the measurement window (empty
+    /// without a plan).
+    units: Vec<SampleUnit>,
+    /// Whether cells carry probes out of this sweep. Sampled units carry
+    /// no full-window probes: under a sample plan the sweep runs
+    /// probe-free and keeps no obs journal.
+    probes: bool,
+    prior: HashMap<u64, (SimResult, Degradation, Duration)>,
+    prior_probes: HashMap<u64, CellProbes>,
+    journal: Option<SweepJournal>,
+    obs_journal: Option<LineJournal>,
+}
+
+type Simulated = (SimResult, Option<Box<CellProbes>>);
+
+impl<'a> Executor<'a> {
+    fn new(
+        points: &'a [SweepPoint],
+        spec: Spec,
+        traces: Option<&'a TraceSet>,
+        res: &'a Resilience,
+        sample: Option<&'a SamplePlan>,
+    ) -> Executor<'a> {
+        // Detail windows live inside the measurement window; unit
+        // warm-up may reach back into the spec warm-up prefix (recorded
+        // too).
+        let units = sample.map_or_else(Vec::new, |p| p.units(spec.warmup, spec.measure, spec.seed));
+        let prior = match (&res.journal, res.resume) {
+            (Some(path), true) => SweepJournal::load(path),
+            _ => HashMap::new(),
+        };
+        let journal = res
+            .journal
+            .as_deref()
+            .and_then(|path| SweepJournal::open_or_warn(path, spec));
+        let probes = res.probes && sample.is_none();
+        let obs_path = res
+            .journal
+            .as_deref()
+            .filter(|_| probes)
+            .map(obs_journal_path);
+        let prior_probes = match (&obs_path, res.resume) {
+            (Some(path), true) => LineJournal::load("obs", path, probes_from_json),
+            _ => HashMap::new(),
+        };
+        let obs_journal = obs_path
+            .as_deref()
+            .and_then(|path| LineJournal::open_or_warn("obs", path, spec));
+        Executor {
+            points,
+            spec,
+            traces,
+            res,
+            sample,
+            units,
+            probes,
+            prior,
+            prior_probes,
+            journal,
+            obs_journal,
+        }
+    }
+
+    /// `Some(degradation)` when `point` is sampled — a sample plan with
+    /// at least one unit, and a recording long enough to seek in —
+    /// `None` when it runs whole.
+    fn sampled_degradation(&self, point: &SweepPoint) -> Option<Degradation> {
+        if self.units.is_empty() {
+            return None;
+        }
+        let traces = self.traces?;
+        let trace = traces.get(&point.workload)?;
+        (trace.len() >= trace_len(self.spec)).then(|| replay_degradation(traces, point))
+    }
+
+    /// The journal key of one work item.
+    fn fingerprint(&self, cell: usize, unit: Option<usize>) -> u64 {
+        let point = &self.points[cell];
+        match (unit, self.sample) {
+            (Some(j), Some(plan)) => unit_fingerprint(point, self.spec, plan, j as u64),
+            _ => cell_fingerprint(point, self.spec),
+        }
+    }
+
+    /// A cell's first item was dispatched.
+    fn cell_started(&self, cell: usize, progress: bool) {
+        let point = &self.points[cell];
+        if progress {
+            eprintln!("sweep: {point}");
+        }
+        if let Some(t) = self.res.telemetry.as_deref() {
+            t.event(
+                "cell_start",
+                vec![
+                    ("cell".to_string(), Json::Num(cell as f64)),
+                    ("point".to_string(), Json::str(point.to_string())),
+                ],
+            );
+        }
+    }
+
+    /// Restores one work item from the journal, or runs it: the fault
+    /// plan's panic and stall for the cell fire on its first dispatched
+    /// item, and the deadline applies to the item alone.
+    fn run_item(&self, cell: usize, unit: Option<usize>) -> CellOutcome {
+        let point = &self.points[cell];
+        let fp = self.fingerprint(cell, unit);
+        let sampled_units = unit.is_some() as usize;
+        if let Some((result, degradation, duration)) = self.prior.get(&fp) {
+            let probes = self.prior_probes.get(&fp);
+            // A probed sweep re-runs a cell journaled without its probes.
+            if !self.probes || probes.is_some() {
+                return CellOutcome::Ok(CellSuccess {
+                    result: result.clone(),
+                    degradation: *degradation,
+                    resumed: true,
+                    duration: *duration,
+                    sampled_units,
+                    probes: probes.cloned().map(Box::new),
+                });
+            }
+        }
+        let start = Instant::now();
+        if let Some(plan) = self.res.plan.as_deref() {
+            if plan.take_panic(cell) {
+                panic!("injected fault: panic in cell {cell} ({point})");
+            }
+            if let Some(stall) = plan.take_stall(cell) {
+                std::thread::sleep(stall);
+            }
+        }
+        let ran = match unit {
+            Some(j) => self.simulate_unit(point, &self.units[j]),
+            None => self.simulate_whole(point),
+        };
+        let elapsed = start.elapsed();
+        match ran {
+            Err(message) => CellOutcome::TraceError { message },
+            Ok(((result, probes), degradation)) => match self.res.deadline {
+                Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
+                _ => CellOutcome::Ok(CellSuccess {
+                    result,
+                    degradation,
+                    resumed: false,
+                    duration: elapsed,
+                    sampled_units,
+                    probes,
+                }),
+            },
+        }
+    }
+
+    /// One whole cell, replayed from its recording or run live.
+    fn simulate_whole(&self, point: &SweepPoint) -> Result<(Simulated, Degradation), String> {
+        let spec = self.spec;
+        let live = || {
+            let program = point.workload.program(spec.seed);
+            let name = intern_name(program.name());
+            let emu = arvi_isa::Emulator::new(program);
+            simulate_cell(name, emu, point, spec, self.probes)
+        };
+        let degrade = |reason: String| {
+            if self.res.live_fallback {
+                Ok((live(), Degradation::LiveEmulation))
+            } else {
+                Err(reason)
+            }
+        };
+        let Some(traces) = self.traces else {
+            return Ok((live(), Degradation::None));
+        };
+        match traces.get(&point.workload) {
+            Some(trace) if trace.len() >= trace_len(spec) => {
+                let replayer = TraceReplayer::new(Arc::clone(trace));
+                let name = intern_name(trace.name());
+                Ok((
+                    simulate_cell(name, replayer, point, spec, self.probes),
+                    replay_degradation(traces, point),
+                ))
+            }
+            Some(trace) => degrade(format!(
+                "trace {} holds {} instructions but the window needs {}",
+                trace.name(),
+                trace.len(),
+                trace_len(spec)
+            )),
+            None => degrade(match traces.provenance(&point.workload) {
+                Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
+                _ => format!("no recording for workload {}", point.workload),
+            }),
+        }
+    }
+
+    /// One sampling unit of a cell over its recording. The unit's
+    /// counters ride in the result's `window`, as its journal line
+    /// stores them.
+    fn simulate_unit(
+        &self,
+        point: &SweepPoint,
+        unit: &SampleUnit,
+    ) -> Result<(Simulated, Degradation), String> {
+        let trace = self
+            .traces
+            .and_then(|t| t.get(&point.workload))
+            .expect("sampled cells have a recording");
+        let params = SimParams::for_depth(point.depth);
+        let stats = run_unit(trace, &params, point.config, unit).map_err(|e| e.to_string())?;
+        let result = SimResult {
+            name: intern_name(point.workload.name()),
+            config: point.config,
+            depth_stages: point.depth.stages(),
+            window: stats,
+        };
+        Ok(((result, None), Degradation::None))
+    }
+
+    /// Journals a freshly simulated item (and its probes).
+    fn journal(&self, cell: usize, unit: Option<usize>, outcome: &CellOutcome) {
+        let CellOutcome::Ok(s) = outcome else { return };
+        if s.resumed {
+            return;
+        }
+        let fp = self.fingerprint(cell, unit);
+        // A journaled cell re-run only for its probes keeps its
+        // original sweep-journal line.
+        if let (Some(journal), false) = (&self.journal, self.prior.contains_key(&fp)) {
+            journal.append(fp, &s.result, s.degradation, s.duration);
+        }
+        if let (Some(journal), Some(probes)) = (&self.obs_journal, &s.probes) {
+            journal.append(fp, &probes_to_json(probes));
+        }
+    }
+}
+
+/// How a cell replaying `traces`' recording of its workload got it.
+fn replay_degradation(traces: &TraceSet, point: &SweepPoint) -> Degradation {
+    match traces.provenance(&point.workload) {
+        Some(TraceProvenance::Rerecorded { corrupt: true }) => Degradation::Requarantined,
+        _ => Degradation::None,
+    }
 }
 
 /// The normalized outcome key used in events and metric labels (no
@@ -995,115 +1302,6 @@ fn emit_cell_events(
     }
     t.event("cell_end", fields);
     t.cell_finished(key, simulated_duration, resumed, degraded);
-}
-
-type Simulated = (SimResult, Option<Box<CellProbes>>);
-
-fn run_cell(
-    i: usize,
-    point: &SweepPoint,
-    spec: Spec,
-    traces: Option<&TraceSet>,
-    res: &Resilience,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
-    prior_probes: &HashMap<u64, CellProbes>,
-) -> CellOutcome {
-    let fp = cell_fingerprint(point, spec);
-    if let Some((result, degradation, duration)) = prior.get(&fp) {
-        let probes = prior_probes.get(&fp);
-        // A probed sweep re-runs a cell journaled without its probes.
-        if !res.probes || probes.is_some() {
-            return CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
-                degradation: *degradation,
-                resumed: true,
-                duration: *duration,
-                sampled_units: 0,
-                probes: probes.cloned().map(Box::new),
-            });
-        }
-    }
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plan) = res.plan.as_deref() {
-            if plan.take_panic(i) {
-                panic!("injected fault: panic in cell {i} ({point})");
-            }
-            if let Some(stall) = plan.take_stall(i) {
-                std::thread::sleep(stall);
-            }
-        }
-        let live = || {
-            let program = point.workload.program(spec.seed);
-            let name = intern_name(program.name());
-            simulate_cell(
-                name,
-                arvi_isa::Emulator::new(program),
-                point,
-                spec,
-                res.probes,
-            )
-        };
-        let degrade = |reason: String| -> Result<(Simulated, Degradation), String> {
-            if res.live_fallback {
-                Ok((live(), Degradation::LiveEmulation))
-            } else {
-                Err(reason)
-            }
-        };
-        match traces {
-            None => Ok((live(), Degradation::None)),
-            Some(traces) => match traces.get(&point.workload) {
-                Some(trace) if trace.len() >= trace_len(spec) => {
-                    let degradation = match traces.provenance(&point.workload) {
-                        Some(TraceProvenance::Rerecorded { corrupt: true }) => {
-                            Degradation::Requarantined
-                        }
-                        _ => Degradation::None,
-                    };
-                    let replayer = TraceReplayer::new(Arc::clone(trace));
-                    let name = intern_name(trace.name());
-                    Ok((
-                        simulate_cell(name, replayer, point, spec, res.probes),
-                        degradation,
-                    ))
-                }
-                Some(trace) => degrade(format!(
-                    "trace {} holds {} instructions but the window needs {}",
-                    trace.name(),
-                    trace.len(),
-                    trace_len(spec)
-                )),
-                None => degrade(match traces.provenance(&point.workload) {
-                    Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
-                    _ => format!("no recording for workload {}", point.workload),
-                }),
-            },
-        }
-    }));
-    let elapsed = start.elapsed();
-    match attempt {
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            if message.contains(REPLAY_PANIC_PREFIX) {
-                CellOutcome::TraceError { message }
-            } else {
-                CellOutcome::Panicked { message }
-            }
-        }
-        Ok(Err(message)) => CellOutcome::TraceError { message },
-        Ok(Ok(((result, probes), degradation))) => match res.deadline {
-            Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
-            _ => CellOutcome::Ok(CellSuccess {
-                result,
-                degradation,
-                resumed: false,
-                duration: elapsed,
-                sampled_units: 0,
-                probes,
-            }),
-        },
-    }
 }
 
 /// Simulates one cell from `source` — the same run as
@@ -1365,6 +1563,15 @@ mod tests {
         assert!(FaultPlan::parse("flip li").is_err());
         assert!(FaultPlan::parse("panic-cell x").is_err());
         assert!(FaultPlan::parse("kill-after 5 extra").is_err());
+    }
+
+    #[test]
+    fn default_policy_is_the_documented_graceful_one() {
+        let d = Resilience::default();
+        assert!(d.rerecord && d.live_fallback, "degrades gracefully");
+        assert!(d.journal.is_none() && !d.resume && d.deadline.is_none());
+        assert!(d.plan.is_none() && d.telemetry.is_none() && !d.probes);
+        assert_eq!(format!("{d:?}"), format!("{:?}", Resilience::new()));
     }
 
     #[test]

@@ -1,67 +1,54 @@
-//! Sampled sweeps: the `--sample` execution mode of the experiment
-//! binaries.
+//! Sampled sweeps: what is specific to the `--sample` execution mode of
+//! the experiment binaries.
 //!
 //! A sampled sweep replaces each cell's full detailed run with a
 //! [`SamplePlan`] over the cell's recorded trace: `k`-periodic units of
-//! functional warm-up + detailed measurement (see `arvi_sampling`). The
-//! work list is the *flattened* `(cell, unit)` grid, fanned out over one
-//! atomic-cursor worker pool — so even a single long-window cell
-//! saturates every core, which is the point: intra-run parallelism that
-//! the serial full run cannot have.
+//! functional warm-up + detailed measurement (see `arvi_sampling`). It
+//! runs on the one grid executor
+//! ([`crate::resilience::run_sweep_resilient`]'s), whose work list then
+//! holds one item per unit of every cell with a usable recording — so
+//! even a single long-window cell saturates every core, which is the
+//! point: intra-run parallelism that the serial full run cannot have. A
+//! cell whose workload has no usable recording cannot be sampled
+//! (sampling seeks; live emulation cannot) and runs as one whole-cell
+//! live item, reported as [`Degradation::LiveEmulation`] with
+//! `sampled_units == 0`.
 //!
-//! Sampled sweeps compose with the whole resilience stack:
+//! Isolation, the fault plan, the deadline, journaling, resume and
+//! telemetry are the executor's, the same as for full runs; this module
+//! adds only the unit journal key ([`unit_fingerprint`]: a killed run
+//! resumes per *unit*, not per cell), the fold of a cell's unit results
+//! into its [`SampleReport`], and the confidence-interval table.
 //!
-//! * every finished unit is journaled individually (keyed by
-//!   [`unit_fingerprint`]), so a killed run resumes per *unit*, not per
-//!   cell;
-//! * unit panics and trace errors are isolated per cell, like
-//!   [`run_sweep_resilient`](crate::resilience::run_sweep_resilient);
-//! * a cell whose workload has no usable recording cannot be sampled
-//!   (sampling seeks; live emulation cannot) and falls back to a full
-//!   live run, reported as [`Degradation::LiveEmulation`] with
-//!   `sampled_units == 0`.
-//!
-//! Determinism: unit results are committed in flattened-grid order and
-//! merged with integer-exact counter sums, so a sampled sweep's results
-//! — including every CI — are bit-identical across thread counts and
-//! across kill + `--resume`.
+//! Determinism: unit results are folded in unit order and merged with
+//! integer-exact counter sums, so a sampled sweep's results — including
+//! every CI — are bit-identical across thread counts and across kill +
+//! `--resume`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use arvi_sampling::{aggregate, run_unit, SamplePlan, SampleReport, SampleUnit};
-use arvi_sim::{intern_name, SimParams, SimResult};
+use arvi_sampling::{aggregate, SamplePlan, SampleReport};
+use arvi_sim::{intern_name, SimResult};
 use arvi_stats::Table;
-use arvi_trace::REPLAY_PANIC_PREFIX;
 
 use crate::harness::Spec;
 use crate::resilience::{
-    cell_fingerprint, panic_message, CellOutcome, CellSuccess, Degradation, Resilience,
-    SweepJournal,
+    cell_fingerprint, run_grid, CellOutcome, CellSuccess, Degradation, Resilience,
 };
-use crate::sweep::{trace_len, SweepPoint, TraceProvenance, TraceSet};
+use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::fnv1a;
 
 /// Parses a `--sample PLAN` argument pair out of `args`
 /// (`k:warmup:detail` or `stratified:k:warmup:detail`; see
 /// [`SamplePlan::parse`]). `Ok(None)` when the flag is absent.
 pub fn sample_plan_from_args(args: &[String]) -> Result<Option<SamplePlan>, String> {
-    match args.iter().position(|a| a == "--sample") {
-        None => Ok(None),
-        Some(i) => {
-            let v = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with('-'))
-                .ok_or("--sample needs a plan (k:warmup:detail)")?;
-            SamplePlan::parse(v).map(Some)
-        }
-    }
+    crate::flag_value(args, "--sample")?
+        .map(|v| SamplePlan::parse(v))
+        .transpose()
 }
 
 /// A completed sampled sweep: one [`CellOutcome`] per grid point (as the
-/// resilient runner reports), plus the per-cell [`SampleReport`] — the
+/// grid executor reports), plus the per-cell [`SampleReport`] — the
 /// CI-carrying aggregate — for every cell that actually sampled
 /// (`None` for live-fallback cells and failures).
 #[derive(Debug)]
@@ -84,33 +71,9 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
     h
 }
 
-/// What a cell runs under a sampled sweep.
-enum CellMode {
-    /// The cell samples `plan`'s units over its recording.
-    Sampled { degradation: Degradation },
-    /// No usable recording: the cell runs full-length live emulation
-    /// (sampling needs a seekable trace), or fails when
-    /// [`Resilience::live_fallback`] is off.
-    Fallback,
-}
-
-/// One finished work item.
-enum Done {
-    Unit {
-        stats: arvi_sim::MachineStats,
-        duration: Duration,
-        resumed: bool,
-    },
-    Whole(CellOutcome),
-    Failed {
-        message: String,
-        trace_error: bool,
-    },
-}
-
-/// Runs `plan` over every grid point, fanning the flattened
-/// `(cell, unit)` work list out over `threads` workers. See the module
-/// docs for the resilience and determinism contract.
+/// Runs `plan` over every grid point on the grid executor under `res`
+/// (the default policy when `None`). See the module docs for the
+/// resilience and determinism contract.
 pub fn run_sweep_sampled(
     points: &[SweepPoint],
     spec: Spec,
@@ -122,279 +85,41 @@ pub fn run_sweep_sampled(
 ) -> SampledSweep {
     let default_res = Resilience::new();
     let res = res.unwrap_or(&default_res);
-    // Detail windows live inside the measurement window; unit warm-up
-    // may reach back into the spec warm-up prefix (recorded too).
-    let units = plan.units(spec.warmup, spec.measure, spec.seed);
-    let prior = match (&res.journal, res.resume) {
-        (Some(path), true) => SweepJournal::load(path),
-        _ => HashMap::new(),
-    };
-    let journal = res
-        .journal
-        .as_deref()
-        .and_then(|path| SweepJournal::open_or_warn(path, spec));
-
-    let modes: Vec<CellMode> = points
-        .iter()
-        .map(|point| match traces.get(&point.workload) {
-            Some(trace) if trace.len() >= trace_len(spec) => CellMode::Sampled {
-                degradation: match traces.provenance(&point.workload) {
-                    Some(TraceProvenance::Rerecorded { corrupt: true }) => {
-                        Degradation::Requarantined
-                    }
-                    _ => Degradation::None,
-                },
-            },
-            _ => CellMode::Fallback,
-        })
-        .collect();
-
-    // The flattened work list: every unit of every sampled cell is its
-    // own schedulable item; fallback cells are one whole-run item.
-    let mut items: Vec<(usize, Option<usize>)> = Vec::new();
-    for (i, mode) in modes.iter().enumerate() {
-        match mode {
-            CellMode::Sampled { .. } => items.extend((0..units.len()).map(|j| (i, Some(j)))),
-            CellMode::Fallback => items.push((i, None)),
-        }
-    }
-    if progress {
-        eprintln!(
-            "sampled sweep: {} cells x {} units (plan {plan}), {} work items on {} threads",
-            points.len(),
-            units.len(),
-            items.len(),
-            threads.clamp(1, items.len().max(1)),
-        );
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Done>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if res
-            .plan
-            .as_deref()
-            .is_some_and(|p| p.kill_now(completed.load(Ordering::Acquire)))
-        {
-            break;
-        }
-        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&(cell, unit)) = items.get(idx) else {
-            break;
-        };
-        let point = &points[cell];
-        let done = match unit {
-            Some(j) => run_unit_item(point, spec, plan, &units[j], j, traces, &prior, &journal),
-            None => Done::Whole(run_fallback_cell(point, spec, res, &prior, &journal)),
-        };
-        *slots[idx].lock().expect("sampled item slot") = Some(done);
-        completed.fetch_add(1, Ordering::Release);
-    };
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-    let mut done: Vec<Option<Done>> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("sampled item slot"))
-        .collect();
-
-    // Assemble per cell, consuming the flattened slots in order (the
-    // items vector groups each cell's units contiguously).
-    let mut outcomes = Vec::with_capacity(points.len());
-    let mut reports = Vec::with_capacity(points.len());
-    let mut next = 0usize;
-    for (i, (point, mode)) in points.iter().zip(&modes).enumerate() {
-        match mode {
-            CellMode::Fallback => {
-                let slot = done[next].take();
-                next += 1;
-                outcomes.push(match slot {
-                    Some(Done::Whole(outcome)) => outcome,
-                    _ => CellOutcome::Skipped,
-                });
-                reports.push(None);
-            }
-            CellMode::Sampled { degradation } => {
-                let cell_slots = &mut done[next..next + units.len()];
-                next += units.len();
-                let (outcome, report) = assemble_cell(point, spec, i, cell_slots, *degradation);
-                outcomes.push(outcome);
-                reports.push(report);
-            }
-        }
-    }
+    let (outcomes, reports) = run_grid(
+        points,
+        spec,
+        threads,
+        progress,
+        Some(traces),
+        res,
+        Some(plan),
+    );
     SampledSweep { outcomes, reports }
 }
 
-/// Runs (or restores) one sampling unit and journals a fresh result.
-#[allow(clippy::too_many_arguments)]
-fn run_unit_item(
+/// Folds one sampled cell's unit outcomes (in unit order) into the
+/// cell's outcome and report: the first failed unit fails the cell;
+/// otherwise the unit counters merge into the cell's result, its
+/// duration is the units' sum, and it counts as resumed when every unit
+/// was restored from the journal.
+pub(crate) fn fold_units(
     point: &SweepPoint,
     spec: Spec,
-    plan: &SamplePlan,
-    unit: &SampleUnit,
-    unit_index: usize,
-    traces: &TraceSet,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
-    journal: &Option<SweepJournal>,
-) -> Done {
-    let fp = unit_fingerprint(point, spec, plan, unit_index as u64);
-    if let Some((result, _, duration)) = prior.get(&fp) {
-        return Done::Unit {
-            stats: result.window.clone(),
-            duration: *duration,
-            resumed: true,
-        };
-    }
-    let trace = traces
-        .get(&point.workload)
-        .expect("sampled cells have a recording");
-    let params = SimParams::for_depth(point.depth);
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_unit(trace, &params, point.config, unit)
-    }));
-    let duration = start.elapsed();
-    match attempt {
-        Ok(Ok(stats)) => {
-            if let Some(journal) = journal {
-                // One journal entry per unit, in the cell entry format:
-                // the unit's counter block rides in the `window` field.
-                let entry = SimResult {
-                    name: intern_name(point.workload.name()),
-                    config: point.config,
-                    depth_stages: point.depth.stages(),
-                    window: stats.clone(),
-                };
-                journal.append(fp, &entry, Degradation::None, duration);
-            }
-            Done::Unit {
-                stats,
-                duration,
-                resumed: false,
-            }
-        }
-        Ok(Err(e)) => Done::Failed {
-            message: e.to_string(),
-            trace_error: true,
-        },
-        Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            let trace_error = message.contains(REPLAY_PANIC_PREFIX);
-            Done::Failed {
-                message,
-                trace_error,
-            }
-        }
-    }
-}
-
-/// Full live run for a cell that cannot be sampled (no usable trace).
-fn run_fallback_cell(
-    point: &SweepPoint,
-    spec: Spec,
-    res: &Resilience,
-    prior: &HashMap<u64, (SimResult, Degradation, Duration)>,
-    journal: &Option<SweepJournal>,
-) -> CellOutcome {
-    // Full-run results are plan-independent, so the plain cell
-    // fingerprint keys them — a resumed full sweep's entries count.
-    let fp = cell_fingerprint(point, spec);
-    if let Some((result, degradation, duration)) = prior.get(&fp) {
-        return CellOutcome::Ok(CellSuccess {
-            result: result.clone(),
-            degradation: *degradation,
-            resumed: true,
-            duration: *duration,
-            sampled_units: 0,
-            probes: None,
-        });
-    }
-    if !res.live_fallback {
-        return CellOutcome::TraceError {
-            message: format!(
-                "no usable recording for workload {} — sampling requires a seekable trace \
-                 and live fallback is disabled",
-                point.workload
-            ),
-        };
-    }
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::harness::run_one(&point.workload, point.depth, point.config, spec)
-    }));
-    let duration = start.elapsed();
-    match attempt {
-        Ok(result) => {
-            if let Some(journal) = journal {
-                journal.append(fp, &result, Degradation::LiveEmulation, duration);
-            }
-            CellOutcome::Ok(CellSuccess {
-                result,
-                degradation: Degradation::LiveEmulation,
-                resumed: false,
-                duration,
-                sampled_units: 0,
-                probes: None,
-            })
-        }
-        Err(payload) => CellOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    }
-}
-
-/// Folds one sampled cell's unit slots into its outcome and report.
-fn assemble_cell(
-    point: &SweepPoint,
-    spec: Spec,
-    cell: usize,
-    slots: &mut [Option<Done>],
+    units: Vec<CellOutcome>,
     degradation: Degradation,
 ) -> (CellOutcome, Option<SampleReport>) {
-    let mut stats = Vec::with_capacity(slots.len());
+    let mut stats = Vec::with_capacity(units.len());
     let mut duration = Duration::ZERO;
-    let mut all_resumed = true;
-    let mut missing = false;
-    for slot in slots.iter_mut() {
-        match slot.take() {
-            Some(Done::Unit {
-                stats: s,
-                duration: d,
-                resumed,
-            }) => {
-                stats.push(s);
-                duration += d;
-                all_resumed &= resumed;
+    let mut resumed = true;
+    for outcome in units {
+        match outcome {
+            CellOutcome::Ok(s) => {
+                stats.push(s.result.window);
+                duration += s.duration;
+                resumed &= s.resumed;
             }
-            Some(Done::Failed {
-                message,
-                trace_error,
-            }) => {
-                let message = format!("cell {cell} ({point}): {message}");
-                let outcome = if trace_error {
-                    CellOutcome::TraceError { message }
-                } else {
-                    CellOutcome::Panicked { message }
-                };
-                return (outcome, None);
-            }
-            Some(Done::Whole(_)) => unreachable!("sampled cells have no whole-run items"),
-            None => missing = true,
+            failed => return (failed, None),
         }
-    }
-    if missing {
-        // Some units were never dispatched (simulated kill); journaled
-        // ones will be restored by a --resume re-run.
-        return (CellOutcome::Skipped, None);
     }
     let report = aggregate(&stats, spec.measure);
     let result = SimResult {
@@ -403,14 +128,14 @@ fn assemble_cell(
         depth_stages: point.depth.stages(),
         window: report.totals.clone(),
     };
-    let units = report.ipc.units.max(stats.len());
+    let sampled_units = report.ipc.units.max(stats.len());
     (
         CellOutcome::Ok(CellSuccess {
             result,
             degradation,
-            resumed: all_resumed,
+            resumed,
             duration,
-            sampled_units: units,
+            sampled_units,
             probes: None,
         }),
         Some(report),
@@ -515,7 +240,14 @@ mod tests {
         let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
         let traces = TraceSet::record(&workloads, spec, 1, None);
         let plan = SamplePlan::systematic(2, 500, 1_000);
-        let one = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, None);
+        let dir = std::env::temp_dir().join(format!("arvi-sampled-events-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (events, metrics) = (dir.join("events.jsonl"), dir.join("metrics.prom"));
+        let mut res = Resilience::new();
+        res.telemetry = Some(std::sync::Arc::new(
+            crate::events::SweepTelemetry::from_paths(Some(&events), Some(&metrics)).unwrap(),
+        ));
+        let one = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
         let four = run_sweep_sampled(&points, spec, &plan, 4, false, &traces, None);
         for sweep in [&one, &four] {
             let s = sweep.outcomes[0].success().expect("cell sampled");
@@ -540,6 +272,28 @@ mod tests {
         assert_eq!(ra.ipc.stderr.to_bits(), rb.ipc.stderr.to_bits());
         let table = sample_ci_table(&points, &one);
         assert!(table.to_text().contains("coverage"));
+
+        // Telemetry spans cells, not units: one cell_start/cell_end for
+        // the cell's four units, and the metrics count one ok cell.
+        let log = std::fs::read_to_string(&events).unwrap();
+        for (event, n) in [
+            ("sweep_start", 1),
+            ("cell_start", 1),
+            ("cell_end", 1),
+            ("sweep_end", 1),
+        ] {
+            assert_eq!(
+                log.matches(&format!("\"event\":\"{event}\"")).count(),
+                n,
+                "{event}"
+            );
+        }
+        let metrics = std::fs::read_to_string(&metrics).unwrap();
+        assert!(
+            metrics.contains("arvi_sweep_cells_total{outcome=\"ok\"} 1"),
+            "{metrics}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -564,44 +318,5 @@ mod tests {
         res.live_fallback = false;
         let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
         assert!(matches!(sweep.outcomes[0], CellOutcome::TraceError { .. }));
-    }
-
-    #[test]
-    fn sampled_sweep_journals_and_resumes_per_unit() {
-        let spec = tiny_spec();
-        let workloads = [Workload::from(Benchmark::Go)];
-        let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
-        let traces = TraceSet::record(&workloads, spec, 1, None);
-        let plan = SamplePlan::systematic(2, 500, 1_000);
-        let dir = std::env::temp_dir().join(format!("arvi-sampled-resume-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = dir.join("sweep.journal");
-
-        // First run: killed after 2 units.
-        let res = Resilience::new()
-            .with_journal(&journal)
-            .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
-        let partial = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
-        assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
-
-        // Resumed run completes and matches an uninterrupted run.
-        let res = Resilience::new().with_journal(&journal).resuming();
-        let resumed = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
-        let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
-        let (r, c) = (
-            &resumed.outcomes[0].success().expect("completed").result,
-            &clean.outcomes[0].success().unwrap().result,
-        );
-        assert_eq!(r.window.cycles, c.window.cycles);
-        assert_eq!(r.window.committed, c.window.committed);
-        assert_eq!(r.window.cond_branches, c.window.cond_branches);
-        let (rr, cr) = (
-            resumed.reports[0].as_ref().unwrap(),
-            clean.reports[0].as_ref().unwrap(),
-        );
-        assert_eq!(rr.ipc.mean.to_bits(), cr.ipc.mean.to_bits());
-        assert_eq!(rr.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits());
-        assert_eq!(rr.accuracy.mean.to_bits(), cr.accuracy.mean.to_bits());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! The Figure-5/6 grids are embarrassingly parallel: every
 //! `(benchmark, depth, configuration)` cell is an independent,
-//! deterministic simulation. [`par_map`] fans a work list out over scoped
-//! `std::thread` workers with a shared atomic cursor, and returns results
-//! in *item order* regardless of which worker finished first — so a
-//! parallel sweep is bit-identical to the sequential one, just faster.
+//! deterministic simulation. [`par_map_caught`] is the one worker loop
+//! that fans a work list out over scoped `std::thread` workers with a
+//! shared atomic cursor; the grid executor
+//! ([`crate::resilience::run_sweep_resilient`]) and [`par_map`] both run
+//! on it, and both return results in *item order* regardless of which
+//! worker finished first — so a parallel sweep is bit-identical to the
+//! sequential one, just faster.
 //!
 //! Since PR 2 the grids are also **record-once / replay-many**: each
 //! distinct `(benchmark, seed, window)` workload is functionally
@@ -27,9 +30,9 @@ use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
-use crate::harness::{run_one, run_one_traced, Spec};
+use crate::harness::Spec;
 use crate::report::Json;
-use crate::resilience::Resilience;
+use crate::resilience::{collect_results, run_sweep_resilient, Resilience};
 use crate::workload::Workload;
 
 /// Instructions recorded beyond `warmup + measure`: the machine fetches
@@ -378,6 +381,9 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// A caught panic payload.
+pub type Panic = Box<dyn std::any::Any + Send>;
+
 /// Applies `f` to every item on up to `threads` scoped workers and
 /// returns the results in item order (deterministic regardless of
 /// scheduling). `threads <= 1` degenerates to a plain sequential map.
@@ -393,10 +399,24 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    let slots: Vec<Mutex<Option<Result<U, Panic>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
+    par_map_caught(
+        items,
+        threads,
+        |_| false,
+        f,
+        // Nothing panics while a slot is locked, so no lock is poisoned.
+        |i, result| *slots[i].lock().expect("result slot") = Some(result),
+    );
     let mut out = Vec::with_capacity(items.len());
     let mut first_panic = None;
-    for result in par_map_caught(items, threads, &f) {
-        match result {
+    for slot in slots {
+        match slot
+            .into_inner()
+            .expect("result slot")
+            .expect("every item ran")
+        {
             Ok(v) => out.push(v),
             Err(payload) => {
                 first_panic.get_or_insert(payload);
@@ -409,48 +429,54 @@ where
     out
 }
 
-/// [`par_map`] with each item's `f` call run under `catch_unwind`:
-/// `results[i]` is `Err(payload)` when `f(items[i])` panicked. The
-/// isolation primitive under both [`par_map`] and the resilient sweep —
-/// one panicking item never prevents the others from completing.
-pub fn par_map_caught<T, U, F>(
+/// The crate's one work-cursor worker loop, under [`par_map`] and the
+/// grid executor ([`crate::resilience::run_sweep_resilient`]) alike.
+///
+/// Up to `threads` scoped workers (the calling thread alone when
+/// `threads <= 1`) pull items off a shared atomic cursor and run
+/// `f(item)` under `catch_unwind`, so one panicking item never prevents
+/// the others from completing. Each result — `Err(payload)` when `f`
+/// panicked — goes to `done(index, result)` on the worker that produced
+/// it, as soon as it exists. Before every dispatch a worker asks
+/// `stop(completed)` with the number of items finished so far; once it
+/// answers `true` no further item starts, and the items never dispatched
+/// get no `done` call (the fault plan's `kill-after` rides on this).
+/// `done` must not panic.
+pub fn par_map_caught<T, U, F, D>(
     items: &[T],
     threads: usize,
-    f: &F,
-) -> Vec<Result<U, Box<dyn std::any::Any + Send>>>
-where
+    stop: impl Fn(usize) -> bool + Sync,
+    f: F,
+    done: D,
+) where
     T: Sync,
-    U: Send,
     F: Fn(&T) -> U + Sync,
+    D: Fn(usize, Result<U, Panic>) + Sync,
 {
-    let run = |item: &T| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
+    let cursor = AtomicUsize::new(0);
+    let completed = AtomicUsize::new(0);
+    let worker = || loop {
+        if stop(completed.load(Ordering::Acquire)) {
+            break;
+        }
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        done(
+            i,
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))),
+        );
+        completed.fetch_add(1, Ordering::Release);
+    };
     let threads = threads.clamp(1, items.len().max(1));
     if threads == 1 {
-        return items.iter().map(run).collect();
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
+            }
+        });
     }
-    let cursor = AtomicUsize::new(0);
-    type Slot<U> = Mutex<Option<Result<U, Box<dyn std::any::Any + Send>>>>;
-    let slots: Vec<Slot<U>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = run(item);
-                // `run` cannot unwind (catch_unwind), so the lock is
-                // never poisoned.
-                *slots[i].lock().expect("result slot") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// One cell of an experiment grid.
@@ -496,26 +522,15 @@ pub fn full_grid() -> Vec<SweepPoint> {
     grid(&Workload::suite(), &Depth::all(), &PredictorConfig::all())
 }
 
-/// Runs every point on `threads` workers; `results[i]` corresponds to
-/// `points[i]`.
+/// Runs every point over the shared recordings `traces` on the grid
+/// executor under the default policy ([`Resilience::new`]), returning
+/// the results in grid order: `results[i]` corresponds to `points[i]`.
+/// A point whose workload is missing from `traces` falls back to live
+/// emulation for that cell.
 ///
-/// Record-once / replay-many: each distinct workload is emulated once
-/// into an in-memory [`TraceSet`], then all its cells replay the shared
-/// recording. Use [`run_sweep_with`] to reuse recordings across several
-/// grids (or load them from disk), and [`run_sweep_emulated`] for the
-/// pre-trace per-cell path.
-pub fn run_sweep(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-) -> Vec<SimResult> {
-    let traces = TraceSet::record(&distinct_workloads(points), spec, threads, None);
-    run_sweep_with(points, spec, threads, progress, &traces)
-}
-
-/// [`run_sweep`] over pre-recorded traces. A point whose workload is
-/// missing from `traces` falls back to live emulation for that cell.
+/// # Panics
+///
+/// If any cell fails, with the per-cell report.
 pub fn run_sweep_with(
     points: &[SweepPoint],
     spec: Spec,
@@ -523,32 +538,15 @@ pub fn run_sweep_with(
     progress: bool,
     traces: &TraceSet,
 ) -> Vec<SimResult> {
-    par_map(points, threads, |p| {
-        if progress {
-            eprintln!("sweep: {p}");
-        }
-        match traces.get(&p.workload) {
-            Some(trace) => run_one_traced(trace, p.depth, p.config, spec),
-            None => run_one(&p.workload, p.depth, p.config, spec),
-        }
-    })
-}
-
-/// The pre-PR2 sweep: every cell re-runs the functional emulation
-/// itself. Kept as the baseline `perf_report` measures trace sharing
-/// against, and as the reference side of the bit-identity tests.
-pub fn run_sweep_emulated(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-) -> Vec<SimResult> {
-    par_map(points, threads, |p| {
-        if progress {
-            eprintln!("sweep: {p}");
-        }
-        run_one(&p.workload, p.depth, p.config, spec)
-    })
+    let outcomes = run_sweep_resilient(
+        points,
+        spec,
+        threads,
+        progress,
+        Some(traces),
+        &Resilience::new(),
+    );
+    collect_results(points, outcomes).unwrap_or_else(|incomplete| panic!("{incomplete}"))
 }
 
 #[cfg(test)]
@@ -597,19 +595,40 @@ mod tests {
     #[test]
     fn par_map_caught_isolates_failures_per_item() {
         let items: Vec<u32> = (0..8).collect();
-        let results = par_map_caught(&items, 3, &|&x: &u32| {
-            if x % 3 == 0 {
-                panic!("bad {x}");
-            }
-            x * 2
-        });
-        for (i, r) in results.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(r.is_err(), "item {i}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i as u32 * 2);
+        let results: Vec<Mutex<Option<Result<u32, Panic>>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        par_map_caught(
+            &items,
+            3,
+            |_| false,
+            |&x| {
+                if x % 3 == 0 {
+                    panic!("bad {x}");
+                }
+                x * 2
+            },
+            |i, r| *results[i].lock().unwrap() = Some(r),
+        );
+        for (i, r) in results.into_iter().enumerate() {
+            match r.into_inner().unwrap().expect("every item ran") {
+                Err(_) => assert_eq!(i % 3, 0, "item {i}"),
+                Ok(v) => assert_eq!(v, i as u32 * 2),
             }
         }
+    }
+
+    #[test]
+    fn par_map_caught_stops_dispatch_once_told() {
+        let items: Vec<u32> = (0..16).collect();
+        let ran = Mutex::new(Vec::new());
+        par_map_caught(
+            &items,
+            1,
+            |completed| completed >= 5,
+            |&x| x,
+            |i, _| ran.lock().unwrap().push(i),
+        );
+        assert_eq!(ran.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -708,22 +727,10 @@ mod tests {
             seed: 42,
         };
         let points = small_points();
-        let seq = run_sweep(&points, spec, 1, false);
-        let par = run_sweep(&points, spec, 3, false);
+        let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
+        let seq = run_sweep_with(&points, spec, 1, false, &traces);
+        let par = run_sweep_with(&points, spec, 3, false, &traces);
         assert_same_results(&seq, &par);
-    }
-
-    #[test]
-    fn traced_sweep_is_bit_identical_to_emulated() {
-        let spec = Spec {
-            warmup: 2_000,
-            measure: 6_000,
-            seed: 7,
-        };
-        let points = small_points();
-        let live = run_sweep_emulated(&points, spec, 2, false);
-        let traced = run_sweep(&points, spec, 2, false);
-        assert_same_results(&live, &traced);
     }
 
     #[test]

@@ -16,15 +16,18 @@
 //! 5. A sweep killed mid-grid resumes from its journal and the merged
 //!    results are bit-identical to an uninterrupted run, over the full
 //!    workload roster (8 suite benchmarks + 9 curated scenarios).
+//! 6. A sampled sweep obeys the same fault plan: a panicking cell fails
+//!    alone, and every other cell equals the clean sampled run.
 
 use std::sync::OnceLock;
 
 use arvi::isa::{DynInst, Emulator};
+use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    collect_results, run_sweep_emulated, run_sweep_resilient, run_sweep_with, trace_file_name,
+    collect_results, run_sweep_resilient, run_sweep_sampled, run_sweep_with, trace_file_name,
     CellOutcome, Degradation, FaultPlan, Resilience, Spec, SweepPoint, TraceProvenance, TraceSet,
     Workload,
 };
@@ -42,6 +45,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("arvi-fault-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
+}
+
+/// Every point run live (no recordings) under the default policy.
+fn run_live(points: &[SweepPoint], spec: Spec) -> Vec<SimResult> {
+    let outcomes = run_sweep_resilient(points, spec, 1, false, None, &Resilience::new());
+    collect_results(points, outcomes).expect("every live cell ran")
 }
 
 /// Full bit-identity: every counter of the measurement window.
@@ -144,7 +153,7 @@ fn small_points() -> Vec<SweepPoint> {
 fn injected_panic_is_isolated_to_its_cell() {
     let spec = tiny_spec();
     let points = small_points();
-    let clean = run_sweep_emulated(&points, spec, 1, false);
+    let clean = run_live(&points, spec);
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
     let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
@@ -271,7 +280,7 @@ fn unavailable_trace_falls_back_to_live_emulation_or_reports() {
         depth: Depth::D20,
         config: PredictorConfig::ArviCurrent,
     }];
-    let expected = run_sweep_emulated(&points, spec, 1, false);
+    let expected = run_live(&points, spec);
 
     TraceSet::record(&workloads, spec, 1, Some(&dir));
     let mut res = Resilience::new().with_plan(FaultPlan::parse("flip li 100").unwrap());
@@ -327,7 +336,7 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
             config: PredictorConfig::ArviCurrent,
         })
         .collect();
-    let clean = run_sweep_emulated(&points, spec, 1, false);
+    let clean = run_live(&points, spec);
 
     let dir = temp_dir("resume");
     let journal = dir.join("sweep.journal");
@@ -366,4 +375,76 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
         assert_bit_identical(a, b, &point.to_string());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// 6. Sampled sweeps run on the same executor: faults stay isolated.
+// ---------------------------------------------------------------------
+
+#[test]
+fn sampled_panic_fails_only_its_cell() {
+    let spec = Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 3,
+    };
+    let points = small_points();
+    let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let plan = SamplePlan::systematic(2, 500, 1_000);
+    let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+
+    let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+    let faulted = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
+    match &faulted.outcomes[1] {
+        CellOutcome::Panicked { message } => {
+            assert!(message.contains("injected fault"), "{message}")
+        }
+        other => panic!("cell 1: expected Panicked, got {other:?}"),
+    }
+    assert!(
+        faulted.reports[1].is_none(),
+        "a failed cell has no estimate"
+    );
+    for i in [0, 2] {
+        let s = faulted.outcomes[i]
+            .success()
+            .unwrap_or_else(|| panic!("cell {i}: {:?}", faulted.outcomes[i].failure()));
+        let c = clean.outcomes[i].success().expect("clean run completes");
+        assert_eq!(s.sampled_units, c.sampled_units, "cell {i}: units");
+        assert_bit_identical(&s.result, &c.result, &points[i].to_string());
+        let (r, cr) = (
+            faulted.reports[i].as_ref().expect("sampled"),
+            clean.reports[i].as_ref().expect("sampled"),
+        );
+        assert_eq!(r.ipc.mean.to_bits(), cr.ipc.mean.to_bits(), "cell {i}");
+        assert_eq!(r.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits(), "cell {i}");
+    }
+    let err = collect_results(&points, faulted.outcomes).unwrap_err();
+    assert_eq!(err.failed.len(), 1);
+    assert_eq!(err.failed[0].0, 1);
+}
+
+#[test]
+fn sampled_units_past_the_deadline_fail_their_cell() {
+    let spec = Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 3,
+    };
+    let points = small_points();
+    let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
+    let traces = TraceSet::record(&workloads, spec, 1, None);
+    let plan = SamplePlan::systematic(2, 500, 1_000);
+    let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 2 600").unwrap());
+    res.deadline = Some(std::time::Duration::from_millis(250));
+    let sweep = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+    assert!(
+        matches!(sweep.outcomes[2], CellOutcome::TimedOut { .. }),
+        "{:?}",
+        sweep.outcomes[2]
+    );
+    for i in [0, 1] {
+        assert!(sweep.outcomes[i].success().is_some(), "cell {i}");
+    }
 }

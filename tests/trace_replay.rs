@@ -12,7 +12,10 @@ use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
 use arvi::sim::MachineStats;
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{full_grid, run_sweep, run_sweep_emulated, Spec};
+use arvi_bench::{
+    collect_results, distinct_workloads, full_grid, run_sweep_resilient, run_sweep_with,
+    Resilience, Spec, TraceSet,
+};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -184,8 +187,10 @@ fn replay_is_bit_identical_across_the_full_grid() {
         seed: 42,
     };
     let points = full_grid();
-    let live = run_sweep_emulated(&points, spec, 2, false);
-    let traced = run_sweep(&points, spec, 2, false);
+    let live = run_sweep_resilient(&points, spec, 2, false, None, &Resilience::new());
+    let live = collect_results(&points, live).expect("every live cell ran");
+    let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
+    let traced = run_sweep_with(&points, spec, 2, false, &traces);
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
