@@ -29,7 +29,7 @@ use crate::resilience::{
     SweepIncomplete,
 };
 use crate::sampling::ci_table;
-use crate::sweep::{default_threads, grid, run_sweep_with, SweepPoint, TraceSet};
+use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, SweepPoint, TraceSet};
 use crate::workload::Workload;
 
 /// Sweep parameters: instruction windows and the workload input seed.
@@ -137,27 +137,11 @@ pub fn fig5_tables_over(
 ) -> (Table, Table) {
     let depths = Depth::all();
     let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let results = sweep_over(workloads, &points, spec, threads, progress, traces);
+    let results = match traces {
+        Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
+        None => run_sweep(&points, spec, threads, progress),
+    };
     fig5_assemble(workloads, &depths, &results)
-}
-
-/// [`run_sweep_with`] over `traces`, or over recordings of `workloads`
-/// made in memory first when there are none.
-fn sweep_over(
-    workloads: &[Workload],
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-    traces: Option<&TraceSet>,
-) -> Vec<SimResult> {
-    match traces {
-        Some(traces) => run_sweep_with(points, spec, threads, progress, traces),
-        None => {
-            let traces = TraceSet::record(workloads, spec, threads, None);
-            run_sweep_with(points, spec, threads, progress, &traces)
-        }
-    }
 }
 
 /// Builds the two Figure-5 tables from grid-ordered results (the shared
@@ -234,7 +218,10 @@ impl Fig6Data {
         traces: Option<&TraceSet>,
     ) -> Fig6Data {
         let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let flat = sweep_over(workloads, &points, spec, threads, progress, traces);
+        let flat = match traces {
+            Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
+            None => run_sweep(&points, spec, threads, progress),
+        };
         Fig6Data::assemble(workloads, depth, flat)
     }
 

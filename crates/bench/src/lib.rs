@@ -103,8 +103,8 @@ pub use sampling::{
 };
 pub use sweep::{
     default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
-    run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint, TraceProvenance,
-    TraceSet, TRACE_SLACK,
+    run_sweep, run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint,
+    TraceProvenance, TraceSet, TRACE_SLACK,
 };
 pub use workload::Workload;
 
@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flags_set_a_policy() {
+    fn telemetry_flags_select_the_resilient_runner() {
         let dir = std::env::temp_dir().join(format!("arvi-telflag-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = dir.join("events.jsonl");

@@ -1292,13 +1292,8 @@ fn emit_cell_events(
         fields.push(("reason".to_string(), Json::str(reason)));
     }
     if resumed {
-        t.event(
-            "resume_hit",
-            vec![
-                ("cell".to_string(), Json::Num(i as f64)),
-                ("point".to_string(), Json::str(point.to_string())),
-            ],
-        );
+        // Its cell and point fields.
+        t.event("resume_hit", fields[..2].to_vec());
     }
     t.event("cell_end", fields);
     t.cell_finished(key, simulated_duration, resumed, degraded);
@@ -1329,13 +1324,13 @@ fn simulate_cell<S: InstSource>(
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
 /// produces; anything else gets a placeholder).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        match payload.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "<non-string panic payload>".to_string(),
-        }
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => (*s).to_string(),
+        (None, Some(s)) => s.clone(),
+        (None, None) => "<non-string panic payload>".to_string(),
     }
 }
 

@@ -319,4 +319,43 @@ mod tests {
         let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
         assert!(matches!(sweep.outcomes[0], CellOutcome::TraceError { .. }));
     }
+
+    #[test]
+    fn sampled_sweep_journals_and_resumes_per_unit() {
+        let spec = tiny_spec();
+        let workloads = [Workload::from(Benchmark::Go)];
+        let points = grid(&workloads, &[Depth::D20], &[PredictorConfig::ArviCurrent]);
+        let traces = TraceSet::record(&workloads, spec, 1, None);
+        let plan = SamplePlan::systematic(2, 500, 1_000);
+        let dir = std::env::temp_dir().join(format!("arvi-sampled-resume-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let journal = dir.join("sweep.journal");
+
+        // First run: killed after 2 units.
+        let res = Resilience::new()
+            .with_journal(&journal)
+            .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
+        let partial = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+        assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
+
+        // Resumed run completes and matches an uninterrupted run.
+        let res = Resilience::new().with_journal(&journal).resuming();
+        let resumed = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
+        let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+        let (r, c) = (
+            &resumed.outcomes[0].success().expect("completed").result,
+            &clean.outcomes[0].success().unwrap().result,
+        );
+        assert_eq!(r.window.cycles, c.window.cycles);
+        assert_eq!(r.window.committed, c.window.committed);
+        assert_eq!(r.window.cond_branches, c.window.cond_branches);
+        let (rr, cr) = (
+            resumed.reports[0].as_ref().unwrap(),
+            clean.reports[0].as_ref().unwrap(),
+        );
+        assert_eq!(rr.ipc.mean.to_bits(), cr.ipc.mean.to_bits());
+        assert_eq!(rr.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits());
+        assert_eq!(rr.accuracy.mean.to_bits(), cr.accuracy.mean.to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -409,24 +409,16 @@ where
         // Nothing panics while a slot is locked, so no lock is poisoned.
         |i, result| *slots[i].lock().expect("result slot") = Some(result),
     );
-    let mut out = Vec::with_capacity(items.len());
-    let mut first_panic = None;
-    for slot in slots {
-        match slot
-            .into_inner()
-            .expect("result slot")
-            .expect("every item ran")
-        {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
-    out
+    // Every item has run by now, so the first `Err` in item order is
+    // the first panic.
+    slots
+        .into_iter()
+        .map(|slot| match slot.into_inner().expect("result slot") {
+            Some(Ok(v)) => v,
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
+            None => unreachable!("every item ran"),
+        })
+        .collect()
 }
 
 /// The crate's one work-cursor worker loop, under [`par_map`] and the
@@ -522,11 +514,31 @@ pub fn full_grid() -> Vec<SweepPoint> {
     grid(&Workload::suite(), &Depth::all(), &PredictorConfig::all())
 }
 
-/// Runs every point over the shared recordings `traces` on the grid
-/// executor under the default policy ([`Resilience::new`]), returning
-/// the results in grid order: `results[i]` corresponds to `points[i]`.
-/// A point whose workload is missing from `traces` falls back to live
-/// emulation for that cell.
+/// Runs every point on `threads` workers; `results[i]` corresponds to
+/// `points[i]`.
+///
+/// Record-once / replay-many: each distinct workload is emulated once
+/// into an in-memory [`TraceSet`], then all its cells replay the shared
+/// recording. Use [`run_sweep_with`] to reuse recordings across several
+/// grids (or load them from disk).
+///
+/// # Panics
+///
+/// If any cell fails, with the per-cell report.
+pub fn run_sweep(
+    points: &[SweepPoint],
+    spec: Spec,
+    threads: usize,
+    progress: bool,
+) -> Vec<SimResult> {
+    let traces = TraceSet::record(&distinct_workloads(points), spec, threads, None);
+    run_sweep_with(points, spec, threads, progress, &traces)
+}
+
+/// [`run_sweep`] over the shared recordings `traces`, on the grid
+/// executor under the default policy ([`Resilience::new`]). A point
+/// whose workload is missing from `traces` falls back to live emulation
+/// for that cell.
 ///
 /// # Panics
 ///
@@ -727,10 +739,23 @@ mod tests {
             seed: 42,
         };
         let points = small_points();
-        let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
-        let seq = run_sweep_with(&points, spec, 1, false, &traces);
-        let par = run_sweep_with(&points, spec, 3, false, &traces);
+        let seq = run_sweep(&points, spec, 1, false);
+        let par = run_sweep(&points, spec, 3, false);
         assert_same_results(&seq, &par);
+    }
+
+    #[test]
+    fn traced_sweep_is_bit_identical_to_emulated() {
+        let spec = Spec {
+            warmup: 2_000,
+            measure: 6_000,
+            seed: 7,
+        };
+        let points = small_points();
+        let live = run_sweep_resilient(&points, spec, 2, false, None, &Resilience::new());
+        let live = collect_results(&points, live).expect("every live cell ran");
+        let traced = run_sweep(&points, spec, 2, false);
+        assert_same_results(&live, &traced);
     }
 
     #[test]

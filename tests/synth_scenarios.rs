@@ -11,7 +11,7 @@
 
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::synth::{record_trace, ScenarioSpec};
-use arvi_bench::{grid, run_sweep_with, trace_file_name, Spec, TraceSet, Workload};
+use arvi_bench::{grid, run_sweep, trace_file_name, Spec, TraceSet, Workload};
 use proptest::prelude::*;
 
 #[test]
@@ -26,8 +26,7 @@ fn datadep_beats_baseline_and_bias_converges() {
         Workload::scenario("steady branch=bias:100".parse().unwrap()),
     ];
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let traces = TraceSet::record(&workloads, spec, 2, None);
-    let results = run_sweep_with(&points, spec, 2, false, &traces);
+    let results = run_sweep(&points, spec, 2, false);
     let configs = PredictorConfig::all().len();
 
     // Data-dependent branches: seeded-random replay of a small value

@@ -12,10 +12,7 @@ use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
 use arvi::sim::MachineStats;
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{
-    collect_results, distinct_workloads, full_grid, run_sweep_resilient, run_sweep_with,
-    Resilience, Spec, TraceSet,
-};
+use arvi_bench::{collect_results, full_grid, run_sweep, run_sweep_resilient, Resilience, Spec};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -189,8 +186,7 @@ fn replay_is_bit_identical_across_the_full_grid() {
     let points = full_grid();
     let live = run_sweep_resilient(&points, spec, 2, false, None, &Resilience::new());
     let live = collect_results(&points, live).expect("every live cell ran");
-    let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
-    let traced = run_sweep_with(&points, spec, 2, false, &traces);
+    let traced = run_sweep(&points, spec, 2, false);
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
