@@ -54,17 +54,12 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let quick = args.iter().any(|a| a == "--quick");
     let threads = flags.threads;
     let suite_mode = !args
         .iter()
         .any(|a| a == "--scenario" || a == "--scenario-file");
     let workloads = workloads_from_args(&args);
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
+    let spec = Spec::from_args(&args);
 
     // The paper's configuration tables describe the benchmark-suite
     // evaluation; skip them when a scenario grid replaces the suite

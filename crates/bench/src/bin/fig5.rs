@@ -49,12 +49,7 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let quick = args.iter().any(|a| a == "--quick");
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
+    let spec = Spec::from_args(&args);
     let threads = flags.threads;
     let workloads = workloads_from_args(&args);
     let res = flags.res.as_ref();

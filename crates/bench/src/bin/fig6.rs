@@ -10,6 +10,9 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
+//! A depth other than `20` (the default), `40` or `60`, or an unknown
+//! flag, exits 2 before any work, with nothing on stdout.
+//!
 //! `--obs-grid FILE` attaches the counter and site probes to every cell
 //! of the figure's grid (workloads × all four configurations at the
 //! chosen depth) as the sweep runs — on the fault-isolated runner, so
@@ -31,63 +34,23 @@
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
+    depth_from_args, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
     workloads_from_args, GridRun, Spec, TraceSet,
 };
-use arvi_sim::{Depth, PredictorConfig};
+use arvi_sim::PredictorConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if handle_list_flags(&args) {
         return;
     }
-    let flags = run_flags_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    // First positional argument, skipping flag values (`--threads N`,
-    // `--trace-dir DIR`, `--scenario X`, `--scenario-file F`).
-    let value_flags = [
-        "--threads",
-        "--trace-dir",
-        "--scenario",
-        "--scenario-file",
-        "--journal",
-        "--fault-plan",
-        "--deadline-ms",
-        "--probe",
-        "--obs-out",
-        "--obs-grid",
-        "--trace-cycles",
-        "--top-sites",
-        "--events-out",
-        "--metrics-out",
-        "--sample",
-    ];
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") && positional.is_none() {
-            positional = Some(args[i].as_str());
-        }
-        i += 1;
-    }
-    let depth = match positional {
-        Some("40") => Depth::D40,
-        Some("60") => Depth::D60,
-        _ => Depth::D20,
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
-
+    let (flags, depth) = run_flags_from_args(&args)
+        .and_then(|flags| Ok((flags, depth_from_args(&args)?)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    let spec = Spec::from_args(&args);
     let threads = flags.threads;
     let workloads = workloads_from_args(&args);
     let res = flags.res.as_ref();

@@ -61,8 +61,8 @@ use std::time::Instant;
 use arvi_bench::baseline::ScalarTwoBcGskew;
 use arvi_bench::{
     baseline, collect_results, grid, record_trace, run_obs_grid, run_one_traced,
-    run_sweep_resilient, run_sweep_sampled, run_sweep_with, threads_from_args, trace_dir_from_args,
-    trace_len, write_report, Json, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    run_sweep_resilient, run_sweep_with, threads_from_args, trace_dir_from_args, trace_len,
+    write_report, GridRun, Json, Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 use arvi_bench::{conditional_branches, run_delayed, run_delayed_scalar};
 use arvi_core::{Ddt, DdtConfig, PhysReg};
@@ -546,7 +546,16 @@ fn main() {
     for k in [2u64, 4, 8] {
         let plan = SamplePlan::systematic(k, full_warm, detail);
         let t0 = Instant::now();
-        let sweep = run_sweep_sampled(&err_points, spec, &plan, threads, false, &err_traces, None);
+        let sweep = GridRun::run(
+            err_points.clone(),
+            spec,
+            threads,
+            false,
+            &err_traces,
+            None,
+            Some(&plan),
+        );
+        let reports = sweep.reports.expect("a sampled run");
         let sampled_s = t0.elapsed().as_secs_f64();
         let mut rows = Vec::new();
         let mut covered = 0usize;
@@ -554,7 +563,7 @@ fn main() {
         let mut sum_err = 0.0f64;
         let mut units = 0usize;
         for (i, point) in err_points.iter().enumerate() {
-            let report = sweep.reports[i]
+            let report = reports[i]
                 .as_ref()
                 .expect("every error-study cell has a recording, so every cell samples");
             let full_ipc = full[i].window.ipc();

@@ -56,7 +56,8 @@
 //! per-branch-site attribution and/or a Chrome trace — see [`obs`].
 //! `--obs-grid FILE` instead probes every cell of the main sweep and
 //! writes the merged rollup — see [`obs_grid`]. All of these flags are
-//! validated up front ([`run_flags_from_args`]).
+//! validated up front ([`run_flags_from_args`]), and an unknown flag is
+//! rejected.
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -98,9 +99,7 @@ pub use resilience::{
     CellOutcome, CellSuccess, Degradation, FaultKind, FaultPlan, FaultyIo, Resilience,
     SweepIncomplete, SweepJournal,
 };
-pub use sampling::{
-    run_sweep_sampled, sample_ci_table, sample_plan_from_args, unit_fingerprint, SampledSweep,
-};
+pub use sampling::{sample_plan_from_args, unit_fingerprint};
 pub use sweep::{
     default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
     run_sweep, run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint,
@@ -109,8 +108,69 @@ pub use sweep::{
 pub use workload::Workload;
 
 use arvi_sampling::SamplePlan;
+use arvi_sim::Depth;
 use arvi_synth::ScenarioSpec;
 use arvi_workloads::Benchmark;
+
+/// Every flag the experiment binaries (`fig5`, `fig6`, `experiments`)
+/// accept, and whether it takes a value. [`run_flags_from_args`] rejects
+/// any other `--flag`, and [`positionals`] skips flag values by it.
+pub(crate) const RUN_FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--trace-dir", true),
+    ("--sample", true),
+    ("--scenario", true),
+    ("--scenario-file", true),
+    ("--journal", true),
+    ("--resume", false),
+    ("--fault-plan", true),
+    ("--deadline-ms", true),
+    ("--events-out", true),
+    ("--metrics-out", true),
+    ("--probe", true),
+    ("--obs-out", true),
+    ("--obs-grid", true),
+    ("--trace-cycles", true),
+    ("--top-sites", true),
+    ("--list-scenarios", false),
+    ("--list-benchmarks", false),
+];
+
+/// The positional arguments of `args`: everything that is neither a
+/// [`RUN_FLAGS`] flag nor the value of one. An unknown `--flag` is an
+/// error.
+pub(crate) fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
+    let mut out = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            out.push(arg.as_str());
+            continue;
+        }
+        match RUN_FLAGS.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Err(format!("unknown flag `{arg}`")),
+        }
+    }
+    Ok(out)
+}
+
+/// `fig6`'s pipeline depth: its one optional positional argument, `20`
+/// (the default), `40` or `60`. Anything else is an error.
+pub fn depth_from_args(args: &[String]) -> Result<Depth, String> {
+    match positionals(args)?.as_slice() {
+        [] => Ok(Depth::D20),
+        [arg] => Depth::all()
+            .into_iter()
+            .find(|d| d.stages().to_string() == *arg)
+            .ok_or_else(|| format!("unknown pipeline depth `{arg}` (expected 20, 40 or 60)")),
+        more => Err(format!("expected one pipeline depth, got {more:?}")),
+    }
+}
 
 /// The value following `flag` in `args`: `Ok(None)` when the flag is
 /// absent, an error when it has no value (end of arguments, or another
@@ -235,9 +295,10 @@ pub struct RunFlags {
     pub obs: Option<ObsConfig>,
 }
 
-/// Parses [`RunFlags`] out of `args`; the error names the first
-/// malformed flag.
+/// Parses [`RunFlags`] out of `args`; the error names an unknown flag
+/// (one not in `RUN_FLAGS`) or the first malformed one.
 pub fn run_flags_from_args(args: &[String]) -> Result<RunFlags, String> {
+    positionals(args)?;
     let threads = threads_from_args(args)?;
     let trace_dir = trace_dir_from_args(args)?;
     let obs = obs_from_args(args)?;
@@ -498,8 +559,31 @@ mod tests {
             vec!["--trace-dir"],
             vec!["--trace-dir", "--quick"],
             vec!["--resume", "--trace-dir"],
+            vec!["--quick", "--treads", "2"],
+            vec!["--quick", "--journal=j.log"],
         ] {
             assert!(run_flags_from_args(&args(&bad)).is_err(), "{bad:?}");
+        }
+        assert!(run_flags_from_args(&args(&["--quick", "--treads", "2"]))
+            .unwrap_err()
+            .contains("--treads"));
+        // fig6's depth positional: 20, 40 or 60 and nothing else; flag
+        // values are not positionals.
+        let depth = |argv: &[&str]| depth_from_args(&args(argv));
+        assert_eq!(depth(&["--quick"]), Ok(Depth::D20));
+        assert_eq!(depth(&["--quick", "40"]), Ok(Depth::D40));
+        assert_eq!(depth(&["60", "--threads", "2"]), Ok(Depth::D60));
+        assert_eq!(
+            depth(&["--threads", "40", "--scenario", "60"]),
+            Ok(Depth::D20)
+        );
+        for bad in [
+            &["50", "--quick"][..],
+            &["2O"],
+            &["20", "40"],
+            &["--treads", "2"],
+        ] {
+            assert!(depth(bad).is_err(), "{bad:?}");
         }
         let flags = run_flags_from_args(&args(&["--threads", "3", "--trace-dir", "t"])).unwrap();
         assert_eq!(flags.threads, 3);

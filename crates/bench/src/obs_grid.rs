@@ -4,17 +4,17 @@
 //! point per workload. This module promotes the probe seam to the whole
 //! grid. The probes ride the main pass: with [`Resilience::probes`] set,
 //! the grid executor attaches the counter+site probes to every cell
-//! it simulates (and journals them beside the sweep journal as
-//! `<journal>.obs`), so each `(workload, depth, config)` cell is
-//! simulated once per invocation. [`ObsGrid::from_outcomes`] then folds
+//! it simulates (and journals them on the cell's sweep-journal line), so
+//! each `(workload, depth, config)` cell is simulated once per
+//! invocation. [`ObsGrid::from_outcomes`] then folds
 //! the probed outcomes per `(workload, config)` group and grid-wide, in
 //! point order, into one `obs_grid.json` rollup ([`obs_grid_json`]).
 //! [`run_obs_grid`] is the standalone form: one probed pass plus the
 //! fold, for callers without a sweep of their own to reuse.
 //!
-//! Merged probes need full-fidelity serialization (the lossy
-//! `CounterProbe::to_json` folds idle cycles into its issue buckets and
-//! cannot be inverted): [`counters_to_json`]/[`counters_from_json`] and
+//! Merged and journaled probes need full-fidelity serialization (the
+//! lossy `CounterProbe::to_json` folds idle cycles into its issue buckets
+//! and cannot be inverted): [`counters_to_json`]/[`counters_from_json`] and
 //! [`sites_to_json`]/[`sites_from_json`] round-trip exactly, which is
 //! what makes a resumed grid byte-identical to an uninterrupted one.
 //! Site tables render sorted by PC and groups merge in point order, so
@@ -26,7 +26,6 @@
 //! "where does ARVI win" table, consumed by the `obs_report` binary.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
@@ -42,8 +41,8 @@ use crate::sweep::{SweepPoint, TraceSet};
 
 /// The probes collected from one grid cell: what a probed sweep
 /// ([`Resilience::probes`]) carries out of each cell in
-/// [`crate::resilience::CellSuccess::probes`], and what the obs journal
-/// stores per cell.
+/// [`crate::resilience::CellSuccess::probes`], and what the `probes`
+/// field of the cell's sweep-journal line stores.
 #[derive(Debug, Clone)]
 pub struct CellProbes {
     /// Counter/histogram telemetry.
@@ -78,8 +77,8 @@ pub struct ObsGrid {
     pub total: usize,
     /// Cells that produced telemetry (simulated or restored).
     pub completed: usize,
-    /// Cells whose probes were restored from the obs journal instead of
-    /// re-simulated.
+    /// Cells whose probes were restored from the sweep journal instead
+    /// of re-simulated.
     pub resumed: usize,
     /// Failed/skipped cells: `(index, point, reason)`.
     pub failed: Vec<(usize, String, String)>,
@@ -95,15 +94,7 @@ pub struct ObsGrid {
     pub cells_committed: Vec<Option<u64>>,
 }
 
-/// The obs journal's location beside a sweep journal: `<journal>.obs`,
-/// one line per probed cell in the sweep journal's line discipline.
-pub(crate) fn obs_journal_path(sweep_journal: &Path) -> PathBuf {
-    let mut os = sweep_journal.as_os_str().to_os_string();
-    os.push(".obs");
-    PathBuf::from(os)
-}
-
-/// One obs journal entry: both probes, full fidelity.
+/// A journal line's `probes` field: both probes, full fidelity.
 pub(crate) fn probes_to_json(probes: &CellProbes) -> Json {
     Json::obj([
         ("counters", counters_to_json(&probes.counters)),
@@ -243,7 +234,7 @@ impl ObsGrid {
 /// Probes every grid point in one standalone pass and folds the
 /// telemetry: the grid executor with [`Resilience::probes`] forced on
 /// (panic isolation, kill handling, and with a journal configured the
-/// `<journal>.obs` probe journal plus its resume), then
+/// probed journal lines plus their resume), then
 /// [`ObsGrid::from_outcomes`]. For callers with no probed sweep of their
 /// own to fold — sampled runs, whose units carry no full-window probes,
 /// and tests. `res`'s telemetry receives only the fold's events, whose

@@ -24,15 +24,15 @@
 //!   emulation, so a degraded sweep still reports the same numbers —
 //!   the degradation is recorded in the outcome, not in the data.
 //! * **Durability** — completed work items are journaled (fingerprint +
-//!   result, one line per cell or sampling unit, appended as they
-//!   finish) so an interrupted sweep resumes by skipping finished items
-//!   ([`Resilience::resume`]). Trace files themselves are written
-//!   atomically by `arvi-trace` (temp file + fsync + rename).
+//!   result, one [`SweepJournal`] line per cell or sampling unit,
+//!   appended as they finish) so an interrupted sweep resumes by skipping
+//!   finished items ([`Resilience::resume`]). Trace files themselves are
+//!   written atomically by `arvi-trace` (temp file + fsync + rename).
 //! * **Probes in the pass** — with [`Resilience::probes`] (the
 //!   `--obs-grid` flag) every simulated cell carries the counter and
-//!   site probes out in [`CellSuccess::probes`], journaled beside the
-//!   sweep journal as `<journal>.obs`, so the grid rollup
-//!   ([`crate::obs_grid`]) never re-simulates a cell.
+//!   site probes out in [`CellSuccess::probes`], journaled on the cell's
+//!   own journal line, so the grid rollup ([`crate::obs_grid`]) never
+//!   re-simulates a cell.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
 //!   `--fault-plan` text) flips bytes, truncates files, panics or
 //!   stalls chosen cells, and simulates a mid-grid kill, all
@@ -61,7 +61,7 @@ use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
-use crate::obs_grid::{obs_journal_path, probes_from_json, probes_to_json, CellProbes};
+use crate::obs_grid::{probes_from_json, probes_to_json, CellProbes};
 use crate::report::{io_error_at, Json};
 use crate::sampling::{fold_units, unit_fingerprint};
 use crate::sweep::{par_map_caught, trace_len, SweepPoint, TraceSet};
@@ -117,12 +117,12 @@ pub struct CellSuccess {
     /// by journals that predate duration tracking).
     pub duration: Duration,
     /// How many sampling units produced this result under a sample
-    /// plan ([`crate::sampling::run_sweep_sampled`]); `0` for a full
-    /// (unsampled) run.
+    /// plan ([`crate::harness::GridRun::run`] with a plan); `0` for a
+    /// full (unsampled) run.
     pub sampled_units: usize,
     /// The counter and site probes the cell ran with, when the sweep
-    /// asked for them ([`Resilience::probes`]); restored from the obs
-    /// journal for resumed cells.
+    /// asked for them ([`Resilience::probes`]); restored from the cell's
+    /// journal line for resumed cells.
     pub probes: Option<Box<CellProbes>>,
 }
 
@@ -226,8 +226,9 @@ pub struct Resilience {
     pub telemetry: Option<Arc<SweepTelemetry>>,
     /// Attach the counter and site probes to every simulated cell
     /// (`--obs-grid`). Probed results are bit-identical to unprobed
-    /// ones; with a journal the probes go to `<journal>.obs`, and a
-    /// resumed cell without an obs entry is re-simulated to get them.
+    /// ones; with a journal the probes ride each cell's journal line,
+    /// and a resumed cell whose line lacks them is re-simulated to get
+    /// them (its new line supersedes the old one).
     pub probes: bool,
 }
 
@@ -428,16 +429,6 @@ impl FaultPlan {
         Ok(FaultPlan { faults })
     }
 
-    /// Builds a plan from already-constructed faults (tests).
-    pub fn from_faults(kinds: impl IntoIterator<Item = FaultKind>) -> FaultPlan {
-        FaultPlan {
-            faults: kinds
-                .into_iter()
-                .map(|k| (k, AtomicBool::new(false)))
-                .collect(),
-        }
-    }
-
     /// Number of planned faults.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -590,16 +581,18 @@ fn accuracy_from(json: &Json, path: &str) -> Option<Accuracy> {
     }
 }
 
-/// Serializes one completed cell for the journal. All counters fit f64
-/// exactly (they are bounded by the instruction window, far below 2^53).
-fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) -> Json {
-    let w = &result.window;
-    Json::obj([
-        ("name", Json::str(result.name)),
-        ("config", Json::Num(config_index(result.config) as f64)),
-        ("depth", Json::Num(result.depth_stages as f64)),
-        ("degraded", Json::str(degradation.tag())),
-        ("dur_us", Json::Num(duration.as_micros() as f64)),
+/// Serializes one completed work item for the journal: the result
+/// counters (all fit f64 exactly — they are bounded by the instruction
+/// window, far below 2^53), then, from a probed sweep, the probes as the
+/// last field, so an unprobed line is unchanged by their existence.
+fn entry_json(s: &CellSuccess) -> Json {
+    let w = &s.result.window;
+    let mut fields = vec![
+        ("name", Json::str(s.result.name)),
+        ("config", Json::Num(config_index(s.result.config) as f64)),
+        ("depth", Json::Num(s.result.depth_stages as f64)),
+        ("degraded", Json::str(s.degradation.tag())),
+        ("dur_us", Json::Num(s.duration.as_micros() as f64)),
         (
             "window",
             Json::obj([
@@ -616,10 +609,16 @@ fn entry_json(result: &SimResult, degradation: Degradation, duration: Duration) 
                 ("restarts", Json::Num(w.override_restarts as f64)),
             ]),
         ),
-    ])
+    ];
+    if let Some(probes) = &s.probes {
+        fields.push(("probes", probes_to_json(probes)));
+    }
+    Json::obj(fields)
 }
 
-fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
+/// Inverse of [`entry_json`], marked resumed; `None` on any malformed
+/// field, the probes included.
+fn entry_from_json(json: &Json) -> Option<CellSuccess> {
     let name = match json.get("name")? {
         Json::Str(s) => intern_name(s),
         _ => return None,
@@ -635,6 +634,10 @@ fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
         .filter(|n| *n >= 0.0)
         .map(|n| Duration::from_micros(n as u64))
         .unwrap_or_default();
+    let probes = match json.get("probes") {
+        Some(p) => Some(Box::new(probes_from_json(p)?)),
+        None => None,
+    };
     let count = |path: &str| json.num(path).filter(|n| *n >= 0.0).map(|n| n as u64);
     let window = arvi_sim::MachineStats {
         committed: count("window.committed")?,
@@ -649,39 +652,41 @@ fn entry_from_json(json: &Json) -> Option<(SimResult, Degradation, Duration)> {
         full_mispredicts: count("window.full_misp")?,
         override_restarts: count("window.restarts")?,
     };
-    Some((
-        SimResult {
+    Some(CellSuccess {
+        result: SimResult {
             name,
             config,
             depth_stages: json.num("depth")? as u64,
             window,
         },
         degradation,
+        resumed: true,
         duration,
-    ))
+        sampled_units: 0,
+        probes,
+    })
 }
 
-/// The append-only line discipline both journals share: a header
-/// comment naming the journal kind and spec, then one
-/// `<fingerprint-hex16> <compact-json>` line per entry, appended (and
-/// flushed) as entries complete. Crash-tolerant on both ends: a torn
-/// final line from an interrupted writer is skipped (with a warning) by
-/// the loader, and everything before it still resumes.
+/// Append-only journal of completed work items: a header comment naming
+/// the spec, then one `<fingerprint-hex16> <compact-json>` line per whole
+/// cell or sampling unit, appended (and flushed) as items finish. A line
+/// carries the item's result counters, degradation and duration and,
+/// from a probed sweep ([`Resilience::probes`]), the cell's counter and
+/// site probes as a last `probes` field. Crash-tolerant on both ends: a
+/// torn final line from an interrupted writer is skipped (with a
+/// warning) by the loader, and everything before it still resumes. For a
+/// repeated fingerprint the last line wins, so a cell re-run for its
+/// probes supersedes its earlier, unprobed line.
 #[derive(Debug)]
-pub(crate) struct LineJournal {
-    kind: &'static str,
+pub struct SweepJournal {
     path: PathBuf,
     file: Mutex<std::fs::File>,
 }
 
-impl LineJournal {
-    /// Opens `path` for appending, writing the header line when the
-    /// file is new or empty.
-    pub(crate) fn open_append(
-        kind: &'static str,
-        path: &Path,
-        spec: Spec,
-    ) -> std::io::Result<LineJournal> {
+impl SweepJournal {
+    /// Opens `path` for appending, writing the header line when the file
+    /// is new or empty.
+    pub fn open_append(path: &Path, spec: Spec) -> std::io::Result<SweepJournal> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| io_error_at(parent, e))?;
         }
@@ -693,53 +698,37 @@ impl LineJournal {
         if file.metadata().map_err(|e| io_error_at(path, e))?.len() == 0 {
             writeln!(
                 file,
-                "# arvi {kind} journal v1 seed={} warmup={} measure={}",
+                "# arvi sweep journal v1 seed={} warmup={} measure={}",
                 spec.seed, spec.warmup, spec.measure
             )
             .map_err(|e| io_error_at(path, e))?;
         }
-        Ok(LineJournal {
-            kind,
+        Ok(SweepJournal {
             path: path.to_path_buf(),
             file: Mutex::new(file),
         })
     }
 
-    /// [`LineJournal::open_append`], or `None` with a warning — a
-    /// journal that cannot open must not stop the sweep.
-    pub(crate) fn open_or_warn(kind: &'static str, path: &Path, spec: Spec) -> Option<LineJournal> {
-        LineJournal::open_append(kind, path, spec)
-            .map_err(|e| {
-                eprintln!(
-                    "warning: cannot open {kind} journal {}: {e} (continuing without)",
-                    path.display()
-                )
-            })
-            .ok()
-    }
-
-    /// Appends one entry. Persistence failures only warn — a full disk
-    /// must not fail the sweep itself.
-    pub(crate) fn append(&self, fingerprint: u64, entry: &Json) {
-        let line = format!("{fingerprint:016x} {}", entry.render_compact());
+    /// Appends one completed work item, with its probes when it carries
+    /// them. Persistence failures only warn — a full disk must not fail
+    /// the sweep itself.
+    pub fn append(&self, fingerprint: u64, item: &CellSuccess) {
+        let line = format!("{fingerprint:016x} {}", entry_json(item).render_compact());
         let mut file = self.file.lock().expect("journal writer panicked");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
-                "warning: cannot append to {} journal {}: {e}",
-                self.kind,
+                "warning: cannot append to sweep journal {}: {e}",
                 self.path.display()
             );
         }
     }
 
-    /// Loads every entry of the journal at `path` that `parse` accepts.
-    /// A missing file is an empty journal; malformed lines (e.g. a torn
-    /// final line from a crashed writer) are skipped with a warning.
-    pub(crate) fn load<T>(
-        kind: &str,
-        path: &Path,
-        parse: impl Fn(&Json) -> Option<T>,
-    ) -> HashMap<u64, T> {
+    /// Loads the last well-formed entry per fingerprint of the journal at
+    /// `path`, each marked [`CellSuccess::resumed`] (with `sampled_units`
+    /// 0; the executor knows whether a key is a unit). A missing file is
+    /// an empty journal; malformed lines (e.g. a torn final line from a
+    /// crashed writer) are skipped with a warning.
+    pub fn load(path: &Path) -> HashMap<u64, CellSuccess> {
         let mut entries = HashMap::new();
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -752,14 +741,14 @@ impl LineJournal {
             }
             let parsed = line.split_once(' ').and_then(|(fp, json)| {
                 let fp = u64::from_str_radix(fp, 16).ok()?;
-                Some((fp, parse(&Json::parse(json).ok()?)?))
+                Some((fp, entry_from_json(&Json::parse(json).ok()?)?))
             });
             match parsed {
                 Some((fp, entry)) => {
                     entries.insert(fp, entry);
                 }
                 None => eprintln!(
-                    "warning: {kind} journal {}: skipping malformed line {} \
+                    "warning: sweep journal {}: skipping malformed line {} \
                      (torn write from an interrupted run?)",
                     path.display(),
                     ln + 1
@@ -767,49 +756,6 @@ impl LineJournal {
             }
         }
         entries
-    }
-}
-
-/// Append-only journal of completed sweep cells, one
-/// [`LineJournal`] line per cell carrying the result counters.
-#[derive(Debug)]
-pub struct SweepJournal(LineJournal);
-
-impl SweepJournal {
-    /// Opens `path` for appending, writing a header line when the file
-    /// is new or empty.
-    pub fn open_append(path: &Path, spec: Spec) -> std::io::Result<SweepJournal> {
-        LineJournal::open_append("sweep", path, spec).map(SweepJournal)
-    }
-
-    /// [`SweepJournal::open_append`], or `None` with a warning.
-    pub(crate) fn open_or_warn(path: &Path, spec: Spec) -> Option<SweepJournal> {
-        LineJournal::open_or_warn("sweep", path, spec).map(SweepJournal)
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.0.path
-    }
-
-    /// Appends one completed cell. Persistence failures only warn — a
-    /// full disk must not fail the sweep itself.
-    pub fn append(
-        &self,
-        fingerprint: u64,
-        result: &SimResult,
-        degradation: Degradation,
-        duration: Duration,
-    ) {
-        self.0
-            .append(fingerprint, &entry_json(result, degradation, duration));
-    }
-
-    /// Loads every well-formed entry of the journal at `path`. A
-    /// missing file is an empty journal; malformed lines (e.g. a torn
-    /// final line from a crashed writer) are skipped with a warning.
-    pub fn load(path: &Path) -> HashMap<u64, (SimResult, Degradation, Duration)> {
-        LineJournal::load("sweep", path, entry_from_json)
     }
 }
 
@@ -826,8 +772,8 @@ impl SweepJournal {
 /// without re-running — restored results are bit-identical to simulated
 /// ones, they are the simulated ones. With [`Resilience::probes`], every
 /// cell also carries its counter and site probes
-/// ([`CellSuccess::probes`]), journaled to and restored from
-/// `<journal>.obs`.
+/// ([`CellSuccess::probes`]), journaled on and restored from its journal
+/// line.
 pub fn run_sweep_resilient(
     points: &[SweepPoint],
     spec: Spec,
@@ -843,8 +789,7 @@ pub fn run_sweep_resilient(
 /// index of one of its sampling units (`None`: the whole cell).
 type WorkItem = (usize, Option<usize>);
 
-/// The grid executor behind every run mode: [`run_sweep_resilient`],
-/// [`crate::sampling::run_sweep_sampled`] and
+/// The grid executor behind every run mode: [`run_sweep_resilient`] and
 /// [`crate::harness::GridRun::run`].
 ///
 /// The work list holds one whole-cell item per cell, except that under
@@ -1000,12 +945,10 @@ struct Executor<'a> {
     units: Vec<SampleUnit>,
     /// Whether cells carry probes out of this sweep. Sampled units carry
     /// no full-window probes: under a sample plan the sweep runs
-    /// probe-free and keeps no obs journal.
+    /// probe-free.
     probes: bool,
-    prior: HashMap<u64, (SimResult, Degradation, Duration)>,
-    prior_probes: HashMap<u64, CellProbes>,
+    prior: HashMap<u64, CellSuccess>,
     journal: Option<SweepJournal>,
-    obs_journal: Option<LineJournal>,
 }
 
 type Simulated = (SimResult, Option<Box<CellProbes>>);
@@ -1026,23 +969,17 @@ impl<'a> Executor<'a> {
             (Some(path), true) => SweepJournal::load(path),
             _ => HashMap::new(),
         };
-        let journal = res
-            .journal
-            .as_deref()
-            .and_then(|path| SweepJournal::open_or_warn(path, spec));
-        let probes = res.probes && sample.is_none();
-        let obs_path = res
-            .journal
-            .as_deref()
-            .filter(|_| probes)
-            .map(obs_journal_path);
-        let prior_probes = match (&obs_path, res.resume) {
-            (Some(path), true) => LineJournal::load("obs", path, probes_from_json),
-            _ => HashMap::new(),
-        };
-        let obs_journal = obs_path
-            .as_deref()
-            .and_then(|path| LineJournal::open_or_warn("obs", path, spec));
+        // A journal that cannot open must not stop the sweep.
+        let journal = res.journal.as_deref().and_then(|path| {
+            SweepJournal::open_append(path, spec)
+                .map_err(|e| {
+                    eprintln!(
+                        "warning: cannot open sweep journal {}: {e} (continuing without)",
+                        path.display()
+                    )
+                })
+                .ok()
+        });
         Executor {
             points,
             spec,
@@ -1050,11 +987,9 @@ impl<'a> Executor<'a> {
             res,
             sample,
             units,
-            probes,
+            probes: res.probes && sample.is_none(),
             prior,
-            prior_probes,
             journal,
-            obs_journal,
         }
     }
 
@@ -1103,17 +1038,16 @@ impl<'a> Executor<'a> {
         let point = &self.points[cell];
         let fp = self.fingerprint(cell, unit);
         let sampled_units = unit.is_some() as usize;
-        if let Some((result, degradation, duration)) = self.prior.get(&fp) {
-            let probes = self.prior_probes.get(&fp);
+        if let Some(prior) = self.prior.get(&fp) {
             // A probed sweep re-runs a cell journaled without its probes.
-            if !self.probes || probes.is_some() {
+            if !self.probes || prior.probes.is_some() {
                 return CellOutcome::Ok(CellSuccess {
-                    result: result.clone(),
-                    degradation: *degradation,
+                    result: prior.result.clone(),
+                    degradation: prior.degradation,
                     resumed: true,
-                    duration: *duration,
+                    duration: prior.duration,
                     sampled_units,
-                    probes: probes.cloned().map(Box::new),
+                    probes: prior.probes.as_ref().filter(|_| self.probes).cloned(),
                 });
             }
         }
@@ -1211,20 +1145,13 @@ impl<'a> Executor<'a> {
         Ok(((result, None), Degradation::None))
     }
 
-    /// Journals a freshly simulated item (and its probes).
+    /// Journals a freshly simulated item, probes included. A cell re-run
+    /// for its probes gets a new line, which supersedes its old one.
     fn journal(&self, cell: usize, unit: Option<usize>, outcome: &CellOutcome) {
-        let CellOutcome::Ok(s) = outcome else { return };
-        if s.resumed {
-            return;
-        }
-        let fp = self.fingerprint(cell, unit);
-        // A journaled cell re-run only for its probes keeps its
-        // original sweep-journal line.
-        if let (Some(journal), false) = (&self.journal, self.prior.contains_key(&fp)) {
-            journal.append(fp, &s.result, s.degradation, s.duration);
-        }
-        if let (Some(journal), Some(probes)) = (&self.obs_journal, &s.probes) {
-            journal.append(fp, &probes_to_json(probes));
+        if let (Some(journal), CellOutcome::Ok(s)) = (&self.journal, outcome) {
+            if !s.resumed {
+                journal.append(self.fingerprint(cell, unit), s);
+            }
         }
     }
 }
@@ -1617,74 +1544,115 @@ mod tests {
         assert_ne!(fp, cell_fingerprint(&base, spec3));
     }
 
+    /// A freshly simulated success of `p`, probed or not.
+    fn simulated(p: &SweepPoint, spec: Spec, probed: bool) -> CellSuccess {
+        let program = p.workload.program(spec.seed);
+        let name = intern_name(program.name());
+        let emu = arvi_isa::Emulator::new(program);
+        let (result, probes) = simulate_cell(name, emu, p, spec, probed);
+        CellSuccess {
+            result,
+            degradation: Degradation::None,
+            resumed: false,
+            duration: Duration::from_micros(77),
+            sampled_units: 0,
+            probes,
+        }
+    }
+
+    /// A fresh journal path, and its directory to clean up.
+    fn temp_journal(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("arvi-{tag}-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("sweep.journal");
+        (dir, path)
+    }
+
     #[test]
     fn journal_round_trips_results_exactly() {
         let spec = tiny_spec();
         let p = point(Benchmark::Compress);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
-        let dir = std::env::temp_dir().join(format!("arvi-journal-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("sweep.journal");
+        let mut cell = simulated(&p, spec, false);
+        cell.degradation = Degradation::Requarantined;
+        cell.duration = Duration::from_micros(123_456);
+        let (dir, path) = temp_journal("journal");
         let journal = SweepJournal::open_append(&path, spec).unwrap();
-        journal.append(
-            cell_fingerprint(&p, spec),
-            &result,
-            Degradation::Requarantined,
-            Duration::from_micros(123_456),
-        );
+        journal.append(cell_fingerprint(&p, spec), &cell);
         drop(journal);
         let loaded = SweepJournal::load(&path);
-        let (got, degradation, duration) = loaded
+        let got = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry present");
-        assert_eq!(*degradation, Degradation::Requarantined);
-        assert_eq!(*duration, Duration::from_micros(123_456));
-        assert_eq!(got.name, result.name);
-        assert_eq!(got.config, result.config);
-        assert_eq!(got.depth_stages, result.depth_stages);
-        assert_eq!(got.window.committed, result.window.committed);
-        assert_eq!(got.window.cycles, result.window.cycles);
-        assert_eq!(got.window.cond_branches, result.window.cond_branches);
-        assert_eq!(got.window.l1_only, result.window.l1_only);
-        assert_eq!(got.window.calc_class, result.window.calc_class);
-        assert_eq!(got.window.load_class, result.window.load_class);
-        assert_eq!(got.window.overrides, result.window.overrides);
-        assert_eq!(
-            got.window.overrides_correcting,
-            result.window.overrides_correcting
-        );
-        assert_eq!(got.window.bvit_hits, result.window.bvit_hits);
-        assert_eq!(got.window.full_mispredicts, result.window.full_mispredicts);
-        assert_eq!(
-            got.window.override_restarts,
-            result.window.override_restarts
-        );
+        assert_eq!(got.degradation, Degradation::Requarantined);
+        assert_eq!(got.duration, Duration::from_micros(123_456));
+        assert!(got.resumed && got.probes.is_none());
+        assert_eq!(got.result, cell.result);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn probed_entry_round_trips_through_one_line() {
+        let spec = tiny_spec();
+        let p = point(Benchmark::Li);
+        let cell = simulated(&p, spec, true);
+        let (dir, path) = temp_journal("probed-journal");
+        SweepJournal::open_append(&path, spec)
+            .unwrap()
+            .append(cell_fingerprint(&p, spec), &cell);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1 + 1, "header + one line");
+        let got = &SweepJournal::load(&path)[&cell_fingerprint(&p, spec)];
+        assert_eq!(got.result, cell.result);
+        assert!(got.probes.is_some());
+        // The line re-renders byte for byte: counters and sites included.
+        let line = |s: &CellSuccess| entry_json(s).render_compact();
+        assert!(line(&cell).contains(",\"probes\":{\"counters\":"));
+        assert_eq!(line(got), line(&cell), "fixpoint");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn last_line_wins_for_a_repeated_fingerprint() {
+        let spec = tiny_spec();
+        let p = point(Benchmark::Li);
+        let fp = cell_fingerprint(&p, spec);
+        let probed = simulated(&p, spec, true);
+        let plain = simulated(&p, spec, false);
+        let (dir, path) = temp_journal("last-wins");
+        let journal = SweepJournal::open_append(&path, spec).unwrap();
+        journal.append(fp, &plain);
+        journal.append(fp, &probed);
+        let loaded = SweepJournal::load(&path);
+        assert_eq!(loaded.len(), 1);
+        assert!(loaded[&fp].probes.is_some(), "the probed re-run supersedes");
+        journal.append(fp, &plain);
+        assert!(SweepJournal::load(&path)[&fp].probes.is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn journal_loader_skips_torn_lines() {
-        let dir = std::env::temp_dir().join(format!("arvi-torn-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
         let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
-        let path = dir.join("sweep.journal");
+        let (li, go) = (point(Benchmark::Li), point(Benchmark::Go));
+        let (dir, path) = temp_journal("torn-probed");
         let journal = SweepJournal::open_append(&path, spec).unwrap();
-        journal.append(
-            cell_fingerprint(&p, spec),
-            &result,
-            Degradation::None,
-            Duration::ZERO,
-        );
+        journal.append(cell_fingerprint(&li, spec), &simulated(&li, spec, false));
+        let probed = simulated(&go, spec, true);
+        journal.append(cell_fingerprint(&go, spec), &probed);
         drop(journal);
-        // Simulate a crash mid-append: a torn, incomplete final line.
+        // Simulate a crash mid-append: a torn, incomplete final line (the
+        // probed cell again, cut off inside its site table).
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("deadbeefdeadbeef {\"name\":\"go\",\"config\":1,\"de");
+        let last = text.lines().last().unwrap().to_string();
+        let cut = last.find("\"table\"").expect("site table") + 12;
+        text.push_str(&last[..cut]);
         std::fs::write(&path, text).unwrap();
         let loaded = SweepJournal::load(&path);
-        assert_eq!(loaded.len(), 1, "good line kept, torn line dropped");
-        assert!(loaded.contains_key(&cell_fingerprint(&p, spec)));
+        assert_eq!(loaded.len(), 2, "both good lines kept, torn line dropped");
+        assert!(loaded[&cell_fingerprint(&li, spec)].probes.is_none());
+        let got = &loaded[&cell_fingerprint(&go, spec)];
+        assert_eq!(got.result, probed.result);
+        assert!(got.probes.is_some(), "the intact probed line still loads");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1765,31 +1733,31 @@ mod tests {
 
     #[test]
     fn journal_without_duration_field_still_loads() {
-        // Journals from before duration tracking lack `dur_us`; their
-        // entries must load with a zero duration, not be dropped.
-        let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
-        let dir = std::env::temp_dir().join(format!("arvi-olddur-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("sweep.journal");
-        let journal = SweepJournal::open_append(&path, spec).unwrap();
-        journal.append(
-            cell_fingerprint(&p, spec),
-            &result,
-            Degradation::None,
-            Duration::from_millis(5),
-        );
-        drop(journal);
-        let text = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"dur_us\":5000,", "");
-        std::fs::write(&path, text).unwrap();
+        // A line as journals without probes have always written it, and
+        // the same line from before duration tracking (no `dur_us`): both
+        // load without probes, the latter with a zero duration.
+        let json = "{\"name\":\"li\",\"config\":1,\"depth\":20,\"degraded\":\"none\",\
+                    \"dur_us\":5000,\"window\":{\"committed\":1500,\"cycles\":900,\
+                    \"cond\":[200,250],\"l1\":[180,250],\"calc\":[100,120],\
+                    \"load\":[100,130],\"overrides\":7,\"correcting\":5,\"bvit\":40,\
+                    \"full_misp\":50,\"restarts\":2}}";
+        let old = json.replace("\"dur_us\":5000,", "");
+        let (dir, path) = temp_journal("olddur");
+        std::fs::create_dir_all(&dir).unwrap();
+        let header = "# arvi sweep journal v1 seed=3 warmup=500 measure=1500";
+        std::fs::write(
+            &path,
+            format!("{header}\n00000000000000aa {json}\n00000000000000bb {old}\n"),
+        )
+        .unwrap();
         let loaded = SweepJournal::load(&path);
-        let (_, _, duration) = loaded
-            .get(&cell_fingerprint(&p, spec))
-            .expect("entry still loads");
-        assert_eq!(*duration, Duration::ZERO);
+        let (today, older) = (&loaded[&0xaa], &loaded[&0xbb]);
+        assert!(today.probes.is_none() && older.probes.is_none());
+        assert_eq!(today.duration, Duration::from_millis(5));
+        assert_eq!(older.duration, Duration::ZERO);
+        assert_eq!(older.result, today.result);
+        assert_eq!(today.result.window.committed, 1500);
+        assert_eq!(entry_json(today).render_compact(), json, "byte-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

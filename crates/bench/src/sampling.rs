@@ -32,10 +32,8 @@ use arvi_sim::{intern_name, SimResult};
 use arvi_stats::Table;
 
 use crate::harness::Spec;
-use crate::resilience::{
-    cell_fingerprint, run_grid, CellOutcome, CellSuccess, Degradation, Resilience,
-};
-use crate::sweep::{SweepPoint, TraceSet};
+use crate::resilience::{cell_fingerprint, CellOutcome, CellSuccess, Degradation};
+use crate::sweep::SweepPoint;
 use crate::workload::fnv1a;
 
 /// Parses a `--sample PLAN` argument pair out of `args`
@@ -47,19 +45,6 @@ pub fn sample_plan_from_args(args: &[String]) -> Result<Option<SamplePlan>, Stri
         .transpose()
 }
 
-/// A completed sampled sweep: one [`CellOutcome`] per grid point (as the
-/// grid executor reports), plus the per-cell [`SampleReport`] — the
-/// CI-carrying aggregate — for every cell that actually sampled
-/// (`None` for live-fallback cells and failures).
-#[derive(Debug)]
-pub struct SampledSweep {
-    /// One outcome per grid point, in grid order.
-    pub outcomes: Vec<CellOutcome>,
-    /// One report per grid point, in grid order; `None` where the cell
-    /// did not produce sampled estimates.
-    pub reports: Vec<Option<SampleReport>>,
-}
-
 /// Identity hash of one sampling unit of one cell: the cell fingerprint
 /// extended with the plan (whose placement determines the unit's trace
 /// positions) and the unit index. Journal entries written under a
@@ -69,32 +54,6 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
     h = fnv1a(h, plan.to_string().as_bytes());
     h = fnv1a(h, &unit.to_le_bytes());
     h
-}
-
-/// Runs `plan` over every grid point on the grid executor under `res`
-/// (the default policy when `None`). See the module docs for the
-/// resilience and determinism contract.
-pub fn run_sweep_sampled(
-    points: &[SweepPoint],
-    spec: Spec,
-    plan: &SamplePlan,
-    threads: usize,
-    progress: bool,
-    traces: &TraceSet,
-    res: Option<&Resilience>,
-) -> SampledSweep {
-    let default_res = Resilience::new();
-    let res = res.unwrap_or(&default_res);
-    let (outcomes, reports) = run_grid(
-        points,
-        spec,
-        threads,
-        progress,
-        Some(traces),
-        res,
-        Some(plan),
-    );
-    SampledSweep { outcomes, reports }
 }
 
 /// Folds one sampled cell's unit outcomes (in unit order) into the
@@ -142,15 +101,10 @@ pub(crate) fn fold_units(
     )
 }
 
-/// The per-cell confidence-interval table of a sampled sweep: IPC and
-/// accuracy estimates with 95% half-widths, unit counts and coverage.
-/// Cells without a report (live fallback, failures) show a dash.
-pub fn sample_ci_table(points: &[SweepPoint], sweep: &SampledSweep) -> Table {
-    ci_table(points.iter().zip(&sweep.reports))
-}
-
-/// [`sample_ci_table`] over any `(point, report)` rows — e.g. one
-/// figure's slice of a larger sampled grid.
+/// The confidence-interval table of a sampled sweep's `(point, report)`
+/// rows ([`crate::harness::GridRun::ci_table`]): IPC and accuracy
+/// estimates with 95% half-widths, unit counts and coverage. Cells
+/// without a report (live fallback, failures) show a dash.
 pub(crate) fn ci_table<'a>(
     cells: impl Iterator<Item = (&'a SweepPoint, &'a Option<SampleReport>)>,
 ) -> Table {
@@ -190,7 +144,9 @@ pub(crate) fn ci_table<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::grid;
+    use crate::harness::GridRun;
+    use crate::resilience::Resilience;
+    use crate::sweep::{grid, TraceSet};
     use crate::workload::Workload;
     use arvi_sim::{Depth, PredictorConfig};
     use arvi_workloads::Benchmark;
@@ -201,6 +157,30 @@ mod tests {
             measure: 8_000,
             seed: 3,
         }
+    }
+
+    /// `plan` over `points` on the grid executor.
+    fn sampled(
+        points: &[SweepPoint],
+        plan: &SamplePlan,
+        threads: usize,
+        traces: &TraceSet,
+        res: Option<&Resilience>,
+    ) -> GridRun {
+        GridRun::run(
+            points.to_vec(),
+            tiny_spec(),
+            threads,
+            false,
+            traces,
+            res,
+            Some(plan),
+        )
+    }
+
+    /// A sampled run's per-cell reports.
+    fn reports(run: &GridRun) -> &[Option<SampleReport>] {
+        run.reports.as_deref().expect("a sampled run")
     }
 
     #[test]
@@ -247,12 +227,12 @@ mod tests {
         res.telemetry = Some(std::sync::Arc::new(
             crate::events::SweepTelemetry::from_paths(Some(&events), Some(&metrics)).unwrap(),
         ));
-        let one = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
-        let four = run_sweep_sampled(&points, spec, &plan, 4, false, &traces, None);
+        let one = sampled(&points, &plan, 1, &traces, Some(&res));
+        let four = sampled(&points, &plan, 4, &traces, None);
         for sweep in [&one, &four] {
             let s = sweep.outcomes[0].success().expect("cell sampled");
             assert_eq!(s.sampled_units, 4, "8k measure / (2*1k) stride");
-            let r = sweep.reports[0].as_ref().expect("report present");
+            let r = reports(sweep)[0].as_ref().expect("report present");
             assert_eq!(r.units(), 4);
             assert!((r.coverage() - 0.5).abs() < 0.01);
             assert!(r.ipc.mean > 0.0);
@@ -265,12 +245,12 @@ mod tests {
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.cond_branches, b.cond_branches);
         let (ra, rb) = (
-            one.reports[0].as_ref().unwrap(),
-            four.reports[0].as_ref().unwrap(),
+            reports(&one)[0].as_ref().unwrap(),
+            reports(&four)[0].as_ref().unwrap(),
         );
         assert_eq!(ra.ipc.mean.to_bits(), rb.ipc.mean.to_bits());
         assert_eq!(ra.ipc.stderr.to_bits(), rb.ipc.stderr.to_bits());
-        let table = sample_ci_table(&points, &one);
+        let table = one.ci_table(|_| true).unwrap();
         assert!(table.to_text().contains("coverage"));
 
         // Telemetry spans cells, not units: one cell_start/cell_end for
@@ -308,15 +288,15 @@ mod tests {
         );
         let traces = TraceSet::record(&recorded, spec, 1, None);
         let plan = SamplePlan::systematic(2, 500, 1_000);
-        let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+        let sweep = sampled(&points, &plan, 2, &traces, None);
         let s = sweep.outcomes[0].success().expect("fallback ran");
         assert_eq!(s.degradation, Degradation::LiveEmulation);
         assert_eq!(s.sampled_units, 0);
-        assert!(sweep.reports[0].is_none());
+        assert!(reports(&sweep)[0].is_none());
         // And with fallback disabled, the same cell is a trace error.
         let mut res = Resilience::new();
         res.live_fallback = false;
-        let sweep = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
+        let sweep = sampled(&points, &plan, 2, &traces, Some(&res));
         assert!(matches!(sweep.outcomes[0], CellOutcome::TraceError { .. }));
     }
 
@@ -335,13 +315,13 @@ mod tests {
         let res = Resilience::new()
             .with_journal(&journal)
             .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
-        let partial = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+        let partial = sampled(&points, &plan, 1, &traces, Some(&res));
         assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
 
         // Resumed run completes and matches an uninterrupted run.
         let res = Resilience::new().with_journal(&journal).resuming();
-        let resumed = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
-        let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+        let resumed = sampled(&points, &plan, 2, &traces, Some(&res));
+        let clean = sampled(&points, &plan, 2, &traces, None);
         let (r, c) = (
             &resumed.outcomes[0].success().expect("completed").result,
             &clean.outcomes[0].success().unwrap().result,
@@ -350,8 +330,8 @@ mod tests {
         assert_eq!(r.window.committed, c.window.committed);
         assert_eq!(r.window.cond_branches, c.window.cond_branches);
         let (rr, cr) = (
-            resumed.reports[0].as_ref().unwrap(),
-            clean.reports[0].as_ref().unwrap(),
+            reports(&resumed)[0].as_ref().unwrap(),
+            reports(&clean)[0].as_ref().unwrap(),
         );
         assert_eq!(rr.ipc.mean.to_bits(), cr.ipc.mean.to_bits());
         assert_eq!(rr.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits());

@@ -41,7 +41,7 @@ use crate::wheel::{EventWheel, SeqSet};
 
 /// Counter block for a machine run; figures are computed from snapshot
 /// differences so warmup is excluded.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MachineStats {
     /// Committed instructions.
     pub committed: u64,

@@ -38,7 +38,7 @@ pub fn intern_name(name: &str) -> &'static str {
 
 /// The outcome of one simulation run (measurement window only; warmup is
 /// excluded, mirroring the paper's Table 3 instruction windows).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Workload name (interned; see [`intern_name`]).
     pub name: &'static str,

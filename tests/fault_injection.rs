@@ -27,8 +27,8 @@ use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    collect_results, run_sweep_resilient, run_sweep_sampled, run_sweep_with, trace_file_name,
-    CellOutcome, Degradation, FaultPlan, Resilience, Spec, SweepPoint, TraceProvenance, TraceSet,
+    collect_results, run_sweep_resilient, run_sweep_with, trace_file_name, CellOutcome,
+    Degradation, FaultPlan, GridRun, Resilience, Spec, SweepPoint, TraceProvenance, TraceSet,
     Workload,
 };
 use proptest::prelude::*;
@@ -392,10 +392,13 @@ fn sampled_panic_fails_only_its_cell() {
     let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
     let traces = TraceSet::record(&workloads, spec, 2, None);
     let plan = SamplePlan::systematic(2, 500, 1_000);
-    let clean = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, None);
+    let sampled = |res| GridRun::run(points.clone(), spec, 2, false, &traces, res, Some(&plan));
+    let clean = sampled(None);
+    let clean_reports = clean.reports.as_ref().expect("sampled");
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let faulted = run_sweep_sampled(&points, spec, &plan, 2, false, &traces, Some(&res));
+    let faulted = sampled(Some(&res));
+    let faulted_reports = faulted.reports.as_ref().expect("sampled");
     match &faulted.outcomes[1] {
         CellOutcome::Panicked { message } => {
             assert!(message.contains("injected fault"), "{message}")
@@ -403,7 +406,7 @@ fn sampled_panic_fails_only_its_cell() {
         other => panic!("cell 1: expected Panicked, got {other:?}"),
     }
     assert!(
-        faulted.reports[1].is_none(),
+        faulted_reports[1].is_none(),
         "a failed cell has no estimate"
     );
     for i in [0, 2] {
@@ -414,8 +417,8 @@ fn sampled_panic_fails_only_its_cell() {
         assert_eq!(s.sampled_units, c.sampled_units, "cell {i}: units");
         assert_bit_identical(&s.result, &c.result, &points[i].to_string());
         let (r, cr) = (
-            faulted.reports[i].as_ref().expect("sampled"),
-            clean.reports[i].as_ref().expect("sampled"),
+            faulted_reports[i].as_ref().expect("sampled"),
+            clean_reports[i].as_ref().expect("sampled"),
         );
         assert_eq!(r.ipc.mean.to_bits(), cr.ipc.mean.to_bits(), "cell {i}");
         assert_eq!(r.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits(), "cell {i}");
@@ -438,7 +441,7 @@ fn sampled_units_past_the_deadline_fail_their_cell() {
     let plan = SamplePlan::systematic(2, 500, 1_000);
     let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 2 600").unwrap());
     res.deadline = Some(std::time::Duration::from_millis(250));
-    let sweep = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+    let sweep = GridRun::run(points, spec, 1, false, &traces, Some(&res), Some(&plan));
     assert!(
         matches!(sweep.outcomes[2], CellOutcome::TimedOut { .. }),
         "{:?}",

@@ -3,8 +3,8 @@
 //! 1. **Thread determinism** — the merged `obs_grid.json` rollup is
 //!    byte-identical across worker counts (cells merge in point order,
 //!    not completion order).
-//! 2. **Resume fidelity** — a grid killed mid-run and resumed from its
-//!    obs journal renders byte-identically to an uninterrupted run
+//! 2. **Resume fidelity** — a grid killed mid-run and resumed from the
+//!    probes on its journal lines renders byte-identically to an uninterrupted run
 //!    (full-fidelity probe serialization, no run-shape fields in the
 //!    JSON).
 //! 3. **Conservation** — every group's merged counter sums equal the
@@ -78,7 +78,7 @@ fn killed_grid_resumes_byte_identical() {
     let direct = run_obs_grid(&points, spec, 1, Some(&traces), None, false);
     let direct_json = obs_grid_json(&direct, 5).render();
 
-    // First run dies after 3 completed cells; its obs journal keeps
+    // First run dies after 3 completed cells; their journal lines keep
     // the finished telemetry.
     let res = Resilience::new()
         .with_journal(&journal)
@@ -86,10 +86,14 @@ fn killed_grid_resumes_byte_identical() {
     let killed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
     assert_eq!(killed.completed, 3, "killed after 3 cells");
     assert_eq!(killed.failed.len(), points.len() - 3);
-    let obs_journal = dir.join("sweep.journal.obs");
-    let text = std::fs::read_to_string(&obs_journal).unwrap();
-    assert!(text.starts_with("# arvi obs journal v1"), "{text}");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
     assert_eq!(text.lines().count(), 1 + 3, "header + one line per cell");
+    assert!(
+        text.lines().skip(1).all(|l| l.contains("\"probes\":")),
+        "every line carries its cell's probes"
+    );
+    assert!(!dir.join("sweep.journal.obs").exists(), "one journal file");
 
     // Second run resumes: journaled telemetry restored, the rest
     // simulated — and the rollup is byte-identical to the direct run.

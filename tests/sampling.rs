@@ -25,10 +25,7 @@ use arvi::sampling::{aggregate, merge_stats, run_unit, run_units, SamplePlan, Sa
 use arvi::sim::{Depth, MachineStats, PredictorConfig, SimParams};
 use arvi::trace::Trace;
 use arvi::workloads::Benchmark;
-use arvi_bench::{
-    grid, run_sweep_sampled, sample_ci_table, FaultPlan, Resilience, SampledSweep, Spec,
-    SweepPoint, TraceSet, Workload,
-};
+use arvi_bench::{grid, FaultPlan, GridRun, Resilience, Spec, TraceSet, Workload};
 use proptest::prelude::*;
 
 /// Region length of the shared property-test trace; the recording
@@ -166,9 +163,10 @@ fn merge_order_cannot_change_a_sampled_result() {
 /// Everything a sampled sweep reports, minus wall-clock: per-cell
 /// counters and the exact bit patterns of every estimate. Two sweeps
 /// with equal fingerprints render identical tables and JSON.
-fn sweep_fingerprint(points: &[SweepPoint], sweep: &SampledSweep) -> String {
+fn sweep_fingerprint(sweep: &GridRun) -> String {
     let mut out = String::new();
-    for (point, (outcome, report)) in points.iter().zip(sweep.outcomes.iter().zip(&sweep.reports)) {
+    let reports = sweep.reports.as_ref().expect("a sampled run");
+    for (point, (outcome, report)) in sweep.points.iter().zip(sweep.outcomes.iter().zip(reports)) {
         let s = outcome
             .success()
             .unwrap_or_else(|| panic!("cell {point} did not complete: {outcome:?}"));
@@ -190,7 +188,7 @@ fn sweep_fingerprint(points: &[SweepPoint], sweep: &SampledSweep) -> String {
             r.coverage().to_bits(),
         ));
     }
-    out.push_str(&sample_ci_table(points, sweep).to_text());
+    out.push_str(&sweep.ci_table(|_| true).expect("a sampled run").to_text());
     out
 }
 
@@ -213,15 +211,27 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
     let traces = TraceSet::record(&workloads, spec, 2, None);
     let plan = SamplePlan::systematic(2, 500, 1_000);
 
+    let sampled = |threads, res| {
+        GridRun::run(
+            points.clone(),
+            spec,
+            threads,
+            false,
+            &traces,
+            res,
+            Some(&plan),
+        )
+    };
+
     // Thread invariance: the full fingerprint, not just one counter.
     let reference = {
-        let sweep = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, None);
-        sweep_fingerprint(&points, &sweep)
+        let sweep = sampled(1, None);
+        sweep_fingerprint(&sweep)
     };
     for threads in [4, 8] {
-        let sweep = run_sweep_sampled(&points, spec, &plan, threads, false, &traces, None);
+        let sweep = sampled(threads, None);
         assert_eq!(
-            sweep_fingerprint(&points, &sweep),
+            sweep_fingerprint(&sweep),
             reference,
             "1 vs {threads} threads"
         );
@@ -237,16 +247,16 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = run_sweep_sampled(&points, spec, &plan, 1, false, &traces, Some(&res));
+    let killed = sampled(1, Some(&res));
     assert!(
         killed.outcomes.iter().any(|o| o.success().is_none()),
         "the kill must leave unfinished cells behind"
     );
 
     let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = run_sweep_sampled(&points, spec, &plan, 4, false, &traces, Some(&res));
+    let resumed = sampled(4, Some(&res));
     assert_eq!(
-        sweep_fingerprint(&points, &resumed),
+        sweep_fingerprint(&resumed),
         reference,
         "kill + resume must reproduce the uninterrupted sweep bit for bit"
     );

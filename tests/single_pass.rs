@@ -250,18 +250,23 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     let dir = std::env::temp_dir().join(format!("arvi-single-pass-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let journal = dir.join("sweep.journal");
-    let obs_journal = dir.join("sweep.journal.obs");
-    let lines = |path: &std::path::Path| std::fs::read_to_string(path).unwrap().lines().count();
+    let lines = || {
+        let text = std::fs::read_to_string(&journal).unwrap();
+        text.lines()
+            .map(|l| l.contains("\"probes\":"))
+            .collect::<Vec<bool>>()
+    };
+    let probed_lines = || lines().into_iter().filter(|&p| p).count();
 
     // A plain journaled sweep: every cell journaled, no probes.
     let plain = Resilience::new().with_journal(&journal);
     let first = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &plain);
     assert!(first.iter().all(|o| o.success().is_some()));
-    assert!(!obs_journal.exists(), "no probes, no obs journal");
-    assert_eq!(lines(&journal), 1 + points.len());
+    assert_eq!(probed_lines(), 0, "no probes on any line");
+    assert_eq!(lines().len(), 1 + points.len());
 
-    // Resumed with probes and killed after 3 cells: none has an obs
-    // entry, so all 3 re-run (probed) rather than resume.
+    // Resumed with probes and killed after 3 cells: no entry carries
+    // probes, so all 3 re-run (probed) rather than resume.
     let res = probed()
         .with_journal(&journal)
         .resuming()
@@ -270,15 +275,19 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     let done: Vec<&CellSuccess> = killed.iter().filter_map(|o| o.success()).collect();
     assert_eq!(done.len(), 3);
     assert!(done.iter().all(|s| !s.resumed && s.probes.is_some()));
-    assert_eq!(lines(&obs_journal), 1 + 3);
     assert_eq!(
-        lines(&journal),
-        1 + points.len(),
-        "no duplicate sweep lines"
+        lines().len(),
+        1 + points.len() + 3,
+        "one superseding line per re-run cell"
     );
+    assert!(
+        lines()[1 + points.len()..].iter().all(|&p| p),
+        "last 3 probed"
+    );
+    assert_eq!(probed_lines(), 3);
 
-    // Resumed with probes again: the 3 probed cells restore from both
-    // journals, the other 5 re-run, and the rollup matches a direct run.
+    // Resumed with probes again: the 3 probed cells restore from their
+    // lines, the other 5 re-run, and the rollup matches a direct run.
     let res = probed().with_journal(&journal).resuming();
     let resumed = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &res);
     let grid = ObsGrid::from_outcomes(&points, spec, resumed.clone(), None);
@@ -290,8 +299,9 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
         obs_grid_json(&direct, 5).render(),
         "resumed rollup must equal a direct run"
     );
-    assert_eq!(lines(&obs_journal), 1 + points.len());
-    assert_eq!(lines(&journal), 1 + points.len());
+    assert_eq!(probed_lines(), points.len());
+    assert_eq!(lines().len(), 1 + points.len() + points.len());
+    assert!(!dir.join("sweep.journal.obs").exists(), "one journal file");
     assert_eq!(
         results_of(&points, resumed),
         results_of(&points, first),
