@@ -1,8 +1,10 @@
 //! Regenerates scaled-down versions of every figure under `cargo bench`,
-//! so the standard command exercises the full experiment flow. For the
-//! full-window artifacts use the `experiments` binary.
+//! so the standard command exercises the full experiment flow: one sweep
+//! over the paper grid, from which Figure 5 and each Figure 6 depth are
+//! assembled, as `experiments` does. For the full-window artifacts use
+//! the `experiments` binary.
 
-use arvi_bench::{fig5_tables, paper_tables, Fig6Data, Spec};
+use arvi_bench::{default_threads, full_grid, paper_tables, GridRun, Spec, TraceSet, Workload};
 use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
@@ -17,7 +19,12 @@ fn main() {
         println!("-- {title} --\n{}", table.to_text());
     }
 
-    let (fig5a, fig5b) = fig5_tables(spec, false);
+    let workloads = Workload::suite();
+    let threads = default_threads();
+    let traces = TraceSet::record(&workloads, spec, threads, None);
+    let run = GridRun::run(full_grid(), spec, threads, false, Some(&traces), None, None);
+
+    let (fig5a, fig5b) = run.fig5_tables(&workloads).expect("every cell ran");
     println!(
         "-- Figure 5(a): load-branch fraction --\n{}",
         fig5a.to_text()
@@ -28,7 +35,7 @@ fn main() {
     );
 
     for depth in Depth::all() {
-        let data = Fig6Data::collect(depth, spec, false);
+        let data = run.fig6_data(&workloads, depth).expect("every cell ran");
         println!(
             "-- Figure 6 accuracy, {depth} --\n{}",
             data.accuracy_table().to_text()

@@ -10,6 +10,9 @@
 //!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!                     [--list-scenarios] [--list-benchmarks]`
 //!
+//! A positional argument or an unknown flag exits 2 before any work,
+//! with nothing on stdout.
+//!
 //! Every `(workload, depth, config)` cell is simulated once: the
 //! binary runs one sweep over `workloads × all depths × all
 //! configurations` and assembles Figure 5 from its ARVI-current cells
@@ -85,7 +88,7 @@ fn main() {
         spec,
         threads,
         true,
-        &traces,
+        Some(&traces),
         res,
         flags.plan.as_ref(),
     );

@@ -11,6 +11,9 @@
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
+//! A positional argument or an unknown flag exits 2 before any work,
+//! with nothing on stdout.
+//!
 //! `--obs-grid FILE` attaches the counter and site probes to every cell
 //! of the figure's grid (workloads × all pipeline depths, ARVI current
 //! value) as the sweep runs — on the fault-isolated runner, so each cell
@@ -60,7 +63,7 @@ fn main() {
         spec,
         threads,
         true,
-        &traces,
+        Some(&traces),
         res,
         flags.plan.as_ref(),
     );

@@ -34,7 +34,7 @@
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
 use arvi_bench::{
-    depth_from_args, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
+    fig6_flags_from_args, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass,
     workloads_from_args, GridRun, Spec, TraceSet,
 };
 use arvi_sim::PredictorConfig;
@@ -44,12 +44,10 @@ fn main() {
     if handle_list_flags(&args) {
         return;
     }
-    let (flags, depth) = run_flags_from_args(&args)
-        .and_then(|flags| Ok((flags, depth_from_args(&args)?)))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+    let (flags, depth) = fig6_flags_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let spec = Spec::from_args(&args);
     let threads = flags.threads;
     let workloads = workloads_from_args(&args);
@@ -61,7 +59,7 @@ fn main() {
         spec,
         threads,
         true,
-        &traces,
+        Some(&traces),
         res,
         flags.plan.as_ref(),
     );

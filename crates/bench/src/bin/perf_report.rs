@@ -20,10 +20,10 @@
 //! 4. **Sweep** — the quick Figure-6 grid replayed over shared traces,
 //!    asserted bit-identical to per-cell live emulation (the PR 2
 //!    guarantee), with the whole-sweep ns/inst.
-//! 5. **Resilient sweep** — the same grid through the fault-isolated
-//!    runner (`run_sweep_resilient`) with per-cell journaling on,
-//!    asserted bit-identical, reporting the fault-tolerance overhead
-//!    (catch_unwind + fingerprint + journal append per cell).
+//! 5. **Journal overhead** — the same grid on the same executor with
+//!    per-cell journaling on, asserted bit-identical, reporting what the
+//!    journal (fingerprint + line append per cell) costs over the
+//!    journal-free sweep of §4.
 //! 6. **Probe overhead** — the PR 7 observability seam: the ARVI
 //!    machine timed probe-off (`NullProbe`, what every sweep runs) vs
 //!    with the zero-alloc `CounterProbe` attached vs the full obs stack
@@ -31,13 +31,7 @@
 //!    bit-identity asserted between all sides. Probe-off cost is
 //!    already gated by the `machine_*` guardrail metrics; the probe-on
 //!    numbers document what turning telemetry on costs.
-//! 7. **Obs grid** — the PR 8 grid-scale telemetry pass: the quick
-//!    Figure-6 grid re-run through `run_obs_grid` with the full
-//!    counters + sites stack on every cell, reporting the whole-grid
-//!    probed ns/inst and the overhead vs the strict (probe-off)
-//!    replayed sweep, with the merged counter sums cross-checked
-//!    against the per-cell commit counts.
-//! 8. **Sampled simulation** — the PR 9 interval-sampling path. An
+//! 7. **Sampled simulation** — the PR 9 interval-sampling path. An
 //!    honest error study: the 8-benchmark suite plus the 9 curated
 //!    synthetic scenarios (20-stage, ARVI current value), each cell
 //!    estimated by SMARTS-style systematic sampling at 1-in-{2,4,8}
@@ -54,15 +48,18 @@
 //! in CI.
 //!
 //! Usage: `perf_report [--quick] [--threads N] [--trace-dir DIR] [--out PATH]`
+//!
+//! An unknown flag, a positional argument, or `--out` without a path
+//! exits 2 before any work, writing no file.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use arvi_bench::baseline::ScalarTwoBcGskew;
 use arvi_bench::{
-    baseline, collect_results, grid, record_trace, run_obs_grid, run_one_traced,
-    run_sweep_resilient, run_sweep_with, threads_from_args, trace_dir_from_args, trace_len,
-    write_report, GridRun, Json, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    baseline, check_flags, flag_value, grid, record_trace, run_one_traced, threads_from_args,
+    trace_dir_from_args, trace_len, write_report, GridRun, Json, Resilience, Spec, SweepPoint,
+    TraceSet, Workload,
 };
 use arvi_bench::{conditional_branches, run_delayed, run_delayed_scalar};
 use arvi_core::{Ddt, DdtConfig, PhysReg};
@@ -315,6 +312,14 @@ fn ddt_micro(iters: u32) -> DdtSide {
     }
 }
 
+/// Every flag `perf_report` accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--trace-dir", true),
+    ("--out", true),
+];
+
 /// The quick Figure-6 grid: every benchmark x configuration at 20
 /// stages.
 fn fig6_points() -> Vec<SweepPoint> {
@@ -324,19 +329,19 @@ fn fig6_points() -> Vec<SweepPoint> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let (threads, trace_dir) = threads_from_args(&args)
-        .and_then(|t| Ok((t, trace_dir_from_args(&args)?)))
+    let (threads, trace_dir, out_path) = check_flags(&args, FLAGS)
+        .and_then(|()| {
+            let out = flag_value(&args, "--out")?.map_or("BENCH_PR9.json", String::as_str);
+            Ok((
+                threads_from_args(&args)?,
+                trace_dir_from_args(&args)?,
+                out.to_string(),
+            ))
+        })
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR9.json")
-        .to_string();
 
     let (spec, micro_spec, ddt_iters) = if quick {
         (
@@ -425,13 +430,17 @@ fn main() {
         points.len(),
         threads
     );
+    let sweep = |traces: Option<&TraceSet>, res: Option<&Resilience>| {
+        GridRun::run(points.clone(), spec, threads, false, traces, res, None)
+            .results(|_| true)
+            .unwrap_or_else(|incomplete| panic!("{incomplete}"))
+    };
     let t0 = Instant::now();
-    let emulated = run_sweep_resilient(&points, spec, threads, false, None, &Resilience::new());
-    let emulated = collect_results(&points, emulated).expect("live sweep completed every cell");
+    let emulated = sweep(None, None);
     let emulated_s = t0.elapsed().as_secs_f64();
     let traces = TraceSet::record(&Workload::suite(), spec, threads, trace_dir.as_deref());
     let t0 = Instant::now();
-    let replayed = run_sweep_with(&points, spec, threads, false, &traces);
+    let replayed = sweep(Some(&traces), None);
     let replay_s = t0.elapsed().as_secs_f64();
     for (e, r) in emulated.iter().zip(&replayed) {
         assert_eq!(
@@ -448,32 +457,30 @@ fn main() {
         "  replayed sweep {replay_s:.2} s ({sweep_ns:.0} ns/inst overall) vs emulated {emulated_s:.2} s; bit-identical"
     );
 
-    // 5. The same grid through the fault-isolated runner with per-cell
-    // journaling: what does crash-safety cost on the happy path?
+    // 5. The same grid on the same executor with per-cell journaling:
+    // what does the journal cost on the happy path?
     let journal_path =
         std::env::temp_dir().join(format!("arvi-perf-sweep-{}.journal", std::process::id()));
     std::fs::remove_file(&journal_path).ok();
     let res = Resilience::new().with_journal(&journal_path);
-    eprintln!("perf_report: same grid, fault-isolated + journaled (run_sweep_resilient)...");
+    eprintln!("perf_report: same grid, journaled...");
     let t0 = Instant::now();
-    let outcomes = run_sweep_resilient(&points, spec, threads, false, Some(&traces), &res);
-    let resilient_s = t0.elapsed().as_secs_f64();
-    let resilient =
-        collect_results(&points, outcomes).expect("resilient sweep completed every cell");
-    for (e, r) in replayed.iter().zip(&resilient) {
+    let journaled = sweep(Some(&traces), Some(&res));
+    let journaled_s = t0.elapsed().as_secs_f64();
+    for (e, r) in replayed.iter().zip(&journaled) {
         assert_eq!(
             (e.window.cycles, e.window.committed),
             (r.window.cycles, r.window.committed),
-            "resilient sweep diverged from the strict sweep on {} / {}",
+            "journaled sweep diverged from the journal-free sweep on {} / {}",
             e.name,
             e.config
         );
     }
     std::fs::remove_file(&journal_path).ok();
-    let resilient_overhead_pct = (resilient_s - replay_s) / replay_s * 100.0;
+    let journal_overhead_pct = (journaled_s - replay_s) / replay_s * 100.0;
     eprintln!(
-        "  resilient sweep {resilient_s:.2} s vs strict {replay_s:.2} s \
-         ({resilient_overhead_pct:+.1}% overhead); bit-identical"
+        "  journaled sweep {journaled_s:.2} s vs journal-free {replay_s:.2} s \
+         ({journal_overhead_pct:+.1}% journal overhead); bit-identical"
     );
 
     // 6. Probe overhead: the observability seam probe-off vs probe-on.
@@ -489,36 +496,7 @@ fn main() {
         probe.off_ns, probe.counters_ns, probe.full_ns,
     );
 
-    // 7. Grid-scale telemetry: the same quick fig6 grid through
-    // run_obs_grid (counters + sites on every cell) vs the strict
-    // probe-off replayed sweep.
-    eprintln!(
-        "perf_report: obs grid ({} cells, full counters+sites probes, {} threads)...",
-        points.len(),
-        threads
-    );
-    let t0 = Instant::now();
-    let obs_grid = run_obs_grid(&points, spec, threads, Some(&traces), None, false);
-    let obs_grid_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        obs_grid.completed,
-        points.len(),
-        "obs grid failed cells: {:?}",
-        obs_grid.failed
-    );
-    let cell_sum: u64 = obs_grid.cells_committed.iter().flatten().sum();
-    assert_eq!(
-        obs_grid.counters.committed, cell_sum,
-        "merged counter sums diverged from per-cell commit counts"
-    );
-    let obs_grid_ns = obs_grid_s * 1e9 / sweep_insts;
-    let obs_grid_overhead_pct = (obs_grid_s - replay_s) / replay_s * 100.0;
-    eprintln!(
-        "  probed grid {obs_grid_s:.2} s ({obs_grid_ns:.0} ns/inst, \
-         {obs_grid_overhead_pct:+.1}% vs strict sweep); merged sums check out"
-    );
-
-    // 8a. Sampled-vs-full error study: every suite benchmark and every
+    // 7a. Sampled-vs-full error study: every suite benchmark and every
     // curated scenario (20-stage, ARVI current value) estimated at
     // 1-in-{2,4,8} sampling rates against its full-run ground truth.
     let err_workloads: Vec<Workload> = Workload::suite()
@@ -535,7 +513,17 @@ fn main() {
         err_points.len()
     );
     let err_traces = TraceSet::record(&err_workloads, spec, threads, trace_dir.as_deref());
-    let full = run_sweep_with(&err_points, spec, threads, false, &err_traces);
+    let full = GridRun::run(
+        err_points.clone(),
+        spec,
+        threads,
+        false,
+        Some(&err_traces),
+        None,
+        None,
+    )
+    .results(|_| true)
+    .unwrap_or_else(|incomplete| panic!("{incomplete}"));
     let detail = (spec.measure / 40).max(1);
     // The study windows are short, so units get *full* functional
     // warming: a unit warm-up at least as long as the region means
@@ -551,7 +539,7 @@ fn main() {
             spec,
             threads,
             false,
-            &err_traces,
+            Some(&err_traces),
             None,
             Some(&plan),
         );
@@ -615,14 +603,14 @@ fn main() {
         ]));
     }
 
-    // 8b. The long-window speedup guardrail: one cell, run full-length
+    // 7b. The long-window speedup guardrail: one cell, run full-length
     // serially vs sampled at 1-in-8 with per-unit fan-out. This is the
     // case interval sampling exists for — a window too long to wait on
     // serially, turned into embarrassingly parallel units. The cell is
     // the stationary history-3 scenario: the ratio estimator's
     // assumptions hold there, so the measured error is the sampling
     // machinery's own bias, not program phase structure (the suite
-    // benchmarks' phase behaviour is quantified honestly in 8a). The
+    // benchmarks' phase behaviour is quantified honestly in 7a). The
     // plan's 200k-instruction warm-up covers the slowest-filling
     // microarchitectural state and its 200k detail windows amortize
     // the warm cost at 1-in-8 coverage, which is what pushes the
@@ -771,9 +759,9 @@ fn main() {
                 ("emulated_s", Json::Num(emulated_s)),
                 ("ns_per_inst", Json::Num(sweep_ns)),
                 ("bit_identical", Json::Bool(true)),
-                ("resilient_s", Json::Num(resilient_s)),
-                ("resilient_overhead_pct", Json::Num(resilient_overhead_pct)),
-                ("resilient_bit_identical", Json::Bool(true)),
+                ("journaled_s", Json::Num(journaled_s)),
+                ("journal_overhead_pct", Json::Num(journal_overhead_pct)),
+                ("journaled_bit_identical", Json::Bool(true)),
             ]),
         ),
         (
@@ -791,24 +779,6 @@ fn main() {
                 ("full_ns_per_inst", Json::Num(probe.full_ns)),
                 ("full_overhead_pct", Json::Num(full_overhead_pct)),
                 ("bit_identical", Json::Bool(true)),
-            ]),
-        ),
-        (
-            "obs_grid",
-            Json::obj([
-                (
-                    "grid",
-                    Json::str("fig6 quick (8 benchmarks x 4 configs, 20-stage)"),
-                ),
-                ("cells", Json::Num(points.len() as f64)),
-                ("threads", Json::Num(threads as f64)),
-                ("probed_s", Json::Num(obs_grid_s)),
-                ("ns_per_inst", Json::Num(obs_grid_ns)),
-                (
-                    "overhead_pct_vs_strict_sweep",
-                    Json::Num(obs_grid_overhead_pct),
-                ),
-                ("counter_sums_match_cells", Json::Bool(true)),
             ]),
         ),
         (

@@ -26,9 +26,8 @@
 use std::sync::Arc;
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_pass, obs_from_args, run_sweep_with,
-    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, Json, Spec,
-    TraceSet, Workload,
+    grid, handle_list_flags, maybe_obs_pass, obs_from_args, scenario_workloads_from_args,
+    threads_from_args, trace_dir_from_args, write_report, GridRun, Json, Spec, TraceSet, Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -202,7 +201,12 @@ fn main() {
     // One recording per scenario feeds both layers and all configs.
     let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let machine = run_sweep_with(&points, spec, threads, true, &traces);
+    let machine = GridRun::run(points, spec, threads, true, Some(&traces), None, None)
+        .results(|_| true)
+        .unwrap_or_else(|incomplete| {
+            eprintln!("{incomplete}");
+            std::process::exit(3);
+        });
 
     let configs = PredictorConfig::all().len();
     let reports: Vec<ScenarioReport> = workloads

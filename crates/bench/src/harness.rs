@@ -1,17 +1,18 @@
-//! Experiment driver: one function per paper artifact.
+//! Experiment driver: the one way into the grid executor, and the paper
+//! artifacts assembled from its cells.
 //!
-//! The Figure-5/6 grids run on the one grid executor
-//! ([`crate::resilience::run_sweep_resilient`]); results are assembled
-//! in deterministic grid order, so parallel output is identical to a
-//! sequential run.
-//!
-//! The experiment binaries run each invocation's grid once, as a
-//! [`GridRun`] — one executor call whatever the flags: the fault
-//! policy defaults to [`Resilience::new`], and a sample plan only
-//! changes the work items — and assemble every figure from that one
-//! sweep's cells: `experiments` builds Figure 5 from the ARVI-current
-//! subset of the same `workloads × depths × configs` grid whose
-//! per-depth slices are Figure 6, so no cell is simulated twice.
+//! Every grid — the experiment binaries', `perf_report`'s,
+//! `synth_report`'s, the benches' and the tests' — runs as a
+//! [`GridRun`]: one executor call whatever the flags (the fault policy
+//! defaults to [`Resilience::new`], a sample plan only changes the work
+//! items, and no trace set means every cell runs live). Results come
+//! back in deterministic grid order, so parallel output is identical to
+//! a sequential run. Every figure is assembled from one run's cells:
+//! `experiments` builds Figure 5 from the ARVI-current subset of the
+//! same `workloads × depths × configs` grid whose per-depth slices are
+//! Figure 6, so no cell is simulated twice. [`run_one`] and
+//! [`run_one_traced`] are the single-cell references grids are checked
+//! against.
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use crate::resilience::{
     SweepIncomplete,
 };
 use crate::sampling::ci_table;
-use crate::sweep::{default_threads, grid, run_sweep, run_sweep_with, SweepPoint, TraceSet};
+use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::Workload;
 
 /// Sweep parameters: instruction windows and the workload input seed.
@@ -127,35 +128,10 @@ pub fn run_one_traced(
     )
 }
 
-/// Figure 5: (a) the fraction of load branches per workload at each
+/// Figure 5 from grid-ordered ARVI-current results over `workloads ×
+/// depths`: (a) the fraction of load branches per workload at each
 /// pipeline depth, and (b) prediction accuracy of calculated versus load
-/// branches (20-stage, ARVI current value) — returns the two tables.
-/// Runs the benchmark suite on all available cores, recording each
-/// benchmark's trace once in memory.
-pub fn fig5_tables(spec: Spec, progress: bool) -> (Table, Table) {
-    fig5_tables_over(&Workload::suite(), spec, progress, default_threads(), None)
-}
-
-/// [`fig5_tables`] over an explicit workload list (suite benchmarks,
-/// synthetic scenarios, or any mix).
-pub fn fig5_tables_over(
-    workloads: &[Workload],
-    spec: Spec,
-    progress: bool,
-    threads: usize,
-    traces: Option<&TraceSet>,
-) -> (Table, Table) {
-    let depths = Depth::all();
-    let points = grid(workloads, &depths, &[PredictorConfig::ArviCurrent]);
-    let results = match traces {
-        Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-        None => run_sweep(&points, spec, threads, progress),
-    };
-    fig5_assemble(workloads, &depths, &results)
-}
-
-/// Builds the two Figure-5 tables from grid-ordered results (the shared
-/// tail of [`fig5_tables_over`] and [`GridRun::fig5_tables`]).
+/// branches (20-stage) — the tables of [`GridRun::fig5_tables`].
 fn fig5_assemble(
     workloads: &[Workload],
     depths: &[Depth],
@@ -204,39 +180,8 @@ pub struct Fig6Data {
 }
 
 impl Fig6Data {
-    /// Runs the benchmark-suite sweep on all available cores, recording
-    /// each benchmark's trace once in memory.
-    pub fn collect(depth: Depth, spec: Spec, progress: bool) -> Fig6Data {
-        Fig6Data::collect_over(
-            &Workload::suite(),
-            depth,
-            spec,
-            progress,
-            default_threads(),
-            None,
-        )
-    }
-
-    /// [`Fig6Data::collect`] over an explicit workload list (suite
-    /// benchmarks, synthetic scenarios, or any mix).
-    pub fn collect_over(
-        workloads: &[Workload],
-        depth: Depth,
-        spec: Spec,
-        progress: bool,
-        threads: usize,
-        traces: Option<&TraceSet>,
-    ) -> Fig6Data {
-        let points = grid(workloads, &[depth], &PredictorConfig::all());
-        let flat = match traces {
-            Some(traces) => run_sweep_with(&points, spec, threads, progress, traces),
-            None => run_sweep(&points, spec, threads, progress),
-        };
-        Fig6Data::assemble(workloads, depth, flat)
-    }
-
-    /// Splits flat grid-ordered results per workload (the shared tail
-    /// of [`Fig6Data::collect_over`] and [`GridRun::fig6_data`]).
+    /// Splits flat grid-ordered results per workload
+    /// ([`GridRun::fig6_data`]).
     fn assemble(workloads: &[Workload], depth: Depth, mut flat: Vec<SimResult>) -> Fig6Data {
         let configs = PredictorConfig::all();
         let mut results = Vec::new();
@@ -325,28 +270,29 @@ pub struct GridRun {
 }
 
 impl GridRun {
-    /// Runs `points` once over the shared recordings `traces` on the grid
-    /// executor, under `res` (the default policy, [`Resilience::new`],
-    /// when `None`) and, with `plan`, sampled. A failed cell never
-    /// aborts the run: it is reported by [`GridRun::results`]. The
-    /// resilience and timing summaries go to stderr.
+    /// Runs `points` once on the grid executor — the crate's only way
+    /// in — on `threads` workers, replaying the shared recordings
+    /// `traces` (every cell live when `None`), under `res` (the default
+    /// policy, [`Resilience::new`], when `None`) and, with `plan`,
+    /// sampled. A failed cell never aborts the run: it is reported by
+    /// [`GridRun::results`]. The resilience and timing summaries go to
+    /// stderr.
     pub fn run(
         points: Vec<SweepPoint>,
         spec: Spec,
         threads: usize,
         progress: bool,
-        traces: &TraceSet,
+        traces: Option<&TraceSet>,
         res: Option<&Resilience>,
         plan: Option<&SamplePlan>,
     ) -> GridRun {
         let default_res = Resilience::new();
         let res = res.unwrap_or(&default_res);
-        let (outcomes, reports) =
-            run_grid(&points, spec, threads, progress, Some(traces), res, plan);
+        let (outcomes, reports) = run_grid(&points, spec, threads, progress, traces, res, plan);
         if let Some(summary) = outcome_summary(&outcomes) {
             eprintln!("{summary}");
         }
-        if let Some(timing) = timing_summary(&outcomes, Some(traces.record_elapsed())) {
+        if let Some(timing) = timing_summary(&outcomes, traces.map(TraceSet::record_elapsed)) {
             eprintln!("{timing}");
         }
         GridRun {

@@ -26,13 +26,13 @@
 //!   synthetic-scenario grid, emitting `BENCH_PR3.json` and a markdown
 //!   table with the paper-style separation summary.
 //!
-//! Experiment grids run on one executor
-//! ([`resilience::run_sweep_resilient`], on [`sweep::par_map_caught`]'s
-//! worker loop) in every mode — strict, fault-isolated, sampled and
-//! live: every `(benchmark, depth, configuration)` cell is an
-//! independent deterministic simulation (under `--sample`, one work
-//! item per sampling unit), each isolated from the others, and results
-//! are returned in grid order, so parallel sweeps are bit-identical to
+//! Experiment grids run on one executor, entered only through
+//! [`GridRun::run`] (on [`sweep::par_map_caught`]'s worker loop), in
+//! every mode — strict, fault-isolated, sampled and live: every
+//! `(benchmark, depth, configuration)` cell is an independent
+//! deterministic simulation (under `--sample`, one work item per
+//! sampling unit), each isolated from the others, and results are
+//! returned in grid order, so parallel sweeps are bit-identical to
 //! sequential ones. All binaries accept `--threads N` (default: all
 //! cores; `1` = sequential).
 //!
@@ -56,8 +56,8 @@
 //! per-branch-site attribution and/or a Chrome trace — see [`obs`].
 //! `--obs-grid FILE` instead probes every cell of the main sweep and
 //! writes the merged rollup — see [`obs_grid`]. All of these flags are
-//! validated up front ([`run_flags_from_args`]), and an unknown flag is
-//! rejected.
+//! validated up front ([`run_flags_from_args`]), and an unknown flag or
+//! a stray positional argument is rejected.
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -82,28 +82,24 @@ pub mod workload;
 pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
-pub use harness::{
-    fig5_cell, fig5_tables, fig5_tables_over, paper_tables, run_one, run_one_traced, Fig6Data,
-    GridRun, Spec,
-};
+pub use harness::{fig5_cell, paper_tables, run_one, run_one_traced, Fig6Data, GridRun, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
 pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
 pub use obs_grid::{
     attribution_diff, counters_from_json, counters_to_json, maybe_obs_grid, obs_grid_json,
-    run_obs_grid, sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup,
-    SiteDelta, WorkloadAttribution,
+    sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup, SiteDelta,
+    WorkloadAttribution,
 };
 pub use report::{write_report, write_text, Json};
 pub use resilience::{
-    cell_fingerprint, collect_results, outcome_summary, run_sweep_resilient, timing_summary,
-    CellOutcome, CellSuccess, Degradation, FaultKind, FaultPlan, FaultyIo, Resilience,
-    SweepIncomplete, SweepJournal,
+    cell_fingerprint, outcome_summary, timing_summary, CellOutcome, CellSuccess, Degradation,
+    FaultKind, FaultPlan, FaultyIo, Resilience, SweepIncomplete, SweepJournal,
 };
 pub use sampling::{sample_plan_from_args, unit_fingerprint};
 pub use sweep::{
     default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
-    run_sweep, run_sweep_with, trace_file_name, trace_len, try_record_trace, SweepPoint,
-    TraceProvenance, TraceSet, TRACE_SLACK,
+    trace_file_name, trace_len, try_record_trace, SweepPoint, TraceProvenance, TraceSet,
+    TRACE_SLACK,
 };
 pub use workload::Workload;
 
@@ -137,10 +133,10 @@ pub(crate) const RUN_FLAGS: &[(&str, bool)] = &[
     ("--list-benchmarks", false),
 ];
 
-/// The positional arguments of `args`: everything that is neither a
-/// [`RUN_FLAGS`] flag nor the value of one. An unknown `--flag` is an
-/// error.
-pub(crate) fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
+/// The positional arguments of `args`: everything that is neither a flag
+/// of the table `flags` (name, takes a value) nor the value of one. An
+/// unknown `--flag` is an error.
+fn positionals<'a>(args: &'a [String], flags: &[(&str, bool)]) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
@@ -148,7 +144,7 @@ pub(crate) fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
             out.push(arg.as_str());
             continue;
         }
-        match RUN_FLAGS.iter().find(|(name, _)| name == arg) {
+        match flags.iter().find(|(name, _)| name == arg) {
             Some((_, true)) => {
                 rest.next();
             }
@@ -159,10 +155,20 @@ pub(crate) fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
     Ok(out)
 }
 
+/// Checks `args` for a binary that takes no positional argument and only
+/// the flags of the table `flags` (name, takes a value): an unknown
+/// `--flag` or any positional argument is an error.
+pub fn check_flags(args: &[String], flags: &[(&str, bool)]) -> Result<(), String> {
+    match positionals(args, flags)?.first() {
+        Some(arg) => Err(format!("unexpected argument `{arg}`")),
+        None => Ok(()),
+    }
+}
+
 /// `fig6`'s pipeline depth: its one optional positional argument, `20`
 /// (the default), `40` or `60`. Anything else is an error.
 pub fn depth_from_args(args: &[String]) -> Result<Depth, String> {
-    match positionals(args)?.as_slice() {
+    match positionals(args, RUN_FLAGS)?.as_slice() {
         [] => Ok(Depth::D20),
         [arg] => Depth::all()
             .into_iter()
@@ -175,7 +181,7 @@ pub fn depth_from_args(args: &[String]) -> Result<Depth, String> {
 /// The value following `flag` in `args`: `Ok(None)` when the flag is
 /// absent, an error when it has no value (end of arguments, or another
 /// flag where the value should be).
-pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
         Some(i) => args
@@ -295,10 +301,26 @@ pub struct RunFlags {
     pub obs: Option<ObsConfig>,
 }
 
-/// Parses [`RunFlags`] out of `args`; the error names an unknown flag
-/// (one not in `RUN_FLAGS`) or the first malformed one.
+/// Parses [`RunFlags`] out of `args` for `fig5` and `experiments`,
+/// which take no positional argument; the error names an unknown flag
+/// (one not in `RUN_FLAGS`), a stray positional, or the first malformed
+/// flag.
 pub fn run_flags_from_args(args: &[String]) -> Result<RunFlags, String> {
-    positionals(args)?;
+    check_flags(args, RUN_FLAGS)?;
+    parse_run_flags(args)
+}
+
+/// `fig6`'s [`RunFlags`] and pipeline depth, its one optional positional
+/// ([`depth_from_args`]); errors as [`run_flags_from_args`]'s, except
+/// that the depth is allowed.
+pub fn fig6_flags_from_args(args: &[String]) -> Result<(RunFlags, Depth), String> {
+    let depth = depth_from_args(args)?;
+    Ok((parse_run_flags(args)?, depth))
+}
+
+/// [`RunFlags`] out of `args`, whose flags and positionals are already
+/// checked.
+fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let threads = threads_from_args(args)?;
     let trace_dir = trace_dir_from_args(args)?;
     let obs = obs_from_args(args)?;
@@ -520,7 +542,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.journal.as_deref(), Some(std::path::Path::new("j.log")));
         assert!(!r.resume);
-        assert!(r.rerecord && r.live_fallback, "graceful defaults");
         // --resume defaults the journal into the trace dir.
         let r = resilience_from_args(&args(&["--resume", "--trace-dir", "traces"]))
             .unwrap()
@@ -561,6 +582,9 @@ mod tests {
             vec!["--resume", "--trace-dir"],
             vec!["--quick", "--treads", "2"],
             vec!["--quick", "--journal=j.log"],
+            vec!["--quick", "40"],
+            vec!["--quick", "2O"],
+            vec!["20", "--threads", "2"],
         ] {
             assert!(run_flags_from_args(&args(&bad)).is_err(), "{bad:?}");
         }
@@ -585,6 +609,14 @@ mod tests {
         ] {
             assert!(depth(bad).is_err(), "{bad:?}");
         }
+        // fig6 alone takes the depth; fig5 and experiments take nothing.
+        let (flags, d) = fig6_flags_from_args(&args(&["40", "--threads", "3"])).unwrap();
+        assert_eq!((flags.threads, d), (3, Depth::D40));
+        assert!(fig6_flags_from_args(&args(&["50", "--quick"])).is_err());
+        assert!(fig6_flags_from_args(&args(&["--quick", "--threads", "bogus"])).is_err());
+        assert!(run_flags_from_args(&args(&["--quick", "40"]))
+            .unwrap_err()
+            .contains("`40`"));
         let flags = run_flags_from_args(&args(&["--threads", "3", "--trace-dir", "t"])).unwrap();
         assert_eq!(flags.threads, 3);
         assert_eq!(flags.trace_dir.as_deref(), Some(std::path::Path::new("t")));

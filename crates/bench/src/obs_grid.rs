@@ -7,10 +7,9 @@
 //! it simulates (and journals them on the cell's sweep-journal line), so
 //! each `(workload, depth, config)` cell is simulated once per
 //! invocation. [`ObsGrid::from_outcomes`] then folds
-//! the probed outcomes per `(workload, config)` group and grid-wide, in
-//! point order, into one `obs_grid.json` rollup ([`obs_grid_json`]).
-//! [`run_obs_grid`] is the standalone form: one probed pass plus the
-//! fold, for callers without a sweep of their own to reuse.
+//! the probed outcomes of a [`GridRun`] per `(workload, config)` group
+//! and grid-wide, in point order, into one `obs_grid.json` rollup
+//! ([`obs_grid_json`]).
 //!
 //! Merged and journaled probes need full-fidelity serialization (the
 //! lossy `CounterProbe::to_json` folds idle cycles into its issue buckets
@@ -36,7 +35,7 @@ use crate::events::SweepTelemetry;
 use crate::harness::{GridRun, Spec};
 use crate::obs::ObsConfig;
 use crate::report::{write_text, Json};
-use crate::resilience::{run_sweep_resilient, CellOutcome, Resilience};
+use crate::resilience::{CellOutcome, Resilience};
 use crate::sweep::{SweepPoint, TraceSet};
 
 /// The probes collected from one grid cell: what a probed sweep
@@ -67,8 +66,8 @@ pub struct ObsGroup {
     pub sites: SiteProbe,
 }
 
-/// The grid rollup ([`ObsGrid::from_outcomes`], [`run_obs_grid`]):
-/// per-group and grid-wide merges plus per-cell accounting.
+/// The grid rollup ([`ObsGrid::from_outcomes`]): per-group and
+/// grid-wide merges plus per-cell accounting.
 #[derive(Debug)]
 pub struct ObsGrid {
     /// The window every cell ran under.
@@ -111,8 +110,8 @@ pub(crate) fn probes_from_json(entry: &Json) -> Option<CellProbes> {
 }
 
 impl ObsGrid {
-    /// Folds a probed sweep's outcomes (one per point, from
-    /// [`run_sweep_resilient`] with [`Resilience::probes`] set) into the
+    /// Folds a probed sweep's outcomes (one per point, from a
+    /// [`GridRun`] with [`Resilience::probes`] set) into the
     /// rollup, merging cells in point order so the result is independent
     /// of which worker finished which cell first. With `telemetry`, each
     /// dispatched cell emits a `cell_end` event tagged `"pass":"obs"` as
@@ -229,30 +228,6 @@ impl ObsGrid {
             }),
         }
     }
-}
-
-/// Probes every grid point in one standalone pass and folds the
-/// telemetry: the grid executor with [`Resilience::probes`] forced on
-/// (panic isolation, kill handling, and with a journal configured the
-/// probed journal lines plus their resume), then
-/// [`ObsGrid::from_outcomes`]. For callers with no probed sweep of their
-/// own to fold — sampled runs, whose units carry no full-window probes,
-/// and tests. `res`'s telemetry receives only the fold's events, whose
-/// `obs_grid_end` span covers this whole pass.
-pub fn run_obs_grid(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
-    progress: bool,
-) -> ObsGrid {
-    let started = Instant::now();
-    let mut probed = res.cloned().unwrap_or_else(Resilience::new);
-    probed.probes = true;
-    let telemetry = probed.telemetry.take();
-    let outcomes = run_sweep_resilient(points, spec, threads, progress, traces, &probed);
-    ObsGrid::fold(points, spec, outcomes, telemetry.as_deref(), started)
 }
 
 fn n(v: u64) -> Json {
@@ -794,10 +769,12 @@ impl Attribution {
 /// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
 /// asks for one; exits 1 when the rollup cannot be written. The rollup
 /// folds the run's own probed outcomes — `--obs-grid` turned the grid
-/// executor's probes on — except after a sampled run, whose
-/// units carry no full-window probes: that takes one separate probed
-/// pass through [`run_obs_grid`]. The experiment binaries call this
-/// after their tables.
+/// executor's probes on — except after a sampled run, whose units carry
+/// no full-window probes: that takes a second, unsampled [`GridRun`]
+/// over the same points with the probes on. Its telemetry is the fold's
+/// alone (no second set of sweep events), so its `obs_grid_end` span
+/// covers that whole pass. The experiment binaries call this after
+/// their tables.
 pub fn maybe_obs_grid(
     cfg: Option<&ObsConfig>,
     run: GridRun,
@@ -809,7 +786,26 @@ pub fn maybe_obs_grid(
     let Some(cfg) = cfg else { return };
     let Some(out) = &cfg.grid else { return };
     let grid = if run.reports.is_some() {
-        run_obs_grid(&run.points, spec, threads, traces, res, false)
+        let started = Instant::now();
+        let mut probed = res.cloned().unwrap_or_default();
+        probed.probes = true;
+        let telemetry = probed.telemetry.take();
+        let full = GridRun::run(
+            run.points,
+            spec,
+            threads,
+            false,
+            traces,
+            Some(&probed),
+            None,
+        );
+        ObsGrid::fold(
+            &full.points,
+            spec,
+            full.outcomes,
+            telemetry.as_deref(),
+            started,
+        )
     } else {
         let telemetry = res.and_then(|r| r.telemetry.as_deref());
         ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry)

@@ -5,9 +5,10 @@
 //! panicking cell must not take the whole run down. Every grid — strict
 //! (the default policy, [`Resilience::new`]), fault-isolated with
 //! journal or fault plan, and sampled under `--sample` — runs on one
-//! executor over `(cell, unit)` work items: a cell is one whole-cell
-//! item, or under a sample plan one item per sampling unit
-//! ([`crate::sampling`]). The same code gives every mode:
+//! executor, entered only through [`crate::harness::GridRun::run`], over
+//! `(cell, unit)` work items: a cell is one whole-cell item, or under a
+//! sample plan one item per sampling unit ([`crate::sampling`]). The
+//! same code gives every mode:
 //!
 //! * **Per-cell fault isolation** — every work item runs under
 //!   `catch_unwind` (on [`crate::sweep::par_map_caught`]'s worker loop)
@@ -18,11 +19,12 @@
 //!   failures, everything else as a generic cell panic.
 //! * **Graceful degradation** — a corrupt on-disk trace is quarantined
 //!   (renamed `*.quarantined`, logged to `quarantine.log`) and
-//!   re-recorded once by [`TraceSet::record_resilient`]; if re-recording
-//!   is impossible the affected cells fall back to live emulation
-//!   through the `InstSource` seam. Replay is bit-identical to live
-//!   emulation, so a degraded sweep still reports the same numbers —
-//!   the degradation is recorded in the outcome, not in the data.
+//!   re-recorded once by [`TraceSet::record_resilient`]; a cell with no
+//!   usable recording (recording failed, or the trace set lacks or
+//!   under-covers its workload) falls back to live emulation through the
+//!   `InstSource` seam. Replay is bit-identical to live emulation, so a
+//!   degraded sweep still reports the same numbers — the degradation is
+//!   recorded in the outcome, not in the data.
 //! * **Durability** — completed work items are journaled (fingerprint +
 //!   result, one [`SweepJournal`] line per cell or sampling unit,
 //!   appended as they finish) so an interrupted sweep resumes by skipping
@@ -76,8 +78,9 @@ pub enum Degradation {
     /// The cell's cached trace was corrupt; it was quarantined and the
     /// workload re-recorded, and the cell replayed the re-recording.
     Requarantined,
-    /// No usable trace existed (re-recording disabled or failed, or the
-    /// recording was too short); the cell fell back to live emulation.
+    /// No usable trace existed (recording failed, the trace set did not
+    /// cover the workload, or the recording was too short); the cell fell
+    /// back to live emulation.
     LiveEmulation,
 }
 
@@ -126,8 +129,8 @@ pub struct CellSuccess {
     pub probes: Option<Box<CellProbes>>,
 }
 
-/// The structured outcome of one grid cell under
-/// [`run_sweep_resilient`]: no cell failure aborts the grid.
+/// The structured outcome of one grid cell of a
+/// [`crate::harness::GridRun`]: no cell failure aborts the grid.
 #[derive(Debug, Clone)]
 pub enum CellOutcome {
     /// The cell produced a result.
@@ -147,8 +150,8 @@ pub enum CellOutcome {
         /// The configured deadline it exceeded.
         deadline: Duration,
     },
-    /// The cell could not obtain its instruction stream (corrupt trace
-    /// with fallback disabled, recording failure, replay corruption).
+    /// The cell could not read its instruction stream (replay corruption,
+    /// or a sampling unit that could not seek its recording).
     TraceError {
         /// What went wrong.
         message: String,
@@ -196,9 +199,10 @@ impl CellOutcome {
 }
 
 /// Fault-tolerance policy for a sweep. [`Resilience::new`] (also
-/// [`Resilience::default`]) journals nothing, injects nothing, and
-/// degrades gracefully (quarantine + re-record + live fallback all on);
-/// it is the policy of a run with no fault-tolerance flags.
+/// [`Resilience::default`]) journals nothing and injects nothing; it is
+/// the policy of a run with no fault-tolerance flags. Every policy
+/// degrades gracefully: a quarantined trace is re-recorded, and a cell
+/// with no usable recording runs live.
 #[derive(Debug, Clone)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
@@ -214,13 +218,6 @@ pub struct Resilience {
     pub deadline: Option<Duration>,
     /// Deterministic fault plan (testing/CI only).
     pub plan: Option<Arc<FaultPlan>>,
-    /// Re-record a workload whose cached trace was quarantined
-    /// (default `true`).
-    pub rerecord: bool,
-    /// Fall back to live emulation when no usable trace exists
-    /// (default `true`); with this off such cells report
-    /// [`CellOutcome::TraceError`].
-    pub live_fallback: bool,
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
@@ -240,15 +237,13 @@ impl Default for Resilience {
 }
 
 impl Resilience {
-    /// The graceful-degradation defaults with no journal or fault plan.
+    /// No journal, fault plan, deadline, telemetry or probes.
     pub fn new() -> Resilience {
         Resilience {
             journal: None,
             resume: false,
             deadline: None,
             plan: None,
-            rerecord: true,
-            live_fallback: true,
             telemetry: None,
             probes: false,
         }
@@ -759,48 +754,27 @@ impl SweepJournal {
     }
 }
 
-/// Runs every grid point with per-cell fault isolation, returning one
-/// [`CellOutcome`] per point in grid order. No cell failure aborts the
-/// grid.
-///
-/// With `traces` set, cells replay shared recordings; a workload without
-/// a usable recording degrades to live emulation (or to
-/// [`CellOutcome::TraceError`] when [`Resilience::live_fallback`] is
-/// off), and `traces: None` runs every cell live. With a journal
-/// configured, completed cells are appended as they finish; with
-/// [`Resilience::resume`], previously journaled cells are restored
-/// without re-running — restored results are bit-identical to simulated
-/// ones, they are the simulated ones. With [`Resilience::probes`], every
-/// cell also carries its counter and site probes
-/// ([`CellSuccess::probes`]), journaled on and restored from its journal
-/// line.
-pub fn run_sweep_resilient(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-    traces: Option<&TraceSet>,
-    res: &Resilience,
-) -> Vec<CellOutcome> {
-    run_grid(points, spec, threads, progress, traces, res, None).0
-}
-
 /// One work item of a grid: a cell index and, under a sample plan, the
 /// index of one of its sampling units (`None`: the whole cell).
 type WorkItem = (usize, Option<usize>);
 
-/// The grid executor behind every run mode: [`run_sweep_resilient`] and
-/// [`crate::harness::GridRun::run`].
+/// The grid executor behind every run mode; its one caller is
+/// [`crate::harness::GridRun::run`]. No cell failure aborts the grid.
 ///
-/// The work list holds one whole-cell item per cell, except that under
-/// `sample` a cell with a usable recording contributes one item per
-/// sampling unit instead (a cell without one runs whole, live). Every
-/// item runs on [`par_map_caught`]'s one worker loop under the same
-/// isolation, fault plan, deadline, journal and resume; a cell's
-/// `cell_start` event goes out when its first item is dispatched, and
-/// its outcome is folded — and its `cell_end` emitted — when its last
-/// item finishes. Returns one outcome per point plus, for every cell
-/// that sampled, its [`SampleReport`].
+/// With `traces` set, cells replay shared recordings and a workload
+/// without a usable recording degrades to live emulation; `traces: None`
+/// runs every cell live. The work list holds one whole-cell item per
+/// cell, except that under `sample` a cell with a usable recording
+/// contributes one item per sampling unit instead (a cell without one
+/// runs whole, live). Every item runs on [`par_map_caught`]'s one worker
+/// loop under the same isolation, fault plan, deadline, journal and
+/// resume — a restored item is bit-identical to a simulated one, it is
+/// the simulated one — and, with [`Resilience::probes`], a whole cell
+/// carries its probes on its journal line. A cell's `cell_start` event
+/// goes out when its first item is dispatched, and its outcome is folded
+/// — and its `cell_end` emitted — when its last item finishes. Returns
+/// one outcome per point in grid order plus, for every cell that
+/// sampled, its [`SampleReport`].
 pub(crate) fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
@@ -1062,7 +1036,7 @@ impl<'a> Executor<'a> {
         }
         let ran = match unit {
             Some(j) => self.simulate_unit(point, &self.units[j]),
-            None => self.simulate_whole(point),
+            None => Ok(self.simulate_whole(point)),
         };
         let elapsed = start.elapsed();
         match ran {
@@ -1081,8 +1055,11 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// One whole cell, replayed from its recording or run live.
-    fn simulate_whole(&self, point: &SweepPoint) -> Result<(Simulated, Degradation), String> {
+    /// One whole cell, replayed from its recording or run live: live
+    /// without a trace set, and as [`Degradation::LiveEmulation`] when
+    /// the set has no recording of the workload long enough for the
+    /// window.
+    fn simulate_whole(&self, point: &SweepPoint) -> (Simulated, Degradation) {
         let spec = self.spec;
         let live = || {
             let program = point.workload.program(spec.seed);
@@ -1090,35 +1067,19 @@ impl<'a> Executor<'a> {
             let emu = arvi_isa::Emulator::new(program);
             simulate_cell(name, emu, point, spec, self.probes)
         };
-        let degrade = |reason: String| {
-            if self.res.live_fallback {
-                Ok((live(), Degradation::LiveEmulation))
-            } else {
-                Err(reason)
-            }
-        };
         let Some(traces) = self.traces else {
-            return Ok((live(), Degradation::None));
+            return (live(), Degradation::None);
         };
         match traces.get(&point.workload) {
             Some(trace) if trace.len() >= trace_len(spec) => {
                 let replayer = TraceReplayer::new(Arc::clone(trace));
                 let name = intern_name(trace.name());
-                Ok((
+                (
                     simulate_cell(name, replayer, point, spec, self.probes),
                     replay_degradation(traces, point),
-                ))
+                )
             }
-            Some(trace) => degrade(format!(
-                "trace {} holds {} instructions but the window needs {}",
-                trace.name(),
-                trace.len(),
-                trace_len(spec)
-            )),
-            None => degrade(match traces.provenance(&point.workload) {
-                Some(TraceProvenance::Unavailable { reason }) => reason.clone(),
-                _ => format!("no recording for workload {}", point.workload),
-            }),
+            _ => (live(), Degradation::LiveEmulation),
         }
     }
 
@@ -1291,19 +1252,9 @@ impl std::fmt::Display for SweepIncomplete {
 
 impl std::error::Error for SweepIncomplete {}
 
-/// Unwraps a resilient sweep into plain results, or reports every
-/// failed cell. `outcomes` must be [`run_sweep_resilient`]'s output for
-/// `points`.
-pub fn collect_results(
-    points: &[SweepPoint],
-    outcomes: Vec<CellOutcome>,
-) -> Result<Vec<SimResult>, SweepIncomplete> {
-    collect_where(points, &outcomes, |_| true)
-}
-
-/// [`collect_results`] over the cells `keep` selects: their results in
-/// grid order, or every failed cell among them (with its index in the
-/// full sweep).
+/// The results of the cells `keep` selects, in grid order, or every
+/// failed cell among them (with its index in the full sweep);
+/// `outcomes` are a grid run's, one per point.
 pub(crate) fn collect_where(
     points: &[SweepPoint],
     outcomes: &[CellOutcome],
@@ -1490,7 +1441,6 @@ mod tests {
     #[test]
     fn default_policy_is_the_documented_graceful_one() {
         let d = Resilience::default();
-        assert!(d.rerecord && d.live_fallback, "degrades gracefully");
         assert!(d.journal.is_none() && !d.resume && d.deadline.is_none());
         assert!(d.plan.is_none() && d.telemetry.is_none() && !d.probes);
         assert_eq!(format!("{d:?}"), format!("{:?}", Resilience::new()));

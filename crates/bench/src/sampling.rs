@@ -4,11 +4,11 @@
 //! A sampled sweep replaces each cell's full detailed run with a
 //! [`SamplePlan`] over the cell's recorded trace: `k`-periodic units of
 //! functional warm-up + detailed measurement (see `arvi_sampling`). It
-//! runs on the one grid executor
-//! ([`crate::resilience::run_sweep_resilient`]'s), whose work list then
-//! holds one item per unit of every cell with a usable recording — so
-//! even a single long-window cell saturates every core, which is the
-//! point: intra-run parallelism that the serial full run cannot have. A
+//! runs on the one grid executor ([`crate::harness::GridRun::run`] with
+//! a plan), whose work list then holds one item per unit of every cell
+//! with a usable recording — so even a single long-window cell
+//! saturates every core, which is the point: intra-run parallelism that
+//! the serial full run cannot have. A
 //! cell whose workload has no usable recording cannot be sampled
 //! (sampling seeks; live emulation cannot) and runs as one whole-cell
 //! live item, reported as [`Degradation::LiveEmulation`] with
@@ -172,7 +172,7 @@ mod tests {
             tiny_spec(),
             threads,
             false,
-            traces,
+            Some(traces),
             res,
             Some(plan),
         )
@@ -293,11 +293,6 @@ mod tests {
         assert_eq!(s.degradation, Degradation::LiveEmulation);
         assert_eq!(s.sampled_units, 0);
         assert!(reports(&sweep)[0].is_none());
-        // And with fallback disabled, the same cell is a trace error.
-        let mut res = Resilience::new();
-        res.live_fallback = false;
-        let sweep = sampled(&points, &plan, 2, &traces, Some(&res));
-        assert!(matches!(sweep.outcomes[0], CellOutcome::TraceError { .. }));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! deterministic simulation. [`par_map_caught`] is the one worker loop
 //! that fans a work list out over scoped `std::thread` workers with a
 //! shared atomic cursor; the grid executor
-//! ([`crate::resilience::run_sweep_resilient`]) and [`par_map`] both run
-//! on it, and both return results in *item order* regardless of which
-//! worker finished first — so a parallel sweep is bit-identical to the
+//! ([`crate::harness::GridRun::run`]) and [`par_map`] both run on it,
+//! and both return results in *item order* regardless of which worker
+//! finished first — so a parallel sweep is bit-identical to the
 //! sequential one, just faster.
 //!
 //! Since PR 2 the grids are also **record-once / replay-many**: each
@@ -25,14 +25,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use arvi_isa::Emulator;
-use arvi_sim::{Depth, PredictorConfig, SimResult};
+use arvi_sim::{Depth, PredictorConfig};
 use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
 use crate::report::Json;
-use crate::resilience::{collect_results, run_sweep_resilient, Resilience};
+use crate::resilience::Resilience;
 use crate::workload::Workload;
 
 /// Instructions recorded beyond `warmup + measure`: the machine fetches
@@ -108,9 +108,8 @@ pub enum TraceProvenance {
         /// The replaced file was corrupt (quarantined), not just stale.
         corrupt: bool,
     },
-    /// No recording could be obtained (re-recording disabled after a
-    /// quarantine, or recording itself failed); cells over this
-    /// workload must degrade to live emulation.
+    /// No recording could be obtained (recording itself failed); cells
+    /// over this workload degrade to live emulation.
     Unavailable {
         /// Why the workload has no recording.
         reason: String,
@@ -156,8 +155,7 @@ impl TraceSet {
 
     /// [`TraceSet::record`] under an explicit [`Resilience`] policy:
     /// the policy's fault plan (if any) is injected into trace reads,
-    /// and `rerecord: false` leaves a quarantined workload
-    /// [`TraceProvenance::Unavailable`] instead of re-recording it.
+    /// and its telemetry (if any) gets the record and quarantine events.
     pub fn record_resilient(
         workloads: &[Workload],
         spec: Spec,
@@ -176,7 +174,6 @@ impl TraceSet {
             Some(faulty) => faulty,
             None => &StdIo,
         };
-        let rerecord = res.is_none_or(|r| r.rerecord);
         let telemetry = res.and_then(|r| r.telemetry.as_deref());
         if let Some(t) = telemetry {
             t.event(
@@ -186,7 +183,7 @@ impl TraceSet {
         }
         let start = Instant::now();
         let traces = par_map(workloads, threads, |workload| {
-            Self::obtain(workload, spec, dir, io, rerecord, telemetry)
+            Self::obtain(workload, spec, dir, io, telemetry)
         });
         if let Some(t) = telemetry {
             t.record_phase(workloads.len(), start.elapsed());
@@ -208,7 +205,6 @@ impl TraceSet {
         spec: Spec,
         dir: Option<&Path>,
         io: &dyn TraceIo,
-        rerecord: bool,
         telemetry: Option<&SweepTelemetry>,
     ) -> (Option<Trace>, TraceProvenance) {
         let need = trace_len(spec);
@@ -240,12 +236,12 @@ impl TraceSet {
                                 path.display(),
                                 moved.display()
                             );
-                            log_quarantine(dir, path, &e, rerecord);
+                            log_quarantine(dir, path, &e);
                             if let Some(t) = telemetry {
                                 t.quarantine(
                                     &path.display().to_string(),
                                     &e.to_string(),
-                                    if rerecord { "re-record" } else { "degrade" },
+                                    "re-record",
                                 );
                             }
                         }
@@ -253,16 +249,6 @@ impl TraceSet {
                             "trace {}: {e}; quarantine failed ({qe}), re-recording in place",
                             path.display()
                         ),
-                    }
-                    if !rerecord {
-                        return (
-                            None,
-                            TraceProvenance::Unavailable {
-                                reason: format!(
-                                    "quarantined corrupt trace, re-recording disabled: {e}"
-                                ),
-                            },
-                        );
                     }
                 }
                 Err(e) if path.exists() => {
@@ -332,21 +318,16 @@ impl TraceSet {
 }
 
 /// Appends one line to `quarantine.log` in the trace directory
-/// describing a quarantined file and what the sweep did next. Best
+/// describing a quarantined file, which the sweep re-records. Best
 /// effort: logging failures only warn.
-fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError, rerecord: bool) {
+fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError) {
     let Some(dir) = dir else { return };
     let log = dir.join("quarantine.log");
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
-    let action = if rerecord {
-        "re-recording"
-    } else {
-        "re-recording disabled; affected cells degrade to live emulation"
-    };
-    let line = format!("{name}: {err}; {action}\n");
+    let line = format!("{name}: {err}; re-recording\n");
     let res = std::fs::create_dir_all(dir)
         .map_err(|e| crate::report::io_error_at(dir, e))
         .and_then(|()| {
@@ -422,7 +403,7 @@ where
 }
 
 /// The crate's one work-cursor worker loop, under [`par_map`] and the
-/// grid executor ([`crate::resilience::run_sweep_resilient`]) alike.
+/// grid executor ([`crate::harness::GridRun::run`]) alike.
 ///
 /// Up to `threads` scoped workers (the calling thread alone when
 /// `threads <= 1`) pull items off a shared atomic cursor and run
@@ -514,56 +495,10 @@ pub fn full_grid() -> Vec<SweepPoint> {
     grid(&Workload::suite(), &Depth::all(), &PredictorConfig::all())
 }
 
-/// Runs every point on `threads` workers; `results[i]` corresponds to
-/// `points[i]`.
-///
-/// Record-once / replay-many: each distinct workload is emulated once
-/// into an in-memory [`TraceSet`], then all its cells replay the shared
-/// recording. Use [`run_sweep_with`] to reuse recordings across several
-/// grids (or load them from disk).
-///
-/// # Panics
-///
-/// If any cell fails, with the per-cell report.
-pub fn run_sweep(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-) -> Vec<SimResult> {
-    let traces = TraceSet::record(&distinct_workloads(points), spec, threads, None);
-    run_sweep_with(points, spec, threads, progress, &traces)
-}
-
-/// [`run_sweep`] over the shared recordings `traces`, on the grid
-/// executor under the default policy ([`Resilience::new`]). A point
-/// whose workload is missing from `traces` falls back to live emulation
-/// for that cell.
-///
-/// # Panics
-///
-/// If any cell fails, with the per-cell report.
-pub fn run_sweep_with(
-    points: &[SweepPoint],
-    spec: Spec,
-    threads: usize,
-    progress: bool,
-    traces: &TraceSet,
-) -> Vec<SimResult> {
-    let outcomes = run_sweep_resilient(
-        points,
-        spec,
-        threads,
-        progress,
-        Some(traces),
-        &Resilience::new(),
-    );
-    collect_results(points, outcomes).unwrap_or_else(|incomplete| panic!("{incomplete}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arvi_sim::SimResult;
     use arvi_workloads::Benchmark;
 
     #[test]
@@ -717,6 +652,19 @@ mod tests {
         ]
     }
 
+    /// `points` on the grid executor, live without `traces`; every cell
+    /// must finish.
+    fn swept(
+        points: &[SweepPoint],
+        spec: Spec,
+        threads: usize,
+        traces: Option<&TraceSet>,
+    ) -> Vec<SimResult> {
+        crate::harness::GridRun::run(points.to_vec(), spec, threads, false, traces, None, None)
+            .results(|_| true)
+            .expect("every cell ran")
+    }
+
     fn assert_same_results(a: &[SimResult], b: &[SimResult]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -739,8 +687,9 @@ mod tests {
             seed: 42,
         };
         let points = small_points();
-        let seq = run_sweep(&points, spec, 1, false);
-        let par = run_sweep(&points, spec, 3, false);
+        let traces = TraceSet::record(&distinct_workloads(&points), spec, 1, None);
+        let seq = swept(&points, spec, 1, Some(&traces));
+        let par = swept(&points, spec, 3, Some(&traces));
         assert_same_results(&seq, &par);
     }
 
@@ -752,9 +701,9 @@ mod tests {
             seed: 7,
         };
         let points = small_points();
-        let live = run_sweep_resilient(&points, spec, 2, false, None, &Resilience::new());
-        let live = collect_results(&points, live).expect("every live cell ran");
-        let traced = run_sweep(&points, spec, 2, false);
+        let live = swept(&points, spec, 2, None);
+        let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
+        let traced = swept(&points, spec, 2, Some(&traces));
         assert_same_results(&live, &traced);
     }
 

@@ -10,9 +10,9 @@
 //! 3. A corrupt on-disk trace is quarantined (file preserved, incident
 //!    logged) and re-recorded, and the degraded sweep's numbers are
 //!    bit-identical to the healthy sweep's.
-//! 4. With re-recording disabled the affected cells fall back to live
-//!    emulation (still bit-identical) — or report a structured trace
-//!    error when live fallback is off too.
+//! 4. A cell whose trace set lacks its workload, or holds a recording
+//!    too short for the window, falls back to live emulation (still
+//!    bit-identical), and the run's summary reports it.
 //! 5. A sweep killed mid-grid resumes from its journal and the merged
 //!    results are bit-identical to an uninterrupted run, over the full
 //!    workload roster (8 suite benchmarks + 9 curated scenarios).
@@ -27,9 +27,8 @@ use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    collect_results, run_sweep_resilient, run_sweep_with, trace_file_name, CellOutcome,
-    Degradation, FaultPlan, GridRun, Resilience, Spec, SweepPoint, TraceProvenance, TraceSet,
-    Workload,
+    outcome_summary, trace_file_name, trace_len, CellOutcome, Degradation, FaultPlan, GridRun,
+    Resilience, Spec, SweepPoint, TraceProvenance, TraceSet, Workload,
 };
 use proptest::prelude::*;
 
@@ -47,10 +46,22 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// `points` on one worker, replaying `traces` (live when `None`), under
+/// `res` (the default policy when `None`).
+fn run(
+    points: &[SweepPoint],
+    spec: Spec,
+    traces: Option<&TraceSet>,
+    res: Option<&Resilience>,
+) -> GridRun {
+    GridRun::run(points.to_vec(), spec, 1, false, traces, res, None)
+}
+
 /// Every point run live (no recordings) under the default policy.
 fn run_live(points: &[SweepPoint], spec: Spec) -> Vec<SimResult> {
-    let outcomes = run_sweep_resilient(points, spec, 1, false, None, &Resilience::new());
-    collect_results(points, outcomes).expect("every live cell ran")
+    run(points, spec, None, None)
+        .results(|_| true)
+        .expect("every live cell ran")
 }
 
 /// Full bit-identity: every counter of the measurement window.
@@ -156,7 +167,8 @@ fn injected_panic_is_isolated_to_its_cell() {
     let clean = run_live(&points, spec);
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let faulted = run(&points, spec, None, Some(&res));
+    let outcomes = &faulted.outcomes;
     assert_eq!(outcomes.len(), points.len());
     match &outcomes[1] {
         CellOutcome::Panicked { message } => {
@@ -177,7 +189,7 @@ fn injected_panic_is_isolated_to_its_cell() {
     }
 
     // And the failure is reported, with the resume hint.
-    let err = collect_results(&points, outcomes).unwrap_err();
+    let err = faulted.results(|_| true).unwrap_err();
     assert_eq!(err.total, points.len());
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
@@ -190,7 +202,7 @@ fn stalled_cell_past_the_deadline_is_discarded() {
     let points = small_points();
     let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 0 600").unwrap());
     res.deadline = Some(std::time::Duration::from_millis(250));
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let outcomes = run(&points, spec, None, Some(&res)).outcomes;
     match &outcomes[0] {
         CellOutcome::TimedOut { elapsed, deadline } => {
             assert!(elapsed > deadline, "{elapsed:?} vs {deadline:?}")
@@ -233,7 +245,9 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
         clean.provenance(&workloads[0]),
         Some(&TraceProvenance::Recorded)
     );
-    let expected = run_sweep_with(&points, spec, 1, false, &clean);
+    let expected = run(&points, spec, Some(&clean), None)
+        .results(|_| true)
+        .expect("every cell ran");
 
     // Inject corruption into the next read of go's trace file.
     let res = Resilience::new().with_plan(FaultPlan::parse("flip-chunk go 1 9").unwrap());
@@ -249,7 +263,7 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
     assert!(log.contains("go-") && log.contains("re-recording"), "{log}");
 
     // The degraded sweep reports the degradation but identical numbers.
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&faulted), &res);
+    let outcomes = run(&points, spec, Some(&faulted), Some(&res)).outcomes;
     for (i, (outcome, point)) in outcomes.iter().zip(&points).enumerate() {
         let s = outcome
             .success()
@@ -267,13 +281,12 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Re-record disabled: live fallback, or a structured trace error.
+// 4. No usable recording: live fallback, reported.
 // ---------------------------------------------------------------------
 
 #[test]
 fn unavailable_trace_falls_back_to_live_emulation_or_reports() {
     let spec = tiny_spec();
-    let dir = temp_dir("fallback");
     let workloads = [Workload::from(Benchmark::Li)];
     let points = [SweepPoint {
         workload: workloads[0].clone(),
@@ -282,39 +295,33 @@ fn unavailable_trace_falls_back_to_live_emulation_or_reports() {
     }];
     let expected = run_live(&points, spec);
 
-    TraceSet::record(&workloads, spec, 1, Some(&dir));
-    let mut res = Resilience::new().with_plan(FaultPlan::parse("flip li 100").unwrap());
-    res.rerecord = false;
-    let traces = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), Some(&res));
-    assert!(
-        matches!(
-            traces.provenance(&workloads[0]),
-            Some(TraceProvenance::Unavailable { .. })
-        ),
-        "{:?}",
-        traces.provenance(&workloads[0])
-    );
-    assert!(traces.get(&workloads[0]).is_none());
-
-    // Default policy: the cell degrades to live emulation, numbers
-    // unchanged (replay is bit-identical to live, so nothing is lost).
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
-    let s = outcomes[0]
-        .success()
-        .unwrap_or_else(|| panic!("{:?}", outcomes[0].failure()));
-    assert_eq!(s.degradation, Degradation::LiveEmulation);
-    assert_bit_identical(&s.result, &expected[0], "live fallback");
-
-    // With live fallback off, the cell reports the missing trace.
-    res.live_fallback = false;
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
-    match &outcomes[0] {
-        CellOutcome::TraceError { message } => {
-            assert!(message.contains("quarantined"), "{message}")
-        }
-        other => panic!("expected TraceError, got {other:?}"),
+    // A trace set that lacks the workload, and one whose recording is too
+    // short for the window (recorded under a smaller spec): either way
+    // the cell degrades to live emulation with its numbers unchanged
+    // (replay is bit-identical to live, so nothing is lost), and the
+    // run's summary reports the fallback.
+    let lacking = TraceSet::record(&[Workload::from(Benchmark::Go)], spec, 1, None);
+    let smaller = Spec {
+        measure: spec.measure / 2,
+        ..spec
+    };
+    let short = TraceSet::record(&workloads, smaller, 1, None);
+    assert!(short
+        .get(&workloads[0])
+        .is_some_and(|t| t.len() < trace_len(spec)));
+    for (label, traces) in [("missing", &lacking), ("short", &short)] {
+        let outcomes = run(&points, spec, Some(traces), None).outcomes;
+        let s = outcomes[0]
+            .success()
+            .unwrap_or_else(|| panic!("{label}: {:?}", outcomes[0].failure()));
+        assert_eq!(s.degradation, Degradation::LiveEmulation, "{label}");
+        assert_bit_identical(&s.result, &expected[0], label);
+        let summary = outcome_summary(&outcomes).expect("a degraded run reports");
+        assert!(
+            summary.contains("1 fell back to live emulation"),
+            "{summary}"
+        );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -345,7 +352,8 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 6").unwrap());
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
+    let killed = run(&points, spec, None, Some(&res));
+    let outcomes = &killed.outcomes;
     let done = outcomes.iter().filter(|o| o.success().is_some()).count();
     let skipped = outcomes
         .iter()
@@ -353,20 +361,23 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
         .count();
     assert_eq!(done, 6, "killed after 6 cells");
     assert_eq!(skipped, points.len() - 6);
-    assert!(collect_results(&points, outcomes).is_err());
+    assert!(killed.results(|_| true).is_err());
     let text = std::fs::read_to_string(&journal).unwrap();
     assert!(text.starts_with("# arvi sweep journal v1"), "{text}");
     assert_eq!(text.lines().count(), 1 + 6, "header + one line per cell");
 
     // Second run resumes: completed cells restored, the rest simulated.
     let res = Resilience::new().with_journal(&journal).resuming();
-    let outcomes = run_sweep_resilient(&points, spec, 1, false, None, &res);
-    let resumed = outcomes
+    let resumed_run = run(&points, spec, None, Some(&res));
+    let resumed = resumed_run
+        .outcomes
         .iter()
         .filter(|o| o.success().is_some_and(|s| s.resumed))
         .count();
     assert_eq!(resumed, 6, "every journaled cell restored, none re-run");
-    let merged = collect_results(&points, outcomes).expect("resume completes the grid");
+    let merged = resumed_run
+        .results(|_| true)
+        .expect("resume completes the grid");
 
     // The merged (restored + freshly simulated) results are
     // bit-identical to the uninterrupted run, cell for cell.
@@ -392,7 +403,17 @@ fn sampled_panic_fails_only_its_cell() {
     let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
     let traces = TraceSet::record(&workloads, spec, 2, None);
     let plan = SamplePlan::systematic(2, 500, 1_000);
-    let sampled = |res| GridRun::run(points.clone(), spec, 2, false, &traces, res, Some(&plan));
+    let sampled = |res| {
+        GridRun::run(
+            points.clone(),
+            spec,
+            2,
+            false,
+            Some(&traces),
+            res,
+            Some(&plan),
+        )
+    };
     let clean = sampled(None);
     let clean_reports = clean.reports.as_ref().expect("sampled");
 
@@ -423,7 +444,7 @@ fn sampled_panic_fails_only_its_cell() {
         assert_eq!(r.ipc.mean.to_bits(), cr.ipc.mean.to_bits(), "cell {i}");
         assert_eq!(r.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits(), "cell {i}");
     }
-    let err = collect_results(&points, faulted.outcomes).unwrap_err();
+    let err = faulted.results(|_| true).unwrap_err();
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
 }
@@ -441,7 +462,15 @@ fn sampled_units_past_the_deadline_fail_their_cell() {
     let plan = SamplePlan::systematic(2, 500, 1_000);
     let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 2 600").unwrap());
     res.deadline = Some(std::time::Duration::from_millis(250));
-    let sweep = GridRun::run(points, spec, 1, false, &traces, Some(&res), Some(&plan));
+    let sweep = GridRun::run(
+        points,
+        spec,
+        1,
+        false,
+        Some(&traces),
+        Some(&res),
+        Some(&plan),
+    );
     assert!(
         matches!(sweep.outcomes[2], CellOutcome::TimedOut { .. }),
         "{:?}",

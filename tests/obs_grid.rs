@@ -16,14 +16,18 @@
 //! 5. **Structured events** — the resilient sweep's `--events-out`
 //!    JSONL log parses line by line with the expected span events, and
 //!    the Prometheus-style metrics export carries the cell outcomes.
+//! 6. **Sampled rollup** — after a sampled run, `maybe_obs_grid` writes
+//!    the same rollup bytes as after an unsampled probed run over the
+//!    same points.
 
 use std::sync::Arc;
 
+use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    attribution_diff, grid, obs_grid_json, run_obs_grid, run_sweep_resilient, FaultPlan, Json,
-    Resilience, Spec, SweepTelemetry, TraceSet, Workload,
+    attribution_diff, grid, maybe_obs_grid, obs_from_args, obs_grid_json, FaultPlan, GridRun, Json,
+    ObsGrid, Resilience, Spec, SweepPoint, SweepTelemetry, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -48,6 +52,29 @@ fn small_workloads() -> Vec<Workload> {
     ]
 }
 
+/// `points` on the grid executor with the probes on, under `res` (the
+/// default policy when `None`), folded into the rollup.
+fn probed_grid(
+    points: &[SweepPoint],
+    spec: Spec,
+    threads: usize,
+    traces: Option<&TraceSet>,
+    res: Option<&Resilience>,
+) -> ObsGrid {
+    let mut probed = res.cloned().unwrap_or_default();
+    probed.probes = true;
+    let run = GridRun::run(
+        points.to_vec(),
+        spec,
+        threads,
+        false,
+        traces,
+        Some(&probed),
+        None,
+    );
+    ObsGrid::from_outcomes(&run.points, spec, run.outcomes, None)
+}
+
 #[test]
 fn rollup_is_byte_identical_across_thread_counts() {
     let spec = tiny_spec();
@@ -56,7 +83,7 @@ fn rollup_is_byte_identical_across_thread_counts() {
     let traces = TraceSet::record(&workloads, spec, 4, None);
 
     let render = |threads: usize| {
-        let g = run_obs_grid(&points, spec, threads, Some(&traces), None, false);
+        let g = probed_grid(&points, spec, threads, Some(&traces), None);
         assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
         obs_grid_json(&g, 5).render()
     };
@@ -75,7 +102,7 @@ fn killed_grid_resumes_byte_identical() {
     let journal = dir.join("sweep.journal");
 
     // Reference: one uninterrupted, journal-free run.
-    let direct = run_obs_grid(&points, spec, 1, Some(&traces), None, false);
+    let direct = probed_grid(&points, spec, 1, Some(&traces), None);
     let direct_json = obs_grid_json(&direct, 5).render();
 
     // First run dies after 3 completed cells; their journal lines keep
@@ -83,7 +110,7 @@ fn killed_grid_resumes_byte_identical() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
+    let killed = probed_grid(&points, spec, 1, Some(&traces), Some(&res));
     assert_eq!(killed.completed, 3, "killed after 3 cells");
     assert_eq!(killed.failed.len(), points.len() - 3);
     let text = std::fs::read_to_string(&journal).unwrap();
@@ -98,7 +125,7 @@ fn killed_grid_resumes_byte_identical() {
     // Second run resumes: journaled telemetry restored, the rest
     // simulated — and the rollup is byte-identical to the direct run.
     let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = run_obs_grid(&points, spec, 1, Some(&traces), Some(&res), false);
+    let resumed = probed_grid(&points, spec, 1, Some(&traces), Some(&res));
     assert_eq!(resumed.completed, points.len());
     assert_eq!(resumed.resumed, 3, "every journaled cell restored");
     assert_eq!(
@@ -115,7 +142,7 @@ fn merged_counter_sums_equal_per_cell_sums_over_the_suite() {
     let workloads = Workload::suite();
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
     let traces = TraceSet::record(&workloads, spec, 4, None);
-    let g = run_obs_grid(&points, spec, 4, Some(&traces), None, false);
+    let g = probed_grid(&points, spec, 4, Some(&traces), None);
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
     assert_eq!(
         g.groups.len(),
@@ -172,7 +199,7 @@ fn attribution_names_sites_arvi_fixes_on_datadep() {
         &[Depth::D20],
         &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
     );
-    let g = run_obs_grid(&points, spec, 1, None, None, false);
+    let g = probed_grid(&points, spec, 1, None, None);
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
 
     let json = obs_grid_json(&g, 10);
@@ -222,8 +249,16 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         SweepTelemetry::from_paths(Some(&events_path), Some(&metrics_path)).unwrap(),
     ));
     let traces = TraceSet::record(&workloads, spec, 2, None);
-    let outcomes = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &res);
-    assert!(outcomes.iter().all(|o| o.success().is_some()));
+    let run = GridRun::run(
+        points.clone(),
+        spec,
+        2,
+        false,
+        Some(&traces),
+        Some(&res),
+        None,
+    );
+    assert!(run.outcomes.iter().all(|o| o.success().is_some()));
 
     // Every line is a JSON object with a monotonic-origin timestamp and
     // an event name; the span events cover the sweep lifecycle.
@@ -267,5 +302,53 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         metrics.contains("# TYPE arvi_sweeps_total counter"),
         "{metrics}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sampled_run_writes_the_unsampled_probed_rollup() {
+    let spec = Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 3,
+    };
+    let workloads = small_workloads();
+    let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let plan = SamplePlan::systematic(2, 500, 1_000);
+    let dir = temp_dir("sampled-rollup");
+    // What `--obs-grid` sets up: a policy with the probes on.
+    let mut res = Resilience::new();
+    res.probes = true;
+    let rollup = |threads: usize, plan: Option<&SamplePlan>, name: &str| {
+        let out = dir.join(name);
+        let args = ["--obs-grid".to_string(), out.display().to_string()];
+        let cfg = obs_from_args(&args).unwrap().expect("--obs-grid config");
+        let run = GridRun::run(
+            points.clone(),
+            spec,
+            threads,
+            false,
+            Some(&traces),
+            Some(&res),
+            plan,
+        );
+        assert_eq!(run.reports.is_some(), plan.is_some());
+        maybe_obs_grid(Some(&cfg), run, spec, threads, Some(&traces), Some(&res));
+        std::fs::read(&out).expect("rollup written")
+    };
+    let reference = rollup(1, None, "full-1.json");
+    for threads in [1, 2] {
+        assert_eq!(
+            rollup(threads, Some(&plan), &format!("sampled-{threads}.json")),
+            reference,
+            "sampled rollup at {threads} threads"
+        );
+        assert_eq!(
+            rollup(threads, None, &format!("full-{threads}.json")),
+            reference,
+            "unsampled rollup at {threads} threads"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
 //! Property tests for the probe merge algebra behind the grid rollup.
 //!
-//! `run_obs_grid` folds per-cell probes into per-`(workload, config)`
-//! groups and a grid-wide total, and the resume path rebuilds probes
-//! from journaled JSON before merging — so the merges must behave like
-//! the telemetry was recorded in one sitting, regardless of how the
-//! cells were batched or ordered:
+//! `ObsGrid::from_outcomes` folds per-cell probes into
+//! per-`(workload, config)` groups and a grid-wide total, and the resume
+//! path rebuilds probes from journaled JSON before merging — so the
+//! merges must behave like the telemetry was recorded in one sitting,
+//! regardless of how the cells were batched or ordered:
 //!
 //! * `Log2Hist::merge` must equal recording the concatenated samples;
 //! * `CounterProbe::merge` must be associative and commutative (the

@@ -217,7 +217,7 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
             spec,
             threads,
             false,
-            &traces,
+            Some(&traces),
             res,
             Some(&plan),
         )

@@ -2,11 +2,10 @@
 //! ride the main sweep and let `experiments` assemble every figure from
 //! one pass over its grid.
 //!
-//! 1. **Probes in the pass** — the rollup folded from a probed resilient
-//!    sweep is byte-identical to the standalone `run_obs_grid` rollup and
-//!    to a fold of cells probed directly through the simulator, and the
-//!    probed sweep's results equal an unprobed sweep's at 1 and 4
-//!    threads.
+//! 1. **Probes in the pass** — the rollup folded from a probed sweep is
+//!    byte-identical across thread counts and to a fold of cells probed
+//!    directly through the simulator, and the probed sweep's results
+//!    equal an unprobed sweep's at 1 and 4 threads.
 //! 2. **One sweep, every figure** — Figure 5 and each Figure 6 depth
 //!    assembled from one `workloads × depths × configs` sweep equal the
 //!    per-figure sweeps, in strict, fault-isolated and sampled mode
@@ -24,9 +23,8 @@ use arvi::sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, Sim
 use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    collect_results, fig5_cell, fig5_tables_over, grid, obs_grid_json, run_obs_grid,
-    run_sweep_resilient, CellOutcome, CellProbes, CellSuccess, Degradation, FaultPlan, Fig6Data,
-    GridRun, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    fig5_cell, grid, obs_grid_json, CellOutcome, CellProbes, CellSuccess, Degradation, FaultPlan,
+    Fig6Data, GridRun, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -54,12 +52,28 @@ fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> Stri
     obs_grid_json(&ObsGrid::from_outcomes(points, spec, outcomes, None), 5).render()
 }
 
-/// Every result counter, rendered: `SimResult` has no `PartialEq`.
-fn results_of(points: &[SweepPoint], outcomes: Vec<CellOutcome>) -> String {
-    format!(
-        "{:?}",
-        collect_results(points, outcomes).expect("every cell ran")
+/// `points` replayed over `traces` on `threads` workers under `res`.
+fn run(
+    points: &[SweepPoint],
+    spec: Spec,
+    threads: usize,
+    traces: &TraceSet,
+    res: &Resilience,
+) -> GridRun {
+    GridRun::run(
+        points.to_vec(),
+        spec,
+        threads,
+        false,
+        Some(traces),
+        Some(res),
+        None,
     )
+}
+
+/// Every result counter, rendered: `SimResult` has no `PartialEq`.
+fn results_of(run: &GridRun) -> String {
+    format!("{:?}", run.results(|_| true).expect("every cell ran"))
 }
 
 #[test]
@@ -73,7 +87,8 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
     );
     let traces = TraceSet::record(&workloads, spec, 2, None);
 
-    let standalone = run_obs_grid(&points, spec, 2, Some(&traces), None, false);
+    let standalone = run(&points, spec, 2, &traces, &probed()).outcomes;
+    let standalone = ObsGrid::from_outcomes(&points, spec, standalone, None);
     assert_eq!(
         standalone.completed,
         points.len(),
@@ -109,25 +124,20 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
     assert_eq!(rollup(&points, spec, direct), standalone, "direct fold");
 
     for threads in [1, 4] {
-        let main_pass =
-            run_sweep_resilient(&points, spec, threads, false, Some(&traces), &probed());
+        let main_pass = run(&points, spec, threads, &traces, &probed());
         assert_eq!(
-            rollup(&points, spec, main_pass.clone()),
+            rollup(&points, spec, main_pass.outcomes.clone()),
             standalone,
             "main-pass rollup at {threads} threads"
         );
-        let plain = run_sweep_resilient(
-            &points,
-            spec,
-            threads,
-            false,
-            Some(&traces),
-            &Resilience::new(),
-        );
-        assert!(plain.iter().all(|o| o.success().unwrap().probes.is_none()));
+        let plain = run(&points, spec, threads, &traces, &Resilience::new());
+        assert!(plain
+            .outcomes
+            .iter()
+            .all(|o| o.success().unwrap().probes.is_none()));
         assert_eq!(
-            results_of(&points, main_pass),
-            results_of(&points, plain),
+            results_of(&main_pass),
+            results_of(&plain),
             "probed results diverge from unprobed at {threads} threads"
         );
     }
@@ -153,20 +163,18 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
     let paper_grid = grid(&workloads, &Depth::all(), &PredictorConfig::all());
     let fig5_grid = grid(&workloads, &Depth::all(), &[PredictorConfig::ArviCurrent]);
 
-    // The strict per-figure entry points are the reference for the
-    // full-run modes.
-    let fig5_ref = fig5_text(fig5_tables_over(&workloads, spec, false, 2, Some(&traces)));
+    // Strict per-figure sweeps are the reference for the full-run modes.
+    let strict = |points: &[SweepPoint]| run(points, spec, 2, &traces, &Resilience::new());
+    let fig5_ref = fig5_text(
+        strict(&fig5_grid)
+            .fig5_tables(&workloads)
+            .expect("complete"),
+    );
     let fig6_ref: Vec<String> = Depth::all()
         .into_iter()
         .map(|d| {
-            fig6_text(Fig6Data::collect_over(
-                &workloads,
-                d,
-                spec,
-                false,
-                2,
-                Some(&traces),
-            ))
+            let points = grid(&workloads, &[d], &PredictorConfig::all());
+            fig6_text(strict(&points).fig6_data(&workloads, d).expect("complete"))
         })
         .collect();
 
@@ -177,7 +185,7 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
         ("resilient", Some(&res), None),
         ("sampled", None, Some(&plan)),
     ] {
-        let run = GridRun::run(paper_grid.clone(), spec, 2, false, &traces, res, plan);
+        let run = GridRun::run(paper_grid.clone(), spec, 2, false, Some(&traces), res, plan);
         let fig5 = fig5_text(run.fig5_tables(&workloads).expect("complete"));
         let fig6: Vec<String> = Depth::all()
             .into_iter()
@@ -190,7 +198,7 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
 
         // Against each figure's own sweep in the same mode, confidence
         // intervals included.
-        let own = |points| GridRun::run(points, spec, 2, false, &traces, res, plan);
+        let own = |points| GridRun::run(points, spec, 2, false, Some(&traces), res, plan);
         let own5 = own(fig5_grid.clone());
         assert_eq!(
             fig5,
@@ -223,7 +231,15 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
     assert_eq!(paper_grid[4].depth, Depth::D40);
     assert!(!fig5_cell(&paper_grid[4]));
     let faulted = Resilience::new().with_plan(FaultPlan::parse("panic-cell 4").unwrap());
-    let run = GridRun::run(paper_grid, spec, 2, false, &traces, Some(&faulted), None);
+    let run = GridRun::run(
+        paper_grid,
+        spec,
+        2,
+        false,
+        Some(&traces),
+        Some(&faulted),
+        None,
+    );
     assert_eq!(fig5_text(run.fig5_tables(&workloads).unwrap()), fig5_ref);
     for (i, depth) in Depth::all().into_iter().enumerate() {
         match run.fig6_data(&workloads, depth) {
@@ -260,8 +276,8 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
 
     // A plain journaled sweep: every cell journaled, no probes.
     let plain = Resilience::new().with_journal(&journal);
-    let first = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &plain);
-    assert!(first.iter().all(|o| o.success().is_some()));
+    let first = run(&points, spec, 2, &traces, &plain);
+    assert!(first.outcomes.iter().all(|o| o.success().is_some()));
     assert_eq!(probed_lines(), 0, "no probes on any line");
     assert_eq!(lines().len(), 1 + points.len());
 
@@ -271,8 +287,8 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
         .with_journal(&journal)
         .resuming()
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = run_sweep_resilient(&points, spec, 1, false, Some(&traces), &res);
-    let done: Vec<&CellSuccess> = killed.iter().filter_map(|o| o.success()).collect();
+    let killed = run(&points, spec, 1, &traces, &res);
+    let done: Vec<&CellSuccess> = killed.outcomes.iter().filter_map(|o| o.success()).collect();
     assert_eq!(done.len(), 3);
     assert!(done.iter().all(|s| !s.resumed && s.probes.is_some()));
     assert_eq!(
@@ -289,11 +305,12 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     // Resumed with probes again: the 3 probed cells restore from their
     // lines, the other 5 re-run, and the rollup matches a direct run.
     let res = probed().with_journal(&journal).resuming();
-    let resumed = run_sweep_resilient(&points, spec, 2, false, Some(&traces), &res);
-    let grid = ObsGrid::from_outcomes(&points, spec, resumed.clone(), None);
+    let resumed = run(&points, spec, 2, &traces, &res);
+    let grid = ObsGrid::from_outcomes(&points, spec, resumed.outcomes.clone(), None);
     assert_eq!(grid.completed, points.len(), "{:?}", grid.failed);
     assert_eq!(grid.resumed, 3);
-    let direct = run_obs_grid(&points, spec, 2, Some(&traces), None, false);
+    let direct = run(&points, spec, 2, &traces, &probed()).outcomes;
+    let direct = ObsGrid::from_outcomes(&points, spec, direct, None);
     assert_eq!(
         obs_grid_json(&grid, 5).render(),
         obs_grid_json(&direct, 5).render(),
@@ -303,8 +320,8 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     assert_eq!(lines().len(), 1 + points.len() + points.len());
     assert!(!dir.join("sweep.journal.obs").exists(), "one journal file");
     assert_eq!(
-        results_of(&points, resumed),
-        results_of(&points, first),
+        results_of(&resumed),
+        results_of(&first),
         "re-simulated cells reproduce their journaled results"
     );
     std::fs::remove_dir_all(&dir).ok();

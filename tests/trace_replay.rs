@@ -12,7 +12,7 @@ use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
 use arvi::sim::MachineStats;
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{collect_results, full_grid, run_sweep, run_sweep_resilient, Resilience, Spec};
+use arvi_bench::{distinct_workloads, full_grid, GridRun, Spec, TraceSet};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -184,9 +184,14 @@ fn replay_is_bit_identical_across_the_full_grid() {
         seed: 42,
     };
     let points = full_grid();
-    let live = run_sweep_resilient(&points, spec, 2, false, None, &Resilience::new());
-    let live = collect_results(&points, live).expect("every live cell ran");
-    let traced = run_sweep(&points, spec, 2, false);
+    let sweep = |traces: Option<&TraceSet>| {
+        GridRun::run(points.clone(), spec, 2, false, traces, None, None)
+            .results(|_| true)
+            .expect("every cell ran")
+    };
+    let live = sweep(None);
+    let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
+    let traced = sweep(Some(&traces));
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
