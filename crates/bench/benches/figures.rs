@@ -4,8 +4,9 @@
 //! assembled, as `experiments` does. For the full-window artifacts use
 //! the `experiments` binary.
 
-use arvi_bench::{default_threads, full_grid, paper_tables, GridRun, Spec, TraceSet, Workload};
+use arvi_bench::{full_grid, paper_tables, GridRun, Spec, TraceSet, Workload};
 use arvi_sim::{Depth, PredictorConfig};
+use arvi_trace::par::cores;
 
 fn main() {
     let spec = Spec::quick();
@@ -20,7 +21,7 @@ fn main() {
     }
 
     let workloads = Workload::suite();
-    let threads = default_threads();
+    let threads = cores();
     let traces = TraceSet::record(&workloads, spec, threads, None);
     let run = GridRun::run(full_grid(), spec, threads, false, Some(&traces), None, None);
 

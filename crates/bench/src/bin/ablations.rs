@@ -4,8 +4,11 @@
 //! ARVI current value for each variant.
 //!
 //! Usage: `ablations [--quick]`
+//!
+//! Any other flag or a positional exits 2 before any work, with nothing
+//! on stdout.
 
-use arvi_bench::Spec;
+use arvi_bench::{check_flags, Spec};
 use arvi_sim::{simulate, ArviTuning, Depth, PredictorConfig, SimParams};
 use arvi_stats::{amean, Table};
 use arvi_workloads::Benchmark;
@@ -37,7 +40,12 @@ fn mean_speedup_and_accuracy(tuning: ArviTuning, spec: Spec) -> (f64, f64) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, &[("--quick", false)]) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    let quick = args.iter().any(|a| a == "--quick");
     let spec = if quick {
         Spec::quick()
     } else {

@@ -16,6 +16,9 @@
 //! Defaults: `--dir .` (the repo root, where the reports are checked
 //! in), `--baseline <dir>/BENCH_BASELINE.json` when present.
 //!
+//! An unknown flag, a positional, or a flag without its value (or with
+//! another flag in its place) exits 2 before any work, writing no file.
+//!
 //! Exit codes: 2 on usage/parse errors, 1 when the output cannot be
 //! written. A history of zero or one reports is not an error: the table
 //! skeleton still prints (with an advisory on stderr) and the exit code
@@ -23,18 +26,21 @@
 
 use std::path::Path;
 
-use arvi_bench::{bench_history, load_bench_history, write_text, Json};
+use arvi_bench::{bench_history, check_flags, flag_value, load_bench_history, write_text, Json};
 
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// Every flag `bench_history` accepts; each takes a value.
+const FLAGS: &[(&str, bool)] = &[("--dir", true), ("--baseline", true), ("--out", true)];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = arg_value(&args, "--dir").unwrap_or(".");
+    let value = |flag| flag_value(&args, flag).map(|v| v.map(String::as_str));
+    let (dir, baseline_arg, out) = check_flags(&args, FLAGS)
+        .and_then(|()| Ok((value("--dir")?, value("--baseline")?, value("--out")?)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    let dir = dir.unwrap_or(".");
     let files = load_bench_history(Path::new(dir)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -56,7 +62,7 @@ fn main() {
         }
     }
 
-    let baseline_path = arg_value(&args, "--baseline")
+    let baseline_path = baseline_arg
         .map(String::from)
         .unwrap_or_else(|| format!("{dir}/BENCH_BASELINE.json"));
     let baseline = match std::fs::read_to_string(&baseline_path) {
@@ -65,7 +71,7 @@ fn main() {
             std::process::exit(2);
         })),
         // The default baseline is best-effort; an explicit one must load.
-        Err(e) if arg_value(&args, "--baseline").is_some() => {
+        Err(e) if baseline_arg.is_some() => {
             eprintln!("error: cannot read {baseline_path}: {e}");
             std::process::exit(2);
         }
@@ -82,7 +88,7 @@ fn main() {
         report.trends.len(),
         report.regressions().count()
     );
-    if let Some(out) = arg_value(&args, "--out") {
+    if let Some(out) = out {
         if let Err(e) = write_text(Path::new(out), &report.to_json().render()) {
             eprintln!("error: cannot write trend report: {e}");
             std::process::exit(1);

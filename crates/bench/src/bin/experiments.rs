@@ -150,17 +150,16 @@ fn main() {
         println!("{depth:<10} {cur:<8.3} {lb:<10.3} {perf:<8.3}");
     }
 
-    // The evaluation's anchor cell: 20-stage, ARVI current value.
-    maybe_obs_pass(
-        flags.obs.as_ref(),
-        &workloads,
-        Depth::D20,
-        PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
-    );
+    // The anchor report: the evaluation's 20-stage ARVI current-value
+    // cells, probed in-pass (`--probe`, `--trace-cycles`).
+    maybe_obs_pass(flags.obs.as_ref(), &run);
     // The full evaluation grid, probed in-pass and merged (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        res.and_then(|r| r.telemetry.as_deref()),
+    );
 
     if !incomplete.is_empty() {
         for e in &incomplete {

@@ -85,15 +85,14 @@ fn main() {
         "== Figure 5(b): prediction accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
         fig5b.to_text()
     );
-    // Figure 5(b)'s anchor cell: 20-stage, ARVI current value.
-    maybe_obs_pass(
-        flags.obs.as_ref(),
-        &workloads,
-        Depth::D20,
-        PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
-    );
+    // The anchor report: Figure 5(b)'s cells (20-stage, ARVI current
+    // value), probed in-pass (`--probe`, `--trace-cycles`).
+    maybe_obs_pass(flags.obs.as_ref(), &run);
     // The figure's depth sweep, probed in-pass and merged (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        res.and_then(|r| r.telemetry.as_deref()),
+    );
 }

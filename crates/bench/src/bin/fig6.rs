@@ -18,8 +18,9 @@
 //! chosen depth) as the sweep runs — on the fault-isolated runner, so
 //! each cell is simulated once — and writes the merged
 //! per-`(workload, config)` rollup, the input for `obs_report`'s
-//! ARVI-vs-baseline attribution diff. Under `--sample` the rollup
-//! still needs full-window probes and takes one extra probed pass.
+//! ARVI-vs-baseline attribution diff. Under `--sample` each cell's
+//! full-window probes come from one extra whole-cell item in the same
+//! pass, so the rollup equals the unsampled one.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -91,15 +92,14 @@ fn main() {
         "          ARVI perfect value mean normalized IPC = {:.3} (paper: 1.251 at 20 stages)",
         data.mean_normalized_ipc(PredictorConfig::ArviPerfect)
     );
-    // The figure's headline cell at the chosen depth.
-    maybe_obs_pass(
-        flags.obs.as_ref(),
-        &workloads,
-        depth,
-        PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
-    );
+    // The anchor report: the headline cells at the chosen depth, probed
+    // in-pass (`--probe`, `--trace-cycles`).
+    maybe_obs_pass(flags.obs.as_ref(), &run);
     // The figure's full grid, probed in-pass and merged (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, threads, Some(&traces), res);
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        res.and_then(|r| r.telemetry.as_deref()),
+    );
 }

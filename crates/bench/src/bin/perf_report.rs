@@ -690,10 +690,7 @@ fn main() {
             "title",
             Json::str("sampled simulation: interval sampling, intra-run parallelism and CIs"),
         ),
-        (
-            "host_cores",
-            Json::Num(arvi_bench::default_threads() as f64),
-        ),
+        ("host_cores", Json::Num(arvi_trace::par::cores() as f64)),
         ("quick", Json::Bool(quick)),
         (
             "branch_path",

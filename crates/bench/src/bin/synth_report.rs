@@ -22,12 +22,17 @@
 //!                      [--probe counters,sites,trace] [--obs-out FILE]
 //!                      [--trace-cycles START:END] [--top-sites N]
 //!                      [--list-scenarios] [--list-benchmarks]`
+//!
+//! An unknown flag, a positional argument, or `--out` without a path
+//! exits 2 before any work, writing no file. The probe flags put the
+//! probes on the grid's 20-stage ARVI current-value cells as they run.
 
 use std::sync::Arc;
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_pass, obs_from_args, scenario_workloads_from_args,
-    threads_from_args, trace_dir_from_args, write_report, GridRun, Json, Spec, TraceSet, Workload,
+    check_flags, flag_value, grid, handle_list_flags, maybe_obs_pass, obs_from_args,
+    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, GridRun,
+    Json, Resilience, Spec, TraceSet, Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -150,34 +155,42 @@ fn markdown_table(reports: &[ScenarioReport]) -> String {
     out
 }
 
+/// Every flag `synth_report` accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--quick", false),
+    ("--threads", true),
+    ("--trace-dir", true),
+    ("--out", true),
+    ("--scenario", true),
+    ("--scenario-file", true),
+    ("--probe", true),
+    ("--obs-out", true),
+    ("--trace-cycles", true),
+    ("--top-sites", true),
+    ("--list-scenarios", false),
+    ("--list-benchmarks", false),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if handle_list_flags(&args) {
-        return;
-    }
-    let obs = obs_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let quick = args.iter().any(|a| a == "--quick");
-    let (threads, trace_dir) = threads_from_args(&args)
-        .and_then(|t| Ok((t, trace_dir_from_args(&args)?)))
+    let (obs, threads, trace_dir, out_path) = check_flags(&args, FLAGS)
+        .and_then(|()| {
+            let out = flag_value(&args, "--out")?.map_or("BENCH_PR3.json", String::as_str);
+            Ok((
+                obs_from_args(&args)?,
+                threads_from_args(&args)?,
+                trace_dir_from_args(&args)?,
+                out.to_string(),
+            ))
+        })
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR3.json")
-        .to_string();
-    let spec = if quick {
-        Spec::quick()
-    } else {
-        Spec::default()
-    };
+    if handle_list_flags(&args) {
+        return;
+    }
+    let spec = Spec::from_args(&args);
 
     let workloads = match scenario_workloads_from_args(&args) {
         Ok(Some(w)) => w,
@@ -201,12 +214,23 @@ fn main() {
     // One recording per scenario feeds both layers and all configs.
     let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let machine = GridRun::run(points, spec, threads, true, Some(&traces), None, None)
-        .results(|_| true)
-        .unwrap_or_else(|incomplete| {
-            eprintln!("{incomplete}");
-            std::process::exit(3);
-        });
+    let res = obs.clone().map(|cfg| Resilience {
+        probes: Some(cfg),
+        ..Resilience::new()
+    });
+    let run = GridRun::run(
+        points,
+        spec,
+        threads,
+        true,
+        Some(&traces),
+        res.as_ref(),
+        None,
+    );
+    let machine = run.results(|_| true).unwrap_or_else(|incomplete| {
+        eprintln!("{incomplete}");
+        std::process::exit(3);
+    });
 
     let configs = PredictorConfig::all().len();
     let reports: Vec<ScenarioReport> = workloads
@@ -341,13 +365,7 @@ fn main() {
     write_report(std::path::Path::new(&out_path), &report).expect("write BENCH json");
     eprintln!("synth_report: wrote {out_path}");
 
-    // The characterization's anchor cell: 20-stage, ARVI current value.
-    maybe_obs_pass(
-        obs.as_ref(),
-        &workloads,
-        Depth::D20,
-        PredictorConfig::ArviCurrent,
-        spec,
-        Some(&traces),
-    );
+    // The anchor report: the characterization's 20-stage ARVI
+    // current-value cells, probed in-pass.
+    maybe_obs_pass(obs.as_ref(), &run);
 }

@@ -14,6 +14,7 @@
 //! [`run_one_traced`] are the single-cell references grids are checked
 //! against.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use arvi_sim::{
@@ -256,8 +257,9 @@ impl Fig6Data {
 
 /// One sweep's per-cell outcomes over a grid, in grid order — the
 /// single simulation an experiment binary runs, from which it assembles
-/// every figure ([`GridRun::fig5_tables`], [`GridRun::fig6_data`]) and
-/// the `--obs-grid` rollup.
+/// every figure ([`GridRun::fig5_tables`], [`GridRun::fig6_data`]), the
+/// anchor report ([`crate::obs::ObsReport::from_run`]) and the
+/// `--obs-grid` rollup.
 #[derive(Debug)]
 pub struct GridRun {
     /// The grid, in sweep order.
@@ -267,6 +269,9 @@ pub struct GridRun {
     /// Per-point sampled estimates when the run was sampled (`None`
     /// entries for cells that did not sample), `None` otherwise.
     pub reports: Option<Vec<Option<SampleReport>>>,
+    /// The journal the run appended its completed cells to (`None`: it
+    /// journaled nothing), which an incomplete run's hint names.
+    pub journal: Option<PathBuf>,
 }
 
 impl GridRun {
@@ -288,7 +293,8 @@ impl GridRun {
     ) -> GridRun {
         let default_res = Resilience::new();
         let res = res.unwrap_or(&default_res);
-        let (outcomes, reports) = run_grid(&points, spec, threads, progress, traces, res, plan);
+        let (outcomes, reports, journal) =
+            run_grid(&points, spec, threads, progress, traces, res, plan);
         if let Some(summary) = outcome_summary(&outcomes) {
             eprintln!("{summary}");
         }
@@ -299,6 +305,7 @@ impl GridRun {
             points,
             outcomes,
             reports: plan.map(|_| reports),
+            journal,
         }
     }
 
@@ -309,7 +316,7 @@ impl GridRun {
         &self,
         keep: impl Fn(&SweepPoint) -> bool,
     ) -> Result<Vec<SimResult>, SweepIncomplete> {
-        collect_where(&self.points, &self.outcomes, keep)
+        collect_where(&self.points, &self.outcomes, self.journal.as_deref(), keep)
     }
 
     /// The per-cell confidence-interval table of the cells `keep`

@@ -27,7 +27,8 @@
 //!   table with the paper-style separation summary.
 //!
 //! Experiment grids run on one executor, entered only through
-//! [`GridRun::run`] (on [`sweep::par_map_caught`]'s worker loop), in
+//! [`GridRun::run`] (on the workspace's one worker loop,
+//! [`arvi_trace::par::par_map_caught`]), in
 //! every mode — strict, fault-isolated, sampled and live: every
 //! `(benchmark, depth, configuration)` cell is an independent
 //! deterministic simulation (under `--sample`, one work item per
@@ -51,13 +52,14 @@
 //!
 //! The experiment binaries also accept the observability flags
 //! (`--probe counters,sites,trace`, `--obs-out FILE`,
-//! `--trace-cycles START:END`, `--top-sites N`): when present, an extra
-//! probed pass runs after the tables and emits counter histograms,
-//! per-branch-site attribution and/or a Chrome trace — see [`obs`].
-//! `--obs-grid FILE` instead probes every cell of the main sweep and
-//! writes the merged rollup — see [`obs_grid`]. All of these flags are
-//! validated up front ([`run_flags_from_args`]), and an unknown flag or
-//! a stray positional argument is rejected.
+//! `--trace-cycles START:END`, `--top-sites N`): when present, the
+//! grid's anchor cells carry the probes through the one pass, and the
+//! binary emits their counter histograms, per-branch-site attribution
+//! and/or Chrome trace after the tables — see [`obs`]. `--obs-grid
+//! FILE` probes every cell of the same pass and writes the merged
+//! rollup — see [`obs_grid`]. All of these flags are validated up
+//! front ([`run_flags_from_args`]), and an unknown flag or a stray
+//! positional argument is rejected.
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -84,7 +86,7 @@ pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
 pub use harness::{fig5_cell, paper_tables, run_one, run_one_traced, Fig6Data, GridRun, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
-pub use obs::{maybe_obs_pass, obs_from_args, run_obs_pass, ObsConfig, ObsReport, WorkloadObs};
+pub use obs::{anchor, maybe_obs_pass, obs_from_args, ObsConfig, ObsReport};
 pub use obs_grid::{
     attribution_diff, counters_from_json, counters_to_json, maybe_obs_grid, obs_grid_json,
     sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup, SiteDelta,
@@ -97,15 +99,15 @@ pub use resilience::{
 };
 pub use sampling::{sample_plan_from_args, unit_fingerprint};
 pub use sweep::{
-    default_threads, distinct_workloads, full_grid, grid, par_map, par_map_caught, record_trace,
-    trace_file_name, trace_len, try_record_trace, SweepPoint, TraceProvenance, TraceSet,
-    TRACE_SLACK,
+    distinct_workloads, full_grid, grid, record_trace, trace_file_name, trace_len,
+    try_record_trace, SweepPoint, TraceProvenance, TraceSet, TRACE_SLACK,
 };
 pub use workload::Workload;
 
 use arvi_sampling::SamplePlan;
 use arvi_sim::Depth;
 use arvi_synth::ScenarioSpec;
+use arvi_trace::par::cores;
 use arvi_workloads::Benchmark;
 
 /// Every flag the experiment binaries (`fig5`, `fig6`, `experiments`)
@@ -196,7 +198,7 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a Strin
 /// cores; a missing or non-numeric `N` is an error.
 pub fn threads_from_args(args: &[String]) -> Result<usize, String> {
     match flag_value(args, "--threads")? {
-        None => Ok(default_threads()),
+        None => Ok(cores()),
         Some(v) => v
             .parse()
             .map_err(|_| format!("--threads: not a number: `{v}`")),
@@ -291,9 +293,10 @@ pub struct RunFlags {
     pub threads: usize,
     /// Where recordings persist ([`trace_dir_from_args`]).
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Fault tolerance and telemetry ([`resilience_from_args`]).
-    /// `--obs-grid` also sets one, with [`Resilience::probes`] on, so the
-    /// rollup rides the main pass.
+    /// Fault tolerance and telemetry ([`resilience_from_args`]). Any
+    /// observability flag also sets one, with [`Resilience::probes`]
+    /// holding `obs`, so the anchor report and the `--obs-grid` rollup
+    /// ride the one pass.
     pub res: Option<Resilience>,
     /// The `--sample` plan ([`sample_plan_from_args`]).
     pub plan: Option<SamplePlan>,
@@ -326,8 +329,8 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let obs = obs_from_args(args)?;
     let plan = sample_plan_from_args(args)?;
     let mut res = resilience_from_args(args)?;
-    if obs.as_ref().is_some_and(|o| o.grid.is_some()) {
-        res.get_or_insert_with(Resilience::new).probes = true;
+    if obs.is_some() {
+        res.get_or_insert_with(Resilience::new).probes = obs.clone();
     }
     Ok(RunFlags {
         threads,
@@ -621,14 +624,17 @@ mod tests {
         assert_eq!(flags.threads, 3);
         assert_eq!(flags.trace_dir.as_deref(), Some(std::path::Path::new("t")));
         let flags = run_flags_from_args(&args(&["--quick"])).unwrap();
-        assert_eq!(flags.threads, default_threads());
+        assert_eq!(flags.threads, cores());
         assert!(flags.trace_dir.is_none());
-        // --obs-grid alone sets a policy with probes on; without it the
-        // policy stays probe-free.
-        let flags = run_flags_from_args(&args(&["--obs-grid", "g.json"])).unwrap();
-        assert!(flags.res.expect("a policy").probes);
+        // An observability flag alone sets a policy carrying the parsed
+        // config; without one the policy stays probe-free.
+        for obs in [&["--obs-grid", "g.json"][..], &["--probe", "counters"]] {
+            let flags = run_flags_from_args(&args(obs)).unwrap();
+            assert!(flags.obs.is_some());
+            assert_eq!(flags.res.expect("a policy").probes, flags.obs);
+        }
         let flags = run_flags_from_args(&args(&["--journal", "j.log"])).unwrap();
-        assert!(!flags.res.unwrap().probes);
+        assert!(flags.res.unwrap().probes.is_none());
         let flags = run_flags_from_args(&args(&["--sample", "4:1000:500"])).unwrap();
         assert_eq!(flags.plan, Some(SamplePlan::systematic(4, 1000, 500)));
     }

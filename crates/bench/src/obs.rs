@@ -1,29 +1,32 @@
-//! The experiment binaries' observability pass: `--probe`, `--obs-out`,
+//! The experiment binaries' anchor report: `--probe`, `--obs-out`,
 //! `--trace-cycles`, `--top-sites`.
 //!
-//! The figure sweeps themselves run unprobed (the [`NullProbe`]
-//! machine — bit-identical and perf-guarded) unless `--obs-grid` puts
-//! the counter+site probes on every cell of the main pass
-//! ([`crate::obs_grid`]). When any anchor-pass probe flag is
-//! present, the binary runs one *extra* probed pass per workload after
-//! the tables — at the figure's anchor depth/configuration, replaying
-//! the shared recordings when available — and renders the telemetry as
+//! The figure sweeps run unprobed (the [`NullProbe`] machine —
+//! bit-identical and perf-guarded) except where the parsed
+//! [`ObsConfig`] (carried as [`crate::Resilience::probes`]) asks the grid
+//! executor for probes, cell by cell: under `--obs-grid` every cell
+//! carries the counter+site probes ([`crate::obs_grid`]), and under
+//! `--probe`/`--trace-cycles` the grid's [`anchor`] cells carry them
+//! too — plus, with `--trace-cycles`, a [`ChromeTracer`] over the
+//! window. Every probe rides the one pass, so no cell is simulated
+//! twice. [`maybe_obs_pass`] then reads the anchor cells' probes back
+//! out of the [`GridRun`] ([`ObsReport::from_run`]) and renders them as
 //! markdown (stdout) or compact JSON (`--obs-out`).
 //!
 //! [`NullProbe`]: arvi_obs::NullProbe
 
 use std::path::PathBuf;
 
-use arvi_obs::{ChromeTracer, CounterProbe, SiteProbe};
-use arvi_sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams, SimResult};
-use arvi_workloads::WorkloadSource;
+use arvi_obs::{ChromeTracer, CounterProbe};
+use arvi_sim::{Depth, PredictorConfig};
 
-use crate::harness::Spec;
+use crate::harness::GridRun;
+use crate::obs_grid::CellProbes;
 use crate::report::{write_text, Json};
-use crate::sweep::TraceSet;
-use crate::workload::Workload;
+use crate::resilience::{CellOutcome, CellSuccess};
+use crate::sweep::SweepPoint;
 
-/// Which probes an observability pass runs and where output goes.
+/// Which probes a run carries and where their reports go.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// `--probe counters`: merged counter/histogram telemetry.
@@ -40,12 +43,18 @@ pub struct ObsConfig {
     /// `--top-sites N` rows in site tables (default 10).
     pub top_sites: usize,
     /// `--obs-grid PATH`: probe *every* cell of the sweep (not just the
-    /// anchor pass), riding the main pass, and write the merged grid
-    /// rollup here — see [`crate::obs_grid`].
+    /// anchor cells) and write the merged grid rollup here — see
+    /// [`crate::obs_grid`].
     pub grid: Option<PathBuf>,
 }
 
 impl ObsConfig {
+    /// Whether `--probe`/`--trace-cycles` asked for the anchor report
+    /// (any of counters, sites or a trace window).
+    pub(crate) fn anchor_report(&self) -> bool {
+        self.counters || self.sites || self.trace.is_some()
+    }
+
     /// Where the Chrome trace document goes (requires `out`).
     pub fn trace_path(&self) -> Option<PathBuf> {
         match (&self.trace, &self.out) {
@@ -68,7 +77,7 @@ impl ObsConfig {
 /// * `--top-sites N` — rows in per-site tables (default 10).
 /// * `--obs-grid PATH` — run counter+site probes over every cell of
 ///   the sweep and write the merged `obs_grid.json` rollup to `PATH`
-///   (works with or without the anchor-pass flags above).
+///   (works with or without the anchor-report flags above).
 ///
 /// Returns `Ok(None)` when no observability flag is present.
 pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
@@ -142,104 +151,69 @@ pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
     Ok(Some(cfg))
 }
 
-/// Telemetry gathered from one workload's probed run.
-#[derive(Debug)]
-pub struct WorkloadObs {
-    /// The workload's name.
-    pub name: String,
-    /// The run the probes observed (IPC/accuracy context for reports).
-    pub result: SimResult,
-    /// Counter/histogram telemetry.
-    pub counters: CounterProbe,
-    /// Per-branch-site attribution.
-    pub sites: SiteProbe,
-    /// Windowed event trace (empty when tracing was off).
-    pub tracer: ChromeTracer,
+/// The anchor of a grid: its shallowest depth, and the ARVI
+/// current-value cells at that depth — one per workload, in point
+/// order. Figure 5(b)'s 20-stage ARVI current-value cell for `fig5`,
+/// `experiments` and `synth_report`; `fig6`'s headline cell at its one
+/// depth. `None` for an empty grid.
+pub fn anchor(points: &[SweepPoint]) -> Option<(Depth, Vec<usize>)> {
+    let depth = points.iter().map(|p| p.depth).min_by_key(|d| d.stages())?;
+    let cells = (0..points.len())
+        .filter(|&i| points[i].depth == depth && points[i].config == PredictorConfig::ArviCurrent)
+        .collect();
+    Some((depth, cells))
 }
 
-/// The output of [`run_obs_pass`]: per-workload telemetry plus the
+/// The anchor report: the probes of a grid's anchor cells plus their
 /// cross-workload counter merge.
 #[derive(Debug)]
 pub struct ObsReport {
-    /// Depth the pass ran at.
+    /// The anchor depth (the configuration is ARVI current value).
     pub depth: Depth,
-    /// Configuration the pass ran under.
-    pub config: PredictorConfig,
     /// Counters summed over every workload.
     pub merged: CounterProbe,
-    /// Per-workload telemetry, in workload order.
-    pub workloads: Vec<WorkloadObs>,
-}
-
-/// Runs the probed pass: one simulation per workload at
-/// (`depth`, `config`) with all three probes attached, replaying shared
-/// recordings when `traces` has them (live emulation otherwise).
-pub fn run_obs_pass(
-    workloads: &[Workload],
-    depth: Depth,
-    config: PredictorConfig,
-    spec: Spec,
-    cfg: &ObsConfig,
-    traces: Option<&TraceSet>,
-) -> ObsReport {
-    let mut report = ObsReport {
-        depth,
-        config,
-        merged: CounterProbe::new(),
-        workloads: Vec::with_capacity(workloads.len()),
-    };
-    for (wi, workload) in workloads.iter().enumerate() {
-        let (start, end) = cfg.trace.unwrap_or((0, 0));
-        let mut tracer = if cfg.trace.is_some() {
-            ChromeTracer::new(start, end)
-        } else {
-            // No window: records nothing, costs a range check per hook.
-            ChromeTracer::with_capacity(0, 0, 0)
-        };
-        tracer.pid = wi as u32 + 1;
-        let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
-        let name = intern_name(workload.name());
-        let params = SimParams::for_depth(depth);
-        let (result, ((counters, sites), tracer)) = match traces.and_then(|t| t.replayer(workload))
-        {
-            Some(replayer) => simulate_source_probed(
-                name,
-                replayer,
-                params,
-                config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-            None => simulate_source_probed(
-                name,
-                arvi_isa::Emulator::new(workload.program(spec.seed)),
-                params,
-                config,
-                spec.warmup,
-                spec.measure,
-                probe,
-            ),
-        };
-        report.merged.merge(&counters);
-        report.workloads.push(WorkloadObs {
-            name: workload.name().to_string(),
-            result,
-            counters,
-            sites,
-            tracer,
-        });
-    }
-    report
+    /// Each workload's name and anchor-cell probes, in workload order.
+    pub workloads: Vec<(String, CellProbes)>,
 }
 
 impl ObsReport {
+    /// The report on `run`'s anchor cells, which carry their probes when
+    /// the run's policy asked for the anchor report. An anchor cell that
+    /// failed, or ran without probes, is named on stderr and left out.
+    pub fn from_run(run: &GridRun) -> ObsReport {
+        let (depth, cells) = anchor(&run.points).unwrap_or((Depth::D20, Vec::new()));
+        let mut report = ObsReport {
+            depth,
+            merged: CounterProbe::new(),
+            workloads: Vec::with_capacity(cells.len()),
+        };
+        for i in cells {
+            let point = &run.points[i];
+            match &run.outcomes[i] {
+                CellOutcome::Ok(CellSuccess {
+                    probes: Some(p), ..
+                }) => {
+                    report.merged.merge(&p.counters);
+                    let name = point.workload.name().to_string();
+                    report.workloads.push((name, (**p).clone()));
+                }
+                other => eprintln!(
+                    "warning: observability: anchor cell {i} ({point}) left out: {}",
+                    other
+                        .failure()
+                        .unwrap_or_else(|| "ran without probes".into())
+                ),
+            }
+        }
+        report
+    }
+
     /// The markdown rendering selected by `cfg` (counters and/or site
     /// tables).
     pub fn to_markdown(&self, cfg: &ObsConfig) -> String {
         let mut out = format!(
             "## Observability ({} depth {}, {} workloads)\n",
-            self.config.label(),
+            PredictorConfig::ArviCurrent.label(),
             self.depth.stages(),
             self.workloads.len()
         );
@@ -248,18 +222,17 @@ impl ObsReport {
             out.push_str(&self.merged.to_markdown());
         }
         if cfg.sites {
-            for w in &self.workloads {
+            for (name, w) in &self.workloads {
                 out.push_str(&format!(
-                    "\n### Top mispredicting sites: {} (final accuracy {:.2}%)\n\n",
-                    w.name,
+                    "\n### Top mispredicting sites: {name} (final accuracy {:.2}%)\n\n",
                     w.result.accuracy() * 100.0
                 ));
                 out.push_str(&w.sites.to_markdown(cfg.top_sites));
             }
         }
         if let Some((start, end)) = cfg.trace {
-            let events: usize = self.workloads.iter().map(|w| w.tracer.len()).sum();
-            let dropped: u64 = self.workloads.iter().map(|w| w.tracer.dropped).sum();
+            let events: usize = self.tracers().map(|(_, t)| t.len()).sum();
+            let dropped: u64 = self.tracers().map(|(_, t)| t.dropped).sum();
             out.push_str(&format!(
                 "\ntrace window [{start}, {end}): {events} events ({dropped} dropped)\n"
             ));
@@ -272,7 +245,7 @@ impl ObsReport {
     /// [`ObsReport::render_trace`]).
     pub fn to_json(&self, cfg: &ObsConfig) -> Json {
         let mut fields = vec![
-            ("config", Json::str(self.config.label())),
+            ("config", Json::str(PredictorConfig::ArviCurrent.label())),
             ("depth", Json::Num(self.depth.stages() as f64)),
         ];
         if cfg.counters {
@@ -282,9 +255,9 @@ impl ObsReport {
             ));
         }
         let mut per = Vec::new();
-        for w in &self.workloads {
+        for (name, w) in &self.workloads {
             let mut wf = vec![
-                ("name".to_string(), Json::str(&w.name)),
+                ("name".to_string(), Json::str(name)),
                 ("ipc".to_string(), Json::Num(w.result.ipc())),
                 ("accuracy".to_string(), Json::Num(w.result.accuracy())),
             ];
@@ -312,9 +285,7 @@ impl ObsReport {
                     ("end", Json::Num(end as f64)),
                     (
                         "events",
-                        Json::Num(
-                            self.workloads.iter().map(|w| w.tracer.len()).sum::<usize>() as f64
-                        ),
+                        Json::Num(self.tracers().map(|(_, t)| t.len()).sum::<usize>() as f64),
                     ),
                 ]),
             ));
@@ -322,12 +293,19 @@ impl ObsReport {
         Json::obj(fields)
     }
 
-    /// The merged Chrome trace document over every workload.
-    pub fn render_trace(&self) -> String {
-        ChromeTracer::render_merged(self.workloads.iter().map(|w| (w.name.as_str(), &w.tracer)))
+    /// Each traced workload's name and tracer, in workload order.
+    fn tracers(&self) -> impl Iterator<Item = (&str, &ChromeTracer)> {
+        self.workloads
+            .iter()
+            .filter_map(|(name, w)| Some((name.as_str(), w.tracer.as_ref()?)))
     }
 
-    /// Emits the pass per `cfg`: markdown to stdout without `--obs-out`,
+    /// The merged Chrome trace document over every workload.
+    pub fn render_trace(&self) -> String {
+        ChromeTracer::render_merged(self.tracers())
+    }
+
+    /// Emits the report per `cfg`: markdown to stdout without `--obs-out`,
     /// JSON files with it (plus the Chrome trace beside, when traced).
     pub fn emit(&self, cfg: &ObsConfig) -> std::io::Result<()> {
         match &cfg.out {
@@ -345,25 +323,18 @@ impl ObsReport {
     }
 }
 
-/// Runs and emits the observability pass when `cfg` selects one (any
-/// of counters, sites or a trace window). The experiment binaries parse
-/// `cfg` with [`obs_from_args`] before any work and call this once after
-/// their tables, at their figure's anchor depth/configuration. An
-/// `--obs-grid`-only invocation selects no anchor pass — the grid rollup
-/// is emitted by [`crate::obs_grid::maybe_obs_grid`] instead.
-pub fn maybe_obs_pass(
-    cfg: Option<&ObsConfig>,
-    workloads: &[Workload],
-    depth: Depth,
-    config: PredictorConfig,
-    spec: Spec,
-    traces: Option<&TraceSet>,
-) {
-    let Some(cfg) = cfg.filter(|c| c.counters || c.sites || c.trace.is_some()) else {
+/// Emits the anchor report of `run` when `cfg` asks for one (any of
+/// counters, sites or a trace window); exits 1 when it cannot be
+/// written. The experiment binaries parse `cfg` with [`obs_from_args`]
+/// before any work, hand it to the run's policy so the anchor cells
+/// carry their probes, and call this once after their tables. An
+/// `--obs-grid`-only invocation asks for no anchor report — the grid
+/// rollup is emitted by [`crate::obs_grid::maybe_obs_grid`] instead.
+pub fn maybe_obs_pass(cfg: Option<&ObsConfig>, run: &GridRun) {
+    let Some(cfg) = cfg.filter(|c| c.anchor_report()) else {
         return;
     };
-    let report = run_obs_pass(workloads, depth, config, spec, cfg, traces);
-    if let Err(e) = report.emit(cfg) {
+    if let Err(e) = ObsReport::from_run(run).emit(cfg) {
         eprintln!("error: cannot write observability output: {e}");
         std::process::exit(1);
     }
@@ -372,6 +343,10 @@ pub fn maybe_obs_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Spec;
+    use crate::resilience::Resilience;
+    use crate::sweep::grid;
+    use crate::workload::Workload;
     use arvi_workloads::Benchmark;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -404,8 +379,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(cfg.trace, Some((0, 10)));
-        // --obs-grid works alone (no anchor-pass probes selected) and
-        // alongside the anchor-pass flags.
+        // --obs-grid works alone (no anchor-report probes selected) and
+        // alongside the anchor-report flags.
         let cfg = obs_from_args(&args(&["--obs-grid", "grid.json"]))
             .unwrap()
             .unwrap();
@@ -439,8 +414,8 @@ mod tests {
             vec!["--top-sites", "3"],                        // no probe selected
             vec!["--probe", "counters", "--top-sites", "many"],
             vec!["--obs-grid"], // missing value
-            // --obs-out is the anchor pass's sink; grid-only runs have
-            // no anchor pass to write.
+            // --obs-out is the anchor report's sink; grid-only runs have
+            // no anchor report to write.
             vec!["--obs-grid", "g.json", "--obs-out", "x.json"],
         ] {
             assert!(obs_from_args(&args(&bad)).is_err(), "{bad:?}");
@@ -448,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn pass_collects_and_renders() {
+    fn anchor_cells_collect_and_render() {
         let spec = Spec {
             warmup: 2_000,
             measure: 8_000,
@@ -462,21 +437,32 @@ mod tests {
             top_sites: 3,
             grid: None,
         };
-        let workloads = [Workload::from(Benchmark::Li)];
-        let report = run_obs_pass(
-            &workloads,
-            Depth::D20,
-            PredictorConfig::ArviCurrent,
-            spec,
-            &cfg,
-            None,
+        let mut res = Resilience::new();
+        res.probes = Some(cfg.clone());
+        // The anchor is ARVI current value at the shallowest depth.
+        let points = grid(
+            &[Workload::from(Benchmark::Li)],
+            &[Depth::D40, Depth::D20],
+            &PredictorConfig::all(),
         );
-        assert_eq!(report.workloads.len(), 1);
-        let w = &report.workloads[0];
+        let (depth, cells) = anchor(&points).unwrap();
+        assert_eq!(depth, Depth::D20);
+        assert_eq!(cells.len(), 1);
+        assert_eq!(points[cells[0]].config, PredictorConfig::ArviCurrent);
+        let run = GridRun::run(points, spec, 2, false, None, Some(&res), None);
+        for (i, o) in run.outcomes.iter().enumerate() {
+            let probed = o.success().unwrap().probes.is_some();
+            assert_eq!(probed, i == cells[0], "only the anchor cell is probed");
+        }
+        let report = ObsReport::from_run(&run);
+        assert_eq!((report.depth, report.workloads.len()), (Depth::D20, 1));
+        let w = &report.workloads[0].1;
         assert!(w.counters.committed >= 10_000, "{}", w.counters.committed);
         assert!(w.counters.branches > 0);
         assert!(w.sites.sites > 0);
-        assert!(!w.tracer.is_empty(), "trace window saw no events");
+        let tracer = w.tracer.as_ref().expect("traced anchor");
+        assert!(!tracer.is_empty(), "trace window saw no events");
+        assert_eq!(tracer.pid, 1);
         assert_eq!(report.merged.committed, w.counters.committed);
 
         let md = report.to_markdown(&cfg);

@@ -1,15 +1,17 @@
 //! Grid-scale telemetry: probe every cell of a sweep and merge.
 //!
-//! The anchor pass ([`crate::obs`]) observes one `(depth, config)`
+//! The anchor report ([`crate::obs`]) observes one `(depth, config)`
 //! point per workload. This module promotes the probe seam to the whole
-//! grid. The probes ride the main pass: with [`Resilience::probes`] set,
-//! the grid executor attaches the counter+site probes to every cell
-//! it simulates (and journals them on the cell's sweep-journal line), so
-//! each `(workload, depth, config)` cell is simulated once per
-//! invocation. [`ObsGrid::from_outcomes`] then folds
-//! the probed outcomes of a [`GridRun`] per `(workload, config)` group
-//! and grid-wide, in point order, into one `obs_grid.json` rollup
-//! ([`obs_grid_json`]).
+//! grid. The probes ride the one pass: under `--obs-grid`
+//! ([`crate::Resilience::probes`] with [`ObsConfig::grid`] set) the grid
+//! executor attaches the counter+site probes to every cell (and
+//! journals them on the cell's sweep-journal line), so each
+//! `(workload, depth, config)` cell is simulated once per invocation. A
+//! sampled cell carries them from one extra whole-cell probed item
+//! ([`crate::sampling`]), so a sampled run's rollup is the unsampled
+//! one. [`ObsGrid::from_outcomes`] then folds the probed outcomes of a
+//! [`GridRun`] per `(workload, config)` group and grid-wide, in point
+//! order, into one `obs_grid.json` rollup ([`obs_grid_json`]).
 //!
 //! Merged and journaled probes need full-fidelity serialization (the
 //! lossy `CounterProbe::to_json` folds idle cycles into its issue buckets
@@ -28,26 +30,35 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
-use arvi_obs::{CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::PredictorConfig;
+use arvi_obs::{ChromeTracer, CounterProbe, Log2Hist, SiteProbe, SiteStats};
+use arvi_sim::{PredictorConfig, SimResult};
 
 use crate::events::SweepTelemetry;
 use crate::harness::{GridRun, Spec};
 use crate::obs::ObsConfig;
 use crate::report::{write_text, Json};
-use crate::resilience::{CellOutcome, Resilience};
-use crate::sweep::{SweepPoint, TraceSet};
+use crate::resilience::CellOutcome;
+use crate::sweep::SweepPoint;
 
-/// The probes collected from one grid cell: what a probed sweep
-/// ([`Resilience::probes`]) carries out of each cell in
-/// [`crate::resilience::CellSuccess::probes`], and what the `probes`
-/// field of the cell's sweep-journal line stores.
+/// The probes collected from one grid cell: what a probed cell
+/// ([`crate::Resilience::probes`]) carries out of the run in
+/// [`crate::resilience::CellSuccess::probes`]. The cell's sweep-journal
+/// line stores the counters and sites in its `probes` field, and the
+/// result is the line's own.
 #[derive(Debug, Clone)]
 pub struct CellProbes {
+    /// The full-window result of the run the probes observed: the
+    /// cell's own, or for a sampled cell its extra whole-cell probed
+    /// item's, whose result the sampled estimate replaces.
+    pub result: SimResult,
     /// Counter/histogram telemetry.
     pub counters: CounterProbe,
     /// Per-branch-site attribution.
     pub sites: SiteProbe,
+    /// The windowed event trace of an anchor cell under
+    /// `--trace-cycles`. Never journaled: a resumed cell that needs it
+    /// re-runs.
+    pub tracer: Option<ChromeTracer>,
 }
 
 /// Merged telemetry for one `(workload, config)` group of the grid
@@ -101,41 +112,33 @@ pub(crate) fn probes_to_json(probes: &CellProbes) -> Json {
     ])
 }
 
-/// Inverse of [`probes_to_json`]; `None` on any malformed field.
-pub(crate) fn probes_from_json(entry: &Json) -> Option<CellProbes> {
+/// Inverse of [`probes_to_json`] on a journal line whose result is
+/// `result`; `None` on any malformed field.
+pub(crate) fn probes_from_json(entry: &Json, result: &SimResult) -> Option<CellProbes> {
     Some(CellProbes {
+        result: result.clone(),
         counters: counters_from_json(entry.get("counters")?)?,
         sites: sites_from_json(entry.get("sites")?)?,
+        tracer: None,
     })
 }
 
 impl ObsGrid {
     /// Folds a probed sweep's outcomes (one per point, from a
-    /// [`GridRun`] with [`Resilience::probes`] set) into the
-    /// rollup, merging cells in point order so the result is independent
-    /// of which worker finished which cell first. With `telemetry`, each
-    /// dispatched cell emits a `cell_end` event tagged `"pass":"obs"` as
-    /// its probes are merged (`ok`, `ok-resumed` or `failed`), then one
-    /// `obs_grid_end` whose `dur_us` spans the fold alone — the
-    /// simulation is already in the sweep's own span.
+    /// [`GridRun`] under `--obs-grid`) into the rollup, merging cells in
+    /// point order so the result is independent of which worker
+    /// finished which cell first. With `telemetry`, each dispatched cell
+    /// emits a `cell_end` event tagged `"pass":"obs"` as its probes are
+    /// merged (`ok`, `ok-resumed` or `failed`), then one `obs_grid_end`
+    /// whose `dur_us` spans the fold alone — the simulation is already
+    /// in the sweep's own span.
     pub fn from_outcomes(
         points: &[SweepPoint],
         spec: Spec,
         outcomes: Vec<CellOutcome>,
         telemetry: Option<&SweepTelemetry>,
     ) -> ObsGrid {
-        ObsGrid::fold(points, spec, outcomes, telemetry, Instant::now())
-    }
-
-    /// [`ObsGrid::from_outcomes`] with the `obs_grid_end` span starting
-    /// at `started`.
-    fn fold(
-        points: &[SweepPoint],
-        spec: Spec,
-        outcomes: Vec<CellOutcome>,
-        telemetry: Option<&SweepTelemetry>,
-        started: Instant,
-    ) -> ObsGrid {
+        let started = Instant::now();
         assert_eq!(points.len(), outcomes.len(), "one outcome per point");
         let mut grid = ObsGrid {
             spec,
@@ -769,47 +772,18 @@ impl Attribution {
 /// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
 /// asks for one; exits 1 when the rollup cannot be written. The rollup
 /// folds the run's own probed outcomes — `--obs-grid` turned the grid
-/// executor's probes on — except after a sampled run, whose units carry
-/// no full-window probes: that takes a second, unsampled [`GridRun`]
-/// over the same points with the probes on. Its telemetry is the fold's
-/// alone (no second set of sweep events), so its `obs_grid_end` span
-/// covers that whole pass. The experiment binaries call this after
-/// their tables.
+/// executor's probes on for every cell, sampled ones included — with
+/// the fold's events going to `telemetry`. The experiment binaries call
+/// this after their tables.
 pub fn maybe_obs_grid(
     cfg: Option<&ObsConfig>,
     run: GridRun,
     spec: Spec,
-    threads: usize,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
+    telemetry: Option<&SweepTelemetry>,
 ) {
     let Some(cfg) = cfg else { return };
     let Some(out) = &cfg.grid else { return };
-    let grid = if run.reports.is_some() {
-        let started = Instant::now();
-        let mut probed = res.cloned().unwrap_or_default();
-        probed.probes = true;
-        let telemetry = probed.telemetry.take();
-        let full = GridRun::run(
-            run.points,
-            spec,
-            threads,
-            false,
-            traces,
-            Some(&probed),
-            None,
-        );
-        ObsGrid::fold(
-            &full.points,
-            spec,
-            full.outcomes,
-            telemetry.as_deref(),
-            started,
-        )
-    } else {
-        let telemetry = res.and_then(|r| r.telemetry.as_deref());
-        ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry)
-    };
+    let grid = ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry);
     let json = obs_grid_json(&grid, cfg.top_sites);
     if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
         eprintln!("error: cannot write obs grid rollup: {e}");
@@ -824,9 +798,9 @@ pub fn maybe_obs_grid(
     );
     if !grid.failed.is_empty() {
         eprintln!(
-            "warning: obs grid incomplete: {} cells failed or were skipped \
-             (re-run with --resume to finish them)",
-            grid.failed.len()
+            "warning: obs grid incomplete: {} cells failed or were skipped ({})",
+            grid.failed.len(),
+            crate::resilience::rerun_hint(run.journal.as_deref())
         );
     }
 }

@@ -46,7 +46,7 @@ impl Json {
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -56,39 +56,14 @@ impl Json {
     /// damages at most the final line.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-            scalar => scalar.write(out, 0),
-        }
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
+    /// Writes `self` pretty-printed at indentation `depth`, or compact
+    /// with `None`.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -105,46 +80,45 @@ impl Json {
             }
             Json::Str(s) => Json::write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::newline_indent(out, depth + 1);
-                    item.write(out, depth + 1);
+                    Json::newline_indent(out, inner);
+                    item.write(out, inner);
                 }
-                Json::newline_indent(out, depth);
+                if !items.is_empty() {
+                    Json::newline_indent(out, depth);
+                }
                 out.push(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::newline_indent(out, depth + 1);
+                    Json::newline_indent(out, inner);
                     Json::write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                Json::newline_indent(out, depth);
+                if !fields.is_empty() {
+                    Json::newline_indent(out, depth);
+                }
                 out.push('}');
             }
         }
     }
 
-    fn newline_indent(out: &mut String, depth: usize) {
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
+    /// A newline and `depth` levels of indentation when pretty-printing.
+    fn newline_indent(out: &mut String, depth: Option<usize>) {
+        if let Some(depth) = depth {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
         }
     }
 

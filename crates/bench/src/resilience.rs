@@ -11,7 +11,8 @@
 //! same code gives every mode:
 //!
 //! * **Per-cell fault isolation** — every work item runs under
-//!   `catch_unwind` (on [`crate::sweep::par_map_caught`]'s worker loop)
+//!   `catch_unwind` (on the workspace's one worker loop,
+//!   [`arvi_trace::par::par_map_caught`])
 //!   with a soft deadline, and each cell reports a structured
 //!   [`CellOutcome`] instead of aborting the grid; a failed unit fails
 //!   only its own cell. Panics whose message carries
@@ -30,11 +31,11 @@
 //!   appended as they finish) so an interrupted sweep resumes by skipping
 //!   finished items ([`Resilience::resume`]). Trace files themselves are
 //!   written atomically by `arvi-trace` (temp file + fsync + rename).
-//! * **Probes in the pass** — with [`Resilience::probes`] (the
-//!   `--obs-grid` flag) every simulated cell carries the counter and
-//!   site probes out in [`CellSuccess::probes`], journaled on the cell's
-//!   own journal line, so the grid rollup ([`crate::obs_grid`]) never
-//!   re-simulates a cell.
+//! * **Every probe in the pass** — [`Resilience::probes`] says which
+//!   probes each cell carries out in [`CellSuccess::probes`] (a sampled
+//!   cell from one extra whole-cell item), journaled on the cell's own
+//!   line, so neither the grid rollup ([`crate::obs_grid`]) nor the
+//!   anchor report ([`crate::obs`]) re-simulates a cell.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
 //!   `--fault-plan` text) flips bytes, truncates files, panics or
 //!   stalls chosen cells, and simulates a mid-grid kill, all
@@ -51,22 +52,24 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arvi_obs::{CounterProbe, SiteProbe};
+use arvi_obs::{ChromeTracer, CounterProbe, SiteProbe};
 use arvi_sampling::{run_unit, SamplePlan, SampleReport, SampleUnit};
 use arvi_sim::{
     intern_name, simulate_source, simulate_source_probed, InstSource, PredictorConfig, SimParams,
     SimResult,
 };
 use arvi_stats::Accuracy;
+use arvi_trace::par::par_map_caught;
 use arvi_trace::{StdIo, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
 use arvi_workloads::WorkloadSource;
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
+use crate::obs::{anchor, ObsConfig};
 use crate::obs_grid::{probes_from_json, probes_to_json, CellProbes};
 use crate::report::{io_error_at, Json};
 use crate::sampling::{fold_units, unit_fingerprint};
-use crate::sweep::{par_map_caught, trace_len, SweepPoint, TraceSet};
+use crate::sweep::{trace_len, SweepPoint, TraceSet};
 use crate::workload::{fnv1a, FNV_OFFSET};
 
 /// How a successful cell got its result.
@@ -123,9 +126,9 @@ pub struct CellSuccess {
     /// plan ([`crate::harness::GridRun::run`] with a plan); `0` for a
     /// full (unsampled) run.
     pub sampled_units: usize,
-    /// The counter and site probes the cell ran with, when the sweep
-    /// asked for them ([`Resilience::probes`]); restored from the cell's
-    /// journal line for resumed cells.
+    /// The probes the cell ran with, when the run asked for them
+    /// ([`Resilience::probes`]); counters and sites are restored from the
+    /// cell's journal line for resumed cells.
     pub probes: Option<Box<CellProbes>>,
 }
 
@@ -170,18 +173,6 @@ impl CellOutcome {
         }
     }
 
-    /// A short human label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CellOutcome::Ok(s) if s.resumed => "ok (resumed)",
-            CellOutcome::Ok(_) => "ok",
-            CellOutcome::Panicked { .. } => "panicked",
-            CellOutcome::TimedOut { .. } => "timed out",
-            CellOutcome::TraceError { .. } => "trace error",
-            CellOutcome::Skipped => "skipped",
-        }
-    }
-
     /// The failure reason, for everything except `Ok`.
     pub fn failure(&self) -> Option<String> {
         match self {
@@ -203,7 +194,7 @@ impl CellOutcome {
 /// the policy of a run with no fault-tolerance flags. Every policy
 /// degrades gracefully: a quarantined trace is re-recorded, and a cell
 /// with no usable recording runs live.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
     pub journal: Option<PathBuf>,
@@ -221,32 +212,17 @@ pub struct Resilience {
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
-    /// Attach the counter and site probes to every simulated cell
-    /// (`--obs-grid`). Probed results are bit-identical to unprobed
-    /// ones; with a journal the probes ride each cell's journal line,
-    /// and a resumed cell whose line lacks them is re-simulated to get
-    /// them (its new line supersedes the old one).
-    pub probes: bool,
-}
-
-impl Default for Resilience {
-    /// [`Resilience::new`].
-    fn default() -> Resilience {
-        Resilience::new()
-    }
+    /// The parsed observability flags, which say which cells carry which
+    /// probes ([`ObsConfig`]). Probed results are bit-identical to
+    /// unprobed ones; a resumed cell whose journal line lacks a probe the
+    /// run needs — a tracer always — is re-simulated to get it.
+    pub probes: Option<ObsConfig>,
 }
 
 impl Resilience {
     /// No journal, fault plan, deadline, telemetry or probes.
     pub fn new() -> Resilience {
-        Resilience {
-            journal: None,
-            resume: false,
-            deadline: None,
-            plan: None,
-            telemetry: None,
-            probes: false,
-        }
+        Resilience::default()
     }
 
     /// Sets the journal path (builder style).
@@ -300,8 +276,8 @@ pub enum FaultKind {
     },
     /// Panic inside grid cell `cell` (by index into the sweep's point
     /// list). Fires once, on the cell's first dispatched work item —
-    /// the whole cell, or under a sample plan one of its units — and
-    /// fails only that cell.
+    /// the whole cell, or under a sample plan one of its units (or its
+    /// probed item) — and fails only that cell.
     PanicCell {
         /// Cell index into the sweep's point list.
         cell: u32,
@@ -318,7 +294,8 @@ pub enum FaultKind {
     /// Stop dispatching new work items once `cells` items have
     /// completed — a deterministic stand-in for kill -9 mid-sweep. Items
     /// are cells, except under a sample plan, where each sampling unit
-    /// counts (a cell with unfinished units is skipped).
+    /// and each sampled cell's probed item counts (a cell with
+    /// unfinished items is skipped).
     KillAfter {
         /// Completed-work-item threshold.
         cells: u32,
@@ -629,10 +606,6 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         .filter(|n| *n >= 0.0)
         .map(|n| Duration::from_micros(n as u64))
         .unwrap_or_default();
-    let probes = match json.get("probes") {
-        Some(p) => Some(Box::new(probes_from_json(p)?)),
-        None => None,
-    };
     let count = |path: &str| json.num(path).filter(|n| *n >= 0.0).map(|n| n as u64);
     let window = arvi_sim::MachineStats {
         committed: count("window.committed")?,
@@ -647,13 +620,18 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         full_mispredicts: count("window.full_misp")?,
         override_restarts: count("window.restarts")?,
     };
+    let result = SimResult {
+        name,
+        config,
+        depth_stages: json.num("depth")? as u64,
+        window,
+    };
+    let probes = match json.get("probes") {
+        Some(p) => Some(Box::new(probes_from_json(p, &result)?)),
+        None => None,
+    };
     Some(CellSuccess {
-        result: SimResult {
-            name,
-            config,
-            depth_stages: json.num("depth")? as u64,
-            window,
-        },
+        result,
         degradation,
         resumed: true,
         duration,
@@ -666,12 +644,12 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
 /// the spec, then one `<fingerprint-hex16> <compact-json>` line per whole
 /// cell or sampling unit, appended (and flushed) as items finish. A line
 /// carries the item's result counters, degradation and duration and,
-/// from a probed sweep ([`Resilience::probes`]), the cell's counter and
-/// site probes as a last `probes` field. Crash-tolerant on both ends: a
-/// torn final line from an interrupted writer is skipped (with a
-/// warning) by the loader, and everything before it still resumes. For a
-/// repeated fingerprint the last line wins, so a cell re-run for its
-/// probes supersedes its earlier, unprobed line.
+/// for a probed cell ([`Resilience::probes`]), its counter and site
+/// probes (never a tracer) as a last `probes` field. Crash-tolerant on
+/// both ends: a torn final line from an interrupted writer is skipped
+/// (with a warning) by the loader, and everything before it still
+/// resumes. For a repeated fingerprint the last line wins, so a cell
+/// re-run for its probes supersedes its earlier, unprobed line.
 #[derive(Debug)]
 pub struct SweepJournal {
     path: PathBuf,
@@ -766,15 +744,15 @@ type WorkItem = (usize, Option<usize>);
 /// runs every cell live. The work list holds one whole-cell item per
 /// cell, except that under `sample` a cell with a usable recording
 /// contributes one item per sampling unit instead (a cell without one
-/// runs whole, live). Every item runs on [`par_map_caught`]'s one worker
-/// loop under the same isolation, fault plan, deadline, journal and
-/// resume — a restored item is bit-identical to a simulated one, it is
-/// the simulated one — and, with [`Resilience::probes`], a whole cell
-/// carries its probes on its journal line. A cell's `cell_start` event
-/// goes out when its first item is dispatched, and its outcome is folded
-/// — and its `cell_end` emitted — when its last item finishes. Returns
-/// one outcome per point in grid order plus, for every cell that
-/// sampled, its [`SampleReport`].
+/// runs whole, live), plus one whole-cell probed item when the cell must
+/// report probes. Every item runs on the one worker loop
+/// ([`par_map_caught`]) under the same isolation, fault plan, deadline,
+/// journal and resume — a restored item is bit-identical to a simulated
+/// one, it is the simulated one. A cell's `cell_start` event goes out
+/// when its first item is dispatched, and its outcome is folded — and
+/// its `cell_end` emitted — when its last item finishes. Returns one
+/// outcome per point in grid order, for every cell that sampled its
+/// [`SampleReport`], and the journal the run appended to, if any.
 pub(crate) fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
@@ -783,7 +761,7 @@ pub(crate) fn run_grid(
     traces: Option<&TraceSet>,
     res: &Resilience,
     sample: Option<&SamplePlan>,
-) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>) {
+) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>, Option<PathBuf>) {
     let exec = Executor::new(points, spec, traces, res, sample);
     let mut items: Vec<WorkItem> = Vec::new();
     let cells: Vec<CellRun> = points
@@ -792,9 +770,11 @@ pub(crate) fn run_grid(
         .map(|(i, point)| {
             let first = items.len();
             let sampled = exec.sampled_degradation(point);
-            match sampled {
-                Some(_) => items.extend((0..exec.units.len()).map(|j| (i, Some(j)))),
-                None => items.push((i, None)),
+            if sampled.is_some() {
+                items.extend((0..exec.units.len()).map(|j| (i, Some(j))));
+            }
+            if sampled.is_none() || exec.probes[i] != ProbeSet::Off {
+                items.push((i, None));
             }
             CellRun {
                 items: first..items.len(),
@@ -851,7 +831,13 @@ pub(crate) fn run_grid(
                     .map(|s| s.lock().expect("item slot").take().expect("item ran"))
                     .collect();
                 let folded = match run.sampled {
-                    Some(degradation) => fold_units(&points[cell], spec, outcomes, degradation),
+                    Some(degradation) => {
+                        // A probed sampled cell's last item is its
+                        // whole-cell probed one.
+                        let probed = (exec.probes[cell] != ProbeSet::Off)
+                            .then(|| outcomes.pop().expect("the probed item"));
+                        fold_units(&points[cell], spec, outcomes, probed, degradation)
+                    }
                     None => (outcomes.pop().expect("one whole-cell item"), None),
                 };
                 if let Some(t) = telemetry {
@@ -892,7 +878,7 @@ pub(crate) fn run_grid(
         );
         t.sweep_finished();
     }
-    (outcomes, reports)
+    (outcomes, reports, exec.journal.map(|j| j.path))
 }
 
 /// One cell's progress through the work list: its items' range, how it
@@ -907,6 +893,42 @@ struct CellRun {
     folded: Mutex<Option<(CellOutcome, Option<SampleReport>)>>,
 }
 
+/// Which probes one work item runs with ([`Executor::probes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProbeSet {
+    /// The unprobed machine.
+    Off,
+    /// The counter and site probes.
+    Sites,
+    /// Counters and sites plus a Chrome tracer over the cycle `window`,
+    /// its events stamped with `pid`.
+    Traced { window: (u64, u64), pid: u32 },
+}
+
+/// Which probes each of `points` carries under `cfg`: counters and sites
+/// on every cell under `--obs-grid`, and on the grid's anchor cells
+/// under `--probe`/`--trace-cycles` — which with `--trace-cycles` also
+/// carry a tracer over the window, with `pid` its workload's index + 1.
+fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
+    let mut sets = vec![ProbeSet::Off; points.len()];
+    let Some(cfg) = cfg else { return sets };
+    if cfg.grid.is_some() {
+        sets.fill(ProbeSet::Sites);
+    }
+    if let Some((_, cells)) = anchor(points).filter(|_| cfg.anchor_report()) {
+        for (k, i) in cells.into_iter().enumerate() {
+            sets[i] = match cfg.trace {
+                Some(window) => ProbeSet::Traced {
+                    window,
+                    pid: k as u32 + 1,
+                },
+                None => ProbeSet::Sites,
+            };
+        }
+    }
+    sets
+}
+
 /// Everything a work item needs, shared read-only by the workers.
 struct Executor<'a> {
     points: &'a [SweepPoint],
@@ -917,10 +939,9 @@ struct Executor<'a> {
     /// The sample plan's units over the measurement window (empty
     /// without a plan).
     units: Vec<SampleUnit>,
-    /// Whether cells carry probes out of this sweep. Sampled units carry
-    /// no full-window probes: under a sample plan the sweep runs
-    /// probe-free.
-    probes: bool,
+    /// The probes each cell reports, carried by its whole-cell item
+    /// (sampling units run unprobed).
+    probes: Vec<ProbeSet>,
     prior: HashMap<u64, CellSuccess>,
     journal: Option<SweepJournal>,
 }
@@ -961,7 +982,7 @@ impl<'a> Executor<'a> {
             res,
             sample,
             units,
-            probes: res.probes && sample.is_none(),
+            probes: probe_sets(points, res.probes.as_ref()),
             prior,
             journal,
         }
@@ -1012,16 +1033,19 @@ impl<'a> Executor<'a> {
         let point = &self.points[cell];
         let fp = self.fingerprint(cell, unit);
         let sampled_units = unit.is_some() as usize;
+        let probes = unit.map_or(self.probes[cell], |_| ProbeSet::Off);
         if let Some(prior) = self.prior.get(&fp) {
-            // A probed sweep re-runs a cell journaled without its probes.
-            if !self.probes || prior.probes.is_some() {
+            // A cell journaled without a probe it needs re-runs; a
+            // tracer is never journaled.
+            let sites = probes == ProbeSet::Sites && prior.probes.is_some();
+            if probes == ProbeSet::Off || sites {
                 return CellOutcome::Ok(CellSuccess {
                     result: prior.result.clone(),
                     degradation: prior.degradation,
                     resumed: true,
                     duration: prior.duration,
                     sampled_units,
-                    probes: prior.probes.as_ref().filter(|_| self.probes).cloned(),
+                    probes: prior.probes.clone().filter(|_| probes != ProbeSet::Off),
                 });
             }
         }
@@ -1036,7 +1060,7 @@ impl<'a> Executor<'a> {
         }
         let ran = match unit {
             Some(j) => self.simulate_unit(point, &self.units[j]),
-            None => Ok(self.simulate_whole(point)),
+            None => Ok(self.simulate_whole(point, probes)),
         };
         let elapsed = start.elapsed();
         match ran {
@@ -1059,13 +1083,13 @@ impl<'a> Executor<'a> {
     /// without a trace set, and as [`Degradation::LiveEmulation`] when
     /// the set has no recording of the workload long enough for the
     /// window.
-    fn simulate_whole(&self, point: &SweepPoint) -> (Simulated, Degradation) {
+    fn simulate_whole(&self, point: &SweepPoint, probes: ProbeSet) -> (Simulated, Degradation) {
         let spec = self.spec;
         let live = || {
             let program = point.workload.program(spec.seed);
             let name = intern_name(program.name());
             let emu = arvi_isa::Emulator::new(program);
-            simulate_cell(name, emu, point, spec, self.probes)
+            simulate_cell(name, emu, point, spec, probes)
         };
         let Some(traces) = self.traces else {
             return (live(), Degradation::None);
@@ -1075,7 +1099,7 @@ impl<'a> Executor<'a> {
                 let replayer = TraceReplayer::new(Arc::clone(trace));
                 let name = intern_name(trace.name());
                 (
-                    simulate_cell(name, replayer, point, spec, self.probes),
+                    simulate_cell(name, replayer, point, spec, probes),
                     replay_degradation(traces, point),
                 )
             }
@@ -1106,8 +1130,9 @@ impl<'a> Executor<'a> {
         Ok(((result, None), Degradation::None))
     }
 
-    /// Journals a freshly simulated item, probes included. A cell re-run
-    /// for its probes gets a new line, which supersedes its old one.
+    /// Journals a freshly simulated item, counters and sites included. A
+    /// cell re-run for its probes gets a new line, which supersedes its
+    /// old one.
     fn journal(&self, cell: usize, unit: Option<usize>, outcome: &CellOutcome) {
         if let (Some(journal), CellOutcome::Ok(s)) = (&self.journal, outcome) {
             if !s.resumed {
@@ -1189,24 +1214,43 @@ fn emit_cell_events(
 
 /// Simulates one cell from `source` — the same run as
 /// [`crate::harness::run_one`] / [`crate::harness::run_one_traced`] —
-/// with the counter and site probes attached when `probes` is set.
+/// with the `probes` attached.
 fn simulate_cell<S: InstSource>(
     name: &'static str,
     source: S,
     point: &SweepPoint,
     spec: Spec,
-    probes: bool,
+    probes: ProbeSet,
 ) -> Simulated {
     let params = SimParams::for_depth(point.depth);
-    let (warmup, measure) = (spec.warmup, spec.measure);
-    if !probes {
-        let result = simulate_source(name, source, params, point.config, warmup, measure);
+    let (warmup, measure, config) = (spec.warmup, spec.measure, point.config);
+    if probes == ProbeSet::Off {
+        let result = simulate_source(name, source, params, config, warmup, measure);
         return (result, None);
     }
-    let probe = (CounterProbe::new(), SiteProbe::new());
-    let (result, (counters, sites)) =
-        simulate_source_probed(name, source, params, point.config, warmup, measure, probe);
-    (result, Some(Box::new(CellProbes { counters, sites })))
+    let sites = (CounterProbe::new(), SiteProbe::new());
+    let (result, (counters, sites), tracer) = match probes {
+        ProbeSet::Traced { window, pid } => {
+            let mut tracer = ChromeTracer::new(window.0, window.1);
+            tracer.pid = pid;
+            let probe = (sites, tracer);
+            let (result, (sites, tracer)) =
+                simulate_source_probed(name, source, params, config, warmup, measure, probe);
+            (result, sites, Some(tracer))
+        }
+        _ => {
+            let (result, sites) =
+                simulate_source_probed(name, source, params, config, warmup, measure, sites);
+            (result, sites, None)
+        }
+    };
+    let probes = CellProbes {
+        result: result.clone(),
+        counters,
+        sites,
+        tracer,
+    };
+    (result, Some(Box::new(probes)))
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1223,13 +1267,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A sweep that did not complete every cell: which cells failed and
-/// why. Rendered with a resume hint.
+/// why, rendered with how to finish the run.
 #[derive(Debug, Clone)]
 pub struct SweepIncomplete {
     /// Cells in the grid.
     pub total: usize,
     /// Failed/skipped cells: `(index, point, reason)`.
     pub failed: Vec<(usize, String, String)>,
+    /// The journal the run appended its completed cells to, if any.
+    pub journal: Option<PathBuf>,
 }
 
 impl std::fmt::Display for SweepIncomplete {
@@ -1243,21 +1289,36 @@ impl std::fmt::Display for SweepIncomplete {
         for (i, point, reason) in &self.failed {
             writeln!(f, "  cell {i} ({point}): {reason}")?;
         }
-        write!(
-            f,
-            "completed cells are journaled; re-run with --resume to finish the rest"
-        )
+        write!(f, "{}", rerun_hint(self.journal.as_deref()))
     }
 }
 
 impl std::error::Error for SweepIncomplete {}
 
+/// How to finish an incomplete run that journaled its completed cells
+/// to `journal` — or, when it journaled nothing (a bare `--resume` would
+/// find nothing), how to make the next run resumable.
+pub(crate) fn rerun_hint(journal: Option<&Path>) -> String {
+    match journal {
+        Some(p) => format!(
+            "completed cells are journaled in {0}; \
+             re-run with --journal {0} --resume to finish the rest",
+            p.display()
+        ),
+        None => "nothing was journaled; re-run with --journal FILE \
+                 to keep completed cells for a later --resume"
+            .into(),
+    }
+}
+
 /// The results of the cells `keep` selects, in grid order, or every
 /// failed cell among them (with its index in the full sweep);
-/// `outcomes` are a grid run's, one per point.
+/// `outcomes` are a grid run's, one per point, and `journal` the
+/// journal it appended to.
 pub(crate) fn collect_where(
     points: &[SweepPoint],
     outcomes: &[CellOutcome],
+    journal: Option<&Path>,
     keep: impl Fn(&SweepPoint) -> bool,
 ) -> Result<Vec<SimResult>, SweepIncomplete> {
     assert_eq!(points.len(), outcomes.len(), "one outcome per point");
@@ -1281,7 +1342,11 @@ pub(crate) fn collect_where(
     if failed.is_empty() {
         Ok(results)
     } else {
-        Err(SweepIncomplete { total, failed })
+        Err(SweepIncomplete {
+            total,
+            failed,
+            journal: journal.map(Path::to_path_buf),
+        })
     }
 }
 
@@ -1442,7 +1507,7 @@ mod tests {
     fn default_policy_is_the_documented_graceful_one() {
         let d = Resilience::default();
         assert!(d.journal.is_none() && !d.resume && d.deadline.is_none());
-        assert!(d.plan.is_none() && d.telemetry.is_none() && !d.probes);
+        assert!(d.plan.is_none() && d.telemetry.is_none() && d.probes.is_none());
         assert_eq!(format!("{d:?}"), format!("{:?}", Resilience::new()));
     }
 
@@ -1494,12 +1559,18 @@ mod tests {
         assert_ne!(fp, cell_fingerprint(&base, spec3));
     }
 
-    /// A freshly simulated success of `p`, probed or not.
+    /// A freshly simulated success of `p`, with counters and sites or
+    /// unprobed.
     fn simulated(p: &SweepPoint, spec: Spec, probed: bool) -> CellSuccess {
         let program = p.workload.program(spec.seed);
         let name = intern_name(program.name());
         let emu = arvi_isa::Emulator::new(program);
-        let (result, probes) = simulate_cell(name, emu, p, spec, probed);
+        let probes = if probed {
+            ProbeSet::Sites
+        } else {
+            ProbeSet::Off
+        };
+        let (result, probes) = simulate_cell(name, emu, p, spec, probes);
         CellSuccess {
             result,
             degradation: Degradation::None,

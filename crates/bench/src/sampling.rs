@@ -14,6 +14,11 @@
 //! live item, reported as [`Degradation::LiveEmulation`] with
 //! `sampled_units == 0`.
 //!
+//! Sampling units run unprobed: a sampled cell that must report probes
+//! gets one extra whole-cell probed item after its units, journaled
+//! under the cell's own fingerprint, so its probes are the unsampled
+//! run's while its result comes from the units.
+//!
 //! Isolation, the fault plan, the deadline, journaling, resume and
 //! telemetry are the executor's, the same as for full runs; this module
 //! adds only the unit journal key ([`unit_fingerprint`]: a killed run
@@ -56,28 +61,33 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
     h
 }
 
-/// Folds one sampled cell's unit outcomes (in unit order) into the
-/// cell's outcome and report: the first failed unit fails the cell;
-/// otherwise the unit counters merge into the cell's result, its
-/// duration is the units' sum, and it counts as resumed when every unit
-/// was restored from the journal.
+/// Folds one sampled cell's unit outcomes (in unit order), then its
+/// whole-cell `probed` item's when it has one, into the cell's outcome
+/// and report: the first failed item fails the cell; otherwise the unit
+/// counters merge into the cell's result, the probes are the probed
+/// item's, its duration is the items' sum, and it counts as resumed
+/// when every item was restored from the journal.
 pub(crate) fn fold_units(
     point: &SweepPoint,
     spec: Spec,
     units: Vec<CellOutcome>,
+    probed: Option<CellOutcome>,
     degradation: Degradation,
 ) -> (CellOutcome, Option<SampleReport>) {
-    let mut stats = Vec::with_capacity(units.len());
-    let mut duration = Duration::ZERO;
-    let mut resumed = true;
-    for outcome in units {
-        match outcome {
-            CellOutcome::Ok(s) => {
-                stats.push(s.result.window);
-                duration += s.duration;
-                resumed &= s.resumed;
-            }
+    let n = units.len();
+    let mut stats = Vec::with_capacity(n);
+    let (mut duration, mut resumed, mut probes) = (Duration::ZERO, true, None);
+    for (j, outcome) in units.into_iter().chain(probed).enumerate() {
+        let s = match outcome {
+            CellOutcome::Ok(s) => s,
             failed => return (failed, None),
+        };
+        duration += s.duration;
+        resumed &= s.resumed;
+        if j < n {
+            stats.push(s.result.window);
+        } else {
+            probes = s.probes;
         }
     }
     let report = aggregate(&stats, spec.measure);
@@ -95,7 +105,7 @@ pub(crate) fn fold_units(
             resumed,
             duration,
             sampled_units,
-            probes: None,
+            probes,
         }),
         Some(report),
     )

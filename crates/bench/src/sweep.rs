@@ -2,13 +2,12 @@
 //!
 //! The Figure-5/6 grids are embarrassingly parallel: every
 //! `(benchmark, depth, configuration)` cell is an independent,
-//! deterministic simulation. [`par_map_caught`] is the one worker loop
-//! that fans a work list out over scoped `std::thread` workers with a
-//! shared atomic cursor; the grid executor
-//! ([`crate::harness::GridRun::run`]) and [`par_map`] both run on it,
-//! and both return results in *item order* regardless of which worker
-//! finished first — so a parallel sweep is bit-identical to the
-//! sequential one, just faster.
+//! deterministic simulation. They run on the workspace's one worker
+//! loop, [`arvi_trace::par::par_map_caught`]: the grid executor
+//! ([`crate::harness::GridRun::run`]) and the recordings
+//! ([`arvi_trace::par::par_map`]) both return results in *item order*
+//! regardless of which worker finished first — so a parallel sweep is
+//! bit-identical to the sequential one, just faster.
 //!
 //! Since PR 2 the grids are also **record-once / replay-many**: each
 //! distinct `(benchmark, seed, window)` workload is functionally
@@ -20,12 +19,12 @@
 //! pre-recorded traces from disk (`--trace-dir`).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arvi_isa::Emulator;
 use arvi_sim::{Depth, PredictorConfig};
+use arvi_trace::par::par_map;
 use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
@@ -126,7 +125,6 @@ pub enum TraceProvenance {
 /// re-record, unavailable).
 #[derive(Debug, Clone)]
 pub struct TraceSet {
-    spec: Spec,
     traces: Vec<(Workload, Option<Arc<Trace>>, TraceProvenance)>,
     record_elapsed: Duration,
 }
@@ -189,7 +187,6 @@ impl TraceSet {
             t.record_phase(workloads.len(), start.elapsed());
         }
         TraceSet {
-            spec,
             traces: workloads
                 .iter()
                 .cloned()
@@ -280,11 +277,6 @@ impl TraceSet {
         (Some(t), provenance)
     }
 
-    /// The spec the recordings cover.
-    pub fn spec(&self) -> Spec {
-        self.spec
-    }
-
     /// Wall-clock time the record phase took (functional emulation
     /// and/or disk loads, across all workloads). Feeds the
     /// record-vs-replay phase breakdown in
@@ -354,104 +346,6 @@ pub fn distinct_workloads(points: &[SweepPoint]) -> Vec<Workload> {
     workloads
 }
 
-/// Worker count to use when the caller does not care: the host's
-/// available parallelism (1 if it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// A caught panic payload.
-pub type Panic = Box<dyn std::any::Any + Send>;
-
-/// Applies `f` to every item on up to `threads` scoped workers and
-/// returns the results in item order (deterministic regardless of
-/// scheduling). `threads <= 1` degenerates to a plain sequential map.
-///
-/// # Panics
-///
-/// If `f` panics for any item, the *original* panic payload is
-/// propagated (after all items have been attempted) — not a secondary
-/// "slot poisoned" panic that would mask what actually went wrong.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let slots: Vec<Mutex<Option<Result<U, Panic>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    par_map_caught(
-        items,
-        threads,
-        |_| false,
-        f,
-        // Nothing panics while a slot is locked, so no lock is poisoned.
-        |i, result| *slots[i].lock().expect("result slot") = Some(result),
-    );
-    // Every item has run by now, so the first `Err` in item order is
-    // the first panic.
-    slots
-        .into_iter()
-        .map(|slot| match slot.into_inner().expect("result slot") {
-            Some(Ok(v)) => v,
-            Some(Err(payload)) => std::panic::resume_unwind(payload),
-            None => unreachable!("every item ran"),
-        })
-        .collect()
-}
-
-/// The crate's one work-cursor worker loop, under [`par_map`] and the
-/// grid executor ([`crate::harness::GridRun::run`]) alike.
-///
-/// Up to `threads` scoped workers (the calling thread alone when
-/// `threads <= 1`) pull items off a shared atomic cursor and run
-/// `f(item)` under `catch_unwind`, so one panicking item never prevents
-/// the others from completing. Each result — `Err(payload)` when `f`
-/// panicked — goes to `done(index, result)` on the worker that produced
-/// it, as soon as it exists. Before every dispatch a worker asks
-/// `stop(completed)` with the number of items finished so far; once it
-/// answers `true` no further item starts, and the items never dispatched
-/// get no `done` call (the fault plan's `kill-after` rides on this).
-/// `done` must not panic.
-pub fn par_map_caught<T, U, F, D>(
-    items: &[T],
-    threads: usize,
-    stop: impl Fn(usize) -> bool + Sync,
-    f: F,
-    done: D,
-) where
-    T: Sync,
-    F: Fn(&T) -> U + Sync,
-    D: Fn(usize, Result<U, Panic>) + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let worker = || loop {
-        if stop(completed.load(Ordering::Acquire)) {
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(item) = items.get(i) else { break };
-        done(
-            i,
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))),
-        );
-        completed.fetch_add(1, Ordering::Release);
-    };
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-}
-
 /// One cell of an experiment grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
@@ -500,83 +394,6 @@ mod tests {
     use super::*;
     use arvi_sim::SimResult;
     use arvi_workloads::Benchmark;
-
-    #[test]
-    fn par_map_preserves_item_order() {
-        let items: Vec<u64> = (0..64).collect();
-        let got = par_map(&items, 8, |&x| x * 3);
-        assert_eq!(got, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_sequential_degeneration() {
-        let items = vec![1u32, 2, 3];
-        assert_eq!(par_map(&items, 0, |&x| x + 1), vec![2, 3, 4]);
-        assert_eq!(par_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_oversubscribed() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(par_map(&empty, 8, |&x| x).is_empty());
-        let one = vec![7u8];
-        assert_eq!(par_map(&one, 16, |&x| x), vec![7]);
-    }
-
-    #[test]
-    fn par_map_propagates_the_original_panic_payload() {
-        let items: Vec<u32> = (0..16).collect();
-        let caught = std::panic::catch_unwind(|| {
-            par_map(&items, 4, |&x| {
-                if x == 5 {
-                    panic!("item {x} exploded");
-                }
-                x
-            })
-        })
-        .expect_err("must propagate the panic");
-        let message = crate::resilience::panic_message(caught.as_ref());
-        assert_eq!(message, "item 5 exploded");
-    }
-
-    #[test]
-    fn par_map_caught_isolates_failures_per_item() {
-        let items: Vec<u32> = (0..8).collect();
-        let results: Vec<Mutex<Option<Result<u32, Panic>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        par_map_caught(
-            &items,
-            3,
-            |_| false,
-            |&x| {
-                if x % 3 == 0 {
-                    panic!("bad {x}");
-                }
-                x * 2
-            },
-            |i, r| *results[i].lock().unwrap() = Some(r),
-        );
-        for (i, r) in results.into_iter().enumerate() {
-            match r.into_inner().unwrap().expect("every item ran") {
-                Err(_) => assert_eq!(i % 3, 0, "item {i}"),
-                Ok(v) => assert_eq!(v, i as u32 * 2),
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_caught_stops_dispatch_once_told() {
-        let items: Vec<u32> = (0..16).collect();
-        let ran = Mutex::new(Vec::new());
-        par_map_caught(
-            &items,
-            1,
-            |completed| completed >= 5,
-            |&x| x,
-            |i, _| ran.lock().unwrap().push(i),
-        );
-        assert_eq!(ran.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
 
     #[test]
     fn corrupt_cached_trace_is_quarantined_and_rerecorded() {

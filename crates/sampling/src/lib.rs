@@ -12,9 +12,9 @@
 //!
 //! Because every unit is independent — it seeks straight to its trace
 //! position via [`TraceReplayer::seek_to_inst`] and carries its own
-//! machine — units fan out over a deterministic worker pool
-//! ([`run_units`]), so one long window saturates all cores where the
-//! full run is serial by construction.
+//! machine — units fan out over the workspace's one worker loop
+//! ([`run_units`], a `par_map` over [`run_unit`]), so one long window
+//! saturates all cores where the full run is serial by construction.
 //!
 //! Determinism contract: for a fixed trace, plan and seed, the unit
 //! list, every per-unit [`MachineStats`], and the aggregated
@@ -22,11 +22,11 @@
 //! results are committed in unit order, and the point estimates are
 //! ratios of summed integer counters (see [`arvi_stats::sample`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use arvi_sim::{MachineStats, PredictorConfig, RebasedSource, SimParams, WarmupMachine};
 use arvi_stats::SampleEstimate;
+use arvi_trace::par::par_map;
 use arvi_trace::{Trace, TraceError, TraceReplayer};
 
 /// How detail windows are placed inside each stratum of the plan.
@@ -182,7 +182,7 @@ impl std::fmt::Display for SamplePlan {
 
 /// FNV-1a over `(seed, index)`; the deterministic randomness source for
 /// stratified detail-window placement (no RNG state to thread through
-/// the worker pool).
+/// the workers).
 fn stratified_offset(seed: u64, index: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in seed.to_le_bytes().into_iter().chain(index.to_le_bytes()) {
@@ -263,11 +263,12 @@ pub fn run_unit(
     Ok(machine.stats().since(&start))
 }
 
-/// Runs every unit of a plan over a shared trace, fanning out across
-/// `threads` workers. Results are returned **in unit order** and are
-/// bit-identical for any thread count: workers pull units from an
-/// atomic cursor and write into per-unit slots, so scheduling affects
-/// only wall-clock, never results.
+/// Runs every unit of a plan over a shared trace on up to `threads`
+/// workers: a [`par_map`] over [`run_unit`], on the workspace's one
+/// worker loop. Results are returned **in unit order** and are
+/// bit-identical for any thread count — scheduling affects only
+/// wall-clock, never results. The first failing unit in unit order
+/// gives the error.
 pub fn run_units(
     trace: &Arc<Trace>,
     params: &SimParams,
@@ -275,31 +276,8 @@ pub fn run_units(
     units: &[SampleUnit],
     threads: usize,
 ) -> Result<Vec<MachineStats>, TraceError> {
-    let threads = threads.clamp(1, units.len().max(1));
-    if threads == 1 {
-        return units
-            .iter()
-            .map(|u| run_unit(trace, params, config, u))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<MachineStats, TraceError>>>> =
-        units.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                let r = run_unit(trace, params, config, &units[i]);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
+    par_map(units, threads, |u| run_unit(trace, params, config, u))
         .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every slot filled"))
         .collect()
 }
 

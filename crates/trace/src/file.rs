@@ -36,7 +36,7 @@ use std::path::Path;
 
 use crate::codec::{crc32, crc32_combine};
 use crate::io::{StdIo, TraceIo};
-use crate::par::{cores, fan_out, span, workers};
+use crate::par::{cores, par_map, span, workers};
 use crate::store::{ChunkInfo, Trace};
 use crate::TraceError;
 
@@ -255,7 +255,8 @@ impl Trace {
 /// joined with [`crc32_combine`]: equal to `crc32(bytes)` for any
 /// worker count.
 fn par_crc32(bytes: &[u8], workers: usize) -> u32 {
-    fan_out(workers, |w| {
+    let ids: Vec<usize> = (0..workers).collect();
+    par_map(&ids, workers, |&w| {
         let segment = &bytes[span(bytes.len(), workers, w)];
         (crc32(segment), segment.len() as u64)
     })

@@ -26,6 +26,9 @@
 //!   every chunk CRC, every record decoded, the total count — with the
 //!   checks spread over all cores, and keeps the bytes it read as the
 //!   trace's storage, so a loaded trace holds one copy of the file.
+//! * [`par`] is the workspace's one worker loop: the load checks above,
+//!   the sampler's units and the experiment harness's grids all run on
+//!   [`par::par_map_caught`].
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -55,7 +58,7 @@ pub mod chunk;
 pub mod codec;
 pub mod file;
 pub mod io;
-mod par;
+pub mod par;
 pub mod replay;
 pub mod store;
 

@@ -6,7 +6,7 @@ use arvi_isa::DynInst;
 
 use crate::chunk::{decode_chunk, encode_chunk, DEFAULT_CHUNK_INSTS};
 use crate::codec::crc32;
-use crate::par::{cores, fan_out, span, workers};
+use crate::par::{cores, par_map, span, workers};
 use crate::TraceError;
 
 /// Index entry for one encoded chunk.
@@ -182,7 +182,8 @@ impl Trace {
     pub(crate) fn verify_on(&self, cores: usize) -> Result<(), TraceError> {
         let n = self.chunks.len();
         let workers = workers(cores, n);
-        let spans = fan_out(workers, |w| {
+        let ids: Vec<usize> = (0..workers).collect();
+        let spans = par_map(&ids, workers, |&w| {
             let mut buf = Vec::new();
             let mut total = 0u64;
             for idx in span(n, workers, w) {

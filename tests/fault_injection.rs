@@ -188,12 +188,31 @@ fn injected_panic_is_isolated_to_its_cell() {
         assert_bit_identical(&s.result, &clean[i], &points[i].to_string());
     }
 
-    // And the failure is reported, with the resume hint.
+    // And the failure is reported. Nothing was journaled, so the hint
+    // asks for a journal: a bare `--resume` would find nothing.
     let err = faulted.results(|_| true).unwrap_err();
     assert_eq!(err.total, points.len());
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
-    assert!(err.to_string().contains("--resume"), "{err}");
+    let hint = err.to_string();
+    assert!(hint.contains("re-run with --journal FILE"), "{hint}");
+    assert!(!hint.contains("journaled in"), "{hint}");
+
+    // The same fault under a journal: the hint names the journal to
+    // resume from.
+    let dir = temp_dir("panic-hint");
+    let journal = dir.join("p.journal");
+    let res = Resilience::new()
+        .with_journal(&journal)
+        .with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+    let err = run(&points, spec, None, Some(&res))
+        .results(|_| true)
+        .unwrap_err();
+    let hint = err.to_string();
+    let resume = format!("re-run with --journal {} --resume", journal.display());
+    assert!(hint.contains(&resume), "{hint}");
+    assert!(!hint.contains("--journal FILE"), "{hint}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

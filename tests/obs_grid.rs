@@ -16,7 +16,8 @@
 //! 5. **Structured events** — the resilient sweep's `--events-out`
 //!    JSONL log parses line by line with the expected span events, and
 //!    the Prometheus-style metrics export carries the cell outcomes.
-//! 6. **Sampled rollup** — after a sampled run, `maybe_obs_grid` writes
+//! 6. **Sampled rollup** — after a sampled run, whose cells carry their
+//!    probes from one extra whole-cell item each, `maybe_obs_grid` writes
 //!    the same rollup bytes as after an unsampled probed run over the
 //!    same points.
 
@@ -62,7 +63,7 @@ fn probed_grid(
     res: Option<&Resilience>,
 ) -> ObsGrid {
     let mut probed = res.cloned().unwrap_or_default();
-    probed.probes = true;
+    probed.probes = obs_from_args(&["--obs-grid".to_string(), "unused.json".to_string()]).unwrap();
     let run = GridRun::run(
         points.to_vec(),
         spec,
@@ -317,13 +318,13 @@ fn sampled_run_writes_the_unsampled_probed_rollup() {
     let traces = TraceSet::record(&workloads, spec, 2, None);
     let plan = SamplePlan::systematic(2, 500, 1_000);
     let dir = temp_dir("sampled-rollup");
-    // What `--obs-grid` sets up: a policy with the probes on.
-    let mut res = Resilience::new();
-    res.probes = true;
     let rollup = |threads: usize, plan: Option<&SamplePlan>, name: &str| {
         let out = dir.join(name);
         let args = ["--obs-grid".to_string(), out.display().to_string()];
         let cfg = obs_from_args(&args).unwrap().expect("--obs-grid config");
+        // What `--obs-grid` sets up: a policy carrying the config.
+        let mut res = Resilience::new();
+        res.probes = Some(cfg.clone());
         let run = GridRun::run(
             points.clone(),
             spec,
@@ -334,7 +335,7 @@ fn sampled_run_writes_the_unsampled_probed_rollup() {
             plan,
         );
         assert_eq!(run.reports.is_some(), plan.is_some());
-        maybe_obs_grid(Some(&cfg), run, spec, threads, Some(&traces), Some(&res));
+        maybe_obs_grid(Some(&cfg), run, spec, None);
         std::fs::read(&out).expect("rollup written")
     };
     let reference = rollup(1, None, "full-1.json");

@@ -14,17 +14,24 @@
 //! 3. **Resume adds probes** — a sweep journaled without probes, resumed
 //!    with them, re-simulates exactly the cells that have no obs-journal
 //!    entry, and the final rollup equals a direct run.
+//! 4. **The anchor report rides the pass** — under `--probe` the grid's
+//!    anchor cells (ARVI current value at its shallowest depth), and
+//!    only they, carry the probes; the report built from them (markdown,
+//!    `--obs-out` JSON, Chrome trace) equals one probed simulation per
+//!    workload, at 1 and 2 threads, sampled or not, and after kill +
+//!    `--resume`.
 
 use std::time::Duration;
 
-use arvi::obs::{CounterProbe, SiteProbe};
+use arvi::obs::{ChromeTracer, CounterProbe, SiteProbe};
 use arvi::sampling::SamplePlan;
 use arvi::sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, SimParams};
 use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    fig5_cell, grid, obs_grid_json, CellOutcome, CellProbes, CellSuccess, Degradation, FaultPlan,
-    Fig6Data, GridRun, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    anchor, fig5_cell, grid, obs_from_args, obs_grid_json, CellOutcome, CellProbes, CellSuccess,
+    Degradation, FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid, ObsReport, Resilience, Spec,
+    SweepPoint, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -42,9 +49,18 @@ fn small_workloads() -> Vec<Workload> {
     ]
 }
 
+/// The observability config `argv` parses to.
+fn obs(argv: &[&str]) -> ObsConfig {
+    let args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+    obs_from_args(&args)
+        .unwrap()
+        .expect("an observability flag")
+}
+
+/// The policy `--obs-grid` sets up: counters and sites on every cell.
 fn probed() -> Resilience {
     let mut res = Resilience::new();
-    res.probes = true;
+    res.probes = Some(obs(&["--obs-grid", "unused.json"]));
     res
 }
 
@@ -112,12 +128,17 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                 (CounterProbe::new(), SiteProbe::new()),
             );
             CellOutcome::Ok(CellSuccess {
-                result,
+                result: result.clone(),
                 degradation: Degradation::None,
                 resumed: false,
                 duration: Duration::ZERO,
                 sampled_units: 0,
-                probes: Some(Box::new(CellProbes { counters, sites })),
+                probes: Some(Box::new(CellProbes {
+                    result,
+                    counters,
+                    sites,
+                    tracer: None,
+                })),
             })
         })
         .collect();
@@ -324,5 +345,169 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
         results_of(&first),
         "re-simulated cells reproduce their journaled results"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The anchor report as the side pass built it before the anchor cells
+/// rode the grid: one probed simulation per workload at the anchor,
+/// replaying its recording, with every probe attached.
+fn side_pass_report(
+    workloads: &[Workload],
+    depth: Depth,
+    spec: Spec,
+    cfg: &ObsConfig,
+    traces: &TraceSet,
+) -> ObsReport {
+    let config = PredictorConfig::ArviCurrent;
+    let mut report = ObsReport {
+        depth,
+        merged: CounterProbe::new(),
+        workloads: Vec::new(),
+    };
+    for (wi, workload) in workloads.iter().enumerate() {
+        let (start, end) = cfg.trace.unwrap_or((0, 0));
+        let mut tracer = if cfg.trace.is_some() {
+            ChromeTracer::new(start, end)
+        } else {
+            ChromeTracer::with_capacity(0, 0, 0)
+        };
+        tracer.pid = wi as u32 + 1;
+        let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
+        let (result, ((counters, sites), tracer)) = simulate_source_probed(
+            intern_name(workload.name()),
+            traces.replayer(workload).expect("recorded"),
+            SimParams::for_depth(depth),
+            config,
+            spec.warmup,
+            spec.measure,
+            probe,
+        );
+        report.merged.merge(&counters);
+        let probes = CellProbes {
+            result,
+            counters,
+            sites,
+            tracer: cfg.trace.map(|_| tracer),
+        };
+        report.workloads.push((workload.name().to_string(), probes));
+    }
+    report
+}
+
+/// Every rendering of `report` under `cfg`: markdown, `--obs-out` JSON
+/// and, when traced, the Chrome trace.
+fn renderings(report: &ObsReport, cfg: &ObsConfig) -> (String, String, Option<String>) {
+    (
+        report.to_markdown(cfg),
+        report.to_json(cfg).render_compact(),
+        cfg.trace.map(|_| report.render_trace()),
+    )
+}
+
+#[test]
+fn anchor_report_rides_the_grid_pass_in_every_mode() {
+    let spec = tiny_spec();
+    let workloads = small_workloads();
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let points = grid(
+        &workloads,
+        &[Depth::D40, Depth::D20],
+        &PredictorConfig::all(),
+    );
+    let (depth, anchors) = anchor(&points).expect("a grid");
+    assert_eq!(depth, Depth::D20, "the shallowest depth");
+    assert_eq!(anchors.len(), workloads.len(), "one anchor per workload");
+    let plan = SamplePlan::systematic(2, 500, 1_000);
+    let dir = std::env::temp_dir().join(format!("arvi-anchor-report-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let journal = dir.join("sweep.journal");
+
+    let traced = obs(&[
+        "--probe",
+        "counters,sites,trace",
+        "--obs-out",
+        "o.json",
+        "--trace-cycles",
+        "1000:3000",
+        "--top-sites",
+        "5",
+    ]);
+    for cfg in [obs(&["--probe", "counters,sites"]), traced] {
+        let reference = side_pass_report(&workloads, depth, spec, &cfg, &traces);
+        let reference = renderings(&reference, &cfg);
+        if let Some(trace) = &reference.2 {
+            assert!(trace.contains("\"ph\":\"X\""), "the window saw events");
+        }
+        let mut res = Resilience::new();
+        res.probes = Some(cfg.clone());
+        let check = |run: &GridRun, mode: &str| {
+            for (i, o) in run.outcomes.iter().enumerate() {
+                let probes = o.success().expect("every cell ran").probes.as_deref();
+                assert_eq!(probes.is_some(), anchors.contains(&i), "{mode}: cell {i}");
+                assert_eq!(
+                    probes.is_some_and(|p| p.tracer.is_some()),
+                    anchors.contains(&i) && cfg.trace.is_some(),
+                    "{mode}: cell {i} tracer"
+                );
+            }
+            let report = renderings(&ObsReport::from_run(run), &cfg);
+            assert_eq!(report, reference, "{mode}");
+        };
+        for threads in [1, 2] {
+            for plan in [None, Some(&plan)] {
+                let run = GridRun::run(
+                    points.clone(),
+                    spec,
+                    threads,
+                    false,
+                    Some(&traces),
+                    Some(&res),
+                    plan,
+                );
+                check(
+                    &run,
+                    &format!("threads {threads}, sampled {}", plan.is_some()),
+                );
+            }
+        }
+
+        // Killed after 6 cells (the first workload's anchor is cell 5),
+        // then resumed from the journal: journaled anchor cells restore
+        // their counters and sites, and re-run when the report needs a
+        // tracer, which is never journaled.
+        std::fs::remove_dir_all(&dir).ok();
+        let killed = res
+            .clone()
+            .with_journal(&journal)
+            .with_plan(FaultPlan::parse("kill-after 6").unwrap());
+        assert_eq!(anchors[0], 5);
+        let run = GridRun::run(
+            points.clone(),
+            spec,
+            1,
+            false,
+            Some(&traces),
+            Some(&killed),
+            None,
+        );
+        assert!(run.results(|_| true).is_err(), "killed");
+        let resumed = res.clone().with_journal(&journal).resuming();
+        let run = GridRun::run(
+            points.clone(),
+            spec,
+            2,
+            false,
+            Some(&traces),
+            Some(&resumed),
+            None,
+        );
+        let anchor_resumed = |i: &usize| run.outcomes[*i].success().unwrap().resumed;
+        assert_eq!(
+            anchors.iter().any(anchor_resumed),
+            cfg.trace.is_none(),
+            "an anchor cell resumes unless it needs a tracer"
+        );
+        check(&run, "resumed");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
