@@ -179,42 +179,46 @@ mod tests {
     use arvi_core::Ddt;
 
     /// The baseline must stay bit-compatible with the optimized DDT —
-    /// otherwise the speedup comparison is meaningless.
+    /// otherwise the speedup comparison is meaningless. 400 steps wrap
+    /// the optimized DDT's position ring (`seq mod 2·slots`) at both a
+    /// small window and the 64-slot word multiple.
     #[test]
     fn baseline_matches_optimized_ddt() {
-        let cfg = DdtConfig {
-            slots: 12,
-            phys_regs: 24,
-        };
-        let mut naive = NaiveDdt::new(cfg);
-        let mut fast = Ddt::new(cfg);
-        let mut lfsr = 0xACE1u32;
-        let mut step = |m: u32| {
-            lfsr = lfsr.wrapping_mul(1103515245).wrapping_add(12345);
-            (lfsr >> 16) % m
-        };
-        for i in 0..400 {
-            if naive.is_full() {
-                naive.commit_oldest();
-                fast.commit_oldest();
-            }
-            let dest = PhysReg(step(24) as u16);
-            let srcs = [
-                (step(4) != 0).then(|| PhysReg(step(24) as u16)),
-                (step(4) != 0).then(|| PhysReg(step(24) as u16)),
-            ];
-            naive.insert(Some(dest), srcs);
-            fast.insert(Some(dest), srcs);
-            if step(5) == 0 && naive.occupancy() > 1 {
-                naive.commit_oldest();
-                fast.commit_oldest();
-            }
-            for r in 0..24u16 {
-                assert_eq!(
-                    naive.chain(&[PhysReg(r)]),
-                    fast.chain(&[PhysReg(r)]).words().to_vec(),
-                    "step {i}, register p{r}"
-                );
+        for slots in [12, 64] {
+            let cfg = DdtConfig {
+                slots,
+                phys_regs: 24,
+            };
+            let mut naive = NaiveDdt::new(cfg);
+            let mut fast = Ddt::new(cfg);
+            let mut lfsr = 0xACE1u32;
+            let mut step = |m: u32| {
+                lfsr = lfsr.wrapping_mul(1103515245).wrapping_add(12345);
+                (lfsr >> 16) % m
+            };
+            for i in 0..400 {
+                if naive.is_full() {
+                    naive.commit_oldest();
+                    fast.commit_oldest();
+                }
+                let dest = PhysReg(step(24) as u16);
+                let srcs = [
+                    (step(4) != 0).then(|| PhysReg(step(24) as u16)),
+                    (step(4) != 0).then(|| PhysReg(step(24) as u16)),
+                ];
+                naive.insert(Some(dest), srcs);
+                fast.insert(Some(dest), srcs);
+                if step(5) == 0 && naive.occupancy() > 1 {
+                    naive.commit_oldest();
+                    fast.commit_oldest();
+                }
+                for r in 0..24u16 {
+                    assert_eq!(
+                        naive.chain(&[PhysReg(r)]),
+                        fast.chain(&[PhysReg(r)]).words().to_vec(),
+                        "{slots} slots, step {i}, register p{r}"
+                    );
+                }
             }
         }
     }

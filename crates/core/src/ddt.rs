@@ -18,14 +18,27 @@
 //! ## Software representation
 //!
 //! This model is bit-exact with the hardware but avoids the hardware's
-//! column-clear-on-reuse sweep. Slots are allocated strictly round-robin
-//! (`slot = seq % capacity`), so the occupant of a slot changes exactly
-//! every `capacity` allocations. A row written when instruction `W` was
-//! inserted can only legitimately reference instructions with sequence
-//! numbers in `[tail, W]`; masking a row read with the circular range
-//! `[tail, W]` (plus the valid vector, which also accounts for squashes)
-//! yields exactly the bits a column-clearing hardware implementation would
-//! see, in `O(capacity/64)` word operations.
+//! column-clear-on-reuse sweep. Entries are allocated in sequence order,
+//! and an instruction's column is its *position* `seq mod 2·slots`
+//! rather than its slot `seq mod slots`: rows and the valid vector have
+//! `2·slots` columns, and the valid vector is always exactly the
+//! positions of the in-flight range `[tail, head)`.
+//!
+//! The doubled ring cannot alias. A row written by instruction `W` names
+//! only instructions in flight with it, all in `(W - slots, W]`, and `W`
+//! was inserted with fewer than `slots` entries ahead of it, so
+//! `W < tail + slots` for every later tail. If `W >= tail`, the row's
+//! bits and the live window `[tail, tail + slots)` both lie in
+//! `(tail - slots, tail + slots)`, fewer than `2·slots` sequence
+//! numbers, so a shared position is a shared instruction and a row read
+//! is just `row & valid`. A row whose writer is older than the tail
+//! (`W < tail`) is dead: everything it names has committed and those
+//! positions may have been reused, so it contributes nothing and is
+//! never read. The update is thus the paper's division-free
+//! `(row1 | row2) & valid`.
+//!
+//! Position `p` is slot `p mod slots`, so a chain read folds the two
+//! halves of the ring into one [`ChainMask`] bit per slot.
 
 use crate::types::{InstSlot, PhysReg};
 
@@ -132,13 +145,10 @@ impl ChainMask {
     }
 }
 
-/// A prepared masked row read: word offset plus the (up to two) linear
-/// exclusion segments covering columns recycled after the row's write.
-#[derive(Debug, Clone, Copy)]
-struct RowRead {
-    base: usize,
-    a: (usize, usize),
-    b: (usize, usize),
+/// Word index and bit mask of column `pos`.
+#[inline]
+fn bit(pos: usize) -> (usize, u64) {
+    (pos / 64, 1u64 << (pos % 64))
 }
 
 /// The Data Dependence Table.
@@ -161,17 +171,16 @@ struct RowRead {
 #[derive(Debug, Clone)]
 pub struct Ddt {
     cfg: DdtConfig,
+    /// Words per row: `2·slots` position columns.
     words: usize,
-    /// Row bits, `phys_regs * words`, row-major.
+    /// Row bits, `phys_regs * words`, row-major, then one all-zero row
+    /// that absent and dead sources read.
     rows: Vec<u64>,
-    /// Sequence number current when each row was last written.
+    /// Sequence number of each row's last writer (0 for a fresh row,
+    /// whose bits are all zero).
     row_seq: Vec<u64>,
-    /// Whether each row has ever been written (a fresh row is empty),
-    /// one bit per register row.
-    row_written: Vec<u64>,
-    /// Valid vector, one bit per slot. Maintained incrementally (set on
-    /// insert, cleared on commit/rollback), it is always exactly the
-    /// live-range mask of `[tail_seq, head_seq)`.
+    /// Valid vector, one bit per position: exactly the positions of
+    /// `[tail_seq, head_seq)`.
     valid: Vec<u64>,
     /// Sequence number of each slot's current occupant.
     slot_seq: Vec<u64>,
@@ -179,6 +188,10 @@ pub struct Ddt {
     head_seq: u64,
     /// Sequence number of the oldest in-flight instruction (tail pointer).
     tail_seq: u64,
+    /// Position (`seq mod 2·slots`) of `head_seq`.
+    head_pos: usize,
+    /// Position of `tail_seq`.
+    tail_pos: usize,
 }
 
 impl Ddt {
@@ -190,17 +203,18 @@ impl Ddt {
     pub fn new(cfg: DdtConfig) -> Ddt {
         assert!(cfg.slots > 0, "DDT needs at least one slot");
         assert!(cfg.phys_regs > 0, "DDT needs at least one register row");
-        let words = cfg.slots.div_ceil(64);
+        let words = (2 * cfg.slots).div_ceil(64);
         Ddt {
             cfg,
             words,
-            rows: vec![0; cfg.phys_regs * words],
+            rows: vec![0; (cfg.phys_regs + 1) * words],
             row_seq: vec![0; cfg.phys_regs],
-            row_written: vec![0; cfg.phys_regs.div_ceil(64)],
             valid: vec![0; words],
             slot_seq: vec![0; cfg.slots],
             head_seq: 0,
             tail_seq: 0,
+            head_pos: 0,
+            tail_pos: 0,
         }
     }
 
@@ -248,106 +262,33 @@ impl Ddt {
         self.cfg.slots * self.cfg.phys_regs + self.cfg.slots
     }
 
+    /// The slot of position `pos`.
     #[inline]
-    fn slot_of(&self, seq: u64) -> usize {
-        (seq % self.cfg.slots as u64) as usize
-    }
-
-    /// The portion of the linear bit range `[start, end)` falling in word
-    /// `wi` (no wraparound; empty intersections yield 0).
-    #[inline]
-    fn seg_word(start: usize, end: usize, wi: usize) -> u64 {
-        let lo = start.max(wi * 64);
-        let hi = end.min(wi * 64 + 64);
-        if lo >= hi {
-            return 0;
-        }
-        let width = hi - lo;
-        let ones = if width == 64 {
-            u64::MAX
+    fn slot_at(&self, pos: usize) -> usize {
+        if pos < self.cfg.slots {
+            pos
         } else {
-            (1u64 << width) - 1
-        };
-        ones << (lo - wi * 64)
-    }
-
-    /// The two linear segments of the circular slot range covering `len`
-    /// slots starting at `start` (the second is empty unless it wraps).
-    #[inline]
-    fn wrap_segments(&self, start: usize, len: usize) -> [(usize, usize); 2] {
-        let end = start + len;
-        if end <= self.cfg.slots {
-            [(start, end), (0, 0)]
-        } else {
-            [(start, self.cfg.slots), (0, end - self.cfg.slots)]
+            pos - self.cfg.slots
         }
     }
 
+    /// The position after `pos` on the ring.
     #[inline]
-    fn row_written(&self, r: PhysReg) -> bool {
-        self.row_written[r.index() / 64] >> (r.index() % 64) & 1 == 1
-    }
-
-    /// Prepares a masked read of row `r`: its base word offset and the
-    /// exclusion segments for columns recycled after the row's write.
-    /// `None` when the row cannot contribute (never written, or every
-    /// live column postdates the write).
-    #[inline]
-    fn prep_read(&self, r: PhysReg) -> Option<RowRead> {
-        if !self.row_written(r) {
-            return None;
-        }
-        let w = self.row_seq[r.index()];
-        // Columns recycled after the write: occupants with seq in
-        // (W, head). Saturation covers a writer squashed by rollback
-        // (W >= head: nothing allocated after it survives); when the
-        // writer predates the whole live window (W < tail) every live
-        // column is a recycle and the row is dead.
-        let young = self.head_seq.saturating_sub(w + 1) as usize;
-        if young >= self.cfg.slots {
-            return None;
-        }
-        let [a, b] = if young == 0 {
-            [(0, 0), (0, 0)]
+    fn next_pos(&self, pos: usize) -> usize {
+        if pos + 1 == 2 * self.cfg.slots {
+            0
         } else {
-            self.wrap_segments(self.slot_of(w + 1), young)
-        };
-        Some(RowRead {
-            base: r.index() * self.words,
-            a,
-            b,
-        })
+            pos + 1
+        }
     }
 
-    /// The exclusion-mask word `wi` of a prepared read.
+    /// The word offset of row `r`, or of the zero row when `r` is absent
+    /// or dead (last written before the tail).
     #[inline]
-    fn excl_word(rr: &RowRead, wi: usize) -> u64 {
-        Ddt::seg_word(rr.a.0, rr.a.1, wi) | Ddt::seg_word(rr.b.0, rr.b.1, wi)
-    }
-
-    /// Reads row `r` masked to its genuine live bits, OR-ing into `out`.
-    ///
-    /// The valid vector is maintained as exactly the live range
-    /// `[tail, head)`, so the only extra filtering a read needs is to
-    /// drop columns recycled *after* the row was written at `W`: the
-    /// circular range `(W, head)`. That exclusion mask is composed
-    /// word-by-word on the fly — no scratch buffer, no rebuild of a full
-    /// live-range mask per read.
-    #[inline]
-    fn read_row_into(&self, r: PhysReg, out: &mut [u64]) {
-        let Some(rr) = self.prep_read(r) else { return };
-        let row = &self.rows[rr.base..rr.base + self.words];
-        if rr.a.0 >= rr.a.1 {
-            // Row written by the youngest in-flight instruction: the
-            // valid vector alone is the exact filter (common case — most
-            // chain reads hit recently written rows).
-            for i in 0..self.words {
-                out[i] |= row[i] & self.valid[i];
-            }
-        } else {
-            for i in 0..self.words {
-                out[i] |= row[i] & self.valid[i] & !Ddt::excl_word(&rr, i);
-            }
+    fn row_base(&self, r: Option<PhysReg>) -> usize {
+        match r {
+            Some(r) if self.row_seq[r.index()] >= self.tail_seq => r.index() * self.words,
+            _ => self.cfg.phys_regs * self.words,
         }
     }
 
@@ -364,38 +305,28 @@ impl Ddt {
     /// Panics if the DDT is full (the host pipeline must stall rename).
     pub fn insert(&mut self, dest: Option<PhysReg>, srcs: [Option<PhysReg>; 2]) -> InstSlot {
         assert!(!self.is_full(), "DDT full: host must stall rename");
-        let seq = self.head_seq;
-        let slot = self.slot_of(seq);
+        let (seq, pos) = (self.head_seq, self.head_pos);
+        let (own_w, own_b) = bit(pos);
 
         if let Some(d) = dest {
-            // Fused allocation-free row write: each destination word is
-            // computed from the same-indexed source words and stored
-            // directly — no staging buffer, no clear, no copy. Writing
-            // word i only reads word i of the source rows, so this is
-            // correct even when the destination row *is* a source row.
-            let r1 = srcs[0].and_then(|s| self.prep_read(s));
-            let r2 = srcs[1].and_then(|s| self.prep_read(s));
-            let base = d.index() * self.words;
-            let (own_w, own_b) = (slot / 64, 1u64 << (slot % 64));
-            for i in 0..self.words {
-                // Every register is trivially dependent on its own
-                // producer.
-                let mut w = if i == own_w { own_b } else { 0 };
-                if let Some(rr) = &r1 {
-                    w |= self.rows[rr.base + i] & self.valid[i] & !Ddt::excl_word(rr, i);
-                }
-                if let Some(rr) = &r2 {
-                    w |= self.rows[rr.base + i] & self.valid[i] & !Ddt::excl_word(rr, i);
-                }
-                self.rows[base + i] = w;
-            }
+            // Word i of the destination reads only word i of the sources,
+            // so the in-place write is correct even when the destination
+            // row is a source row.
+            let (a, b) = (self.row_base(srcs[0]), self.row_base(srcs[1]));
             self.row_seq[d.index()] = seq;
-            self.row_written[d.index() / 64] |= 1u64 << (d.index() % 64);
+            let base = d.index() * self.words;
+            for i in 0..self.words {
+                self.rows[base + i] = (self.rows[a + i] | self.rows[b + i]) & self.valid[i];
+            }
+            // Every register is trivially dependent on its own producer.
+            self.rows[base + own_w] |= own_b;
         }
 
-        self.valid[slot / 64] |= 1u64 << (slot % 64);
+        self.valid[own_w] |= own_b;
+        let slot = self.slot_at(pos);
         self.slot_seq[slot] = seq;
         self.head_seq = seq + 1;
+        self.head_pos = self.next_pos(pos);
         InstSlot(slot as u32)
     }
 
@@ -410,7 +341,7 @@ impl Ddt {
         out
     }
 
-    /// In-place variant of [`Ddt::chain`]: clears `out` and ORs in the
+    /// In-place variant of [`Ddt::chain`]: overwrites `out` with the
     /// chains of `regs`. Allocation-free.
     ///
     /// # Panics
@@ -423,9 +354,26 @@ impl Ddt {
             "ChainMask sized for {} slots, DDT has {}",
             out.slots, self.cfg.slots
         );
-        out.clear();
-        for &r in regs {
-            self.read_row_into(r, &mut out.words);
+        // Position word `j` of the union of the rows (0 past the ring).
+        let live = |j: usize| {
+            if j >= self.words {
+                return 0;
+            }
+            let row = regs
+                .iter()
+                .fold(0, |w, &r| w | self.rows[self.row_base(Some(r)) + j]);
+            row & self.valid[j]
+        };
+        // Slot word `i` is position word `i` (below `slots`) folded with
+        // the `slots`-higher positions of the same slots.
+        let (q, sh) = (self.cfg.slots / 64, self.cfg.slots % 64);
+        for (i, o) in out.words.iter_mut().enumerate() {
+            *o = if sh == 0 {
+                live(i) | live(q + i)
+            } else {
+                let low = live(i) & if i < q { u64::MAX } else { (1 << sh) - 1 };
+                low | live(q + i) >> sh | live(q + i + 1) << (64 - sh)
+            };
         }
     }
 
@@ -448,10 +396,12 @@ impl Ddt {
     /// Panics if the DDT is empty.
     pub fn commit_oldest(&mut self) -> InstSlot {
         assert!(!self.is_empty(), "DDT empty: nothing to commit");
-        let slot = self.slot_of(self.tail_seq);
-        self.valid[slot / 64] &= !(1u64 << (slot % 64));
+        let pos = self.tail_pos;
+        let (w, b) = bit(pos);
+        self.valid[w] &= !b;
         self.tail_seq += 1;
-        InstSlot(slot as u32)
+        self.tail_pos = self.next_pos(pos);
+        InstSlot(self.slot_at(pos) as u32)
     }
 
     /// Rolls back to the state just after instruction `seq` was inserted,
@@ -469,21 +419,19 @@ impl Ddt {
             self.tail_seq,
             self.head_seq
         );
-        let squashed = (self.head_seq - new_head_seq) as usize;
-        if squashed > 0 {
-            let [a, b] = self.wrap_segments(self.slot_of(new_head_seq), squashed);
-            for i in 0..self.words {
-                let clear = Ddt::seg_word(a.0, a.1, i) | Ddt::seg_word(b.0, b.1, i);
-                self.valid[i] &= !clear;
-            }
+        let ring = 2 * self.cfg.slots;
+        for _ in new_head_seq..self.head_seq {
+            self.head_pos = self.head_pos.checked_sub(1).unwrap_or(ring - 1);
+            let (w, b) = bit(self.head_pos);
+            self.valid[w] &= !b;
         }
         self.head_seq = new_head_seq;
     }
 
     /// Whether the occupant of `slot` is currently valid.
     pub fn is_slot_valid(&self, slot: InstSlot) -> bool {
-        let i = slot.index();
-        self.valid[i / 64] >> (i % 64) & 1 == 1
+        let valid = |pos: usize| self.valid[pos / 64] >> (pos % 64) & 1 == 1;
+        valid(slot.index()) || valid(slot.index() + self.cfg.slots)
     }
 }
 

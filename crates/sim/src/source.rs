@@ -29,9 +29,10 @@ pub trait InstSource {
     ///
     /// The default forwards to [`next_inst`](InstSource::next_inst) one
     /// record at a time, so every source works unchanged; batch-native
-    /// sources override it — `arvi_trace::TraceReplayer` decodes whole
-    /// chunks straight into `out`, amortizing its per-record cursor
-    /// overhead across the machine's fetch buffer.
+    /// sources override it — `arvi_trace::TraceReplayer` decodes a whole
+    /// chunk into its cursor's chunk buffer and copies contiguous runs of
+    /// it into `out`, amortizing its per-record cursor overhead across
+    /// the machine's fetch buffer.
     fn fill(&mut self, out: &mut [DynInst]) -> usize {
         let mut n = 0;
         while n < out.len() {

@@ -24,7 +24,7 @@
 
 use arvi_isa::{BranchInfo, DynInst, InstKind, Reg, NUM_LOGICAL_REGS};
 
-use crate::codec::{read_varint, unzigzag, write_varint, zigzag};
+use crate::codec::{read_varint, unzigzag, write_varint, zigzag, DecodeError};
 use crate::TraceError;
 
 /// Default chunk capacity in instructions. 4096 records keep the decode
@@ -188,39 +188,52 @@ pub fn encode_chunk(insts: &[DynInst], out: &mut Vec<u8>) {
     }
 }
 
-fn read_reg(buf: &[u8], pos: &mut usize) -> Result<Reg, TraceError> {
-    let &byte = buf.get(*pos).ok_or(TraceError::Truncated)?;
+fn read_reg(buf: &[u8], pos: &mut usize) -> Result<Reg, DecodeError> {
+    let &byte = buf.get(*pos).ok_or(DecodeError::Truncated)?;
     *pos += 1;
     if (byte as usize) >= NUM_LOGICAL_REGS {
-        return Err(TraceError::corrupt("register id out of range"));
+        return Err(DecodeError::Corrupt("register id out of range"));
     }
     Ok(Reg::new(byte))
 }
 
-fn read_pc_delta(buf: &[u8], pos: &mut usize, base: i64) -> Result<u32, TraceError> {
-    let pc = base + unzigzag(read_varint(buf, pos)?);
-    u32::try_from(pc).map_err(|_| TraceError::corrupt("program counter out of u32 range"))
+fn read_pc_delta(buf: &[u8], pos: &mut usize, base: i64) -> Result<u32, DecodeError> {
+    pc_u32(base + unzigzag(read_varint(buf, pos)?))
+}
+
+fn pc_u32(pc: i64) -> Result<u32, DecodeError> {
+    u32::try_from(pc).map_err(|_| DecodeError::Corrupt("program counter out of u32 range"))
 }
 
 /// Decodes a chunk previously produced by [`encode_chunk`], appending
 /// `count` records to `out` (which the caller usually clears first; its
 /// capacity is reused across chunks). `first_seq` comes from the chunk
-/// index.
+/// index. The record loop reports failures as a [`DecodeError`],
+/// converted to a [`TraceError`] only here.
 pub fn decode_chunk(
     buf: &[u8],
     count: usize,
     first_seq: u64,
     out: &mut Vec<DynInst>,
 ) -> Result<(), TraceError> {
+    Ok(decode_records(buf, count, first_seq, out)?)
+}
+
+fn decode_records(
+    buf: &[u8],
+    count: usize,
+    first_seq: u64,
+    out: &mut Vec<DynInst>,
+) -> Result<(), DecodeError> {
     let mut ctx = Ctx::new(first_seq);
     let mut pos = 0usize;
     for _ in 0..count {
-        let &flags0 = buf.get(pos).ok_or(TraceError::Truncated)?;
-        let &flags1 = buf.get(pos + 1).ok_or(TraceError::Truncated)?;
+        let &flags0 = buf.get(pos).ok_or(DecodeError::Truncated)?;
+        let &flags1 = buf.get(pos + 1).ok_or(DecodeError::Truncated)?;
         pos += 2;
         let kind = *KINDS
             .get((flags0 & F0_KIND_MASK) as usize)
-            .ok_or_else(|| TraceError::corrupt("unknown instruction kind"))?;
+            .ok_or(DecodeError::Corrupt("unknown instruction kind"))?;
 
         let seq = if flags1 & F1_SEQ_DELTA != 0 {
             ctx.next_seq
@@ -231,8 +244,7 @@ pub fn decode_chunk(
         let pc = if flags1 & F1_PC_DELTA != 0 {
             read_pc_delta(buf, &mut pos, ctx.next_pc)?
         } else {
-            u32::try_from(ctx.next_pc)
-                .map_err(|_| TraceError::corrupt("program counter out of u32 range"))?
+            pc_u32(ctx.next_pc)?
         };
         let src0 = if flags0 & F0_SRC0 != 0 {
             Some(read_reg(buf, &mut pos)?)
@@ -264,7 +276,7 @@ pub fn decode_chunk(
         };
         let hoist = if flags1 & F1_HOIST != 0 {
             u32::try_from(read_varint(buf, &mut pos)?)
-                .map_err(|_| TraceError::corrupt("hoist distance out of u32 range"))?
+                .map_err(|_| DecodeError::Corrupt("hoist distance out of u32 range"))?
         } else {
             0
         };
@@ -272,8 +284,7 @@ pub fn decode_chunk(
             let fallthrough = if flags1 & F1_FALLTHROUGH_DELTA != 0 {
                 read_pc_delta(buf, &mut pos, pc as i64 + 1)?
             } else {
-                u32::try_from(pc as i64 + 1)
-                    .map_err(|_| TraceError::corrupt("program counter out of u32 range"))?
+                pc_u32(pc as i64 + 1)?
             };
             let next_pc = read_pc_delta(buf, &mut pos, fallthrough as i64)?;
             Some(BranchInfo {
@@ -301,7 +312,7 @@ pub fn decode_chunk(
         out.push(d);
     }
     if pos != buf.len() {
-        return Err(TraceError::corrupt("trailing bytes after chunk payload"));
+        return Err(DecodeError::Corrupt("trailing bytes after chunk payload"));
     }
     Ok(())
 }

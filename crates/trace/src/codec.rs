@@ -3,6 +3,27 @@
 
 use crate::TraceError;
 
+/// Why a record decode stopped. Unlike [`TraceError`] it is `Copy` and
+/// has no drop glue, so a `?` in the per-byte decode loop costs nothing
+/// on the success path; it becomes a [`TraceError`] once, at the chunk
+/// boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// Data ended early: [`TraceError::Truncated`].
+    Truncated,
+    /// Structurally invalid data: [`TraceError::Corrupt`].
+    Corrupt(&'static str),
+}
+
+impl From<DecodeError> for TraceError {
+    fn from(e: DecodeError) -> TraceError {
+        match e {
+            DecodeError::Truncated => TraceError::Truncated,
+            DecodeError::Corrupt(reason) => TraceError::Corrupt(reason),
+        }
+    }
+}
+
 /// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
 #[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -19,10 +40,10 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Reads an LEB128 varint at `*pos`, advancing it.
 #[inline]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     // Fast path: the delta encoding makes single-byte varints by far the
     // most common case on real traces.
-    let &first = buf.get(*pos).ok_or(TraceError::Truncated)?;
+    let &first = buf.get(*pos).ok_or(DecodeError::Truncated)?;
     *pos += 1;
     if first < 0x80 {
         return Ok(first as u64);
@@ -30,10 +51,10 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
     let mut v = (first & 0x7F) as u64;
     let mut shift = 7u32;
     loop {
-        let &byte = buf.get(*pos).ok_or(TraceError::Truncated)?;
+        let &byte = buf.get(*pos).ok_or(DecodeError::Truncated)?;
         *pos += 1;
         if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(TraceError::corrupt("varint overflows u64"));
+            return Err(DecodeError::Corrupt("varint overflows u64"));
         }
         v |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
@@ -203,7 +224,7 @@ mod tests {
         let mut pos = 0;
         assert!(matches!(
             read_varint(&[0x80, 0x80], &mut pos),
-            Err(TraceError::Truncated)
+            Err(DecodeError::Truncated)
         ));
         // 11 continuation bytes: more than 64 bits of payload.
         let overlong = [0xFFu8; 10];

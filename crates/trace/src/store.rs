@@ -77,9 +77,9 @@ impl Trace {
     ) -> Result<Trace, TraceError> {
         let mut w = TraceWriter::new(name, seed);
         for i in 0..n {
-            let d = source
-                .next()
-                .ok_or(TraceError::SourceEnded { at: i, need: n })?;
+            let Some(d) = source.next() else {
+                return Err(TraceError::SourceEnded { at: i, need: n });
+            };
             w.push(d);
         }
         Ok(w.finish())
@@ -128,7 +128,10 @@ impl Trace {
     pub(crate) fn chunk_payload(&self, info: &ChunkInfo) -> Result<&[u8], TraceError> {
         let start = info.offset as usize;
         let end = start + info.len as usize;
-        self.payload().get(start..end).ok_or(TraceError::Truncated)
+        let Some(payload) = self.payload().get(start..end) else {
+            return Err(TraceError::Truncated);
+        };
+        Ok(payload)
     }
 
     /// Checksums and decodes chunk `idx` into `out` (cleared first; its

@@ -87,6 +87,24 @@ impl RefModel {
     }
 }
 
+/// A DDT slot count and an op sequence longer than twice it, so the
+/// position ring (`seq mod 2·slots`) wraps at least once. The counts
+/// cover a sub-word window, the machine's word multiple and a
+/// non-multiple of 64.
+fn slots_and_ops(phys_regs: u16) -> impl Strategy<Value = (usize, Vec<OpDesc>)> {
+    const SLOTS: [usize; 3] = [16, 64, 80];
+    (
+        0..SLOTS.len(),
+        0.0f64..1.0,
+        proptest::collection::vec(op_strategy(phys_regs), 240..241),
+    )
+        .prop_map(|(i, frac, mut ops)| {
+            let slots = SLOTS[i];
+            ops.truncate(2 * slots + 1 + (slots as f64 * frac) as usize);
+            (slots, ops)
+        })
+}
+
 fn mask_ids(ddt: &Ddt, mask: &ChainMask) -> HashSet<u64> {
     mask.slots().map(|s| ddt.slot_seq(s)).collect()
 }
@@ -99,10 +117,10 @@ proptest! {
     /// reuse.
     #[test]
     fn ddt_matches_transitive_closure(
-        ops in proptest::collection::vec(op_strategy(24), 1..120),
+        window in slots_and_ops(24),
         commit_pattern in proptest::collection::vec(0u8..3, 1..120),
     ) {
-        let slots = 16usize;
+        let (slots, ops) = window;
         let mut ddt = Ddt::new(DdtConfig { slots, phys_regs: 24 });
         let mut reference = RefModel::default();
 
@@ -134,15 +152,19 @@ proptest! {
     /// recomputed independently.
     #[test]
     fn rse_leaf_set_matches_reference(
-        ops in proptest::collection::vec(op_strategy(20), 1..40),
+        window in slots_and_ops(20),
         branch_src in 0u16..20,
     ) {
+        let (slots, ops) = window;
         let mut t = Tracker::new(TrackerConfig {
-            ddt: DdtConfig { slots: 64, phys_regs: 20 },
+            ddt: DdtConfig { slots, phys_regs: 20 },
             track_dependents: false,
         });
         let mut inserted: Vec<OpDesc> = Vec::new();
         for op in &ops {
+            if t.is_full() {
+                t.commit_oldest();
+            }
             t.insert(&RenamedOp {
                 dest: Some(PhysReg(op.dest)),
                 srcs: [op.src1.map(PhysReg), op.src2.map(PhysReg)],
@@ -189,10 +211,10 @@ proptest! {
     /// from a transitive-closure reference.
     #[test]
     fn zero_alloc_path_matches_reference_across_rollbacks(
-        ops in proptest::collection::vec(op_strategy(24), 1..150),
+        window in slots_and_ops(24),
         actions in proptest::collection::vec((0u8..8, 0.0f64..1.0), 1..150),
     ) {
-        let slots = 16usize;
+        let (slots, ops) = window;
         let mut ddt = Ddt::new(DdtConfig { slots, phys_regs: 24 });
         let mut reference = RefModel::default();
         let mut writer: std::collections::HashMap<u16, u64> =
@@ -258,14 +280,19 @@ proptest! {
     /// never references squashed instructions.
     #[test]
     fn rollback_hides_squashed_instructions(
-        ops in proptest::collection::vec(op_strategy(16), 4..40),
+        window in slots_and_ops(16),
         keep_frac in 0.1f64..0.9,
     ) {
-        let mut ddt = Ddt::new(DdtConfig { slots: 64, phys_regs: 16 });
+        let (slots, ops) = window;
+        let mut ddt = Ddt::new(DdtConfig { slots, phys_regs: 16 });
         for op in &ops {
+            if ddt.is_full() {
+                ddt.commit_oldest();
+            }
             ddt.insert(Some(PhysReg(op.dest)), [op.src1.map(PhysReg), op.src2.map(PhysReg)]);
         }
-        let keep = ((ops.len() as f64 * keep_frac) as u64).max(1);
+        let (tail, head) = (ddt.tail_seq(), ddt.next_seq());
+        let keep = tail + (((head - tail) as f64 * keep_frac) as u64).max(1);
         ddt.rollback_to(keep);
         for reg in 0..16u16 {
             let ids = mask_ids(&ddt, &ddt.chain(&[PhysReg(reg)]));
@@ -280,16 +307,21 @@ proptest! {
     /// insertion-time chain contained the counted instruction.
     #[test]
     fn dependent_counters_match_reference(
-        ops in proptest::collection::vec(op_strategy(16), 1..32),
+        window in slots_and_ops(16),
     ) {
+        let (slots, ops) = window;
         let mut t = Tracker::new(TrackerConfig {
-            ddt: DdtConfig { slots: 64, phys_regs: 16 },
+            ddt: DdtConfig { slots, phys_regs: 16 },
             track_dependents: true,
         });
         let mut reference = RefModel::default();
         let mut renamed = Vec::new();
         let mut insertion_chains: Vec<HashSet<u64>> = Vec::new();
         for op in &ops {
+            if t.is_full() {
+                t.commit_oldest();
+                reference.commit_oldest();
+            }
             let r = RenamedOp {
                 dest: Some(PhysReg(op.dest)),
                 srcs: [op.src1.map(PhysReg), op.src2.map(PhysReg)],
@@ -300,7 +332,10 @@ proptest! {
             insertion_chains.push(reference.chain(op.dest));
             debug_assert!(insertion_chains[id as usize].contains(&id));
         }
-        for (i, &slot) in renamed.iter().enumerate() {
+        // Only in-flight instructions keep their slot and counter; every
+        // younger instruction was inserted while they were live.
+        let tail = t.ddt().tail_seq() as usize;
+        for (i, &slot) in renamed.iter().enumerate().skip(tail) {
             let expected = insertion_chains
                 .iter()
                 .enumerate()
