@@ -45,6 +45,13 @@ fn fnv_step(h: u64, bit: bool) -> u64 {
     (h ^ (bit as u64 + 1)).wrapping_mul(FNV_PRIME)
 }
 
+/// The [`StreamRun::stream_hash`] of an arbitrary bit sequence, in
+/// order — for digests of predictor state that is not a direction
+/// stream (e.g. per-PC component votes).
+pub fn fnv_bits(bits: impl IntoIterator<Item = bool>) -> u64 {
+    bits.into_iter().fold(FNV_OFFSET, fnv_step)
+}
+
 /// Drives a packed (index-carrying) predictor over `stream` with the
 /// machine-shaped delayed-update protocol: history advances
 /// speculatively at prediction, training drains from a FIFO `window`

@@ -81,7 +81,9 @@ pub mod sampling;
 pub mod sweep;
 pub mod workload;
 
-pub use branch_stream::{conditional_branches, run_delayed, run_delayed_scalar, StreamRun};
+pub use branch_stream::{
+    conditional_branches, fnv_bits, run_delayed, run_delayed_scalar, StreamRun,
+};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
 pub use harness::{fig5_cell, paper_tables, run_one, run_one_traced, Fig6Data, GridRun, Spec};
