@@ -1,19 +1,15 @@
-//! `branch_path` — the standalone predict+train loop over a recorded
-//! branch stream: packed, index-carrying predictors vs the preserved
-//! scalar baselines (PR 5).
+//! `branch_path` — the standalone predict+train loop of the packed,
+//! index-carrying predictors over a recorded branch stream.
 //!
 //! The stream is the conditional-branch trace of m88ksim (the workload
-//! the machine micro in `perf_report` uses), driven through the full
+//! `perf_report`'s probe micro uses), driven through the full
 //! three-step protocol with a delayed update 8 branches behind the
-//! prediction — the machine-shaped regime where the carried indices
-//! save the scalar path's second round of hashing.
+//! prediction — the machine-shaped regime where training consumes the
+//! indices carried in the prediction.
 //!
 //! Run with `ARVI_BENCH_FAST=1` for CI smoke timing.
 
-use arvi_bench::baseline::{ScalarBimodal, ScalarTwoBcGskew};
-use arvi_bench::{
-    conditional_branches, record_trace, run_delayed, run_delayed_scalar, Spec, Workload,
-};
+use arvi_bench::{conditional_branches, record_trace, run_delayed, Spec, Workload};
 use arvi_predict::{Bimodal, GskewConfig, TwoBcGskew};
 use arvi_workloads::Benchmark;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -41,21 +37,11 @@ fn bench_branch_path(c: &mut Criterion) {
         b.iter(|| black_box(run_delayed(&mut p, &stream, WINDOW)));
     });
 
-    g.bench_function("gskew_scalar_baseline", |b| {
-        let mut p = ScalarTwoBcGskew::new(GskewConfig::level2());
-        b.iter(|| black_box(run_delayed_scalar(&mut p, &stream, WINDOW)));
-    });
-
     // Window 0 = immediate update (the bimodal carries no history to
     // checkpoint, so the delayed protocol degenerates anyway).
     g.bench_function("bimodal_packed", |b| {
         let mut p = Bimodal::new(17);
         b.iter(|| black_box(run_delayed(&mut p, &stream, 0)));
-    });
-
-    g.bench_function("bimodal_scalar_baseline", |b| {
-        let mut p = ScalarBimodal::new(17);
-        b.iter(|| black_box(run_delayed_scalar(&mut p, &stream, 0)));
     });
 
     g.finish();

@@ -3,7 +3,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use arvi_bench::baseline::HeapMachine;
 use arvi_isa::Emulator;
 use arvi_sim::{Depth, Machine, PredictorConfig, SimParams};
 use arvi_workloads::Benchmark;
@@ -41,32 +40,9 @@ fn bench_machine(c: &mut Criterion) {
     g.finish();
 }
 
-/// The preserved heap-scheduled machine on the same cells as `machine`,
-/// mirroring the `ddt` / `ddt_baseline` pairing: the criterion report
-/// keeps the calendar-queue speedup visible next to the exact prior
-/// event core.
-fn bench_machine_baseline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("machine_baseline");
-    g.throughput(Throughput::Elements(30_000));
-    g.sample_size(10);
-    for config in [PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent] {
-        g.bench_function(config.label(), |b| {
-            b.iter(|| {
-                let mut m = HeapMachine::new(
-                    Emulator::new(Benchmark::Compress.program(42)),
-                    SimParams::for_depth(Depth::D20),
-                    config,
-                );
-                black_box(m.run_until_committed(30_000))
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_emulator, bench_machine, bench_machine_baseline
+    targets = bench_emulator, bench_machine
 }
 criterion_main!(benches);

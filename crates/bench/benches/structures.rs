@@ -3,7 +3,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use arvi_bench::baseline::NaiveDdt;
 use arvi_core::{
     ArviConfig, ArviPredictor, Bvit, BvitConfig, ChainMask, CurrentValues, Ddt, DdtConfig, LeafSet,
     PhysReg, RenamedOp, Tracker, TrackerConfig,
@@ -93,44 +92,6 @@ fn bench_ddt(c: &mut Criterion) {
             ddt.chain_into(&[prev], &mut mask);
             black_box(mask.len())
         });
-    });
-    g.finish();
-}
-
-/// The preserved pre-refactor DDT (arvi_bench::baseline), benchmarked on
-/// the same workloads so the optimized/naive speedup stays visible in
-/// every criterion run.
-fn bench_ddt_baseline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ddt_baseline");
-    g.bench_function("insert_commit_steady_state", |b| {
-        let mut ddt = NaiveDdt::new(DdtConfig {
-            slots: 256,
-            phys_regs: 320,
-        });
-        let mut i = 0u16;
-        b.iter(|| {
-            if ddt.is_full() {
-                ddt.commit_oldest();
-            }
-            let dest = PhysReg(32 + (i % 280));
-            let src = PhysReg(32 + ((i + 1) % 280));
-            ddt.insert(black_box(Some(dest)), black_box([Some(src), None]));
-            i = i.wrapping_add(1);
-        });
-    });
-    g.bench_function("chain_read_deep", |b| {
-        let mut ddt = NaiveDdt::new(DdtConfig {
-            slots: 256,
-            phys_regs: 320,
-        });
-        let mut prev = PhysReg(32);
-        ddt.insert(Some(prev), [None, None]);
-        for i in 1..200u16 {
-            let d = PhysReg(32 + i);
-            ddt.insert(Some(d), [Some(prev), None]);
-            prev = d;
-        }
-        b.iter(|| black_box(ddt.chain(&[prev])).len());
     });
     g.finish();
 }
@@ -240,6 +201,6 @@ fn bench_predictors(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_ddt, bench_ddt_baseline, bench_rse, bench_bvit, bench_arvi_predict, bench_predictors
+    targets = bench_ddt, bench_rse, bench_bvit, bench_arvi_predict, bench_predictors
 }
 criterion_main!(benches);

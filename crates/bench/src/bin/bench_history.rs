@@ -1,6 +1,8 @@
-//! Bench-trajectory analytics: tracks every guardrail metric across the
-//! checked-in `BENCH_PR<N>.json` reports and flags metrics whose latest
-//! change moved outside their noise band.
+//! Bench-trajectory analytics: tracks every guardrail metric and every
+//! committed perfbench end-to-end median (as `<workload>/<metric>`)
+//! across the checked-in `BENCH_PR<N>.json` reports and flags metrics
+//! whose latest change moved outside their noise band. A metric the
+//! newest report no longer carries is shown as retired and never flags.
 //!
 //! Complements `perf_guard` (which gates one report against the static
 //! baseline): the trend view catches slow drift and tells "this PR
@@ -26,7 +28,9 @@
 
 use std::path::Path;
 
-use arvi_bench::{bench_history, check_flags, flag_value, load_bench_history, write_text, Json};
+use arvi_bench::{
+    bench_history, check_flags, flag_value, load_bench_history, read_json, write_text,
+};
 
 /// Every flag `bench_history` accepts; each takes a value.
 const FLAGS: &[(&str, bool)] = &[("--dir", true), ("--baseline", true), ("--out", true)];
@@ -65,18 +69,13 @@ fn main() {
     let baseline_path = baseline_arg
         .map(String::from)
         .unwrap_or_else(|| format!("{dir}/BENCH_BASELINE.json"));
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Some(Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {baseline_path}: malformed JSON: {e}");
+    // The default baseline is best-effort; an explicit one must load.
+    let baseline = (baseline_arg.is_some() || Path::new(&baseline_path).exists()).then(|| {
+        read_json(Path::new(&baseline_path)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(2);
-        })),
-        // The default baseline is best-effort; an explicit one must load.
-        Err(e) if baseline_arg.is_some() => {
-            eprintln!("error: cannot read {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-        Err(_) => None,
-    };
+        })
+    });
 
     let report = bench_history(&files, baseline.as_ref());
     print!("{}", report.to_markdown());

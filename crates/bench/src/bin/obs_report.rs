@@ -9,49 +9,46 @@
 //!
 //! Usage: `obs_report --grid obs_grid.json [--top N] [--out FILE]`
 //!
-//! Exit codes: 2 on usage/parse errors, 1 when the output file cannot
-//! be written.
+//! An unknown flag, a positional argument, a flag without its value (or
+//! with another flag in its place), a bad `--top` count, or a grid file
+//! that cannot be read or parsed exits 2 before any output, writing no
+//! file. Exit code 1: the output file cannot be written.
 
 use std::path::Path;
 
-use arvi_bench::{attribution_diff, write_text, Json};
+use arvi_bench::{attribution_diff, check_flags, flag_value, read_json, write_text};
 
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Every flag `obs_report` accepts; each takes a value.
+const FLAGS: &[(&str, bool)] = &[("--grid", true), ("--top", true), ("--out", true)];
+
+fn fail(e: &str) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(grid_path) = arg_value(&args, "--grid") else {
-        eprintln!("usage: obs_report --grid obs_grid.json [--top N] [--out FILE]");
-        std::process::exit(2);
-    };
-    let top = match arg_value(&args, "--top") {
-        None => 10,
-        Some(n) => n.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --top expects a count, got `{n}`");
-            std::process::exit(2);
-        }),
-    };
+    let value = |flag| flag_value(&args, flag).map(|v| v.map(String::as_str));
+    let (grid_path, top, out) = check_flags(&args, FLAGS)
+        .and_then(|()| {
+            let grid = value("--grid")?
+                .ok_or("usage: obs_report --grid obs_grid.json [--top N] [--out FILE]")?;
+            let top = match value("--top")? {
+                None => 10,
+                Some(n) => n
+                    .parse::<usize>()
+                    .map_err(|_| format!("--top expects a count, got `{n}`"))?,
+            };
+            Ok((grid, top, value("--out")?))
+        })
+        .unwrap_or_else(|e: String| fail(&e));
 
-    let text = std::fs::read_to_string(grid_path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {grid_path}: {e}");
-        std::process::exit(2);
-    });
-    let grid = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {grid_path}: malformed JSON: {e}");
-        std::process::exit(2);
-    });
-    let attribution = attribution_diff(&grid, top).unwrap_or_else(|e| {
-        eprintln!("error: {grid_path}: {e}");
-        std::process::exit(2);
-    });
+    let grid = read_json(Path::new(grid_path)).unwrap_or_else(|e| fail(&e));
+    let attribution =
+        attribution_diff(&grid, top).unwrap_or_else(|e| fail(&format!("{grid_path}: {e}")));
 
     print!("{}", attribution.to_markdown());
-    if let Some(out) = arg_value(&args, "--out") {
+    if let Some(out) = out {
         let json = attribution.to_json().render();
         if let Err(e) = write_text(Path::new(out), &json) {
             eprintln!("error: cannot write attribution report: {e}");

@@ -4,14 +4,12 @@
 //!
 //! The baseline file carries, per metric, the reference value, the
 //! direction that counts as better, and warn/fail thresholds in
-//! percent. Two kinds of metric coexist deliberately:
-//!
-//! * **ratio metrics** (`*_speedup_*`) are host-independent — the two
-//!   sides of the ratio are measured in the same process on the same
-//!   machine — so they get tight bands; they are the real gate.
-//! * **absolute metrics** (`*_ns_*`) depend on the host CPU, so their
-//!   bands are generous: they catch order-of-magnitude mistakes (a
-//!   debug build, an accidentally quadratic loop), not noise.
+//! percent. The absolute metrics (`*_ns_*`) depend on the host CPU, so
+//! their bands are generous: they catch order-of-magnitude mistakes (a
+//! debug build, an accidentally quadratic loop), not noise. The sampled
+//! speedup and IPC error are measured within one process. Whether the
+//! simulator's figures changed is not this gate's question: the golden
+//! digests (`tests/golden_digests.rs`) pin them.
 //!
 //! Prints a markdown delta table (pipe it into `$GITHUB_STEP_SUMMARY`
 //! in CI); every gating metric is also named on stderr with its band
@@ -25,46 +23,51 @@
 //! never gate (host jitter across PRs is not this gate's evidence), the
 //! baseline comparison does.
 //!
+//! An unknown flag, a positional argument, a flag without its value, a
+//! missing `--report`, or an input file that cannot be read or parsed
+//! exits 2 before any comparison.
+//!
 //! Regenerate the baseline after an intentional perf change:
 //! `cargo run --release -p arvi-bench --bin perf_report -- --quick`,
 //! then copy the `guardrail` values into `BENCH_BASELINE.json`.
 
-use arvi_bench::{evaluate_guardrail, trend_flags, Json};
+use std::path::Path;
 
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+use arvi_bench::{check_flags, evaluate_guardrail, flag_value, read_json, trend_flags};
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_guard: cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("perf_guard: {path}: {e}"))
+/// Every flag `perf_guard` accepts; each takes a value.
+const FLAGS: &[(&str, bool)] = &[("--report", true), ("--baseline", true), ("--trends", true)];
+
+fn fail(e: &str) -> ! {
+    eprintln!("perf_guard: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let report_path = arg_value(&args, "--report").unwrap_or_else(|| {
-        eprintln!("usage: perf_guard --report PATH [--baseline PATH] [--trends PATH]");
-        std::process::exit(2);
-    });
-    let baseline_path = arg_value(&args, "--baseline").unwrap_or("BENCH_BASELINE.json");
+    let value = |flag| flag_value(&args, flag).map(|v| v.map(String::as_str));
+    let (report_path, baseline_path, trends_path) = check_flags(&args, FLAGS)
+        .and_then(|()| {
+            let report = value("--report")?
+                .ok_or("usage: perf_guard --report PATH [--baseline PATH] [--trends PATH]")?;
+            Ok((report, value("--baseline")?, value("--trends")?))
+        })
+        .unwrap_or_else(|e: String| fail(&e));
+    let baseline_path = baseline_path.unwrap_or("BENCH_BASELINE.json");
+    let load = |path: &str| read_json(Path::new(path)).unwrap_or_else(|e| fail(&e));
 
     let report = load(report_path);
     let baseline = load(baseline_path);
-    let outcome = evaluate_guardrail(&report, &baseline).unwrap_or_else(|e| {
-        eprintln!("perf_guard: {baseline_path}: {e}");
-        std::process::exit(2);
-    });
+    let trends = trends_path.map(|path| (path, load(path)));
+    let outcome = evaluate_guardrail(&report, &baseline)
+        .unwrap_or_else(|e| fail(&format!("{baseline_path}: {e}")));
 
     print!("{}", outcome.to_markdown(report_path, baseline_path));
-    if let Some(trends_path) = arg_value(&args, "--trends") {
-        let flags = trend_flags(&load(trends_path));
+    if let Some((trends_path, trends)) = &trends {
+        let flags = trend_flags(trends);
         println!("\n### Trend advisories ({trends_path}, non-gating)\n");
         if flags.is_empty() {
-            println!("No guardrail metric regressed beyond its noise band across PRs.");
+            println!("No metric regressed beyond its noise band across PRs.");
         } else {
             for flag in flags {
                 println!("- {flag}");

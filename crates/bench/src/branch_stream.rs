@@ -1,18 +1,13 @@
-//! Shared branch-stream plumbing for the branch-path measurement
-//! surfaces (`perf_report`'s branch micro and the `branch_path`
-//! criterion group): one stream extraction and one delayed-update
-//! protocol driver, so the guardrail and the bench can never drift
-//! onto different protocols. (`tests/predictor_equivalence.rs` keeps
-//! its own *lockstep* loop on purpose — it asserts per-branch equality
-//! with branch-index diagnostics, which a one-predictor-at-a-time
-//! driver cannot express — but shares the stream extraction.)
+//! Shared branch-stream plumbing: one stream extraction and one
+//! delayed-update protocol loop, used by the `branch_path` criterion
+//! group and by the predictor-stream golden digests
+//! (`tests/golden_digests.rs`), so the bench and the pinned figures can
+//! never drift onto different protocols.
 
 use std::collections::VecDeque;
 
 use arvi_predict::{DirectionPredictor, Prediction};
 use arvi_trace::{Trace, TraceReader};
-
-use crate::baseline::ScalarDirectionPredictor;
 
 /// The recorded conditional-branch stream of a trace, as
 /// `(byte_pc, taken)` pairs.
@@ -86,41 +81,9 @@ pub fn run_delayed<P: DirectionPredictor>(
     }
 }
 
-/// [`run_delayed`] for the preserved scalar (checkpoint-re-hashing)
-/// baselines — same protocol, same hash, so the two sides' `StreamRun`s
-/// are directly comparable.
-pub fn run_delayed_scalar<S: ScalarDirectionPredictor>(
-    p: &mut S,
-    stream: &[(u64, bool)],
-    window: usize,
-) -> StreamRun {
-    let mut in_flight: VecDeque<(u64, bool, u64)> = VecDeque::new();
-    let mut correct = 0u64;
-    let mut hash = FNV_OFFSET;
-    for &(pc, taken) in stream {
-        let (dir, ckpt) = p.predict(pc);
-        p.spec_push(taken);
-        correct += (dir == taken) as u64;
-        hash = fnv_step(hash, dir);
-        in_flight.push_back((pc, taken, ckpt));
-        if in_flight.len() > window {
-            let (cpc, ct, cc) = in_flight.pop_front().expect("non-empty");
-            p.update(cpc, cc, ct);
-        }
-    }
-    while let Some((cpc, ct, cc)) = in_flight.pop_front() {
-        p.update(cpc, cc, ct);
-    }
-    StreamRun {
-        correct,
-        stream_hash: hash,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::ScalarTwoBcGskew;
     use arvi_predict::{GskewConfig, TwoBcGskew};
 
     fn noise_stream(n: usize) -> Vec<(u64, bool)> {
@@ -139,20 +102,10 @@ mod tests {
             fnv_step(fnv_step(FNV_OFFSET, true), false),
             fnv_step(fnv_step(FNV_OFFSET, false), true)
         );
-    }
-
-    #[test]
-    fn packed_and_scalar_drivers_agree() {
-        let stream = noise_stream(5_000);
-        for window in [0usize, 8] {
-            let packed = run_delayed(&mut TwoBcGskew::new(GskewConfig::level1()), &stream, window);
-            let scalar = run_delayed_scalar(
-                &mut ScalarTwoBcGskew::new(GskewConfig::level1()),
-                &stream,
-                window,
-            );
-            assert_eq!(packed, scalar, "window {window}");
-        }
+        assert_eq!(
+            fnv_bits([true, false]),
+            fnv_step(fnv_step(FNV_OFFSET, true), false)
+        );
     }
 
     #[test]

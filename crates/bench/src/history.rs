@@ -1,12 +1,24 @@
 //! Bench-trajectory analytics over the checked-in `BENCH_PR<N>.json`
 //! reports.
 //!
-//! Every PR lands a `perf_report` snapshot; this module parses all of
-//! them, tracks each guardrail metric *across* PRs, and flags the
-//! latest PR when a metric moved outside its noise band — the
-//! trend-level complement to `perf_guard`'s absolute baseline gate
-//! (which only sees one report at a time and cannot tell "slow drift"
-//! from "this PR regressed it").
+//! Every PR lands a report; this module parses all of them, tracks each
+//! metric *across* PRs, and flags the latest PR when a metric moved
+//! outside its noise band — the trend-level complement to
+//! `perf_guard`'s absolute baseline gate (which only sees one report at
+//! a time and cannot tell "slow drift" from "this PR regressed it").
+//!
+//! Two kinds of metric share the one trail:
+//!
+//! * each numeric `guardrail.<key>` of a `perf_report` JSON, under its
+//!   key;
+//! * each end-to-end metric of a committed `perfbench` object (the repo
+//!   benchmark's paired parent/change runs), as `<workload>/<metric>`,
+//!   valued at the change side's median
+//!   (`perfbench.end_to_end.<workload>.<metric>.change.median`). These
+//!   medians are host-normalised, and lower is better.
+//!
+//! Only metrics the newest report carries are judged: a retired metric
+//! keeps its history column but never flags.
 //!
 //! Noise bands are derived from the history itself: a metric's band is
 //! the wider of the baseline's warn band and twice the coefficient of
@@ -20,7 +32,7 @@ use std::path::Path;
 
 use arvi_stats::{change_percent, cv_percent};
 
-use crate::report::{io_error_at, Json};
+use crate::report::{io_error_at, read_json, Json};
 
 /// One parsed `BENCH_PR<N>.json`.
 #[derive(Debug)]
@@ -33,10 +45,11 @@ pub struct BenchFile {
     pub json: Json,
 }
 
-/// One guardrail metric's trajectory across the PR history.
+/// One metric's trajectory across the PR history.
 #[derive(Debug)]
 pub struct MetricTrend {
-    /// Metric key (`guardrail.<key>` in the reports).
+    /// Metric key: a guardrail key, or `<workload>/<metric>` for a
+    /// perfbench end-to-end metric.
     pub key: String,
     /// Whether larger values are better (from the baseline's
     /// `direction`, else inferred: `speedup` keys are higher-is-better,
@@ -49,11 +62,19 @@ pub struct MetricTrend {
     /// the metric.
     pub series: Vec<(u64, Option<f64>)>,
     /// Percent change of the newest value vs the previous one
-    /// (positive = increased), `None` without two points.
+    /// (positive = increased), `None` without two points or when the
+    /// metric is retired.
     pub change_pct: Option<f64>,
     /// Whether the newest change moves in the worse direction beyond
     /// the band.
     pub flagged: bool,
+}
+
+impl MetricTrend {
+    /// Whether the newest report no longer carries the metric.
+    pub fn retired(&self) -> bool {
+        self.series.last().is_some_and(|(_, v)| v.is_none())
+    }
 }
 
 /// The full trend report over a PR history.
@@ -61,7 +82,7 @@ pub struct MetricTrend {
 pub struct HistoryReport {
     /// PR numbers in history order.
     pub prs: Vec<u64>,
-    /// One trend per guardrail key, in first-appearance order.
+    /// One trend per metric, in first-appearance order.
     pub trends: Vec<MetricTrend>,
 }
 
@@ -84,87 +105,95 @@ pub fn load_bench_history(dir: &Path) -> Result<Vec<BenchFile>, String> {
         else {
             continue;
         };
-        let path = entry.path();
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}", io_error_at(&path, e)))?;
-        let json =
-            Json::parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
         files.push(BenchFile {
             pr,
             file: name,
-            json,
+            json: read_json(&entry.path())?,
         });
     }
     files.sort_by_key(|f| f.pr);
     Ok(files)
 }
 
-fn direction_of(key: &str, baseline: Option<&Json>) -> bool {
-    if let Some(Json::Arr(metrics)) = baseline.and_then(|b| b.get("metrics")) {
-        for m in metrics {
-            if matches!(m.get("key"), Some(Json::Str(k)) if k == key) {
-                return matches!(m.get("direction"), Some(Json::Str(d)) if d == "higher");
+/// The baseline's entry for `key`, if it has one.
+fn baseline_metric<'a>(key: &str, baseline: Option<&'a Json>) -> Option<&'a Json> {
+    match baseline?.get("metrics")? {
+        Json::Arr(metrics) => metrics
+            .iter()
+            .find(|m| matches!(m.get("key"), Some(Json::Str(k)) if k == key)),
+        _ => None,
+    }
+}
+
+/// Every metric `json` contributes to the trail, in report order: each
+/// numeric `guardrail.<key>`, then each perfbench end-to-end metric as
+/// `<workload>/<metric>` at its change-side median.
+fn report_metrics(json: &Json) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    if let Some(Json::Obj(fields)) = json.get("guardrail") {
+        out.extend(fields.iter().filter_map(|(key, v)| match v {
+            Json::Num(v) => Some((key.clone(), *v)),
+            _ => None,
+        }));
+    }
+    if let Some(Json::Obj(workloads)) = json.get("perfbench.end_to_end") {
+        for (workload, metrics) in workloads {
+            let Json::Obj(metrics) = metrics else {
+                continue;
+            };
+            for (metric, m) in metrics {
+                if let Some(median) = m.num("change.median") {
+                    out.push((format!("{workload}/{metric}"), median));
+                }
             }
         }
     }
-    key.contains("speedup")
+    out
 }
 
-fn warn_band_of(key: &str, baseline: Option<&Json>) -> Option<f64> {
-    let Some(Json::Arr(metrics)) = baseline.and_then(|b| b.get("metrics")) else {
-        return None;
-    };
-    metrics
-        .iter()
-        .find(|m| matches!(m.get("key"), Some(Json::Str(k)) if k == key))
-        .and_then(|m| m.num("warn_pct"))
-}
-
-/// Builds the trend report: guardrail keys in first-appearance order
+/// Builds the trend report: metric keys in first-appearance order
 /// across the PR-ordered `files`, one [`MetricTrend`] each. `baseline`
 /// (the `BENCH_BASELINE.json` document) supplies directions and warn
 /// bands when given; without it, directions are inferred from key names
 /// and the band floor is 10%.
 pub fn bench_history(files: &[BenchFile], baseline: Option<&Json>) -> HistoryReport {
     let prs: Vec<u64> = files.iter().map(|f| f.pr).collect();
+    let metrics: Vec<Vec<(String, f64)>> = files.iter().map(|f| report_metrics(&f.json)).collect();
     // Keys in first-appearance order across the history.
-    let mut keys: Vec<String> = Vec::new();
-    for f in files {
-        if let Some(Json::Obj(fields)) = f.json.get("guardrail") {
-            for (k, v) in fields {
-                if matches!(v, Json::Num(_)) && !keys.contains(k) {
-                    keys.push(k.clone());
-                }
-            }
+    let mut keys: Vec<&str> = Vec::new();
+    for (key, _) in metrics.iter().flatten() {
+        if !keys.contains(&key.as_str()) {
+            keys.push(key);
         }
     }
     let trends = keys
         .into_iter()
         .map(|key| {
-            let series: Vec<(u64, Option<f64>)> = files
+            let series: Vec<(u64, Option<f64>)> = prs
                 .iter()
-                .map(|f| (f.pr, f.json.num(&format!("guardrail.{key}"))))
+                .zip(&metrics)
+                .map(|(pr, m)| (*pr, m.iter().find(|(k, _)| k == key).map(|(_, v)| *v)))
                 .collect();
-            let values: Vec<(u64, f64)> = series
-                .iter()
-                .filter_map(|(pr, v)| v.map(|v| (*pr, v)))
-                .collect();
+            let values: Vec<f64> = series.iter().filter_map(|(_, v)| *v).collect();
             // The band judges the newest point, so it is derived from
             // the points before it.
-            let historical: Vec<f64> = values
-                .iter()
-                .take(values.len().saturating_sub(1))
-                .map(|(_, v)| *v)
-                .collect();
-            let band_pct = warn_band_of(&key, baseline)
+            let historical = &values[..values.len().saturating_sub(1)];
+            let entry = baseline_metric(key, baseline);
+            let band_pct = entry
+                .and_then(|m| m.num("warn_pct"))
                 .unwrap_or(10.0)
-                .max(2.0 * cv_percent(&historical));
-            let higher_is_better = direction_of(&key, baseline);
-            let change_pct = (values.len() >= 2).then(|| {
-                let (_, prev) = values[values.len() - 2];
-                let (_, last) = values[values.len() - 1];
-                change_percent(prev, last)
-            });
+                .max(2.0 * cv_percent(historical));
+            let higher_is_better = match entry {
+                Some(m) => matches!(m.get("direction"), Some(Json::Str(d)) if d == "higher"),
+                None => key.contains("speedup"),
+            };
+            // A metric the newest report lacks is retired: its last
+            // change is history, not this PR's doing.
+            let current = series.last().is_some_and(|(_, v)| v.is_some());
+            let change_pct = match values[..] {
+                [.., prev, last] if current => Some(change_percent(prev, last)),
+                _ => None,
+            };
             let flagged = change_pct.is_some_and(|c| {
                 if higher_is_better {
                     c < -band_pct
@@ -173,7 +202,7 @@ pub fn bench_history(files: &[BenchFile], baseline: Option<&Json>) -> HistoryRep
                 }
             });
             MetricTrend {
-                key,
+                key: key.to_string(),
                 higher_is_better,
                 band_pct,
                 series,
@@ -208,7 +237,7 @@ impl HistoryReport {
     /// Markdown trend table: one row per metric, one column per PR,
     /// with the latest change, band and verdict.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::from("## Bench trajectory (guardrail metrics across PRs)\n\n");
+        let mut out = String::from("## Bench trajectory (metrics across PRs)\n\n");
         out.push_str("| metric |");
         for pr in &self.prs {
             out.push_str(&format!(" PR{pr} |"));
@@ -232,6 +261,8 @@ impl HistoryReport {
             };
             let verdict = if t.flagged {
                 "🔺 regressed"
+            } else if t.retired() {
+                "retired"
             } else if t.change_pct.is_some() {
                 "✅ in band"
             } else {
@@ -242,7 +273,7 @@ impl HistoryReport {
         let flagged: Vec<&MetricTrend> = self.regressions().collect();
         out.push('\n');
         if flagged.is_empty() {
-            out.push_str("No guardrail metric regressed beyond its noise band in the latest PR.\n");
+            out.push_str("No metric regressed beyond its noise band in the latest PR.\n");
         } else {
             for t in flagged {
                 let (from, to) = HistoryReport::endpoints(t).unwrap_or((0, 0));
@@ -297,6 +328,7 @@ impl HistoryReport {
                     ),
                     ("change_pct", t.change_pct.map_or(Json::Null, Json::Num)),
                     ("flagged", Json::Bool(t.flagged)),
+                    ("retired", Json::Bool(t.retired())),
                 ])
             })
             .collect();
@@ -359,7 +391,7 @@ mod tests {
         assert_eq!(b.series[0], (5, None), "pre-metric PRs render as gaps");
         let md = report.to_markdown();
         assert!(md.contains("| PR5 |"), "{md}");
-        assert!(md.contains("No guardrail metric regressed"), "{md}");
+        assert!(md.contains("No metric regressed"), "{md}");
     }
 
     #[test]
@@ -383,6 +415,71 @@ mod tests {
         let md = report.to_markdown();
         assert!(md.contains("🔺 regressed"), "{md}");
         assert!(md.contains("between PR6 and PR7"), "{md}");
+    }
+
+    #[test]
+    fn retired_keys_keep_their_column_but_never_flag() {
+        // `old_ns` jumped +40% into the second report, then the newest
+        // report dropped it: the history keeps the column, the verdict
+        // is not a regression, and it does not repeat in every later
+        // report.
+        let files = vec![
+            file(9, r#"{"old_ns":10.0,"kept_ns":5.0}"#),
+            file(20, r#"{"old_ns":14.0,"kept_ns":5.1}"#),
+            file(21, r#"{"kept_ns":5.0}"#),
+        ];
+        let report = bench_history(&files, None);
+        let old = &report.trends[0];
+        assert_eq!(old.key, "old_ns");
+        assert_eq!(
+            old.series,
+            vec![(9, Some(10.0)), (20, Some(14.0)), (21, None)]
+        );
+        assert!(old.retired());
+        assert!(!old.flagged);
+        assert_eq!(old.change_pct, None);
+        assert!(!report.trends[1].retired());
+        assert_eq!(report.regressions().count(), 0);
+        let md = report.to_markdown();
+        assert!(
+            md.contains("| `old_ns` | 10.000 | 14.000 | — | — |"),
+            "{md}"
+        );
+        assert!(md.contains("retired"), "{md}");
+        assert!(!md.contains("between PR"), "{md}");
+    }
+
+    #[test]
+    fn perfbench_medians_join_the_trail() {
+        let perfbench = |pr: u64, wall: f64, rss: f64| BenchFile {
+            pr,
+            file: format!("BENCH_PR{pr}.json"),
+            json: Json::parse(&format!(
+                r#"{{"guardrail":{{"x_ns":1.0}},"perfbench":{{"end_to_end":{{
+                    "paper-grid":{{
+                        "norm_wall_s":{{"unit":"s","parent":{{"median":9.0}},
+                                        "change":{{"median":{wall},"q1":0.0,"q3":0.0}}}},
+                        "peak_rss_mb":{{"unit":"MB","change":{{"median":{rss}}}}}}}}}}}}}"#
+            ))
+            .unwrap(),
+        };
+        let report = bench_history(&[perfbench(20, 2.5, 41.0), perfbench(22, 3.5, 41.2)], None);
+        let keys: Vec<&str> = report.trends.iter().map(|t| t.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["x_ns", "paper-grid/norm_wall_s", "paper-grid/peak_rss_mb"]
+        );
+        let wall = &report.trends[1];
+        assert_eq!(wall.series, vec![(20, Some(2.5)), (22, Some(3.5))]);
+        assert!(!wall.higher_is_better, "perfbench metrics: lower is better");
+        assert!(wall.flagged, "+40% on the change-side median");
+        let rss = &report.trends[2];
+        assert!(!rss.flagged, "+0.5% is inside the band");
+        let md = report.to_markdown();
+        assert!(
+            md.contains("`paper-grid/norm_wall_s` moved +40.0% between PR20 and PR22"),
+            "{md}"
+        );
     }
 
     #[test]
@@ -452,7 +549,7 @@ mod tests {
         assert_eq!(empty.regressions().count(), 0);
         let md = empty.to_markdown();
         assert!(md.contains("## Bench trajectory"), "{md}");
-        assert!(md.contains("No guardrail metric regressed"), "{md}");
+        assert!(md.contains("No metric regressed"), "{md}");
         let j = empty.to_json();
         assert!(matches!(j.get("regressions"), Some(Json::Arr(r)) if r.is_empty()));
 
@@ -466,7 +563,7 @@ mod tests {
         }
         let md = one.to_markdown();
         assert!(md.contains("| PR9 |"), "{md}");
-        assert!(md.contains("No guardrail metric regressed"), "{md}");
+        assert!(md.contains("No metric regressed"), "{md}");
     }
 
     #[test]

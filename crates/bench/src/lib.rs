@@ -13,10 +13,9 @@
 //!   four configurations at a given pipeline depth.
 //! * `experiments` — the full sweep, emitting every figure and the
 //!   headline averages.
-//! * `perf_report` — quantifies the hot paths (calendar-queue machine
-//!   vs the preserved heap baseline, DDT vs the naive baseline, the
-//!   replayed sweep), emitting a machine-readable `BENCH_*.json` whose
-//!   `guardrail` section feeds the CI perf gate.
+//! * `perf_report` — times the replayed sweep, the journal and probe
+//!   seams and the sampled-simulation path, printing a machine-readable
+//!   JSON report whose `guardrail` section feeds the CI perf gate.
 //! * `perf_guard` — the CI perf-regression gate: compares a fresh
 //!   `perf_report` JSON against the checked-in `BENCH_BASELINE.json`
 //!   with per-metric tolerance bands and prints a markdown delta
@@ -63,11 +62,10 @@
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
-//! lookup, predictor throughput, emulator and whole-machine speed).
+//! lookup, predictor throughput, emulator and whole-machine speed). The
+//! figures those structures produce are pinned by the golden digests
+//! (`tests/golden_digests.rs`).
 
-pub mod baseline;
-mod baseline_machine;
-mod baseline_predict;
 pub mod branch_stream;
 pub mod events;
 pub mod guard;
@@ -81,9 +79,7 @@ pub mod sampling;
 pub mod sweep;
 pub mod workload;
 
-pub use branch_stream::{
-    conditional_branches, fnv_bits, run_delayed, run_delayed_scalar, StreamRun,
-};
+pub use branch_stream::{conditional_branches, fnv_bits, run_delayed, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use guard::{evaluate_guardrail, trend_flags, GuardOutcome, MetricRow, MetricStatus};
 pub use harness::{fig5_cell, paper_tables, run_one, run_one_traced, Fig6Data, GridRun, Spec};
@@ -94,7 +90,7 @@ pub use obs_grid::{
     sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup, SiteDelta,
     WorkloadAttribution,
 };
-pub use report::{write_report, write_text, Json};
+pub use report::{read_json, write_report, write_text, Json};
 pub use resilience::{
     cell_fingerprint, outcome_summary, timing_summary, CellOutcome, CellSuccess, Degradation,
     FaultKind, FaultPlan, FaultyIo, Resilience, SweepIncomplete, SweepJournal,

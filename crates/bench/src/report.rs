@@ -344,6 +344,14 @@ pub fn io_error_at(path: &std::path::Path, e: std::io::Error) -> std::io::Error 
     std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
+/// Reads and parses the JSON document at `path`; the error names the
+/// path.
+pub fn read_json(path: &std::path::Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}", io_error_at(path, e)))?;
+    Json::parse(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))
+}
+
 /// Writes `text` to `path`, creating missing parent directories.
 /// Errors carry the offending path.
 pub fn write_text(path: &std::path::Path, text: &str) -> std::io::Result<()> {

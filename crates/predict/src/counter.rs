@@ -32,15 +32,16 @@ impl SatCounter {
     /// replicates) on two bits of state. Pack tables with
     /// [`PackedCounters`](crate::PackedCounters) instead; this
     /// constructor remains for odd widths (the BVIT's 3-bit performance
-    /// counter) and the preserved scalar baselines in `arvi-bench`.
+    /// counter) and as the reference model the packed tables are tested
+    /// against.
     ///
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 7, or if `initial` exceeds the
     /// maximum representable value.
     #[deprecated(note = "2-bit predictor tables should use PackedCounters; \
-                SatCounter::new remains for odd widths (BVIT) and the \
-                preserved scalar baselines")]
+                SatCounter::new remains for odd widths (BVIT) and as the \
+                packed tables' reference model")]
     pub fn new(bits: u32, initial: u8) -> SatCounter {
         assert!((1..=7).contains(&bits), "counter width {bits} unsupported");
         let max = ((1u16 << bits) - 1) as u8;

@@ -24,9 +24,9 @@
 //! prediction time) *and* the resolved table indices, which callers hand
 //! back to `update` — so a delayed (commit-time) update trains exactly
 //! the entries the prediction read without re-hashing PC and history a
-//! second time. The scalar pre-PR5 predictors are preserved verbatim in
-//! `arvi_bench::baseline` and pinned stream-identical by
-//! `tests/predictor_equivalence.rs`.
+//! second time. Every predictor's direction stream over the recorded
+//! workloads is pinned by the golden digests (`tests/golden_digests.rs`),
+//! which the scalar seed-era predictors produced too.
 
 pub mod bimodal;
 pub mod confidence;

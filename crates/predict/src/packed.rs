@@ -7,8 +7,8 @@
 //! cache-thrashing 256 KB of traffic where the EV8 design holds 32 KB.
 //! `PackedCounters` stores 32 two-bit counters per `u64` word, exactly
 //! matching [`SatCounter`]'s 2-bit saturate/update/strengthen semantics
-//! bit for bit (pinned by the proptest in `tests/predictor_properties.rs`
-//! and the stream-equivalence harness in `tests/predictor_equivalence.rs`).
+//! bit for bit (pinned by the proptest in `tests/predictor_properties.rs`;
+//! the predictors' streams are pinned by `tests/golden_digests.rs`).
 //!
 //! [`SatCounter`]: crate::SatCounter
 

@@ -15,9 +15,10 @@
 //! [`crate::wheel::SeqSet`]s instead of `BTreeSet`s, branch decisions
 //! ride in a commit-order FIFO beside the ROB instead of fattening every
 //! entry, and per-register consumer wait lists live with the rename
-//! state that wakes them. The previous heap-based core is preserved as
-//! `arvi_bench::baseline::HeapMachine` and proved cycle-identical by
-//! `tests/scheduler_equivalence.rs`.
+//! state that wakes them. Every `MachineStats` counter of the suite grid
+//! and the curated scenarios is pinned by the golden digests
+//! (`tests/golden_digests.rs`), which the heap-based core this replaced
+//! produced too.
 //!
 //! Trace-driven approximations (DESIGN.md substitution 2): fetch always
 //! follows the correct path; a mispredicted branch stalls fetch until it

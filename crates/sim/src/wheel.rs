@@ -7,8 +7,7 @@
 //! of per-cycle buckets whose `Vec` slots are reused forever gives O(1)
 //! schedule and O(1) pop with **zero steady-state allocation** — where
 //! the previous `BinaryHeap<Reverse<(u64, u64)>>` pair re-sorted on
-//! every push/pop (preserved as `arvi_bench::baseline::HeapMachine` for
-//! comparison).
+//! every push/pop.
 //!
 //! Because the horizon exceeds every schedulable delay, a bucket can
 //! only ever hold entries for a single absolute cycle, and an occupancy
@@ -19,9 +18,10 @@
 //! Entries within a bucket come back in insertion order, not sequence
 //! order; the machine's issue stage orders candidates by age itself, so
 //! nothing downstream re-sorts what the wheel already bucketed by time
-//! (`tests/scheduler_equivalence.rs` proves the figures cycle-identical
-//! to the heap scheduler, and a property test checks the wheel's
-//! per-cycle drain sets against heap order directly).
+//! (the golden digests, `tests/golden_digests.rs`, pin the machine's
+//! figures to those of the heap scheduler, and a property test in
+//! `tests/scheduler_equivalence.rs` checks the wheel's per-cycle drain
+//! sets against heap order directly).
 
 /// A fixed-horizon calendar queue over `(cycle, seq)` work items.
 #[derive(Debug, Clone)]

@@ -6,15 +6,15 @@
 //!
 //! 1. **NullProbe is free** — `simulate_source` (which routes through
 //!    the probed path with `NullProbe`) must produce exactly the
-//!    counters it produced before the seam existed. The scheduler
-//!    equivalence suite pins that against the preserved heap machine;
-//!    here we pin the stronger claim directly:
+//!    counters it produced before the seam existed. The golden digests
+//!    (`tests/golden_digests.rs`) pin those counters; here we pin the
+//!    stronger claim directly:
 //! 2. **Live probes are observers, not participants** — running with
 //!    the full consumer stack (counter histograms + per-site
 //!    attribution + event tracer) attached must be counter-for-counter
 //!    identical to the unprobed run, across the full benchmark grid and
-//!    the curated synthetic scenarios (the
-//!    `tests/scheduler_equivalence.rs` axes).
+//!    the curated synthetic scenarios (the `tests/golden_digests.rs`
+//!    machine axes).
 //!
 //! Plus consistency checks tying the probe's own telemetry back to the
 //! machine's statistics.

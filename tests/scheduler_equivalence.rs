@@ -1,140 +1,18 @@
-//! Cycle-identity harness for the calendar-queue timing machine.
+//! The timing wheel against a `BinaryHeap` reference.
 //!
-//! The PR 4 rewrite replaced the machine's two `BinaryHeap` scheduler
-//! queues with a fixed-horizon timing wheel (plus a structure-of-arrays
-//! ROB, sorted-vector memory ordering and a commit-order decision FIFO).
-//! None of that may change a single figure: this harness pins the new
-//! machine against the preserved heap machine
-//! (`arvi_bench::baseline::HeapMachine`) counter-for-counter across
-//!
-//! 1. the full benchmark grid (every suite benchmark x every predictor
-//!    configuration x every pipeline depth), and
-//! 2. all curated synthetic scenarios (every configuration, 20-stage),
-//!
-//! plus a property test comparing the wheel's per-cycle drain sets
-//! against a `BinaryHeap` reference over random bounded-latency
-//! schedules (including the occupancy-bitmap cycle skip).
+//! The machine's event core is a fixed-horizon timing wheel
+//! (`arvi_sim::EventWheel`) that replaced two `BinaryHeap` scheduler
+//! queues. This property test compares the wheel's per-cycle drain sets
+//! with a plain `(time, payload)` min-heap over random bounded-latency
+//! schedules, including the occupancy-bitmap cycle skip. The whole
+//! machine's figures are pinned separately, counter for counter, by
+//! `tests/golden_digests.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
-use arvi::sim::{
-    simulate_source, Depth, EventWheel, MachineStats, PredictorConfig, SimParams, SimResult,
-};
-use arvi::trace::TraceReplayer;
-use arvi_bench::{baseline, record_trace, Spec, Workload};
+use arvi::sim::EventWheel;
 use proptest::prelude::*;
-
-fn spec() -> Spec {
-    Spec {
-        warmup: 2_000,
-        measure: 5_000,
-        seed: 42,
-    }
-}
-
-fn assert_identical(wheel: &MachineStats, heap: &MachineStats, label: &str) {
-    assert_eq!(wheel.cycles, heap.cycles, "{label}: cycles");
-    assert_eq!(wheel.committed, heap.committed, "{label}: committed");
-    assert_eq!(
-        (wheel.cond_branches.correct(), wheel.cond_branches.total()),
-        (heap.cond_branches.correct(), heap.cond_branches.total()),
-        "{label}: final accuracy"
-    );
-    assert_eq!(
-        (wheel.l1_only.correct(), wheel.l1_only.total()),
-        (heap.l1_only.correct(), heap.l1_only.total()),
-        "{label}: level-1 accuracy"
-    );
-    assert_eq!(
-        (wheel.calc_class.correct(), wheel.calc_class.total()),
-        (heap.calc_class.correct(), heap.calc_class.total()),
-        "{label}: calculated class"
-    );
-    assert_eq!(
-        (wheel.load_class.correct(), wheel.load_class.total()),
-        (heap.load_class.correct(), heap.load_class.total()),
-        "{label}: load class"
-    );
-    assert_eq!(wheel.overrides, heap.overrides, "{label}: overrides");
-    assert_eq!(
-        wheel.overrides_correcting, heap.overrides_correcting,
-        "{label}: correcting overrides"
-    );
-    assert_eq!(wheel.bvit_hits, heap.bvit_hits, "{label}: BVIT hits");
-    assert_eq!(
-        wheel.full_mispredicts, heap.full_mispredicts,
-        "{label}: full mispredicts"
-    );
-    assert_eq!(
-        wheel.override_restarts, heap.override_restarts,
-        "{label}: override restarts"
-    );
-}
-
-/// Runs one workload through both machines over a shared recording and
-/// compares every counter of the measurement window.
-fn compare(workload: &Workload, depth: Depth, config: PredictorConfig, spec: Spec) {
-    let trace = Arc::new(record_trace(workload, spec));
-    let wheel: SimResult = simulate_source(
-        arvi::sim::intern_name(workload.name()),
-        TraceReplayer::new(Arc::clone(&trace)),
-        SimParams::for_depth(depth),
-        config,
-        spec.warmup,
-        spec.measure,
-    );
-    let heap = baseline::simulate_source_heap(
-        workload.name(),
-        TraceReplayer::new(Arc::clone(&trace)),
-        SimParams::for_depth(depth),
-        config,
-        spec.warmup,
-        spec.measure,
-    );
-    assert_identical(
-        &wheel.window,
-        &heap.window,
-        &format!("{} @{depth} / {config}", workload.name()),
-    );
-}
-
-/// Every suite benchmark x configuration x depth (the fig5/fig6 grid
-/// axes at equivalence-test scale).
-#[test]
-fn benchmark_grid_is_cycle_identical() {
-    for workload in Workload::suite() {
-        for depth in Depth::all() {
-            for config in PredictorConfig::all() {
-                compare(&workload, depth, config, spec());
-            }
-        }
-    }
-}
-
-/// All curated synthetic scenarios under every configuration.
-#[test]
-fn curated_scenarios_are_cycle_identical() {
-    for sc in arvi::synth::curated() {
-        let workload = Workload::scenario(sc);
-        for config in PredictorConfig::all() {
-            compare(&workload, Depth::D20, config, spec());
-        }
-    }
-}
-
-/// The deeper pipelines exercise the largest wheel delays (D60 worst
-/// case: a TLB miss plus misses at every level) on the scenario mix too.
-#[test]
-fn deep_pipeline_scenarios_are_cycle_identical() {
-    for name in ["datadep-deep", "datadep-chase", "bias-always"] {
-        let workload = Workload::scenario(arvi::synth::find(name).expect("curated name"));
-        for depth in [Depth::D40, Depth::D60] {
-            compare(&workload, depth, PredictorConfig::ArviCurrent, spec());
-        }
-    }
-}
 
 /// Reference model for the wheel: a plain `(time, payload)` min-heap.
 #[derive(Default)]
