@@ -328,7 +328,6 @@ impl HistoryReport {
                     ),
                     ("change_pct", t.change_pct.map_or(Json::Null, Json::Num)),
                     ("flagged", Json::Bool(t.flagged)),
-                    ("retired", Json::Bool(t.retired())),
                 ])
             })
             .collect();

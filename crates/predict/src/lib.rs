@@ -25,8 +25,7 @@
 //! back to `update` — so a delayed (commit-time) update trains exactly
 //! the entries the prediction read without re-hashing PC and history a
 //! second time. Every predictor's direction stream over the recorded
-//! workloads is pinned by the golden digests (`tests/golden_digests.rs`),
-//! which the scalar seed-era predictors produced too.
+//! workloads is pinned by the golden digests (`tests/golden_digests.rs`).
 
 pub mod bimodal;
 pub mod confidence;

@@ -17,8 +17,7 @@
 //! entry, and per-register consumer wait lists live with the rename
 //! state that wakes them. Every `MachineStats` counter of the suite grid
 //! and the curated scenarios is pinned by the golden digests
-//! (`tests/golden_digests.rs`), which the heap-based core this replaced
-//! produced too.
+//! (`tests/golden_digests.rs`).
 //!
 //! Trace-driven approximations (DESIGN.md substitution 2): fetch always
 //! follows the correct path; a mispredicted branch stalls fetch until it

@@ -19,9 +19,9 @@
 //! order; the machine's issue stage orders candidates by age itself, so
 //! nothing downstream re-sorts what the wheel already bucketed by time
 //! (the golden digests, `tests/golden_digests.rs`, pin the machine's
-//! figures to those of the heap scheduler, and a property test in
-//! `tests/scheduler_equivalence.rs` checks the wheel's per-cycle drain
-//! sets against heap order directly).
+//! figures, and a property test in `tests/scheduler_equivalence.rs`
+//! checks the wheel's per-cycle drain sets against heap order
+//! directly).
 
 /// A fixed-horizon calendar queue over `(cycle, seq)` work items.
 #[derive(Debug, Clone)]

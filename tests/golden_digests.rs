@@ -18,8 +18,9 @@
 //! * **gskew component state** — one hash of the level-1 gskew's
 //!   `component_votes` over 4096 PCs after training on m88ksim.
 //!
-//! Any change to a figure fails the test, naming the first differing
-//! line and counter. The fresh digests are written to
+//! The file is split into `# section` blocks, one test each. Any change
+//! to a figure fails its section's test, naming the first differing
+//! line and counter. The whole fresh file is written to
 //! `$CARGO_TARGET_TMPDIR/digests.txt`: after a deliberate modelling
 //! change, review the difference and copy that file over the golden one.
 
@@ -338,8 +339,16 @@ fn check(section: &str) {
         .find(|(name, _)| *name == section)
         .expect("a known section");
     if let Some(diff) = first_difference(GOLDEN, &render(name, generate), name) {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("digests.txt");
-        std::fs::write(&path, fresh_digests()).expect("write the fresh digests");
+        // Failing sections run in parallel and all write the same file:
+        // each writes its own temporary and renames it into place, so the
+        // file is always whole.
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let (tmp, path) = (
+            dir.join(format!("digests.{name}.tmp")),
+            dir.join("digests.txt"),
+        );
+        std::fs::write(&tmp, fresh_digests()).expect("write the fresh digests");
+        std::fs::rename(&tmp, &path).expect("move the fresh digests into place");
         panic!(
             "{diff}\nfresh digests written to {}; after a deliberate change, review \
              the difference and copy it over tests/golden/digests.txt",
