@@ -4,7 +4,7 @@
 //! assembled, as `experiments` does. For the full-window artifacts use
 //! the `experiments` binary.
 
-use arvi_bench::{full_grid, paper_tables, GridRun, Spec, TraceSet, Workload};
+use arvi_bench::{full_grid, paper_tables, GridRun, Resilience, Spec, TraceSet, Workload};
 use arvi_sim::{Depth, PredictorConfig};
 use arvi_trace::par::cores;
 
@@ -23,7 +23,8 @@ fn main() {
     let workloads = Workload::suite();
     let threads = cores();
     let traces = TraceSet::record(&workloads, spec, threads, None);
-    let run = GridRun::run(full_grid(), spec, threads, false, Some(&traces), None, None);
+    let res = Resilience::new();
+    let run = GridRun::run(full_grid(), spec, threads, false, &traces, &res, None);
 
     let (fig5a, fig5b) = run.fig5_tables(&workloads).expect("every cell ran");
     println!(

@@ -5,7 +5,7 @@
 //!                     [--sample K:WARMUP:DETAIL]
 //!                     [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!                     [--journal FILE] [--resume] [--fault-plan FILE]
-//!                     [--deadline-ms N] [--events-out FILE] [--metrics-out FILE]
+//!                     [--events-out FILE] [--metrics-out FILE]
 //!                     [--probe counters,sites,trace] [--obs-out FILE]
 //!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!                     [--list-scenarios] [--list-benchmarks]`
@@ -32,8 +32,9 @@
 //! `--scenario`/`--scenario-file` flag switches the grids to the named
 //! synthetic scenarios instead.
 //!
-//! Every cell is fault-isolated: cell failures are reported at the end
-//! (exit code 3) instead of aborting. With `--journal`, completed cells
+//! Every cell is fault-isolated: cell failures, a workload without a
+//! usable recording among them, are reported at the end (exit code 3)
+//! instead of aborting. With `--journal`, completed cells
 //! are journaled as they finish, and `--resume` completes an
 //! interrupted run from its journal.
 //!
@@ -80,7 +81,7 @@ fn main() {
 
     // One recording per workload, one sweep over the whole grid: every
     // figure below is a slice of it.
-    let res = flags.res.as_ref();
+    let res = &flags.res;
     let traces =
         TraceSet::record_resilient(&workloads, spec, threads, flags.trace_dir.as_deref(), res);
     let run = GridRun::run(
@@ -88,7 +89,7 @@ fn main() {
         spec,
         threads,
         true,
-        Some(&traces),
+        &traces,
         res,
         flags.plan.as_ref(),
     );
@@ -154,12 +155,7 @@ fn main() {
     // cells, probed in-pass (`--probe`, `--trace-cycles`).
     maybe_obs_pass(flags.obs.as_ref(), &run);
     // The full evaluation grid, probed in-pass and merged (`--obs-grid`).
-    maybe_obs_grid(
-        flags.obs.as_ref(),
-        run,
-        spec,
-        res.and_then(|r| r.telemetry.as_deref()),
-    );
+    maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
 
     if !incomplete.is_empty() {
         for e in &incomplete {

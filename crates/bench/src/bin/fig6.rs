@@ -5,7 +5,7 @@
 //!              [--sample K:WARMUP:DETAIL]
 //!              [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!              [--journal FILE] [--resume] [--fault-plan FILE]
-//!              [--deadline-ms N] [--events-out FILE] [--metrics-out FILE]
+//!              [--events-out FILE] [--metrics-out FILE]
 //!              [--probe counters,sites,trace] [--obs-out FILE]
 //!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
 //!              [--list-scenarios] [--list-benchmarks]`
@@ -24,8 +24,9 @@
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
-//! scenarios instead. Every cell is fault-isolated: cell failures are
-//! reported (exit code 3) instead of aborting, and with the
+//! scenarios instead. Every cell replays its workload's recording and is
+//! fault-isolated: cell failures, a workload without a usable recording
+//! among them, are reported (exit code 3) instead of aborting, and with the
 //! fault-tolerance flags `--resume` completes an interrupted run from
 //! its journal.
 //!
@@ -52,7 +53,7 @@ fn main() {
     let spec = Spec::from_args(&args);
     let threads = flags.threads;
     let workloads = workloads_from_args(&args);
-    let res = flags.res.as_ref();
+    let res = &flags.res;
     let traces =
         TraceSet::record_resilient(&workloads, spec, threads, flags.trace_dir.as_deref(), res);
     let run = GridRun::run(
@@ -60,7 +61,7 @@ fn main() {
         spec,
         threads,
         true,
-        Some(&traces),
+        &traces,
         res,
         flags.plan.as_ref(),
     );
@@ -96,10 +97,5 @@ fn main() {
     // in-pass (`--probe`, `--trace-cycles`).
     maybe_obs_pass(flags.obs.as_ref(), &run);
     // The figure's full grid, probed in-pass and merged (`--obs-grid`).
-    maybe_obs_grid(
-        flags.obs.as_ref(),
-        run,
-        spec,
-        res.and_then(|r| r.telemetry.as_deref()),
-    );
+    maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
 }

@@ -214,19 +214,11 @@ fn main() {
     // One recording per scenario feeds both layers and all configs.
     let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let res = obs.clone().map(|cfg| Resilience {
-        probes: Some(cfg),
+    let res = Resilience {
+        probes: obs.clone(),
         ..Resilience::new()
-    });
-    let run = GridRun::run(
-        points,
-        spec,
-        threads,
-        true,
-        Some(&traces),
-        res.as_ref(),
-        None,
-    );
+    };
+    let run = GridRun::run(points, spec, threads, true, &traces, &res, None);
     let machine = run.results(|_| true).unwrap_or_else(|incomplete| {
         eprintln!("{incomplete}");
         std::process::exit(3);

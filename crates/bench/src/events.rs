@@ -4,7 +4,7 @@
 //!
 //! - `--events-out PATH`: an append-only JSONL span log. Every line is
 //!   one self-contained object `{"t_us":..,"event":..,...}` — cell
-//!   start/end (with record/replay/live phase and duration), resume
+//!   start/end (with replay/resumed phase and duration), resume
 //!   hits, trace quarantines, record-phase spans, sweep boundaries.
 //!   One event per line means a torn write (crash mid-append) damages
 //!   at most the final line, same contract as the sweep journal.
@@ -296,7 +296,7 @@ mod tests {
             "ok",
             Some(Duration::from_millis(20)),
             true,
-            Some("live-emulation"),
+            Some("requarantined"),
         );
         t.cell_finished("panicked", None, false, None);
         t.quarantine("t.trace", "bad magic", "re-recorded");
@@ -318,7 +318,7 @@ mod tests {
         );
         assert!(text.contains("arvi_sweep_resumed_cells_total 1"), "{text}");
         assert!(
-            text.contains("arvi_sweep_degraded_cells_total{kind=\"live-emulation\"} 1"),
+            text.contains("arvi_sweep_degraded_cells_total{kind=\"requarantined\"} 1"),
             "{text}"
         );
         assert!(text.contains("arvi_trace_quarantines_total 1"), "{text}");

@@ -4,15 +4,16 @@
 //! Every grid — the experiment binaries', `perf_report`'s,
 //! `synth_report`'s, the benches' and the tests' — runs as a
 //! [`GridRun`]: one executor call whatever the flags (the fault policy
-//! defaults to [`Resilience::new`], a sample plan only changes the work
-//! items, and no trace set means every cell runs live). Results come
-//! back in deterministic grid order, so parallel output is identical to
-//! a sequential run. Every figure is assembled from one run's cells:
-//! `experiments` builds Figure 5 from the ARVI-current subset of the
-//! same `workloads × depths × configs` grid whose per-depth slices are
-//! Figure 6, so no cell is simulated twice. [`run_one`] and
-//! [`run_one_traced`] are the single-cell references grids are checked
-//! against.
+//! is [`Resilience::new`] without fault-tolerance flags, and a sample
+//! plan only changes the work items), and every cell replays its
+//! workload's shared recording. Results come back in deterministic grid
+//! order, so parallel output is identical to a sequential run. Every
+//! figure is assembled from one run's cells: `experiments` builds
+//! Figure 5 from the ARVI-current subset of the same
+//! `workloads × depths × configs` grid whose per-depth slices are
+//! Figure 6, so no cell is simulated twice. [`run_one`] (live
+//! emulation) and [`run_one_traced`] are the single-cell references
+//! grids are checked against: replay equals live emulation.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -267,7 +268,7 @@ pub struct GridRun {
     /// One outcome per point.
     pub outcomes: Vec<CellOutcome>,
     /// Per-point sampled estimates when the run was sampled (`None`
-    /// entries for cells that did not sample), `None` otherwise.
+    /// entries for failed cells), `None` otherwise.
     pub reports: Option<Vec<Option<SampleReport>>>,
     /// The journal the run appended its completed cells to (`None`: it
     /// journaled nothing), which an incomplete run's hint names.
@@ -277,28 +278,25 @@ pub struct GridRun {
 impl GridRun {
     /// Runs `points` once on the grid executor — the crate's only way
     /// in — on `threads` workers, replaying the shared recordings
-    /// `traces` (every cell live when `None`), under `res` (the default
-    /// policy, [`Resilience::new`], when `None`) and, with `plan`,
-    /// sampled. A failed cell never aborts the run: it is reported by
-    /// [`GridRun::results`]. The resilience and timing summaries go to
-    /// stderr.
+    /// `traces`, under `res` and, with `plan`, sampled. A failed cell
+    /// (among them one whose workload has no usable recording) never
+    /// aborts the run: it is reported by [`GridRun::results`]. The
+    /// resilience and timing summaries go to stderr.
     pub fn run(
         points: Vec<SweepPoint>,
         spec: Spec,
         threads: usize,
         progress: bool,
-        traces: Option<&TraceSet>,
-        res: Option<&Resilience>,
+        traces: &TraceSet,
+        res: &Resilience,
         plan: Option<&SamplePlan>,
     ) -> GridRun {
-        let default_res = Resilience::new();
-        let res = res.unwrap_or(&default_res);
         let (outcomes, reports, journal) =
             run_grid(&points, spec, threads, progress, traces, res, plan);
         if let Some(summary) = outcome_summary(&outcomes) {
             eprintln!("{summary}");
         }
-        if let Some(timing) = timing_summary(&outcomes, traces.map(TraceSet::record_elapsed)) {
+        if let Some(timing) = timing_summary(&outcomes, traces.record_elapsed()) {
             eprintln!("{timing}");
         }
         GridRun {

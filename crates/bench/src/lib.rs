@@ -28,7 +28,7 @@
 //! Experiment grids run on one executor, entered only through
 //! [`GridRun::run`] (on the workspace's one worker loop,
 //! [`arvi_trace::par::par_map_caught`]), in
-//! every mode — strict, fault-isolated, sampled and live: every
+//! every mode — strict, fault-isolated and sampled: every
 //! `(benchmark, depth, configuration)` cell is an independent
 //! deterministic simulation (under `--sample`, one work item per
 //! sampling unit), each isolated from the others, and results are
@@ -36,10 +36,12 @@
 //! sequential ones. All binaries accept `--threads N` (default: all
 //! cores; `1` = sequential).
 //!
-//! Grids are record-once / replay-many (PR 2): each distinct
+//! Grids are record-once / replay-many: each distinct
 //! `(benchmark, seed, window)` workload is emulated exactly once into a
 //! shared `arvi_trace::Trace` ([`sweep::TraceSet`]) and every cell
-//! replays it — bit-identically to live emulation. The experiment
+//! replays it — bit-identically to live emulation ([`run_one`]). A cell
+//! whose workload has no usable recording fails alone and is reported
+//! (exit code 3). The experiment
 //! binaries (`fig5`, `fig6`, `experiments`, `perf_report`) also accept
 //! `--trace-dir DIR` to persist recordings and reload them on later
 //! runs instead of re-emulating.
@@ -121,7 +123,6 @@ pub(crate) const RUN_FLAGS: &[(&str, bool)] = &[
     ("--journal", true),
     ("--resume", false),
     ("--fault-plan", true),
-    ("--deadline-ms", true),
     ("--events-out", true),
     ("--metrics-out", true),
     ("--probe", true),
@@ -135,10 +136,11 @@ pub(crate) const RUN_FLAGS: &[(&str, bool)] = &[
 
 /// The positional arguments of `args`: everything that is neither a flag
 /// of the table `flags` (name, takes a value) nor the value of one. An
-/// unknown `--flag` is an error.
+/// unknown `--flag` is an error, and so is a value-taking flag followed
+/// by another flag or by nothing (as in [`flag_value`]).
 fn positionals<'a>(args: &'a [String], flags: &[(&str, bool)]) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
-    let mut rest = args.iter();
+    let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
             out.push(arg.as_str());
@@ -146,7 +148,9 @@ fn positionals<'a>(args: &'a [String], flags: &[(&str, bool)]) -> Result<Vec<&'a
         }
         match flags.iter().find(|(name, _)| name == arg) {
             Some((_, true)) => {
-                rest.next();
+                if rest.next_if(|v| !v.starts_with('-')).is_none() {
+                    return Err(format!("{arg} needs a value"));
+                }
             }
             Some((_, false)) => {}
             None => return Err(format!("unknown flag `{arg}`")),
@@ -221,39 +225,19 @@ pub fn trace_dir_from_args(args: &[String]) -> Result<Option<std::path::PathBuf>
 ///   directory without one).
 /// * `--fault-plan FILE` — inject the deterministic faults listed in
 ///   `FILE` (see [`FaultPlan::parse`] for the line syntax).
-/// * `--deadline-ms N` — soft per-work-item deadline (a whole cell, or
-///   under `--sample` one sampling unit); a slower item is reported as
-///   timed out, its result discarded, and its cell failed.
 /// * `--events-out FILE` — write a JSONL span log of sweep execution
-///   events (cell start/end, record/replay/live phase, quarantines,
-///   resume hits) to `FILE`.
+///   events (cell start/end, record/replay phase, quarantines, resume
+///   hits) to `FILE`.
 /// * `--metrics-out FILE` — write cumulative sweep counters to `FILE`
 ///   in Prometheus text exposition format after every sweep.
 ///
-/// Returns `Ok(None)` when none of the flags are present (callers run
-/// the default policy, [`Resilience::new`]), `Ok(Some(policy))`
-/// otherwise.
-pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, String> {
+/// Without any of them the policy is the default, [`Resilience::new`].
+pub fn resilience_from_args(args: &[String]) -> Result<Resilience, String> {
     let journal = flag_value(args, "--journal")?;
     let resume = args.iter().any(|a| a == "--resume");
     let plan_path = flag_value(args, "--fault-plan")?;
-    let deadline_ms = flag_value(args, "--deadline-ms")?
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--deadline-ms: not a number: `{v}`"))
-        })
-        .transpose()?;
     let events_out = flag_value(args, "--events-out")?;
     let metrics_out = flag_value(args, "--metrics-out")?;
-    if journal.is_none()
-        && !resume
-        && plan_path.is_none()
-        && deadline_ms.is_none()
-        && events_out.is_none()
-        && metrics_out.is_none()
-    {
-        return Ok(None);
-    }
     let mut res = Resilience::new();
     if events_out.is_some() || metrics_out.is_some() {
         let telemetry = SweepTelemetry::from_paths(
@@ -274,12 +258,11 @@ pub fn resilience_from_args(args: &[String]) -> Result<Option<Resilience>, Strin
         None => None,
     };
     res.resume = resume;
-    res.deadline = deadline_ms.map(std::time::Duration::from_millis);
     if let Some(path) = plan_path {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         res.plan = Some(std::sync::Arc::new(FaultPlan::parse(&text)?));
     }
-    Ok(Some(res))
+    Ok(res)
 }
 
 /// The run-mode flags the experiment binaries share, parsed and
@@ -291,11 +274,10 @@ pub struct RunFlags {
     pub threads: usize,
     /// Where recordings persist ([`trace_dir_from_args`]).
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Fault tolerance and telemetry ([`resilience_from_args`]). Any
-    /// observability flag also sets one, with [`Resilience::probes`]
-    /// holding `obs`, so the anchor report and the `--obs-grid` rollup
-    /// ride the one pass.
-    pub res: Option<Resilience>,
+    /// Fault tolerance and telemetry ([`resilience_from_args`]), with
+    /// [`Resilience::probes`] holding `obs`, so the anchor report and
+    /// the `--obs-grid` rollup ride the one pass.
+    pub res: Resilience,
     /// The `--sample` plan ([`sample_plan_from_args`]).
     pub plan: Option<SamplePlan>,
     /// The observability flags ([`obs_from_args`]).
@@ -327,9 +309,7 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let obs = obs_from_args(args)?;
     let plan = sample_plan_from_args(args)?;
     let mut res = resilience_from_args(args)?;
-    if obs.is_some() {
-        res.get_or_insert_with(Resilience::new).probes = obs.clone();
-    }
+    res.probes = obs.clone();
     Ok(RunFlags {
         threads,
         trace_dir,
@@ -532,39 +512,31 @@ mod tests {
 
     #[test]
     fn resilience_flags_parse() {
-        assert_eq!(
-            resilience_from_args(&args(&["--quick", "--threads", "2"]))
-                .unwrap()
-                .map(|_| ()),
-            None
-        );
-        let r = resilience_from_args(&args(&["--journal", "j.log"]))
-            .unwrap()
-            .unwrap();
+        let default = format!("{:?}", Resilience::new());
+        let r = resilience_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
+        assert_eq!(format!("{r:?}"), default);
+        let r = resilience_from_args(&args(&["--journal", "j.log"])).unwrap();
         assert_eq!(r.journal.as_deref(), Some(std::path::Path::new("j.log")));
         assert!(!r.resume);
         // --resume defaults the journal into the trace dir.
-        let r = resilience_from_args(&args(&["--resume", "--trace-dir", "traces"]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--resume", "--trace-dir", "traces"])).unwrap();
         assert!(r.resume);
         assert_eq!(
             r.journal.as_deref(),
             Some(std::path::Path::new("traces/sweep.journal"))
         );
-        let r = resilience_from_args(&args(&["--deadline-ms", "1500"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(r.deadline, Some(std::time::Duration::from_millis(1500)));
         assert!(resilience_from_args(&args(&["--journal"])).is_err());
-        assert!(resilience_from_args(&args(&["--deadline-ms", "soon"])).is_err());
         assert!(resilience_from_args(&args(&["--fault-plan", "/nonexistent/plan"])).is_err());
     }
 
     #[test]
     fn run_flags_validate_every_flag_up_front() {
         let flags = run_flags_from_args(&args(&["--quick", "--threads", "2"])).unwrap();
-        assert!(flags.res.is_none() && flags.plan.is_none() && flags.obs.is_none());
+        assert_eq!(
+            format!("{:?}", flags.res),
+            format!("{:?}", Resilience::new())
+        );
+        assert!(flags.plan.is_none() && flags.obs.is_none());
         // Malformed observability, sampling or resilience flags are
         // all rejected before the binaries do any work.
         for bad in [
@@ -574,7 +546,6 @@ mod tests {
             vec!["--probe", "counters", "--top-sites", "many"],
             vec!["--obs-grid"],
             vec!["--sample", "nope"],
-            vec!["--deadline-ms", "soon"],
             vec!["--quick", "--threads", "bogus"],
             vec!["--threads"],
             vec!["--threads", "--quick"],
@@ -592,6 +563,22 @@ mod tests {
         assert!(run_flags_from_args(&args(&["--quick", "--treads", "2"]))
             .unwrap_err()
             .contains("--treads"));
+        // A value-taking flag followed by another flag names itself, not
+        // the argument after the other flag.
+        let table = &[("--report", true), ("--baseline", true)][..];
+        assert_eq!(
+            check_flags(&args(&["--report", "--baseline", "x"]), table),
+            Err("--report needs a value".to_string())
+        );
+        let table = &[("--grid", true), ("--out", true), ("--top", true)][..];
+        assert_eq!(
+            check_flags(&args(&["--grid", "g.json", "--out", "--top", "5"]), table),
+            Err("--out needs a value".to_string())
+        );
+        assert_eq!(
+            check_flags(&args(&["--grid"]), table),
+            Err("--grid needs a value".to_string())
+        );
         // fig6's depth positional: 20, 40 or 60 and nothing else; flag
         // values are not positionals.
         let depth = |argv: &[&str]| depth_from_args(&args(argv));
@@ -624,35 +611,31 @@ mod tests {
         let flags = run_flags_from_args(&args(&["--quick"])).unwrap();
         assert_eq!(flags.threads, cores());
         assert!(flags.trace_dir.is_none());
-        // An observability flag alone sets a policy carrying the parsed
-        // config; without one the policy stays probe-free.
+        // The policy carries the parsed observability config; without
+        // one it stays probe-free.
         for obs in [&["--obs-grid", "g.json"][..], &["--probe", "counters"]] {
             let flags = run_flags_from_args(&args(obs)).unwrap();
             assert!(flags.obs.is_some());
-            assert_eq!(flags.res.expect("a policy").probes, flags.obs);
+            assert_eq!(flags.res.probes, flags.obs);
         }
         let flags = run_flags_from_args(&args(&["--journal", "j.log"])).unwrap();
-        assert!(flags.res.unwrap().probes.is_none());
+        assert!(flags.res.probes.is_none());
         let flags = run_flags_from_args(&args(&["--sample", "4:1000:500"])).unwrap();
         assert_eq!(flags.plan, Some(SamplePlan::systematic(4, 1000, 500)));
     }
 
     #[test]
-    fn telemetry_flags_select_the_resilient_runner() {
+    fn telemetry_flags_open_their_sinks() {
         let dir = std::env::temp_dir().join(format!("arvi-telflag-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = dir.join("events.jsonl");
-        let r = resilience_from_args(&args(&["--events-out", events.to_str().unwrap()]))
-            .unwrap()
-            .expect("--events-out alone enables resilience");
+        let r = resilience_from_args(&args(&["--events-out", events.to_str().unwrap()])).unwrap();
         let t = r.telemetry.as_ref().expect("telemetry configured");
         assert_eq!(t.events().unwrap().path(), events);
         assert!(events.exists(), "log created eagerly, with parents");
         // Metrics alone also counts; no event log in that case.
         let metrics = dir.join("metrics.prom");
-        let r = resilience_from_args(&args(&["--metrics-out", metrics.to_str().unwrap()]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--metrics-out", metrics.to_str().unwrap()])).unwrap();
         assert!(r.telemetry.as_ref().unwrap().events().is_none());
         assert!(resilience_from_args(&args(&["--events-out"])).is_err());
         // An unopenable sink is a flag error, and it names the path.
@@ -672,9 +655,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("plan.faults");
         std::fs::write(&path, "panic-cell 0\nkill-after 2\n").unwrap();
-        let r = resilience_from_args(&args(&["--fault-plan", path.to_str().unwrap()]))
-            .unwrap()
-            .unwrap();
+        let r = resilience_from_args(&args(&["--fault-plan", path.to_str().unwrap()])).unwrap();
         assert_eq!(r.plan.as_ref().unwrap().len(), 2);
         std::fs::write(&path, "warp-core-breach 1\n").unwrap();
         assert!(

@@ -345,7 +345,7 @@ mod tests {
     use super::*;
     use crate::harness::Spec;
     use crate::resilience::Resilience;
-    use crate::sweep::grid;
+    use crate::sweep::{distinct_workloads, grid, TraceSet};
     use crate::workload::Workload;
     use arvi_workloads::Benchmark;
 
@@ -449,7 +449,8 @@ mod tests {
         assert_eq!(depth, Depth::D20);
         assert_eq!(cells.len(), 1);
         assert_eq!(points[cells[0]].config, PredictorConfig::ArviCurrent);
-        let run = GridRun::run(points, spec, 2, false, None, Some(&res), None);
+        let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
+        let run = GridRun::run(points, spec, 2, false, &traces, &res, None);
         for (i, o) in run.outcomes.iter().enumerate() {
             let probed = o.success().unwrap().probes.is_some();
             assert_eq!(probed, i == cells[0], "only the anchor cell is probed");

@@ -7,29 +7,29 @@
 //! journal or fault plan, and sampled under `--sample` — runs on one
 //! executor, entered only through [`crate::harness::GridRun::run`], over
 //! `(cell, unit)` work items: a cell is one whole-cell item, or under a
-//! sample plan one item per sampling unit ([`crate::sampling`]). The
-//! same code gives every mode:
+//! sample plan one item per sampling unit ([`crate::sampling`]). Every
+//! item replays its workload's shared recording. The same code gives
+//! every mode:
 //!
 //! * **Per-cell fault isolation** — every work item runs under
 //!   `catch_unwind` (on the workspace's one worker loop,
-//!   [`arvi_trace::par::par_map_caught`])
-//!   with a soft deadline, and each cell reports a structured
-//!   [`CellOutcome`] instead of aborting the grid; a failed unit fails
-//!   only its own cell. Panics whose message carries
+//!   [`arvi_trace::par::par_map_caught`]), and each cell reports a
+//!   structured [`CellOutcome`] instead of aborting the grid; a failed
+//!   unit fails only its own cell. Panics whose message carries
 //!   [`arvi_trace::REPLAY_PANIC_PREFIX`] are classified as trace
 //!   failures, everything else as a generic cell panic.
 //! * **Graceful degradation** — a corrupt on-disk trace is quarantined
 //!   (renamed `*.quarantined`, logged to `quarantine.log`) and
-//!   re-recorded once by [`TraceSet::record_resilient`]; a cell with no
+//!   re-recorded once by [`TraceSet::record_resilient`], and the cell
+//!   replays the re-recording with the same numbers. A cell with no
 //!   usable recording (recording failed, or the trace set lacks or
-//!   under-covers its workload) falls back to live emulation through the
-//!   `InstSource` seam. Replay is bit-identical to live emulation, so a
-//!   degraded sweep still reports the same numbers — the degradation is
-//!   recorded in the outcome, not in the data.
+//!   under-covers its workload) fails alone as
+//!   [`CellOutcome::TraceError`], naming its workload and the reason.
 //! * **Durability** — completed work items are journaled (fingerprint +
 //!   result, one [`SweepJournal`] line per cell or sampling unit,
 //!   appended as they finish) so an interrupted sweep resumes by skipping
-//!   finished items ([`Resilience::resume`]). Trace files themselves are
+//!   finished items ([`Resilience::resume`]). Failed cells are never
+//!   journaled, so a resume re-runs them. Trace files themselves are
 //!   written atomically by `arvi-trace` (temp file + fsync + rename).
 //! * **Every probe in the pass** — [`Resilience::probes`] says which
 //!   probes each cell carries out in [`CellSuccess::probes`] (a sampled
@@ -37,10 +37,10 @@
 //!   line, so neither the grid rollup ([`crate::obs_grid`]) nor the
 //!   anchor report ([`crate::obs`]) re-simulates a cell.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
-//!   `--fault-plan` text) flips bytes, truncates files, panics or
-//!   stalls chosen cells, and simulates a mid-grid kill, all
-//!   deterministically, so `tests/fault_injection.rs` and the CI fault
-//!   job exercise every failure path on demand.
+//!   `--fault-plan` text) flips bytes, truncates files, panics chosen
+//!   cells, and simulates a mid-grid kill, all deterministically, so
+//!   `tests/fault_injection.rs` and the CI fault job exercise every
+//!   failure path on demand.
 //! * **Telemetry** — with [`Resilience::telemetry`], one `cell_start`
 //!   and one `cell_end` event per cell (not per unit), bracketed by
 //!   `sweep_start`/`sweep_end`, plus the cumulative metrics export.
@@ -60,8 +60,7 @@ use arvi_sim::{
 };
 use arvi_stats::Accuracy;
 use arvi_trace::par::par_map_caught;
-use arvi_trace::{StdIo, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
-use arvi_workloads::WorkloadSource;
+use arvi_trace::{StdIo, Trace, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
@@ -75,16 +74,11 @@ use crate::workload::{fnv1a, FNV_OFFSET};
 /// How a successful cell got its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Degradation {
-    /// The normal path: replayed a healthy (or freshly recorded) trace,
-    /// or ran live because the sweep had no trace set at all.
+    /// The normal path: replayed a healthy (or freshly recorded) trace.
     None,
     /// The cell's cached trace was corrupt; it was quarantined and the
     /// workload re-recorded, and the cell replayed the re-recording.
     Requarantined,
-    /// No usable trace existed (recording failed, the trace set did not
-    /// cover the workload, or the recording was too short); the cell fell
-    /// back to live emulation.
-    LiveEmulation,
 }
 
 impl Degradation {
@@ -93,7 +87,6 @@ impl Degradation {
         match self {
             Degradation::None => "none",
             Degradation::Requarantined => "requarantined",
-            Degradation::LiveEmulation => "live-emulation",
         }
     }
 
@@ -101,7 +94,6 @@ impl Degradation {
         match tag {
             "none" => Some(Degradation::None),
             "requarantined" => Some(Degradation::Requarantined),
-            "live-emulation" => Some(Degradation::LiveEmulation),
             _ => None,
         }
     }
@@ -111,7 +103,7 @@ impl Degradation {
 #[derive(Debug, Clone)]
 pub struct CellSuccess {
     /// The simulation result (bit-identical regardless of degradation —
-    /// replay and live emulation see the same committed stream).
+    /// a re-recording holds the same committed stream).
     pub result: SimResult,
     /// How the result was obtained.
     pub degradation: Degradation,
@@ -144,17 +136,9 @@ pub enum CellOutcome {
         /// The panic payload, rendered.
         message: String,
     },
-    /// The cell completed but exceeded the soft deadline; its result is
-    /// discarded (and not journaled) so a wedged configuration cannot
-    /// silently dominate a sweep.
-    TimedOut {
-        /// How long the cell actually ran.
-        elapsed: Duration,
-        /// The configured deadline it exceeded.
-        deadline: Duration,
-    },
-    /// The cell could not read its instruction stream (replay corruption,
-    /// or a sampling unit that could not seek its recording).
+    /// The cell could not read its instruction stream: its workload has
+    /// no recording of the run's seed long enough for the window, replay
+    /// hit corruption, or a sampling unit could not seek its recording.
     TraceError {
         /// What went wrong.
         message: String,
@@ -178,11 +162,6 @@ impl CellOutcome {
         match self {
             CellOutcome::Ok(_) => None,
             CellOutcome::Panicked { message } => Some(format!("panicked: {message}")),
-            CellOutcome::TimedOut { elapsed, deadline } => Some(format!(
-                "timed out: ran {:.1}s past the {:.1}s deadline",
-                elapsed.as_secs_f64(),
-                deadline.as_secs_f64()
-            )),
             CellOutcome::TraceError { message } => Some(format!("trace error: {message}")),
             CellOutcome::Skipped => Some("skipped (run stopped before dispatch)".into()),
         }
@@ -193,7 +172,7 @@ impl CellOutcome {
 /// [`Resilience::default`]) journals nothing and injects nothing; it is
 /// the policy of a run with no fault-tolerance flags. Every policy
 /// degrades gracefully: a quarantined trace is re-recorded, and a cell
-/// with no usable recording runs live.
+/// with no usable recording fails alone.
 #[derive(Debug, Clone, Default)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
@@ -201,12 +180,6 @@ pub struct Resilience {
     /// Restore completed cells from the journal instead of re-running
     /// them.
     pub resume: bool,
-    /// Soft per-work-item deadline: a whole cell, or under a sample plan
-    /// one sampling unit, that runs longer is reported as
-    /// [`CellOutcome::TimedOut`] (failing its cell) and its result
-    /// discarded. (Soft: the check is post-hoc — safe Rust cannot
-    /// preempt a running item.)
-    pub deadline: Option<Duration>,
     /// Deterministic fault plan (testing/CI only).
     pub plan: Option<Arc<FaultPlan>>,
     /// Structured execution telemetry (event log + metrics export).
@@ -220,7 +193,7 @@ pub struct Resilience {
 }
 
 impl Resilience {
-    /// No journal, fault plan, deadline, telemetry or probes.
+    /// No journal, fault plan, telemetry or probes.
     pub fn new() -> Resilience {
         Resilience::default()
     }
@@ -282,15 +255,6 @@ pub enum FaultKind {
         /// Cell index into the sweep's point list.
         cell: u32,
     },
-    /// Sleep `millis` before running grid cell `cell`'s first dispatched
-    /// work item, like [`FaultKind::PanicCell`] (drives the deadline
-    /// path deterministically).
-    StallCell {
-        /// Cell index into the sweep's point list.
-        cell: u32,
-        /// Milliseconds to stall.
-        millis: u64,
-    },
     /// Stop dispatching new work items once `cells` items have
     /// completed — a deterministic stand-in for kill -9 mid-sweep. Items
     /// are cells, except under a sample plan, where each sampling unit
@@ -311,7 +275,6 @@ pub enum FaultKind {
 /// flip-chunk <workload> <chunk> <byte>  # flip inside a chunk payload
 /// truncate <workload> <len>         # short read of the container
 /// panic-cell <index>                # panic inside grid cell <index>
-/// stall-cell <index> <millis>       # sleep before cell <index>
 /// kill-after <count>                # stop dispatch after <count> work items
 /// ```
 ///
@@ -375,16 +338,6 @@ impl FaultPlan {
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(|| bad("missing or bad cell index"))?,
                 },
-                "stall-cell" => FaultKind::StallCell {
-                    cell: tok
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing or bad cell index"))?,
-                    millis: tok
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing or bad millis"))?,
-                },
                 "kill-after" => FaultKind::KillAfter {
                     cells: tok
                         .next()
@@ -425,14 +378,6 @@ impl FaultPlan {
     pub fn take_panic(&self, i: usize) -> bool {
         self.take(|k| matches!(k, FaultKind::PanicCell { cell } if *cell as usize == i))
             .is_some()
-    }
-
-    /// Claims a pending stall fault for cell `i`, returning the stall.
-    pub fn take_stall(&self, i: usize) -> Option<Duration> {
-        match self.take(|k| matches!(k, FaultKind::StallCell { cell, .. } if *cell as usize == i)) {
-            Some(FaultKind::StallCell { millis, .. }) => Some(Duration::from_millis(*millis)),
-            _ => None,
-        }
     }
 
     /// Whether a kill fault says to stop dispatching: `completed` work
@@ -739,41 +684,39 @@ type WorkItem = (usize, Option<usize>);
 /// The grid executor behind every run mode; its one caller is
 /// [`crate::harness::GridRun::run`]. No cell failure aborts the grid.
 ///
-/// With `traces` set, cells replay shared recordings and a workload
-/// without a usable recording degrades to live emulation; `traces: None`
-/// runs every cell live. The work list holds one whole-cell item per
-/// cell, except that under `sample` a cell with a usable recording
-/// contributes one item per sampling unit instead (a cell without one
-/// runs whole, live), plus one whole-cell probed item when the cell must
-/// report probes. Every item runs on the one worker loop
-/// ([`par_map_caught`]) under the same isolation, fault plan, deadline,
-/// journal and resume — a restored item is bit-identical to a simulated
-/// one, it is the simulated one. A cell's `cell_start` event goes out
-/// when its first item is dispatched, and its outcome is folded — and
-/// its `cell_end` emitted — when its last item finishes. Returns one
-/// outcome per point in grid order, for every cell that sampled its
-/// [`SampleReport`], and the journal the run appended to, if any.
+/// Every cell replays `traces`' recording of its workload; a cell whose
+/// workload has no recording of `spec`'s seed long enough for the window
+/// fails as [`CellOutcome::TraceError`]. The work list holds one whole-cell item
+/// per cell, except that under `sample` a cell with a usable recording
+/// contributes one item per sampling unit instead, plus one whole-cell
+/// probed item when the cell must report probes. Every item runs on the
+/// one worker loop ([`par_map_caught`]) under the same isolation, fault
+/// plan, journal and resume — a restored item is bit-identical to a
+/// simulated one, it is the simulated one. A cell's `cell_start` event
+/// goes out when its first item is dispatched, and its outcome is
+/// folded — and its `cell_end` emitted — when its last item finishes.
+/// Returns one outcome per point in grid order, for every cell that
+/// sampled its [`SampleReport`], and the journal the run appended to, if
+/// any.
 pub(crate) fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
     threads: usize,
     progress: bool,
-    traces: Option<&TraceSet>,
+    traces: &TraceSet,
     res: &Resilience,
     sample: Option<&SamplePlan>,
 ) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>, Option<PathBuf>) {
     let exec = Executor::new(points, spec, traces, res, sample);
     let mut items: Vec<WorkItem> = Vec::new();
-    let cells: Vec<CellRun> = points
-        .iter()
-        .enumerate()
-        .map(|(i, point)| {
+    let cells: Vec<CellRun> = (0..points.len())
+        .map(|i| {
             let first = items.len();
-            let sampled = exec.sampled_degradation(point);
-            if sampled.is_some() {
+            let sampled = !exec.units.is_empty() && exec.recordings[i].is_ok();
+            if sampled {
                 items.extend((0..exec.units.len()).map(|j| (i, Some(j))));
             }
-            if sampled.is_none() || exec.probes[i] != ProbeSet::Off {
+            if !sampled || exec.probes[i] != ProbeSet::Off {
                 items.push((i, None));
             }
             CellRun {
@@ -830,18 +773,20 @@ pub(crate) fn run_grid(
                     .iter()
                     .map(|s| s.lock().expect("item slot").take().expect("item ran"))
                     .collect();
-                let folded = match run.sampled {
-                    Some(degradation) => {
-                        // A probed sampled cell's last item is its
-                        // whole-cell probed one.
-                        let probed = (exec.probes[cell] != ProbeSet::Off)
-                            .then(|| outcomes.pop().expect("the probed item"));
-                        fold_units(&points[cell], spec, outcomes, probed, degradation)
-                    }
-                    None => (outcomes.pop().expect("one whole-cell item"), None),
+                let folded = if run.sampled {
+                    // A probed sampled cell's last item is its whole-cell
+                    // probed one.
+                    let probed = (exec.probes[cell] != ProbeSet::Off)
+                        .then(|| outcomes.pop().expect("the probed item"));
+                    let (_, degradation) = *exec.recordings[cell]
+                        .as_ref()
+                        .expect("sampled cells have a recording");
+                    fold_units(&points[cell], spec, outcomes, probed, degradation)
+                } else {
+                    (outcomes.pop().expect("one whole-cell item"), None)
                 };
                 if let Some(t) = telemetry {
-                    emit_cell_events(t, cell, &points[cell], &folded.0, traces.is_some());
+                    emit_cell_events(t, cell, &points[cell], &folded.0);
                 }
                 *run.folded.lock().expect("cell slot") = Some(folded);
             }
@@ -881,13 +826,13 @@ pub(crate) fn run_grid(
     (outcomes, reports, exec.journal.map(|j| j.path))
 }
 
-/// One cell's progress through the work list: its items' range, how it
-/// samples (`None`: one whole-cell item), whether any item has been
+/// One cell's progress through the work list: its items' range, whether
+/// it samples (`false`: one whole-cell item), whether any item has been
 /// dispatched, how many are still unfinished, and — once the last one
 /// finishes — its folded outcome and sampled estimate.
 struct CellRun {
     items: std::ops::Range<usize>,
-    sampled: Option<Degradation>,
+    sampled: bool,
     started: AtomicBool,
     pending: AtomicUsize,
     folded: Mutex<Option<(CellOutcome, Option<SampleReport>)>>,
@@ -933,9 +878,11 @@ fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
 struct Executor<'a> {
     points: &'a [SweepPoint],
     spec: Spec,
-    traces: Option<&'a TraceSet>,
     res: &'a Resilience,
     sample: Option<&'a SamplePlan>,
+    /// Each cell's recording and how it was obtained, or why it has no
+    /// usable one.
+    recordings: Vec<Result<(&'a Arc<Trace>, Degradation), String>>,
     /// The sample plan's units over the measurement window (empty
     /// without a plan).
     units: Vec<SampleUnit>,
@@ -952,7 +899,7 @@ impl<'a> Executor<'a> {
     fn new(
         points: &'a [SweepPoint],
         spec: Spec,
-        traces: Option<&'a TraceSet>,
+        traces: &'a TraceSet,
         res: &'a Resilience,
         sample: Option<&'a SamplePlan>,
     ) -> Executor<'a> {
@@ -978,26 +925,14 @@ impl<'a> Executor<'a> {
         Executor {
             points,
             spec,
-            traces,
             res,
             sample,
+            recordings: points.iter().map(|p| recording(traces, p, spec)).collect(),
             units,
             probes: probe_sets(points, res.probes.as_ref()),
             prior,
             journal,
         }
-    }
-
-    /// `Some(degradation)` when `point` is sampled — a sample plan with
-    /// at least one unit, and a recording long enough to seek in —
-    /// `None` when it runs whole.
-    fn sampled_degradation(&self, point: &SweepPoint) -> Option<Degradation> {
-        if self.units.is_empty() {
-            return None;
-        }
-        let traces = self.traces?;
-        let trace = traces.get(&point.workload)?;
-        (trace.len() >= trace_len(self.spec)).then(|| replay_degradation(traces, point))
     }
 
     /// The journal key of one work item.
@@ -1026,11 +961,19 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Restores one work item from the journal, or runs it: the fault
-    /// plan's panic and stall for the cell fire on its first dispatched
-    /// item, and the deadline applies to the item alone.
+    /// Fails one work item of a cell without a usable recording, or
+    /// restores it from the journal, or runs it: the fault plan's panic
+    /// for the cell fires on its first dispatched item.
     fn run_item(&self, cell: usize, unit: Option<usize>) -> CellOutcome {
         let point = &self.points[cell];
+        let (trace, degradation) = match &self.recordings[cell] {
+            Ok(recording) => *recording,
+            Err(message) => {
+                return CellOutcome::TraceError {
+                    message: message.clone(),
+                }
+            }
+        };
         let fp = self.fingerprint(cell, unit);
         let sampled_units = unit.is_some() as usize;
         let probes = unit.map_or(self.probes[cell], |_| ProbeSet::Off);
@@ -1050,60 +993,27 @@ impl<'a> Executor<'a> {
             }
         }
         let start = Instant::now();
-        if let Some(plan) = self.res.plan.as_deref() {
-            if plan.take_panic(cell) {
-                panic!("injected fault: panic in cell {cell} ({point})");
-            }
-            if let Some(stall) = plan.take_stall(cell) {
-                std::thread::sleep(stall);
-            }
+        if self.res.plan.as_deref().is_some_and(|p| p.take_panic(cell)) {
+            panic!("injected fault: panic in cell {cell} ({point})");
         }
         let ran = match unit {
-            Some(j) => self.simulate_unit(point, &self.units[j]),
-            None => Ok(self.simulate_whole(point, probes)),
-        };
-        let elapsed = start.elapsed();
-        match ran {
-            Err(message) => CellOutcome::TraceError { message },
-            Ok(((result, probes), degradation)) => match self.res.deadline {
-                Some(deadline) if elapsed > deadline => CellOutcome::TimedOut { elapsed, deadline },
-                _ => CellOutcome::Ok(CellSuccess {
-                    result,
-                    degradation,
-                    resumed: false,
-                    duration: elapsed,
-                    sampled_units,
-                    probes,
-                }),
-            },
-        }
-    }
-
-    /// One whole cell, replayed from its recording or run live: live
-    /// without a trace set, and as [`Degradation::LiveEmulation`] when
-    /// the set has no recording of the workload long enough for the
-    /// window.
-    fn simulate_whole(&self, point: &SweepPoint, probes: ProbeSet) -> (Simulated, Degradation) {
-        let spec = self.spec;
-        let live = || {
-            let program = point.workload.program(spec.seed);
-            let name = intern_name(program.name());
-            let emu = arvi_isa::Emulator::new(program);
-            simulate_cell(name, emu, point, spec, probes)
-        };
-        let Some(traces) = self.traces else {
-            return (live(), Degradation::None);
-        };
-        match traces.get(&point.workload) {
-            Some(trace) if trace.len() >= trace_len(spec) => {
+            Some(j) => self.simulate_unit(trace, point, &self.units[j]),
+            None => {
                 let replayer = TraceReplayer::new(Arc::clone(trace));
                 let name = intern_name(trace.name());
-                (
-                    simulate_cell(name, replayer, point, spec, probes),
-                    replay_degradation(traces, point),
-                )
+                Ok(simulate_cell(name, replayer, point, self.spec, probes))
             }
-            _ => (live(), Degradation::LiveEmulation),
+        };
+        match ran {
+            Err(message) => CellOutcome::TraceError { message },
+            Ok((result, probes)) => CellOutcome::Ok(CellSuccess {
+                result,
+                degradation,
+                resumed: false,
+                duration: start.elapsed(),
+                sampled_units,
+                probes,
+            }),
         }
     }
 
@@ -1112,13 +1022,10 @@ impl<'a> Executor<'a> {
     /// stores them.
     fn simulate_unit(
         &self,
+        trace: &Arc<Trace>,
         point: &SweepPoint,
         unit: &SampleUnit,
-    ) -> Result<(Simulated, Degradation), String> {
-        let trace = self
-            .traces
-            .and_then(|t| t.get(&point.workload))
-            .expect("sampled cells have a recording");
+    ) -> Result<Simulated, String> {
         let params = SimParams::for_depth(point.depth);
         let stats = run_unit(trace, &params, point.config, unit).map_err(|e| e.to_string())?;
         let result = SimResult {
@@ -1127,7 +1034,7 @@ impl<'a> Executor<'a> {
             depth_stages: point.depth.stages(),
             window: stats,
         };
-        Ok(((result, None), Degradation::None))
+        Ok((result, None))
     }
 
     /// Journals a freshly simulated item, counters and sites included. A
@@ -1142,12 +1049,44 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// How a cell replaying `traces`' recording of its workload got it.
-fn replay_degradation(traces: &TraceSet, point: &SweepPoint) -> Degradation {
-    match traces.provenance(&point.workload) {
+/// `traces`' recording of `point`'s workload and how it was obtained, or,
+/// when none covers `spec`'s window and seed, why not, naming the
+/// workload.
+fn recording<'a>(
+    traces: &'a TraceSet,
+    point: &SweepPoint,
+    spec: Spec,
+) -> Result<(&'a Arc<Trace>, Degradation), String> {
+    let name = point.workload.name();
+    let provenance = traces.provenance(&point.workload);
+    let Some(trace) = traces.get(&point.workload) else {
+        let why = match provenance {
+            Some(TraceProvenance::Unavailable { reason }) => reason.as_str(),
+            _ => "the trace set does not cover it",
+        };
+        return Err(format!("no recording of {name}: {why}"));
+    };
+    let needed = trace_len(spec);
+    if trace.len() < needed {
+        return Err(format!(
+            "the recording of {name} holds {} instructions; the {}+{} window needs {needed}",
+            trace.len(),
+            spec.warmup,
+            spec.measure
+        ));
+    }
+    if trace.seed() != spec.seed {
+        return Err(format!(
+            "the recording of {name} is of seed {}; the run uses seed {}",
+            trace.seed(),
+            spec.seed
+        ));
+    }
+    let degradation = match provenance {
         Some(TraceProvenance::Rerecorded { corrupt: true }) => Degradation::Requarantined,
         _ => Degradation::None,
-    }
+    };
+    Ok((trace, degradation))
 }
 
 /// The normalized outcome key used in events and metric labels (no
@@ -1156,7 +1095,6 @@ fn outcome_key(outcome: &CellOutcome) -> &'static str {
     match outcome {
         CellOutcome::Ok(_) => "ok",
         CellOutcome::Panicked { .. } => "panicked",
-        CellOutcome::TimedOut { .. } => "timed-out",
         CellOutcome::TraceError { .. } => "trace-error",
         CellOutcome::Skipped => "skipped",
     }
@@ -1164,13 +1102,7 @@ fn outcome_key(outcome: &CellOutcome) -> &'static str {
 
 /// Emits the `cell_end` event (plus `resume_hit` for journal hits) and
 /// updates the cumulative metrics for one dispatched cell.
-fn emit_cell_events(
-    t: &SweepTelemetry,
-    i: usize,
-    point: &SweepPoint,
-    outcome: &CellOutcome,
-    traced: bool,
-) {
+fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &CellOutcome) {
     let key = outcome_key(outcome);
     let mut fields = vec![
         ("cell".to_string(), Json::Num(i as f64)),
@@ -1182,13 +1114,7 @@ fn emit_cell_events(
     let mut degraded = None;
     if let CellOutcome::Ok(s) = outcome {
         resumed = s.resumed;
-        let phase = if s.resumed {
-            "resumed"
-        } else if s.degradation == Degradation::LiveEmulation || !traced {
-            "live"
-        } else {
-            "replay"
-        };
+        let phase = if s.resumed { "resumed" } else { "replay" };
         fields.push(("phase".to_string(), Json::str(phase)));
         if s.degradation != Degradation::None {
             degraded = Some(s.degradation.tag());
@@ -1355,22 +1281,17 @@ pub(crate) fn collect_where(
 pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
     let mut resumed = 0usize;
     let mut requarantined = 0usize;
-    let mut live = 0usize;
     let mut failed = 0usize;
     for o in outcomes {
         match o {
             CellOutcome::Ok(s) => {
                 resumed += s.resumed as usize;
-                match s.degradation {
-                    Degradation::None => {}
-                    Degradation::Requarantined => requarantined += 1,
-                    Degradation::LiveEmulation => live += 1,
-                }
+                requarantined += (s.degradation == Degradation::Requarantined) as usize;
             }
             _ => failed += 1,
         }
     }
-    if resumed + requarantined + live + failed == 0 {
+    if resumed + requarantined + failed == 0 {
         return None;
     }
     let mut parts = Vec::new();
@@ -1380,30 +1301,21 @@ pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
     if requarantined > 0 {
         parts.push(format!("{requarantined} replayed a re-recorded trace"));
     }
-    if live > 0 {
-        parts.push(format!("{live} fell back to live emulation"));
-    }
     if failed > 0 {
         parts.push(format!("{failed} failed"));
     }
     Some(format!("resilience: {}", parts.join(", ")))
 }
 
-/// End-of-grid timing report: total/min/mean/max per-cell wall-clock
-/// time, the record-vs-replay-vs-machine phase breakdown, and a log2
-/// duration histogram. `record_elapsed` is the trace-recording phase
-/// (from [`TraceSet::record_elapsed`]); `None` for sweeps with no trace
-/// set. Returns `None` when no cell ran in this process (e.g. a fully
-/// resumed grid).
-pub fn timing_summary(
-    outcomes: &[CellOutcome],
-    record_elapsed: Option<Duration>,
-) -> Option<String> {
+/// End-of-grid timing report: the per-cell wall-clock times' sum (not
+/// the sweep's wall-clock: cells overlap on parallel workers),
+/// min/mean/max, the trace-recording phase (`record_elapsed`, from
+/// [`TraceSet::record_elapsed`]), and a log2 duration histogram. Returns
+/// `None` when no cell ran in this process (e.g. a fully resumed grid).
+pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Option<String> {
     let mut hist = arvi_obs::Log2Hist::new();
-    let mut replay = Duration::ZERO;
-    let mut replay_cells = 0usize;
-    let mut live = Duration::ZERO;
-    let mut live_cells = 0usize;
+    let mut total = Duration::ZERO;
+    let mut cells = 0usize;
     let mut resumed = 0usize;
     let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
     for o in outcomes {
@@ -1412,36 +1324,21 @@ pub fn timing_summary(
             resumed += 1;
             continue;
         }
-        match s.degradation {
-            Degradation::LiveEmulation => {
-                live += s.duration;
-                live_cells += 1;
-            }
-            Degradation::None | Degradation::Requarantined => {
-                replay += s.duration;
-                replay_cells += 1;
-            }
-        }
+        total += s.duration;
+        cells += 1;
         hist.record(s.duration.as_millis() as u64);
         min = min.min(s.duration);
         max = max.max(s.duration);
     }
-    let cells = replay_cells + live_cells;
     if cells == 0 {
         return None;
     }
-    let total = replay + live;
     let secs = |d: Duration| d.as_secs_f64();
     let mut out = format!(
-        "sweep timing: {cells} cells in {:.2}s wall (replay {:.2}s/{replay_cells}, \
-         machine {:.2}s/{live_cells}",
+        "sweep timing: {cells} cells replayed in {:.2}s summed cell time (record phase {:.2}s",
         secs(total),
-        secs(replay),
-        secs(live),
+        secs(record_elapsed),
     );
-    if let Some(record) = record_elapsed {
-        out.push_str(&format!(", record phase {:.2}s", secs(record)));
-    }
     if resumed > 0 {
         out.push_str(&format!(", {resumed} resumed not re-timed"));
     }
@@ -1465,7 +1362,7 @@ mod tests {
     use super::*;
     use crate::harness::run_one;
     use arvi_sim::Depth;
-    use arvi_workloads::Benchmark;
+    use arvi_workloads::{Benchmark, WorkloadSource};
 
     fn point(b: Benchmark) -> SweepPoint {
         SweepPoint {
@@ -1491,12 +1388,11 @@ mod tests {
              flip-chunk go 2 7   # trailing comment\n\
              truncate compress 64\n\
              panic-cell 3\n\
-             stall-cell 1 250\n\
              kill-after 5\n\
              \n",
         )
         .unwrap();
-        assert_eq!(plan.len(), 6);
+        assert_eq!(plan.len(), 5);
         assert!(FaultPlan::parse("explode everything").is_err());
         assert!(FaultPlan::parse("flip li").is_err());
         assert!(FaultPlan::parse("panic-cell x").is_err());
@@ -1506,19 +1402,17 @@ mod tests {
     #[test]
     fn default_policy_is_the_documented_graceful_one() {
         let d = Resilience::default();
-        assert!(d.journal.is_none() && !d.resume && d.deadline.is_none());
+        assert!(d.journal.is_none() && !d.resume);
         assert!(d.plan.is_none() && d.telemetry.is_none() && d.probes.is_none());
         assert_eq!(format!("{d:?}"), format!("{:?}", Resilience::new()));
     }
 
     #[test]
     fn faults_fire_exactly_once() {
-        let plan = FaultPlan::parse("panic-cell 2\nstall-cell 0 10\nkill-after 3").unwrap();
+        let plan = FaultPlan::parse("panic-cell 2\nkill-after 3").unwrap();
         assert!(plan.take_panic(2));
         assert!(!plan.take_panic(2), "one-shot");
         assert!(!plan.take_panic(1));
-        assert_eq!(plan.take_stall(0), Some(Duration::from_millis(10)));
-        assert_eq!(plan.take_stall(0), None);
         // kill-after is sticky, not consumed.
         assert!(!plan.kill_now(2));
         assert!(plan.kill_now(3));
@@ -1695,14 +1589,14 @@ mod tests {
         assert_eq!(outcome_summary(&[ok(Degradation::None, false)]), None);
         let summary = outcome_summary(&[
             ok(Degradation::None, true),
-            ok(Degradation::LiveEmulation, false),
+            ok(Degradation::Requarantined, false),
             CellOutcome::Panicked {
                 message: "boom".into(),
             },
         ])
         .unwrap();
         assert!(summary.contains("1 resumed"));
-        assert!(summary.contains("1 fell back"));
+        assert!(summary.contains("1 replayed a re-recorded trace"));
         assert!(summary.contains("1 failed"));
     }
 
@@ -1721,26 +1615,28 @@ mod tests {
                 probes: None,
             })
         };
+        let record = Duration::from_millis(250);
         // Nothing ran in-process: resumed-only grids report no timing.
         assert_eq!(
-            timing_summary(&[ok(Degradation::None, true, 70)], None),
+            timing_summary(&[ok(Degradation::None, true, 70)], record),
             None
         );
         let summary = timing_summary(
             &[
                 ok(Degradation::None, false, 100),
-                ok(Degradation::LiveEmulation, false, 300),
+                ok(Degradation::Requarantined, false, 300),
                 ok(Degradation::None, true, 70), // resumed: excluded
                 CellOutcome::Panicked {
                     message: "boom".into(),
                 },
             ],
-            Some(Duration::from_millis(250)),
+            record,
         )
         .unwrap();
-        assert!(summary.contains("2 cells in 0.40s"), "{summary}");
-        assert!(summary.contains("replay 0.10s/1"), "{summary}");
-        assert!(summary.contains("machine 0.30s/1"), "{summary}");
+        assert!(
+            summary.contains("2 cells replayed in 0.40s summed"),
+            "{summary}"
+        );
         assert!(summary.contains("record phase 0.25s"), "{summary}");
         assert!(summary.contains("1 resumed not re-timed"), "{summary}");
         assert!(

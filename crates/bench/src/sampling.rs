@@ -8,20 +8,17 @@
 //! a plan), whose work list then holds one item per unit of every cell
 //! with a usable recording — so even a single long-window cell
 //! saturates every core, which is the point: intra-run parallelism that
-//! the serial full run cannot have. A
-//! cell whose workload has no usable recording cannot be sampled
-//! (sampling seeks; live emulation cannot) and runs as one whole-cell
-//! live item, reported as [`Degradation::LiveEmulation`] with
-//! `sampled_units == 0`.
+//! the serial full run cannot have. A cell whose workload has no usable
+//! recording fails as it does in a full run, with a trace error naming
+//! the workload.
 //!
 //! Sampling units run unprobed: a sampled cell that must report probes
 //! gets one extra whole-cell probed item after its units, journaled
 //! under the cell's own fingerprint, so its probes are the unsampled
 //! run's while its result comes from the units.
 //!
-//! Isolation, the fault plan, the deadline, journaling, resume and
-//! telemetry are the executor's, the same as for full runs; this module
-//! adds only the unit journal key ([`unit_fingerprint`]: a killed run
+//! Isolation, the fault plan, journaling, resume and telemetry are the
+//! executor's, the same as for full runs; this module adds only the unit journal key ([`unit_fingerprint`]: a killed run
 //! resumes per *unit*, not per cell), the fold of a cell's unit results
 //! into its [`SampleReport`], and the confidence-interval table.
 //!
@@ -113,8 +110,8 @@ pub(crate) fn fold_units(
 
 /// The confidence-interval table of a sampled sweep's `(point, report)`
 /// rows ([`crate::harness::GridRun::ci_table`]): IPC and accuracy
-/// estimates with 95% half-widths, unit counts and coverage. Cells
-/// without a report (live fallback, failures) show a dash.
+/// estimates with 95% half-widths, unit counts and coverage. Failed
+/// cells, which have no report, show a dash.
 pub(crate) fn ci_table<'a>(
     cells: impl Iterator<Item = (&'a SweepPoint, &'a Option<SampleReport>)>,
 ) -> Table {
@@ -175,14 +172,15 @@ mod tests {
         plan: &SamplePlan,
         threads: usize,
         traces: &TraceSet,
-        res: Option<&Resilience>,
+        res: &Resilience,
     ) -> GridRun {
+        let spec = tiny_spec();
         GridRun::run(
             points.to_vec(),
-            tiny_spec(),
+            spec,
             threads,
             false,
-            Some(traces),
+            traces,
             res,
             Some(plan),
         )
@@ -237,8 +235,8 @@ mod tests {
         res.telemetry = Some(std::sync::Arc::new(
             crate::events::SweepTelemetry::from_paths(Some(&events), Some(&metrics)).unwrap(),
         ));
-        let one = sampled(&points, &plan, 1, &traces, Some(&res));
-        let four = sampled(&points, &plan, 4, &traces, None);
+        let one = sampled(&points, &plan, 1, &traces, &res);
+        let four = sampled(&points, &plan, 4, &traces, &Resilience::new());
         for sweep in [&one, &four] {
             let s = sweep.outcomes[0].success().expect("cell sampled");
             assert_eq!(s.sampled_units, 4, "8k measure / (2*1k) stride");
@@ -287,25 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_without_trace_falls_back_to_live_full_run() {
-        let spec = tiny_spec();
-        let recorded = [Workload::from(Benchmark::Compress)];
-        // Grid includes a workload the trace set never recorded.
-        let points = grid(
-            &[Workload::from(Benchmark::Li)],
-            &[Depth::D20],
-            &[PredictorConfig::TwoLevelGskew],
-        );
-        let traces = TraceSet::record(&recorded, spec, 1, None);
-        let plan = SamplePlan::systematic(2, 500, 1_000);
-        let sweep = sampled(&points, &plan, 2, &traces, None);
-        let s = sweep.outcomes[0].success().expect("fallback ran");
-        assert_eq!(s.degradation, Degradation::LiveEmulation);
-        assert_eq!(s.sampled_units, 0);
-        assert!(reports(&sweep)[0].is_none());
-    }
-
-    #[test]
     fn sampled_sweep_journals_and_resumes_per_unit() {
         let spec = tiny_spec();
         let workloads = [Workload::from(Benchmark::Go)];
@@ -320,13 +299,13 @@ mod tests {
         let res = Resilience::new()
             .with_journal(&journal)
             .with_plan(crate::resilience::FaultPlan::parse("kill-after 2").unwrap());
-        let partial = sampled(&points, &plan, 1, &traces, Some(&res));
+        let partial = sampled(&points, &plan, 1, &traces, &res);
         assert!(matches!(partial.outcomes[0], CellOutcome::Skipped));
 
         // Resumed run completes and matches an uninterrupted run.
         let res = Resilience::new().with_journal(&journal).resuming();
-        let resumed = sampled(&points, &plan, 2, &traces, Some(&res));
-        let clean = sampled(&points, &plan, 2, &traces, None);
+        let resumed = sampled(&points, &plan, 2, &traces, &res);
+        let clean = sampled(&points, &plan, 2, &traces, &Resilience::new());
         let (r, c) = (
             &resumed.outcomes[0].success().expect("completed").result,
             &clean.outcomes[0].success().unwrap().result,

@@ -9,14 +9,15 @@
 //! regardless of which worker finished first — so a parallel sweep is
 //! bit-identical to the sequential one, just faster.
 //!
-//! Since PR 2 the grids are also **record-once / replay-many**: each
-//! distinct `(benchmark, seed, window)` workload is functionally
-//! emulated exactly once into an `arvi_trace::Trace` (a [`TraceSet`]),
-//! then every grid cell replays the shared recording through its own
-//! timing machine. Replay is bit-identical to live emulation (asserted
-//! by `tests/trace_replay.rs`), so this changes no results — it only
-//! removes the redundant functional execution, and lets sweeps load
-//! pre-recorded traces from disk (`--trace-dir`).
+//! The grids are also **record-once / replay-many**: each distinct
+//! `(benchmark, seed, window)` workload is functionally emulated exactly
+//! once into an `arvi_trace::Trace` (a [`TraceSet`]), then every grid
+//! cell replays the shared recording through its own timing machine.
+//! Replay is bit-identical to live emulation (asserted against
+//! [`crate::harness::run_one`] by `tests/trace_replay.rs`), so this
+//! changes no results — it only removes the redundant functional
+//! execution, and lets sweeps load pre-recorded traces from disk
+//! (`--trace-dir`).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -55,7 +56,7 @@ pub fn record_trace(workload: &Workload, spec: Spec) -> Trace {
 /// [`record_trace`] with failures contained: a source that ends early
 /// returns [`arvi_trace::TraceError::SourceEnded`] and a panicking workload builder
 /// is caught and reported as an error string — the resilient recording
-/// path degrades the workload instead of taking the sweep down.
+/// path fails the workload's cells instead of taking the sweep down.
 pub fn try_record_trace(workload: &Workload, spec: Spec) -> Result<Trace, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let emu = Emulator::new(workload.program(spec.seed));
@@ -108,7 +109,7 @@ pub enum TraceProvenance {
         corrupt: bool,
     },
     /// No recording could be obtained (recording itself failed); cells
-    /// over this workload degrade to live emulation.
+    /// over this workload fail with a trace error that gives `reason`.
     Unavailable {
         /// Why the workload has no recording.
         reason: String,
@@ -148,7 +149,7 @@ impl TraceSet {
         threads: usize,
         dir: Option<&Path>,
     ) -> TraceSet {
-        Self::record_resilient(workloads, spec, threads, dir, None)
+        Self::record_resilient(workloads, spec, threads, dir, &Resilience::new())
     }
 
     /// [`TraceSet::record`] under an explicit [`Resilience`] policy:
@@ -159,20 +160,19 @@ impl TraceSet {
         spec: Spec,
         threads: usize,
         dir: Option<&Path>,
-        res: Option<&Resilience>,
+        res: &Resilience,
     ) -> TraceSet {
         if let Some(dir) = dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
             }
         }
-        let plan = res.and_then(|r| r.plan.as_deref());
-        let faulty = plan.map(crate::resilience::FaultyIo::new);
+        let faulty = res.plan.as_deref().map(crate::resilience::FaultyIo::new);
         let io: &dyn TraceIo = match &faulty {
             Some(faulty) => faulty,
             None => &StdIo,
         };
-        let telemetry = res.and_then(|r| r.telemetry.as_deref());
+        let telemetry = res.telemetry.as_deref();
         if let Some(t) = telemetry {
             t.event(
                 "record_start",
@@ -300,6 +300,14 @@ impl TraceSet {
             .iter()
             .find(|(w, _, _)| w == workload)
             .map(|(_, _, p)| p)
+    }
+
+    /// This set plus `other`'s recordings, which may cover another
+    /// window; where both hold a workload, this set's entry wins.
+    pub fn merged(mut self, other: TraceSet) -> TraceSet {
+        self.traces.extend(other.traces);
+        self.record_elapsed += other.record_elapsed;
+        self
     }
 
     /// A fresh replay cursor over `workload`'s shared recording.
@@ -469,15 +477,16 @@ mod tests {
         ]
     }
 
-    /// `points` on the grid executor, live without `traces`; every cell
+    /// `points` on the grid executor, replaying `traces`; every cell
     /// must finish.
     fn swept(
         points: &[SweepPoint],
         spec: Spec,
         threads: usize,
-        traces: Option<&TraceSet>,
+        traces: &TraceSet,
     ) -> Vec<SimResult> {
-        crate::harness::GridRun::run(points.to_vec(), spec, threads, false, traces, None, None)
+        let res = Resilience::new();
+        crate::harness::GridRun::run(points.to_vec(), spec, threads, false, traces, &res, None)
             .results(|_| true)
             .expect("every cell ran")
     }
@@ -505,8 +514,8 @@ mod tests {
         };
         let points = small_points();
         let traces = TraceSet::record(&distinct_workloads(&points), spec, 1, None);
-        let seq = swept(&points, spec, 1, Some(&traces));
-        let par = swept(&points, spec, 3, Some(&traces));
+        let seq = swept(&points, spec, 1, &traces);
+        let par = swept(&points, spec, 3, &traces);
         assert_same_results(&seq, &par);
     }
 
@@ -518,9 +527,12 @@ mod tests {
             seed: 7,
         };
         let points = small_points();
-        let live = swept(&points, spec, 2, None);
+        let live: Vec<SimResult> = points
+            .iter()
+            .map(|p| crate::harness::run_one(&p.workload, p.depth, p.config, spec))
+            .collect();
         let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
-        let traced = swept(&points, spec, 2, Some(&traces));
+        let traced = swept(&points, spec, 2, &traces);
         assert_same_results(&live, &traced);
     }
 

@@ -281,26 +281,6 @@ pub fn run_units(
         .collect()
 }
 
-/// Sums two per-unit counter blocks field by field. Plain integer
-/// addition end to end, so merging is exact, associative and
-/// commutative — the aggregation order (thread interleaving, resume
-/// replay) cannot change the totals.
-pub fn merge_stats(a: &MachineStats, b: &MachineStats) -> MachineStats {
-    let mut out = a.clone();
-    out.committed += b.committed;
-    out.cycles += b.cycles;
-    out.cond_branches += b.cond_branches;
-    out.l1_only += b.l1_only;
-    out.calc_class += b.calc_class;
-    out.load_class += b.load_class;
-    out.overrides += b.overrides;
-    out.overrides_correcting += b.overrides_correcting;
-    out.bvit_hits += b.bvit_hits;
-    out.full_mispredicts += b.full_mispredicts;
-    out.override_restarts += b.override_restarts;
-    out
-}
-
 /// The aggregate of a sampled run: summed counters, weighted estimates
 /// with 95% CIs, and coverage bookkeeping.
 #[derive(Debug, Clone)]
@@ -344,7 +324,7 @@ pub fn aggregate(results: &[MachineStats], region_len: u64) -> SampleReport {
     let mut ipc_samples = Vec::with_capacity(results.len());
     let mut acc_samples = Vec::with_capacity(results.len());
     for s in results {
-        totals = merge_stats(&totals, s);
+        totals += s;
         ipc_samples.push((s.ipc(), s.cycles as f64));
         acc_samples.push((s.cond_branches.rate(), s.cond_branches.total() as f64));
     }
@@ -509,24 +489,5 @@ mod tests {
         assert!(report.ipc.mean > 0.0);
         assert!((report.coverage() - 0.5).abs() < 0.01);
         assert!(report.ipc.ci_contains(report.ipc.mean));
-    }
-
-    #[test]
-    fn merge_is_commutative_and_associative() {
-        let trace = small_trace(12_000);
-        let params = SimParams::small_test();
-        let plan = SamplePlan::systematic(2, 200, 500);
-        let units = plan.units(0, trace.len(), 0);
-        let r = run_units(&trace, &params, PredictorConfig::ArviCurrent, &units, 1).unwrap();
-        assert!(r.len() >= 3);
-        let ab_c = merge_stats(&merge_stats(&r[0], &r[1]), &r[2]);
-        let a_bc = merge_stats(&r[0], &merge_stats(&r[1], &r[2]));
-        let ba_c = merge_stats(&merge_stats(&r[1], &r[0]), &r[2]);
-        for m in [&a_bc, &ba_c] {
-            assert_eq!(ab_c.committed, m.committed);
-            assert_eq!(ab_c.cycles, m.cycles);
-            assert_eq!(ab_c.cond_branches, m.cond_branches);
-            assert_eq!(ab_c.overrides, m.overrides);
-        }
     }
 }

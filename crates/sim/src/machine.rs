@@ -105,6 +105,39 @@ impl MachineStats {
     }
 }
 
+impl std::ops::AddAssign<&MachineStats> for MachineStats {
+    /// Adds another counter block field by field: how sampled units merge
+    /// into a cell's totals. Plain integer addition end to end, so merging
+    /// is exact, associative and commutative. The destructure names every
+    /// field, so a new counter cannot be left out of sampled totals.
+    fn add_assign(&mut self, other: &MachineStats) {
+        let MachineStats {
+            committed,
+            cycles,
+            cond_branches,
+            l1_only,
+            calc_class,
+            load_class,
+            overrides,
+            overrides_correcting,
+            bvit_hits,
+            full_mispredicts,
+            override_restarts,
+        } = other;
+        self.committed += committed;
+        self.cycles += cycles;
+        self.cond_branches += *cond_branches;
+        self.l1_only += *l1_only;
+        self.calc_class += *calc_class;
+        self.load_class += *load_class;
+        self.overrides += overrides;
+        self.overrides_correcting += overrides_correcting;
+        self.bvit_hits += bvit_hits;
+        self.full_mispredicts += full_mispredicts;
+        self.override_restarts += override_restarts;
+    }
+}
+
 /// The reorder buffer as stage-local parallel arrays (structure of
 /// arrays), indexed by `seq & mask` over a power-of-two ring. Each
 /// pipeline stage touches only the columns it needs — commit scans a

@@ -4,15 +4,17 @@
 //! 1. A persisted container corrupted at **arbitrary** offsets (bit
 //!    flips, truncation — property tested) always surfaces a clean
 //!    corruption error: never a panic, never silently wrong records.
-//! 2. A panicking or stalled grid cell is isolated to its own
-//!    [`CellOutcome`]; every other cell's result is bit-identical to an
-//!    undisturbed run.
+//! 2. A panicking grid cell is isolated to its own [`CellOutcome`];
+//!    every other cell's result is bit-identical to an undisturbed run.
 //! 3. A corrupt on-disk trace is quarantined (file preserved, incident
 //!    logged) and re-recorded, and the degraded sweep's numbers are
 //!    bit-identical to the healthy sweep's.
 //! 4. A cell whose trace set lacks its workload, or holds a recording
-//!    too short for the window, falls back to live emulation (still
-//!    bit-identical), and the run's summary reports it.
+//!    too short for the window or of another seed, fails alone with a
+//!    trace error naming
+//!    the workload, in full and sampled mode; every other cell is
+//!    bit-identical to a clean run, the grid reports itself incomplete,
+//!    and a resume with a usable recording finishes it.
 //! 5. A sweep killed mid-grid resumes from its journal and the merged
 //!    results are bit-identical to an uninterrupted run, over the full
 //!    workload roster (8 suite benchmarks + 9 curated scenarios).
@@ -27,7 +29,7 @@ use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    outcome_summary, trace_file_name, trace_len, CellOutcome, Degradation, FaultPlan, GridRun,
+    distinct_workloads, run_one, trace_file_name, CellOutcome, Degradation, FaultPlan, GridRun,
     Resilience, Spec, SweepPoint, TraceProvenance, TraceSet, Workload,
 };
 use proptest::prelude::*;
@@ -46,22 +48,22 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// `points` on one worker, replaying `traces` (live when `None`), under
-/// `res` (the default policy when `None`).
-fn run(
-    points: &[SweepPoint],
-    spec: Spec,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
-) -> GridRun {
+/// `points` on one worker, replaying `traces`, under `res`.
+fn run(points: &[SweepPoint], spec: Spec, traces: &TraceSet, res: &Resilience) -> GridRun {
     GridRun::run(points.to_vec(), spec, 1, false, traces, res, None)
 }
 
-/// Every point run live (no recordings) under the default policy.
+/// Every point emulated live, one cell at a time ([`run_one`]).
 fn run_live(points: &[SweepPoint], spec: Spec) -> Vec<SimResult> {
-    run(points, spec, None, None)
-        .results(|_| true)
-        .expect("every live cell ran")
+    points
+        .iter()
+        .map(|p| run_one(&p.workload, p.depth, p.config, spec))
+        .collect()
+}
+
+/// The recordings of every workload of `points`.
+fn record(points: &[SweepPoint], spec: Spec) -> TraceSet {
+    TraceSet::record(&distinct_workloads(points), spec, 2, None)
 }
 
 /// Full bit-identity: every counter of the measurement window.
@@ -165,9 +167,10 @@ fn injected_panic_is_isolated_to_its_cell() {
     let spec = tiny_spec();
     let points = small_points();
     let clean = run_live(&points, spec);
+    let traces = record(&points, spec);
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let faulted = run(&points, spec, None, Some(&res));
+    let faulted = run(&points, spec, &traces, &res);
     let outcomes = &faulted.outcomes;
     assert_eq!(outcomes.len(), points.len());
     match &outcomes[1] {
@@ -205,7 +208,7 @@ fn injected_panic_is_isolated_to_its_cell() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let err = run(&points, spec, None, Some(&res))
+    let err = run(&points, spec, &traces, &res)
         .results(|_| true)
         .unwrap_err();
     let hint = err.to_string();
@@ -213,31 +216,6 @@ fn injected_panic_is_isolated_to_its_cell() {
     assert!(hint.contains(&resume), "{hint}");
     assert!(!hint.contains("--journal FILE"), "{hint}");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn stalled_cell_past_the_deadline_is_discarded() {
-    let spec = tiny_spec();
-    let points = small_points();
-    let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 0 600").unwrap());
-    res.deadline = Some(std::time::Duration::from_millis(250));
-    let outcomes = run(&points, spec, None, Some(&res)).outcomes;
-    match &outcomes[0] {
-        CellOutcome::TimedOut { elapsed, deadline } => {
-            assert!(elapsed > deadline, "{elapsed:?} vs {deadline:?}")
-        }
-        other => panic!("cell 0: expected TimedOut, got {other:?}"),
-    }
-    assert!(
-        outcomes[1].success().is_some(),
-        "{:?}",
-        outcomes[1].failure()
-    );
-    assert!(
-        outcomes[2].success().is_some(),
-        "{:?}",
-        outcomes[2].failure()
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -264,13 +242,13 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
         clean.provenance(&workloads[0]),
         Some(&TraceProvenance::Recorded)
     );
-    let expected = run(&points, spec, Some(&clean), None)
+    let expected = run(&points, spec, &clean, &Resilience::new())
         .results(|_| true)
         .expect("every cell ran");
 
     // Inject corruption into the next read of go's trace file.
     let res = Resilience::new().with_plan(FaultPlan::parse("flip-chunk go 1 9").unwrap());
-    let faulted = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), Some(&res));
+    let faulted = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), &res);
     assert_eq!(
         faulted.provenance(&workloads[0]),
         Some(&TraceProvenance::Rerecorded { corrupt: true })
@@ -282,7 +260,7 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
     assert!(log.contains("go-") && log.contains("re-recording"), "{log}");
 
     // The degraded sweep reports the degradation but identical numbers.
-    let outcomes = run(&points, spec, Some(&faulted), Some(&res)).outcomes;
+    let outcomes = run(&points, spec, &faulted, &res).outcomes;
     for (i, (outcome, point)) in outcomes.iter().zip(&points).enumerate() {
         let s = outcome
             .success()
@@ -300,47 +278,99 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
 }
 
 // ---------------------------------------------------------------------
-// 4. No usable recording: live fallback, reported.
+// 4. No usable recording: the cell fails alone, reported and resumable.
 // ---------------------------------------------------------------------
 
 #[test]
-fn unavailable_trace_falls_back_to_live_emulation_or_reports() {
-    let spec = tiny_spec();
-    let workloads = [Workload::from(Benchmark::Li)];
-    let points = [SweepPoint {
-        workload: workloads[0].clone(),
-        depth: Depth::D20,
-        config: PredictorConfig::ArviCurrent,
-    }];
-    let expected = run_live(&points, spec);
-
-    // A trace set that lacks the workload, and one whose recording is too
-    // short for the window (recorded under a smaller spec): either way
-    // the cell degrades to live emulation with its numbers unchanged
-    // (replay is bit-identical to live, so nothing is lost), and the
-    // run's summary reports the fallback.
-    let lacking = TraceSet::record(&[Workload::from(Benchmark::Go)], spec, 1, None);
+fn unusable_recording_fails_only_its_cell() {
+    let spec = Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 3,
+    };
+    // Cell 1 (li) has no usable recording; compress and go keep theirs.
+    let points = small_points();
+    let healthy = record(&points, spec);
+    let others = [&points[0], &points[2]].map(|p| p.clone());
+    let li_under = |s| record(&others, spec).merged(record(&points[1..2], s));
     let smaller = Spec {
         measure: spec.measure / 2,
         ..spec
     };
-    let short = TraceSet::record(&workloads, smaller, 1, None);
-    assert!(short
-        .get(&workloads[0])
-        .is_some_and(|t| t.len() < trace_len(spec)));
-    for (label, traces) in [("missing", &lacking), ("short", &short)] {
-        let outcomes = run(&points, spec, Some(traces), None).outcomes;
-        let s = outcomes[0]
-            .success()
-            .unwrap_or_else(|| panic!("{label}: {:?}", outcomes[0].failure()));
-        assert_eq!(s.degradation, Degradation::LiveEmulation, "{label}");
-        assert_bit_identical(&s.result, &expected[0], label);
-        let summary = outcome_summary(&outcomes).expect("a degraded run reports");
-        assert!(
-            summary.contains("1 fell back to live emulation"),
-            "{summary}"
-        );
+    let unusable = [
+        (
+            "missing",
+            record(&others, spec),
+            "no recording of li: the trace set does not cover it",
+        ),
+        (
+            "short",
+            li_under(smaller),
+            "the recording of li holds 10096 instructions",
+        ),
+        (
+            "wrong seed",
+            li_under(Spec { seed: 4, ..spec }),
+            "the recording of li is of seed 4; the run uses seed 3",
+        ),
+    ];
+    let sample = SamplePlan::systematic(2, 500, 1_000);
+    let dir = temp_dir("unusable");
+    for plan in [None, Some(&sample)] {
+        let grid = |traces: &TraceSet, res: &Resilience| {
+            GridRun::run(points.clone(), spec, 2, false, traces, res, plan)
+        };
+        let clean = grid(&healthy, &Resilience::new());
+        for (label, traces, why) in &unusable {
+            let label = format!("{label}, sampled {}", plan.is_some());
+            let journal = dir.join(format!("{label}.journal"));
+            let res = Resilience::new().with_journal(&journal);
+            let run = grid(traces, &res);
+            match &run.outcomes[1] {
+                CellOutcome::TraceError { message } => assert!(message.contains(why), "{message}"),
+                other => panic!("{label}: cell 1: expected TraceError, got {other:?}"),
+            }
+            for i in [0, 2] {
+                let s = run.outcomes[i]
+                    .success()
+                    .unwrap_or_else(|| panic!("{label}: cell {i}: {:?}", run.outcomes[i]));
+                let c = clean.outcomes[i].success().expect("clean run completes");
+                assert_eq!(s.sampled_units, c.sampled_units, "{label}: cell {i}");
+                assert_bit_identical(&s.result, &c.result, &label);
+            }
+            if let (Some(r), Some(c)) = (&run.reports, &clean.reports) {
+                assert!(r[1].is_none(), "{label}: a failed cell has no estimate");
+                for i in [0, 2] {
+                    let (r, c) = (r[i].as_ref().unwrap(), c[i].as_ref().unwrap());
+                    assert_eq!(r.ipc.mean.to_bits(), c.ipc.mean.to_bits(), "{label}");
+                    assert_eq!(r.ipc.stderr.to_bits(), c.ipc.stderr.to_bits(), "{label}");
+                }
+            }
+            let err = run.results(|_| true).unwrap_err();
+            assert_eq!(err.failed.len(), 1, "{label}");
+            let (cell, _, reason) = &err.failed[0];
+            assert_eq!(*cell, 1, "{label}");
+            assert!(
+                reason.starts_with("trace error: ") && reason.contains(why),
+                "{reason}"
+            );
+
+            // The failure was never journaled: a resume with the recording
+            // back re-runs cell 1 alone and completes the clean grid.
+            let resumed = grid(&healthy, &res.clone().resuming());
+            let fresh: Vec<bool> = resumed
+                .outcomes
+                .iter()
+                .map(|o| !o.success().expect("resume completes").resumed)
+                .collect();
+            assert_eq!(fresh, [false, true, false], "{label}");
+            let (got, want) = (resumed.results(|_| true), clean.results(|_| true));
+            for ((p, a), b) in points.iter().zip(got.unwrap()).zip(want.unwrap()) {
+                assert_bit_identical(&a, &b, &p.to_string());
+            }
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -363,6 +393,7 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
         })
         .collect();
     let clean = run_live(&points, spec);
+    let traces = record(&points, spec);
 
     let dir = temp_dir("resume");
     let journal = dir.join("sweep.journal");
@@ -371,7 +402,7 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 6").unwrap());
-    let killed = run(&points, spec, None, Some(&res));
+    let killed = run(&points, spec, &traces, &res);
     let outcomes = &killed.outcomes;
     let done = outcomes.iter().filter(|o| o.success().is_some()).count();
     let skipped = outcomes
@@ -387,7 +418,7 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
 
     // Second run resumes: completed cells restored, the rest simulated.
     let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed_run = run(&points, spec, None, Some(&res));
+    let resumed_run = run(&points, spec, &traces, &res);
     let resumed = resumed_run
         .outcomes
         .iter()
@@ -419,25 +450,15 @@ fn sampled_panic_fails_only_its_cell() {
         seed: 3,
     };
     let points = small_points();
-    let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
-    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let traces = record(&points, spec);
     let plan = SamplePlan::systematic(2, 500, 1_000);
-    let sampled = |res| {
-        GridRun::run(
-            points.clone(),
-            spec,
-            2,
-            false,
-            Some(&traces),
-            res,
-            Some(&plan),
-        )
-    };
-    let clean = sampled(None);
+    let sampled =
+        |res: &Resilience| GridRun::run(points.clone(), spec, 2, false, &traces, res, Some(&plan));
+    let clean = sampled(&Resilience::new());
     let clean_reports = clean.reports.as_ref().expect("sampled");
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
-    let faulted = sampled(Some(&res));
+    let faulted = sampled(&res);
     let faulted_reports = faulted.reports.as_ref().expect("sampled");
     match &faulted.outcomes[1] {
         CellOutcome::Panicked { message } => {
@@ -466,36 +487,4 @@ fn sampled_panic_fails_only_its_cell() {
     let err = faulted.results(|_| true).unwrap_err();
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
-}
-
-#[test]
-fn sampled_units_past_the_deadline_fail_their_cell() {
-    let spec = Spec {
-        warmup: 2_000,
-        measure: 8_000,
-        seed: 3,
-    };
-    let points = small_points();
-    let workloads: Vec<Workload> = points.iter().map(|p| p.workload.clone()).collect();
-    let traces = TraceSet::record(&workloads, spec, 1, None);
-    let plan = SamplePlan::systematic(2, 500, 1_000);
-    let mut res = Resilience::new().with_plan(FaultPlan::parse("stall-cell 2 600").unwrap());
-    res.deadline = Some(std::time::Duration::from_millis(250));
-    let sweep = GridRun::run(
-        points,
-        spec,
-        1,
-        false,
-        Some(&traces),
-        Some(&res),
-        Some(&plan),
-    );
-    assert!(
-        matches!(sweep.outcomes[2], CellOutcome::TimedOut { .. }),
-        "{:?}",
-        sweep.outcomes[2]
-    );
-    for i in [0, 1] {
-        assert!(sweep.outcomes[i].success().is_some(), "cell {i}");
-    }
 }

@@ -53,26 +53,18 @@ fn small_workloads() -> Vec<Workload> {
     ]
 }
 
-/// `points` on the grid executor with the probes on, under `res` (the
-/// default policy when `None`), folded into the rollup.
+/// `points` on the grid executor with the probes on, replaying `traces`
+/// under `res`, folded into the rollup.
 fn probed_grid(
     points: &[SweepPoint],
     spec: Spec,
     threads: usize,
-    traces: Option<&TraceSet>,
-    res: Option<&Resilience>,
+    traces: &TraceSet,
+    res: &Resilience,
 ) -> ObsGrid {
-    let mut probed = res.cloned().unwrap_or_default();
+    let mut probed = res.clone();
     probed.probes = obs_from_args(&["--obs-grid".to_string(), "unused.json".to_string()]).unwrap();
-    let run = GridRun::run(
-        points.to_vec(),
-        spec,
-        threads,
-        false,
-        traces,
-        Some(&probed),
-        None,
-    );
+    let run = GridRun::run(points.to_vec(), spec, threads, false, traces, &probed, None);
     ObsGrid::from_outcomes(&run.points, spec, run.outcomes, None)
 }
 
@@ -84,7 +76,7 @@ fn rollup_is_byte_identical_across_thread_counts() {
     let traces = TraceSet::record(&workloads, spec, 4, None);
 
     let render = |threads: usize| {
-        let g = probed_grid(&points, spec, threads, Some(&traces), None);
+        let g = probed_grid(&points, spec, threads, &traces, &Resilience::new());
         assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
         obs_grid_json(&g, 5).render()
     };
@@ -103,7 +95,7 @@ fn killed_grid_resumes_byte_identical() {
     let journal = dir.join("sweep.journal");
 
     // Reference: one uninterrupted, journal-free run.
-    let direct = probed_grid(&points, spec, 1, Some(&traces), None);
+    let direct = probed_grid(&points, spec, 1, &traces, &Resilience::new());
     let direct_json = obs_grid_json(&direct, 5).render();
 
     // First run dies after 3 completed cells; their journal lines keep
@@ -111,7 +103,7 @@ fn killed_grid_resumes_byte_identical() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = probed_grid(&points, spec, 1, Some(&traces), Some(&res));
+    let killed = probed_grid(&points, spec, 1, &traces, &res);
     assert_eq!(killed.completed, 3, "killed after 3 cells");
     assert_eq!(killed.failed.len(), points.len() - 3);
     let text = std::fs::read_to_string(&journal).unwrap();
@@ -126,7 +118,7 @@ fn killed_grid_resumes_byte_identical() {
     // Second run resumes: journaled telemetry restored, the rest
     // simulated — and the rollup is byte-identical to the direct run.
     let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = probed_grid(&points, spec, 1, Some(&traces), Some(&res));
+    let resumed = probed_grid(&points, spec, 1, &traces, &res);
     assert_eq!(resumed.completed, points.len());
     assert_eq!(resumed.resumed, 3, "every journaled cell restored");
     assert_eq!(
@@ -143,7 +135,7 @@ fn merged_counter_sums_equal_per_cell_sums_over_the_suite() {
     let workloads = Workload::suite();
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
     let traces = TraceSet::record(&workloads, spec, 4, None);
-    let g = probed_grid(&points, spec, 4, Some(&traces), None);
+    let g = probed_grid(&points, spec, 4, &traces, &Resilience::new());
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
     assert_eq!(
         g.groups.len(),
@@ -200,7 +192,8 @@ fn attribution_names_sites_arvi_fixes_on_datadep() {
         &[Depth::D20],
         &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
     );
-    let g = probed_grid(&points, spec, 1, None, None);
+    let traces = TraceSet::record(&workloads, spec, 1, None);
+    let g = probed_grid(&points, spec, 1, &traces, &Resilience::new());
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
 
     let json = obs_grid_json(&g, 10);
@@ -250,15 +243,7 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         SweepTelemetry::from_paths(Some(&events_path), Some(&metrics_path)).unwrap(),
     ));
     let traces = TraceSet::record(&workloads, spec, 2, None);
-    let run = GridRun::run(
-        points.clone(),
-        spec,
-        2,
-        false,
-        Some(&traces),
-        Some(&res),
-        None,
-    );
+    let run = GridRun::run(points.clone(), spec, 2, false, &traces, &res, None);
     assert!(run.outcomes.iter().all(|o| o.success().is_some()));
 
     // Every line is a JSON object with a monotonic-origin timestamp and
@@ -325,15 +310,7 @@ fn sampled_run_writes_the_unsampled_probed_rollup() {
         // What `--obs-grid` sets up: a policy carrying the config.
         let mut res = Resilience::new();
         res.probes = Some(cfg.clone());
-        let run = GridRun::run(
-            points.clone(),
-            spec,
-            threads,
-            false,
-            Some(&traces),
-            Some(&res),
-            plan,
-        );
+        let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, plan);
         assert_eq!(run.reports.is_some(), plan.is_some());
         maybe_obs_grid(Some(&cfg), run, spec, None);
         std::fs::read(&out).expect("rollup written")

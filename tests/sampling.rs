@@ -10,9 +10,10 @@
 //!    unit refills its own pipeline) and are deliberately not part of
 //!    the exactness claim.
 //! 2. **Merge algebra** — per-unit counter blocks merge with plain
-//!    integer sums: associative, commutative, and `aggregate`'s totals
-//!    equal a fold in any order, so thread interleaving and resume
-//!    replay cannot change a sampled result.
+//!    integer sums (`MachineStats += &MachineStats`): associative,
+//!    commutative, and `aggregate`'s totals equal a fold in any order, so
+//!    thread interleaving and resume replay cannot change a sampled
+//!    result.
 //! 3. **End-to-end determinism** — a sampled sweep's complete estimate
 //!    fingerprint (counters plus the bit patterns of every mean, stderr
 //!    and CI) is byte-identical across `--threads 1/4/8` and across a
@@ -21,7 +22,7 @@
 use std::sync::{Arc, OnceLock};
 
 use arvi::isa::Emulator;
-use arvi::sampling::{aggregate, merge_stats, run_unit, run_units, SamplePlan, SampleUnit};
+use arvi::sampling::{aggregate, run_unit, run_units, SamplePlan, SampleUnit};
 use arvi::sim::{Depth, MachineStats, PredictorConfig, SimParams};
 use arvi::trace::Trace;
 use arvi::workloads::Benchmark;
@@ -123,20 +124,21 @@ fn merge_order_cannot_change_a_sampled_result() {
     .unwrap();
     assert!(r.len() >= 4, "need several units, got {}", r.len());
 
-    let eq = |a: &MachineStats, b: &MachineStats| {
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.cond_branches, b.cond_branches);
-        assert_eq!(a.overrides, b.overrides);
-        assert_eq!(a.full_mispredicts, b.full_mispredicts);
-        assert_eq!(a.bvit_hits, b.bvit_hits);
+    let merge = |a: &MachineStats, b: &MachineStats| {
+        let mut sum = a.clone();
+        sum += b;
+        sum
     };
+    // Every counter, not a chosen few: `MachineStats` compares whole.
+    let eq = |a: &MachineStats, b: &MachineStats| assert_eq!(a, b);
 
     // Associativity and commutativity on real unit blocks.
-    let ab_c = merge_stats(&merge_stats(&r[0], &r[1]), &r[2]);
-    let a_bc = merge_stats(&r[0], &merge_stats(&r[1], &r[2]));
-    let c_ba = merge_stats(&r[2], &merge_stats(&r[1], &r[0]));
+    let ab_c = merge(&merge(&r[0], &r[1]), &r[2]);
+    let a_bc = merge(&r[0], &merge(&r[1], &r[2]));
+    let ba_c = merge(&merge(&r[1], &r[0]), &r[2]);
+    let c_ba = merge(&r[2], &merge(&r[1], &r[0]));
     eq(&ab_c, &a_bc);
+    eq(&ab_c, &ba_c);
     eq(&ab_c, &c_ba);
 
     // aggregate's totals equal a fold in forward, reverse, or
@@ -145,16 +147,16 @@ fn merge_order_cannot_change_a_sampled_result() {
     let totals = aggregate(&r, REGION).totals;
     let forward = r
         .iter()
-        .fold(MachineStats::default(), |acc, s| merge_stats(&acc, s));
+        .fold(MachineStats::default(), |acc, s| merge(&acc, s));
     let reverse = r
         .iter()
         .rev()
-        .fold(MachineStats::default(), |acc, s| merge_stats(&acc, s));
+        .fold(MachineStats::default(), |acc, s| merge(&acc, s));
     let mut shuffled: Vec<&MachineStats> = r.iter().skip(1).step_by(2).collect();
     shuffled.extend(r.iter().step_by(2));
     let interleaved = shuffled
         .into_iter()
-        .fold(MachineStats::default(), |acc, s| merge_stats(&acc, s));
+        .fold(MachineStats::default(), |acc, s| merge(&acc, s));
     eq(&totals, &forward);
     eq(&totals, &reverse);
     eq(&totals, &interleaved);
@@ -211,25 +213,22 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
     let traces = TraceSet::record(&workloads, spec, 2, None);
     let plan = SamplePlan::systematic(2, 500, 1_000);
 
-    let sampled = |threads, res| {
+    let sampled = |threads, res: &Resilience| {
         GridRun::run(
             points.clone(),
             spec,
             threads,
             false,
-            Some(&traces),
+            &traces,
             res,
             Some(&plan),
         )
     };
 
     // Thread invariance: the full fingerprint, not just one counter.
-    let reference = {
-        let sweep = sampled(1, None);
-        sweep_fingerprint(&sweep)
-    };
+    let reference = sweep_fingerprint(&sampled(1, &Resilience::new()));
     for threads in [4, 8] {
-        let sweep = sampled(threads, None);
+        let sweep = sampled(threads, &Resilience::new());
         assert_eq!(
             sweep_fingerprint(&sweep),
             reference,
@@ -247,14 +246,14 @@ fn sampled_sweep_fingerprint_is_identical_across_threads_and_resume() {
     let res = Resilience::new()
         .with_journal(&journal)
         .with_plan(FaultPlan::parse("kill-after 3").unwrap());
-    let killed = sampled(1, Some(&res));
+    let killed = sampled(1, &res);
     assert!(
         killed.outcomes.iter().any(|o| o.success().is_none()),
         "the kill must leave unfinished cells behind"
     );
 
     let res = Resilience::new().with_journal(&journal).resuming();
-    let resumed = sampled(4, Some(&res));
+    let resumed = sampled(4, &res);
     assert_eq!(
         sweep_fingerprint(&resumed),
         reference,

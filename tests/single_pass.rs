@@ -8,8 +8,8 @@
 //!    equal an unprobed sweep's at 1 and 4 threads.
 //! 2. **One sweep, every figure** — Figure 5 and each Figure 6 depth
 //!    assembled from one `workloads × depths × configs` sweep equal the
-//!    per-figure sweeps, in strict, fault-isolated and sampled mode
-//!    (confidence-interval tables included), and a failed cell marks
+//!    per-figure sweeps, in strict and sampled mode (confidence-interval
+//!    tables included), and a failed cell marks
 //!    only the figures that contain it incomplete.
 //! 3. **Resume adds probes** — a sweep journaled without probes, resumed
 //!    with them, re-simulates exactly the cells that have no obs-journal
@@ -76,15 +76,7 @@ fn run(
     traces: &TraceSet,
     res: &Resilience,
 ) -> GridRun {
-    GridRun::run(
-        points.to_vec(),
-        spec,
-        threads,
-        false,
-        Some(traces),
-        Some(res),
-        None,
-    )
+    GridRun::run(points.to_vec(), spec, threads, false, traces, res, None)
 }
 
 /// Every result counter, rendered: `SimResult` has no `PartialEq`.
@@ -201,12 +193,8 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
 
     let res = Resilience::new();
     let plan = SamplePlan::systematic(2, 500, 1_000);
-    for (mode, res, plan) in [
-        ("strict", None, None),
-        ("resilient", Some(&res), None),
-        ("sampled", None, Some(&plan)),
-    ] {
-        let run = GridRun::run(paper_grid.clone(), spec, 2, false, Some(&traces), res, plan);
+    for (mode, plan) in [("strict", None), ("sampled", Some(&plan))] {
+        let run = GridRun::run(paper_grid.clone(), spec, 2, false, &traces, &res, plan);
         let fig5 = fig5_text(run.fig5_tables(&workloads).expect("complete"));
         let fig6: Vec<String> = Depth::all()
             .into_iter()
@@ -219,7 +207,7 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
 
         // Against each figure's own sweep in the same mode, confidence
         // intervals included.
-        let own = |points| GridRun::run(points, spec, 2, false, Some(&traces), res, plan);
+        let own = |points| GridRun::run(points, spec, 2, false, &traces, &res, plan);
         let own5 = own(fig5_grid.clone());
         assert_eq!(
             fig5,
@@ -252,15 +240,7 @@ fn one_sweep_assembles_every_figure_in_every_mode() {
     assert_eq!(paper_grid[4].depth, Depth::D40);
     assert!(!fig5_cell(&paper_grid[4]));
     let faulted = Resilience::new().with_plan(FaultPlan::parse("panic-cell 4").unwrap());
-    let run = GridRun::run(
-        paper_grid,
-        spec,
-        2,
-        false,
-        Some(&traces),
-        Some(&faulted),
-        None,
-    );
+    let run = GridRun::run(paper_grid, spec, 2, false, &traces, &faulted, None);
     assert_eq!(fig5_text(run.fig5_tables(&workloads).unwrap()), fig5_ref);
     for (i, depth) in Depth::all().into_iter().enumerate() {
         match run.fig6_data(&workloads, depth) {
@@ -455,15 +435,7 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
         };
         for threads in [1, 2] {
             for plan in [None, Some(&plan)] {
-                let run = GridRun::run(
-                    points.clone(),
-                    spec,
-                    threads,
-                    false,
-                    Some(&traces),
-                    Some(&res),
-                    plan,
-                );
+                let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, plan);
                 check(
                     &run,
                     &format!("threads {threads}, sampled {}", plan.is_some()),
@@ -481,26 +453,10 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
             .with_journal(&journal)
             .with_plan(FaultPlan::parse("kill-after 6").unwrap());
         assert_eq!(anchors[0], 5);
-        let run = GridRun::run(
-            points.clone(),
-            spec,
-            1,
-            false,
-            Some(&traces),
-            Some(&killed),
-            None,
-        );
+        let run = GridRun::run(points.clone(), spec, 1, false, &traces, &killed, None);
         assert!(run.results(|_| true).is_err(), "killed");
         let resumed = res.clone().with_journal(&journal).resuming();
-        let run = GridRun::run(
-            points.clone(),
-            spec,
-            2,
-            false,
-            Some(&traces),
-            Some(&resumed),
-            None,
-        );
+        let run = GridRun::run(points.clone(), spec, 2, false, &traces, &resumed, None);
         let anchor_resumed = |i: &usize| run.outcomes[*i].success().unwrap().resumed;
         assert_eq!(
             anchors.iter().any(anchor_resumed),

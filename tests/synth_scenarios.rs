@@ -11,7 +11,7 @@
 
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::synth::{record_trace, ScenarioSpec};
-use arvi_bench::{grid, trace_file_name, GridRun, Spec, TraceSet, Workload};
+use arvi_bench::{grid, trace_file_name, GridRun, Resilience, Spec, TraceSet, Workload};
 use proptest::prelude::*;
 
 #[test]
@@ -27,7 +27,7 @@ fn datadep_beats_baseline_and_bias_converges() {
     ];
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
     let traces = TraceSet::record(&workloads, spec, 2, None);
-    let results = GridRun::run(points, spec, 2, false, Some(&traces), None, None)
+    let results = GridRun::run(points, spec, 2, false, &traces, &Resilience::new(), None)
         .results(|_| true)
         .expect("every cell ran");
     let configs = PredictorConfig::all().len();

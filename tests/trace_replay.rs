@@ -5,14 +5,14 @@
 //!    sizes, through both the in-memory trace and the file container).
 //! 2. Corruption anywhere in a persisted file is rejected at load.
 //! 3. Replaying a recording through the timing simulator is
-//!    **bit-identical** to live emulation for every benchmark x depth x
-//!    configuration cell of the paper grid.
+//!    **bit-identical** to live emulation ([`arvi_bench::run_one`]) for
+//!    every benchmark x depth x configuration cell of the paper grid.
 
 use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
 use arvi::sim::MachineStats;
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{distinct_workloads, full_grid, GridRun, Spec, TraceSet};
+use arvi_bench::{distinct_workloads, full_grid, run_one, GridRun, Resilience, Spec, TraceSet};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -173,9 +173,9 @@ fn assert_identical(live: &MachineStats, replay: &MachineStats, label: &str) {
     );
 }
 
-/// The tentpole guarantee: the shared-trace sweep reproduces the live
-/// sweep counter-for-counter on every cell of the full paper grid
-/// (8 benchmarks x 3 depths x 4 configurations).
+/// The tentpole guarantee: the shared-trace sweep reproduces live
+/// emulation of each cell ([`run_one`]) counter-for-counter on every cell
+/// of the full paper grid (8 benchmarks x 3 depths x 4 configurations).
 #[test]
 fn replay_is_bit_identical_across_the_full_grid() {
     let spec = Spec {
@@ -184,14 +184,22 @@ fn replay_is_bit_identical_across_the_full_grid() {
         seed: 42,
     };
     let points = full_grid();
-    let sweep = |traces: Option<&TraceSet>| {
-        GridRun::run(points.clone(), spec, 2, false, traces, None, None)
-            .results(|_| true)
-            .expect("every cell ran")
-    };
-    let live = sweep(None);
+    let live: Vec<_> = points
+        .iter()
+        .map(|p| run_one(&p.workload, p.depth, p.config, spec))
+        .collect();
     let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
-    let traced = sweep(Some(&traces));
+    let traced = GridRun::run(
+        points.clone(),
+        spec,
+        2,
+        false,
+        &traces,
+        &Resilience::new(),
+        None,
+    )
+    .results(|_| true)
+    .expect("every cell ran");
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
