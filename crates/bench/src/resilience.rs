@@ -36,6 +36,20 @@
 //!   cell from one extra whole-cell item), journaled on the cell's own
 //!   line, so neither the grid rollup ([`crate::obs_grid`]) nor the
 //!   anchor report ([`crate::obs`]) re-simulates a cell.
+//! * **Load back from its twin** — without a sample plan, a whole-cell
+//!   ArviLoadBack item is dispatched after every other item and takes
+//!   its current-value twin's result (the cell of the same workload and
+//!   depth), relabelled, when the twin published one. A twin publishes
+//!   after simulating in this run when load back's hoist rule never
+//!   fired on its whole run ([`arvi_sim::Machine::load_back_hoists`]).
+//!   That rule is the only difference between the two machines
+//!   ([`arvi_sim::oracle`]), so the derived result is bit-identical to a
+//!   simulated one. So are the twin's counters and sites when both cells
+//!   carry them. The cell is simulated as usual in every other case:
+//!   the twin disagreed, failed, was resumed, is still running, or
+//!   carries other probes or a tracer. No item waits on its twin, and
+//!   the fault plan's panic fires before any derivation. A derived
+//!   cell's `cell_end` says `"phase":"derived"`.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
 //!   `--fault-plan` text) flips bytes, truncates files, panics chosen
 //!   cells, and simulates a mid-grid kill, all deterministically, so
@@ -52,11 +66,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arvi_obs::{ChromeTracer, CounterProbe, SiteProbe};
+use arvi_obs::{ChromeTracer, CounterProbe, NullProbe, SiteProbe};
 use arvi_sampling::{run_unit, SamplePlan, SampleReport, SampleUnit};
 use arvi_sim::{
-    intern_name, simulate_source, simulate_source_probed, InstSource, PredictorConfig, SimParams,
-    SimResult,
+    intern_name, simulate_source_verdict, InstSource, PredictorConfig, SimParams, SimResult,
 };
 use arvi_stats::Accuracy;
 use arvi_trace::par::par_map_caught;
@@ -110,6 +123,9 @@ pub struct CellSuccess {
     /// Whether the result was restored from a journal instead of
     /// simulated in this run.
     pub resumed: bool,
+    /// Whether this load-back result was taken from the cell's
+    /// current-value twin instead of simulated (see the module docs).
+    pub derived: bool,
     /// Wall-clock time the cell took. For resumed cells this is the
     /// journaled duration of the original run (zero for entries written
     /// by journals that predate duration tracking).
@@ -579,6 +595,7 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         result,
         degradation,
         resumed: true,
+        derived: false,
         duration,
         sampled_units: 0,
         probes,
@@ -709,23 +726,30 @@ pub(crate) fn run_grid(
 ) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>, Option<PathBuf>) {
     let exec = Executor::new(points, spec, traces, res, sample);
     let mut items: Vec<WorkItem> = Vec::new();
-    let cells: Vec<CellRun> = (0..points.len())
-        .map(|i| {
-            let first = items.len();
-            let sampled = !exec.units.is_empty() && exec.recordings[i].is_ok();
-            if sampled {
-                items.extend((0..exec.units.len()).map(|j| (i, Some(j))));
-            }
-            if !sampled || exec.probes[i] != ProbeSet::Off {
-                items.push((i, None));
-            }
-            CellRun {
-                items: first..items.len(),
-                sampled,
-                started: AtomicBool::new(false),
-                pending: AtomicUsize::new(items.len() - first),
-                folded: Mutex::new(None),
-            }
+    let mut spans = vec![(0..0, false); points.len()];
+    // Cells that may take their twin's result go last, so their twins
+    // have had the longest time to publish one.
+    let (early, late): (Vec<usize>, Vec<usize>) =
+        (0..points.len()).partition(|&i| exec.twins[i].is_none());
+    for i in early.into_iter().chain(late) {
+        let first = items.len();
+        let sampled = !exec.units.is_empty() && exec.recordings[i].is_ok();
+        if sampled {
+            items.extend((0..exec.units.len()).map(|j| (i, Some(j))));
+        }
+        if !sampled || exec.probes[i] != ProbeSet::Off {
+            items.push((i, None));
+        }
+        spans[i] = (first..items.len(), sampled);
+    }
+    let cells: Vec<CellRun> = spans
+        .into_iter()
+        .map(|(items, sampled)| CellRun {
+            pending: AtomicUsize::new(items.len()),
+            items,
+            sampled,
+            started: AtomicBool::new(false),
+            folded: Mutex::new(None),
         })
         .collect();
 
@@ -874,6 +898,30 @@ fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
     sets
 }
 
+/// Each load-back cell's current-value twin — the cell of the same
+/// workload and depth — when the two carry the same probes and no
+/// tracer (a tracer belongs to its own cell: its events carry the cell's
+/// pid); `None` for every other cell.
+fn twins(points: &[SweepPoint], probes: &[ProbeSet]) -> Vec<Option<usize>> {
+    points
+        .iter()
+        .zip(probes)
+        .map(|(p, &set)| {
+            if p.config != PredictorConfig::ArviLoadBack || matches!(set, ProbeSet::Traced { .. }) {
+                return None;
+            }
+            points
+                .iter()
+                .position(|q| {
+                    q.config == PredictorConfig::ArviCurrent
+                        && q.depth == p.depth
+                        && q.workload == p.workload
+                })
+                .filter(|&j| probes[j] == set)
+        })
+        .collect()
+}
+
 /// Everything a work item needs, shared read-only by the workers.
 struct Executor<'a> {
     points: &'a [SweepPoint],
@@ -889,6 +937,12 @@ struct Executor<'a> {
     /// The probes each cell reports, carried by its whole-cell item
     /// (sampling units run unprobed).
     probes: Vec<ProbeSet>,
+    /// Each cell's current-value twin, for a load-back cell that may take
+    /// its result from it ([`twins`]).
+    twins: Vec<Option<usize>>,
+    /// A twin's result, once it has simulated and load back's rule never
+    /// fired on its run; taken by the one load-back cell it serves.
+    published: Vec<Mutex<Option<Simulated>>>,
     prior: HashMap<u64, CellSuccess>,
     journal: Option<SweepJournal>,
 }
@@ -922,6 +976,11 @@ impl<'a> Executor<'a> {
                 })
                 .ok()
         });
+        let probes = probe_sets(points, res.probes.as_ref());
+        let twins = match sample {
+            Some(_) => vec![None; points.len()],
+            None => twins(points, &probes),
+        };
         Executor {
             points,
             spec,
@@ -929,7 +988,9 @@ impl<'a> Executor<'a> {
             sample,
             recordings: points.iter().map(|p| recording(traces, p, spec)).collect(),
             units,
-            probes: probe_sets(points, res.probes.as_ref()),
+            probes,
+            twins,
+            published: points.iter().map(|_| Mutex::new(None)).collect(),
             prior,
             journal,
         }
@@ -962,8 +1023,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Fails one work item of a cell without a usable recording, or
-    /// restores it from the journal, or runs it: the fault plan's panic
-    /// for the cell fires on its first dispatched item.
+    /// restores it from the journal, or takes a load-back cell's result
+    /// from its twin, or runs it: the fault plan's panic for the cell
+    /// fires on its first dispatched item, before any derivation.
     fn run_item(&self, cell: usize, unit: Option<usize>) -> CellOutcome {
         let point = &self.points[cell];
         let (trace, degradation) = match &self.recordings[cell] {
@@ -986,6 +1048,7 @@ impl<'a> Executor<'a> {
                     result: prior.result.clone(),
                     degradation: prior.degradation,
                     resumed: true,
+                    derived: false,
                     duration: prior.duration,
                     sampled_units,
                     probes: prior.probes.clone().filter(|_| probes != ProbeSet::Off),
@@ -996,13 +1059,16 @@ impl<'a> Executor<'a> {
         if self.res.plan.as_deref().is_some_and(|p| p.take_panic(cell)) {
             panic!("injected fault: panic in cell {cell} ({point})");
         }
+        let mut derived = false;
         let ran = match unit {
             Some(j) => self.simulate_unit(trace, point, &self.units[j]),
-            None => {
-                let replayer = TraceReplayer::new(Arc::clone(trace));
-                let name = intern_name(trace.name());
-                Ok(simulate_cell(name, replayer, point, self.spec, probes))
-            }
+            None => Ok(match self.derive(cell) {
+                Some(twin) => {
+                    derived = true;
+                    twin
+                }
+                None => self.simulate_whole(cell, trace, probes),
+            }),
         };
         match ran {
             Err(message) => CellOutcome::TraceError { message },
@@ -1010,11 +1076,39 @@ impl<'a> Executor<'a> {
                 result,
                 degradation,
                 resumed: false,
+                derived,
                 duration: start.elapsed(),
                 sampled_units,
                 probes,
             }),
         }
+    }
+
+    /// A whole cell over its recording. A current-value twin whose run
+    /// never met load back's hoist rule publishes its result for its
+    /// load-back cell.
+    fn simulate_whole(&self, cell: usize, trace: &Arc<Trace>, probes: ProbeSet) -> Simulated {
+        let replayer = TraceReplayer::new(Arc::clone(trace));
+        let name = intern_name(trace.name());
+        let (simulated, hoists) =
+            simulate_cell(name, replayer, &self.points[cell], self.spec, probes);
+        if hoists == 0 && self.twins.contains(&Some(cell)) {
+            *self.published[cell].lock().expect("twin slot") = Some(simulated.clone());
+        }
+        simulated
+    }
+
+    /// `cell`'s result taken from its current-value twin, relabelled with
+    /// the cell's configuration, when the twin has published one; `None`
+    /// when the cell has no twin or the twin has not (yet) published.
+    fn derive(&self, cell: usize) -> Option<Simulated> {
+        let twin = self.twins[cell]?;
+        let (mut result, mut probes) = self.published[twin].lock().expect("twin slot").take()?;
+        result.config = self.points[cell].config;
+        if let Some(p) = &mut probes {
+            p.result = result.clone();
+        }
+        Some((result, probes))
     }
 
     /// One sampling unit of a cell over its recording. The unit's
@@ -1114,7 +1208,11 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
     let mut degraded = None;
     if let CellOutcome::Ok(s) = outcome {
         resumed = s.resumed;
-        let phase = if s.resumed { "resumed" } else { "replay" };
+        let phase = match (s.resumed, s.derived) {
+            (true, _) => "resumed",
+            (false, true) => "derived",
+            (false, false) => "replay",
+        };
         fields.push(("phase".to_string(), Json::str(phase)));
         if s.degradation != Degradation::None {
             degraded = Some(s.degradation.tag());
@@ -1124,7 +1222,7 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
             "dur_us".to_string(),
             Json::Num(s.duration.as_micros() as f64),
         ));
-        if !s.resumed {
+        if !s.resumed && !s.derived {
             simulated_duration = Some(s.duration);
         }
     } else if let Some(reason) = outcome.failure() {
@@ -1140,34 +1238,36 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
 
 /// Simulates one cell from `source` — the same run as
 /// [`crate::harness::run_one`] / [`crate::harness::run_one_traced`] —
-/// with the `probes` attached.
+/// with the `probes` attached; also returns load back's verdict on the
+/// run ([`arvi_sim::Machine::load_back_hoists`]).
 fn simulate_cell<S: InstSource>(
     name: &'static str,
     source: S,
     point: &SweepPoint,
     spec: Spec,
     probes: ProbeSet,
-) -> Simulated {
+) -> (Simulated, u64) {
     let params = SimParams::for_depth(point.depth);
     let (warmup, measure, config) = (spec.warmup, spec.measure, point.config);
     if probes == ProbeSet::Off {
-        let result = simulate_source(name, source, params, config, warmup, measure);
-        return (result, None);
+        let (result, NullProbe, hoists) =
+            simulate_source_verdict(name, source, params, config, warmup, measure, NullProbe);
+        return ((result, None), hoists);
     }
     let sites = (CounterProbe::new(), SiteProbe::new());
-    let (result, (counters, sites), tracer) = match probes {
+    let (result, (counters, sites), tracer, hoists) = match probes {
         ProbeSet::Traced { window, pid } => {
             let mut tracer = ChromeTracer::new(window.0, window.1);
             tracer.pid = pid;
             let probe = (sites, tracer);
-            let (result, (sites, tracer)) =
-                simulate_source_probed(name, source, params, config, warmup, measure, probe);
-            (result, sites, Some(tracer))
+            let (result, (sites, tracer), hoists) =
+                simulate_source_verdict(name, source, params, config, warmup, measure, probe);
+            (result, sites, Some(tracer), hoists)
         }
         _ => {
-            let (result, sites) =
-                simulate_source_probed(name, source, params, config, warmup, measure, sites);
-            (result, sites, None)
+            let (result, sites, hoists) =
+                simulate_source_verdict(name, source, params, config, warmup, measure, sites);
+            (result, sites, None, hoists)
         }
     };
     let probes = CellProbes {
@@ -1176,7 +1276,7 @@ fn simulate_cell<S: InstSource>(
         sites,
         tracer,
     };
-    (result, Some(Box::new(probes)))
+    ((result, Some(Box::new(probes))), hoists)
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1310,18 +1410,21 @@ pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
 /// End-of-grid timing report: the per-cell wall-clock times' sum (not
 /// the sweep's wall-clock: cells overlap on parallel workers),
 /// min/mean/max, the trace-recording phase (`record_elapsed`, from
-/// [`TraceSet::record_elapsed`]), and a log2 duration histogram. Returns
-/// `None` when no cell ran in this process (e.g. a fully resumed grid).
+/// [`TraceSet::record_elapsed`]), the load-back cells derived from their
+/// twins, and a log2 duration histogram. Returns `None` when no cell ran
+/// in this process (e.g. a fully resumed grid).
 pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Option<String> {
     let mut hist = arvi_obs::Log2Hist::new();
     let mut total = Duration::ZERO;
     let mut cells = 0usize;
     let mut resumed = 0usize;
+    let mut derived = 0usize;
     let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
     for o in outcomes {
         let Some(s) = o.success() else { continue };
-        if s.resumed {
-            resumed += 1;
+        if s.resumed || s.derived {
+            resumed += s.resumed as usize;
+            derived += s.derived as usize;
             continue;
         }
         total += s.duration;
@@ -1341,6 +1444,11 @@ pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Opt
     );
     if resumed > 0 {
         out.push_str(&format!(", {resumed} resumed not re-timed"));
+    }
+    if derived > 0 {
+        out.push_str(&format!(
+            ", {derived} load-back cells derived from their current-value twins"
+        ));
     }
     out.push_str(&format!(
         "); per-cell min/mean/max {:.3}/{:.3}/{:.3}s\n",
@@ -1464,11 +1572,12 @@ mod tests {
         } else {
             ProbeSet::Off
         };
-        let (result, probes) = simulate_cell(name, emu, p, spec, probes);
+        let ((result, probes), _) = simulate_cell(name, emu, p, spec, probes);
         CellSuccess {
             result,
             degradation: Degradation::None,
             resumed: false,
+            derived: false,
             duration: Duration::from_micros(77),
             sampled_units: 0,
             probes,
@@ -1581,6 +1690,7 @@ mod tests {
                 result: result.clone(),
                 degradation,
                 resumed,
+                derived: false,
                 duration: Duration::from_millis(40),
                 sampled_units: 0,
                 probes: None,
@@ -1610,11 +1720,16 @@ mod tests {
                 result: result.clone(),
                 degradation,
                 resumed,
+                derived: false,
                 duration: Duration::from_millis(ms),
                 sampled_units: 0,
                 probes: None,
             })
         };
+        let derived = CellOutcome::Ok(CellSuccess {
+            derived: true,
+            ..ok(Degradation::None, false, 1).success().unwrap().clone()
+        });
         let record = Duration::from_millis(250);
         // Nothing ran in-process: resumed-only grids report no timing.
         assert_eq!(
@@ -1626,6 +1741,7 @@ mod tests {
                 ok(Degradation::None, false, 100),
                 ok(Degradation::Requarantined, false, 300),
                 ok(Degradation::None, true, 70), // resumed: excluded
+                derived,                         // derived: excluded
                 CellOutcome::Panicked {
                     message: "boom".into(),
                 },
@@ -1639,6 +1755,10 @@ mod tests {
         );
         assert!(summary.contains("record phase 0.25s"), "{summary}");
         assert!(summary.contains("1 resumed not re-timed"), "{summary}");
+        assert!(
+            summary.contains("1 load-back cells derived from their current-value twins"),
+            "{summary}"
+        );
         assert!(
             summary.contains("min/mean/max 0.100/0.200/0.300s"),
             "{summary}"

@@ -100,6 +100,7 @@ pub(crate) fn fold_units(
             result,
             degradation,
             resumed,
+            derived: false,
             duration,
             sampled_units,
             probes,

@@ -16,7 +16,6 @@
 //! predictable from the available values, but less accurately.
 
 use crate::bvit::{Bvit, BvitConfig};
-use crate::reglist::RegList;
 use crate::shadow::{ShadowMapTable, ShadowRegFile};
 use crate::tracker::{LeafSet, RenamedOp, Tracker, TrackerConfig};
 use crate::types::{BranchClass, InstSlot, PhysReg};
@@ -97,10 +96,9 @@ pub struct ArviPrediction {
     pub id_tag: u8,
     /// Dependence-chain depth tag.
     pub depth_tag: u8,
-    /// The extracted register set (small-inline; cloning typical sets
-    /// does not allocate).
-    pub leaf_regs: RegList,
-    /// How many of `leaf_regs` had available values.
+    /// How many registers the extracted register set holds.
+    pub leaf_count: usize,
+    /// How many of those registers had available values.
     pub available: usize,
     /// Dependence-chain length walked to extract the register set.
     pub chain_len: usize,
@@ -278,7 +276,7 @@ impl ArviPredictor {
             index,
             id_tag,
             depth_tag,
-            leaf_regs: leaf.regs.clone(),
+            leaf_count: leaf.regs.len(),
             available,
             chain_len: leaf.chain_len,
             perf: entry.map(|(_, perf, _)| perf).unwrap_or(0),
@@ -355,7 +353,8 @@ mod tests {
         let pred = arvi.predict(0x40, [Some(t1), None], &CurrentValues);
         assert_eq!(pred.class, BranchClass::Load);
         assert_eq!(pred.available, 0);
-        assert_eq!(pred.leaf_regs, vec![t1]);
+        assert_eq!(pred.leaf_count, 1);
+        assert_eq!(arvi.tracker_mut().leaf_set([Some(t1), None]).regs, vec![t1]);
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn rate(n: u64, total: u64) -> f64 {
 /// sites mispredict, whether ARVI beats the level-1 baseline there, and
 /// where the confidence estimator pins wrong answers. Allocation
 /// happens once at construction; recording is allocation-free.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SiteProbe {
     slots: Box<[SiteStats]>,
     mask: usize,
@@ -75,6 +75,23 @@ pub struct SiteProbe {
     pub sites: usize,
     /// Resolutions dropped because the table was full.
     pub dropped: u64,
+}
+
+impl Clone for SiteProbe {
+    /// Slot-for-slot the same table, written only where a site is
+    /// recorded, so that, like its original, the clone costs the memory
+    /// of its sites (see [`SiteProbe::with_capacity`]).
+    fn clone(&self) -> SiteProbe {
+        let mut clone = SiteProbe::with_capacity(self.slots.len());
+        for (to, from) in clone.slots.iter_mut().zip(self.slots.iter()) {
+            if from.total > 0 {
+                *to = *from;
+            }
+        }
+        clone.sites = self.sites;
+        clone.dropped = self.dropped;
+        clone
+    }
 }
 
 impl Default for SiteProbe {
@@ -93,8 +110,14 @@ impl SiteProbe {
     /// two) distinct sites.
     pub fn with_capacity(capacity: usize) -> SiteProbe {
         let cap = capacity.next_power_of_two().max(16);
+        // A zeroed allocation maps a page of the table only when a site
+        // is written to it, so a table costs the memory of the sites it
+        // records, not of its capacity.
+        // SAFETY: `SiteStats` is ten `u64`s, so all-zero bytes are a
+        // valid value: its `Default`, the empty-slot sentinel.
+        let slots = unsafe { Box::<[SiteStats]>::new_zeroed_slice(cap).assume_init() };
         SiteProbe {
-            slots: vec![SiteStats::default(); cap].into_boxed_slice(),
+            slots,
             mask: cap - 1,
             sites: 0,
             dropped: 0,
@@ -378,5 +401,24 @@ mod tests {
         let json = p.to_json(5);
         assert!(json.contains("\"pc\":64"), "{json}");
         assert!(json.starts_with("{\"sites\":1,\"dropped\":0"), "{json}");
+    }
+
+    #[test]
+    fn clone_copies_every_site_in_place() {
+        let mut p = SiteProbe::with_capacity(64);
+        for pc in [0x40u64, 0x44, 0x1040, 0x80] {
+            p.record_stats(&SiteStats {
+                pc,
+                total: pc,
+                bvit_hits: 1,
+                ..SiteStats::default()
+            });
+        }
+        p.dropped = 5;
+        let c = p.clone();
+        assert_eq!((c.sites, c.dropped, c.mask), (p.sites, p.dropped, p.mask));
+        for (a, b) in c.slots.iter().zip(p.slots.iter()) {
+            assert_eq!((a.pc, a.total, a.bvit_hits), (b.pc, b.total, b.bvit_hits));
+        }
     }
 }

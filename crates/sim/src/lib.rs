@@ -55,10 +55,13 @@ pub use branch_unit::{BranchDecision, BranchUnit, Level2};
 pub use cache::Cache;
 pub use hierarchy::Hierarchy;
 pub use machine::{Machine, MachineStats, PcProfile};
-pub use oracle::{LoadBackOracle, PerfectOracle, ReadyOracle};
+pub use oracle::{LoadBackOracle, PerfectOracle, ReadyOracle, VerdictOracle};
 pub use params::{ArviTuning, CacheConfig, Depth, PredictorConfig, SimParams, TlbConfig};
 pub use rename::RenameState;
-pub use run::{intern_name, simulate, simulate_source, simulate_source_probed, SimResult};
+pub use run::{
+    intern_name, simulate, simulate_source, simulate_source_probed, simulate_source_verdict,
+    SimResult,
+};
 pub use source::{InstSource, IterSource, RebasedSource};
 pub use tlb::Tlb;
 pub use warmup::WarmupMachine;

@@ -33,7 +33,7 @@ use arvi_stats::Accuracy;
 
 use crate::branch_unit::{BranchDecision, BranchUnit};
 use crate::hierarchy::Hierarchy;
-use crate::oracle::{LoadBackOracle, PerfectOracle, ReadyOracle};
+use crate::oracle::{LoadBackOracle, PerfectOracle, VerdictOracle};
 use crate::params::{PredictorConfig, SimParams};
 use crate::rename::RenameState;
 use crate::source::InstSource;
@@ -313,6 +313,8 @@ pub struct Machine<S: InstSource = Emulator, P: Probe = NullProbe> {
     /// load is treated as available to ARVI if its gap-plus-hoist covers
     /// the fetch-to-writeback distance.
     lb_window: u64,
+    /// Load back's verdict on this run (see [`Machine::load_back_hoists`]).
+    load_back_hoists: u64,
     stats: MachineStats,
     /// Hard commit ceiling: commit stops mid-cycle once this many total
     /// instructions have committed (`u64::MAX` = no cap). Lets sampled
@@ -406,6 +408,7 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
             fetch_line_shift: (params.l1i.line_bytes as u64).trailing_zeros(),
             trace_done: false,
             lb_window,
+            load_back_hoists: 0,
             stats: MachineStats::default(),
             commit_cap: u64::MAX,
             profile: None,
@@ -426,6 +429,17 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
     /// Current statistics (snapshot for window differencing).
     pub fn stats(&self) -> &MachineStats {
         &self.stats
+    }
+
+    /// Load back's verdict on this run so far, warm-up included: how many
+    /// register-value queries of an ArviCurrent machine load back's hoist
+    /// rule would have answered and current value did not (always 0 for
+    /// the other configurations). At zero, an ArviLoadBack machine over
+    /// the same stream and parameters runs identically to this one (see
+    /// [`crate::oracle`]). Kept out of [`MachineStats`], so digests and
+    /// journals do not see it.
+    pub fn load_back_hoists(&self) -> u64 {
+        self.load_back_hoists
     }
 
     /// Turns on per-static-branch profiling (diagnostics; small overhead).
@@ -726,7 +740,7 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
                 }
                 *p.depths.entry(ap.depth_tag).or_default() += 1;
                 *p.leaf_sizes
-                    .entry((ap.leaf_regs.len() as u8, ap.available as u8))
+                    .entry((ap.leaf_count as u8, ap.available as u8))
                     .or_default() += 1;
             }
         }
@@ -932,8 +946,10 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
                     self.bu.decide(pc, src_phys, &CurrentValues, actual)
                 }
                 PredictorConfig::ArviCurrent => {
-                    self.bu
-                        .decide(pc, src_phys, &ReadyOracle { rename, now }, actual)
+                    let oracle = VerdictOracle::new(rename, now, seq, self.lb_window);
+                    let dec = self.bu.decide(pc, src_phys, &oracle, actual);
+                    self.load_back_hoists += oracle.hoisted();
+                    dec
                 }
                 PredictorConfig::ArviLoadBack => {
                     let oracle = LoadBackOracle {
@@ -955,7 +971,7 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
                         self.cycle,
                         pc,
                         ap.chain_len as u32,
-                        ap.leaf_regs.len() as u32,
+                        ap.leaf_count as u32,
                         ap.available as u32,
                     );
                 }
@@ -1209,6 +1225,66 @@ mod tests {
             s.calc_class.total() > 100,
             "calc-class {}",
             s.calc_class.total()
+        );
+    }
+
+    /// A loop whose branch tests a pending load; `hoisted` says whether
+    /// the load's address comes from the loop-invariant `S0` (its oracle
+    /// hoist distance grows with every iteration) or from the
+    /// instruction right before it (hoist distance 0).
+    fn pending_load_loop(hoisted: bool) -> arvi_isa::Program {
+        let mut b = ProgramBuilder::new();
+        b.data(0x100, 1);
+        b.li(S0, 0x100);
+        b.li(T1, 0);
+        b.li(T2, 300);
+        let head = b.here();
+        let base = if hoisted {
+            S0
+        } else {
+            b.alu_imm(AluOp::Add, S1, S0, 0);
+            S1
+        };
+        b.load(T3, base, 0);
+        let skip = b.label();
+        b.branch_to_label(Cond::Eq, T3, ZERO, skip);
+        b.alu_imm(AluOp::Add, T4, T4, 1);
+        b.bind(skip);
+        b.alu_imm(AluOp::Add, T1, T1, 1);
+        b.branch(Cond::Ne, T1, T2, head);
+        b.halt();
+        b.build()
+    }
+
+    #[test]
+    fn load_back_verdict_says_when_current_value_is_load_back() {
+        let run = |hoisted: bool, config: PredictorConfig| {
+            let mut m = machine_for(pending_load_loop(hoisted), config);
+            m.run_until_committed(1_000_000);
+            m
+        };
+        // Far-hoisted load: load back's rule fires, the verdict reports
+        // it, and load back indeed sees values current value does not.
+        let current = run(true, PredictorConfig::ArviCurrent);
+        let load_back = run(true, PredictorConfig::ArviLoadBack);
+        assert!(current.load_back_hoists() > 0);
+        assert!(
+            load_back.stats().load_class.total() < current.stats().load_class.total(),
+            "load back {:?} vs current {:?}",
+            load_back.stats().load_class,
+            current.stats().load_class
+        );
+        // Unhoistable load: still pending at every branch, but the rule
+        // never fires, and the two machines agree counter for counter.
+        let current = run(false, PredictorConfig::ArviCurrent);
+        let load_back = run(false, PredictorConfig::ArviLoadBack);
+        assert!(current.stats().load_class.total() > 100);
+        assert_eq!(current.load_back_hoists(), 0);
+        assert_eq!(current.stats(), load_back.stats());
+        assert_eq!(
+            load_back.load_back_hoists(),
+            0,
+            "only current value keeps it"
         );
     }
 

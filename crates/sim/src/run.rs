@@ -139,6 +139,29 @@ pub fn simulate_source_probed<S: InstSource, P: arvi_obs::Probe>(
     measure: u64,
     probe: P,
 ) -> (SimResult, P) {
+    let (result, probe, _) =
+        simulate_source_verdict(name, source, params, config, warmup, measure, probe);
+    (result, probe)
+}
+
+/// [`simulate_source_probed`] that also returns load back's verdict over
+/// the whole run ([`Machine::load_back_hoists`]): for an
+/// [`PredictorConfig::ArviCurrent`] run, `0` means the result relabelled
+/// [`PredictorConfig::ArviLoadBack`] is the load-back run's result, and
+/// the probe is what that run's probe would hold.
+///
+/// # Panics
+///
+/// Panics if the stream ends before the warmup completes.
+pub fn simulate_source_verdict<S: InstSource, P: arvi_obs::Probe>(
+    name: &'static str,
+    source: S,
+    params: SimParams,
+    config: PredictorConfig,
+    warmup: u64,
+    measure: u64,
+    probe: P,
+) -> (SimResult, P, u64) {
     let depth_stages = params.depth.stages();
     let mut machine = Machine::with_probe(source, params, config, probe);
     let committed = machine.run_until_committed(warmup);
@@ -149,6 +172,7 @@ pub fn simulate_source_probed<S: InstSource, P: arvi_obs::Probe>(
     let start = machine.stats().clone();
     machine.run_until_committed(warmup + measure);
     let window = machine.stats().since(&start);
+    let hoists = machine.load_back_hoists();
     (
         SimResult {
             name,
@@ -157,6 +181,7 @@ pub fn simulate_source_probed<S: InstSource, P: arvi_obs::Probe>(
             window,
         },
         machine.into_probe(),
+        hoists,
     )
 }
 

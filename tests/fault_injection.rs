@@ -20,6 +20,9 @@
 //!    workload roster (8 suite benchmarks + 9 curated scenarios).
 //! 6. A sampled sweep obeys the same fault plan: a panicking cell fails
 //!    alone, and every other cell equals the clean sampled run.
+//! 7. A panic aimed at a load-back cell that would take its result from
+//!    its current-value twin fails only that cell, and a resume, whose
+//!    twin comes from the journal, simulates it to the same numbers.
 
 use std::sync::OnceLock;
 
@@ -487,4 +490,66 @@ fn sampled_panic_fails_only_its_cell() {
     let err = faulted.results(|_| true).unwrap_err();
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].0, 1);
+}
+
+// ---------------------------------------------------------------------
+// 7. A derivable load-back cell fails alone and resumes.
+// ---------------------------------------------------------------------
+
+#[test]
+fn panic_in_a_derivable_load_back_cell_fails_it_alone_and_resumes() {
+    let spec = tiny_spec();
+    let points: Vec<SweepPoint> = [PredictorConfig::ArviCurrent, PredictorConfig::ArviLoadBack]
+        .into_iter()
+        .map(|config| SweepPoint {
+            workload: Benchmark::Vortex.into(),
+            depth: Depth::D60,
+            config,
+        })
+        .collect();
+    let clean = run_live(&points, spec);
+    let traces = record(&points, spec);
+    let undisturbed = run(&points, spec, &traces, &Resilience::new());
+    let derived = undisturbed.outcomes[1].success().expect("clean run");
+    assert!(
+        derived.derived,
+        "the load-back cell takes its twin's result"
+    );
+    assert_bit_identical(&derived.result, &clean[1], &points[1].to_string());
+
+    let dir = temp_dir("derivable-panic");
+    let journal = dir.join("p.journal");
+    let res = Resilience::new()
+        .with_journal(&journal)
+        .with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+    let faulted = run(&points, spec, &traces, &res);
+    match &faulted.outcomes[1] {
+        CellOutcome::Panicked { message } => {
+            assert!(message.contains("injected fault"), "{message}")
+        }
+        other => panic!("cell 1: expected Panicked, got {other:?}"),
+    }
+    let twin = faulted.outcomes[0].success().expect("the twin survives");
+    assert_bit_identical(&twin.result, &clean[0], &points[0].to_string());
+    let err = faulted.results(|_| true).unwrap_err();
+    assert_eq!(err.failed.len(), 1);
+    assert_eq!(err.failed[0].0, 1);
+
+    // The resumed twin publishes nothing, so the load-back cell is
+    // simulated, to the numbers it would have taken from the twin.
+    let res = Resilience::new().with_journal(&journal).resuming();
+    let resumed = run(&points, spec, &traces, &res);
+    let (twin, load_back) = (
+        resumed.outcomes[0].success().expect("restored"),
+        resumed.outcomes[1].success().expect("filled in"),
+    );
+    assert!(twin.resumed);
+    assert!(!load_back.resumed && !load_back.derived);
+    let merged = resumed
+        .results(|_| true)
+        .expect("resume completes the grid");
+    for ((point, a), b) in points.iter().zip(&merged).zip(&clean) {
+        assert_bit_identical(a, b, &point.to_string());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -123,6 +123,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                 result: result.clone(),
                 degradation: Degradation::None,
                 resumed: false,
+                derived: false,
                 duration: Duration::ZERO,
                 sampled_units: 0,
                 probes: Some(Box::new(CellProbes {
@@ -138,6 +139,23 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
 
     for threads in [1, 4] {
         let main_pass = run(&points, spec, threads, &traces, &probed());
+        if threads == 1 {
+            // One worker runs every twin before its load-back cell, so
+            // the direct-probe pin above covers load-back cells both
+            // derived from their twins and simulated.
+            let load_back = |derived: bool| {
+                points
+                    .iter()
+                    .zip(&main_pass.outcomes)
+                    .filter(|(p, o)| {
+                        p.config == PredictorConfig::ArviLoadBack
+                            && o.success().is_some_and(|s| s.derived == derived)
+                    })
+                    .count()
+            };
+            assert!(load_back(true) >= 1, "no load-back cell was derived");
+            assert!(load_back(false) >= 1, "no load-back cell was simulated");
+        }
         assert_eq!(
             rollup(&points, spec, main_pass.outcomes.clone()),
             standalone,

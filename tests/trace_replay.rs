@@ -9,7 +9,7 @@
 //!    every benchmark x depth x configuration cell of the paper grid.
 
 use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
-use arvi::sim::MachineStats;
+use arvi::sim::{MachineStats, PredictorConfig};
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{distinct_workloads, full_grid, run_one, GridRun, Resilience, Spec, TraceSet};
@@ -189,7 +189,7 @@ fn replay_is_bit_identical_across_the_full_grid() {
         .map(|p| run_one(&p.workload, p.depth, p.config, spec))
         .collect();
     let traces = TraceSet::record(&distinct_workloads(&points), spec, 2, None);
-    let traced = GridRun::run(
+    let run = GridRun::run(
         points.clone(),
         spec,
         2,
@@ -197,9 +197,22 @@ fn replay_is_bit_identical_across_the_full_grid() {
         &traces,
         &Resilience::new(),
         None,
-    )
-    .results(|_| true)
-    .expect("every cell ran");
+    );
+    // Both ways to a load-back result are pinned against `run_one`:
+    // taken from the current-value twin and simulated.
+    let load_back = |derived: bool| {
+        points
+            .iter()
+            .zip(&run.outcomes)
+            .filter(|(p, o)| {
+                p.config == PredictorConfig::ArviLoadBack
+                    && o.success().is_some_and(|s| s.derived == derived)
+            })
+            .count()
+    };
+    assert!(load_back(true) >= 1, "no load-back cell was derived");
+    assert!(load_back(false) >= 1, "no load-back cell was simulated");
+    let traced = run.results(|_| true).expect("every cell ran");
     assert_eq!(live.len(), traced.len());
     for ((p, l), t) in points.iter().zip(&live).zip(&traced) {
         assert_eq!(l.name, t.name);
