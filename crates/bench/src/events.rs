@@ -5,7 +5,7 @@
 //! - `--events-out PATH`: an append-only JSONL span log. Every line is
 //!   one self-contained object `{"t_us":..,"event":..,...}` — cell
 //!   start/end (with replay/resumed phase and duration), resume
-//!   hits, trace quarantines, record-phase spans, sweep boundaries.
+//!   hits, record-phase spans, sweep boundaries.
 //!   One event per line means a torn write (crash mid-append) damages
 //!   at most the final line, same contract as the sweep journal.
 //! - `--metrics-out PATH`: a Prometheus-style text exposition rewritten
@@ -87,9 +87,6 @@ struct MetricsAgg {
     cell_seconds_sum: f64,
     cell_seconds_count: u64,
     resumed: u64,
-    /// Degraded cells by degradation tag.
-    degraded: Vec<(String, u64)>,
-    quarantines: u64,
     record_seconds: f64,
 }
 
@@ -138,15 +135,8 @@ impl SweepTelemetry {
     }
 
     /// Records one finished cell: outcome label (normalized, e.g.
-    /// `"ok"`), duration if known, whether it was a resume hit, and the
-    /// degradation tag if any.
-    pub fn cell_finished(
-        &self,
-        outcome: &str,
-        duration: Option<Duration>,
-        resumed: bool,
-        degraded: Option<&str>,
-    ) {
+    /// `"ok"`), duration if known, and whether it was a resume hit.
+    pub fn cell_finished(&self, outcome: &str, duration: Option<Duration>, resumed: bool) {
         let mut agg = self.agg.lock().unwrap();
         bump(&mut agg.cells, outcome);
         if let Some(d) = duration {
@@ -156,22 +146,6 @@ impl SweepTelemetry {
         if resumed {
             agg.resumed += 1;
         }
-        if let Some(tag) = degraded {
-            bump(&mut agg.degraded, tag);
-        }
-    }
-
-    /// Records (and logs) a trace quarantine.
-    pub fn quarantine(&self, file: &str, error: &str, action: &str) {
-        self.agg.lock().unwrap().quarantines += 1;
-        self.event(
-            "quarantine",
-            vec![
-                ("file".to_string(), Json::str(file)),
-                ("error".to_string(), Json::str(error)),
-                ("action".to_string(), Json::str(action)),
-            ],
-        );
     }
 
     /// Records (and logs) a completed trace-record phase.
@@ -224,14 +198,6 @@ impl SweepTelemetry {
         out.push_str("# HELP arvi_sweep_resumed_cells_total Cells satisfied from a journal.\n");
         out.push_str("# TYPE arvi_sweep_resumed_cells_total counter\n");
         let _ = writeln!(out, "arvi_sweep_resumed_cells_total {}", agg.resumed);
-        out.push_str("# HELP arvi_sweep_degraded_cells_total Cells that ran degraded.\n");
-        out.push_str("# TYPE arvi_sweep_degraded_cells_total counter\n");
-        for (tag, n) in &agg.degraded {
-            let _ = writeln!(out, "arvi_sweep_degraded_cells_total{{kind=\"{tag}\"}} {n}");
-        }
-        out.push_str("# HELP arvi_trace_quarantines_total Corrupt traces quarantined.\n");
-        out.push_str("# TYPE arvi_trace_quarantines_total counter\n");
-        let _ = writeln!(out, "arvi_trace_quarantines_total {}", agg.quarantines);
         out.push_str("# HELP arvi_record_phase_seconds_total Trace-record wall time.\n");
         out.push_str("# TYPE arvi_record_phase_seconds_total counter\n");
         let _ = writeln!(
@@ -291,15 +257,9 @@ mod tests {
     #[test]
     fn prometheus_export_accumulates() {
         let t = SweepTelemetry::from_paths(None, None).unwrap();
-        t.cell_finished("ok", Some(Duration::from_millis(10)), false, None);
-        t.cell_finished(
-            "ok",
-            Some(Duration::from_millis(20)),
-            true,
-            Some("requarantined"),
-        );
-        t.cell_finished("panicked", None, false, None);
-        t.quarantine("t.trace", "bad magic", "re-recorded");
+        t.cell_finished("ok", Some(Duration::from_millis(10)), false);
+        t.cell_finished("ok", Some(Duration::from_millis(20)), true);
+        t.cell_finished("panicked", None, false);
         t.record_phase(3, Duration::from_millis(5));
         t.sweep_finished();
         let text = t.render_prometheus();
@@ -318,9 +278,8 @@ mod tests {
         );
         assert!(text.contains("arvi_sweep_resumed_cells_total 1"), "{text}");
         assert!(
-            text.contains("arvi_sweep_degraded_cells_total{kind=\"requarantined\"} 1"),
+            text.contains("arvi_record_phase_seconds_total 0.005000"),
             "{text}"
         );
-        assert!(text.contains("arvi_trace_quarantines_total 1"), "{text}");
     }
 }

@@ -91,8 +91,8 @@ pub use obs_grid::{
 };
 pub use report::{read_json, write_report, write_text, Json};
 pub use resilience::{
-    cell_fingerprint, outcome_summary, timing_summary, CellOutcome, CellSuccess, Degradation,
-    FaultKind, FaultPlan, FaultyIo, Resilience, SweepIncomplete, SweepJournal,
+    cell_fingerprint, outcome_summary, timing_summary, CellOutcome, CellSuccess, FaultKind,
+    FaultPlan, Resilience, SweepIncomplete, SweepJournal,
 };
 pub use sampling::{sample_plan_from_args, unit_fingerprint};
 pub use sweep::{
@@ -223,8 +223,8 @@ pub fn trace_dir_from_args(args: &[String]) -> Result<Option<std::path::PathBuf>
 /// * `--fault-plan FILE` — inject the deterministic faults listed in
 ///   `FILE` (see [`FaultPlan::parse`] for the line syntax).
 /// * `--events-out FILE` — write a JSONL span log of sweep execution
-///   events (cell start/end, record/replay phase, quarantines, resume
-///   hits) to `FILE`.
+///   events (cell start/end, record/replay phase, resume hits) to
+///   `FILE`.
 /// * `--metrics-out FILE` — write cumulative sweep counters to `FILE`
 ///   in Prometheus text exposition format after every sweep.
 ///

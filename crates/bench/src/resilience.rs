@@ -1,8 +1,8 @@
 //! The grid executor: panic isolation, resumable runs, and a
 //! deterministic fault-injection harness, for every run mode.
 //!
-//! A full-spec grid is hours of compute; one corrupt cached trace or one
-//! panicking cell must not take the whole run down. Every grid — strict
+//! A full-spec grid is hours of compute; one panicking cell must not
+//! take the whole run down. Every grid — strict
 //! (the default policy, [`Resilience::new`]), fault-isolated with
 //! journal or fault plan, and sampled under `--sample` — runs on one
 //! executor, entered only through [`crate::harness::GridRun::run`], over
@@ -18,13 +18,11 @@
 //!   unit fails only its own cell. Panics whose message carries
 //!   [`arvi_trace::REPLAY_PANIC_PREFIX`] are classified as trace
 //!   failures, everything else as a generic cell panic.
-//! * **Graceful degradation** — a corrupt on-disk trace is quarantined
-//!   (renamed `*.quarantined`, logged to `quarantine.log`) and
-//!   re-recorded once by [`TraceSet::record_resilient`], and the cell
-//!   replays the re-recording with the same numbers. A cell with no
-//!   usable recording (recording failed, or the trace set lacks or
-//!   under-covers its workload) fails alone as
-//!   [`CellOutcome::TraceError`], naming its workload and the reason.
+//! * **Missing recordings** — a cell with no usable recording
+//!   (recording failed, or the trace set lacks or under-covers its
+//!   workload) fails alone as [`CellOutcome::TraceError`], naming its
+//!   workload and the reason. An unusable cached trace file never gets
+//!   this far: [`TraceSet::record`] re-records it.
 //! * **Durability** — completed work items are journaled (fingerprint +
 //!   result, one [`SweepJournal`] line per cell or sampling unit,
 //!   appended as they finish) so an interrupted sweep resumes by skipping
@@ -51,10 +49,9 @@
 //!   the fault plan's panic fires before any derivation. A derived
 //!   cell's `cell_end` says `"phase":"derived"`.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
-//!   `--fault-plan` text) flips bytes, truncates files, panics chosen
-//!   cells, and simulates a mid-grid kill, all deterministically, so
-//!   `tests/fault_injection.rs` and the CI fault job exercise every
-//!   failure path on demand.
+//!   `--fault-plan` text) panics chosen cells and simulates a mid-grid
+//!   kill, both deterministically, so `tests/fault_injection.rs` and the
+//!   CI fault job exercise those failure paths on demand.
 //! * **Telemetry** — with [`Resilience::telemetry`], one `cell_start`
 //!   and one `cell_end` event per cell (not per unit), bracketed by
 //!   `sweep_start`/`sweep_end`, plus the cumulative metrics export.
@@ -73,7 +70,7 @@ use arvi_sim::{
 };
 use arvi_stats::Accuracy;
 use arvi_trace::par::par_map_caught;
-use arvi_trace::{StdIo, Trace, TraceError, TraceIo, TraceReplayer, REPLAY_PANIC_PREFIX};
+use arvi_trace::{Trace, TraceReplayer, REPLAY_PANIC_PREFIX};
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
@@ -84,42 +81,11 @@ use crate::sampling::{fold_units, unit_fingerprint};
 use crate::sweep::{trace_len, SweepPoint, TraceSet};
 use crate::workload::{fnv1a, FNV_OFFSET};
 
-/// How a successful cell got its result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Degradation {
-    /// The normal path: replayed a healthy (or freshly recorded) trace.
-    None,
-    /// The cell's cached trace was corrupt; it was quarantined and the
-    /// workload re-recorded, and the cell replayed the re-recording.
-    Requarantined,
-}
-
-impl Degradation {
-    /// Short journal/report tag.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Degradation::None => "none",
-            Degradation::Requarantined => "requarantined",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<Degradation> {
-        match tag {
-            "none" => Some(Degradation::None),
-            "requarantined" => Some(Degradation::Requarantined),
-            _ => None,
-        }
-    }
-}
-
 /// A completed cell: the result plus how it was obtained.
 #[derive(Debug, Clone)]
 pub struct CellSuccess {
-    /// The simulation result (bit-identical regardless of degradation —
-    /// a re-recording holds the same committed stream).
+    /// The simulation result.
     pub result: SimResult,
-    /// How the result was obtained.
-    pub degradation: Degradation,
     /// Whether the result was restored from a journal instead of
     /// simulated in this run.
     pub resumed: bool,
@@ -186,9 +152,8 @@ impl CellOutcome {
 
 /// Fault-tolerance policy for a sweep. [`Resilience::new`] (also
 /// [`Resilience::default`]) journals nothing and injects nothing; it is
-/// the policy of a run with no fault-tolerance flags. Every policy
-/// degrades gracefully: a quarantined trace is re-recorded, and a cell
-/// with no usable recording fails alone.
+/// the policy of a run with no fault-tolerance flags. Under every policy
+/// a cell with no usable recording fails alone.
 #[derive(Debug, Clone, Default)]
 pub struct Resilience {
     /// Where to journal completed cells (appended as cells finish).
@@ -236,33 +201,6 @@ impl Resilience {
 /// One planned fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
-    /// XOR byte `offset` of the named workload's trace file with 0xFF
-    /// at read time.
-    FlipByte {
-        /// Workload whose trace file to corrupt.
-        workload: String,
-        /// Absolute byte offset into the container.
-        offset: u64,
-    },
-    /// Flip byte `byte` within the payload of chunk `chunk` (addressed
-    /// through the container index, so the fault lands in encoded
-    /// instruction data, not framing).
-    FlipChunkByte {
-        /// Workload whose trace file to corrupt.
-        workload: String,
-        /// Chunk index.
-        chunk: u32,
-        /// Byte offset within that chunk's payload.
-        byte: u32,
-    },
-    /// Truncate the named workload's trace file to `len` bytes at read
-    /// time.
-    Truncate {
-        /// Workload whose trace file to truncate.
-        workload: String,
-        /// Length to keep.
-        len: u64,
-    },
     /// Panic inside grid cell `cell` (by index into the sweep's point
     /// list). Fires once, on the cell's first dispatched work item —
     /// the whole cell, or under a sample plan one of its units (or its
@@ -287,17 +225,9 @@ pub enum FaultKind {
 /// lines ignored:
 ///
 /// ```text
-/// flip <workload> <offset>          # XOR one container byte at read
-/// flip-chunk <workload> <chunk> <byte>  # flip inside a chunk payload
-/// truncate <workload> <len>         # short read of the container
-/// panic-cell <index>                # panic inside grid cell <index>
-/// kill-after <count>                # stop dispatch after <count> work items
+/// panic-cell <index>   # panic inside grid cell <index>
+/// kill-after <count>   # stop dispatch after <count> work items
 /// ```
-///
-/// Read faults fire **once** (the first read of a matching file), so a
-/// quarantine + re-record cycle observes the corruption exactly once
-/// and the re-recorded file reads back clean — the same once-ness a
-/// real corrupted file has.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<(FaultKind, AtomicBool)>,
@@ -316,38 +246,6 @@ impl FaultPlan {
             let mut tok = line.split_whitespace();
             let kind = tok.next().expect("non-empty line has a first token");
             let fault = match kind {
-                "flip" | "truncate" => {
-                    let workload = tok.next().ok_or_else(|| bad("missing workload"))?;
-                    let n: u64 = tok
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing or bad number"))?;
-                    let workload = workload.to_string();
-                    if kind == "flip" {
-                        FaultKind::FlipByte {
-                            workload,
-                            offset: n,
-                        }
-                    } else {
-                        FaultKind::Truncate { workload, len: n }
-                    }
-                }
-                "flip-chunk" => {
-                    let workload = tok.next().ok_or_else(|| bad("missing workload"))?;
-                    let chunk: u32 = tok
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing or bad chunk index"))?;
-                    let byte: u32 = tok
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing or bad byte offset"))?;
-                    FaultKind::FlipChunkByte {
-                        workload: workload.to_string(),
-                        chunk,
-                        byte,
-                    }
-                }
                 "panic-cell" => FaultKind::PanicCell {
                     cell: tok
                         .next()
@@ -380,20 +278,13 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Atomically claims the first unfired fault `select` matches.
-    fn take(&self, select: impl Fn(&FaultKind) -> bool) -> Option<&FaultKind> {
-        for (kind, fired) in &self.faults {
-            if select(kind) && !fired.swap(true, Ordering::AcqRel) {
-                return Some(kind);
-            }
-        }
-        None
-    }
-
-    /// Claims a pending panic fault for cell `i`.
+    /// Atomically claims a pending panic fault for cell `i`: each one
+    /// fires once.
     pub fn take_panic(&self, i: usize) -> bool {
-        self.take(|k| matches!(k, FaultKind::PanicCell { cell } if *cell as usize == i))
-            .is_some()
+        self.faults.iter().any(|(kind, fired)| {
+            matches!(kind, FaultKind::PanicCell { cell } if *cell as usize == i)
+                && !fired.swap(true, Ordering::AcqRel)
+        })
     }
 
     /// Whether a kill fault says to stop dispatching: `completed` work
@@ -403,73 +294,6 @@ impl FaultPlan {
         self.faults.iter().any(
             |(k, _)| matches!(k, FaultKind::KillAfter { cells } if completed >= *cells as usize),
         )
-    }
-
-    /// Applies pending read faults to `bytes` just read from `path`.
-    /// A fault matches when the file name starts with `<workload>-`
-    /// (how [`crate::sweep::trace_file_name`] keys files).
-    pub fn apply_read(&self, path: &Path, bytes: &mut Vec<u8>) {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default();
-        let matches = |workload: &str| name.starts_with(&format!("{workload}-"));
-        while let Some(kind) = self.take(|k| match k {
-            FaultKind::FlipByte { workload, .. }
-            | FaultKind::FlipChunkByte { workload, .. }
-            | FaultKind::Truncate { workload, .. } => matches(workload),
-            _ => false,
-        }) {
-            match kind {
-                FaultKind::FlipByte { offset, .. } => {
-                    let off = *offset as usize;
-                    if let Some(b) = bytes.get_mut(off) {
-                        *b ^= 0xFF;
-                    }
-                }
-                FaultKind::FlipChunkByte { chunk, byte, .. } => {
-                    // Address through the container index so the flip
-                    // lands in encoded payload; fall back to an absolute
-                    // offset if the container cannot be parsed.
-                    let off = arvi_trace::file::chunk_payload_span(bytes, *chunk as usize)
-                        .map(|(start, len)| start + (*byte as usize).min(len.saturating_sub(1)))
-                        .unwrap_or(*byte as usize);
-                    if let Some(b) = bytes.get_mut(off) {
-                        *b ^= 0xFF;
-                    }
-                }
-                FaultKind::Truncate { len, .. } => bytes.truncate(*len as usize),
-                _ => unreachable!("take matched a read fault"),
-            }
-        }
-    }
-}
-
-/// An [`arvi_trace::TraceIo`] that injects a [`FaultPlan`]'s read
-/// faults — the seam [`TraceSet::record_resilient`] reads traces
-/// through, so fault-injection tests corrupt bytes between disk and
-/// verification without touching real files.
-#[derive(Debug)]
-pub struct FaultyIo<'a> {
-    plan: &'a FaultPlan,
-}
-
-impl<'a> FaultyIo<'a> {
-    /// Wraps standard I/O with `plan`'s read faults.
-    pub fn new(plan: &'a FaultPlan) -> FaultyIo<'a> {
-        FaultyIo { plan }
-    }
-}
-
-impl TraceIo for FaultyIo<'_> {
-    fn read(&self, path: &Path) -> Result<Vec<u8>, TraceError> {
-        let mut bytes = StdIo.read(path)?;
-        self.plan.apply_read(path, &mut bytes);
-        Ok(bytes)
-    }
-
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), TraceError> {
-        StdIo.write_atomic(path, bytes)
     }
 }
 
@@ -524,7 +348,6 @@ fn entry_json(s: &CellSuccess) -> Json {
         ("name", Json::str(s.result.name)),
         ("config", Json::Num(config_index(s.result.config) as f64)),
         ("depth", Json::Num(s.result.depth_stages as f64)),
-        ("degraded", Json::str(s.degradation.tag())),
         ("dur_us", Json::Num(s.duration.as_micros() as f64)),
         (
             "window",
@@ -557,11 +380,8 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         _ => return None,
     };
     let config = *PredictorConfig::all().get(json.num("config")? as usize)?;
-    let degradation = match json.get("degraded")? {
-        Json::Str(s) => Degradation::from_tag(s)?,
-        _ => return None,
-    };
-    // Optional: journals written before duration tracking lack it.
+    // Older journals carry a `degraded` tag, which is ignored, and those
+    // from before duration tracking lack `dur_us`.
     let duration = json
         .num("dur_us")
         .filter(|n| *n >= 0.0)
@@ -593,7 +413,6 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
     };
     Some(CellSuccess {
         result,
-        degradation,
         resumed: true,
         derived: false,
         duration,
@@ -605,7 +424,7 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
 /// Append-only journal of completed work items: a header comment naming
 /// the spec, then one `<fingerprint-hex16> <compact-json>` line per whole
 /// cell or sampling unit, appended (and flushed) as items finish. A line
-/// carries the item's result counters, degradation and duration and,
+/// carries the item's result counters and duration and,
 /// for a probed cell ([`Resilience::probes`]), its counter and site
 /// probes (never a tracer) as a last `probes` field. Crash-tolerant on
 /// both ends: a torn final line from an interrupted writer is skipped
@@ -802,10 +621,7 @@ pub(crate) fn run_grid(
                     // probed one.
                     let probed = (exec.probes[cell] != ProbeSet::Off)
                         .then(|| outcomes.pop().expect("the probed item"));
-                    let (_, degradation) = *exec.recordings[cell]
-                        .as_ref()
-                        .expect("sampled cells have a recording");
-                    fold_units(&points[cell], spec, outcomes, probed, degradation)
+                    fold_units(&points[cell], spec, outcomes, probed)
                 } else {
                     (outcomes.pop().expect("one whole-cell item"), None)
                 };
@@ -828,7 +644,7 @@ pub(crate) fn run_grid(
     if let Some(t) = telemetry {
         for o in &outcomes {
             if matches!(o, CellOutcome::Skipped) {
-                t.cell_finished("skipped", None, false, None);
+                t.cell_finished("skipped", None, false);
             }
         }
         t.event(
@@ -928,9 +744,8 @@ struct Executor<'a> {
     spec: Spec,
     res: &'a Resilience,
     sample: Option<&'a SamplePlan>,
-    /// Each cell's recording and how it was obtained, or why it has no
-    /// usable one.
-    recordings: Vec<Result<(&'a Arc<Trace>, Degradation), String>>,
+    /// Each cell's recording, or why it has no usable one.
+    recordings: Vec<Result<&'a Arc<Trace>, String>>,
     /// The sample plan's units over the measurement window (empty
     /// without a plan).
     units: Vec<SampleUnit>,
@@ -1028,8 +843,8 @@ impl<'a> Executor<'a> {
     /// fires on its first dispatched item, before any derivation.
     fn run_item(&self, cell: usize, unit: Option<usize>) -> CellOutcome {
         let point = &self.points[cell];
-        let (trace, degradation) = match &self.recordings[cell] {
-            Ok(recording) => *recording,
+        let trace = match &self.recordings[cell] {
+            Ok(trace) => *trace,
             Err(message) => {
                 return CellOutcome::TraceError {
                     message: message.clone(),
@@ -1046,7 +861,6 @@ impl<'a> Executor<'a> {
             if probes == ProbeSet::Off || sites {
                 return CellOutcome::Ok(CellSuccess {
                     result: prior.result.clone(),
-                    degradation: prior.degradation,
                     resumed: true,
                     derived: false,
                     duration: prior.duration,
@@ -1074,7 +888,6 @@ impl<'a> Executor<'a> {
             Err(message) => CellOutcome::TraceError { message },
             Ok((result, probes)) => CellOutcome::Ok(CellSuccess {
                 result,
-                degradation,
                 resumed: false,
                 derived,
                 duration: start.elapsed(),
@@ -1143,18 +956,16 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// `traces`' recording of `point`'s workload and how it was obtained, or,
-/// when none covers `spec`'s window and seed, why not, naming the
-/// workload.
+/// `traces`' recording of `point`'s workload or, when none covers
+/// `spec`'s window and seed, why not, naming the workload.
 fn recording<'a>(
     traces: &'a TraceSet,
     point: &SweepPoint,
     spec: Spec,
-) -> Result<(&'a Arc<Trace>, Degradation), String> {
+) -> Result<&'a Arc<Trace>, String> {
     let name = point.workload.name();
-    let provenance = traces.provenance(&point.workload);
     let Some(trace) = traces.get(&point.workload) else {
-        let why = match provenance {
+        let why = match traces.provenance(&point.workload) {
             Some(TraceProvenance::Unavailable { reason }) => reason.as_str(),
             _ => "the trace set does not cover it",
         };
@@ -1176,11 +987,7 @@ fn recording<'a>(
             spec.seed
         ));
     }
-    let degradation = match provenance {
-        Some(TraceProvenance::Rerecorded { corrupt: true }) => Degradation::Requarantined,
-        _ => Degradation::None,
-    };
-    Ok((trace, degradation))
+    Ok(trace)
 }
 
 /// The normalized outcome key used in events and metric labels (no
@@ -1205,7 +1012,6 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
     ];
     let mut simulated_duration = None;
     let mut resumed = false;
-    let mut degraded = None;
     if let CellOutcome::Ok(s) = outcome {
         resumed = s.resumed;
         let phase = match (s.resumed, s.derived) {
@@ -1214,10 +1020,6 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
             (false, false) => "replay",
         };
         fields.push(("phase".to_string(), Json::str(phase)));
-        if s.degradation != Degradation::None {
-            degraded = Some(s.degradation.tag());
-            fields.push(("degraded".to_string(), Json::str(s.degradation.tag())));
-        }
         fields.push((
             "dur_us".to_string(),
             Json::Num(s.duration.as_micros() as f64),
@@ -1233,7 +1035,7 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
         t.event("resume_hit", fields[..2].to_vec());
     }
     t.event("cell_end", fields);
-    t.cell_finished(key, simulated_duration, resumed, degraded);
+    t.cell_finished(key, simulated_duration, resumed);
 }
 
 /// Simulates one cell from `source` — the same run as
@@ -1376,30 +1178,23 @@ pub(crate) fn collect_where(
     }
 }
 
-/// One-line degradation/resume summary of a resilient sweep, or `None`
+/// One-line resume/failure summary of a resilient sweep, or `None`
 /// when every cell ran the normal path (nothing worth reporting).
 pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
     let mut resumed = 0usize;
-    let mut requarantined = 0usize;
     let mut failed = 0usize;
     for o in outcomes {
         match o {
-            CellOutcome::Ok(s) => {
-                resumed += s.resumed as usize;
-                requarantined += (s.degradation == Degradation::Requarantined) as usize;
-            }
+            CellOutcome::Ok(s) => resumed += s.resumed as usize,
             _ => failed += 1,
         }
     }
-    if resumed + requarantined + failed == 0 {
+    if resumed + failed == 0 {
         return None;
     }
     let mut parts = Vec::new();
     if resumed > 0 {
         parts.push(format!("{resumed} resumed from journal"));
-    }
-    if requarantined > 0 {
-        parts.push(format!("{requarantined} replayed a re-recorded trace"));
     }
     if failed > 0 {
         parts.push(format!("{failed} failed"));
@@ -1492,17 +1287,17 @@ mod tests {
     fn fault_plan_parses_every_kind_and_rejects_garbage() {
         let plan = FaultPlan::parse(
             "# a comment\n\
-             flip li 100\n\
-             flip-chunk go 2 7   # trailing comment\n\
-             truncate compress 64\n\
-             panic-cell 3\n\
+             panic-cell 3   # trailing comment\n\
              kill-after 5\n\
              \n",
         )
         .unwrap();
-        assert_eq!(plan.len(), 5);
+        assert_eq!(plan.len(), 2);
         assert!(FaultPlan::parse("explode everything").is_err());
-        assert!(FaultPlan::parse("flip li").is_err());
+        // Trace read faults are gone: an unusable cached trace is simply
+        // re-recorded.
+        let err = FaultPlan::parse("flip li 100").unwrap_err();
+        assert!(err.contains("unknown fault kind"), "{err}");
         assert!(FaultPlan::parse("panic-cell x").is_err());
         assert!(FaultPlan::parse("kill-after 5 extra").is_err());
     }
@@ -1525,19 +1320,6 @@ mod tests {
         assert!(!plan.kill_now(2));
         assert!(plan.kill_now(3));
         assert!(plan.kill_now(4));
-    }
-
-    #[test]
-    fn read_faults_match_by_workload_prefix() {
-        let plan = FaultPlan::parse("flip li 1\ntruncate go 4").unwrap();
-        let mut li = vec![0u8; 8];
-        plan.apply_read(Path::new("/tmp/li-s3-w500-m1500.arvitrace"), &mut li);
-        assert_eq!(li[1], 0xFF);
-        // `li` fault must not fire on a different workload, and is spent.
-        let mut go = vec![0u8; 8];
-        plan.apply_read(Path::new("go-s3-w500-m1500.arvitrace"), &mut go);
-        assert_eq!(go.len(), 4);
-        assert!(go.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -1575,7 +1357,6 @@ mod tests {
         let ((result, probes), _) = simulate_cell(name, emu, p, spec, probes);
         CellSuccess {
             result,
-            degradation: Degradation::None,
             resumed: false,
             derived: false,
             duration: Duration::from_micros(77),
@@ -1597,7 +1378,6 @@ mod tests {
         let spec = tiny_spec();
         let p = point(Benchmark::Compress);
         let mut cell = simulated(&p, spec, false);
-        cell.degradation = Degradation::Requarantined;
         cell.duration = Duration::from_micros(123_456);
         let (dir, path) = temp_journal("journal");
         let journal = SweepJournal::open_append(&path, spec).unwrap();
@@ -1607,7 +1387,6 @@ mod tests {
         let got = loaded
             .get(&cell_fingerprint(&p, spec))
             .expect("entry present");
-        assert_eq!(got.degradation, Degradation::Requarantined);
         assert_eq!(got.duration, Duration::from_micros(123_456));
         assert!(got.resumed && got.probes.is_none());
         assert_eq!(got.result, cell.result);
@@ -1685,10 +1464,9 @@ mod tests {
         let spec = tiny_spec();
         let p = point(Benchmark::Li);
         let result = run_one(&p.workload, p.depth, p.config, spec);
-        let ok = |degradation, resumed| {
+        let ok = |resumed| {
             CellOutcome::Ok(CellSuccess {
                 result: result.clone(),
-                degradation,
                 resumed,
                 derived: false,
                 duration: Duration::from_millis(40),
@@ -1696,17 +1474,16 @@ mod tests {
                 probes: None,
             })
         };
-        assert_eq!(outcome_summary(&[ok(Degradation::None, false)]), None);
+        assert_eq!(outcome_summary(&[ok(false)]), None);
         let summary = outcome_summary(&[
-            ok(Degradation::None, true),
-            ok(Degradation::Requarantined, false),
+            ok(true),
+            ok(false),
             CellOutcome::Panicked {
                 message: "boom".into(),
             },
         ])
         .unwrap();
         assert!(summary.contains("1 resumed"));
-        assert!(summary.contains("1 replayed a re-recorded trace"));
         assert!(summary.contains("1 failed"));
     }
 
@@ -1715,10 +1492,9 @@ mod tests {
         let spec = tiny_spec();
         let p = point(Benchmark::Li);
         let result = run_one(&p.workload, p.depth, p.config, spec);
-        let ok = |degradation, resumed, ms| {
+        let ok = |resumed, ms| {
             CellOutcome::Ok(CellSuccess {
                 result: result.clone(),
-                degradation,
                 resumed,
                 derived: false,
                 duration: Duration::from_millis(ms),
@@ -1728,20 +1504,17 @@ mod tests {
         };
         let derived = CellOutcome::Ok(CellSuccess {
             derived: true,
-            ..ok(Degradation::None, false, 1).success().unwrap().clone()
+            ..ok(false, 1).success().unwrap().clone()
         });
         let record = Duration::from_millis(250);
         // Nothing ran in-process: resumed-only grids report no timing.
-        assert_eq!(
-            timing_summary(&[ok(Degradation::None, true, 70)], record),
-            None
-        );
+        assert_eq!(timing_summary(&[ok(true, 70)], record), None);
         let summary = timing_summary(
             &[
-                ok(Degradation::None, false, 100),
-                ok(Degradation::Requarantined, false, 300),
-                ok(Degradation::None, true, 70), // resumed: excluded
-                derived,                         // derived: excluded
+                ok(false, 100),
+                ok(false, 300),
+                ok(true, 70), // resumed: excluded
+                derived,      // derived: excluded
                 CellOutcome::Panicked {
                     message: "boom".into(),
                 },
@@ -1770,31 +1543,49 @@ mod tests {
 
     #[test]
     fn journal_without_duration_field_still_loads() {
-        // A line as journals without probes have always written it, and
-        // the same line from before duration tracking (no `dur_us`): both
-        // load without probes, the latter with a zero duration.
-        let json = "{\"name\":\"li\",\"config\":1,\"depth\":20,\"degraded\":\"none\",\
+        // A line as journals without probes write it today; the same line
+        // as older journals wrote it, with a `degraded` tag (`none`, or
+        // `requarantined` for a cell that replayed a re-recorded trace);
+        // and one from before duration tracking (no `dur_us`). All load
+        // without probes, the last with a zero duration.
+        let json = "{\"name\":\"li\",\"config\":1,\"depth\":20,\
                     \"dur_us\":5000,\"window\":{\"committed\":1500,\"cycles\":900,\
                     \"cond\":[200,250],\"l1\":[180,250],\"calc\":[100,120],\
                     \"load\":[100,130],\"overrides\":7,\"correcting\":5,\"bvit\":40,\
                     \"full_misp\":50,\"restarts\":2}}";
-        let old = json.replace("\"dur_us\":5000,", "");
+        let tagged =
+            |tag: &str| json.replace("\"dur_us\"", &format!("\"degraded\":\"{tag}\",\"dur_us\""));
+        let (none, requarantined) = (tagged("none"), tagged("requarantined"));
+        let old = none.replace("\"dur_us\":5000,", "");
         let (dir, path) = temp_journal("olddur");
         std::fs::create_dir_all(&dir).unwrap();
         let header = "# arvi sweep journal v1 seed=3 warmup=500 measure=1500";
         std::fs::write(
             &path,
-            format!("{header}\n00000000000000aa {json}\n00000000000000bb {old}\n"),
+            format!(
+                "{header}\n00000000000000aa {json}\n00000000000000bb {old}\n\
+                 00000000000000cc {none}\n00000000000000dd {requarantined}\n"
+            ),
         )
         .unwrap();
         let loaded = SweepJournal::load(&path);
+        assert_eq!(loaded.len(), 4, "every line loads");
         let (today, older) = (&loaded[&0xaa], &loaded[&0xbb]);
         assert!(today.probes.is_none() && older.probes.is_none());
         assert_eq!(today.duration, Duration::from_millis(5));
         assert_eq!(older.duration, Duration::ZERO);
-        assert_eq!(older.result, today.result);
+        for fp in [0xbb, 0xcc, 0xdd] {
+            assert_eq!(loaded[&fp].result, today.result, "line {fp:x}");
+        }
+        assert_eq!(loaded[&0xdd].duration, today.duration);
         assert_eq!(today.result.window.committed, 1500);
-        assert_eq!(entry_json(today).render_compact(), json, "byte-identical");
+        // A line written today carries no `degraded` field, whatever it
+        // was read from.
+        for fp in [0xaa, 0xdd] {
+            let line = entry_json(&loaded[&fp]).render_compact();
+            assert_eq!(line, json, "line {fp:x} re-renders byte-identically");
+            assert!(!line.contains("degraded"), "{line}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,7 +34,7 @@ use arvi_sim::{intern_name, SimResult};
 use arvi_stats::Table;
 
 use crate::harness::Spec;
-use crate::resilience::{cell_fingerprint, CellOutcome, CellSuccess, Degradation};
+use crate::resilience::{cell_fingerprint, CellOutcome, CellSuccess};
 use crate::sweep::SweepPoint;
 use crate::workload::fnv1a;
 
@@ -69,7 +69,6 @@ pub(crate) fn fold_units(
     spec: Spec,
     units: Vec<CellOutcome>,
     probed: Option<CellOutcome>,
-    degradation: Degradation,
 ) -> (CellOutcome, Option<SampleReport>) {
     let n = units.len();
     let mut stats = Vec::with_capacity(n);
@@ -98,7 +97,6 @@ pub(crate) fn fold_units(
     (
         CellOutcome::Ok(CellSuccess {
             result,
-            degradation,
             resumed,
             derived: false,
             duration,

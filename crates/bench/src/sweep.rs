@@ -26,10 +26,9 @@ use std::time::{Duration, Instant};
 use arvi_isa::Emulator;
 use arvi_sim::{Depth, PredictorConfig};
 use arvi_trace::par::par_map;
-use arvi_trace::{StdIo, Trace, TraceIo, TraceReplayer};
+use arvi_trace::{Trace, TraceError, TraceReplayer};
 use arvi_workloads::WorkloadSource;
 
-use crate::events::SweepTelemetry;
 use crate::harness::Spec;
 use crate::report::Json;
 use crate::resilience::Resilience;
@@ -96,18 +95,14 @@ pub fn trace_file_name(workload: &Workload, spec: Spec) -> String {
 /// recording.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceProvenance {
-    /// Freshly recorded (no usable cached file existed).
+    /// Freshly recorded (no cached file existed).
     Recorded,
     /// Loaded from a healthy cached file.
     Loaded,
-    /// A cached file existed but was unusable and the workload was
-    /// re-recorded; `corrupt` says whether the old file failed
-    /// verification (and was quarantined) as opposed to being merely
-    /// stale (wrong window, silently overwritten).
-    Rerecorded {
-        /// The replaced file was corrupt (quarantined), not just stale.
-        corrupt: bool,
-    },
+    /// A cached file existed but could not be used (corrupt, truncated,
+    /// of another format version, stale or unreadable), so the workload
+    /// was re-recorded over it.
+    Rerecorded,
     /// No recording could be obtained (recording itself failed); cells
     /// over this workload fail with a trace error that gives `reason`.
     Unavailable {
@@ -122,8 +117,8 @@ pub enum TraceProvenance {
 /// cell and worker thread; each cell constructs a private
 /// [`TraceReplayer`] cursor over the shared bytes. Each entry also
 /// carries a [`TraceProvenance`] so the resilient sweep can report
-/// *how* a cell's stream was obtained (cache hit, quarantine +
-/// re-record, unavailable).
+/// *how* a cell's stream was obtained (cache hit, re-record,
+/// unavailable).
 #[derive(Debug, Clone)]
 pub struct TraceSet {
     traces: Vec<(Workload, Option<Arc<Trace>>, TraceProvenance)>,
@@ -134,15 +129,15 @@ impl TraceSet {
     /// Records (in parallel, one worker per workload) every workload in
     /// `workloads` under `spec`.
     ///
-    /// With `dir` set, recordings are persisted there under
-    /// [`trace_file_name`] and valid existing files are loaded instead of
-    /// re-recorded — so a second sweep over the same spec does no
-    /// functional execution at all. A corrupt cached file is quarantined
-    /// (renamed `*.quarantined`, logged to `quarantine.log` in `dir`)
-    /// and the workload re-recorded; a stale file (wrong window) is
-    /// silently re-recorded and overwritten. Writes are atomic
-    /// (temp file + fsync + rename) and persistence failures only warn
-    /// (the in-memory recording still serves the sweep).
+    /// With `dir` set, `dir` is a cache: a file under
+    /// [`trace_file_name`] that loads, verifies and matches the
+    /// workload's name, seed and length is used, so a second sweep over
+    /// the same spec does no functional execution at all. A missing file
+    /// is recorded quietly; any other file (corrupt, truncated, of
+    /// another format version, stale or unreadable) gets one stderr line
+    /// and is re-recorded over. Writes are atomic ([`Trace::write_to`])
+    /// and persistence failures only warn (the in-memory recording still
+    /// serves the sweep).
     pub fn record(
         workloads: &[Workload],
         spec: Spec,
@@ -152,9 +147,8 @@ impl TraceSet {
         Self::record_resilient(workloads, spec, threads, dir, &Resilience::new())
     }
 
-    /// [`TraceSet::record`] under an explicit [`Resilience`] policy:
-    /// the policy's fault plan (if any) is injected into trace reads,
-    /// and its telemetry (if any) gets the record and quarantine events.
+    /// [`TraceSet::record`] under an explicit [`Resilience`] policy,
+    /// whose telemetry (if any) gets the record events.
     pub fn record_resilient(
         workloads: &[Workload],
         spec: Spec,
@@ -167,11 +161,6 @@ impl TraceSet {
                 eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
             }
         }
-        let faulty = res.plan.as_deref().map(crate::resilience::FaultyIo::new);
-        let io: &dyn TraceIo = match &faulty {
-            Some(faulty) => faulty,
-            None => &StdIo,
-        };
         let telemetry = res.telemetry.as_deref();
         if let Some(t) = telemetry {
             t.event(
@@ -181,7 +170,7 @@ impl TraceSet {
         }
         let start = Instant::now();
         let traces = par_map(workloads, threads, |workload| {
-            Self::obtain(workload, spec, dir, io, telemetry)
+            Self::obtain(workload, spec, dir)
         });
         if let Some(t) = telemetry {
             t.record_phase(workloads.len(), start.elapsed());
@@ -201,58 +190,27 @@ impl TraceSet {
         workload: &Workload,
         spec: Spec,
         dir: Option<&Path>,
-        io: &dyn TraceIo,
-        telemetry: Option<&SweepTelemetry>,
     ) -> (Option<Trace>, TraceProvenance) {
-        let need = trace_len(spec);
         let path = dir.map(|d| d.join(trace_file_name(workload, spec)));
-        let mut prior_corrupt = false;
-        let mut prior_stale = false;
+        let mut provenance = TraceProvenance::Recorded;
         if let Some(path) = &path {
-            match Trace::read_from_with(path, io) {
+            let reason = match Trace::read_from(path) {
                 Ok(t)
-                    if t.len() >= need && t.seed() == spec.seed && t.name() == workload.name() =>
+                    if t.len() >= trace_len(spec)
+                        && t.seed() == spec.seed
+                        && t.name() == workload.name() =>
                 {
                     return (Some(t), TraceProvenance::Loaded);
                 }
-                Ok(_) => {
-                    eprintln!(
-                        "trace {}: stale (wrong workload or window), re-recording",
-                        path.display()
-                    );
-                    prior_stale = true;
-                }
-                Err(e) if e.is_corruption() => {
-                    // Preserve the evidence, then recover: the corrupt
-                    // file moves aside so it cannot poison later runs.
-                    prior_corrupt = true;
-                    match io.quarantine(path) {
-                        Ok(moved) => {
-                            eprintln!(
-                                "trace {}: {e}; quarantined to {}",
-                                path.display(),
-                                moved.display()
-                            );
-                            log_quarantine(dir, path, &e);
-                            if let Some(t) = telemetry {
-                                t.quarantine(
-                                    &path.display().to_string(),
-                                    &e.to_string(),
-                                    "re-record",
-                                );
-                            }
-                        }
-                        Err(qe) => eprintln!(
-                            "trace {}: {e}; quarantine failed ({qe}), re-recording in place",
-                            path.display()
-                        ),
-                    }
-                }
-                Err(e) if path.exists() => {
-                    eprintln!("trace {}: {e}, re-recording", path.display());
-                    prior_stale = true;
-                }
-                Err(_) => {}
+                Ok(_) => Some("stale (wrong workload, seed or window)".to_string()),
+                Err(e) => match e.root() {
+                    TraceError::Io(io) if io.kind() == std::io::ErrorKind::NotFound => None,
+                    root => Some(root.to_string()),
+                },
+            };
+            if let Some(reason) = reason {
+                eprintln!("trace {}: {reason}; re-recording", path.display());
+                provenance = TraceProvenance::Rerecorded;
             }
         }
         let t = match try_record_trace(workload, spec) {
@@ -263,17 +221,14 @@ impl TraceSet {
             }
         };
         if let Some(path) = &path {
-            if let Err(e) = t.write_to_with(path, io) {
-                eprintln!("warning: cannot persist trace {}: {e}", path.display());
+            if let Err(e) = t.write_to(path) {
+                eprintln!(
+                    "warning: cannot persist trace {}: {}",
+                    path.display(),
+                    e.root()
+                );
             }
         }
-        let provenance = if prior_corrupt {
-            TraceProvenance::Rerecorded { corrupt: true }
-        } else if prior_stale {
-            TraceProvenance::Rerecorded { corrupt: false }
-        } else {
-            TraceProvenance::Recorded
-        };
         (Some(t), provenance)
     }
 
@@ -314,32 +269,6 @@ impl TraceSet {
     pub fn replayer(&self, workload: &Workload) -> Option<TraceReplayer> {
         self.get(workload)
             .map(|t| TraceReplayer::new(Arc::clone(t)))
-    }
-}
-
-/// Appends one line to `quarantine.log` in the trace directory
-/// describing a quarantined file, which the sweep re-records. Best
-/// effort: logging failures only warn.
-fn log_quarantine(dir: Option<&Path>, path: &Path, err: &arvi_trace::TraceError) {
-    let Some(dir) = dir else { return };
-    let log = dir.join("quarantine.log");
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string());
-    let line = format!("{name}: {err}; re-recording\n");
-    let res = std::fs::create_dir_all(dir)
-        .map_err(|e| crate::report::io_error_at(dir, e))
-        .and_then(|()| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&log)
-                .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()))
-                .map_err(|e| crate::report::io_error_at(&log, e))
-        });
-    if let Err(e) = res {
-        eprintln!("warning: cannot append to quarantine log: {e}");
     }
 }
 
@@ -402,51 +331,6 @@ mod tests {
     use super::*;
     use arvi_sim::SimResult;
     use arvi_workloads::Benchmark;
-
-    #[test]
-    fn corrupt_cached_trace_is_quarantined_and_rerecorded() {
-        let spec = Spec {
-            warmup: 500,
-            measure: 1_000,
-            seed: 5,
-        };
-        let dir = std::env::temp_dir().join(format!("arvi-quarantine-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let workloads = [Workload::from(Benchmark::Go)];
-        let clean = TraceSet::record(&workloads, spec, 1, Some(&dir));
-        assert_eq!(
-            clean.provenance(&workloads[0]),
-            Some(&TraceProvenance::Recorded)
-        );
-        let path = dir.join(trace_file_name(&workloads[0], spec));
-        // Corrupt a payload byte on disk.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let recovered = TraceSet::record(&workloads, spec, 1, Some(&dir));
-        assert_eq!(
-            recovered.provenance(&workloads[0]),
-            Some(&TraceProvenance::Rerecorded { corrupt: true })
-        );
-        // Evidence preserved, replacement healthy, incident logged.
-        assert!(arvi_trace::quarantine_path(&path).exists());
-        assert!(path.exists());
-        let log = std::fs::read_to_string(dir.join("quarantine.log")).unwrap();
-        assert!(log.contains("go-"), "{log}");
-        // The re-recorded trace replays identically to the original.
-        let a: Vec<_> = clean.replayer(&workloads[0]).unwrap().collect();
-        let b: Vec<_> = recovered.replayer(&workloads[0]).unwrap().collect();
-        assert_eq!(a, b);
-        // Third run loads the healthy replacement from cache.
-        let reloaded = TraceSet::record(&workloads, spec, 1, Some(&dir));
-        assert_eq!(
-            reloaded.provenance(&workloads[0]),
-            Some(&TraceProvenance::Loaded)
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn full_grid_covers_every_cell() {

@@ -32,10 +32,10 @@
 //! invalidates old files (readers reject a version mismatch rather than
 //! guessing at the encoding).
 
-use std::path::Path;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 use crate::codec::{crc32, crc32_combine};
-use crate::io::{StdIo, TraceIo};
 use crate::par::{cores, par_map, span, workers};
 use crate::store::{ChunkInfo, Trace};
 use crate::TraceError;
@@ -221,18 +221,29 @@ impl Trace {
 
     /// Writes the trace to `path` (see the module docs for the layout).
     ///
-    /// The write is atomic and durable (temp file + fsync + rename via
-    /// [`StdIo`]): a process killed mid-write leaves either the old
+    /// The write is atomic and durable: the bytes go to a temporary
+    /// sibling (`<name>.tmp.<pid>`), are fsynced, and are then renamed
+    /// over `path`, so a process killed mid-write leaves either the old
     /// file or the complete new one, never a torn container. Errors
     /// carry the failing path ([`TraceError::File`]).
     pub fn write_to(&self, path: &Path) -> Result<(), TraceError> {
-        self.write_to_with(path, &StdIo)
-    }
-
-    /// [`Trace::write_to`] through an explicit [`TraceIo`]
-    /// implementation (the fault-injection seam).
-    pub fn write_to_with(&self, path: &Path, io: &dyn TraceIo) -> Result<(), TraceError> {
-        io.write_atomic(path, &self.to_bytes())
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let res = (|| -> Result<(), TraceError> {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&self.to_bytes())?;
+            // Durability before visibility: the rename must never
+            // publish a file whose bytes are still in flight.
+            f.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            Ok(())
+        })();
+        if res.is_err() {
+            // Best effort: do not leave the temp file behind.
+            std::fs::remove_file(&tmp).ok();
+        }
+        res.map_err(|e| e.for_path(path))
     }
 
     /// Reads and fully verifies a trace file written by
@@ -240,13 +251,7 @@ impl Trace {
     /// ([`TraceError::File`]); match on [`TraceError::root`] to
     /// classify them.
     pub fn read_from(path: &Path) -> Result<Trace, TraceError> {
-        Trace::read_from_with(path, &StdIo)
-    }
-
-    /// [`Trace::read_from`] through an explicit [`TraceIo`]
-    /// implementation (the fault-injection seam).
-    pub fn read_from_with(path: &Path, io: &dyn TraceIo) -> Result<Trace, TraceError> {
-        let buf = io.read(path)?;
+        let buf = std::fs::read(path).map_err(|e| TraceError::from(e).for_path(path))?;
         Trace::from_container(buf, cores()).map_err(|e| e.for_path(path))
     }
 }
@@ -266,42 +271,6 @@ fn par_crc32(bytes: &[u8], workers: usize) -> u32 {
     })
 }
 
-/// Locates chunk `chunk`'s payload inside raw container bytes without
-/// verifying them: `(offset, len)` into `container`. Used by the
-/// fault-injection harness to corrupt "byte N of chunk K" of a valid
-/// file at exact offsets; returns `None` when the container is too
-/// mangled to navigate (the harness then falls back to absolute
-/// offsets).
-pub fn chunk_payload_span(container: &[u8], chunk: usize) -> Option<(usize, usize)> {
-    if container.len() < FOOTER_LEN || !container.ends_with(FOOTER_MAGIC) {
-        return None;
-    }
-    let mut f = Parser {
-        buf: container,
-        pos: container.len() - FOOTER_LEN,
-    };
-    let index_offset = f.u64().ok()? as usize;
-    let chunk_count = f.u32().ok()? as usize;
-    if chunk >= chunk_count {
-        return None;
-    }
-    let mut idx = Parser {
-        buf: container,
-        pos: index_offset.checked_add(chunk * INDEX_ENTRY_LEN)?,
-    };
-    let offset = idx.u64().ok()? as usize;
-    let len = idx.u32().ok()? as usize;
-    // Payload offsets are relative to the end of the header.
-    let mut h = Parser {
-        buf: container,
-        pos: 8 + 4,
-    };
-    let name_len = h.u32().ok()? as usize;
-    let payload_start = 8 + 4 + 4 + name_len + 8;
-    let abs = payload_start.checked_add(offset)?;
-    (abs.checked_add(len)? <= container.len()).then_some((abs, len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +278,40 @@ mod tests {
     use crate::store::TraceWriter;
     use arvi_isa::{DynInst, Emulator};
     use arvi_workloads::Benchmark;
+
+    /// Locates chunk `chunk`'s payload inside raw container bytes
+    /// without verifying them: `(offset, len)` into `container`, so a
+    /// test can corrupt "byte N of chunk K" of a valid file; `None` when
+    /// the container is too mangled to navigate.
+    fn chunk_payload_span(container: &[u8], chunk: usize) -> Option<(usize, usize)> {
+        if container.len() < FOOTER_LEN || !container.ends_with(FOOTER_MAGIC) {
+            return None;
+        }
+        let mut f = Parser {
+            buf: container,
+            pos: container.len() - FOOTER_LEN,
+        };
+        let index_offset = f.u64().ok()? as usize;
+        let chunk_count = f.u32().ok()? as usize;
+        if chunk >= chunk_count {
+            return None;
+        }
+        let mut idx = Parser {
+            buf: container,
+            pos: index_offset.checked_add(chunk * INDEX_ENTRY_LEN)?,
+        };
+        let offset = idx.u64().ok()? as usize;
+        let len = idx.u32().ok()? as usize;
+        // Payload offsets are relative to the end of the header.
+        let mut h = Parser {
+            buf: container,
+            pos: 8 + 4,
+        };
+        let name_len = h.u32().ok()? as usize;
+        let payload_start = 8 + 4 + 4 + name_len + 8;
+        let abs = payload_start.checked_add(offset)?;
+        (abs.checked_add(len)? <= container.len()).then_some((abs, len))
+    }
 
     fn sample_trace() -> Trace {
         let emu = Emulator::new(Benchmark::Perl.program(4));
@@ -349,6 +352,43 @@ mod tests {
         let back = Trace::read_from(&path).unwrap();
         assert_eq!(back.len(), trace.len());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_round_trips_and_cleans_temp() {
+        let dir = std::env::temp_dir().join(format!("arvi-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.arvitrace");
+        let first = sample_trace();
+        first.write_to(&path).unwrap();
+        assert_eq!(
+            Trace::read_from(&path).unwrap().to_bytes(),
+            first.to_bytes()
+        );
+        // A second write replaces the file whole.
+        let mut w = TraceWriter::new("perl", 5);
+        for d in Emulator::new(Benchmark::Perl.program(5)).take(300) {
+            w.push(d);
+        }
+        let second = w.finish();
+        second.write_to(&path).unwrap();
+        assert_eq!(
+            Trace::read_from(&path).unwrap().to_bytes(),
+            second.to_bytes()
+        );
+        // No temp droppings.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["t.arvitrace"], "{names:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_error_names_the_file() {
+        let err = Trace::read_from(Path::new("/nonexistent/nope.arvitrace")).unwrap_err();
+        assert!(err.to_string().contains("nope.arvitrace"), "{err}");
     }
 
     #[test]

@@ -57,14 +57,12 @@
 pub mod chunk;
 pub mod codec;
 pub mod file;
-pub mod io;
 pub mod par;
 pub mod replay;
 pub mod store;
 
 pub use chunk::DEFAULT_CHUNK_INSTS;
 pub use file::FORMAT_VERSION;
-pub use io::{quarantine_path, StdIo, TraceIo, QUARANTINE_SUFFIX};
 pub use replay::{TraceReader, TraceReplayer, REPLAY_PANIC_PREFIX};
 pub use store::{ChunkInfo, Trace, TraceWriter};
 
@@ -102,9 +100,6 @@ pub enum TraceError {
         /// The underlying failure.
         source: Box<TraceError>,
     },
-    /// An injected fault (fault-injection harness only; never produced
-    /// by production I/O).
-    Injected(&'static str),
     /// A recording source ended before the requested window was
     /// covered (experiment workloads are expected to run indefinitely).
     SourceEnded {
@@ -158,9 +153,7 @@ impl TraceError {
     }
 
     /// Whether the root cause is damaged or unreadable container data
-    /// (as opposed to an I/O error like a missing file): the condition
-    /// under which a cached trace is quarantined rather than silently
-    /// overwritten.
+    /// (as opposed to an I/O error like a missing file).
     pub fn is_corruption(&self) -> bool {
         matches!(
             self.root(),
@@ -170,7 +163,6 @@ impl TraceError {
                 | TraceError::ChecksumMismatch { .. }
                 | TraceError::FileChecksumMismatch
                 | TraceError::Corrupt(_)
-                | TraceError::Injected(_)
         )
     }
 }
@@ -195,7 +187,6 @@ impl fmt::Display for TraceError {
             TraceError::File { path, source } => {
                 write!(f, "trace file {}: {source}", path.display())
             }
-            TraceError::Injected(what) => write!(f, "injected fault: {what}"),
             TraceError::SourceEnded { at, need } => {
                 write!(f, "source ended at instruction {at} of {need}")
             }

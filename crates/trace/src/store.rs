@@ -67,8 +67,8 @@ impl Trace {
     }
 
     /// [`Trace::record`] returning [`TraceError::SourceEnded`] instead
-    /// of panicking when the source runs dry — the resilient sweep path
-    /// records a degradation instead of taking the grid down.
+    /// of panicking when the source runs dry — the sweep fails that
+    /// workload's cells instead of taking the grid down.
     pub fn try_record<I: Iterator<Item = DynInst>>(
         mut source: I,
         n: u64,

@@ -6,9 +6,9 @@
 //!    corruption error: never a panic, never silently wrong records.
 //! 2. A panicking grid cell is isolated to its own [`CellOutcome`];
 //!    every other cell's result is bit-identical to an undisturbed run.
-//! 3. A corrupt on-disk trace is quarantined (file preserved, incident
-//!    logged) and re-recorded, and the degraded sweep's numbers are
-//!    bit-identical to the healthy sweep's.
+//! 3. An unusable cached trace file (corrupt, truncated, or a valid
+//!    recording of another seed) is re-recorded in place, and the
+//!    sweep's numbers are bit-identical to the healthy sweep's.
 //! 4. A cell whose trace set lacks its workload, or holds a recording
 //!    too short for the window or of another seed, fails alone with a
 //!    trace error naming
@@ -29,11 +29,11 @@ use std::sync::OnceLock;
 use arvi::isa::{DynInst, Emulator};
 use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig, SimResult};
-use arvi::trace::{quarantine_path, Trace, TraceReader, TraceWriter};
+use arvi::trace::{Trace, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    distinct_workloads, run_one, trace_file_name, CellOutcome, Degradation, FaultPlan, GridRun,
-    Resilience, Spec, SweepPoint, TraceProvenance, TraceSet, Workload,
+    distinct_workloads, run_one, trace_file_name, CellOutcome, FaultPlan, GridRun, Resilience,
+    Spec, SweepPoint, TraceProvenance, TraceSet, Workload,
 };
 use proptest::prelude::*;
 
@@ -189,7 +189,6 @@ fn injected_panic_is_isolated_to_its_cell() {
                 outcomes[i].failure()
             )
         });
-        assert_eq!(s.degradation, Degradation::None);
         assert!(!s.resumed);
         assert_bit_identical(&s.result, &clean[i], &points[i].to_string());
     }
@@ -222,13 +221,12 @@ fn injected_panic_is_isolated_to_its_cell() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Quarantine + re-record: degraded, logged, bit-identical.
+// 3. Load or record: an unusable cache file is re-recorded in place.
 // ---------------------------------------------------------------------
 
 #[test]
-fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
+fn unusable_cached_trace_is_rerecorded_in_place() {
     let spec = tiny_spec();
-    let dir = temp_dir("quarantine");
     let workloads = [Workload::from(Benchmark::Go)];
     let points: Vec<SweepPoint> = PredictorConfig::all()
         .into_iter()
@@ -238,9 +236,11 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
             config,
         })
         .collect();
+    let file = trace_file_name(&workloads[0], spec);
 
     // Healthy baseline: record, persist, sweep strictly.
-    let clean = TraceSet::record(&workloads, spec, 1, Some(&dir));
+    let clean_dir = temp_dir("cache-clean");
+    let clean = TraceSet::record(&workloads, spec, 1, Some(&clean_dir));
     assert_eq!(
         clean.provenance(&workloads[0]),
         Some(&TraceProvenance::Recorded)
@@ -248,36 +248,65 @@ fn corrupt_trace_is_quarantined_rerecorded_and_results_unchanged() {
     let expected = run(&points, spec, &clean, &Resilience::new())
         .results(|_| true)
         .expect("every cell ran");
+    let good = std::fs::read(clean_dir.join(&file)).unwrap();
+    std::fs::remove_dir_all(&clean_dir).ok();
 
-    // Inject corruption into the next read of go's trace file.
-    let res = Resilience::new().with_plan(FaultPlan::parse("flip-chunk go 1 9").unwrap());
-    let faulted = TraceSet::record_resilient(&workloads, spec, 1, Some(&dir), &res);
-    assert_eq!(
-        faulted.provenance(&workloads[0]),
-        Some(&TraceProvenance::Rerecorded { corrupt: true })
-    );
-    let path = dir.join(trace_file_name(&workloads[0], spec));
-    assert!(quarantine_path(&path).exists(), "evidence preserved");
-    assert!(path.exists(), "replacement recorded");
-    let log = std::fs::read_to_string(dir.join("quarantine.log")).unwrap();
-    assert!(log.contains("go-") && log.contains("re-recording"), "{log}");
+    // The three bad caches. The middle of the file lies in the chunk
+    // payload: the header and the index are a few dozen bytes each.
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0xFF;
+    let truncated = good[..good.len() / 2].to_vec();
+    let other_seed = Spec { seed: 4, ..spec };
+    let stale = TraceSet::record(&workloads, other_seed, 1, None)
+        .get(&workloads[0])
+        .expect("recorded")
+        .to_bytes();
+    assert!(Trace::from_bytes(&stale).is_ok(), "a valid container");
 
-    // The degraded sweep reports the degradation but identical numbers.
-    let outcomes = run(&points, spec, &faulted, &res).outcomes;
-    for (i, (outcome, point)) in outcomes.iter().zip(&points).enumerate() {
-        let s = outcome
-            .success()
-            .unwrap_or_else(|| panic!("{point}: {:?}", outcome.failure()));
-        assert_eq!(s.degradation, Degradation::Requarantined, "{point}");
-        assert_bit_identical(&s.result, &expected[i], &point.to_string());
+    for (label, bytes) in [
+        ("flipped payload byte", flipped),
+        ("truncated", truncated),
+        ("another seed", stale),
+    ] {
+        let dir = temp_dir("cache-bad");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(&file);
+        std::fs::write(&path, bytes).unwrap();
+
+        let traces = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        assert_eq!(
+            traces.provenance(&workloads[0]),
+            Some(&TraceProvenance::Rerecorded),
+            "{label}"
+        );
+        let outcomes = run(&points, spec, &traces, &Resilience::new()).outcomes;
+        for (i, (outcome, point)) in outcomes.iter().zip(&points).enumerate() {
+            let s = outcome
+                .success()
+                .unwrap_or_else(|| panic!("{label}: {point}: {:?}", outcome.failure()));
+            assert_bit_identical(&s.result, &expected[i], &format!("{label}: {point}"));
+        }
+
+        // The re-recording replaced the bad file and nothing else is
+        // left: no side files, no temp files.
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, std::slice::from_ref(&file), "{label}");
+        assert!(
+            std::fs::read(&path).unwrap() == good,
+            "{label}: bytes differ"
+        );
+
+        let again = TraceSet::record(&workloads, spec, 1, Some(&dir));
+        assert_eq!(
+            again.provenance(&workloads[0]),
+            Some(&TraceProvenance::Loaded),
+            "{label}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    // Atomic persistence never leaves temp files behind.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        assert!(!name.contains(".tmp."), "leftover temp file {name}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

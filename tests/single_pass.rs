@@ -30,8 +30,8 @@ use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
     anchor, fig5_cell, grid, obs_from_args, obs_grid_json, CellOutcome, CellProbes, CellSuccess,
-    Degradation, FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid, ObsReport, Resilience, Spec,
-    SweepPoint, TraceSet, Workload,
+    FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid, ObsReport, Resilience, Spec, SweepPoint,
+    TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -121,7 +121,6 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
             );
             CellOutcome::Ok(CellSuccess {
                 result: result.clone(),
-                degradation: Degradation::None,
                 resumed: false,
                 derived: false,
                 duration: Duration::ZERO,
