@@ -34,18 +34,27 @@
 //!   cell from one extra whole-cell item), journaled on the cell's own
 //!   line, so neither the grid rollup ([`crate::obs_grid`]) nor the
 //!   anchor report ([`crate::obs`]) re-simulates a cell.
-//! * **Load back from its twin** — without a sample plan, a whole-cell
-//!   ArviLoadBack item is dispatched after every other item and takes
-//!   its current-value twin's result (the cell of the same workload and
-//!   depth), relabelled, when the twin published one. A twin publishes
-//!   after simulating in this run when load back's hoist rule never
-//!   fired on its whole run ([`arvi_sim::Machine::load_back_hoists`]).
-//!   That rule is the only difference between the two machines
-//!   ([`arvi_sim::oracle`]), so the derived result is bit-identical to a
-//!   simulated one. So are the twin's counters and sites when both cells
-//!   carry them. The cell is simulated as usual in every other case:
-//!   the twin disagreed, failed, was resumed, is still running, or
-//!   carries other probes or a tracer. No item waits on its twin, and
+//! * **ARVI cells from their twins** — the three ARVI configurations
+//!   are one machine under three value oracles, which disagree only on
+//!   leaf values not yet written back ([`arvi_sim::oracle`]). Without a
+//!   sample plan, whole-cell items go out gskew and current value
+//!   first, perfect value second and load back last. A perfect-value
+//!   cell's twin is the current-value cell of the same workload and
+//!   depth; a load-back cell's twins are that cell and then the
+//!   perfect-value one. A twin that simulated in this run publishes its
+//!   result with its run's tally of not-ready leaves
+//!   ([`arvi_sim::PendingLeaves`], warm-up included), while a cell it
+//!   may serve is still to come. A cell takes the result of the first
+//!   published twin whose tally gives zero queries its own oracle
+//!   would have answered differently, relabelled: perfect value from a
+//!   current-value run that never met a not-ready leaf, load back from
+//!   a current-value run whose not-ready leaves all missed the hoist
+//!   rule, or from a perfect-value run whose not-ready leaves all met
+//!   it. That result is bit-identical to a simulated one, and so are
+//!   the twin's counters and sites when both cells carry them. One twin
+//!   may serve two cells. The cell is simulated as usual in every other
+//!   case: every twin disagreed, failed, was resumed, is still running,
+//!   or carries other probes or a tracer. No item waits on a twin, and
 //!   the fault plan's panic fires before any derivation. A derived
 //!   cell's `cell_end` says `"phase":"derived"`.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
@@ -66,7 +75,8 @@ use std::time::{Duration, Instant};
 use arvi_obs::{ChromeTracer, CounterProbe, NullProbe, SiteProbe};
 use arvi_sampling::{run_unit, SamplePlan, SampleReport, SampleUnit};
 use arvi_sim::{
-    intern_name, simulate_source_verdict, InstSource, PredictorConfig, SimParams, SimResult,
+    intern_name, simulate_source_tallied, InstSource, PendingLeaves, PredictorConfig, SimParams,
+    SimResult,
 };
 use arvi_stats::Accuracy;
 use arvi_trace::par::par_map_caught;
@@ -89,8 +99,8 @@ pub struct CellSuccess {
     /// Whether the result was restored from a journal instead of
     /// simulated in this run.
     pub resumed: bool,
-    /// Whether this load-back result was taken from the cell's
-    /// current-value twin instead of simulated (see the module docs).
+    /// Whether this ARVI result was taken from one of the cell's twins
+    /// instead of simulated (see the module docs).
     pub derived: bool,
     /// Wall-clock time the cell took. For resumed cells this is the
     /// journaled duration of the original run (zero for entries written
@@ -546,11 +556,17 @@ pub(crate) fn run_grid(
     let exec = Executor::new(points, spec, traces, res, sample);
     let mut items: Vec<WorkItem> = Vec::new();
     let mut spans = vec![(0..0, false); points.len()];
-    // Cells that may take their twin's result go last, so their twins
-    // have had the longest time to publish one.
-    let (early, late): (Vec<usize>, Vec<usize>) =
-        (0..points.len()).partition(|&i| exec.twins[i].is_none());
-    for i in early.into_iter().chain(late) {
+    // Cells that may take a twin's result go after their twins, load
+    // back last, so the twins have had the longest time to publish.
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by_key(|&i| {
+        if exec.twins[i].is_empty() {
+            0
+        } else {
+            dispatch_rank(points[i].config)
+        }
+    });
+    for i in order {
         let first = items.len();
         let sampled = !exec.units.is_empty() && exec.recordings[i].is_ok();
         if sampled {
@@ -714,28 +730,52 @@ fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
     sets
 }
 
-/// Each load-back cell's current-value twin — the cell of the same
-/// workload and depth — when the two carry the same probes and no
-/// tracer (a tracer belongs to its own cell: its events carry the cell's
-/// pid); `None` for every other cell.
-fn twins(points: &[SweepPoint], probes: &[ProbeSet]) -> Vec<Option<usize>> {
+/// Where an ARVI configuration's cells go in the dispatch order: current
+/// value first, perfect value second, load back last.
+fn dispatch_rank(config: PredictorConfig) -> u8 {
+    match config {
+        PredictorConfig::ArviPerfect => 1,
+        PredictorConfig::ArviLoadBack => 2,
+        _ => 0,
+    }
+}
+
+/// Each ARVI cell's twins, current value first — the ARVI cells of the
+/// same workload and depth that go out before it ([`dispatch_rank`]),
+/// when they carry the same probes and no tracer (a tracer belongs to
+/// its own cell: its events carry the cell's pid); empty for every
+/// other cell.
+fn twins(points: &[SweepPoint], probes: &[ProbeSet]) -> Vec<Vec<usize>> {
     points
         .iter()
         .zip(probes)
         .map(|(p, &set)| {
-            if p.config != PredictorConfig::ArviLoadBack || matches!(set, ProbeSet::Traced { .. }) {
-                return None;
+            if !p.config.is_arvi() || matches!(set, ProbeSet::Traced { .. }) {
+                return Vec::new();
             }
-            points
-                .iter()
-                .position(|q| {
-                    q.config == PredictorConfig::ArviCurrent
+            let mut twins: Vec<usize> = (0..points.len())
+                .filter(|&j| {
+                    let q = &points[j];
+                    q.config.is_arvi()
+                        && dispatch_rank(q.config) < dispatch_rank(p.config)
                         && q.depth == p.depth
                         && q.workload == p.workload
+                        && probes[j] == set
                 })
-                .filter(|&j| probes[j] == set)
+                .collect();
+            twins.sort_by_key(|&j| dispatch_rank(points[j].config));
+            twins
         })
         .collect()
+}
+
+/// A twin's publication: how many cells it may serve have yet to look,
+/// and, once it has simulated, its result and tally — while one of
+/// those cells could take it.
+#[derive(Default)]
+struct TwinSlot {
+    waiting: usize,
+    published: Option<(Simulated, PendingLeaves)>,
 }
 
 /// Everything a work item needs, shared read-only by the workers.
@@ -752,12 +792,10 @@ struct Executor<'a> {
     /// The probes each cell reports, carried by its whole-cell item
     /// (sampling units run unprobed).
     probes: Vec<ProbeSet>,
-    /// Each cell's current-value twin, for a load-back cell that may take
-    /// its result from it ([`twins`]).
-    twins: Vec<Option<usize>>,
-    /// A twin's result, once it has simulated and load back's rule never
-    /// fired on its run; taken by the one load-back cell it serves.
-    published: Vec<Mutex<Option<Simulated>>>,
+    /// Each ARVI cell's twins, whose result it may take ([`twins`]).
+    twins: Vec<Vec<usize>>,
+    /// Each cell's publication as a twin.
+    slots: Vec<Mutex<TwinSlot>>,
     prior: HashMap<u64, CellSuccess>,
     journal: Option<SweepJournal>,
 }
@@ -793,9 +831,13 @@ impl<'a> Executor<'a> {
         });
         let probes = probe_sets(points, res.probes.as_ref());
         let twins = match sample {
-            Some(_) => vec![None; points.len()],
+            Some(_) => vec![Vec::new(); points.len()],
             None => twins(points, &probes),
         };
+        let slots: Vec<Mutex<TwinSlot>> = points.iter().map(|_| Mutex::default()).collect();
+        for &twin in twins.iter().flatten() {
+            slots[twin].lock().expect("twin slot").waiting += 1;
+        }
         Executor {
             points,
             spec,
@@ -805,7 +847,7 @@ impl<'a> Executor<'a> {
             units,
             probes,
             twins,
-            published: points.iter().map(|_| Mutex::new(None)).collect(),
+            slots,
             prior,
             journal,
         }
@@ -838,8 +880,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Fails one work item of a cell without a usable recording, or
-    /// restores it from the journal, or takes a load-back cell's result
-    /// from its twin, or runs it: the fault plan's panic for the cell
+    /// restores it from the journal, or takes an ARVI cell's result from
+    /// a twin, or runs it: the fault plan's panic for the cell
     /// fires on its first dispatched item, before any derivation.
     fn run_item(&self, cell: usize, unit: Option<usize>) -> CellOutcome {
         let point = &self.points[cell];
@@ -897,27 +939,50 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// A whole cell over its recording. A current-value twin whose run
-    /// never met load back's hoist rule publishes its result for its
-    /// load-back cell.
+    /// A whole cell over its recording. A twin publishes its result and
+    /// tally when a cell it may serve is still to come and could take it.
     fn simulate_whole(&self, cell: usize, trace: &Arc<Trace>, probes: ProbeSet) -> Simulated {
         let replayer = TraceReplayer::new(Arc::clone(trace));
         let name = intern_name(trace.name());
-        let (simulated, hoists) =
-            simulate_cell(name, replayer, &self.points[cell], self.spec, probes);
-        if hoists == 0 && self.twins.contains(&Some(cell)) {
-            *self.published[cell].lock().expect("twin slot") = Some(simulated.clone());
+        let point = &self.points[cell];
+        let (simulated, pending) = simulate_cell(name, replayer, point, self.spec, probes);
+        let mut slot = self.slots[cell].lock().expect("twin slot");
+        let serves = |i: usize| {
+            self.twins[i].contains(&cell)
+                && pending.differing(point.config, self.points[i].config) == Some(0)
+        };
+        if slot.waiting > 0 && (0..self.points.len()).any(serves) {
+            slot.published = Some((simulated.clone(), pending));
         }
         simulated
     }
 
-    /// `cell`'s result taken from its current-value twin, relabelled with
-    /// the cell's configuration, when the twin has published one; `None`
-    /// when the cell has no twin or the twin has not (yet) published.
+    /// `cell`'s result taken from the first of its twins that has
+    /// published a result its configuration's oracle would have
+    /// reproduced, relabelled with the cell's configuration; `None` when
+    /// no twin has (yet). A twin's slot empties once every cell it may
+    /// serve has looked.
     fn derive(&self, cell: usize) -> Option<Simulated> {
-        let twin = self.twins[cell]?;
-        let (mut result, mut probes) = self.published[twin].lock().expect("twin slot").take()?;
-        result.config = self.points[cell].config;
+        let config = self.points[cell].config;
+        let mut derived = None;
+        for &twin in &self.twins[cell] {
+            let mut slot = self.slots[twin].lock().expect("twin slot");
+            slot.waiting -= 1;
+            let fits = slot.published.as_ref().is_some_and(|(_, pending)| {
+                pending.differing(self.points[twin].config, config) == Some(0)
+            });
+            if fits && derived.is_none() {
+                derived = match slot.waiting {
+                    0 => slot.published.take(),
+                    _ => slot.published.clone(),
+                };
+            }
+            if slot.waiting == 0 {
+                slot.published = None;
+            }
+        }
+        let ((mut result, mut probes), _) = derived?;
+        result.config = config;
         if let Some(p) = &mut probes {
             p.result = result.clone();
         }
@@ -1040,36 +1105,36 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
 
 /// Simulates one cell from `source` — the same run as
 /// [`crate::harness::run_one`] / [`crate::harness::run_one_traced`] —
-/// with the `probes` attached; also returns load back's verdict on the
-/// run ([`arvi_sim::Machine::load_back_hoists`]).
+/// with the `probes` attached; also returns the run's tally of not-ready
+/// leaves ([`arvi_sim::Machine::pending_leaves`]).
 fn simulate_cell<S: InstSource>(
     name: &'static str,
     source: S,
     point: &SweepPoint,
     spec: Spec,
     probes: ProbeSet,
-) -> (Simulated, u64) {
+) -> (Simulated, PendingLeaves) {
     let params = SimParams::for_depth(point.depth);
     let (warmup, measure, config) = (spec.warmup, spec.measure, point.config);
     if probes == ProbeSet::Off {
-        let (result, NullProbe, hoists) =
-            simulate_source_verdict(name, source, params, config, warmup, measure, NullProbe);
-        return ((result, None), hoists);
+        let (result, NullProbe, pending) =
+            simulate_source_tallied(name, source, params, config, warmup, measure, NullProbe);
+        return ((result, None), pending);
     }
     let sites = (CounterProbe::new(), SiteProbe::new());
-    let (result, (counters, sites), tracer, hoists) = match probes {
+    let (result, (counters, sites), tracer, pending) = match probes {
         ProbeSet::Traced { window, pid } => {
             let mut tracer = ChromeTracer::new(window.0, window.1);
             tracer.pid = pid;
             let probe = (sites, tracer);
-            let (result, (sites, tracer), hoists) =
-                simulate_source_verdict(name, source, params, config, warmup, measure, probe);
-            (result, sites, Some(tracer), hoists)
+            let (result, (sites, tracer), pending) =
+                simulate_source_tallied(name, source, params, config, warmup, measure, probe);
+            (result, sites, Some(tracer), pending)
         }
         _ => {
-            let (result, sites, hoists) =
-                simulate_source_verdict(name, source, params, config, warmup, measure, sites);
-            (result, sites, None, hoists)
+            let (result, sites, pending) =
+                simulate_source_tallied(name, source, params, config, warmup, measure, sites);
+            (result, sites, None, pending)
         }
     };
     let probes = CellProbes {
@@ -1078,7 +1143,7 @@ fn simulate_cell<S: InstSource>(
         sites,
         tracer,
     };
-    ((result, Some(Box::new(probes))), hoists)
+    ((result, Some(Box::new(probes))), pending)
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1205,21 +1270,27 @@ pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
 /// End-of-grid timing report: the per-cell wall-clock times' sum (not
 /// the sweep's wall-clock: cells overlap on parallel workers),
 /// min/mean/max, the trace-recording phase (`record_elapsed`, from
-/// [`TraceSet::record_elapsed`]), the load-back cells derived from their
-/// twins, and a log2 duration histogram. Returns `None` when no cell ran
-/// in this process (e.g. a fully resumed grid).
+/// [`TraceSet::record_elapsed`]), the ARVI cells derived from their
+/// twins by configuration, and a log2 duration histogram. Returns `None`
+/// when no cell ran in this process (e.g. a fully resumed grid).
 pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Option<String> {
     let mut hist = arvi_obs::Log2Hist::new();
     let mut total = Duration::ZERO;
     let mut cells = 0usize;
     let mut resumed = 0usize;
-    let mut derived = 0usize;
+    let (mut load_back, mut perfect) = (0usize, 0usize);
     let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
     for o in outcomes {
         let Some(s) = o.success() else { continue };
-        if s.resumed || s.derived {
-            resumed += s.resumed as usize;
-            derived += s.derived as usize;
+        if s.derived {
+            match s.result.config {
+                PredictorConfig::ArviLoadBack => load_back += 1,
+                _ => perfect += 1,
+            }
+            continue;
+        }
+        if s.resumed {
+            resumed += 1;
             continue;
         }
         total += s.duration;
@@ -1240,9 +1311,10 @@ pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Opt
     if resumed > 0 {
         out.push_str(&format!(", {resumed} resumed not re-timed"));
     }
-    if derived > 0 {
+    if load_back + perfect > 0 {
         out.push_str(&format!(
-            ", {derived} load-back cells derived from their current-value twins"
+            ", {} ARVI cells derived from their twins ({load_back} load back, {perfect} perfect value)",
+            load_back + perfect
         ));
     }
     out.push_str(&format!(
@@ -1502,10 +1574,12 @@ mod tests {
                 probes: None,
             })
         };
-        let derived = CellOutcome::Ok(CellSuccess {
-            derived: true,
-            ..ok(false, 1).success().unwrap().clone()
-        });
+        let derived = |config| {
+            let mut s = ok(false, 1).success().unwrap().clone();
+            s.derived = true;
+            s.result.config = config;
+            CellOutcome::Ok(s)
+        };
         let record = Duration::from_millis(250);
         // Nothing ran in-process: resumed-only grids report no timing.
         assert_eq!(timing_summary(&[ok(true, 70)], record), None);
@@ -1514,7 +1588,10 @@ mod tests {
                 ok(false, 100),
                 ok(false, 300),
                 ok(true, 70), // resumed: excluded
-                derived,      // derived: excluded
+                // derived: excluded
+                derived(PredictorConfig::ArviLoadBack),
+                derived(PredictorConfig::ArviLoadBack),
+                derived(PredictorConfig::ArviPerfect),
                 CellOutcome::Panicked {
                     message: "boom".into(),
                 },
@@ -1529,7 +1606,8 @@ mod tests {
         assert!(summary.contains("record phase 0.25s"), "{summary}");
         assert!(summary.contains("1 resumed not re-timed"), "{summary}");
         assert!(
-            summary.contains("1 load-back cells derived from their current-value twins"),
+            summary
+                .contains("3 ARVI cells derived from their twins (2 load back, 1 perfect value)"),
             "{summary}"
         );
         assert!(

@@ -55,11 +55,11 @@ pub use branch_unit::{BranchDecision, BranchUnit, Level2};
 pub use cache::Cache;
 pub use hierarchy::Hierarchy;
 pub use machine::{Machine, MachineStats, PcProfile};
-pub use oracle::{LoadBackOracle, PerfectOracle, ReadyOracle, VerdictOracle};
+pub use oracle::{LoadBackOracle, PendingLeaves, PerfectOracle, ReadyOracle, Tallied};
 pub use params::{ArviTuning, CacheConfig, Depth, PredictorConfig, SimParams, TlbConfig};
 pub use rename::RenameState;
 pub use run::{
-    intern_name, simulate, simulate_source, simulate_source_probed, simulate_source_verdict,
+    intern_name, simulate, simulate_source, simulate_source_probed, simulate_source_tallied,
     SimResult,
 };
 pub use source::{InstSource, IterSource, RebasedSource};

@@ -24,6 +24,7 @@
 //! resolves, and a corrective level-2 override stalls fetch for the
 //! level-2 latency. Wrong-path pollution is not modeled.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use arvi_core::{CurrentValues, PhysReg, RenamedOp};
@@ -33,7 +34,7 @@ use arvi_stats::Accuracy;
 
 use crate::branch_unit::{BranchDecision, BranchUnit};
 use crate::hierarchy::Hierarchy;
-use crate::oracle::{LoadBackOracle, PerfectOracle, VerdictOracle};
+use crate::oracle::{LoadBackOracle, PendingLeaves, PerfectOracle, ReadyOracle, Tallied};
 use crate::params::{PredictorConfig, SimParams};
 use crate::rename::RenameState;
 use crate::source::InstSource;
@@ -313,8 +314,8 @@ pub struct Machine<S: InstSource = Emulator, P: Probe = NullProbe> {
     /// load is treated as available to ARVI if its gap-plus-hoist covers
     /// the fetch-to-writeback distance.
     lb_window: u64,
-    /// Load back's verdict on this run (see [`Machine::load_back_hoists`]).
-    load_back_hoists: u64,
+    /// The not-ready leaf queries of this run (see [`Machine::pending_leaves`]).
+    pending: PendingLeaves,
     stats: MachineStats,
     /// Hard commit ceiling: commit stops mid-cycle once this many total
     /// instructions have committed (`u64::MAX` = no cap). Lets sampled
@@ -408,7 +409,7 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
             fetch_line_shift: (params.l1i.line_bytes as u64).trailing_zeros(),
             trace_done: false,
             lb_window,
-            load_back_hoists: 0,
+            pending: PendingLeaves::default(),
             stats: MachineStats::default(),
             commit_cap: u64::MAX,
             profile: None,
@@ -431,15 +432,15 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
         &self.stats
     }
 
-    /// Load back's verdict on this run so far, warm-up included: how many
-    /// register-value queries of an ArviCurrent machine load back's hoist
-    /// rule would have answered and current value did not (always 0 for
-    /// the other configurations). At zero, an ArviLoadBack machine over
-    /// the same stream and parameters runs identically to this one (see
-    /// [`crate::oracle`]). Kept out of [`MachineStats`], so digests and
-    /// journals do not see it.
-    pub fn load_back_hoists(&self) -> u64 {
-        self.load_back_hoists
+    /// The not-ready leaf queries of this ARVI run so far, warm-up
+    /// included (zero for the gskew baseline). Where
+    /// [`PendingLeaves::differing`] gives 0 between this machine's
+    /// configuration and another ARVI one, a machine of that
+    /// configuration over the same stream and parameters runs
+    /// identically to this one (see [`crate::oracle`]). Kept out of
+    /// [`MachineStats`], so digests and journals do not see it.
+    pub fn pending_leaves(&self) -> PendingLeaves {
+        self.pending
     }
 
     /// Turns on per-static-branch profiling (diagnostics; small overhead).
@@ -940,31 +941,33 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
             let rename = &self.rename;
             let now = self.cycle;
             // Each configuration's oracle is a concrete ValueSource, so
-            // the whole predict path monomorphizes per arm.
+            // the whole predict path monomorphizes per arm; each ARVI
+            // oracle answers through the tally of this run.
+            let rule = LoadBackOracle {
+                rename,
+                now,
+                fetch_seq: seq,
+                lb_window: self.lb_window,
+            };
+            let pending = Cell::new(self.pending);
             let dec = match self.config {
                 PredictorConfig::TwoLevelGskew => {
                     self.bu.decide(pc, src_phys, &CurrentValues, actual)
                 }
                 PredictorConfig::ArviCurrent => {
-                    let oracle = VerdictOracle::new(rename, now, seq, self.lb_window);
-                    let dec = self.bu.decide(pc, src_phys, &oracle, actual);
-                    self.load_back_hoists += oracle.hoisted();
-                    dec
+                    let oracle = Tallied::new(ReadyOracle { rename, now }, rule, &pending);
+                    self.bu.decide(pc, src_phys, &oracle, actual)
                 }
                 PredictorConfig::ArviLoadBack => {
-                    let oracle = LoadBackOracle {
-                        rename,
-                        now,
-                        fetch_seq: seq,
-                        lb_window: self.lb_window,
-                    };
+                    let oracle = Tallied::new(rule, rule, &pending);
                     self.bu.decide(pc, src_phys, &oracle, actual)
                 }
                 PredictorConfig::ArviPerfect => {
-                    self.bu
-                        .decide(pc, src_phys, &PerfectOracle { rename }, actual)
+                    let oracle = Tallied::new(PerfectOracle { rename }, rule, &pending);
+                    self.bu.decide(pc, src_phys, &oracle, actual)
                 }
             };
+            self.pending = pending.get();
             if P::ENABLED {
                 if let Some(ap) = &dec.arvi {
                     self.probe.on_chain_read(
@@ -1257,17 +1260,19 @@ mod tests {
     }
 
     #[test]
-    fn load_back_verdict_says_when_current_value_is_load_back() {
+    fn tally_says_when_current_value_is_load_back() {
+        use PredictorConfig::*;
         let run = |hoisted: bool, config: PredictorConfig| {
             let mut m = machine_for(pending_load_loop(hoisted), config);
             m.run_until_committed(1_000_000);
             m
         };
-        // Far-hoisted load: load back's rule fires, the verdict reports
+        let differing = |m: &Machine, other| m.pending_leaves().differing(m.config, other);
+        // Far-hoisted load: load back's rule fires, the tally reports
         // it, and load back indeed sees values current value does not.
-        let current = run(true, PredictorConfig::ArviCurrent);
-        let load_back = run(true, PredictorConfig::ArviLoadBack);
-        assert!(current.load_back_hoists() > 0);
+        let current = run(true, ArviCurrent);
+        let load_back = run(true, ArviLoadBack);
+        assert!(differing(&current, ArviLoadBack) > Some(0));
         assert!(
             load_back.stats().load_class.total() < current.stats().load_class.total(),
             "load back {:?} vs current {:?}",
@@ -1275,16 +1280,22 @@ mod tests {
             current.stats().load_class
         );
         // Unhoistable load: still pending at every branch, but the rule
-        // never fires, and the two machines agree counter for counter.
-        let current = run(false, PredictorConfig::ArviCurrent);
-        let load_back = run(false, PredictorConfig::ArviLoadBack);
+        // never fires, and the two machines agree counter for counter,
+        // tally included. Perfect value would have answered those
+        // pending leaves, and both tallies say so.
+        let current = run(false, ArviCurrent);
+        let load_back = run(false, ArviLoadBack);
         assert!(current.stats().load_class.total() > 100);
-        assert_eq!(current.load_back_hoists(), 0);
+        assert_eq!(differing(&current, ArviLoadBack), Some(0));
         assert_eq!(current.stats(), load_back.stats());
+        assert_eq!(current.pending_leaves(), load_back.pending_leaves());
+        assert!(differing(&current, ArviPerfect) > Some(0));
+        assert!(differing(&load_back, ArviPerfect) > Some(0));
+        assert_eq!(differing(&load_back, TwoLevelGskew), None);
         assert_eq!(
-            load_back.load_back_hoists(),
-            0,
-            "only current value keeps it"
+            run(false, TwoLevelGskew).pending_leaves(),
+            PendingLeaves::default(),
+            "the baseline asks no oracle"
         );
     }
 

@@ -9,23 +9,26 @@
 //! straight into the prediction loop — the seed-era `&dyn Fn` closure
 //! paid a dynamic dispatch per leaf register of every predicted branch.
 //!
-//! The *current value* machine answers through [`VerdictOracle`], which
-//! keeps load back's verdict on the side. [`LoadBackOracle`] differs from
-//! [`ReadyOracle`] in one rule only: a pending load's value becomes
-//! available once its hoist covers the fetch-to-writeback window. So
-//! when that rule never fires on a current-value run, both oracles have
-//! given the same answer to every query that run asked. A machine's
-//! state after a prediction depends only on its state before and the
-//! oracle's answers, so a load-back machine over the same stream and
-//! parameters would have asked the same queries and run the same cycles,
-//! counter for counter. A zero verdict therefore makes the current-value
-//! result the load-back result, exactly; any non-zero verdict says
-//! nothing, and the load-back cell must be simulated.
+//! Every ARVI machine answers through [`Tallied`], a wrapper over its own
+//! oracle that sorts each not-ready leaf query by load back's hoist rule
+//! ([`PendingLeaves`]). The three oracles give the same value for a
+//! ready leaf; they differ only on a not-ready one, which perfect value
+//! always answers, load back answers when the hoist rule covers it, and
+//! current value never answers. So over the queries one run asked, the
+//! tally says how many each of the other two oracles would have answered
+//! differently ([`PendingLeaves::differing`]). A machine's state after a
+//! prediction depends only on its state before and the oracle's
+//! answers, so when that count is zero a machine under the other oracle,
+//! over the same stream and parameters, would have asked the same
+//! queries and run the same cycles, counter for counter: the result is
+//! the other configuration's result, exactly. A non-zero count says
+//! nothing, and the other configuration must be simulated.
 
 use std::cell::Cell;
 
 use arvi_core::{PhysReg, ValueSource};
 
+use crate::params::PredictorConfig;
 use crate::rename::RenameState;
 
 /// *ARVI current* over the machine's rename state: a register's
@@ -88,48 +91,6 @@ fn hoist_covers(rename: &RenameState, r: PhysReg, fetch_seq: u64, lb_window: u64
     is_load && (fetch_seq - pseq) + hoist as u64 >= lb_window
 }
 
-/// *ARVI current* with load back's verdict: answers every query as
-/// [`ReadyOracle`] does, and counts the not-ready registers whose
-/// producer meets [`LoadBackOracle`]'s hoist rule — the queries the two
-/// oracles would answer differently (see the module docs).
-#[derive(Debug)]
-pub struct VerdictOracle<'a> {
-    ready: ReadyOracle<'a>,
-    fetch_seq: u64,
-    lb_window: u64,
-    hoisted: Cell<u64>,
-}
-
-impl<'a> VerdictOracle<'a> {
-    /// The oracle for a branch fetched at `fetch_seq` in cycle `now`,
-    /// under load back's availability window `lb_window`.
-    pub fn new(rename: &'a RenameState, now: u64, fetch_seq: u64, lb_window: u64) -> Self {
-        VerdictOracle {
-            ready: ReadyOracle { rename, now },
-            fetch_seq,
-            lb_window,
-            hoisted: Cell::new(0),
-        }
-    }
-
-    /// How many queries so far load back would have answered and this
-    /// oracle did not.
-    pub fn hoisted(&self) -> u64 {
-        self.hoisted.get()
-    }
-}
-
-impl ValueSource for VerdictOracle<'_> {
-    #[inline]
-    fn value_of(&self, r: PhysReg, shadow: &arvi_core::ShadowRegFile) -> Option<u64> {
-        let value = self.ready.value_of(r, shadow);
-        if value.is_none() && hoist_covers(self.ready.rename, r, self.fetch_seq, self.lb_window) {
-            self.hoisted.set(self.hoisted.get() + 1);
-        }
-        value
-    }
-}
-
 /// *ARVI perfect*: every register value is available at prediction time.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfectOracle<'a> {
@@ -141,6 +102,81 @@ impl ValueSource for PerfectOracle<'_> {
     #[inline]
     fn value_of(&self, r: PhysReg, _shadow: &arvi_core::ShadowRegFile) -> Option<u64> {
         Some(self.rename.oracle_value(r))
+    }
+}
+
+/// The not-ready leaf queries of an ARVI run, split by load back's hoist
+/// rule: the only queries on which the three ARVI oracles can disagree
+/// (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PendingLeaves {
+    /// Not ready, and the hoist rule covers it: load back and perfect
+    /// value answer, current value does not.
+    pub hoisted: u64,
+    /// Not ready, and the hoist rule does not cover it: only perfect
+    /// value answers.
+    pub unhoisted: u64,
+}
+
+impl PendingLeaves {
+    /// How many of these queries `a`'s oracle and `b`'s oracle answer
+    /// differently; `None` unless both are ARVI configurations.
+    pub fn differing(self, a: PredictorConfig, b: PredictorConfig) -> Option<u64> {
+        if !(a.is_arvi() && b.is_arvi()) {
+            return None;
+        }
+        let answers = |config, hoisted| match config {
+            PredictorConfig::ArviPerfect => true,
+            PredictorConfig::ArviLoadBack => hoisted,
+            _ => false,
+        };
+        let mut n = 0;
+        if answers(a, true) != answers(b, true) {
+            n += self.hoisted;
+        }
+        if answers(a, false) != answers(b, false) {
+            n += self.unhoisted;
+        }
+        Some(n)
+    }
+}
+
+/// An ARVI machine's own oracle with the tally of its run: answers every
+/// query as that oracle does, and adds each not-ready leaf to the
+/// tally, sorted by load back's hoist rule.
+#[derive(Debug)]
+pub struct Tallied<'a, O> {
+    oracle: O,
+    rule: LoadBackOracle<'a>,
+    pending: &'a Cell<PendingLeaves>,
+}
+
+impl<'a, O> Tallied<'a, O> {
+    /// `oracle` tallied into `pending`; `rule` is load back's oracle for
+    /// the same query, whose readiness and hoist rule sort the leaf.
+    pub fn new(oracle: O, rule: LoadBackOracle<'a>, pending: &'a Cell<PendingLeaves>) -> Self {
+        Tallied {
+            oracle,
+            rule,
+            pending,
+        }
+    }
+}
+
+impl<O: ValueSource> ValueSource for Tallied<'_, O> {
+    #[inline]
+    fn value_of(&self, r: PhysReg, shadow: &arvi_core::ShadowRegFile) -> Option<u64> {
+        let rule = &self.rule;
+        if !rule.rename.is_ready(r, rule.now) {
+            let mut pending = self.pending.get();
+            if hoist_covers(rule.rename, r, rule.fetch_seq, rule.lb_window) {
+                pending.hoisted += 1;
+            } else {
+                pending.unhoisted += 1;
+            }
+            self.pending.set(pending);
+        }
+        self.oracle.value_of(r, shadow)
     }
 }
 
@@ -187,34 +223,85 @@ mod tests {
         assert_eq!(CurrentValues.value_of(p0, &shadow), None);
     }
 
-    /// The verdict counts exactly the queries load back answers and
-    /// current value does not.
+    /// Each wrapped ARVI oracle tallies the same leaves, and the tally
+    /// gives, for every pair of oracles, exactly the number of queries
+    /// the two answer differently.
     #[test]
-    fn verdict_counts_the_hoisted_loads() {
+    fn each_oracle_counts_the_queries_the_other_two_answer_differently() {
+        use PredictorConfig::*;
+        let reg = arvi_isa::Reg::new;
         let mut rename = RenameState::new(64);
-        // A load far enough hoisted to cover an 80-instruction window
-        // from seq 10, and a plain ALU result: both still pending.
-        let (load, _) = rename.allocate(arvi_isa::Reg::new(5), 0, 42, true, 300);
-        let (alu, _) = rename.allocate(arvi_isa::Reg::new(6), 1, 7, false, 0);
-        let shadow = dummy_shadow();
-        let verdict = VerdictOracle::new(&rename, 0, 10, 80);
-        let load_back = LoadBackOracle {
+        // For a branch fetched at seq 10 in cycle 3 under an
+        // 80-instruction window: a written-back result, a load hoisted
+        // far enough to cover the window, a load that is not, and an
+        // ALU result, the last three still pending.
+        let (ready, _) = rename.allocate(reg(4), 0, 1, false, 0);
+        rename.set_ready(ready, 2);
+        let (hoisted, _) = rename.allocate(reg(5), 1, 42, true, 300);
+        let (unhoisted, _) = rename.allocate(reg(6), 2, 7, true, 0);
+        let (alu, _) = rename.allocate(reg(7), 3, 9, false, 0);
+        let rule = LoadBackOracle {
             rename: &rename,
-            now: 0,
+            now: 3,
             fetch_seq: 10,
             lb_window: 80,
         };
-        assert_eq!(verdict.value_of(alu, &shadow), None);
-        assert_eq!(load_back.value_of(alu, &shadow), None);
-        assert_eq!(verdict.hoisted(), 0);
-        assert_eq!(verdict.value_of(load, &shadow), None);
-        assert_eq!(load_back.value_of(load, &shadow), Some(42));
-        assert_eq!(verdict.hoisted(), 1);
-        // Once written back, every oracle answers and nothing is counted.
-        rename.set_ready(load, 2);
-        let verdict = VerdictOracle::new(&rename, 3, 10, 80);
-        assert_eq!(verdict.value_of(load, &shadow), Some(42));
-        assert_eq!(verdict.hoisted(), 0);
+        fn ask<O: ValueSource>(
+            oracle: O,
+            rule: LoadBackOracle<'_>,
+            leaves: &[PhysReg],
+        ) -> (Vec<Option<u64>>, PendingLeaves) {
+            let pending = Cell::new(PendingLeaves::default());
+            let tallied = Tallied::new(oracle, rule, &pending);
+            let shadow = dummy_shadow();
+            let answers = leaves.iter().map(|&r| tallied.value_of(r, &shadow));
+            (answers.collect(), pending.get())
+        }
+        let leaves = [ready, hoisted, unhoisted, alu];
+        let runs = [
+            (
+                ArviCurrent,
+                ask(
+                    ReadyOracle {
+                        rename: &rename,
+                        now: 3,
+                    },
+                    rule,
+                    &leaves,
+                ),
+            ),
+            (ArviLoadBack, ask(rule, rule, &leaves)),
+            (
+                ArviPerfect,
+                ask(PerfectOracle { rename: &rename }, rule, &leaves),
+            ),
+        ];
+        assert_eq!(runs[0].1 .0, [Some(1), None, None, None]);
+        assert_eq!(runs[1].1 .0, [Some(1), Some(42), None, None]);
+        assert_eq!(runs[2].1 .0, [Some(1), Some(42), Some(7), Some(9)]);
+        for (a, (answers_a, pending)) in &runs {
+            assert_eq!(
+                *pending,
+                PendingLeaves {
+                    hoisted: 1,
+                    unhoisted: 2
+                },
+                "{a:?}"
+            );
+            for (b, (answers_b, _)) in &runs {
+                let differing = answers_a.iter().zip(answers_b).filter(|(x, y)| x != y);
+                assert_eq!(
+                    pending.differing(*a, *b),
+                    Some(differing.count() as u64),
+                    "{a:?} vs {b:?}"
+                );
+            }
+            assert_eq!(pending.differing(*a, TwoLevelGskew), None);
+        }
+        let pending = runs[0].1 .1;
+        assert_eq!(pending.differing(ArviCurrent, ArviPerfect), Some(3));
+        assert_eq!(pending.differing(ArviCurrent, ArviLoadBack), Some(1));
+        assert_eq!(pending.differing(ArviPerfect, ArviLoadBack), Some(2));
     }
 
     fn dummy_shadow() -> arvi_core::ShadowRegFile {

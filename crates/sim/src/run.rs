@@ -3,6 +3,7 @@
 use arvi_isa::{Emulator, Program};
 
 use crate::machine::{Machine, MachineStats};
+use crate::oracle::PendingLeaves;
 use crate::params::{PredictorConfig, SimParams};
 use crate::source::InstSource;
 
@@ -140,20 +141,21 @@ pub fn simulate_source_probed<S: InstSource, P: arvi_obs::Probe>(
     probe: P,
 ) -> (SimResult, P) {
     let (result, probe, _) =
-        simulate_source_verdict(name, source, params, config, warmup, measure, probe);
+        simulate_source_tallied(name, source, params, config, warmup, measure, probe);
     (result, probe)
 }
 
-/// [`simulate_source_probed`] that also returns load back's verdict over
-/// the whole run ([`Machine::load_back_hoists`]): for an
-/// [`PredictorConfig::ArviCurrent`] run, `0` means the result relabelled
-/// [`PredictorConfig::ArviLoadBack`] is the load-back run's result, and
-/// the probe is what that run's probe would hold.
+/// [`simulate_source_probed`] that also returns the run's tally of
+/// not-ready leaf queries, warm-up included
+/// ([`Machine::pending_leaves`]): for an ARVI `config`, where
+/// [`PendingLeaves::differing`] gives 0 against another ARVI
+/// configuration, the result relabelled with that configuration is its
+/// run's result, and the probe is what that run's probe would hold.
 ///
 /// # Panics
 ///
 /// Panics if the stream ends before the warmup completes.
-pub fn simulate_source_verdict<S: InstSource, P: arvi_obs::Probe>(
+pub fn simulate_source_tallied<S: InstSource, P: arvi_obs::Probe>(
     name: &'static str,
     source: S,
     params: SimParams,
@@ -161,7 +163,7 @@ pub fn simulate_source_verdict<S: InstSource, P: arvi_obs::Probe>(
     warmup: u64,
     measure: u64,
     probe: P,
-) -> (SimResult, P, u64) {
+) -> (SimResult, P, PendingLeaves) {
     let depth_stages = params.depth.stages();
     let mut machine = Machine::with_probe(source, params, config, probe);
     let committed = machine.run_until_committed(warmup);
@@ -172,7 +174,7 @@ pub fn simulate_source_verdict<S: InstSource, P: arvi_obs::Probe>(
     let start = machine.stats().clone();
     machine.run_until_committed(warmup + measure);
     let window = machine.stats().since(&start);
-    let hoists = machine.load_back_hoists();
+    let pending = machine.pending_leaves();
     (
         SimResult {
             name,
@@ -181,7 +183,7 @@ pub fn simulate_source_verdict<S: InstSource, P: arvi_obs::Probe>(
             window,
         },
         machine.into_probe(),
-        hoists,
+        pending,
     )
 }
 

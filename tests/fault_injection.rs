@@ -23,6 +23,8 @@
 //! 7. A panic aimed at a load-back cell that would take its result from
 //!    its current-value twin fails only that cell, and a resume, whose
 //!    twin comes from the journal, simulates it to the same numbers.
+//! 8. A load-back cell that would take its perfect-value twin's result
+//!    is simulated, to the same numbers, when that twin panics.
 
 use std::sync::OnceLock;
 
@@ -581,4 +583,60 @@ fn panic_in_a_derivable_load_back_cell_fails_it_alone_and_resumes() {
         assert_bit_identical(a, b, &point.to_string());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// 8. A panicked perfect-value twin leaves its load-back cell simulated.
+// ---------------------------------------------------------------------
+
+#[test]
+fn panicked_perfect_twin_makes_its_load_back_cell_simulate() {
+    let spec = tiny_spec();
+    let workload = Workload::curated_scenarios()
+        .into_iter()
+        .find(|w| w.name() == "datadep-pressure")
+        .expect("curated");
+    let points: Vec<SweepPoint> = [
+        PredictorConfig::ArviCurrent,
+        PredictorConfig::ArviPerfect,
+        PredictorConfig::ArviLoadBack,
+    ]
+    .into_iter()
+    .map(|config| SweepPoint {
+        workload: workload.clone(),
+        depth: Depth::D20,
+        config,
+    })
+    .collect();
+    let clean = run_live(&points, spec);
+    // Current value met pending leaves load back would have answered,
+    // so only the perfect-value twin can serve the load-back cell.
+    assert_ne!(
+        format!("{:?}", clean[0].window),
+        format!("{:?}", clean[2].window)
+    );
+    let traces = record(&points, spec);
+    let undisturbed = run(&points, spec, &traces, &Resilience::new());
+    let derived = undisturbed.outcomes[2].success().expect("clean run");
+    assert!(
+        derived.derived,
+        "the load-back cell takes perfect value's result"
+    );
+    assert_bit_identical(&derived.result, &clean[2], &points[2].to_string());
+
+    let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+    let faulted = run(&points, spec, &traces, &res);
+    assert!(matches!(
+        &faulted.outcomes[1],
+        CellOutcome::Panicked { message } if message.contains("injected fault")
+    ));
+    let load_back = faulted.outcomes[2]
+        .success()
+        .expect("the load-back cell runs");
+    assert!(!load_back.derived, "a failed twin publishes nothing");
+    assert_bit_identical(&load_back.result, &clean[2], &points[2].to_string());
+    let current = faulted.outcomes[0]
+        .success()
+        .expect("the current-value twin runs");
+    assert_bit_identical(&current.result, &clean[0], &points[0].to_string());
 }

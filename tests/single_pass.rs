@@ -139,7 +139,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
     for threads in [1, 4] {
         let main_pass = run(&points, spec, threads, &traces, &probed());
         if threads == 1 {
-            // One worker runs every twin before its load-back cell, so
+            // One worker runs every twin before the cells it serves, so
             // the direct-probe pin above covers load-back cells both
             // derived from their twins and simulated.
             let load_back = |derived: bool| {

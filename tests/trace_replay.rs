@@ -7,12 +7,17 @@
 //! 3. Replaying a recording through the timing simulator is
 //!    **bit-identical** to live emulation ([`arvi_bench::run_one`]) for
 //!    every benchmark x depth x configuration cell of the paper grid.
+//! 4. A perfect-value or load-back cell taken from an ARVI twin equals
+//!    live emulation too, on scenarios where each edge fires: perfect
+//!    value from current value, load back from perfect value.
 
 use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
-use arvi::sim::{MachineStats, PredictorConfig};
+use arvi::sim::{Depth, MachineStats, PredictorConfig};
 use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
 use arvi::workloads::Benchmark;
-use arvi_bench::{distinct_workloads, full_grid, run_one, GridRun, Resilience, Spec, TraceSet};
+use arvi_bench::{
+    distinct_workloads, full_grid, grid, run_one, GridRun, Resilience, Spec, TraceSet, Workload,
+};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -199,7 +204,7 @@ fn replay_is_bit_identical_across_the_full_grid() {
         None,
     );
     // Both ways to a load-back result are pinned against `run_one`:
-    // taken from the current-value twin and simulated.
+    // taken from an ARVI twin and simulated.
     let load_back = |derived: bool| {
         points
             .iter()
@@ -218,4 +223,66 @@ fn replay_is_bit_identical_across_the_full_grid() {
         assert_eq!(l.name, t.name);
         assert_identical(&l.window, &t.window, &p.to_string());
     }
+}
+
+/// The other two edges between the ARVI configurations: a perfect-value
+/// cell takes its current-value twin's result when that run never met a
+/// not-ready leaf (the curated periodic scenario), and a load-back cell
+/// takes its perfect-value twin's when every not-ready leaf of that run
+/// met the hoist rule while current value's did not (a dependence
+/// chain). Each derived cell is pinned against [`run_one`].
+#[test]
+fn twins_serve_perfect_value_and_load_back_bit_identically() {
+    let spec = Spec {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 42,
+    };
+    let workloads: Vec<Workload> = Workload::curated_scenarios()
+        .into_iter()
+        .filter(|w| w.name().starts_with("periodic") || w.name().starts_with("datadep"))
+        .collect();
+    let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let run = GridRun::run(
+        points.clone(),
+        spec,
+        1,
+        false,
+        &traces,
+        &Resilience::new(),
+        None,
+    );
+    let results = run.results(|_| true).expect("every cell ran");
+    let twin = |i: usize, config| {
+        let p = &points[i];
+        points
+            .iter()
+            .position(|q| q.workload == p.workload && q.depth == p.depth && q.config == config)
+            .expect("the grid holds every config")
+    };
+    let (mut perfect, mut load_back) = (0, 0);
+    for (i, (p, o)) in points.iter().zip(&run.outcomes).enumerate() {
+        if !o.success().expect("every cell ran").derived {
+            continue;
+        }
+        assert_identical(
+            &run_one(&p.workload, p.depth, p.config, spec).window,
+            &results[i].window,
+            &p.to_string(),
+        );
+        let current = &results[twin(i, PredictorConfig::ArviCurrent)].window;
+        match p.config {
+            PredictorConfig::ArviPerfect => perfect += 1,
+            // Current value's run differs, so the result came from the
+            // perfect-value twin.
+            PredictorConfig::ArviLoadBack if current != &results[i].window => load_back += 1,
+            _ => {}
+        }
+    }
+    assert!(perfect >= 1, "no perfect-value cell was derived");
+    assert!(
+        load_back >= 1,
+        "no load-back cell was derived from perfect value"
+    );
 }
