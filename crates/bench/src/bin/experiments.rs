@@ -6,8 +6,7 @@
 //!                     [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!                     [--journal FILE] [--resume] [--fault-plan FILE]
 //!                     [--events-out FILE] [--metrics-out FILE]
-//!                     [--probe counters,sites,trace] [--obs-out FILE]
-//!                     [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
+//!                     [--obs-grid FILE [--trace-cycles START:END]]
 //!                     [--list-scenarios] [--list-benchmarks]`
 //!
 //! A positional argument or an unknown flag exits 2 before any work,
@@ -20,9 +19,11 @@
 //! incomplete only the figures that contain it.
 //!
 //! `--obs-grid FILE` attaches the counter and site probes to every cell
-//! of that sweep as it runs and writes the merged
-//! per-`(workload, config)` rollup — the input for `obs_report`'s
-//! attribution diff. `--events-out` / `--metrics-out` stream structured
+//! of that sweep as it runs and writes the rollup, one group per cell —
+//! the input for `obs_report`'s attribution diff (per workload and
+//! depth) and its `--cell` view of the 20-stage ARVI current-value
+//! cells, which `--trace-cycles START:END` also traces into
+//! `<FILE minus extension>.trace.json`. `--events-out` / `--metrics-out` stream structured
 //! sweep events (JSONL) and a Prometheus-style metrics snapshot, in
 //! every mode.
 //!
@@ -44,8 +45,8 @@
 //! 95%-confidence-interval tables) — see the `fig5` docs.
 
 use arvi_bench::{
-    fig5_cell, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, paper_tables,
-    run_flags_from_args, workloads_from_args, GridRun, Spec, SweepIncomplete, TraceSet,
+    fig5_cell, grid, handle_list_flags, maybe_obs_grid, paper_tables, run_flags_from_args,
+    workloads_from_args, GridRun, Spec, SweepIncomplete, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -151,10 +152,7 @@ fn main() {
         println!("{depth:<10} {cur:<8.3} {lb:<10.3} {perf:<8.3}");
     }
 
-    // The anchor report: the evaluation's 20-stage ARVI current-value
-    // cells, probed in-pass (`--probe`, `--trace-cycles`).
-    maybe_obs_pass(flags.obs.as_ref(), &run);
-    // The full evaluation grid, probed in-pass and merged (`--obs-grid`).
+    // The full evaluation grid, probed in-pass (`--obs-grid`).
     maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
 
     if !incomplete.is_empty() {

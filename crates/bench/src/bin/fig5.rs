@@ -7,8 +7,7 @@
 //!              [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!              [--journal FILE] [--resume] [--fault-plan FILE]
 //!              [--events-out FILE] [--metrics-out FILE]
-//!              [--probe counters,sites,trace] [--obs-out FILE]
-//!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
+//!              [--obs-grid FILE [--trace-cycles START:END]]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
 //! A positional argument or an unknown flag exits 2 before any work,
@@ -16,9 +15,13 @@
 //!
 //! `--obs-grid FILE` attaches the counter and site probes to every cell
 //! of the figure's grid (workloads × all pipeline depths, ARVI current
-//! value) as the sweep runs — on the fault-isolated runner, so each cell
-//! is simulated once — and writes the merged per-`(workload, config)`
-//! rollup.
+//! value) as the sweep runs, so each cell is simulated once, and writes
+//! the rollup: one group per cell plus the grid-wide merge.
+//! `obs_report --grid FILE --cell WORKLOAD` prints a workload's
+//! Figure 5(b) cell (20-stage, ARVI current value) from it. With
+//! `--trace-cycles START:END` those anchor cells also carry a Chrome
+//! tracer over the cycle window, written to
+//! `<FILE minus extension>.trace.json`.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -39,8 +42,8 @@
 //! units).
 
 use arvi_bench::{
-    grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass, run_flags_from_args,
-    workloads_from_args, GridRun, Spec, TraceSet,
+    grid, handle_list_flags, maybe_obs_grid, run_flags_from_args, workloads_from_args, GridRun,
+    Spec, TraceSet,
 };
 use arvi_sim::{Depth, PredictorConfig};
 
@@ -86,9 +89,6 @@ fn main() {
         "== Figure 5(b): prediction accuracy, calculated vs load branches (20-stage, ARVI current value) ==\n{}",
         fig5b.to_text()
     );
-    // The anchor report: Figure 5(b)'s cells (20-stage, ARVI current
-    // value), probed in-pass (`--probe`, `--trace-cycles`).
-    maybe_obs_pass(flags.obs.as_ref(), &run);
-    // The figure's depth sweep, probed in-pass and merged (`--obs-grid`).
+    // The figure's depth sweep, probed in-pass (`--obs-grid`).
     maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
 }

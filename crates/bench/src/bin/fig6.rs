@@ -6,8 +6,7 @@
 //!              [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
 //!              [--journal FILE] [--resume] [--fault-plan FILE]
 //!              [--events-out FILE] [--metrics-out FILE]
-//!              [--probe counters,sites,trace] [--obs-out FILE]
-//!              [--obs-grid FILE] [--trace-cycles START:END] [--top-sites N]
+//!              [--obs-grid FILE [--trace-cycles START:END]]
 //!              [--list-scenarios] [--list-benchmarks]`
 //!
 //! A depth other than `20` (the default), `40` or `60`, or an unknown
@@ -15,10 +14,12 @@
 //!
 //! `--obs-grid FILE` attaches the counter and site probes to every cell
 //! of the figure's grid (workloads × all four configurations at the
-//! chosen depth) as the sweep runs — on the fault-isolated runner, so
-//! each cell is simulated once — and writes the merged
-//! per-`(workload, config)` rollup, the input for `obs_report`'s
-//! ARVI-vs-baseline attribution diff. Under `--sample` each cell's
+//! chosen depth) as the sweep runs, so each cell is simulated once, and
+//! writes the rollup (one group per cell), the input for `obs_report`'s
+//! ARVI-vs-baseline attribution diff and its `--cell` view of the
+//! headline ARVI current-value cells. `--trace-cycles START:END` traces
+//! those cells over the cycle window into
+//! `<FILE minus extension>.trace.json`. Under `--sample` each cell's
 //! full-window probes come from one extra whole-cell item in the same
 //! pass, so the rollup equals the unsampled one.
 //!
@@ -36,8 +37,8 @@
 //! per-cell 95%-confidence-interval table) — see the `fig5` docs.
 
 use arvi_bench::{
-    fig6_flags_from_args, grid, handle_list_flags, maybe_obs_grid, maybe_obs_pass,
-    workloads_from_args, GridRun, Spec, TraceSet,
+    fig6_flags_from_args, grid, handle_list_flags, maybe_obs_grid, workloads_from_args, GridRun,
+    Spec, TraceSet,
 };
 use arvi_sim::PredictorConfig;
 
@@ -93,9 +94,6 @@ fn main() {
         "          ARVI perfect value mean normalized IPC = {:.3} (paper: 1.251 at 20 stages)",
         data.mean_normalized_ipc(PredictorConfig::ArviPerfect)
     );
-    // The anchor report: the headline cells at the chosen depth, probed
-    // in-pass (`--probe`, `--trace-cycles`).
-    maybe_obs_pass(flags.obs.as_ref(), &run);
-    // The figure's full grid, probed in-pass and merged (`--obs-grid`).
+    // The figure's full grid, probed in-pass (`--obs-grid`).
     maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
 }

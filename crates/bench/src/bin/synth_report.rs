@@ -19,19 +19,21 @@
 //!
 //! Usage: `synth_report [--quick] [--threads N] [--trace-dir DIR] [--out PATH]
 //!                      [--scenario NAME_OR_SPEC]... [--scenario-file FILE]
-//!                      [--probe counters,sites,trace] [--obs-out FILE]
-//!                      [--trace-cycles START:END] [--top-sites N]
+//!                      [--obs-grid FILE [--trace-cycles START:END]]
 //!                      [--list-scenarios] [--list-benchmarks]`
 //!
 //! An unknown flag, a positional argument, or `--out` without a path
 //! exits 2 before any work, writing no file; an `--out` that cannot be
-//! written exits 1 naming the path. The probe flags put the probes on
-//! the grid's 20-stage ARVI current-value cells as they run.
+//! written exits 1 naming the path. `--obs-grid FILE` puts the counter
+//! and site probes on every machine cell as it runs and writes the
+//! rollup (one group per cell) to `FILE`; `--trace-cycles START:END`
+//! also traces the ARVI current-value cells into
+//! `<FILE minus extension>.trace.json`.
 
 use std::sync::Arc;
 
 use arvi_bench::{
-    check_flags, flag_value, grid, handle_list_flags, maybe_obs_pass, obs_from_args,
+    check_flags, flag_value, grid, handle_list_flags, maybe_obs_grid, obs_from_args,
     scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, GridRun,
     Json, Resilience, Spec, TraceSet, Workload,
 };
@@ -164,10 +166,8 @@ const FLAGS: &[(&str, bool)] = &[
     ("--out", true),
     ("--scenario", true),
     ("--scenario-file", true),
-    ("--probe", true),
-    ("--obs-out", true),
+    ("--obs-grid", true),
     ("--trace-cycles", true),
-    ("--top-sites", true),
     ("--list-scenarios", false),
     ("--list-benchmarks", false),
 ];
@@ -362,7 +362,6 @@ fn main() {
         eprintln!("synth_report: wrote {out_path}");
     }
 
-    // The anchor report: the characterization's 20-stage ARVI
-    // current-value cells, probed in-pass.
-    maybe_obs_pass(obs.as_ref(), &run);
+    // The characterization's machine cells, probed in-pass (`--obs-grid`).
+    maybe_obs_grid(obs.as_ref(), run, spec, None);
 }

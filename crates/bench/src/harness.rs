@@ -258,9 +258,8 @@ impl Fig6Data {
 
 /// One sweep's per-cell outcomes over a grid, in grid order — the
 /// single simulation an experiment binary runs, from which it assembles
-/// every figure ([`GridRun::fig5_tables`], [`GridRun::fig6_data`]), the
-/// anchor report ([`crate::obs::ObsReport::from_run`]) and the
-/// `--obs-grid` rollup.
+/// every figure ([`GridRun::fig5_tables`], [`GridRun::fig6_data`]) and
+/// the `--obs-grid` rollup.
 #[derive(Debug)]
 pub struct GridRun {
     /// The grid, in sweep order.

@@ -22,7 +22,8 @@
 //! * `bench_history` — trends the checked-in `BENCH_PR<N>.json` reports
 //!   across PRs.
 //! * `obs_report` — per-workload differential site attribution over an
-//!   `--obs-grid` rollup.
+//!   `--obs-grid` rollup, or one workload's anchor-cell counters and
+//!   site table (`--cell`).
 //!
 //! Experiment grids run on one executor, entered only through
 //! [`GridRun::run`] (on the workspace's one worker loop,
@@ -50,15 +51,13 @@
 //! `--scenario NAME_OR_SPEC` / `--scenario-file FILE` and enumerate
 //! the registries with `--list-scenarios` / `--list-benchmarks`.
 //!
-//! The experiment binaries also accept the observability flags
-//! (`--probe counters,sites,trace`, `--obs-out FILE`,
-//! `--trace-cycles START:END`, `--top-sites N`): when present, the
-//! grid's anchor cells carry the probes through the one pass, and the
-//! binary emits their counter histograms, per-branch-site attribution
-//! and/or Chrome trace after the tables — see [`obs`]. `--obs-grid
-//! FILE` probes every cell of the same pass and writes the merged
-//! rollup — see [`obs_grid`]. All of these flags are validated up
-//! front ([`run_flags_from_args`]), and an unknown flag or a stray
+//! The experiment binaries also accept the observability flags:
+//! `--obs-grid FILE` puts the counter and site probes on every cell of
+//! the one pass and writes the rollup, one group per cell, and
+//! `--trace-cycles START:END` (which needs `--obs-grid`) adds a Chrome
+//! trace of the grid's anchor cells beside it — see [`obs_grid`];
+//! `obs_report` reads the rollup back. All of these flags are validated
+//! up front ([`run_flags_from_args`]), and an unknown flag or a stray
 //! positional argument is rejected.
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
@@ -71,7 +70,6 @@ pub mod branch_stream;
 pub mod events;
 pub mod harness;
 pub mod history;
-pub mod obs;
 pub mod obs_grid;
 pub mod report;
 pub mod resilience;
@@ -83,11 +81,10 @@ pub use branch_stream::{conditional_branches, fnv_bits, run_delayed, StreamRun};
 pub use events::{EventLog, SweepTelemetry};
 pub use harness::{fig5_cell, paper_tables, run_one, run_one_traced, Fig6Data, GridRun, Spec};
 pub use history::{bench_history, load_bench_history, BenchFile, HistoryReport, MetricTrend};
-pub use obs::{anchor, maybe_obs_pass, obs_from_args, ObsConfig, ObsReport};
 pub use obs_grid::{
-    attribution_diff, counters_from_json, counters_to_json, maybe_obs_grid, obs_grid_json,
-    sites_from_json, sites_to_json, Attribution, CellProbes, ObsGrid, ObsGroup, SiteDelta,
-    WorkloadAttribution,
+    anchor, attribution_diff, cell_view, counters_from_json, counters_to_json, maybe_obs_grid,
+    obs_from_args, obs_grid_json, sites_from_json, sites_to_json, Attribution, CellProbes,
+    ObsConfig, ObsGrid, ObsGroup, SiteDelta, WorkloadAttribution,
 };
 pub use report::{read_json, write_report, write_text, Json};
 pub use resilience::{
@@ -122,11 +119,8 @@ pub(crate) const RUN_FLAGS: &[(&str, bool)] = &[
     ("--fault-plan", true),
     ("--events-out", true),
     ("--metrics-out", true),
-    ("--probe", true),
-    ("--obs-out", true),
     ("--obs-grid", true),
     ("--trace-cycles", true),
-    ("--top-sites", true),
     ("--list-scenarios", false),
     ("--list-benchmarks", false),
 ];
@@ -272,8 +266,8 @@ pub struct RunFlags {
     /// Where recordings persist ([`trace_dir_from_args`]).
     pub trace_dir: Option<std::path::PathBuf>,
     /// Fault tolerance and telemetry ([`resilience_from_args`]), with
-    /// [`Resilience::probes`] holding `obs`, so the anchor report and
-    /// the `--obs-grid` rollup ride the one pass.
+    /// [`Resilience::probes`] holding `obs`, so the `--obs-grid` probes
+    /// ride the one pass.
     pub res: Resilience,
     /// The `--sample` plan ([`sample_plan_from_args`]).
     pub plan: Option<SamplePlan>,
@@ -537,10 +531,13 @@ mod tests {
         // Malformed observability, sampling or resilience flags are
         // all rejected before the binaries do any work.
         for bad in [
-            vec!["--quick", "--probe", "bogus"],
-            vec!["--trace-cycles", "10"],
-            vec!["--obs-out", "o.json"],
-            vec!["--probe", "counters", "--top-sites", "many"],
+            vec!["--quick", "--probe", "counters"],
+            vec!["--obs-grid", "g.json", "--obs-out", "o.json"],
+            vec!["--obs-grid", "g.json", "--top-sites", "5"],
+            vec!["--trace-cycles", "0:10"],
+            vec!["--trace-cycles", "10", "--obs-grid", "g.json"],
+            vec!["--trace-cycles", "5:5", "--obs-grid", "g.json"],
+            vec!["--trace-cycles", "a:10", "--obs-grid", "g.json"],
             vec!["--obs-grid"],
             vec!["--sample", "nope"],
             vec!["--quick", "--threads", "bogus"],
@@ -560,6 +557,11 @@ mod tests {
         assert!(run_flags_from_args(&args(&["--quick", "--treads", "2"]))
             .unwrap_err()
             .contains("--treads"));
+        // The retired anchor-report flags are unknown flags now.
+        for retired in ["--probe", "--obs-out", "--top-sites"] {
+            let err = run_flags_from_args(&args(&["--obs-grid", "g.json", retired, "x"]));
+            assert!(err.unwrap_err().contains(retired), "{retired}");
+        }
         // A value-taking flag followed by another flag names itself, not
         // the argument after the other flag.
         let table = &[("--report", true), ("--baseline", true)][..];
@@ -610,7 +612,10 @@ mod tests {
         assert!(flags.trace_dir.is_none());
         // The policy carries the parsed observability config; without
         // one it stays probe-free.
-        for obs in [&["--obs-grid", "g.json"][..], &["--probe", "counters"]] {
+        for obs in [
+            &["--obs-grid", "g.json"][..],
+            &["--obs-grid", "g.json", "--trace-cycles", "0:10"],
+        ] {
             let flags = run_flags_from_args(&args(obs)).unwrap();
             assert!(flags.obs.is_some());
             assert_eq!(flags.res.probes, flags.obs);

@@ -1,56 +1,127 @@
-//! Grid-scale telemetry: probe every cell of a sweep and merge.
+//! Observability: probe every cell of a sweep and fold the probes into
+//! one rollup, the only surface for counters and site tables.
 //!
-//! The anchor report ([`crate::obs`]) observes one `(depth, config)`
-//! point per workload. This module promotes the probe seam to the whole
-//! grid. The probes ride the one pass: under `--obs-grid`
-//! ([`crate::Resilience::probes`] with [`ObsConfig::grid`] set) the grid
-//! executor attaches the counter+site probes to every cell (and
+//! The figure sweeps run unprobed (the [`NullProbe`] machine —
+//! bit-identical and perf-guarded) unless `--obs-grid FILE` is given
+//! ([`obs_from_args`], carried as [`crate::Resilience::probes`]). Then
+//! the grid executor attaches the counter+site probes to every cell (and
 //! journals them on the cell's sweep-journal line), so each
 //! `(workload, depth, config)` cell is simulated once per invocation. A
 //! sampled cell carries them from one extra whole-cell probed item
 //! ([`crate::sampling`]), so a sampled run's rollup is the unsampled
-//! one. [`ObsGrid::from_outcomes`] then folds the probed outcomes of a
-//! [`GridRun`] per `(workload, config)` group and grid-wide, in point
-//! order, into one `obs_grid.json` rollup ([`obs_grid_json`]).
+//! one. With `--trace-cycles START:END`, the grid's [`anchor`] cells
+//! also carry a [`ChromeTracer`] over the window, written beside the
+//! rollup. [`ObsGrid::from_outcomes`] then folds the probed outcomes of
+//! a [`GridRun`] into one `obs_grid.json` rollup ([`obs_grid_json`]):
+//! one group per cell, in point order, plus the grid-wide merge.
 //!
-//! Merged and journaled probes need full-fidelity serialization (the
-//! lossy `CounterProbe::to_json` folds idle cycles into its issue buckets
-//! and cannot be inverted): [`counters_to_json`]/[`counters_from_json`] and
+//! Journaled and rolled-up probes need full-fidelity serialization:
+//! [`counters_to_json`]/[`counters_from_json`] and
 //! [`sites_to_json`]/[`sites_from_json`] round-trip exactly, which is
 //! what makes a resumed grid byte-identical to an uninterrupted one.
-//! Site tables render sorted by PC and groups merge in point order, so
+//! Site tables render sorted by PC and cells fold in point order, so
 //! the rollup is also byte-identical across worker counts.
 //!
-//! [`attribution_diff`] is the differential pass over the merged site
-//! tables: per workload, the branch PCs the ARVI configuration *fixes*
-//! and *breaks* versus the best baseline config — the falsifiable
-//! "where does ARVI win" table, consumed by the `obs_report` binary.
+//! Two readers filter the rollup, both consumed by the `obs_report`
+//! binary: [`cell_view`] rebuilds one workload's anchor cell (ARVI
+//! current value at the rollup's shallowest depth) as counter markdown
+//! and a top-N site table, and [`attribution_diff`] diffs the site
+//! tables per `(workload, depth)`: the branch PCs the ARVI configuration
+//! *fixes* and *breaks* versus the best baseline config — the
+//! falsifiable "where does ARVI win" table.
+//!
+//! [`NullProbe`]: arvi_obs::NullProbe
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
 use arvi_obs::{ChromeTracer, CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::{PredictorConfig, SimResult};
+use arvi_sim::{Depth, PredictorConfig};
 
 use crate::events::SweepTelemetry;
 use crate::harness::{GridRun, Spec};
-use crate::obs::ObsConfig;
 use crate::report::{write_text, Json};
 use crate::resilience::CellOutcome;
 use crate::sweep::SweepPoint;
 
+/// Rows in the rollup's `top` site tables.
+const TOP_SITES: usize = 10;
+
+/// The parsed observability flags: where the rollup goes, and the traced
+/// cycle window, if any.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObsConfig {
+    /// `--obs-grid PATH`: probe every cell of the sweep and write the
+    /// rollup here.
+    pub grid: PathBuf,
+    /// `--trace-cycles START:END`: trace the anchor cells over this
+    /// cycle window and write the Chrome trace beside the rollup.
+    pub trace: Option<(u64, u64)>,
+}
+
+impl ObsConfig {
+    /// Where the Chrome trace goes under `--trace-cycles`: the rollup's
+    /// path with its extension replaced by `trace.json`.
+    pub fn trace_path(&self) -> Option<PathBuf> {
+        self.trace.map(|_| self.grid.with_extension("trace.json"))
+    }
+}
+
+/// Parses the observability flags out of `args`:
+///
+/// * `--obs-grid PATH` — run counter+site probes over every cell of the
+///   sweep and write the `obs_grid.json` rollup to `PATH`.
+/// * `--trace-cycles START:END` — also trace the grid's [`anchor`]
+///   cells over that cycle window and write the Chrome trace to
+///   `<PATH minus extension>.trace.json`; needs `--obs-grid`.
+///
+/// Returns `Ok(None)` when neither flag is present.
+pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
+    let grid = crate::flag_value(args, "--obs-grid")?;
+    let window = |win: &str| {
+        let (start, end) = win.split_once(':')?;
+        let (start, end): (u64, u64) = (start.parse().ok()?, end.parse().ok()?);
+        (start < end).then_some((start, end))
+    };
+    let trace = match crate::flag_value(args, "--trace-cycles")? {
+        Some(win) => Some(window(win).ok_or_else(|| {
+            format!("--trace-cycles: expected START:END with START < END, got `{win}`")
+        })?),
+        None => None,
+    };
+    match grid {
+        Some(grid) => Ok(Some(ObsConfig {
+            grid: PathBuf::from(grid),
+            trace,
+        })),
+        None if trace.is_some() => {
+            Err("--trace-cycles needs --obs-grid (the trace is written beside the rollup)".into())
+        }
+        None => Ok(None),
+    }
+}
+
+/// The anchor of a grid: its shallowest depth, and the ARVI
+/// current-value cells at that depth — one per workload, in point
+/// order. Figure 5(b)'s 20-stage ARVI current-value cell for `fig5`,
+/// `experiments` and `synth_report`; `fig6`'s headline cell at its one
+/// depth. `None` for an empty grid.
+pub fn anchor(points: &[SweepPoint]) -> Option<(Depth, Vec<usize>)> {
+    let depth = points.iter().map(|p| p.depth).min_by_key(|d| d.stages())?;
+    let cells = (0..points.len())
+        .filter(|&i| points[i].depth == depth && points[i].config == PredictorConfig::ArviCurrent)
+        .collect();
+    Some((depth, cells))
+}
+
 /// The probes collected from one grid cell: what a probed cell
 /// ([`crate::Resilience::probes`]) carries out of the run in
 /// [`crate::resilience::CellSuccess::probes`]. The cell's sweep-journal
-/// line stores the counters and sites in its `probes` field, and the
-/// result is the line's own.
+/// line stores the counters and sites in its `probes` field.
 #[derive(Debug, Clone)]
 pub struct CellProbes {
-    /// The full-window result of the run the probes observed: the
-    /// cell's own, or for a sampled cell its extra whole-cell probed
-    /// item's, whose result the sampled estimate replaces.
-    pub result: SimResult,
     /// Counter/histogram telemetry.
     pub counters: CounterProbe,
     /// Per-branch-site attribution.
@@ -61,24 +132,23 @@ pub struct CellProbes {
     pub tracer: Option<ChromeTracer>,
 }
 
-/// Merged telemetry for one `(workload, config)` group of the grid
-/// (summed over every depth/cell of that pair, in point order).
+/// The telemetry of one grid cell in the rollup.
 #[derive(Debug)]
 pub struct ObsGroup {
     /// The workload's name.
     pub workload: String,
+    /// The pipeline depth.
+    pub depth: Depth,
     /// The predictor configuration.
     pub config: PredictorConfig,
-    /// Cells merged into this group.
-    pub cells: usize,
-    /// Counter/histogram telemetry summed over the group.
+    /// Counter/histogram telemetry.
     pub counters: CounterProbe,
-    /// Site tables unioned over the group.
+    /// Per-branch-site attribution.
     pub sites: SiteProbe,
 }
 
-/// The grid rollup ([`ObsGrid::from_outcomes`]): per-group and
-/// grid-wide merges plus per-cell accounting.
+/// The grid rollup ([`ObsGrid::from_outcomes`]): one group per probed
+/// cell, the grid-wide merge and per-cell accounting.
 #[derive(Debug)]
 pub struct ObsGrid {
     /// The window every cell ran under.
@@ -92,16 +162,12 @@ pub struct ObsGrid {
     pub resumed: usize,
     /// Failed/skipped cells: `(index, point, reason)`.
     pub failed: Vec<(usize, String, String)>,
-    /// Per-`(workload, config)` merges, in first-appearance order over
-    /// the point list.
+    /// One group per completed cell, in point order.
     pub groups: Vec<ObsGroup>,
     /// Counters summed over the whole grid.
     pub counters: CounterProbe,
     /// Site tables unioned over the whole grid.
     pub sites: SiteProbe,
-    /// Per-cell committed-instruction counts (`None` for failed cells)
-    /// — the ground truth the merged sums are checked against.
-    pub cells_committed: Vec<Option<u64>>,
 }
 
 /// A journal line's `probes` field: both probes, full fidelity.
@@ -112,11 +178,9 @@ pub(crate) fn probes_to_json(probes: &CellProbes) -> Json {
     ])
 }
 
-/// Inverse of [`probes_to_json`] on a journal line whose result is
-/// `result`; `None` on any malformed field.
-pub(crate) fn probes_from_json(entry: &Json, result: &SimResult) -> Option<CellProbes> {
+/// Inverse of [`probes_to_json`]; `None` on any malformed field.
+pub(crate) fn probes_from_json(entry: &Json) -> Option<CellProbes> {
     Some(CellProbes {
-        result: result.clone(),
         counters: counters_from_json(entry.get("counters")?)?,
         sites: sites_from_json(entry.get("sites")?)?,
         tracer: None,
@@ -125,13 +189,13 @@ pub(crate) fn probes_from_json(entry: &Json, result: &SimResult) -> Option<CellP
 
 impl ObsGrid {
     /// Folds a probed sweep's outcomes (one per point, from a
-    /// [`GridRun`] under `--obs-grid`) into the rollup, merging cells in
-    /// point order so the result is independent of which worker
-    /// finished which cell first. With `telemetry`, each dispatched cell
-    /// emits a `cell_end` event tagged `"pass":"obs"` as its probes are
-    /// merged (`ok`, `ok-resumed` or `failed`), then one `obs_grid_end`
-    /// whose `dur_us` spans the fold alone — the simulation is already
-    /// in the sweep's own span.
+    /// [`GridRun`] under `--obs-grid`) into the rollup, in point order so
+    /// the result is independent of which worker finished which cell
+    /// first. With `telemetry`, each dispatched cell emits a `cell_end`
+    /// event tagged `"pass":"obs"` as its probes are folded (`ok`,
+    /// `ok-resumed` or `failed`), then one `obs_grid_end` whose `dur_us`
+    /// spans the fold alone — the simulation is already in the sweep's
+    /// own span.
     pub fn from_outcomes(
         points: &[SweepPoint],
         spec: Spec,
@@ -149,7 +213,6 @@ impl ObsGrid {
             groups: Vec::new(),
             counters: CounterProbe::new(),
             sites: SiteProbe::new(),
-            cells_committed: vec![None; points.len()],
         };
         for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
             // Cells a kill stopped before dispatch were never probed.
@@ -163,8 +226,19 @@ impl ObsGrid {
             };
             let tag = match probes {
                 Ok((probes, resumed)) => {
-                    grid.merge(i, point, *probes);
+                    grid.completed += 1;
                     grid.resumed += resumed as usize;
+                    grid.counters.merge(&probes.counters);
+                    grid.sites.merge(&probes.sites);
+                    // Moved, not copied: a grid's site tables are most of
+                    // its memory.
+                    grid.groups.push(ObsGroup {
+                        workload: point.workload.name().to_string(),
+                        depth: point.depth,
+                        config: point.config,
+                        counters: probes.counters,
+                        sites: probes.sites,
+                    });
                     if resumed {
                         "ok-resumed"
                     } else {
@@ -202,34 +276,6 @@ impl ObsGrid {
             );
         }
         grid
-    }
-
-    /// Merges cell `i`'s probes into its group and the grid totals
-    /// (moved, not copied: a grid's site tables are most of its memory).
-    fn merge(&mut self, i: usize, point: &SweepPoint, probes: CellProbes) {
-        self.completed += 1;
-        self.cells_committed[i] = Some(probes.counters.committed);
-        self.counters.merge(&probes.counters);
-        self.sites.merge(&probes.sites);
-        let name = point.workload.name();
-        match self
-            .groups
-            .iter_mut()
-            .find(|g| g.workload == name && g.config == point.config)
-        {
-            Some(g) => {
-                g.cells += 1;
-                g.counters.merge(&probes.counters);
-                g.sites.merge(&probes.sites);
-            }
-            None => self.groups.push(ObsGroup {
-                workload: name.to_string(),
-                config: point.config,
-                cells: 1,
-                counters: probes.counters,
-                sites: probes.sites,
-            }),
-        }
     }
 }
 
@@ -277,9 +323,7 @@ fn hist_from_json(j: &Json) -> Option<Log2Hist> {
 
 /// Full-fidelity [`CounterProbe`] serialization: every scalar counter,
 /// the raw issue state, each histogram's exact parts, and the cache
-/// snapshot. Unlike `CounterProbe::to_json` (a report surface that
-/// derives issue utilization), this is invertible via
-/// [`counters_from_json`].
+/// snapshot — invertible via [`counters_from_json`].
 pub fn counters_to_json(c: &CounterProbe) -> Json {
     let (issue_counts, issue_cycles, issue_width) = c.issue_state();
     Json::obj([
@@ -439,12 +483,14 @@ pub fn sites_from_json(j: &Json) -> Option<SiteProbe> {
     Some(p)
 }
 
-/// The merged-grid rollup document. Canonical: groups in point order,
-/// site tables sorted by PC, no timing or thread-count fields — so the
-/// same grid renders byte-identically across worker counts and across
-/// resume.
-pub fn obs_grid_json(grid: &ObsGrid, top_sites: usize) -> Json {
+/// The rollup document. Canonical: groups in point order, site tables
+/// sorted by PC, no timing or thread-count fields — so the same grid
+/// renders byte-identically across worker counts and across resume.
+pub fn obs_grid_json(grid: &ObsGrid) -> Json {
     let configs = PredictorConfig::all();
+    let top = |sites: &SiteProbe| {
+        Json::parse(&sites.to_json(TOP_SITES)).expect("SiteProbe emits valid JSON")
+    };
     Json::obj([
         (
             "spec",
@@ -479,19 +525,15 @@ pub fn obs_grid_json(grid: &ObsGrid, top_sites: usize) -> Json {
                     .map(|g| {
                         Json::obj([
                             ("workload", Json::str(g.workload.as_str())),
+                            ("depth", n(g.depth.stages())),
                             ("config", Json::str(g.config.label())),
                             (
                                 "config_index",
                                 n(configs.iter().position(|c| *c == g.config).unwrap_or(0) as u64),
                             ),
-                            ("cells", n(g.cells as u64)),
                             ("counters", counters_to_json(&g.counters)),
                             ("sites", sites_to_json(&g.sites)),
-                            (
-                                "top",
-                                Json::parse(&g.sites.to_json(top_sites))
-                                    .expect("SiteProbe emits valid JSON"),
-                            ),
+                            ("top", top(&g.sites)),
                         ])
                     })
                     .collect(),
@@ -508,14 +550,78 @@ pub fn obs_grid_json(grid: &ObsGrid, top_sites: usize) -> Json {
                         ("dropped", n(grid.sites.dropped)),
                     ]),
                 ),
-                (
-                    "top",
-                    Json::parse(&grid.sites.to_json(top_sites))
-                        .expect("SiteProbe emits valid JSON"),
-                ),
+                ("top", top(&grid.sites)),
             ]),
         ),
     ])
+}
+
+/// A rollup group's cell: `(workload, depth in stages, config)`.
+type GroupCell<'a> = (&'a str, u64, PredictorConfig);
+
+/// `group`'s cell; `None` when a field is missing or malformed.
+fn group_cell(group: &Json) -> Option<GroupCell<'_>> {
+    let Some(Json::Str(workload)) = group.get("workload") else {
+        return None;
+    };
+    let depth = u(group, "depth")?;
+    let config = *PredictorConfig::all().get(group.num("config_index")? as usize)?;
+    Some((workload, depth, config))
+}
+
+/// The rollup's groups with their cells, or why they cannot be read.
+fn rollup_groups(grid: &Json) -> Result<Vec<(&Json, GroupCell<'_>)>, String> {
+    let Some(Json::Arr(groups)) = grid.get("groups") else {
+        return Err("rollup has no `groups` array (not an obs_grid.json?)".to_string());
+    };
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let cell = group_cell(g).ok_or_else(|| {
+                format!("group {i} lacks its workload, depth or config (not an obs_grid.json?)")
+            })?;
+            Ok((g, cell))
+        })
+        .collect()
+}
+
+/// The `--cell` view of `obs_report`: `workload`'s anchor cell in `grid`
+/// (an [`obs_grid_json`] document), which is its ARVI current-value cell
+/// at the shallowest depth in the rollup, as a heading, the counter
+/// tables and the top `top` mispredicting sites. The counters and sites
+/// are rebuilt through [`counters_from_json`]/[`sites_from_json`]. An
+/// error names what is missing.
+pub fn cell_view(grid: &Json, workload: &str, top: usize) -> Result<String, String> {
+    let groups = rollup_groups(grid)?;
+    let depth = groups
+        .iter()
+        .map(|(_, (_, depth, _))| *depth)
+        .min()
+        .ok_or("the rollup has no completed cell")?;
+    if !groups.iter().any(|(_, (w, _, _))| *w == workload) {
+        return Err(format!("no workload `{workload}` in the rollup"));
+    }
+    let current = PredictorConfig::ArviCurrent;
+    let label = current.label();
+    let (group, _) = groups
+        .iter()
+        .find(|(_, cell)| *cell == (workload, depth, current))
+        .ok_or_else(|| {
+            format!("the rollup has no {label} cell of `{workload}` at {depth} stages")
+        })?;
+    let counters = group.get("counters").and_then(counters_from_json);
+    let sites = group.get("sites").and_then(sites_from_json);
+    let (Some(counters), Some(sites)) = (counters, sites) else {
+        return Err(format!(
+            "malformed counters or sites in the `{workload}` cell"
+        ));
+    };
+    Ok(format!(
+        "## {workload}: {label}, {depth} stages\n\n{}\n{}",
+        counters.to_markdown(),
+        sites.to_markdown(top)
+    ))
 }
 
 /// One branch PC whose outcome differs between the ARVI and baseline
@@ -536,11 +642,13 @@ pub struct SiteDelta {
     pub delta: u64,
 }
 
-/// The ARVI-vs-baseline diff for one workload.
+/// The ARVI-vs-baseline diff for one workload at one depth.
 #[derive(Debug)]
 pub struct WorkloadAttribution {
     /// The workload's name.
     pub workload: String,
+    /// The pipeline depth, in stages.
+    pub depth: u64,
     /// Label of the ARVI group diffed.
     pub arvi_config: String,
     /// Label of the best (highest site accuracy) baseline group.
@@ -555,30 +663,27 @@ pub struct WorkloadAttribution {
     pub broken: Vec<SiteDelta>,
 }
 
-/// The differential attribution report over a merged grid rollup.
+/// The differential attribution report over a grid rollup.
 #[derive(Debug)]
 pub struct Attribution {
-    /// Per-workload diffs, in rollup group order.
+    /// Per-`(workload, depth)` diffs, in rollup group order.
     pub workloads: Vec<WorkloadAttribution>,
 }
 
 struct GroupSites {
-    config_label: String,
-    is_arvi: bool,
-    is_arvi_current: bool,
+    config: PredictorConfig,
     correct: u64,
     total: u64,
     table: HashMap<u64, (u64, u64)>, // pc -> (total, mispredicts)
 }
 
-fn group_sites(group: &Json) -> Option<GroupSites> {
-    let configs = PredictorConfig::all();
-    let idx = group.num("config_index")? as usize;
-    let config = *configs.get(idx)?;
-    let label = match group.get("config")? {
-        Json::Str(s) => s.clone(),
-        _ => return None,
-    };
+impl GroupSites {
+    fn accuracy(&self) -> f64 {
+        self.correct as f64 / self.total.max(1) as f64
+    }
+}
+
+fn group_sites(group: &Json, config: PredictorConfig) -> Option<GroupSites> {
     let Some(Json::Arr(rows)) = group.get("sites.table") else {
         return None;
     };
@@ -597,55 +702,48 @@ fn group_sites(group: &Json) -> Option<GroupSites> {
         }
     }
     Some(GroupSites {
-        config_label: label,
-        is_arvi: config.is_arvi(),
-        is_arvi_current: config == PredictorConfig::ArviCurrent,
+        config,
         correct,
         total,
         table,
     })
 }
 
-/// Diffs the merged site tables of a grid rollup ([`obs_grid_json`]
-/// output): per workload, picks the ARVI group (preferring the current-
-/// value configuration) and the best baseline (non-ARVI group with the
-/// highest site accuracy), joins their tables by PC, and reports the
-/// top `top` sites ARVI fixes and breaks. Workloads without both an
-/// ARVI and a baseline group are skipped; an empty result is an error
-/// (the rollup had nothing to diff).
+/// Diffs the site tables of a grid rollup ([`obs_grid_json`] output)
+/// per `(workload, depth)` — one machine, never merged across depths:
+/// picks the ARVI cell (preferring the current-value configuration) and
+/// the best baseline (non-ARVI cell with the highest site accuracy),
+/// joins their tables by PC, and reports the top `top` sites ARVI fixes
+/// and breaks. A `(workload, depth)` without both an ARVI and a baseline
+/// cell is skipped; an empty result is an error (the rollup had nothing
+/// to diff).
 pub fn attribution_diff(grid: &Json, top: usize) -> Result<Attribution, String> {
-    let Some(Json::Arr(groups)) = grid.get("groups") else {
-        return Err("rollup has no `groups` array (not an obs_grid.json?)".to_string());
-    };
-    // Workloads in first-appearance order, each with its parsed groups.
-    let mut order: Vec<String> = Vec::new();
-    let mut by_workload: HashMap<String, Vec<GroupSites>> = HashMap::new();
-    for group in groups {
-        let name = match group.get("workload") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("group without a `workload` name".to_string()),
-        };
-        let parsed = group_sites(group)
-            .ok_or_else(|| format!("malformed site table in workload `{name}`"))?;
-        if !order.contains(&name) {
-            order.push(name.clone());
+    // Machines in first-appearance order, each with its parsed groups.
+    let mut machines: Vec<((&str, u64), Vec<GroupSites>)> = Vec::new();
+    for (group, (workload, depth, config)) in rollup_groups(grid)? {
+        let parsed = group_sites(group, config)
+            .ok_or_else(|| format!("malformed site table in workload `{workload}`"))?;
+        match machines.iter_mut().find(|(m, _)| *m == (workload, depth)) {
+            Some((_, groups)) => groups.push(parsed),
+            None => machines.push(((workload, depth), vec![parsed])),
         }
-        by_workload.entry(name).or_default().push(parsed);
     }
     let mut out = Attribution {
         workloads: Vec::new(),
     };
-    for name in order {
-        let groups = &by_workload[&name];
+    for ((workload, depth), groups) in machines {
         let arvi = groups
             .iter()
-            .find(|g| g.is_arvi_current)
-            .or_else(|| groups.iter().find(|g| g.is_arvi));
-        let baseline = groups.iter().filter(|g| !g.is_arvi).max_by(|a, b| {
-            let ra = a.correct as f64 / a.total.max(1) as f64;
-            let rb = b.correct as f64 / b.total.max(1) as f64;
-            ra.partial_cmp(&rb).expect("accuracies are finite")
-        });
+            .find(|g| g.config == PredictorConfig::ArviCurrent)
+            .or_else(|| groups.iter().find(|g| g.config.is_arvi()));
+        let baseline = groups
+            .iter()
+            .filter(|g| !g.config.is_arvi())
+            .max_by(|a, b| {
+                a.accuracy()
+                    .partial_cmp(&b.accuracy())
+                    .expect("accuracies are finite")
+            });
         let (Some(arvi), Some(baseline)) = (arvi, baseline) else {
             continue;
         };
@@ -655,22 +753,17 @@ pub fn attribution_diff(grid: &Json, top: usize) -> Result<Attribution, String> 
             let Some(&(_, arvi_misp)) = arvi.table.get(&pc) else {
                 continue;
             };
+            let delta = SiteDelta {
+                pc,
+                executed,
+                baseline_mispredicts: base_misp,
+                arvi_mispredicts: arvi_misp,
+                delta: base_misp.abs_diff(arvi_misp),
+            };
             if base_misp > arvi_misp {
-                fixed.push(SiteDelta {
-                    pc,
-                    executed,
-                    baseline_mispredicts: base_misp,
-                    arvi_mispredicts: arvi_misp,
-                    delta: base_misp - arvi_misp,
-                });
+                fixed.push(delta);
             } else if arvi_misp > base_misp {
-                broken.push(SiteDelta {
-                    pc,
-                    executed,
-                    baseline_mispredicts: base_misp,
-                    arvi_mispredicts: arvi_misp,
-                    delta: arvi_misp - base_misp,
-                });
+                broken.push(delta);
             }
         }
         for list in [&mut fixed, &mut broken] {
@@ -678,19 +771,20 @@ pub fn attribution_diff(grid: &Json, top: usize) -> Result<Attribution, String> 
             list.truncate(top);
         }
         out.workloads.push(WorkloadAttribution {
-            workload: name,
-            arvi_config: arvi.config_label.clone(),
-            baseline_config: baseline.config_label.clone(),
-            arvi_accuracy: arvi.correct as f64 / arvi.total.max(1) as f64,
-            baseline_accuracy: baseline.correct as f64 / baseline.total.max(1) as f64,
+            workload: workload.to_string(),
+            depth,
+            arvi_config: arvi.config.label().to_string(),
+            baseline_config: baseline.config.label().to_string(),
+            arvi_accuracy: arvi.accuracy(),
+            baseline_accuracy: baseline.accuracy(),
             fixed,
             broken,
         });
     }
     if out.workloads.is_empty() {
         return Err(
-            "no workload has both an ARVI and a baseline group — sweep all configurations \
-             (e.g. the fig6 grid) to diff them"
+            "no workload has both an ARVI and a baseline cell at one depth — sweep all \
+             configurations (e.g. the fig6 grid) to diff them"
                 .to_string(),
         );
     }
@@ -708,13 +802,15 @@ fn delta_rows(out: &mut String, rows: &[SiteDelta]) {
 }
 
 impl Attribution {
-    /// Markdown rendering: per workload, the fixed and broken tables.
+    /// Markdown rendering: per workload and depth, the fixed and broken
+    /// tables.
     pub fn to_markdown(&self) -> String {
         let mut out = String::from("## ARVI vs baseline: differential site attribution\n");
         for w in &self.workloads {
             out.push_str(&format!(
-                "\n### {} — {} {:.2}% vs {} {:.2}%\n",
+                "\n### {}, {} stages — {} {:.2}% vs {} {:.2}%\n",
                 w.workload,
+                w.depth,
                 w.arvi_config,
                 w.arvi_accuracy * 100.0,
                 w.baseline_config,
@@ -755,6 +851,7 @@ impl Attribution {
                     .map(|w| {
                         Json::obj([
                             ("workload", Json::str(w.workload.as_str())),
+                            ("depth", n(w.depth)),
                             ("arvi_config", Json::str(w.arvi_config.as_str())),
                             ("baseline_config", Json::str(w.baseline_config.as_str())),
                             ("arvi_accuracy", Json::Num(w.arvi_accuracy)),
@@ -769,8 +866,19 @@ impl Attribution {
     }
 }
 
+/// The Chrome trace of `run`'s traced anchor cells, each under its
+/// workload's name, in point order.
+fn anchor_trace(run: &GridRun) -> String {
+    let cells = anchor(&run.points).map_or_else(Vec::new, |(_, cells)| cells);
+    ChromeTracer::render_merged(cells.into_iter().filter_map(|i| {
+        let probes = run.outcomes[i].success()?.probes.as_deref()?;
+        Some((run.points[i].workload.name(), probes.tracer.as_ref()?))
+    }))
+}
+
 /// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
-/// asks for one; exits 1 when the rollup cannot be written. The rollup
+/// asks for one, and under `--trace-cycles` the anchor cells' Chrome
+/// trace beside it; exits 1 when either cannot be written. The rollup
 /// folds the run's own probed outcomes — `--obs-grid` turned the grid
 /// executor's probes on for every cell, sampled ones included — with
 /// the fold's events going to `telemetry`. The experiment binaries call
@@ -782,19 +890,26 @@ pub fn maybe_obs_grid(
     telemetry: Option<&SweepTelemetry>,
 ) {
     let Some(cfg) = cfg else { return };
-    let Some(out) = &cfg.grid else { return };
-    let grid = ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry);
-    let json = obs_grid_json(&grid, cfg.top_sites);
-    if let Err(e) = write_text(out, &(json.render_compact() + "\n")) {
-        eprintln!("error: cannot write obs grid rollup: {e}");
+    let fail = |what: &str, e: std::io::Error| -> ! {
+        eprintln!("error: cannot write {what}: {e}");
         std::process::exit(1);
+    };
+    if let Some(path) = cfg.trace_path() {
+        if let Err(e) = write_text(&path, &anchor_trace(&run)) {
+            fail("chrome trace", e);
+        }
+        eprintln!("chrome trace written to {}", path.display());
+    }
+    let grid = ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry);
+    let json = obs_grid_json(&grid);
+    if let Err(e) = write_text(&cfg.grid, &(json.render_compact() + "\n")) {
+        fail("obs grid rollup", e);
     }
     eprintln!(
-        "obs grid rollup written to {} ({} of {} cells, {} groups)",
-        out.display(),
+        "obs grid rollup written to {} ({} of {} cells)",
+        cfg.grid.display(),
         grid.completed,
         grid.total,
-        grid.groups.len()
     );
     if !grid.failed.is_empty() {
         eprintln!(
@@ -809,6 +924,30 @@ pub fn maybe_obs_grid(
 mod tests {
     use super::*;
     use arvi_obs::Probe as _;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_parsing() {
+        assert_eq!(obs_from_args(&args(&["--quick"])).unwrap(), None);
+        let cfg = obs_from_args(&args(&["--obs-grid", "grid.json"]))
+            .unwrap()
+            .unwrap();
+        assert_eq!(cfg.grid, PathBuf::from("grid.json"));
+        assert_eq!((cfg.trace, cfg.trace_path()), (None, None));
+        let cfg = obs_from_args(&args(&[
+            "--trace-cycles",
+            "100:900",
+            "--obs-grid",
+            "g.json",
+        ]))
+        .unwrap()
+        .unwrap();
+        assert_eq!(cfg.trace, Some((100, 900)));
+        assert_eq!(cfg.trace_path().unwrap(), PathBuf::from("g.trace.json"));
+    }
 
     #[test]
     fn counters_round_trip_exactly() {

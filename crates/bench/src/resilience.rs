@@ -29,11 +29,12 @@
 //!   finished items ([`Resilience::resume`]). Failed cells are never
 //!   journaled, so a resume re-runs them. Trace files themselves are
 //!   written atomically by `arvi-trace` (temp file + fsync + rename).
-//! * **Every probe in the pass** — [`Resilience::probes`] says which
-//!   probes each cell carries out in [`CellSuccess::probes`] (a sampled
-//!   cell from one extra whole-cell item), journaled on the cell's own
-//!   line, so neither the grid rollup ([`crate::obs_grid`]) nor the
-//!   anchor report ([`crate::obs`]) re-simulates a cell.
+//! * **Every probe in the pass** — under `--obs-grid`
+//!   ([`Resilience::probes`]) every cell carries its counter and site
+//!   probes out in [`CellSuccess::probes`] (a sampled cell from one
+//!   extra whole-cell item), journaled on the cell's own line, and under
+//!   `--trace-cycles` the anchor cells carry a tracer too, so the
+//!   rollup ([`crate::obs_grid`]) re-simulates no cell.
 //! * **ARVI cells from their twins** — the three ARVI configurations
 //!   are one machine under three value oracles, which disagree only on
 //!   leaf values not yet written back ([`arvi_sim::oracle`]). Without a
@@ -84,8 +85,7 @@ use arvi_trace::{Trace, TraceReplayer, REPLAY_PANIC_PREFIX};
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
-use crate::obs::{anchor, ObsConfig};
-use crate::obs_grid::{probes_from_json, probes_to_json, CellProbes};
+use crate::obs_grid::{anchor, probes_from_json, probes_to_json, CellProbes, ObsConfig};
 use crate::report::{io_error_at, Json};
 use crate::sampling::{fold_units, unit_fingerprint};
 use crate::sweep::{trace_len, SweepPoint, TraceSet};
@@ -176,8 +176,9 @@ pub struct Resilience {
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
-    /// The parsed observability flags, which say which cells carry which
-    /// probes ([`ObsConfig`]). Probed results are bit-identical to
+    /// The parsed observability flags ([`ObsConfig`]): every cell
+    /// carries the counter and site probes, and the anchor cells a tracer
+    /// under `--trace-cycles`. Probed results are bit-identical to
     /// unprobed ones; a resumed cell whose journal line lacks a probe the
     /// run needs — a tracer always — is re-simulated to get it.
     pub probes: Option<ObsConfig>,
@@ -418,7 +419,7 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         window,
     };
     let probes = match json.get("probes") {
-        Some(p) => Some(Box::new(probes_from_json(p, &result)?)),
+        Some(p) => Some(Box::new(probes_from_json(p)?)),
         None => None,
     };
     Some(CellSuccess {
@@ -707,24 +708,17 @@ enum ProbeSet {
 }
 
 /// Which probes each of `points` carries under `cfg`: counters and sites
-/// on every cell under `--obs-grid`, and on the grid's anchor cells
-/// under `--probe`/`--trace-cycles` — which with `--trace-cycles` also
-/// carry a tracer over the window, with `pid` its workload's index + 1.
+/// on every cell, and with `--trace-cycles` a tracer over the window on
+/// the grid's anchor cells, with `pid` its workload's index + 1.
 fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
-    let mut sets = vec![ProbeSet::Off; points.len()];
-    let Some(cfg) = cfg else { return sets };
-    if cfg.grid.is_some() {
-        sets.fill(ProbeSet::Sites);
-    }
-    if let Some((_, cells)) = anchor(points).filter(|_| cfg.anchor_report()) {
+    let Some(cfg) = cfg else {
+        return vec![ProbeSet::Off; points.len()];
+    };
+    let mut sets = vec![ProbeSet::Sites; points.len()];
+    if let (Some(window), Some((_, cells))) = (cfg.trace, anchor(points)) {
         for (k, i) in cells.into_iter().enumerate() {
-            sets[i] = match cfg.trace {
-                Some(window) => ProbeSet::Traced {
-                    window,
-                    pid: k as u32 + 1,
-                },
-                None => ProbeSet::Sites,
-            };
+            let pid = k as u32 + 1;
+            sets[i] = ProbeSet::Traced { window, pid };
         }
     }
     sets
@@ -981,11 +975,8 @@ impl<'a> Executor<'a> {
                 slot.published = None;
             }
         }
-        let ((mut result, mut probes), _) = derived?;
+        let ((mut result, probes), _) = derived?;
         result.config = config;
-        if let Some(p) = &mut probes {
-            p.result = result.clone();
-        }
         Some((result, probes))
     }
 
@@ -1138,7 +1129,6 @@ fn simulate_cell<S: InstSource>(
         }
     };
     let probes = CellProbes {
-        result: result.clone(),
         counters,
         sites,
         tracer,

@@ -194,43 +194,6 @@ impl CounterProbe {
         }
         out
     }
-
-    /// Compact JSON object (all keys static, no escaping needed).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"cycles\":{},\"fetched\":{},\"committed\":{},\"writebacks\":{},\
-             \"branches\":{},\"mispredicts\":{},\"mean_issued\":{:.4},\"issue\":[",
-            self.cycles,
-            self.fetched,
-            self.committed,
-            self.writebacks,
-            self.branches,
-            self.mispredicts,
-            self.mean_issued()
-        );
-        for (i, (n, c)) in self.issue_utilization().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{n},{c}]"));
-        }
-        out.push_str("],\"hist\":{");
-        for (i, (name, h)) in self.histograms().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", h.to_json()));
-        }
-        out.push_str("},\"cache\":{");
-        for (i, (name, hits, misses)) in self.cache.rows().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":[{hits},{misses}]"));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 impl Probe for CounterProbe {
@@ -352,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_markdown_and_json() {
+    fn renders_markdown() {
         let mut p = CounterProbe::new();
         p.on_cycle(0, 4);
         p.on_issue(0, 1, 4);
@@ -360,8 +323,5 @@ mod tests {
         let md = p.to_markdown();
         assert!(md.contains("| active cycles | 1 |"));
         assert!(md.contains("chain_len"));
-        let json = p.to_json();
-        assert!(json.starts_with("{\"cycles\":1,"), "{json}");
-        assert!(json.contains("\"cache\":{\"l1i\":[0,0]"), "{json}");
     }
 }

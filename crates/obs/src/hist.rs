@@ -72,8 +72,8 @@ impl Log2Hist {
 
     /// Reconstructs a histogram from its serialized parts: the
     /// `(lower_bound, count)` rows of [`Log2Hist::nonzero_buckets`] plus
-    /// the exact sum and max — the inverse of the JSON emission, used
-    /// when merged telemetry is restored from an obs journal. Any
+    /// the exact sum and max — the inverse of the rollup's histogram
+    /// encoding, used when telemetry is restored from a sweep journal. Any
     /// in-range bound lands in the bucket that would have counted it,
     /// so round-tripping through bucket lower bounds is lossless.
     pub fn from_parts(
@@ -121,28 +121,6 @@ impl Log2Hist {
         } else {
             format!("{}-{}", lo, 2 * lo - 1)
         }
-    }
-
-    /// Compact JSON: `{"count":..,"sum":..,"max":..,"mean":..,
-    /// "buckets":[[lo,count],..]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":[",
-            self.count(),
-            self.sum,
-            self.max,
-            self.mean()
-        );
-        let mut first = true;
-        for (lo, n) in self.nonzero_buckets() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{lo},{n}]"));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Appends `| name | bucket | count | share |` markdown rows, one
@@ -215,14 +193,5 @@ mod tests {
         assert_eq!(Log2Hist::bucket_label(1), "1");
         assert_eq!(Log2Hist::bucket_label(2), "2-3");
         assert_eq!(Log2Hist::bucket_label(64), "64-127");
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut h = Log2Hist::new();
-        h.record(5);
-        let j = h.to_json();
-        assert!(j.starts_with("{\"count\":1,\"sum\":5,\"max\":5"), "{j}");
-        assert!(j.contains("\"buckets\":[[4,1]]"), "{j}");
     }
 }

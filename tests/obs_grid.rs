@@ -7,12 +7,14 @@
 //!    probes on its journal lines renders byte-identically to an uninterrupted run
 //!    (full-fidelity probe serialization, no run-shape fields in the
 //!    JSON).
-//! 3. **Conservation** — every group's merged counter sums equal the
-//!    sums of its per-cell commit counts over the full benchmark suite,
-//!    and the grid total equals the sum over groups.
+//! 3. **Conservation** — over the full benchmark suite the rollup holds
+//!    one group per cell, in point order, and the grid-wide counter
+//!    merge equals the sum over cells.
 //! 4. **Attribution** — on a data-dependent-branch scenario the
-//!    ARVI-vs-baseline diff names at least one branch PC ARVI fixes
-//!    (the paper's core claim, made falsifiable per site).
+//!    ARVI-vs-baseline diff, one per `(workload, depth)`, names at least
+//!    one branch PC ARVI fixes (the paper's core claim, made falsifiable
+//!    per site), and the `--cell` view picks the shallowest ARVI
+//!    current-value cell.
 //! 5. **Structured events** — the resilient sweep's `--events-out`
 //!    JSONL log parses line by line with the expected span events, and
 //!    the Prometheus-style metrics export carries the cell outcomes.
@@ -27,8 +29,8 @@ use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    attribution_diff, grid, maybe_obs_grid, obs_from_args, obs_grid_json, FaultPlan, GridRun, Json,
-    ObsGrid, Resilience, Spec, SweepPoint, SweepTelemetry, TraceSet, Workload,
+    attribution_diff, cell_view, grid, maybe_obs_grid, obs_from_args, obs_grid_json, FaultPlan,
+    GridRun, Json, ObsGrid, Resilience, Spec, SweepPoint, SweepTelemetry, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -78,7 +80,7 @@ fn rollup_is_byte_identical_across_thread_counts() {
     let render = |threads: usize| {
         let g = probed_grid(&points, spec, threads, &traces, &Resilience::new());
         assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
-        obs_grid_json(&g, 5).render()
+        obs_grid_json(&g).render()
     };
     let one = render(1);
     assert_eq!(one, render(4), "1 vs 4 threads");
@@ -96,7 +98,7 @@ fn killed_grid_resumes_byte_identical() {
 
     // Reference: one uninterrupted, journal-free run.
     let direct = probed_grid(&points, spec, 1, &traces, &Resilience::new());
-    let direct_json = obs_grid_json(&direct, 5).render();
+    let direct_json = obs_grid_json(&direct).render();
 
     // First run dies after 3 completed cells; their journal lines keep
     // the finished telemetry.
@@ -122,7 +124,7 @@ fn killed_grid_resumes_byte_identical() {
     assert_eq!(resumed.completed, points.len());
     assert_eq!(resumed.resumed, 3, "every journaled cell restored");
     assert_eq!(
-        obs_grid_json(&resumed, 5).render(),
+        obs_grid_json(&resumed).render(),
         direct_json,
         "resumed rollup must be byte-identical to an uninterrupted run"
     );
@@ -137,36 +139,24 @@ fn merged_counter_sums_equal_per_cell_sums_over_the_suite() {
     let traces = TraceSet::record(&workloads, spec, 4, None);
     let g = probed_grid(&points, spec, 4, &traces, &Resilience::new());
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
-    assert_eq!(
-        g.groups.len(),
-        workloads.len() * PredictorConfig::all().len()
-    );
-
-    // Per (workload, config) group: merged committed count == the sum
-    // of that group's per-cell commit counts.
+    // One group per cell, in point order, holding that cell's counters.
+    assert_eq!(g.groups.len(), points.len());
     let mut grand_total = 0u64;
-    for group in &g.groups {
-        let cell_sum: u64 = points
-            .iter()
-            .zip(&g.cells_committed)
-            .filter(|(p, _)| p.workload.name() == group.workload && p.config == group.config)
-            .filter_map(|(_, c)| *c)
-            .sum();
-        assert!(cell_sum > 0, "group {} ran nothing", group.workload);
+    for (group, point) in g.groups.iter().zip(&points) {
         assert_eq!(
-            group.counters.committed, cell_sum,
-            "group ({}, {}) merged commits diverge from its cells",
-            group.workload, group.config
+            (group.workload.as_str(), group.depth, group.config),
+            (point.workload.name(), point.depth, point.config)
         );
-        grand_total += cell_sum;
+        assert!(group.counters.committed > 0, "cell {point} ran nothing");
+        grand_total += group.counters.committed;
     }
     assert_eq!(
         g.counters.committed, grand_total,
-        "grid-wide merge diverges from the sum over groups"
+        "grid-wide merge diverges from the sum over cells"
     );
 
     // The same invariant holds for the rendered JSON's numbers.
-    let json = obs_grid_json(&g, 5);
+    let json = obs_grid_json(&g);
     assert_eq!(
         json.num("grid.counters.committed"),
         Some(grand_total as f64)
@@ -178,7 +168,7 @@ fn merged_counter_sums_equal_per_cell_sums_over_the_suite() {
 fn attribution_names_sites_arvi_fixes_on_datadep() {
     // A data-dependent-branch scenario: the two-level baseline hovers
     // near chance while ARVI reads the operands — per-site attribution
-    // must surface concrete PCs that ARVI fixes.
+    // must surface concrete PCs that ARVI fixes, at each depth apart.
     let spec = Spec {
         warmup: 2_000,
         measure: 8_000,
@@ -189,44 +179,62 @@ fn attribution_names_sites_arvi_fixes_on_datadep() {
     )];
     let points = grid(
         &workloads,
-        &[Depth::D20],
+        &[Depth::D40, Depth::D20],
         &[PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent],
     );
     let traces = TraceSet::record(&workloads, spec, 1, None);
     let g = probed_grid(&points, spec, 1, &traces, &Resilience::new());
     assert_eq!(g.completed, points.len(), "failed cells: {:?}", g.failed);
 
-    let json = obs_grid_json(&g, 10);
+    let json = obs_grid_json(&g);
     let attribution = attribution_diff(&json, 10).expect("both configs present");
-    assert_eq!(attribution.workloads.len(), 1);
-    let w = &attribution.workloads[0];
-    assert_eq!(w.workload, "datadep-deep");
-    assert_eq!(w.arvi_config, "arvi current value");
-    assert_eq!(w.baseline_config, "2-level 2Bc-gskew");
-    assert!(
-        w.arvi_accuracy > w.baseline_accuracy,
-        "ARVI must beat the baseline on datadep ({:.4} vs {:.4})",
-        w.arvi_accuracy,
-        w.baseline_accuracy
-    );
-    assert!(
-        !w.fixed.is_empty(),
-        "at least one fixed site expected on datadep"
-    );
-    let top = &w.fixed[0];
-    assert!(top.delta > 0);
-    assert!(top.baseline_mispredicts > top.arvi_mispredicts);
-    assert!(top.executed >= top.baseline_mispredicts);
+    let depths: Vec<u64> = attribution.workloads.iter().map(|w| w.depth).collect();
+    assert_eq!(depths, [40, 20], "one diff per (workload, depth)");
+    for w in &attribution.workloads {
+        assert_eq!(w.workload, "datadep-deep");
+        assert_eq!(w.arvi_config, "arvi current value");
+        assert_eq!(w.baseline_config, "2-level 2Bc-gskew");
+        assert!(
+            w.arvi_accuracy > w.baseline_accuracy,
+            "ARVI must beat the baseline on datadep at {} stages ({:.4} vs {:.4})",
+            w.depth,
+            w.arvi_accuracy,
+            w.baseline_accuracy
+        );
+        assert!(
+            !w.fixed.is_empty(),
+            "at least one fixed site expected on datadep at {} stages",
+            w.depth
+        );
+        let top = &w.fixed[0];
+        assert!(top.delta > 0);
+        assert!(top.baseline_mispredicts > top.arvi_mispredicts);
+        assert!(top.executed >= top.baseline_mispredicts);
+    }
 
     // Renderings carry the same story.
     let md = attribution.to_markdown();
-    assert!(md.contains("datadep-deep"), "{md}");
+    assert!(md.contains("### datadep-deep, 20 stages"), "{md}");
     assert!(md.contains("sites ARVI fixes"), "{md}");
     let back = attribution.to_json();
     let Some(Json::Arr(ws)) = back.get("workloads") else {
         panic!("workloads array missing");
     };
-    assert!(ws[0].num("arvi_accuracy").unwrap() > ws[0].num("baseline_accuracy").unwrap());
+    assert_eq!(ws[1].num("depth"), Some(20.0));
+    assert!(ws[1].num("arvi_accuracy").unwrap() > ws[1].num("baseline_accuracy").unwrap());
+
+    // The `--cell` view is the anchor: ARVI current value at the
+    // shallowest depth; a workload the rollup lacks is named.
+    let view = cell_view(&json, "datadep-deep", 3).expect("anchor cell");
+    let anchor = &g.groups[3];
+    assert_eq!(
+        (anchor.depth, anchor.config),
+        (Depth::D20, PredictorConfig::ArviCurrent)
+    );
+    assert!(view.starts_with("## datadep-deep: arvi current value, 20 stages\n"));
+    assert!(view.ends_with(&anchor.sites.to_markdown(3)), "{view}");
+    let err = cell_view(&json, "nope", 3).unwrap_err();
+    assert!(err.contains("no workload `nope`"), "{err}");
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Property tests for the probe merge algebra behind the grid rollup.
 //!
-//! `ObsGrid::from_outcomes` folds per-cell probes into
-//! per-`(workload, config)` groups and a grid-wide total, and the resume
-//! path rebuilds probes from journaled JSON before merging — so the
+//! `ObsGrid::from_outcomes` folds every cell's probes into a grid-wide
+//! total, and the resume path rebuilds probes from journaled JSON
+//! before merging — so the
 //! merges must behave like the telemetry was recorded in one sitting,
 //! regardless of how the cells were batched or ordered:
 //!
 //! * `Log2Hist::merge` must equal recording the concatenated samples;
 //! * `CounterProbe::merge` must be associative and commutative (the
-//!   grid total is a fold over groups, each group a fold over cells);
+//!   grid total is a fold over cells);
 //! * `SiteProbe::merge` must conserve per-site totals and account for
 //!   every record dropped to capacity pressure.
 //!

@@ -14,13 +14,15 @@
 //! 3. **Resume adds probes** — a sweep journaled without probes, resumed
 //!    with them, re-simulates exactly the cells that have no obs-journal
 //!    entry, and the final rollup equals a direct run.
-//! 4. **The anchor report rides the pass** — under `--probe` the grid's
-//!    anchor cells (ARVI current value at its shallowest depth), and
-//!    only they, carry the probes; the report built from them (markdown,
-//!    `--obs-out` JSON, Chrome trace) equals one probed simulation per
-//!    workload, at 1 and 2 threads, sampled or not, and after kill +
-//!    `--resume`.
+//! 4. **The anchor view rides the pass** — under `--obs-grid` every
+//!    cell carries its probes and, with `--trace-cycles`, the grid's
+//!    anchor cells (ARVI current value at its shallowest depth), and only
+//!    they, carry a tracer; each workload's `--cell` view rebuilt from
+//!    the rollup, and the Chrome trace written beside it, equal one
+//!    probed simulation per workload, at 1 and 2 threads, sampled or
+//!    not, and after kill + `--resume`.
 
+use std::path::Path;
 use std::time::Duration;
 
 use arvi::obs::{ChromeTracer, CounterProbe, SiteProbe};
@@ -29,9 +31,9 @@ use arvi::sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, Sim
 use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    anchor, fig5_cell, grid, obs_from_args, obs_grid_json, CellOutcome, CellProbes, CellSuccess,
-    FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid, ObsReport, Resilience, Spec, SweepPoint,
-    TraceSet, Workload,
+    anchor, cell_view, fig5_cell, grid, maybe_obs_grid, obs_from_args, obs_grid_json, read_json,
+    CellOutcome, CellProbes, CellSuccess, FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid,
+    Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -65,7 +67,7 @@ fn probed() -> Resilience {
 }
 
 fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> String {
-    obs_grid_json(&ObsGrid::from_outcomes(points, spec, outcomes, None), 5).render()
+    obs_grid_json(&ObsGrid::from_outcomes(points, spec, outcomes, None)).render()
 }
 
 /// `points` replayed over `traces` on `threads` workers under `res`.
@@ -103,7 +105,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
         "{:?}",
         standalone.failed
     );
-    let standalone = obs_grid_json(&standalone, 5).render();
+    let standalone = obs_grid_json(&standalone).render();
 
     // Independent reference: every cell probed directly through the
     // simulator, bypassing the sweep runner, then folded.
@@ -120,13 +122,12 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                 (CounterProbe::new(), SiteProbe::new()),
             );
             CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
+                result,
                 resumed: false,
                 derived: false,
                 duration: Duration::ZERO,
                 sampled_units: 0,
                 probes: Some(Box::new(CellProbes {
-                    result,
                     counters,
                     sites,
                     tracer: None,
@@ -165,6 +166,17 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
             .outcomes
             .iter()
             .all(|o| o.success().unwrap().probes.is_none()));
+        if threads == 1 {
+            // Probes never cost a derivation: the probed run derives
+            // exactly the cells the plain run derives.
+            let derived = |run: &GridRun| -> Vec<bool> {
+                run.outcomes
+                    .iter()
+                    .map(|o| o.success().unwrap().derived)
+                    .collect()
+            };
+            assert_eq!(derived(&main_pass), derived(&plain), "derived cells");
+        }
         assert_eq!(
             results_of(&main_pass),
             results_of(&plain),
@@ -330,8 +342,8 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     let direct = run(&points, spec, 2, &traces, &probed()).outcomes;
     let direct = ObsGrid::from_outcomes(&points, spec, direct, None);
     assert_eq!(
-        obs_grid_json(&grid, 5).render(),
-        obs_grid_json(&direct, 5).render(),
+        obs_grid_json(&grid).render(),
+        obs_grid_json(&direct).render(),
         "resumed rollup must equal a direct run"
     );
     assert_eq!(probed_lines(), points.len());
@@ -345,32 +357,31 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The anchor report as the side pass built it before the anchor cells
-/// rode the grid: one probed simulation per workload at the anchor,
-/// replaying its recording, with every probe attached.
-fn side_pass_report(
+/// The anchor cells as a side pass would probe them: one probed
+/// simulation per workload at the anchor depth, replaying its
+/// recording, with every probe attached — a tracer over `window` (an
+/// empty one without) whose pid is the workload's index + 1. Returns
+/// each workload's expected `--cell` view with `top` site rows, and the
+/// merged Chrome trace when traced.
+fn side_pass(
     workloads: &[Workload],
     depth: Depth,
     spec: Spec,
-    cfg: &ObsConfig,
+    window: Option<(u64, u64)>,
+    top: usize,
     traces: &TraceSet,
-) -> ObsReport {
+) -> (Vec<String>, Option<String>) {
     let config = PredictorConfig::ArviCurrent;
-    let mut report = ObsReport {
-        depth,
-        merged: CounterProbe::new(),
-        workloads: Vec::new(),
-    };
+    let mut views = Vec::new();
+    let mut tracers = Vec::new();
     for (wi, workload) in workloads.iter().enumerate() {
-        let (start, end) = cfg.trace.unwrap_or((0, 0));
-        let mut tracer = if cfg.trace.is_some() {
-            ChromeTracer::new(start, end)
-        } else {
-            ChromeTracer::with_capacity(0, 0, 0)
+        let mut tracer = match window {
+            Some((start, end)) => ChromeTracer::new(start, end),
+            None => ChromeTracer::with_capacity(0, 0, 0),
         };
         tracer.pid = wi as u32 + 1;
         let probe = ((CounterProbe::new(), SiteProbe::new()), tracer);
-        let (result, ((counters, sites), tracer)) = simulate_source_probed(
+        let (_, ((counters, sites), tracer)) = simulate_source_probed(
             intern_name(workload.name()),
             traces.replayer(workload).expect("recorded"),
             SimParams::for_depth(depth),
@@ -379,26 +390,41 @@ fn side_pass_report(
             spec.measure,
             probe,
         );
-        report.merged.merge(&counters);
-        let probes = CellProbes {
-            result,
-            counters,
-            sites,
-            tracer: cfg.trace.map(|_| tracer),
-        };
-        report.workloads.push((workload.name().to_string(), probes));
+        views.push(format!(
+            "## {}: {}, {} stages\n\n{}\n{}",
+            workload.name(),
+            config.label(),
+            depth.stages(),
+            counters.to_markdown(),
+            sites.to_markdown(top)
+        ));
+        tracers.push((workload.name(), tracer));
     }
-    report
+    let trace =
+        window.map(|_| ChromeTracer::render_merged(tracers.iter().map(|(name, t)| (*name, t))));
+    (views, trace)
 }
 
-/// Every rendering of `report` under `cfg`: markdown, `--obs-out` JSON
-/// and, when traced, the Chrome trace.
-fn renderings(report: &ObsReport, cfg: &ObsConfig) -> (String, String, Option<String>) {
-    (
-        report.to_markdown(cfg),
-        report.to_json(cfg).render_compact(),
-        cfg.trace.map(|_| report.render_trace()),
-    )
+/// What `run` writes under `cfg` — each workload's `--cell` view of the
+/// rollup with `top` site rows, and the Chrome trace beside it when
+/// traced.
+fn written(
+    run: GridRun,
+    cfg: &ObsConfig,
+    spec: Spec,
+    workloads: &[Workload],
+    top: usize,
+) -> (Vec<String>, Option<String>) {
+    maybe_obs_grid(Some(cfg), run, spec, None);
+    let rollup = read_json(&cfg.grid).expect("rollup written");
+    let views = workloads
+        .iter()
+        .map(|w| cell_view(&rollup, w.name(), top).expect("an anchor cell per workload"))
+        .collect();
+    let trace = cfg
+        .trace_path()
+        .map(|path| std::fs::read_to_string(Path::new(&path)).expect("trace written"));
+    (views, trace)
 }
 
 #[test]
@@ -417,44 +443,46 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
     let plan = SamplePlan::systematic(2, 500, 1_000);
     let dir = std::env::temp_dir().join(format!("arvi-anchor-report-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("sweep.journal");
+    let rollup = dir.join("g.json");
+    let top = 5;
 
+    let plain = obs(&["--obs-grid", rollup.to_str().unwrap()]);
     let traced = obs(&[
-        "--probe",
-        "counters,sites,trace",
-        "--obs-out",
-        "o.json",
+        "--obs-grid",
+        rollup.to_str().unwrap(),
         "--trace-cycles",
         "1000:3000",
-        "--top-sites",
-        "5",
     ]);
-    for cfg in [obs(&["--probe", "counters,sites"]), traced] {
-        let reference = side_pass_report(&workloads, depth, spec, &cfg, &traces);
-        let reference = renderings(&reference, &cfg);
-        if let Some(trace) = &reference.2 {
+    for cfg in [plain, traced] {
+        let reference = side_pass(&workloads, depth, spec, cfg.trace, top, &traces);
+        if let Some(trace) = &reference.1 {
             assert!(trace.contains("\"ph\":\"X\""), "the window saw events");
         }
         let mut res = Resilience::new();
         res.probes = Some(cfg.clone());
-        let check = |run: &GridRun, mode: &str| {
+        let check = |run: GridRun, mode: &str| {
             for (i, o) in run.outcomes.iter().enumerate() {
                 let probes = o.success().expect("every cell ran").probes.as_deref();
-                assert_eq!(probes.is_some(), anchors.contains(&i), "{mode}: cell {i}");
+                let probes = probes.unwrap_or_else(|| panic!("{mode}: cell {i} unprobed"));
                 assert_eq!(
-                    probes.is_some_and(|p| p.tracer.is_some()),
+                    probes.tracer.is_some(),
                     anchors.contains(&i) && cfg.trace.is_some(),
                     "{mode}: cell {i} tracer"
                 );
             }
-            let report = renderings(&ObsReport::from_run(run), &cfg);
-            assert_eq!(report, reference, "{mode}");
+            assert_eq!(
+                written(run, &cfg, spec, &workloads, top),
+                reference,
+                "{mode}"
+            );
         };
         for threads in [1, 2] {
             for plan in [None, Some(&plan)] {
                 let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, plan);
                 check(
-                    &run,
+                    run,
                     &format!("threads {threads}, sampled {}", plan.is_some()),
                 );
             }
@@ -462,9 +490,9 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
 
         // Killed after 6 cells (the first workload's anchor is cell 5),
         // then resumed from the journal: journaled anchor cells restore
-        // their counters and sites, and re-run when the report needs a
-        // tracer, which is never journaled.
-        std::fs::remove_dir_all(&dir).ok();
+        // their counters and sites, and re-run when they need a tracer,
+        // which is never journaled.
+        std::fs::remove_file(&journal).ok();
         let killed = res
             .clone()
             .with_journal(&journal)
@@ -480,7 +508,7 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
             cfg.trace.is_none(),
             "an anchor cell resumes unless it needs a tracer"
         );
-        check(&run, "resumed");
+        check(run, "resumed");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
