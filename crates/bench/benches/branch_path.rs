@@ -23,7 +23,7 @@ fn branch_stream() -> Vec<(u64, bool)> {
         measure: 40_000,
         seed: 42,
     };
-    conditional_branches(&record_trace(&Workload::from(Benchmark::M88ksim), spec))
+    conditional_branches(record_trace(&Workload::from(Benchmark::M88ksim), spec))
 }
 
 fn bench_branch_path(c: &mut Criterion) {

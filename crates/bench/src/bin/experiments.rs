@@ -22,8 +22,10 @@
 //! of that sweep as it runs and writes the rollup, one group per cell —
 //! the input for `obs_report`'s attribution diff (per workload and
 //! depth) and its `--cell` view of the 20-stage ARVI current-value
-//! cells, which `--trace-cycles START:END` also traces into
-//! `<FILE minus extension>.trace.json`. `--events-out` / `--metrics-out` stream structured
+//! cells, which `--trace-cycles START:END` re-runs after the sweep up
+//! to cycle END and traces into `<FILE minus extension>.trace.json`.
+//! `--obs-grid` with `--sample` exits 2 before any work: sampling units
+//! run unprobed. `--events-out` / `--metrics-out` stream structured
 //! sweep events (JSONL) and a Prometheus-style metrics snapshot, in
 //! every mode.
 //!
@@ -153,7 +155,14 @@ fn main() {
     }
 
     // The full evaluation grid, probed in-pass (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        &traces,
+        threads,
+        res.telemetry.as_deref(),
+    );
 
     if !incomplete.is_empty() {
         for e in &incomplete {

@@ -19,9 +19,10 @@
 //! the rollup: one group per cell plus the grid-wide merge.
 //! `obs_report --grid FILE --cell WORKLOAD` prints a workload's
 //! Figure 5(b) cell (20-stage, ARVI current value) from it. With
-//! `--trace-cycles START:END` those anchor cells also carry a Chrome
-//! tracer over the cycle window, written to
-//! `<FILE minus extension>.trace.json`.
+//! `--trace-cycles START:END` those anchor cells are re-run after the
+//! sweep up to cycle END with a Chrome tracer over the window, written
+//! to `<FILE minus extension>.trace.json`. `--obs-grid` with `--sample`
+//! exits 2 before any work: sampling units run unprobed.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -90,5 +91,12 @@ fn main() {
         fig5b.to_text()
     );
     // The figure's depth sweep, probed in-pass (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        &traces,
+        threads,
+        res.telemetry.as_deref(),
+    );
 }

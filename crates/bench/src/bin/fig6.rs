@@ -17,11 +17,10 @@
 //! chosen depth) as the sweep runs, so each cell is simulated once, and
 //! writes the rollup (one group per cell), the input for `obs_report`'s
 //! ARVI-vs-baseline attribution diff and its `--cell` view of the
-//! headline ARVI current-value cells. `--trace-cycles START:END` traces
-//! those cells over the cycle window into
-//! `<FILE minus extension>.trace.json`. Under `--sample` each cell's
-//! full-window probes come from one extra whole-cell item in the same
-//! pass, so the rollup equals the unsampled one.
+//! headline ARVI current-value cells. `--trace-cycles START:END`
+//! re-runs those cells after the sweep up to cycle END and traces the
+//! window into `<FILE minus extension>.trace.json`. `--obs-grid` with
+//! `--sample` exits 2 before any work: sampling units run unprobed.
 //!
 //! Runs the benchmark suite by default; any `--scenario`/
 //! `--scenario-file` flag switches the grid to the named synthetic
@@ -95,5 +94,12 @@ fn main() {
         data.mean_normalized_ipc(PredictorConfig::ArviPerfect)
     );
     // The figure's full grid, probed in-pass (`--obs-grid`).
-    maybe_obs_grid(flags.obs.as_ref(), run, spec, res.telemetry.as_deref());
+    maybe_obs_grid(
+        flags.obs.as_ref(),
+        run,
+        spec,
+        &traces,
+        threads,
+        res.telemetry.as_deref(),
+    );
 }

@@ -27,8 +27,8 @@
 //! written exits 1 naming the path. `--obs-grid FILE` puts the counter
 //! and site probes on every machine cell as it runs and writes the
 //! rollup (one group per cell) to `FILE`; `--trace-cycles START:END`
-//! also traces the ARVI current-value cells into
-//! `<FILE minus extension>.trace.json`.
+//! then re-runs the ARVI current-value cells up to cycle END and traces
+//! the window into `<FILE minus extension>.trace.json`.
 
 use std::sync::Arc;
 
@@ -215,7 +215,7 @@ fn main() {
     let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
     let res = Resilience {
-        probes: obs.clone(),
+        probes: obs.is_some(),
         ..Resilience::new()
     };
     let run = GridRun::run(points, spec, threads, true, &traces, &res, None);
@@ -363,5 +363,5 @@ fn main() {
     }
 
     // The characterization's machine cells, probed in-pass (`--obs-grid`).
-    maybe_obs_grid(obs.as_ref(), run, spec, None);
+    maybe_obs_grid(obs.as_ref(), run, spec, &traces, threads, None);
 }

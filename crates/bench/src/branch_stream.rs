@@ -5,14 +5,15 @@
 //! never drift onto different protocols.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use arvi_predict::{DirectionPredictor, Prediction};
-use arvi_trace::{Trace, TraceReader};
+use arvi_trace::{Trace, TraceReplayer};
 
 /// The recorded conditional-branch stream of a trace, as
 /// `(byte_pc, taken)` pairs.
-pub fn conditional_branches(trace: &Trace) -> Vec<(u64, bool)> {
-    TraceReader::new(trace)
+pub fn conditional_branches(trace: Trace) -> Vec<(u64, bool)> {
+    TraceReplayer::new(Arc::new(trace))
         .filter_map(|d| {
             let b = d.branch?;
             b.conditional.then_some((d.byte_pc(), b.taken))

@@ -55,10 +55,11 @@
 //! `--obs-grid FILE` puts the counter and site probes on every cell of
 //! the one pass and writes the rollup, one group per cell, and
 //! `--trace-cycles START:END` (which needs `--obs-grid`) adds a Chrome
-//! trace of the grid's anchor cells beside it — see [`obs_grid`];
-//! `obs_report` reads the rollup back. All of these flags are validated
-//! up front ([`run_flags_from_args`]), and an unknown flag or a stray
-//! positional argument is rejected.
+//! trace of the grid's anchor cells beside it, re-running each anchor
+//! up to END — see [`obs_grid`]; `obs_report` reads the rollup back.
+//! `--obs-grid` does not combine with `--sample`. All of these flags
+//! are validated up front ([`run_flags_from_args`]), and an unknown
+//! flag or a stray positional argument is rejected.
 //!
 //! Criterion microbenchmarks (under `benches/`) measure the hardware
 //! structures themselves (DDT insert/chain-read, RSE extraction, BVIT
@@ -266,8 +267,8 @@ pub struct RunFlags {
     /// Where recordings persist ([`trace_dir_from_args`]).
     pub trace_dir: Option<std::path::PathBuf>,
     /// Fault tolerance and telemetry ([`resilience_from_args`]), with
-    /// [`Resilience::probes`] holding `obs`, so the `--obs-grid` probes
-    /// ride the one pass.
+    /// [`Resilience::probes`] on under `--obs-grid`, so the probes ride
+    /// the one pass.
     pub res: Resilience,
     /// The `--sample` plan ([`sample_plan_from_args`]).
     pub plan: Option<SamplePlan>,
@@ -293,14 +294,20 @@ pub fn fig6_flags_from_args(args: &[String]) -> Result<(RunFlags, Depth), String
 }
 
 /// [`RunFlags`] out of `args`, whose flags and positionals are already
-/// checked.
+/// checked. `--obs-grid` with `--sample` is an error: sampling units
+/// run unprobed.
 fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let threads = threads_from_args(args)?;
     let trace_dir = trace_dir_from_args(args)?;
     let obs = obs_from_args(args)?;
     let plan = sample_plan_from_args(args)?;
+    if obs.is_some() && plan.is_some() {
+        return Err(
+            "--obs-grid does not combine with --sample (sampling units run unprobed)".into(),
+        );
+    }
     let mut res = resilience_from_args(args)?;
-    res.probes = obs.clone();
+    res.probes = obs.is_some();
     Ok(RunFlags {
         threads,
         trace_dir,
@@ -557,6 +564,16 @@ mod tests {
         assert!(run_flags_from_args(&args(&["--quick", "--treads", "2"]))
             .unwrap_err()
             .contains("--treads"));
+        // Probes need whole-cell runs: `--obs-grid` with `--sample` is
+        // rejected, naming `--sample`, for fig6 as for fig5 and
+        // experiments.
+        let sampled = args(&["--sample", "2:100000:2000", "--obs-grid", "x.json"]);
+        for err in [
+            run_flags_from_args(&sampled).unwrap_err(),
+            fig6_flags_from_args(&sampled).unwrap_err(),
+        ] {
+            assert!(err.contains("--sample"), "{err}");
+        }
         // The retired anchor-report flags are unknown flags now.
         for retired in ["--probe", "--obs-out", "--top-sites"] {
             let err = run_flags_from_args(&args(&["--obs-grid", "g.json", retired, "x"]));
@@ -610,18 +627,17 @@ mod tests {
         let flags = run_flags_from_args(&args(&["--quick"])).unwrap();
         assert_eq!(flags.threads, cores());
         assert!(flags.trace_dir.is_none());
-        // The policy carries the parsed observability config; without
-        // one it stays probe-free.
+        // `--obs-grid` turns the policy's probes on; without it the
+        // policy stays probe-free.
         for obs in [
             &["--obs-grid", "g.json"][..],
             &["--obs-grid", "g.json", "--trace-cycles", "0:10"],
         ] {
             let flags = run_flags_from_args(&args(obs)).unwrap();
-            assert!(flags.obs.is_some());
-            assert_eq!(flags.res.probes, flags.obs);
+            assert!(flags.obs.is_some() && flags.res.probes);
         }
         let flags = run_flags_from_args(&args(&["--journal", "j.log"])).unwrap();
-        assert!(flags.res.probes.is_none());
+        assert!(!flags.res.probes);
         let flags = run_flags_from_args(&args(&["--sample", "4:1000:500"])).unwrap();
         assert_eq!(flags.plan, Some(SamplePlan::systematic(4, 1000, 500)));
     }

@@ -3,17 +3,18 @@
 //!
 //! The figure sweeps run unprobed (the [`NullProbe`] machine —
 //! bit-identical and perf-guarded) unless `--obs-grid FILE` is given
-//! ([`obs_from_args`], carried as [`crate::Resilience::probes`]). Then
-//! the grid executor attaches the counter+site probes to every cell (and
-//! journals them on the cell's sweep-journal line), so each
-//! `(workload, depth, config)` cell is simulated once per invocation. A
-//! sampled cell carries them from one extra whole-cell probed item
-//! ([`crate::sampling`]), so a sampled run's rollup is the unsampled
-//! one. With `--trace-cycles START:END`, the grid's [`anchor`] cells
-//! also carry a [`ChromeTracer`] over the window, written beside the
-//! rollup. [`ObsGrid::from_outcomes`] then folds the probed outcomes of
-//! a [`GridRun`] into one `obs_grid.json` rollup ([`obs_grid_json`]):
+//! ([`obs_from_args`], which turns [`crate::Resilience::probes`] on).
+//! Then the grid executor attaches the counter+site probes to every cell
+//! (and journals them on the cell's sweep-journal line), so each
+//! `(workload, depth, config)` cell is simulated once per invocation.
+//! `--obs-grid` does not combine with `--sample`: sampling units run
+//! unprobed. [`ObsGrid::from_outcomes`] then folds the probed outcomes
+//! of a [`GridRun`] into one `obs_grid.json` rollup ([`obs_grid_json`]):
 //! one group per cell, in point order, plus the grid-wide merge.
+//!
+//! `--trace-cycles START:END` adds a post-pass ([`maybe_obs_grid`]): each
+//! completed [`anchor`] cell replays its recording again up to cycle END
+//! with a [`ChromeTracer`] over the window, written beside the rollup.
 //!
 //! Journaled and rolled-up probes need full-fidelity serialization:
 //! [`counters_to_json`]/[`counters_from_json`] and
@@ -38,13 +39,14 @@ use std::time::Instant;
 
 use arvi_obs::counters::ISSUE_BUCKETS;
 use arvi_obs::{ChromeTracer, CounterProbe, Log2Hist, SiteProbe, SiteStats};
-use arvi_sim::{Depth, PredictorConfig};
+use arvi_sim::{Depth, Machine, PredictorConfig, SimParams};
+use arvi_trace::par::par_map;
 
 use crate::events::SweepTelemetry;
 use crate::harness::{GridRun, Spec};
 use crate::report::{write_text, Json};
 use crate::resilience::CellOutcome;
-use crate::sweep::SweepPoint;
+use crate::sweep::{SweepPoint, TraceSet};
 
 /// Rows in the rollup's `top` site tables.
 const TOP_SITES: usize = 10;
@@ -119,17 +121,13 @@ pub fn anchor(points: &[SweepPoint]) -> Option<(Depth, Vec<usize>)> {
 /// The probes collected from one grid cell: what a probed cell
 /// ([`crate::Resilience::probes`]) carries out of the run in
 /// [`crate::resilience::CellSuccess::probes`]. The cell's sweep-journal
-/// line stores the counters and sites in its `probes` field.
+/// line stores them in its `probes` field.
 #[derive(Debug, Clone)]
 pub struct CellProbes {
     /// Counter/histogram telemetry.
     pub counters: CounterProbe,
     /// Per-branch-site attribution.
     pub sites: SiteProbe,
-    /// The windowed event trace of an anchor cell under
-    /// `--trace-cycles`. Never journaled: a resumed cell that needs it
-    /// re-runs.
-    pub tracer: Option<ChromeTracer>,
 }
 
 /// The telemetry of one grid cell in the rollup.
@@ -183,7 +181,6 @@ pub(crate) fn probes_from_json(entry: &Json) -> Option<CellProbes> {
     Some(CellProbes {
         counters: counters_from_json(entry.get("counters")?)?,
         sites: sites_from_json(entry.get("sites")?)?,
-        tracer: None,
     })
 }
 
@@ -866,27 +863,60 @@ impl Attribution {
     }
 }
 
-/// The Chrome trace of `run`'s traced anchor cells, each under its
-/// workload's name, in point order.
-fn anchor_trace(run: &GridRun) -> String {
+/// The Chrome trace over `window` of `run`'s completed anchor cells, in
+/// point order, each under its workload's name with pid its index among
+/// the anchors + 1. Each cell replays its recording from `traces` (on
+/// `threads` workers) up to cycle `window.1` or the end of `spec`'s
+/// window: the tracer records nothing outside its window, so this is
+/// the trace of the whole cell.
+fn anchor_trace(
+    run: &GridRun,
+    spec: Spec,
+    traces: &TraceSet,
+    threads: usize,
+    window: (u64, u64),
+) -> String {
     let cells = anchor(&run.points).map_or_else(Vec::new, |(_, cells)| cells);
-    ChromeTracer::render_merged(cells.into_iter().filter_map(|i| {
-        let probes = run.outcomes[i].success()?.probes.as_deref()?;
-        Some((run.points[i].workload.name(), probes.tracer.as_ref()?))
-    }))
+    let traced: Vec<(u32, usize)> = (1..)
+        .zip(cells)
+        .filter(|&(_, i)| run.outcomes[i].success().is_some())
+        .collect();
+    let tracers = par_map(&traced, threads, |&(pid, i)| {
+        let point = &run.points[i];
+        let mut tracer = ChromeTracer::new(window.0, window.1);
+        tracer.pid = pid;
+        let replayer = traces
+            .replayer(&point.workload)
+            .expect("a completed cell's recording");
+        let params = SimParams::for_depth(point.depth);
+        let mut machine = Machine::with_probe(replayer, params, point.config, tracer);
+        let total = spec.warmup + spec.measure;
+        while machine.stats().cycles < window.1 && machine.stats().committed < total {
+            let committed = machine.stats().committed;
+            if machine.run_until_committed(committed + 1) == committed {
+                break;
+            }
+        }
+        machine.into_probe()
+    });
+    let names = traced.iter().map(|&(_, i)| run.points[i].workload.name());
+    ChromeTracer::render_merged(names.zip(&tracers))
 }
 
 /// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
 /// asks for one, and under `--trace-cycles` the anchor cells' Chrome
 /// trace beside it; exits 1 when either cannot be written. The rollup
 /// folds the run's own probed outcomes — `--obs-grid` turned the grid
-/// executor's probes on for every cell, sampled ones included — with
-/// the fold's events going to `telemetry`. The experiment binaries call
-/// this after their tables.
+/// executor's probes on for every cell — with the fold's events going
+/// to `telemetry`. The trace re-runs each completed anchor cell from
+/// `traces` up to the window's end, on `threads` workers. The experiment
+/// binaries call this after their tables.
 pub fn maybe_obs_grid(
     cfg: Option<&ObsConfig>,
     run: GridRun,
     spec: Spec,
+    traces: &TraceSet,
+    threads: usize,
     telemetry: Option<&SweepTelemetry>,
 ) {
     let Some(cfg) = cfg else { return };
@@ -894,8 +924,9 @@ pub fn maybe_obs_grid(
         eprintln!("error: cannot write {what}: {e}");
         std::process::exit(1);
     };
-    if let Some(path) = cfg.trace_path() {
-        if let Err(e) = write_text(&path, &anchor_trace(&run)) {
+    if let (Some(path), Some(window)) = (cfg.trace_path(), cfg.trace) {
+        let trace = anchor_trace(&run, spec, traces, threads, window);
+        if let Err(e) = write_text(&path, &trace) {
             fail("chrome trace", e);
         }
         eprintln!("chrome trace written to {}", path.display());

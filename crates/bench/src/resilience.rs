@@ -29,12 +29,11 @@
 //!   finished items ([`Resilience::resume`]). Failed cells are never
 //!   journaled, so a resume re-runs them. Trace files themselves are
 //!   written atomically by `arvi-trace` (temp file + fsync + rename).
-//! * **Every probe in the pass** — under `--obs-grid`
-//!   ([`Resilience::probes`]) every cell carries its counter and site
-//!   probes out in [`CellSuccess::probes`] (a sampled cell from one
-//!   extra whole-cell item), journaled on the cell's own line, and under
-//!   `--trace-cycles` the anchor cells carry a tracer too, so the
-//!   rollup ([`crate::obs_grid`]) re-simulates no cell.
+//! * **Probes on or off per run** — under `--obs-grid`
+//!   ([`Resilience::probes`]) every cell of an unsampled grid carries its
+//!   counter and site probes out in [`CellSuccess::probes`], journaled
+//!   on the cell's own line, so the rollup ([`crate::obs_grid`])
+//!   re-simulates no cell. A sampled grid runs its units unprobed.
 //! * **ARVI cells from their twins** — the three ARVI configurations
 //!   are one machine under three value oracles, which disagree only on
 //!   leaf values not yet written back ([`arvi_sim::oracle`]). Without a
@@ -52,12 +51,11 @@
 //!   a current-value run whose not-ready leaves all missed the hoist
 //!   rule, or from a perfect-value run whose not-ready leaves all met
 //!   it. That result is bit-identical to a simulated one, and so are
-//!   the twin's counters and sites when both cells carry them. One twin
-//!   may serve two cells. The cell is simulated as usual in every other
-//!   case: every twin disagreed, failed, was resumed, is still running,
-//!   or carries other probes or a tracer. No item waits on a twin, and
-//!   the fault plan's panic fires before any derivation. A derived
-//!   cell's `cell_end` says `"phase":"derived"`.
+//!   the twin's counters and sites in a probed run. One twin may serve
+//!   two cells. The cell is simulated as usual in every other case:
+//!   every twin disagreed, failed, was resumed or is still running. No
+//!   item waits on a twin, and the fault plan's panic fires before any
+//!   derivation. A derived cell's `cell_end` says `"phase":"derived"`.
 //! * **Deterministic fault injection** — a [`FaultPlan`] (parsed from
 //!   `--fault-plan` text) panics chosen cells and simulates a mid-grid
 //!   kill, both deterministically, so `tests/fault_injection.rs` and the
@@ -73,7 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arvi_obs::{ChromeTracer, CounterProbe, NullProbe, SiteProbe};
+use arvi_obs::{CounterProbe, NullProbe, SiteProbe};
 use arvi_sampling::{run_unit, SamplePlan, SampleReport, SampleUnit};
 use arvi_sim::{
     intern_name, simulate_source_tallied, InstSource, PendingLeaves, PredictorConfig, SimParams,
@@ -85,7 +83,7 @@ use arvi_trace::{Trace, TraceReplayer, REPLAY_PANIC_PREFIX};
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
-use crate::obs_grid::{anchor, probes_from_json, probes_to_json, CellProbes, ObsConfig};
+use crate::obs_grid::{probes_from_json, probes_to_json, CellProbes};
 use crate::report::{io_error_at, Json};
 use crate::sampling::{fold_units, unit_fingerprint};
 use crate::sweep::{trace_len, SweepPoint, TraceSet};
@@ -106,10 +104,6 @@ pub struct CellSuccess {
     /// journaled duration of the original run (zero for entries written
     /// by journals that predate duration tracking).
     pub duration: Duration,
-    /// How many sampling units produced this result under a sample
-    /// plan ([`crate::harness::GridRun::run`] with a plan); `0` for a
-    /// full (unsampled) run.
-    pub sampled_units: usize,
     /// The probes the cell ran with, when the run asked for them
     /// ([`Resilience::probes`]); counters and sites are restored from the
     /// cell's journal line for resumed cells.
@@ -176,12 +170,11 @@ pub struct Resilience {
     /// Structured execution telemetry (event log + metrics export).
     /// Shared with the trace recorder, hence the `Arc`.
     pub telemetry: Option<Arc<SweepTelemetry>>,
-    /// The parsed observability flags ([`ObsConfig`]): every cell
-    /// carries the counter and site probes, and the anchor cells a tracer
-    /// under `--trace-cycles`. Probed results are bit-identical to
-    /// unprobed ones; a resumed cell whose journal line lacks a probe the
-    /// run needs — a tracer always — is re-simulated to get it.
-    pub probes: Option<ObsConfig>,
+    /// Whether every cell carries the counter and site probes
+    /// (`--obs-grid`; a sampled grid ignores it). Probed results are
+    /// bit-identical to unprobed ones; a resumed cell whose journal line
+    /// lacks the probes is re-simulated to get them.
+    pub probes: bool,
 }
 
 impl Resilience {
@@ -214,8 +207,8 @@ impl Resilience {
 pub enum FaultKind {
     /// Panic inside grid cell `cell` (by index into the sweep's point
     /// list). Fires once, on the cell's first dispatched work item —
-    /// the whole cell, or under a sample plan one of its units (or its
-    /// probed item) — and fails only that cell.
+    /// the whole cell, or under a sample plan one of its units — and
+    /// fails only that cell.
     PanicCell {
         /// Cell index into the sweep's point list.
         cell: u32,
@@ -223,8 +216,7 @@ pub enum FaultKind {
     /// Stop dispatching new work items once `cells` items have
     /// completed — a deterministic stand-in for kill -9 mid-sweep. Items
     /// are cells, except under a sample plan, where each sampling unit
-    /// and each sampled cell's probed item counts (a cell with
-    /// unfinished items is skipped).
+    /// counts (a cell with unfinished items is skipped).
     KillAfter {
         /// Completed-work-item threshold.
         cells: u32,
@@ -427,7 +419,6 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         resumed: true,
         derived: false,
         duration,
-        sampled_units: 0,
         probes,
     })
 }
@@ -435,12 +426,12 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
 /// Append-only journal of completed work items: a header comment naming
 /// the spec, then one `<fingerprint-hex16> <compact-json>` line per whole
 /// cell or sampling unit, appended (and flushed) as items finish. A line
-/// carries the item's result counters and duration and,
-/// for a probed cell ([`Resilience::probes`]), its counter and site
-/// probes (never a tracer) as a last `probes` field. Crash-tolerant on
-/// both ends: a torn final line from an interrupted writer is skipped
-/// (with a warning) by the loader, and everything before it still
-/// resumes. For a repeated fingerprint the last line wins, so a cell
+/// carries the item's result counters and duration and, for a probed
+/// cell ([`Resilience::probes`]), its counter and site probes as a last
+/// `probes` field. Crash-tolerant on both ends: a torn final line from
+/// an interrupted writer is skipped (with a warning) by the loader, and
+/// everything before it still resumes. For a repeated fingerprint the
+/// last line wins, so a cell
 /// re-run for its probes supersedes its earlier, unprobed line.
 #[derive(Debug)]
 pub struct SweepJournal {
@@ -489,8 +480,7 @@ impl SweepJournal {
     }
 
     /// Loads the last well-formed entry per fingerprint of the journal at
-    /// `path`, each marked [`CellSuccess::resumed`] (with `sampled_units`
-    /// 0; the executor knows whether a key is a unit). A missing file is
+    /// `path`, each marked [`CellSuccess::resumed`]. A missing file is
     /// an empty journal; malformed lines (e.g. a torn final line from a
     /// crashed writer) are skipped with a warning.
     pub fn load(path: &Path) -> HashMap<u64, CellSuccess> {
@@ -535,8 +525,7 @@ type WorkItem = (usize, Option<usize>);
 /// workload has no recording of `spec`'s seed long enough for the window
 /// fails as [`CellOutcome::TraceError`]. The work list holds one whole-cell item
 /// per cell, except that under `sample` a cell with a usable recording
-/// contributes one item per sampling unit instead, plus one whole-cell
-/// probed item when the cell must report probes. Every item runs on the
+/// contributes one item per sampling unit instead. Every item runs on the
 /// one worker loop ([`par_map_caught`]) under the same isolation, fault
 /// plan, journal and resume — a restored item is bit-identical to a
 /// simulated one, it is the simulated one. A cell's `cell_start` event
@@ -572,8 +561,7 @@ pub(crate) fn run_grid(
         let sampled = !exec.units.is_empty() && exec.recordings[i].is_ok();
         if sampled {
             items.extend((0..exec.units.len()).map(|j| (i, Some(j))));
-        }
-        if !sampled || exec.probes[i] != ProbeSet::Off {
+        } else {
             items.push((i, None));
         }
         spans[i] = (first..items.len(), sampled);
@@ -634,11 +622,7 @@ pub(crate) fn run_grid(
                     .map(|s| s.lock().expect("item slot").take().expect("item ran"))
                     .collect();
                 let folded = if run.sampled {
-                    // A probed sampled cell's last item is its whole-cell
-                    // probed one.
-                    let probed = (exec.probes[cell] != ProbeSet::Off)
-                        .then(|| outcomes.pop().expect("the probed item"));
-                    fold_units(&points[cell], spec, outcomes, probed)
+                    fold_units(&points[cell], spec, outcomes)
                 } else {
                     (outcomes.pop().expect("one whole-cell item"), None)
                 };
@@ -695,35 +679,6 @@ struct CellRun {
     folded: Mutex<Option<(CellOutcome, Option<SampleReport>)>>,
 }
 
-/// Which probes one work item runs with ([`Executor::probes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeSet {
-    /// The unprobed machine.
-    Off,
-    /// The counter and site probes.
-    Sites,
-    /// Counters and sites plus a Chrome tracer over the cycle `window`,
-    /// its events stamped with `pid`.
-    Traced { window: (u64, u64), pid: u32 },
-}
-
-/// Which probes each of `points` carries under `cfg`: counters and sites
-/// on every cell, and with `--trace-cycles` a tracer over the window on
-/// the grid's anchor cells, with `pid` its workload's index + 1.
-fn probe_sets(points: &[SweepPoint], cfg: Option<&ObsConfig>) -> Vec<ProbeSet> {
-    let Some(cfg) = cfg else {
-        return vec![ProbeSet::Off; points.len()];
-    };
-    let mut sets = vec![ProbeSet::Sites; points.len()];
-    if let (Some(window), Some((_, cells))) = (cfg.trace, anchor(points)) {
-        for (k, i) in cells.into_iter().enumerate() {
-            let pid = k as u32 + 1;
-            sets[i] = ProbeSet::Traced { window, pid };
-        }
-    }
-    sets
-}
-
 /// Where an ARVI configuration's cells go in the dispatch order: current
 /// value first, perfect value second, load back last.
 fn dispatch_rank(config: PredictorConfig) -> u8 {
@@ -735,16 +690,13 @@ fn dispatch_rank(config: PredictorConfig) -> u8 {
 }
 
 /// Each ARVI cell's twins, current value first — the ARVI cells of the
-/// same workload and depth that go out before it ([`dispatch_rank`]),
-/// when they carry the same probes and no tracer (a tracer belongs to
-/// its own cell: its events carry the cell's pid); empty for every
-/// other cell.
-fn twins(points: &[SweepPoint], probes: &[ProbeSet]) -> Vec<Vec<usize>> {
+/// same workload and depth that go out before it ([`dispatch_rank`]);
+/// empty for every other cell.
+fn twins(points: &[SweepPoint]) -> Vec<Vec<usize>> {
     points
         .iter()
-        .zip(probes)
-        .map(|(p, &set)| {
-            if !p.config.is_arvi() || matches!(set, ProbeSet::Traced { .. }) {
+        .map(|p| {
+            if !p.config.is_arvi() {
                 return Vec::new();
             }
             let mut twins: Vec<usize> = (0..points.len())
@@ -754,7 +706,6 @@ fn twins(points: &[SweepPoint], probes: &[ProbeSet]) -> Vec<Vec<usize>> {
                         && dispatch_rank(q.config) < dispatch_rank(p.config)
                         && q.depth == p.depth
                         && q.workload == p.workload
-                        && probes[j] == set
                 })
                 .collect();
             twins.sort_by_key(|&j| dispatch_rank(points[j].config));
@@ -783,9 +734,9 @@ struct Executor<'a> {
     /// The sample plan's units over the measurement window (empty
     /// without a plan).
     units: Vec<SampleUnit>,
-    /// The probes each cell reports, carried by its whole-cell item
-    /// (sampling units run unprobed).
-    probes: Vec<ProbeSet>,
+    /// Whether every whole-cell item carries the counter and site probes
+    /// (never under a sample plan: units run unprobed).
+    probes: bool,
     /// Each ARVI cell's twins, whose result it may take ([`twins`]).
     twins: Vec<Vec<usize>>,
     /// Each cell's publication as a twin.
@@ -823,10 +774,9 @@ impl<'a> Executor<'a> {
                 })
                 .ok()
         });
-        let probes = probe_sets(points, res.probes.as_ref());
         let twins = match sample {
             Some(_) => vec![Vec::new(); points.len()],
-            None => twins(points, &probes),
+            None => twins(points),
         };
         let slots: Vec<Mutex<TwinSlot>> = points.iter().map(|_| Mutex::default()).collect();
         for &twin in twins.iter().flatten() {
@@ -839,7 +789,7 @@ impl<'a> Executor<'a> {
             sample,
             recordings: points.iter().map(|p| recording(traces, p, spec)).collect(),
             units,
-            probes,
+            probes: res.probes && sample.is_none(),
             twins,
             slots,
             prior,
@@ -888,20 +838,16 @@ impl<'a> Executor<'a> {
             }
         };
         let fp = self.fingerprint(cell, unit);
-        let sampled_units = unit.is_some() as usize;
-        let probes = unit.map_or(self.probes[cell], |_| ProbeSet::Off);
         if let Some(prior) = self.prior.get(&fp) {
-            // A cell journaled without a probe it needs re-runs; a
-            // tracer is never journaled.
-            let sites = probes == ProbeSet::Sites && prior.probes.is_some();
-            if probes == ProbeSet::Off || sites {
+            // A cell journaled without the probes a probed run needs
+            // re-runs.
+            if !self.probes || prior.probes.is_some() {
                 return CellOutcome::Ok(CellSuccess {
                     result: prior.result.clone(),
                     resumed: true,
                     derived: false,
                     duration: prior.duration,
-                    sampled_units,
-                    probes: prior.probes.clone().filter(|_| probes != ProbeSet::Off),
+                    probes: prior.probes.clone().filter(|_| self.probes),
                 });
             }
         }
@@ -917,7 +863,7 @@ impl<'a> Executor<'a> {
                     derived = true;
                     twin
                 }
-                None => self.simulate_whole(cell, trace, probes),
+                None => self.simulate_whole(cell, trace),
             }),
         };
         match ran {
@@ -927,7 +873,6 @@ impl<'a> Executor<'a> {
                 resumed: false,
                 derived,
                 duration: start.elapsed(),
-                sampled_units,
                 probes,
             }),
         }
@@ -935,11 +880,11 @@ impl<'a> Executor<'a> {
 
     /// A whole cell over its recording. A twin publishes its result and
     /// tally when a cell it may serve is still to come and could take it.
-    fn simulate_whole(&self, cell: usize, trace: &Arc<Trace>, probes: ProbeSet) -> Simulated {
+    fn simulate_whole(&self, cell: usize, trace: &Arc<Trace>) -> Simulated {
         let replayer = TraceReplayer::new(Arc::clone(trace));
         let name = intern_name(trace.name());
         let point = &self.points[cell];
-        let (simulated, pending) = simulate_cell(name, replayer, point, self.spec, probes);
+        let (simulated, pending) = simulate_cell(name, replayer, point, self.spec, self.probes);
         let mut slot = self.slots[cell].lock().expect("twin slot");
         let serves = |i: usize| {
             self.twins[i].contains(&cell)
@@ -1096,44 +1041,30 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
 
 /// Simulates one cell from `source` — the same run as
 /// [`crate::harness::run_one`] / [`crate::harness::run_one_traced`] —
-/// with the `probes` attached; also returns the run's tally of not-ready
-/// leaves ([`arvi_sim::Machine::pending_leaves`]).
+/// with the counter and site probes attached when `probed`; also
+/// returns the run's tally of not-ready leaves
+/// ([`arvi_sim::Machine::pending_leaves`]).
 fn simulate_cell<S: InstSource>(
     name: &'static str,
     source: S,
     point: &SweepPoint,
     spec: Spec,
-    probes: ProbeSet,
+    probed: bool,
 ) -> (Simulated, PendingLeaves) {
     let params = SimParams::for_depth(point.depth);
     let (warmup, measure, config) = (spec.warmup, spec.measure, point.config);
-    if probes == ProbeSet::Off {
+    if !probed {
         let (result, NullProbe, pending) =
             simulate_source_tallied(name, source, params, config, warmup, measure, NullProbe);
         return ((result, None), pending);
     }
-    let sites = (CounterProbe::new(), SiteProbe::new());
-    let (result, (counters, sites), tracer, pending) = match probes {
-        ProbeSet::Traced { window, pid } => {
-            let mut tracer = ChromeTracer::new(window.0, window.1);
-            tracer.pid = pid;
-            let probe = (sites, tracer);
-            let (result, (sites, tracer), pending) =
-                simulate_source_tallied(name, source, params, config, warmup, measure, probe);
-            (result, sites, Some(tracer), pending)
-        }
-        _ => {
-            let (result, sites, pending) =
-                simulate_source_tallied(name, source, params, config, warmup, measure, sites);
-            (result, sites, None, pending)
-        }
-    };
-    let probes = CellProbes {
-        counters,
-        sites,
-        tracer,
-    };
-    ((result, Some(Box::new(probes))), pending)
+    let probe = (CounterProbe::new(), SiteProbe::new());
+    let (result, (counters, sites), pending) =
+        simulate_source_tallied(name, source, params, config, warmup, measure, probe);
+    (
+        (result, Some(Box::new(CellProbes { counters, sites }))),
+        pending,
+    )
 }
 
 /// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
@@ -1368,7 +1299,7 @@ mod tests {
     fn default_policy_is_the_documented_graceful_one() {
         let d = Resilience::default();
         assert!(d.journal.is_none() && !d.resume);
-        assert!(d.plan.is_none() && d.telemetry.is_none() && d.probes.is_none());
+        assert!(d.plan.is_none() && d.telemetry.is_none() && !d.probes);
         assert_eq!(format!("{d:?}"), format!("{:?}", Resilience::new()));
     }
 
@@ -1411,18 +1342,12 @@ mod tests {
         let program = p.workload.program(spec.seed);
         let name = intern_name(program.name());
         let emu = arvi_isa::Emulator::new(program);
-        let probes = if probed {
-            ProbeSet::Sites
-        } else {
-            ProbeSet::Off
-        };
-        let ((result, probes), _) = simulate_cell(name, emu, p, spec, probes);
+        let ((result, probes), _) = simulate_cell(name, emu, p, spec, probed);
         CellSuccess {
             result,
             resumed: false,
             derived: false,
             duration: Duration::from_micros(77),
-            sampled_units: 0,
             probes,
         }
     }
@@ -1532,7 +1457,6 @@ mod tests {
                 resumed,
                 derived: false,
                 duration: Duration::from_millis(40),
-                sampled_units: 0,
                 probes: None,
             })
         };
@@ -1560,7 +1484,6 @@ mod tests {
                 resumed,
                 derived: false,
                 duration: Duration::from_millis(ms),
-                sampled_units: 0,
                 probes: None,
             })
         };

@@ -12,15 +12,14 @@
 //! recording fails as it does in a full run, with a trace error naming
 //! the workload.
 //!
-//! Sampling units run unprobed: a sampled cell that must report probes
-//! gets one extra whole-cell probed item after its units, journaled
-//! under the cell's own fingerprint, so its probes are the unsampled
-//! run's while its result comes from the units.
+//! Sampling units run unprobed, and a sampled cell runs its units only:
+//! `--obs-grid` is rejected together with `--sample`.
 //!
 //! Isolation, the fault plan, journaling, resume and telemetry are the
-//! executor's, the same as for full runs; this module adds only the unit journal key ([`unit_fingerprint`]: a killed run
-//! resumes per *unit*, not per cell), the fold of a cell's unit results
-//! into its [`SampleReport`], and the confidence-interval table.
+//! executor's, the same as for full runs; this module adds only the
+//! unit journal key ([`unit_fingerprint`]: a killed run resumes per
+//! *unit*, not per cell), the fold of a cell's unit results into its
+//! [`SampleReport`], and the confidence-interval table.
 //!
 //! Determinism: unit results are folded in unit order and merged with
 //! integer-exact counter sums, so a sampled sweep's results — including
@@ -58,33 +57,26 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
     h
 }
 
-/// Folds one sampled cell's unit outcomes (in unit order), then its
-/// whole-cell `probed` item's when it has one, into the cell's outcome
-/// and report: the first failed item fails the cell; otherwise the unit
-/// counters merge into the cell's result, the probes are the probed
-/// item's, its duration is the items' sum, and it counts as resumed
-/// when every item was restored from the journal.
+/// Folds one sampled cell's unit outcomes (in unit order) into the
+/// cell's outcome and report: the first failed unit fails the cell;
+/// otherwise the unit counters merge into the cell's result, its
+/// duration is the units' sum, and it counts as resumed when every unit
+/// was restored from the journal.
 pub(crate) fn fold_units(
     point: &SweepPoint,
     spec: Spec,
     units: Vec<CellOutcome>,
-    probed: Option<CellOutcome>,
 ) -> (CellOutcome, Option<SampleReport>) {
-    let n = units.len();
-    let mut stats = Vec::with_capacity(n);
-    let (mut duration, mut resumed, mut probes) = (Duration::ZERO, true, None);
-    for (j, outcome) in units.into_iter().chain(probed).enumerate() {
+    let mut stats = Vec::with_capacity(units.len());
+    let (mut duration, mut resumed) = (Duration::ZERO, true);
+    for outcome in units {
         let s = match outcome {
             CellOutcome::Ok(s) => s,
             failed => return (failed, None),
         };
         duration += s.duration;
         resumed &= s.resumed;
-        if j < n {
-            stats.push(s.result.window);
-        } else {
-            probes = s.probes;
-        }
+        stats.push(s.result.window);
     }
     let report = aggregate(&stats, spec.measure);
     let result = SimResult {
@@ -93,15 +85,13 @@ pub(crate) fn fold_units(
         depth_stages: point.depth.stages(),
         window: report.totals.clone(),
     };
-    let sampled_units = report.ipc.units.max(stats.len());
     (
         CellOutcome::Ok(CellSuccess {
             result,
             resumed,
             derived: false,
             duration,
-            sampled_units,
-            probes,
+            probes: None,
         }),
         Some(report),
     )
@@ -237,10 +227,9 @@ mod tests {
         let one = sampled(&points, &plan, 1, &traces, &res);
         let four = sampled(&points, &plan, 4, &traces, &Resilience::new());
         for sweep in [&one, &four] {
-            let s = sweep.outcomes[0].success().expect("cell sampled");
-            assert_eq!(s.sampled_units, 4, "8k measure / (2*1k) stride");
+            assert!(sweep.outcomes[0].success().is_some(), "cell sampled");
             let r = reports(sweep)[0].as_ref().expect("report present");
-            assert_eq!(r.units(), 4);
+            assert_eq!(r.units(), 4, "8k measure / (2*1k) stride");
             assert!((r.coverage() - 0.5).abs() < 0.01);
             assert!(r.ipc.mean > 0.0);
         }

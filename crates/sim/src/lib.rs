@@ -54,7 +54,7 @@ pub mod wheel;
 pub use branch_unit::{BranchDecision, BranchUnit, Level2};
 pub use cache::Cache;
 pub use hierarchy::Hierarchy;
-pub use machine::{Machine, MachineStats, PcProfile};
+pub use machine::{Machine, MachineStats};
 pub use oracle::{LoadBackOracle, PendingLeaves, PerfectOracle, ReadyOracle, Tallied};
 pub use params::{ArviTuning, CacheConfig, Depth, PredictorConfig, SimParams, TlbConfig};
 pub use rename::RenameState;

@@ -246,30 +246,6 @@ enum FetchState {
     },
 }
 
-/// Per-static-branch profile (optional instrumentation; see
-/// [`Machine::enable_profiling`]).
-#[derive(Debug, Clone, Default)]
-pub struct PcProfile {
-    /// Dynamic executions.
-    pub total: u64,
-    /// Final-direction correct.
-    pub final_correct: u64,
-    /// Level-1 correct.
-    pub l1_correct: u64,
-    /// BVIT tag hits (ARVI configs).
-    pub bvit_hits: u64,
-    /// Load-class instances.
-    pub load_class: u64,
-    /// Overrides fired.
-    pub overrides: u64,
-    /// Distinct (index, id, depth) signatures observed (capped at 4096).
-    pub signatures: std::collections::HashSet<(usize, u8, u8)>,
-    /// Histogram of depth tags.
-    pub depths: std::collections::HashMap<u8, u64>,
-    /// Histogram of leaf-set sizes (total, available).
-    pub leaf_sizes: std::collections::HashMap<(u8, u8), u64>,
-}
-
 /// The machine: owns the instruction source (live [`Emulator`] or a
 /// trace replayer — any [`InstSource`]), predictor stack, hierarchy and
 /// scheduling state.
@@ -322,7 +298,6 @@ pub struct Machine<S: InstSource = Emulator, P: Probe = NullProbe> {
     /// measurement windows end on an exact instruction boundary instead
     /// of overshooting by up to `commit_width - 1`.
     commit_cap: u64,
-    profile: Option<std::collections::HashMap<u64, PcProfile>>,
     /// Cycle at which fetch last entered `BranchBlocked` (mispredict
     /// recovery depth = release cycle minus this).
     blocked_since: u64,
@@ -412,7 +387,6 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
             pending: PendingLeaves::default(),
             stats: MachineStats::default(),
             commit_cap: u64::MAX,
-            profile: None,
             blocked_since: 0,
             probe,
             due_scratch: Vec::new(),
@@ -441,16 +415,6 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
     /// [`MachineStats`], so digests and journals do not see it.
     pub fn pending_leaves(&self) -> PendingLeaves {
         self.pending
-    }
-
-    /// Turns on per-static-branch profiling (diagnostics; small overhead).
-    pub fn enable_profiling(&mut self) {
-        self.profile = Some(std::collections::HashMap::new());
-    }
-
-    /// The per-PC branch profiles collected since profiling was enabled.
-    pub fn profile(&self) -> Option<&std::collections::HashMap<u64, PcProfile>> {
-        self.profile.as_ref()
     }
 
     /// The memory hierarchy (for cache statistics).
@@ -725,24 +689,6 @@ impl<S: InstSource, P: Probe> Machine<S, P> {
             self.stats.overrides += 1;
             if correct && decision.l1.taken != actual {
                 self.stats.overrides_correcting += 1;
-            }
-        }
-        if let Some(profile) = &mut self.profile {
-            let p = profile.entry(pc).or_default();
-            p.total += 1;
-            p.final_correct += correct as u64;
-            p.l1_correct += (decision.l1.taken == actual) as u64;
-            p.overrides += decision.override_fired as u64;
-            if let Some(ap) = &decision.arvi {
-                p.bvit_hits += ap.direction.is_some() as u64;
-                p.load_class += (ap.class == arvi_core::BranchClass::Load) as u64;
-                if p.signatures.len() < 4096 {
-                    p.signatures.insert((ap.index, ap.id_tag, ap.depth_tag));
-                }
-                *p.depths.entry(ap.depth_tag).or_default() += 1;
-                *p.leaf_sizes
-                    .entry((ap.leaf_count as u8, ap.available as u8))
-                    .or_default() += 1;
             }
         }
     }

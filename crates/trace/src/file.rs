@@ -274,10 +274,11 @@ fn par_crc32(bytes: &[u8], workers: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::TraceReader;
+    use crate::replay::TraceReplayer;
     use crate::store::TraceWriter;
     use arvi_isa::{DynInst, Emulator};
     use arvi_workloads::Benchmark;
+    use std::sync::Arc;
 
     /// Locates chunk `chunk`'s payload inside raw container bytes
     /// without verifying them: `(offset, len)` into `container`, so a
@@ -337,8 +338,8 @@ mod tests {
         assert_eq!(back.name(), "perl");
         assert_eq!(back.seed(), 4);
         assert_eq!(back.len(), 1_500);
-        let a: Vec<DynInst> = TraceReader::new(&trace).collect();
-        let b: Vec<DynInst> = TraceReader::new(&back).collect();
+        let a: Vec<DynInst> = TraceReplayer::new(Arc::new(trace)).collect();
+        let b: Vec<DynInst> = TraceReplayer::new(Arc::new(back)).collect();
         assert_eq!(a, b);
     }
 

@@ -14,9 +14,9 @@
 //! * [`Trace`] holds the encoded recording immutably, so sweeps share
 //!   one recording across all grid cells and worker threads via
 //!   `Arc<Trace>`.
-//! * [`TraceReader`] / [`TraceReplayer`] decode chunk-at-a-time into a
-//!   reusable buffer (zero steady-state allocation) and can
-//!   fast-forward over whole chunks via the index. `TraceReplayer`
+//! * [`TraceReplayer`] decodes a shared `Arc<Trace>` chunk-at-a-time
+//!   into a reusable buffer (zero steady-state allocation) and can
+//!   fast-forward or seek over whole chunks via the index. It
 //!   implements [`arvi_sim::InstSource`], so
 //!   [`arvi_sim::simulate_source`] runs timing models directly off a
 //!   recording — **bit-identically** to the live emulation it captured.
@@ -63,7 +63,7 @@ pub mod store;
 
 pub use chunk::DEFAULT_CHUNK_INSTS;
 pub use file::FORMAT_VERSION;
-pub use replay::{TraceReader, TraceReplayer, REPLAY_PANIC_PREFIX};
+pub use replay::{TraceReplayer, REPLAY_PANIC_PREFIX};
 pub use store::{ChunkInfo, Trace, TraceWriter};
 
 use std::fmt;
@@ -109,7 +109,7 @@ pub enum TraceError {
         need: u64,
     },
     /// A seek target beyond the end of the trace
-    /// ([`TraceReader::seek_to_inst`]); the caller's sampling plan and
+    /// ([`TraceReplayer::seek_to_inst`]); the caller's sampling plan and
     /// the recording disagree about the trace length.
     SeekPastEnd {
         /// Requested instruction sequence number.

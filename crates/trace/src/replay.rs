@@ -26,8 +26,8 @@ fn corrupt_chunk_panic(chunk: usize, trace: &Trace, e: crate::TraceError) -> ! {
     )
 }
 
-/// Shared cursor logic over a trace, borrowed per call so it works for
-/// both the borrowing [`TraceReader`] and the owning [`TraceReplayer`].
+/// The cursor logic of [`TraceReplayer`], with the trace borrowed per
+/// call.
 ///
 /// The decode buffer is reused across chunks: after the first chunk is
 /// decoded, steady-state replay performs **zero heap allocations**
@@ -183,59 +183,6 @@ impl Cursor {
     }
 }
 
-/// Borrowing reader over a [`Trace`], yielding records in order.
-///
-/// Decodes chunk-at-a-time into a reusable buffer; see [`Cursor`] for
-/// the allocation discipline and panic conditions.
-#[derive(Debug)]
-pub struct TraceReader<'a> {
-    trace: &'a Trace,
-    cursor: Cursor,
-}
-
-impl<'a> TraceReader<'a> {
-    /// A reader positioned at the first record.
-    pub fn new(trace: &'a Trace) -> TraceReader<'a> {
-        TraceReader {
-            trace,
-            cursor: Cursor::default(),
-        }
-    }
-
-    /// Skips `n` records (whole chunks are skipped via the index, so
-    /// fast-forwarding past a warmup prefix does not decode it).
-    /// Returns the number actually skipped.
-    pub fn fast_forward(&mut self, n: u64) -> u64 {
-        self.cursor.fast_forward(self.trace, n)
-    }
-
-    /// Absolute seek: repositions the reader so the next record yielded
-    /// is the one with sequence number `seq`. The footer index's
-    /// `first_seq` column locates the containing chunk directly, so no
-    /// prefix is decoded — the entry cost of a sampling unit anywhere
-    /// in the trace is one binary search plus one chunk decode.
-    /// Returns [`TraceError::SeekPastEnd`] for a target at or beyond the
-    /// end of the trace. A failed seek leaves the reader exhausted.
-    ///
-    /// Assumes the dense zero-based sequence numbering that
-    /// [`Trace::record`](crate::Trace::record) produces (`seq` equals
-    /// the record's position). A hand-built trace whose numbering starts
-    /// above `seq` or has gaps yields [`TraceError::SeekNotFound`] for
-    /// any target that numbering does not place.
-    pub fn seek_to_inst(&mut self, seq: u64) -> Result<(), TraceError> {
-        self.cursor.seek_to_inst(self.trace, seq)
-    }
-}
-
-impl Iterator for TraceReader<'_> {
-    type Item = DynInst;
-
-    #[inline]
-    fn next(&mut self) -> Option<DynInst> {
-        self.cursor.next(self.trace)
-    }
-}
-
 /// Owning replayer over a shared trace: the record-once / replay-many
 /// [`InstSource`]. Clones of the `Arc` are cheap; each replayer carries
 /// only its own cursor and decode buffer, so any number of machines (on
@@ -260,15 +207,27 @@ impl TraceReplayer {
         &self.trace
     }
 
-    /// Skips `n` records via the chunk index (see
-    /// [`TraceReader::fast_forward`]).
+    /// Skips `n` records (whole chunks are skipped via the index, so
+    /// fast-forwarding past a warmup prefix does not decode it).
+    /// Returns the number actually skipped.
     pub fn fast_forward(&mut self, n: u64) -> u64 {
         self.cursor.fast_forward(&self.trace, n)
     }
 
-    /// Absolute seek via the chunk index (see
-    /// [`TraceReader::seek_to_inst`]).
-    pub fn seek_to_inst(&mut self, seq: u64) -> Result<(), crate::TraceError> {
+    /// Absolute seek: repositions the replayer so the next record
+    /// yielded is the one with sequence number `seq`. The footer index's
+    /// `first_seq` column locates the containing chunk directly, so no
+    /// prefix is decoded — the entry cost of a sampling unit anywhere
+    /// in the trace is one binary search plus one chunk decode.
+    /// Returns [`TraceError::SeekPastEnd`] for a target at or beyond the
+    /// end of the trace. A failed seek leaves the replayer exhausted.
+    ///
+    /// Assumes the dense zero-based sequence numbering that
+    /// [`Trace::record`](crate::Trace::record) produces (`seq` equals
+    /// the record's position). A hand-built trace whose numbering starts
+    /// above `seq` or has gaps yields [`TraceError::SeekNotFound`] for
+    /// any target that numbering does not place.
+    pub fn seek_to_inst(&mut self, seq: u64) -> Result<(), TraceError> {
         self.cursor.seek_to_inst(&self.trace, seq)
     }
 }
@@ -304,13 +263,13 @@ mod tests {
     use arvi_isa::Emulator;
     use arvi_workloads::Benchmark;
 
-    fn small_chunk_trace(n: usize) -> Trace {
+    fn small_chunk_trace(n: usize) -> Arc<Trace> {
         let emu = Emulator::new(Benchmark::M88ksim.program(11));
         let mut w = TraceWriter::new("m88ksim", 11).with_chunk_insts(64);
         for d in emu.take(n) {
             w.push(d);
         }
-        w.finish()
+        Arc::new(w.finish())
     }
 
     #[test]
@@ -319,14 +278,14 @@ mod tests {
             .take(1_000)
             .collect();
         let trace = small_chunk_trace(1_000);
-        let replayed: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let replayed: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
         assert_eq!(reference, replayed);
     }
 
     #[test]
     fn replayer_is_shareable_across_threads() {
-        let trace = Arc::new(small_chunk_trace(500));
-        let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let trace = small_chunk_trace(500);
+        let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let t = Arc::clone(&trace);
@@ -345,8 +304,8 @@ mod tests {
     #[test]
     fn fill_matches_plain_iteration() {
         use arvi_sim::InstSource;
-        let trace = Arc::new(small_chunk_trace(1_000));
-        let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let trace = small_chunk_trace(1_000);
+        let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
         // Odd buffer sizes straddle chunk boundaries (chunks are 64).
         for chunk in [1usize, 7, 63, 64, 65, 200] {
             let mut r = TraceReplayer::new(Arc::clone(&trace));
@@ -366,8 +325,8 @@ mod tests {
     #[test]
     fn fill_interleaves_with_next() {
         use arvi_sim::InstSource;
-        let trace = Arc::new(small_chunk_trace(300));
-        let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let trace = small_chunk_trace(300);
+        let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
         let mut r = TraceReplayer::new(Arc::clone(&trace));
         let mut got: Vec<DynInst> = Vec::new();
         let mut buf = vec![reference[0]; 50];
@@ -391,10 +350,10 @@ mod tests {
     fn fast_forward_matches_plain_iteration() {
         let trace = small_chunk_trace(1_000);
         for skip in [0u64, 1, 63, 64, 65, 130, 999, 1_000, 5_000] {
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             let skipped = r.fast_forward(skip);
             assert_eq!(skipped, skip.min(1_000));
-            let mut plain = TraceReader::new(&trace);
+            let mut plain = TraceReplayer::new(Arc::clone(&trace));
             for _ in 0..skip {
                 plain.next();
             }
@@ -405,12 +364,12 @@ mod tests {
     #[test]
     fn fast_forward_after_partial_read() {
         let trace = small_chunk_trace(300);
-        let mut r = TraceReader::new(&trace);
+        let mut r = TraceReplayer::new(Arc::clone(&trace));
         for _ in 0..10 {
             r.next();
         }
         r.fast_forward(100);
-        let mut plain = TraceReader::new(&trace);
+        let mut plain = TraceReplayer::new(Arc::clone(&trace));
         plain.fast_forward(110);
         assert_eq!(r.next(), plain.next());
     }
@@ -422,11 +381,11 @@ mod tests {
     #[test]
     fn seek_to_inst_matches_sequential_decode_at_chunk_boundaries() {
         let trace = small_chunk_trace(1_000);
-        let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
         // Chunks are 64 records: cover first/last seq of several chunks
         // plus seq 0 and the final record.
         for seq in [0u64, 1, 63, 64, 65, 127, 128, 191, 192, 640, 959, 960, 999] {
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             r.seek_to_inst(seq).expect("in-range seek");
             let rest: Vec<DynInst> = r.collect();
             assert_eq!(
@@ -437,7 +396,7 @@ mod tests {
         }
         // Past-EOF (and exactly-EOF) seeks are errors.
         for seq in [1_000u64, 1_001, u64::MAX] {
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             match r.seek_to_inst(seq) {
                 Err(crate::TraceError::SeekPastEnd { seq: s, len }) => {
                     assert_eq!((s, len), (seq, 1_000));
@@ -450,8 +409,8 @@ mod tests {
     #[test]
     fn seek_is_absolute_regardless_of_cursor_position() {
         let trace = small_chunk_trace(500);
-        let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
-        let mut r = TraceReader::new(&trace);
+        let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
+        let mut r = TraceReplayer::new(Arc::clone(&trace));
         // Read ahead, then seek backwards and forwards.
         for _ in 0..300 {
             r.next();
@@ -460,9 +419,8 @@ mod tests {
         assert_eq!(r.next(), Some(reference[10]));
         r.seek_to_inst(450).unwrap();
         assert_eq!(r.next(), Some(reference[450]));
-        // Replayer exposes the same seek.
-        let shared = Arc::new(trace);
-        let mut rp = TraceReplayer::new(Arc::clone(&shared));
+        // Relative skips compose with the absolute seek.
+        let mut rp = TraceReplayer::new(Arc::clone(&trace));
         rp.fast_forward(200);
         rp.seek_to_inst(64).unwrap();
         assert_eq!(rp.next(), Some(reference[64]));
@@ -470,14 +428,14 @@ mod tests {
 
     /// A hand-built trace: M88ksim records renumbered by `seq_of`, in
     /// chunks of `chunk_insts`.
-    fn renumbered_trace(n: usize, chunk_insts: usize, seq_of: impl Fn(u64) -> u64) -> Trace {
+    fn renumbered_trace(n: usize, chunk_insts: usize, seq_of: impl Fn(u64) -> u64) -> Arc<Trace> {
         let emu = Emulator::new(Benchmark::M88ksim.program(11));
         let mut w = TraceWriter::new("m88ksim", 11).with_chunk_insts(chunk_insts);
         for mut d in emu.take(n) {
             d.seq = seq_of(d.seq);
             w.push(d);
         }
-        w.finish()
+        Arc::new(w.finish())
     }
 
     /// A stream numbered from 100: a target below the first chunk's
@@ -487,14 +445,14 @@ mod tests {
     fn seek_below_the_first_seq_is_an_error() {
         let trace = renumbered_trace(300, 64, |s| s + 100);
         for seq in [0u64, 50, 99] {
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             match r.seek_to_inst(seq) {
                 Err(TraceError::SeekNotFound { seq: s }) => assert_eq!(s, seq),
                 other => panic!("seek to {seq}: expected SeekNotFound, got {other:?}"),
             }
             assert_eq!(r.next(), None, "a failed seek leaves the reader exhausted");
         }
-        let mut r = TraceReader::new(&trace);
+        let mut r = TraceReplayer::new(Arc::clone(&trace));
         r.seek_to_inst(150).unwrap();
         assert_eq!(r.next().map(|d| d.seq), Some(150));
     }
@@ -508,7 +466,7 @@ mod tests {
         // Chunk 0 holds seqs 0, 2, 4, 6: offset 7 is past its 4 records,
         // and offset 3 would land on seq 6.
         for seq in [7u64, 3, 9] {
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             match r.seek_to_inst(seq) {
                 Err(TraceError::SeekNotFound { seq: s }) => assert_eq!(s, seq),
                 other => panic!("seek to {seq}: expected SeekNotFound, got {other:?}"),
@@ -516,7 +474,7 @@ mod tests {
             assert_eq!(r.next(), None, "a failed seek leaves the reader exhausted");
         }
         // A chunk's first record sits at offset 0, so it is still found.
-        let mut r = TraceReader::new(&trace);
+        let mut r = TraceReplayer::new(Arc::clone(&trace));
         r.seek_to_inst(8).unwrap();
         assert_eq!(r.next().map(|d| d.seq), Some(8));
     }
@@ -538,10 +496,10 @@ mod tests {
             for d in emu.take(len) {
                 w.push(d);
             }
-            let trace = w.finish();
-            let reference: Vec<DynInst> = TraceReader::new(&trace).collect();
+            let trace = Arc::new(w.finish());
+            let reference: Vec<DynInst> = TraceReplayer::new(Arc::clone(&trace)).collect();
             let seq = frac * len as u64 / 1_000;
-            let mut r = TraceReader::new(&trace);
+            let mut r = TraceReplayer::new(Arc::clone(&trace));
             r.seek_to_inst(seq).expect("in-range seek");
             proptest::prop_assert_eq!(r.next(), Some(reference[seq as usize]));
         }

@@ -7,20 +7,25 @@
 //! the key's value in its index and the iteration count embodied in the
 //! chain-depth tag — resolves it nearly perfectly.
 //!
+//! The per-site rows come from a [`SiteProbe`] on the machine, so they
+//! cover the whole run, warm-up included, as the `--obs-grid` rollup
+//! does; the overall accuracy is the measurement window's.
+//!
 //! Run with: `cargo run --release --example m88ksim_case_study`
 
 use arvi::isa::Emulator;
+use arvi::obs::SiteProbe;
 use arvi::sim::{Depth, Machine, PredictorConfig, SimParams};
 use arvi::workloads::Benchmark;
 
 fn profile(config: PredictorConfig) -> (f64, f64, f64) {
-    let mut m = Machine::new(
+    let mut m = Machine::with_probe(
         Emulator::new(Benchmark::M88ksim.program(42)),
         SimParams::for_depth(Depth::D20),
         config,
+        SiteProbe::new(),
     );
     m.run_until_committed(100_000);
-    m.enable_profiling();
     let start = m.stats().clone();
     m.run_until_committed(500_000);
     let window = m.stats().since(&start);
@@ -32,9 +37,9 @@ fn profile(config: PredictorConfig) -> (f64, f64, f64) {
     let mut star_total = 0u64;
     let mut star_final = 0u64;
     let mut star_l1 = 0u64;
-    let mut rows: Vec<_> = m.profile().expect("profiling enabled").iter().collect();
-    rows.sort_by_key(|(_, p)| std::cmp::Reverse(p.total));
-    for (_, p) in rows.iter().take(24) {
+    let mut rows: Vec<_> = m.probe().iter().collect();
+    rows.sort_by_key(|p| std::cmp::Reverse(p.total));
+    for p in rows.iter().take(24) {
         let l1_rate = p.l1_correct as f64 / p.total as f64;
         if l1_rate < 0.9 && p.total > 1000 {
             star_total += p.total;

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use arvi::isa::Emulator;
 use arvi::sim::{intern_name, simulate, simulate_source, Depth, PredictorConfig, SimParams};
-use arvi::trace::{Trace, TraceReader, TraceReplayer};
+use arvi::trace::{Trace, TraceReplayer};
 use arvi::workloads::Benchmark;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
 
     // The footer index makes the recording seekable: hop straight past
     // the warmup prefix without decoding it.
-    let mut reader = TraceReader::new(&reloaded);
+    let mut reader = TraceReplayer::new(Arc::clone(&reloaded));
     reader.fast_forward(warmup);
     let first_measured = reader.next().expect("record past warmup");
     println!(

@@ -26,12 +26,12 @@
 //! 8. A load-back cell that would take its perfect-value twin's result
 //!    is simulated, to the same numbers, when that twin panics.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use arvi::isa::{DynInst, Emulator};
 use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig, SimResult};
-use arvi::trace::{Trace, TraceReader, TraceWriter};
+use arvi::trace::{Trace, TraceReplayer, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
     distinct_workloads, run_one, trace_file_name, CellOutcome, FaultPlan, GridRun, Resilience,
@@ -101,8 +101,9 @@ fn corpus() -> &'static (Vec<u8>, Vec<DynInst>) {
         }
         let trace = w.finish();
         assert_eq!(trace.chunk_count(), 12);
-        let records: Vec<DynInst> = TraceReader::new(&trace).collect();
-        (trace.to_bytes(), records)
+        let bytes = trace.to_bytes();
+        let records: Vec<DynInst> = TraceReplayer::new(Arc::new(trace)).collect();
+        (bytes, records)
     })
 }
 
@@ -122,7 +123,7 @@ proptest! {
         match Trace::from_bytes(&bad) {
             Ok(t) => {
                 prop_assert_eq!(mask, 0, "a real flip at {} decoded cleanly", at);
-                let decoded: Vec<DynInst> = TraceReader::new(&t).collect();
+                let decoded: Vec<DynInst> = TraceReplayer::new(Arc::new(t)).collect();
                 prop_assert_eq!(records, &decoded);
             }
             Err(e) => {
@@ -141,7 +142,7 @@ proptest! {
         match Trace::from_bytes(&bytes[..keep]) {
             Ok(t) => {
                 prop_assert_eq!(keep, bytes.len(), "short read at {} decoded cleanly", keep);
-                let decoded: Vec<DynInst> = TraceReader::new(&t).collect();
+                let decoded: Vec<DynInst> = TraceReplayer::new(Arc::new(t)).collect();
                 prop_assert_eq!(records, &decoded);
             }
             Err(e) => {
@@ -369,13 +370,14 @@ fn unusable_recording_fails_only_its_cell() {
                     .success()
                     .unwrap_or_else(|| panic!("{label}: cell {i}: {:?}", run.outcomes[i]));
                 let c = clean.outcomes[i].success().expect("clean run completes");
-                assert_eq!(s.sampled_units, c.sampled_units, "{label}: cell {i}");
                 assert_bit_identical(&s.result, &c.result, &label);
             }
+            assert_eq!(run.reports.is_some(), plan.is_some(), "{label}");
             if let (Some(r), Some(c)) = (&run.reports, &clean.reports) {
                 assert!(r[1].is_none(), "{label}: a failed cell has no estimate");
                 for i in [0, 2] {
                     let (r, c) = (r[i].as_ref().unwrap(), c[i].as_ref().unwrap());
+                    assert_eq!(r.units(), c.units(), "{label}: cell {i}");
                     assert_eq!(r.ipc.mean.to_bits(), c.ipc.mean.to_bits(), "{label}");
                     assert_eq!(r.ipc.stderr.to_bits(), c.ipc.stderr.to_bits(), "{label}");
                 }
@@ -509,12 +511,12 @@ fn sampled_panic_fails_only_its_cell() {
             .success()
             .unwrap_or_else(|| panic!("cell {i}: {:?}", faulted.outcomes[i].failure()));
         let c = clean.outcomes[i].success().expect("clean run completes");
-        assert_eq!(s.sampled_units, c.sampled_units, "cell {i}: units");
         assert_bit_identical(&s.result, &c.result, &points[i].to_string());
         let (r, cr) = (
             faulted_reports[i].as_ref().expect("sampled"),
             clean_reports[i].as_ref().expect("sampled"),
         );
+        assert_eq!(r.units(), cr.units(), "cell {i}: units");
         assert_eq!(r.ipc.mean.to_bits(), cr.ipc.mean.to_bits(), "cell {i}");
         assert_eq!(r.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits(), "cell {i}");
     }

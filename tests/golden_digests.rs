@@ -116,7 +116,7 @@ fn stream_hash<P: DirectionPredictor>(mut p: P, stream: &[(u64, bool)], window: 
 
 /// Appends one stream line per (predictor, protocol) for `workload`.
 fn stream_lines(out: &mut String, workload: &Workload) {
-    let stream = conditional_branches(&record_trace(workload, STREAM_SPEC));
+    let stream = conditional_branches(record_trace(workload, STREAM_SPEC));
     let name = workload.name();
     assert!(
         stream.len() > 200,
@@ -198,7 +198,7 @@ fn streams_scenarios(out: &mut String) {
 /// bank across a PC sample after immediate-update training.
 fn gskew_votes(out: &mut String) {
     let m88ksim = Workload::from(Benchmark::M88ksim);
-    let stream = conditional_branches(&record_trace(&m88ksim, STREAM_SPEC));
+    let stream = conditional_branches(record_trace(&m88ksim, STREAM_SPEC));
     let mut gskew = TwoBcGskew::new(GskewConfig::level1());
     run_delayed(&mut gskew, &stream, 0);
     let votes = fnv_bits((0..4096u64).flat_map(|i| {

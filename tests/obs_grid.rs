@@ -18,19 +18,14 @@
 //! 5. **Structured events** — the resilient sweep's `--events-out`
 //!    JSONL log parses line by line with the expected span events, and
 //!    the Prometheus-style metrics export carries the cell outcomes.
-//! 6. **Sampled rollup** — after a sampled run, whose cells carry their
-//!    probes from one extra whole-cell item each, `maybe_obs_grid` writes
-//!    the same rollup bytes as after an unsampled probed run over the
-//!    same points.
 
 use std::sync::Arc;
 
-use arvi::sampling::SamplePlan;
 use arvi::sim::{Depth, PredictorConfig};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    attribution_diff, cell_view, grid, maybe_obs_grid, obs_from_args, obs_grid_json, FaultPlan,
-    GridRun, Json, ObsGrid, Resilience, Spec, SweepPoint, SweepTelemetry, TraceSet, Workload,
+    attribution_diff, cell_view, grid, obs_grid_json, FaultPlan, GridRun, Json, ObsGrid,
+    Resilience, Spec, SweepPoint, SweepTelemetry, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -65,7 +60,7 @@ fn probed_grid(
     res: &Resilience,
 ) -> ObsGrid {
     let mut probed = res.clone();
-    probed.probes = obs_from_args(&["--obs-grid".to_string(), "unused.json".to_string()]).unwrap();
+    probed.probes = true;
     let run = GridRun::run(points.to_vec(), spec, threads, false, traces, &probed, None);
     ObsGrid::from_outcomes(&run.points, spec, run.outcomes, None)
 }
@@ -296,45 +291,5 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         metrics.contains("# TYPE arvi_sweeps_total counter"),
         "{metrics}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn sampled_run_writes_the_unsampled_probed_rollup() {
-    let spec = Spec {
-        warmup: 2_000,
-        measure: 8_000,
-        seed: 3,
-    };
-    let workloads = small_workloads();
-    let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let traces = TraceSet::record(&workloads, spec, 2, None);
-    let plan = SamplePlan::systematic(2, 500, 1_000);
-    let dir = temp_dir("sampled-rollup");
-    let rollup = |threads: usize, plan: Option<&SamplePlan>, name: &str| {
-        let out = dir.join(name);
-        let args = ["--obs-grid".to_string(), out.display().to_string()];
-        let cfg = obs_from_args(&args).unwrap().expect("--obs-grid config");
-        // What `--obs-grid` sets up: a policy carrying the config.
-        let mut res = Resilience::new();
-        res.probes = Some(cfg.clone());
-        let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, plan);
-        assert_eq!(run.reports.is_some(), plan.is_some());
-        maybe_obs_grid(Some(&cfg), run, spec, None);
-        std::fs::read(&out).expect("rollup written")
-    };
-    let reference = rollup(1, None, "full-1.json");
-    for threads in [1, 2] {
-        assert_eq!(
-            rollup(threads, Some(&plan), &format!("sampled-{threads}.json")),
-            reference,
-            "sampled rollup at {threads} threads"
-        );
-        assert_eq!(
-            rollup(threads, None, &format!("full-{threads}.json")),
-            reference,
-            "unsampled rollup at {threads} threads"
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

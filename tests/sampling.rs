@@ -190,8 +190,8 @@ fn sweep_fingerprint(sweep: &GridRun) -> String {
             .unwrap_or_else(|| panic!("cell {point} did not complete: {outcome:?}"));
         let w = &s.result.window;
         out.push_str(&format!(
-            "{point} committed={} cycles={} branches={:?} mispredicts={} units={}\n",
-            w.committed, w.cycles, w.cond_branches, w.full_mispredicts, s.sampled_units
+            "{point} committed={} cycles={} branches={:?} mispredicts={}\n",
+            w.committed, w.cycles, w.cond_branches, w.full_mispredicts
         ));
         let r = report.as_ref().expect("sampled cells carry a report");
         out.push_str(&format!(

@@ -4,8 +4,10 @@
 //!
 //! 1. **Probes in the pass** — the rollup folded from a probed sweep is
 //!    byte-identical across thread counts and to a fold of cells probed
-//!    directly through the simulator, and the probed sweep's results
-//!    equal an unprobed sweep's at 1 and 4 threads.
+//!    directly through the simulator, the probed sweep's results equal
+//!    an unprobed sweep's at 1 and 4 threads, and at 1 thread a probed
+//!    run derives the same cells as a plain one, with or without
+//!    `--trace-cycles`.
 //! 2. **One sweep, every figure** — Figure 5 and each Figure 6 depth
 //!    assembled from one `workloads × depths × configs` sweep equal the
 //!    per-figure sweeps, in strict and sampled mode (confidence-interval
@@ -15,12 +17,12 @@
 //!    with them, re-simulates exactly the cells that have no obs-journal
 //!    entry, and the final rollup equals a direct run.
 //! 4. **The anchor view rides the pass** — under `--obs-grid` every
-//!    cell carries its probes and, with `--trace-cycles`, the grid's
-//!    anchor cells (ARVI current value at its shallowest depth), and only
-//!    they, carry a tracer; each workload's `--cell` view rebuilt from
-//!    the rollup, and the Chrome trace written beside it, equal one
-//!    probed simulation per workload, at 1 and 2 threads, sampled or
-//!    not, and after kill + `--resume`.
+//!    cell carries the same probes with or without `--trace-cycles`, so
+//!    the grid's anchor cells (ARVI current value at its shallowest
+//!    depth) resume like any other; each workload's `--cell` view rebuilt
+//!    from the rollup, and the Chrome trace the post-pass writes beside
+//!    it, equal one probed simulation per workload, at 1 and 2 threads
+//!    and after kill + `--resume`.
 
 use std::path::Path;
 use std::time::Duration;
@@ -31,9 +33,9 @@ use arvi::sim::{intern_name, simulate_source_probed, Depth, PredictorConfig, Sim
 use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
-    anchor, cell_view, fig5_cell, grid, maybe_obs_grid, obs_from_args, obs_grid_json, read_json,
-    CellOutcome, CellProbes, CellSuccess, FaultPlan, Fig6Data, GridRun, ObsConfig, ObsGrid,
-    Resilience, Spec, SweepPoint, TraceSet, Workload,
+    anchor, cell_view, counters_to_json, fig5_cell, grid, maybe_obs_grid, obs_grid_json, read_json,
+    run_flags_from_args, sites_to_json, CellOutcome, CellProbes, CellSuccess, FaultPlan, Fig6Data,
+    GridRun, ObsConfig, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -51,19 +53,16 @@ fn small_workloads() -> Vec<Workload> {
     ]
 }
 
-/// The observability config `argv` parses to.
-fn obs(argv: &[&str]) -> ObsConfig {
+/// The policy and observability config the run flags `argv` parse to.
+fn flags(argv: &[&str]) -> (Resilience, ObsConfig) {
     let args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-    obs_from_args(&args)
-        .unwrap()
-        .expect("an observability flag")
+    let flags = run_flags_from_args(&args).unwrap();
+    (flags.res, flags.obs.expect("an observability flag"))
 }
 
 /// The policy `--obs-grid` sets up: counters and sites on every cell.
 fn probed() -> Resilience {
-    let mut res = Resilience::new();
-    res.probes = Some(obs(&["--obs-grid", "unused.json"]));
-    res
+    flags(&["--obs-grid", "unused.json"]).0
 }
 
 fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> String {
@@ -126,12 +125,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                 resumed: false,
                 derived: false,
                 duration: Duration::ZERO,
-                sampled_units: 0,
-                probes: Some(Box::new(CellProbes {
-                    counters,
-                    sites,
-                    tracer: None,
-                })),
+                probes: Some(Box::new(CellProbes { counters, sites })),
             })
         })
         .collect();
@@ -168,7 +162,8 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
             .all(|o| o.success().unwrap().probes.is_none()));
         if threads == 1 {
             // Probes never cost a derivation: the probed run derives
-            // exactly the cells the plain run derives.
+            // exactly the cells the plain run derives, and so does one
+            // under `--trace-cycles`, whose trace is a post-pass.
             let derived = |run: &GridRun| -> Vec<bool> {
                 run.outcomes
                     .iter()
@@ -176,6 +171,9 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                     .collect()
             };
             assert_eq!(derived(&main_pass), derived(&plain), "derived cells");
+            let (traced, _) = flags(&["--obs-grid", "unused.json", "--trace-cycles", "1000:3000"]);
+            let traced = run(&points, spec, 1, &traces, &traced);
+            assert_eq!(derived(&traced), derived(&plain), "derived cells, traced");
         }
         assert_eq!(
             results_of(&main_pass),
@@ -407,15 +405,17 @@ fn side_pass(
 
 /// What `run` writes under `cfg` — each workload's `--cell` view of the
 /// rollup with `top` site rows, and the Chrome trace beside it when
-/// traced.
+/// traced, replayed from `traces` on `threads` workers.
 fn written(
     run: GridRun,
     cfg: &ObsConfig,
     spec: Spec,
+    traces: &TraceSet,
+    threads: usize,
     workloads: &[Workload],
     top: usize,
 ) -> (Vec<String>, Option<String>) {
-    maybe_obs_grid(Some(cfg), run, spec, None);
+    maybe_obs_grid(Some(cfg), run, spec, traces, threads, None);
     let rollup = read_json(&cfg.grid).expect("rollup written");
     let views = workloads
         .iter()
@@ -440,7 +440,6 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
     let (depth, anchors) = anchor(&points).expect("a grid");
     assert_eq!(depth, Depth::D20, "the shallowest depth");
     assert_eq!(anchors.len(), workloads.len(), "one anchor per workload");
-    let plan = SamplePlan::systematic(2, 500, 1_000);
     let dir = std::env::temp_dir().join(format!("arvi-anchor-report-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -448,50 +447,44 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
     let rollup = dir.join("g.json");
     let top = 5;
 
-    let plain = obs(&["--obs-grid", rollup.to_str().unwrap()]);
-    let traced = obs(&[
-        "--obs-grid",
-        rollup.to_str().unwrap(),
-        "--trace-cycles",
-        "1000:3000",
-    ]);
-    for cfg in [plain, traced] {
+    // The plain probed run every traced one must match cell for cell:
+    // the tracer is a post-pass, so no cell carries one.
+    let cell_probes = |run: &GridRun| -> Vec<String> {
+        let probes = |o: &CellOutcome| {
+            let s = o.success().expect("every cell ran");
+            let p = s.probes.as_deref().expect("every cell probed");
+            counters_to_json(&p.counters).render_compact()
+                + &sites_to_json(&p.sites).render_compact()
+        };
+        run.outcomes.iter().map(probes).collect()
+    };
+    let reference_probes = cell_probes(&run(&points, spec, 1, &traces, &probed()));
+
+    let grid_flag = ["--obs-grid", rollup.to_str().unwrap()];
+    let traced_flags = [&grid_flag[..], &["--trace-cycles", "1000:3000"]].concat();
+    for argv in [&grid_flag[..], &traced_flags] {
+        let (res, cfg) = flags(argv);
         let reference = side_pass(&workloads, depth, spec, cfg.trace, top, &traces);
         if let Some(trace) = &reference.1 {
             assert!(trace.contains("\"ph\":\"X\""), "the window saw events");
         }
-        let mut res = Resilience::new();
-        res.probes = Some(cfg.clone());
-        let check = |run: GridRun, mode: &str| {
-            for (i, o) in run.outcomes.iter().enumerate() {
-                let probes = o.success().expect("every cell ran").probes.as_deref();
-                let probes = probes.unwrap_or_else(|| panic!("{mode}: cell {i} unprobed"));
-                assert_eq!(
-                    probes.tracer.is_some(),
-                    anchors.contains(&i) && cfg.trace.is_some(),
-                    "{mode}: cell {i} tracer"
-                );
-            }
+        let check = |run: GridRun, threads: usize, mode: &str| {
+            assert_eq!(cell_probes(&run), reference_probes, "{mode}: cell probes");
             assert_eq!(
-                written(run, &cfg, spec, &workloads, top),
+                written(run, &cfg, spec, &traces, threads, &workloads, top),
                 reference,
                 "{mode}"
             );
         };
         for threads in [1, 2] {
-            for plan in [None, Some(&plan)] {
-                let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, plan);
-                check(
-                    run,
-                    &format!("threads {threads}, sampled {}", plan.is_some()),
-                );
-            }
+            let run = GridRun::run(points.clone(), spec, threads, false, &traces, &res, None);
+            check(run, threads, &format!("{argv:?}, threads {threads}"));
         }
 
         // Killed after 6 cells (the first workload's anchor is cell 5),
-        // then resumed from the journal: journaled anchor cells restore
-        // their counters and sites, and re-run when they need a tracer,
-        // which is never journaled.
+        // then resumed from the journal: the journaled anchor cell
+        // restores its counters and sites like any other cell, and the
+        // post-pass still traces it.
         std::fs::remove_file(&journal).ok();
         let killed = res
             .clone()
@@ -502,13 +495,16 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
         assert!(run.results(|_| true).is_err(), "killed");
         let resumed = res.clone().with_journal(&journal).resuming();
         let run = GridRun::run(points.clone(), spec, 2, false, &traces, &resumed, None);
-        let anchor_resumed = |i: &usize| run.outcomes[*i].success().unwrap().resumed;
-        assert_eq!(
-            anchors.iter().any(anchor_resumed),
-            cfg.trace.is_none(),
-            "an anchor cell resumes unless it needs a tracer"
+        let resumed = |i: usize| run.outcomes[i].success().unwrap().resumed;
+        assert!(
+            resumed(anchors[0]),
+            "{argv:?}: the journaled anchor resumes"
         );
-        check(run, "resumed");
+        assert!(
+            !resumed(anchors[1]),
+            "{argv:?}: the other anchor was never run"
+        );
+        check(run, 2, &format!("{argv:?}, resumed"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,9 +11,11 @@
 //!    live emulation too, on scenarios where each edge fires: perfect
 //!    value from current value, load back from perfect value.
 
+use std::sync::Arc;
+
 use arvi::isa::{BranchInfo, DynInst, Emulator, InstKind, Reg};
 use arvi::sim::{Depth, MachineStats, PredictorConfig};
-use arvi::trace::{Trace, TraceError, TraceReader, TraceWriter};
+use arvi::trace::{Trace, TraceError, TraceReplayer, TraceWriter};
 use arvi::workloads::Benchmark;
 use arvi_bench::{
     distinct_workloads, full_grid, grid, run_one, GridRun, Resilience, Spec, TraceSet, Workload,
@@ -98,12 +100,13 @@ proptest! {
         }
         let trace = w.finish();
         trace.verify().expect("fresh recording verifies");
-        let decoded: Vec<DynInst> = TraceReader::new(&trace).collect();
+        let bytes = trace.to_bytes();
+        let decoded: Vec<DynInst> = TraceReplayer::new(Arc::new(trace)).collect();
         prop_assert_eq!(&insts, &decoded, "in-memory round trip");
 
         // And through the on-disk container.
-        let reloaded = Trace::from_bytes(&trace.to_bytes()).expect("container round trip");
-        let decoded: Vec<DynInst> = TraceReader::new(&reloaded).collect();
+        let reloaded = Trace::from_bytes(&bytes).expect("container round trip");
+        let decoded: Vec<DynInst> = TraceReplayer::new(Arc::new(reloaded)).collect();
         prop_assert_eq!(&insts, &decoded, "container round trip");
     }
 }
