@@ -54,13 +54,13 @@ use arvi_sim::{Depth, PredictorConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if handle_list_flags(&args) {
-        return;
-    }
     let flags = run_flags_from_args(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
+    if handle_list_flags(&args) {
+        return;
+    }
     let threads = flags.threads;
     let suite_mode = !args
         .iter()

@@ -43,13 +43,13 @@ use arvi_sim::PredictorConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if handle_list_flags(&args) {
-        return;
-    }
     let (flags, depth) = fig6_flags_from_args(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
+    if handle_list_flags(&args) {
+        return;
+    }
     let spec = Spec::from_args(&args);
     let threads = flags.threads;
     let workloads = workloads_from_args(&args);

@@ -99,11 +99,7 @@ impl ScenarioReport {
     }
 
     fn machine_accuracy(&self, config: PredictorConfig) -> f64 {
-        let ci = PredictorConfig::all()
-            .iter()
-            .position(|&c| c == config)
-            .expect("known config");
-        self.machine[ci].accuracy()
+        self.machine[config.index()].accuracy()
     }
 
     /// The best non-ARVI accuracy across both layers.

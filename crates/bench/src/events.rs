@@ -4,25 +4,23 @@
 //!
 //! - `--events-out PATH`: an append-only JSONL span log. Every line is
 //!   one self-contained object `{"t_us":..,"event":..,...}` — cell
-//!   start/end (with replay/resumed phase and duration), resume
-//!   hits, record-phase spans, sweep boundaries.
+//!   start/end (with replay/derived/resumed phase and duration),
+//!   record-phase spans, sweep boundaries.
 //!   One event per line means a torn write (crash mid-append) damages
 //!   at most the final line, same contract as the sweep journal.
-//! - `--metrics-out PATH`: a Prometheus-style text exposition rewritten
-//!   after every sweep — the scrape surface a future `arvi-serve`
-//!   schedules against. Counters are cumulative over the process, so a
-//!   binary that runs several grids (e.g. `experiments`) exports the
-//!   union.
+//! - `--metrics-out PATH`: a Prometheus-style text exposition written
+//!   once, at sweep end, from the run's outcomes
+//!   ([`crate::RunTally::prometheus`]): cells by outcome, the simulated
+//!   cells' durations, resumed cells and the record phase.
 //!
 //! Telemetry never fails a sweep: emission errors warn on stderr and
 //! the run continues. Only *opening* the sinks (at flag-parse time) is
 //! an error the user sees as such.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::report::{io_error_at, write_text, Json};
 
@@ -78,34 +76,14 @@ impl EventLog {
     }
 }
 
-/// Cumulative sweep metrics behind the Prometheus export.
-#[derive(Debug, Default)]
-struct MetricsAgg {
-    sweeps: u64,
-    /// Cells by normalized outcome label, first-seen order.
-    cells: Vec<(String, u64)>,
-    cell_seconds_sum: f64,
-    cell_seconds_count: u64,
-    resumed: u64,
-    record_seconds: f64,
-}
-
-fn bump(rows: &mut Vec<(String, u64)>, key: &str) {
-    match rows.iter_mut().find(|(k, _)| k == key) {
-        Some((_, n)) => *n += 1,
-        None => rows.push((key.to_string(), 1)),
-    }
-}
-
-/// The telemetry sinks a resilient sweep reports into: an optional
-/// event log and an optional metrics file. Shared (`Arc`) between the
-/// sweep layer and the trace recorder; all methods are no-ops for
-/// sinks that were not requested.
+/// The telemetry sinks a grid run reports into: an optional event log
+/// and an optional metrics path. Shared (`Arc`) between the sweep layer
+/// and the trace recorder; all methods are no-ops for sinks that were
+/// not requested.
 #[derive(Debug, Default)]
 pub struct SweepTelemetry {
     events: Option<EventLog>,
     metrics_path: Option<PathBuf>,
-    agg: Mutex<MetricsAgg>,
 }
 
 impl SweepTelemetry {
@@ -118,7 +96,6 @@ impl SweepTelemetry {
         Ok(SweepTelemetry {
             events: events.map(EventLog::create).transpose()?,
             metrics_path: metrics.map(Path::to_path_buf),
-            agg: Mutex::new(MetricsAgg::default()),
         })
     }
 
@@ -134,78 +111,14 @@ impl SweepTelemetry {
         }
     }
 
-    /// Records one finished cell: outcome label (normalized, e.g.
-    /// `"ok"`), duration if known, and whether it was a resume hit.
-    pub fn cell_finished(&self, outcome: &str, duration: Option<Duration>, resumed: bool) {
-        let mut agg = self.agg.lock().unwrap();
-        bump(&mut agg.cells, outcome);
-        if let Some(d) = duration {
-            agg.cell_seconds_sum += d.as_secs_f64();
-            agg.cell_seconds_count += 1;
-        }
-        if resumed {
-            agg.resumed += 1;
-        }
-    }
-
-    /// Records (and logs) a completed trace-record phase.
-    pub fn record_phase(&self, workloads: usize, elapsed: Duration) {
-        self.agg.lock().unwrap().record_seconds += elapsed.as_secs_f64();
-        self.event(
-            "record_end",
-            vec![
-                ("workloads".to_string(), Json::Num(workloads as f64)),
-                ("dur_us".to_string(), Json::Num(elapsed.as_micros() as f64)),
-            ],
-        );
-    }
-
-    /// Marks one sweep finished and rewrites the metrics file (if
-    /// requested) with the cumulative counters.
-    pub fn sweep_finished(&self) {
-        self.agg.lock().unwrap().sweeps += 1;
+    /// Writes `text`, a run's metrics ([`crate::RunTally::prometheus`]),
+    /// to the metrics file, if one was requested.
+    pub fn write_metrics(&self, text: &str) {
         if let Some(path) = &self.metrics_path {
-            if let Err(e) = write_text(path, &self.render_prometheus()) {
+            if let Err(e) = write_text(path, text) {
                 eprintln!("warning: metrics write failed ({e}); continuing");
             }
         }
-    }
-
-    /// The cumulative counters in Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        let agg = self.agg.lock().unwrap();
-        let mut out = String::new();
-        out.push_str("# HELP arvi_sweeps_total Sweeps completed by this process.\n");
-        out.push_str("# TYPE arvi_sweeps_total counter\n");
-        let _ = writeln!(out, "arvi_sweeps_total {}", agg.sweeps);
-        out.push_str("# HELP arvi_sweep_cells_total Grid cells by outcome.\n");
-        out.push_str("# TYPE arvi_sweep_cells_total counter\n");
-        for (label, n) in &agg.cells {
-            let _ = writeln!(out, "arvi_sweep_cells_total{{outcome=\"{label}\"}} {n}");
-        }
-        out.push_str("# HELP arvi_sweep_cell_duration_seconds Simulated-cell wall time.\n");
-        out.push_str("# TYPE arvi_sweep_cell_duration_seconds summary\n");
-        let _ = writeln!(
-            out,
-            "arvi_sweep_cell_duration_seconds_sum {:.6}",
-            agg.cell_seconds_sum
-        );
-        let _ = writeln!(
-            out,
-            "arvi_sweep_cell_duration_seconds_count {}",
-            agg.cell_seconds_count
-        );
-        out.push_str("# HELP arvi_sweep_resumed_cells_total Cells satisfied from a journal.\n");
-        out.push_str("# TYPE arvi_sweep_resumed_cells_total counter\n");
-        let _ = writeln!(out, "arvi_sweep_resumed_cells_total {}", agg.resumed);
-        out.push_str("# HELP arvi_record_phase_seconds_total Trace-record wall time.\n");
-        out.push_str("# TYPE arvi_record_phase_seconds_total counter\n");
-        let _ = writeln!(
-            out,
-            "arvi_record_phase_seconds_total {:.6}",
-            agg.record_seconds
-        );
-        out
     }
 }
 
@@ -252,34 +165,5 @@ mod tests {
             "error should name the path: {err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prometheus_export_accumulates() {
-        let t = SweepTelemetry::from_paths(None, None).unwrap();
-        t.cell_finished("ok", Some(Duration::from_millis(10)), false);
-        t.cell_finished("ok", Some(Duration::from_millis(20)), true);
-        t.cell_finished("panicked", None, false);
-        t.record_phase(3, Duration::from_millis(5));
-        t.sweep_finished();
-        let text = t.render_prometheus();
-        assert!(text.contains("arvi_sweeps_total 1"), "{text}");
-        assert!(
-            text.contains("arvi_sweep_cells_total{outcome=\"ok\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("arvi_sweep_cells_total{outcome=\"panicked\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("arvi_sweep_cell_duration_seconds_count 2"),
-            "{text}"
-        );
-        assert!(text.contains("arvi_sweep_resumed_cells_total 1"), "{text}");
-        assert!(
-            text.contains("arvi_record_phase_seconds_total 0.005000"),
-            "{text}"
-        );
     }
 }

@@ -25,12 +25,9 @@ use arvi_stats::{amean, Table};
 use arvi_trace::{Trace, TraceReplayer};
 use arvi_workloads::Benchmark;
 
-use arvi_sampling::{SamplePlan, SampleReport};
+use arvi_sampling::SamplePlan;
 
-use crate::resilience::{
-    collect_where, outcome_summary, run_grid, timing_summary, CellOutcome, Resilience,
-    SweepIncomplete,
-};
+use crate::resilience::{run_grid, CellOutcome, Resilience, RunTally, SweepIncomplete};
 use crate::sampling::ci_table;
 use crate::sweep::{SweepPoint, TraceSet};
 use crate::workload::Workload;
@@ -243,14 +240,10 @@ impl Fig6Data {
     /// statistic; e.g. "+12.6%" = 1.126 for ARVI current value at 20
     /// stages).
     pub fn mean_normalized_ipc(&self, config: PredictorConfig) -> f64 {
-        let ci = PredictorConfig::all()
-            .iter()
-            .position(|&c| c == config)
-            .expect("known config");
         let norms: Vec<f64> = self
             .results
             .iter()
-            .map(|per| per[ci].ipc() / per[0].ipc())
+            .map(|per| per[config.index()].ipc() / per[0].ipc())
             .collect();
         amean(&norms)
     }
@@ -264,11 +257,11 @@ impl Fig6Data {
 pub struct GridRun {
     /// The grid, in sweep order.
     pub points: Vec<SweepPoint>,
-    /// One outcome per point.
+    /// One outcome per point; under a sample plan each completed cell
+    /// carries its estimate ([`crate::CellSuccess::report`]).
     pub outcomes: Vec<CellOutcome>,
-    /// Per-point sampled estimates when the run was sampled (`None`
-    /// entries for failed cells), `None` otherwise.
-    pub reports: Option<Vec<Option<SampleReport>>>,
+    /// How the cells were obtained, folded once from `outcomes`.
+    pub tally: RunTally,
     /// The journal the run appended its completed cells to (`None`: it
     /// journaled nothing), which an incomplete run's hint names.
     pub journal: Option<PathBuf>,
@@ -280,7 +273,7 @@ impl GridRun {
     /// `traces`, under `res` and, with `plan`, sampled. A failed cell
     /// (among them one whose workload has no usable recording) never
     /// aborts the run: it is reported by [`GridRun::results`]. The
-    /// resilience and timing summaries go to stderr.
+    /// resilience and timing summaries of the run's tally go to stderr.
     pub fn run(
         points: Vec<SweepPoint>,
         spec: Spec,
@@ -290,18 +283,18 @@ impl GridRun {
         res: &Resilience,
         plan: Option<&SamplePlan>,
     ) -> GridRun {
-        let (outcomes, reports, journal) =
+        let (outcomes, tally, journal) =
             run_grid(&points, spec, threads, progress, traces, res, plan);
-        if let Some(summary) = outcome_summary(&outcomes) {
+        if let Some(summary) = tally.outcome_summary() {
             eprintln!("{summary}");
         }
-        if let Some(timing) = timing_summary(&outcomes, traces.record_elapsed()) {
+        if let Some(timing) = tally.timing_summary(traces.record_elapsed()) {
             eprintln!("{timing}");
         }
         GridRun {
             points,
             outcomes,
-            reports: plan.map(|_| reports),
+            tally,
             journal,
         }
     }
@@ -313,16 +306,45 @@ impl GridRun {
         &self,
         keep: impl Fn(&SweepPoint) -> bool,
     ) -> Result<Vec<SimResult>, SweepIncomplete> {
-        collect_where(&self.points, &self.outcomes, self.journal.as_deref(), keep)
+        let failed: Vec<_> = self
+            .tally
+            .failed
+            .iter()
+            .filter(|(i, _, _)| keep(&self.points[*i]))
+            .cloned()
+            .collect();
+        if !failed.is_empty() {
+            return Err(SweepIncomplete {
+                total: self.points.iter().filter(|p| keep(p)).count(),
+                failed,
+                journal: self.journal.clone(),
+            });
+        }
+        let kept = self
+            .points
+            .iter()
+            .zip(&self.outcomes)
+            .filter(|(p, _)| keep(p));
+        Ok(kept
+            .map(|(_, o)| o.success().expect("no kept cell failed").result.clone())
+            .collect())
     }
 
     /// The per-cell confidence-interval table of the cells `keep`
-    /// selects; `None` unless the run was sampled.
+    /// selects; `None` unless one of them carries a sampled estimate
+    /// (the run was sampled and the cell completed).
     pub fn ci_table(&self, keep: impl Fn(&SweepPoint) -> bool) -> Option<Table> {
-        let reports = self.reports.as_ref()?;
-        Some(ci_table(
-            self.points.iter().zip(reports).filter(|(p, _)| keep(p)),
-        ))
+        let cells: Vec<_> = self
+            .points
+            .iter()
+            .zip(&self.outcomes)
+            .filter(|(p, _)| keep(p))
+            .map(|(p, o)| (p, o.success().and_then(|s| s.report.as_deref())))
+            .collect();
+        cells
+            .iter()
+            .any(|(_, r)| r.is_some())
+            .then(|| ci_table(cells.into_iter()))
     }
 
     /// Figure 5 from this run's ARVI-current cells: the run's grid must

@@ -89,8 +89,8 @@ pub use obs_grid::{
 };
 pub use report::{read_json, write_report, write_text, Json};
 pub use resilience::{
-    cell_fingerprint, outcome_summary, timing_summary, CellOutcome, CellSuccess, FaultKind,
-    FaultPlan, Resilience, SweepIncomplete, SweepJournal,
+    cell_fingerprint, CellOutcome, CellSuccess, CellTimes, FaultKind, FaultPlan, Resilience,
+    RunTally, SweepIncomplete, SweepJournal,
 };
 pub use sampling::{sample_plan_from_args, unit_fingerprint};
 pub use sweep::{
@@ -218,10 +218,11 @@ pub fn trace_dir_from_args(args: &[String]) -> Result<Option<std::path::PathBuf>
 /// * `--fault-plan FILE` — inject the deterministic faults listed in
 ///   `FILE` (see [`FaultPlan::parse`] for the line syntax).
 /// * `--events-out FILE` — write a JSONL span log of sweep execution
-///   events (cell start/end, record/replay phase, resume hits) to
-///   `FILE`.
-/// * `--metrics-out FILE` — write cumulative sweep counters to `FILE`
-///   in Prometheus text exposition format after every sweep.
+///   events (cell start/end, record/replay phase) to `FILE`.
+/// * `--metrics-out FILE` — write the run's counters (cells by outcome,
+///   simulated-cell durations, resumed cells, record phase) to `FILE` in
+///   Prometheus text exposition format, once at sweep end, from the
+///   run's outcomes ([`RunTally::prometheus`]).
 ///
 /// Without any of them the policy is the default, [`Resilience::new`].
 pub fn resilience_from_args(args: &[String]) -> Result<Resilience, String> {
@@ -410,7 +411,9 @@ pub fn workloads_from_args(args: &[String]) -> Vec<Workload> {
 
 /// Handles the discoverability flags `--list-scenarios` /
 /// `--list-benchmarks`: prints the requested registries and returns
-/// `true` if either was present (the caller should exit).
+/// `true` if either was present (the caller should exit). Callers
+/// validate their flags first, so a malformed invocation exits 2 with
+/// nothing on stdout even when it asks for a list.
 pub fn handle_list_flags(args: &[String]) -> bool {
     let scenarios = args.iter().any(|a| a == "--list-scenarios");
     let benchmarks = args.iter().any(|a| a == "--list-benchmarks");
@@ -564,6 +567,19 @@ mod tests {
         assert!(run_flags_from_args(&args(&["--quick", "--treads", "2"]))
             .unwrap_err()
             .contains("--treads"));
+        // A list flag does not excuse a malformed one: the binaries
+        // validate before they list, so these exit 2 with empty stdout.
+        let listed = args(&["--list-scenarios", "--treads", "2"]);
+        for err in [
+            run_flags_from_args(&listed).unwrap_err(),
+            fig6_flags_from_args(&listed).unwrap_err(),
+        ] {
+            assert!(err.contains("--treads"), "{err}");
+        }
+        for list in ["--list-scenarios", "--list-benchmarks"] {
+            assert!(run_flags_from_args(&args(&[list])).is_ok(), "{list}");
+            assert!(fig6_flags_from_args(&args(&[list])).is_ok(), "{list}");
+        }
         // Probes need whole-cell runs: `--obs-grid` with `--sample` is
         // rejected, naming `--sample`, for fig6 as for fig5 and
         // experiments.

@@ -45,7 +45,7 @@ use arvi_trace::par::par_map;
 use crate::events::SweepTelemetry;
 use crate::harness::{GridRun, Spec};
 use crate::report::{write_text, Json};
-use crate::resilience::CellOutcome;
+use crate::resilience::{CellOutcome, RunTally};
 use crate::sweep::{SweepPoint, TraceSet};
 
 /// Rows in the rollup's `top` site tables.
@@ -146,7 +146,7 @@ pub struct ObsGroup {
 }
 
 /// The grid rollup ([`ObsGrid::from_outcomes`]): one group per probed
-/// cell, the grid-wide merge and per-cell accounting.
+/// cell, the grid-wide merge and the run's per-cell accounting.
 #[derive(Debug)]
 pub struct ObsGrid {
     /// The window every cell ran under.
@@ -188,15 +188,22 @@ impl ObsGrid {
     /// Folds a probed sweep's outcomes (one per point, from a
     /// [`GridRun`] under `--obs-grid`) into the rollup, in point order so
     /// the result is independent of which worker finished which cell
-    /// first. With `telemetry`, each dispatched cell emits a `cell_end`
-    /// event tagged `"pass":"obs"` as its probes are folded (`ok`,
-    /// `ok-resumed` or `failed`), then one `obs_grid_end` whose `dur_us`
-    /// spans the fold alone — the simulation is already in the sweep's
-    /// own span.
+    /// first; the accounting (`completed`, `resumed`, `failed`) is the
+    /// run's `tally`. With `telemetry`, each dispatched cell emits a
+    /// `cell_end` event tagged `"pass":"obs"` as its probes are folded
+    /// (`ok`, `ok-resumed` or `failed`), then one `obs_grid_end` whose
+    /// `dur_us` spans the fold alone — the simulation is already in the
+    /// sweep's own span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a completed cell carries no probes: the run was not
+    /// probed.
     pub fn from_outcomes(
         points: &[SweepPoint],
         spec: Spec,
         outcomes: Vec<CellOutcome>,
+        tally: &RunTally,
         telemetry: Option<&SweepTelemetry>,
     ) -> ObsGrid {
         let started = Instant::now();
@@ -204,27 +211,17 @@ impl ObsGrid {
         let mut grid = ObsGrid {
             spec,
             total: points.len(),
-            completed: 0,
-            resumed: 0,
-            failed: Vec::new(),
+            completed: tally.ok(),
+            resumed: tally.resumed,
+            failed: tally.failed.clone(),
             groups: Vec::new(),
             counters: CounterProbe::new(),
             sites: SiteProbe::new(),
         };
         for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
-            // Cells a kill stopped before dispatch were never probed.
-            let dispatched = !matches!(outcome, CellOutcome::Skipped);
-            let probes = match outcome {
-                CellOutcome::Ok(s) => s
-                    .probes
-                    .map(|p| (p, s.resumed))
-                    .ok_or_else(|| "ran without probes".to_string()),
-                other => Err(other.failure().expect("non-ok outcome has a reason")),
-            };
-            let tag = match probes {
-                Ok((probes, resumed)) => {
-                    grid.completed += 1;
-                    grid.resumed += resumed as usize;
+            let tag = match outcome {
+                CellOutcome::Ok(s) => {
+                    let probes = s.probes.expect("a probed run's cells carry their probes");
                     grid.counters.merge(&probes.counters);
                     grid.sites.merge(&probes.sites);
                     // Moved, not copied: a grid's site tables are most of
@@ -236,18 +233,17 @@ impl ObsGrid {
                         counters: probes.counters,
                         sites: probes.sites,
                     });
-                    if resumed {
+                    if s.resumed {
                         "ok-resumed"
                     } else {
                         "ok"
                     }
                 }
-                Err(reason) => {
-                    grid.failed.push((i, point.to_string(), reason));
-                    "failed"
-                }
+                // Cells a kill stopped before dispatch were never probed.
+                CellOutcome::Skipped => continue,
+                _ => "failed",
             };
-            if let Some(t) = telemetry.filter(|_| dispatched) {
+            if let Some(t) = telemetry {
                 t.event(
                     "cell_end",
                     vec![
@@ -484,7 +480,6 @@ pub fn sites_from_json(j: &Json) -> Option<SiteProbe> {
 /// sorted by PC, no timing or thread-count fields — so the same grid
 /// renders byte-identically across worker counts and across resume.
 pub fn obs_grid_json(grid: &ObsGrid) -> Json {
-    let configs = PredictorConfig::all();
     let top = |sites: &SiteProbe| {
         Json::parse(&sites.to_json(TOP_SITES)).expect("SiteProbe emits valid JSON")
     };
@@ -524,10 +519,7 @@ pub fn obs_grid_json(grid: &ObsGrid) -> Json {
                             ("workload", Json::str(g.workload.as_str())),
                             ("depth", n(g.depth.stages())),
                             ("config", Json::str(g.config.label())),
-                            (
-                                "config_index",
-                                n(configs.iter().position(|c| *c == g.config).unwrap_or(0) as u64),
-                            ),
+                            ("config_index", n(g.config.index() as u64)),
                             ("counters", counters_to_json(&g.counters)),
                             ("sites", sites_to_json(&g.sites)),
                             ("top", top(&g.sites)),
@@ -931,7 +923,7 @@ pub fn maybe_obs_grid(
         }
         eprintln!("chrome trace written to {}", path.display());
     }
-    let grid = ObsGrid::from_outcomes(&run.points, spec, run.outcomes, telemetry);
+    let grid = ObsGrid::from_outcomes(&run.points, spec, run.outcomes, &run.tally, telemetry);
     let json = obs_grid_json(&grid);
     if let Err(e) = write_text(&cfg.grid, &(json.render_compact() + "\n")) {
         fail("obs grid rollup", e);

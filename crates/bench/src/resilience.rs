@@ -60,9 +60,16 @@
 //!   `--fault-plan` text) panics chosen cells and simulates a mid-grid
 //!   kill, both deterministically, so `tests/fault_injection.rs` and the
 //!   CI fault job exercise those failure paths on demand.
+//! * **One tally per run** — once the workers return, the outcomes are
+//!   folded once into a [`RunTally`]: per-outcome counts, resumed and
+//!   derived cells, the simulated cells' durations and the failed cells.
+//!   The `resilience:` and `sweep timing:` stderr lines, `sweep_end`'s
+//!   `completed`, the `--metrics-out` file and the rollup's accounting
+//!   all render from it.
 //! * **Telemetry** — with [`Resilience::telemetry`], one `cell_start`
 //!   and one `cell_end` event per cell (not per unit), bracketed by
-//!   `sweep_start`/`sweep_end`, plus the cumulative metrics export.
+//!   `sweep_start`/`sweep_end`; the metrics file is written once, at
+//!   sweep end, from the run's tally.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -108,6 +115,9 @@ pub struct CellSuccess {
     /// ([`Resilience::probes`]); counters and sites are restored from the
     /// cell's journal line for resumed cells.
     pub probes: Option<Box<CellProbes>>,
+    /// The cell's sampled estimate when the run was sampled
+    /// ([`crate::sampling`]), folded from its units.
+    pub report: Option<Box<SampleReport>>,
 }
 
 /// The structured outcome of one grid cell of a
@@ -311,15 +321,8 @@ pub fn cell_fingerprint(point: &SweepPoint, spec: Spec) -> u64 {
     h = fnv1a(h, &spec.warmup.to_le_bytes());
     h = fnv1a(h, &spec.measure.to_le_bytes());
     h = fnv1a(h, &point.depth.stages().to_le_bytes());
-    h = fnv1a(h, &(config_index(point.config) as u64).to_le_bytes());
+    h = fnv1a(h, &(point.config.index() as u64).to_le_bytes());
     h
-}
-
-fn config_index(config: PredictorConfig) -> usize {
-    PredictorConfig::all()
-        .iter()
-        .position(|&c| c == config)
-        .expect("known config")
 }
 
 fn accuracy_json(a: Accuracy) -> Json {
@@ -349,7 +352,7 @@ fn entry_json(s: &CellSuccess) -> Json {
     let w = &s.result.window;
     let mut fields = vec![
         ("name", Json::str(s.result.name)),
-        ("config", Json::Num(config_index(s.result.config) as f64)),
+        ("config", Json::Num(s.result.config.index() as f64)),
         ("depth", Json::Num(s.result.depth_stages as f64)),
         ("dur_us", Json::Num(s.duration.as_micros() as f64)),
         (
@@ -420,6 +423,7 @@ fn entry_from_json(json: &Json) -> Option<CellSuccess> {
         derived: false,
         duration,
         probes,
+        report: None,
     })
 }
 
@@ -531,9 +535,10 @@ type WorkItem = (usize, Option<usize>);
 /// simulated one, it is the simulated one. A cell's `cell_start` event
 /// goes out when its first item is dispatched, and its outcome is
 /// folded — and its `cell_end` emitted — when its last item finishes.
-/// Returns one outcome per point in grid order, for every cell that
-/// sampled its [`SampleReport`], and the journal the run appended to, if
-/// any.
+/// Once the workers return, the outcomes are folded into the run's
+/// [`RunTally`], which gives `sweep_end`'s `completed` and, with a
+/// metrics path, the metrics file. Returns one outcome per point in grid
+/// order, the tally, and the journal the run appended to, if any.
 pub(crate) fn run_grid(
     points: &[SweepPoint],
     spec: Spec,
@@ -542,7 +547,7 @@ pub(crate) fn run_grid(
     traces: &TraceSet,
     res: &Resilience,
     sample: Option<&SamplePlan>,
-) -> (Vec<CellOutcome>, Vec<Option<SampleReport>>, Option<PathBuf>) {
+) -> (Vec<CellOutcome>, RunTally, Option<PathBuf>) {
     let exec = Executor::new(points, spec, traces, res, sample);
     let mut items: Vec<WorkItem> = Vec::new();
     let mut spans = vec![(0..0, false); points.len()];
@@ -624,59 +629,50 @@ pub(crate) fn run_grid(
                 let folded = if run.sampled {
                     fold_units(&points[cell], spec, outcomes)
                 } else {
-                    (outcomes.pop().expect("one whole-cell item"), None)
+                    outcomes.pop().expect("one whole-cell item")
                 };
                 if let Some(t) = telemetry {
-                    emit_cell_events(t, cell, &points[cell], &folded.0);
+                    emit_cell_end(t, cell, &points[cell], &folded);
                 }
                 *run.folded.lock().expect("cell slot") = Some(folded);
             }
         },
     );
-    let (outcomes, reports): (Vec<CellOutcome>, Vec<Option<SampleReport>>) = cells
+    let outcomes: Vec<CellOutcome> = cells
         .into_iter()
         .map(|run| {
-            run.folded
-                .into_inner()
-                .expect("cell slot")
-                .unwrap_or((CellOutcome::Skipped, None))
+            let folded = run.folded.into_inner().expect("cell slot");
+            folded.unwrap_or(CellOutcome::Skipped)
         })
-        .unzip();
+        .collect();
+    let tally = RunTally::of(points, &outcomes);
     if let Some(t) = telemetry {
-        for o in &outcomes {
-            if matches!(o, CellOutcome::Skipped) {
-                t.cell_finished("skipped", None, false);
-            }
-        }
         t.event(
             "sweep_end",
             vec![
                 ("cells".to_string(), Json::Num(outcomes.len() as f64)),
-                (
-                    "completed".to_string(),
-                    Json::Num(outcomes.iter().filter(|o| o.success().is_some()).count() as f64),
-                ),
+                ("completed".to_string(), Json::Num(tally.ok() as f64)),
                 (
                     "dur_us".to_string(),
                     Json::Num(sweep_start.elapsed().as_micros() as f64),
                 ),
             ],
         );
-        t.sweep_finished();
+        t.write_metrics(&tally.prometheus(traces.record_elapsed()));
     }
-    (outcomes, reports, exec.journal.map(|j| j.path))
+    (outcomes, tally, exec.journal.map(|j| j.path))
 }
 
 /// One cell's progress through the work list: its items' range, whether
 /// it samples (`false`: one whole-cell item), whether any item has been
 /// dispatched, how many are still unfinished, and — once the last one
-/// finishes — its folded outcome and sampled estimate.
+/// finishes — its folded outcome.
 struct CellRun {
     items: std::ops::Range<usize>,
     sampled: bool,
     started: AtomicBool,
     pending: AtomicUsize,
-    folded: Mutex<Option<(CellOutcome, Option<SampleReport>)>>,
+    folded: Mutex<Option<CellOutcome>>,
 }
 
 /// Where an ARVI configuration's cells go in the dispatch order: current
@@ -848,6 +844,7 @@ impl<'a> Executor<'a> {
                     derived: false,
                     duration: prior.duration,
                     probes: prior.probes.clone().filter(|_| self.probes),
+                    report: None,
                 });
             }
         }
@@ -874,6 +871,7 @@ impl<'a> Executor<'a> {
                 derived,
                 duration: start.elapsed(),
                 probes,
+                report: None,
             }),
         }
     }
@@ -991,30 +989,32 @@ fn recording<'a>(
     Ok(trace)
 }
 
-/// The normalized outcome key used in events and metric labels (no
-/// spaces or parentheses, unlike [`CellOutcome::label`]).
-fn outcome_key(outcome: &CellOutcome) -> &'static str {
+/// The normalized outcome keys of events and metric labels, in the
+/// order of [`RunTally::outcomes`] (no spaces or parentheses, unlike
+/// [`CellOutcome::failure`]).
+const OUTCOME_KEYS: [&str; 4] = ["ok", "panicked", "trace-error", "skipped"];
+
+/// `outcome`'s position in [`OUTCOME_KEYS`].
+fn outcome_slot(outcome: &CellOutcome) -> usize {
     match outcome {
-        CellOutcome::Ok(_) => "ok",
-        CellOutcome::Panicked { .. } => "panicked",
-        CellOutcome::TraceError { .. } => "trace-error",
-        CellOutcome::Skipped => "skipped",
+        CellOutcome::Ok(_) => 0,
+        CellOutcome::Panicked { .. } => 1,
+        CellOutcome::TraceError { .. } => 2,
+        CellOutcome::Skipped => 3,
     }
 }
 
-/// Emits the `cell_end` event (plus `resume_hit` for journal hits) and
-/// updates the cumulative metrics for one dispatched cell.
-fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &CellOutcome) {
-    let key = outcome_key(outcome);
+/// Emits the `cell_end` event of one dispatched cell.
+fn emit_cell_end(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &CellOutcome) {
     let mut fields = vec![
         ("cell".to_string(), Json::Num(i as f64)),
         ("point".to_string(), Json::str(point.to_string())),
-        ("outcome".to_string(), Json::str(key)),
+        (
+            "outcome".to_string(),
+            Json::str(OUTCOME_KEYS[outcome_slot(outcome)]),
+        ),
     ];
-    let mut simulated_duration = None;
-    let mut resumed = false;
     if let CellOutcome::Ok(s) = outcome {
-        resumed = s.resumed;
         let phase = match (s.resumed, s.derived) {
             (true, _) => "resumed",
             (false, true) => "derived",
@@ -1025,18 +1025,10 @@ fn emit_cell_events(t: &SweepTelemetry, i: usize, point: &SweepPoint, outcome: &
             "dur_us".to_string(),
             Json::Num(s.duration.as_micros() as f64),
         ));
-        if !s.resumed && !s.derived {
-            simulated_duration = Some(s.duration);
-        }
     } else if let Some(reason) = outcome.failure() {
         fields.push(("reason".to_string(), Json::str(reason)));
     }
-    if resumed {
-        // Its cell and point fields.
-        t.event("resume_hit", fields[..2].to_vec());
-    }
     t.event("cell_end", fields);
-    t.cell_finished(key, simulated_duration, resumed);
 }
 
 /// Simulates one cell from `source` — the same run as
@@ -1125,130 +1117,162 @@ pub(crate) fn rerun_hint(journal: Option<&Path>) -> String {
     }
 }
 
-/// The results of the cells `keep` selects, in grid order, or every
-/// failed cell among them (with its index in the full sweep);
-/// `outcomes` are a grid run's, one per point, and `journal` the
-/// journal it appended to.
-pub(crate) fn collect_where(
-    points: &[SweepPoint],
-    outcomes: &[CellOutcome],
-    journal: Option<&Path>,
-    keep: impl Fn(&SweepPoint) -> bool,
-) -> Result<Vec<SimResult>, SweepIncomplete> {
-    assert_eq!(points.len(), outcomes.len(), "one outcome per point");
-    let mut results = Vec::new();
-    let mut failed = Vec::new();
-    let mut total = 0;
-    for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
-        if !keep(point) {
-            continue;
-        }
-        total += 1;
-        match outcome {
-            CellOutcome::Ok(s) => results.push(s.result.clone()),
-            other => failed.push((
-                i,
-                point.to_string(),
-                other.failure().expect("non-ok outcome has a reason"),
-            )),
-        }
-    }
-    if failed.is_empty() {
-        Ok(results)
-    } else {
-        Err(SweepIncomplete {
-            total,
-            failed,
-            journal: journal.map(Path::to_path_buf),
-        })
+/// The wall-clock times of a run's simulated cells: their count, sum
+/// (not the sweep's wall-clock: cells overlap on parallel workers),
+/// shortest (zero when none was timed), longest and a log2 histogram in
+/// milliseconds.
+#[derive(Debug, Clone, Default)]
+pub struct CellTimes {
+    pub count: usize,
+    pub sum: Duration,
+    pub min: Duration,
+    pub max: Duration,
+    pub hist: arvi_obs::Log2Hist,
+}
+
+impl CellTimes {
+    fn record(&mut self, d: Duration) {
+        self.min = if self.count == 0 { d } else { self.min.min(d) };
+        self.max = self.max.max(d);
+        self.count += 1;
+        self.sum += d;
+        self.hist.record(d.as_millis() as u64);
     }
 }
 
-/// One-line resume/failure summary of a resilient sweep, or `None`
-/// when every cell ran the normal path (nothing worth reporting).
-pub fn outcome_summary(outcomes: &[CellOutcome]) -> Option<String> {
-    let mut resumed = 0usize;
-    let mut failed = 0usize;
-    for o in outcomes {
-        match o {
-            CellOutcome::Ok(s) => resumed += s.resumed as usize,
-            _ => failed += 1,
-        }
-    }
-    if resumed + failed == 0 {
-        return None;
-    }
-    let mut parts = Vec::new();
-    if resumed > 0 {
-        parts.push(format!("{resumed} resumed from journal"));
-    }
-    if failed > 0 {
-        parts.push(format!("{failed} failed"));
-    }
-    Some(format!("resilience: {}", parts.join(", ")))
+/// How a grid run's cells were obtained, folded once from its outcomes
+/// ([`RunTally::of`]) after the workers return. Everything the run
+/// reports about itself renders from it: the `resilience:` and `sweep
+/// timing:` stderr lines, `sweep_end`'s `completed`, the `--metrics-out`
+/// file and the rollup's `completed`, `resumed` and `failed`.
+#[derive(Debug, Clone, Default)]
+pub struct RunTally {
+    /// Cells per outcome: `ok`, `panicked`, `trace-error`, `skipped`.
+    pub outcomes: [usize; 4],
+    /// Completed cells restored from the journal.
+    pub resumed: usize,
+    /// ARVI cells taken from a twin, per configuration
+    /// ([`PredictorConfig::index`]).
+    pub derived: [usize; 4],
+    /// The cells simulated in this run (neither resumed nor derived).
+    pub simulated: CellTimes,
+    /// Failed and skipped cells: `(index, point, reason)`.
+    pub failed: Vec<(usize, String, String)>,
 }
 
-/// End-of-grid timing report: the per-cell wall-clock times' sum (not
-/// the sweep's wall-clock: cells overlap on parallel workers),
-/// min/mean/max, the trace-recording phase (`record_elapsed`, from
-/// [`TraceSet::record_elapsed`]), the ARVI cells derived from their
-/// twins by configuration, and a log2 duration histogram. Returns `None`
-/// when no cell ran in this process (e.g. a fully resumed grid).
-pub fn timing_summary(outcomes: &[CellOutcome], record_elapsed: Duration) -> Option<String> {
-    let mut hist = arvi_obs::Log2Hist::new();
-    let mut total = Duration::ZERO;
-    let mut cells = 0usize;
-    let mut resumed = 0usize;
-    let (mut load_back, mut perfect) = (0usize, 0usize);
-    let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
-    for o in outcomes {
-        let Some(s) = o.success() else { continue };
-        if s.derived {
-            match s.result.config {
-                PredictorConfig::ArviLoadBack => load_back += 1,
-                _ => perfect += 1,
+impl RunTally {
+    /// Folds `outcomes`, one per point of `points`.
+    pub fn of(points: &[SweepPoint], outcomes: &[CellOutcome]) -> RunTally {
+        assert_eq!(points.len(), outcomes.len(), "one outcome per point");
+        let mut tally = RunTally::default();
+        for (i, (point, outcome)) in points.iter().zip(outcomes).enumerate() {
+            tally.outcomes[outcome_slot(outcome)] += 1;
+            match outcome {
+                CellOutcome::Ok(s) if s.derived => tally.derived[s.result.config.index()] += 1,
+                CellOutcome::Ok(s) if s.resumed => tally.resumed += 1,
+                CellOutcome::Ok(s) => tally.simulated.record(s.duration),
+                other => tally.failed.push((
+                    i,
+                    point.to_string(),
+                    other.failure().expect("non-ok outcome has a reason"),
+                )),
             }
-            continue;
         }
-        if s.resumed {
-            resumed += 1;
-            continue;
+        tally
+    }
+
+    /// Cells that completed.
+    pub fn ok(&self) -> usize {
+        self.outcomes[0]
+    }
+
+    /// The one-line resume/failure summary, or `None` when every cell ran
+    /// the normal path (nothing worth reporting).
+    pub fn outcome_summary(&self) -> Option<String> {
+        let mut parts = Vec::new();
+        if self.resumed > 0 {
+            parts.push(format!("{} resumed from journal", self.resumed));
         }
-        total += s.duration;
-        cells += 1;
-        hist.record(s.duration.as_millis() as u64);
-        min = min.min(s.duration);
-        max = max.max(s.duration);
+        if !self.failed.is_empty() {
+            parts.push(format!("{} failed", self.failed.len()));
+        }
+        (!parts.is_empty()).then(|| format!("resilience: {}", parts.join(", ")))
     }
-    if cells == 0 {
-        return None;
-    }
-    let secs = |d: Duration| d.as_secs_f64();
-    let mut out = format!(
-        "sweep timing: {cells} cells replayed in {:.2}s summed cell time (record phase {:.2}s",
-        secs(total),
-        secs(record_elapsed),
-    );
-    if resumed > 0 {
-        out.push_str(&format!(", {resumed} resumed not re-timed"));
-    }
-    if load_back + perfect > 0 {
+
+    /// The end-of-grid timing report: the simulated cells' summed time
+    /// and min/mean/max, the trace-recording phase (`record_elapsed`,
+    /// from [`TraceSet::record_elapsed`]), the ARVI cells derived from
+    /// their twins by configuration, and the duration histogram. `None`
+    /// when no cell ran in this process (e.g. a fully resumed grid).
+    pub fn timing_summary(&self, record_elapsed: Duration) -> Option<String> {
+        let t = &self.simulated;
+        if t.count == 0 {
+            return None;
+        }
+        let secs = |d: Duration| d.as_secs_f64();
+        let mut out = format!(
+            "sweep timing: {} cells replayed in {:.2}s summed cell time (record phase {:.2}s",
+            t.count,
+            secs(t.sum),
+            secs(record_elapsed),
+        );
+        if self.resumed > 0 {
+            out.push_str(&format!(", {} resumed not re-timed", self.resumed));
+        }
+        let load_back = self.derived[PredictorConfig::ArviLoadBack.index()];
+        let perfect = self.derived[PredictorConfig::ArviPerfect.index()];
+        if load_back + perfect > 0 {
+            out.push_str(&format!(
+                ", {} ARVI cells derived from their twins ({load_back} load back, {perfect} perfect value)",
+                load_back + perfect
+            ));
+        }
         out.push_str(&format!(
-            ", {} ARVI cells derived from their twins ({load_back} load back, {perfect} perfect value)",
-            load_back + perfect
+            "); per-cell min/mean/max {:.3}/{:.3}/{:.3}s\n",
+            secs(t.min),
+            secs(t.sum) / t.count as f64,
+            secs(t.max),
         ));
+        out.push_str("cell duration histogram (ms):");
+        for (lo, n) in t.hist.nonzero_buckets() {
+            out.push_str(&format!(" [{}]={n}", arvi_obs::Log2Hist::bucket_label(lo)));
+        }
+        Some(out)
     }
-    out.push_str(&format!(
-        "); per-cell min/mean/max {:.3}/{:.3}/{:.3}s\n",
-        secs(min),
-        secs(total) / cells as f64,
-        secs(max),
-    ));
-    out.push_str("cell duration histogram (ms):");
-    for (lo, n) in hist.nonzero_buckets() {
-        out.push_str(&format!(" [{}]={n}", arvi_obs::Log2Hist::bucket_label(lo)));
+
+    /// The `--metrics-out` file: this run's counters in Prometheus text
+    /// exposition format, outcome rows in a fixed order and only those
+    /// that occurred, with the record phase's `record_elapsed`.
+    pub fn prometheus(&self, record_elapsed: Duration) -> String {
+        let cells: String = OUTCOME_KEYS
+            .iter()
+            .zip(self.outcomes)
+            .filter(|&(_, n)| n > 0)
+            .map(|(key, n)| format!("arvi_sweep_cells_total{{outcome=\"{key}\"}} {n}\n"))
+            .collect();
+        format!(
+            "# HELP arvi_sweeps_total Sweeps completed by this process.\n\
+             # TYPE arvi_sweeps_total counter\n\
+             arvi_sweeps_total 1\n\
+             # HELP arvi_sweep_cells_total Grid cells by outcome.\n\
+             # TYPE arvi_sweep_cells_total counter\n\
+             {cells}\
+             # HELP arvi_sweep_cell_duration_seconds Simulated-cell wall time.\n\
+             # TYPE arvi_sweep_cell_duration_seconds summary\n\
+             arvi_sweep_cell_duration_seconds_sum {:.6}\n\
+             arvi_sweep_cell_duration_seconds_count {}\n\
+             # HELP arvi_sweep_resumed_cells_total Cells satisfied from a journal.\n\
+             # TYPE arvi_sweep_resumed_cells_total counter\n\
+             arvi_sweep_resumed_cells_total {}\n\
+             # HELP arvi_record_phase_seconds_total Trace-record wall time.\n\
+             # TYPE arvi_record_phase_seconds_total counter\n\
+             arvi_record_phase_seconds_total {:.6}\n",
+            self.simulated.sum.as_secs_f64(),
+            self.simulated.count,
+            self.resumed,
+            record_elapsed.as_secs_f64(),
+        )
     }
-    Some(out)
 }
 
 pub use crate::sweep::TraceProvenance;
@@ -1349,6 +1373,7 @@ mod tests {
             derived: false,
             duration: Duration::from_micros(77),
             probes,
+            report: None,
         }
     }
 
@@ -1446,28 +1471,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A completed cell of `result`, resumed or not, that took `ms`.
+    fn ok(result: &SimResult, resumed: bool, ms: u64) -> CellOutcome {
+        CellOutcome::Ok(CellSuccess {
+            result: result.clone(),
+            resumed,
+            derived: false,
+            duration: Duration::from_millis(ms),
+            probes: None,
+            report: None,
+        })
+    }
+
+    /// The tally of `outcomes`, each over the li point.
+    fn tally(outcomes: &[CellOutcome]) -> RunTally {
+        RunTally::of(&vec![point(Benchmark::Li); outcomes.len()], outcomes)
+    }
+
+    fn li_result() -> SimResult {
+        let p = point(Benchmark::Li);
+        run_one(&p.workload, p.depth, p.config, tiny_spec())
+    }
+
     #[test]
     fn outcome_summary_counts_paths() {
-        let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
-        let ok = |resumed| {
-            CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
-                resumed,
-                derived: false,
-                duration: Duration::from_millis(40),
-                probes: None,
-            })
-        };
-        assert_eq!(outcome_summary(&[ok(false)]), None);
-        let summary = outcome_summary(&[
-            ok(true),
-            ok(false),
+        let result = li_result();
+        assert_eq!(tally(&[ok(&result, false, 40)]).outcome_summary(), None);
+        let summary = tally(&[
+            ok(&result, true, 40),
+            ok(&result, false, 40),
             CellOutcome::Panicked {
                 message: "boom".into(),
             },
         ])
+        .outcome_summary()
         .unwrap();
         assert!(summary.contains("1 resumed"));
         assert!(summary.contains("1 failed"));
@@ -1475,42 +1512,29 @@ mod tests {
 
     #[test]
     fn timing_summary_breaks_down_phases() {
-        let spec = tiny_spec();
-        let p = point(Benchmark::Li);
-        let result = run_one(&p.workload, p.depth, p.config, spec);
-        let ok = |resumed, ms| {
-            CellOutcome::Ok(CellSuccess {
-                result: result.clone(),
-                resumed,
-                derived: false,
-                duration: Duration::from_millis(ms),
-                probes: None,
-            })
-        };
+        let result = li_result();
         let derived = |config| {
-            let mut s = ok(false, 1).success().unwrap().clone();
+            let mut s = ok(&result, false, 1).success().unwrap().clone();
             s.derived = true;
             s.result.config = config;
             CellOutcome::Ok(s)
         };
         let record = Duration::from_millis(250);
         // Nothing ran in-process: resumed-only grids report no timing.
-        assert_eq!(timing_summary(&[ok(true, 70)], record), None);
-        let summary = timing_summary(
-            &[
-                ok(false, 100),
-                ok(false, 300),
-                ok(true, 70), // resumed: excluded
-                // derived: excluded
-                derived(PredictorConfig::ArviLoadBack),
-                derived(PredictorConfig::ArviLoadBack),
-                derived(PredictorConfig::ArviPerfect),
-                CellOutcome::Panicked {
-                    message: "boom".into(),
-                },
-            ],
-            record,
-        )
+        assert_eq!(tally(&[ok(&result, true, 70)]).timing_summary(record), None);
+        let summary = tally(&[
+            ok(&result, false, 100),
+            ok(&result, false, 300),
+            ok(&result, true, 70), // resumed: excluded
+            // derived: excluded
+            derived(PredictorConfig::ArviLoadBack),
+            derived(PredictorConfig::ArviLoadBack),
+            derived(PredictorConfig::ArviPerfect),
+            CellOutcome::Panicked {
+                message: "boom".into(),
+            },
+        ])
+        .timing_summary(record)
         .unwrap();
         assert!(
             summary.contains("2 cells replayed in 0.40s summed"),
@@ -1530,6 +1554,46 @@ mod tests {
         // 100ms -> [64-127], 300ms -> [256-511].
         assert!(summary.contains("[64-127]=1"), "{summary}");
         assert!(summary.contains("[256-511]=1"), "{summary}");
+    }
+
+    #[test]
+    fn prometheus_export_accumulates() {
+        let result = li_result();
+        let text = tally(&[
+            CellOutcome::Skipped,
+            ok(&result, false, 10),
+            CellOutcome::Panicked {
+                message: "boom".into(),
+            },
+            ok(&result, true, 20),
+            ok(&result, false, 20),
+        ])
+        .prometheus(Duration::from_millis(5));
+        assert!(text.contains("arvi_sweeps_total 1"), "{text}");
+        // Outcome rows in the fixed order, whatever order the cells came
+        // in; outcomes that did not occur have no row.
+        assert!(
+            text.contains(
+                "arvi_sweep_cells_total{outcome=\"ok\"} 3\n\
+                 arvi_sweep_cells_total{outcome=\"panicked\"} 1\n\
+                 arvi_sweep_cells_total{outcome=\"skipped\"} 1\n"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("trace-error"), "{text}");
+        assert!(
+            text.contains("arvi_sweep_cell_duration_seconds_sum 0.030000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("arvi_sweep_cell_duration_seconds_count 2"),
+            "{text}"
+        );
+        assert!(text.contains("arvi_sweep_resumed_cells_total 1"), "{text}");
+        assert!(
+            text.contains("arvi_record_phase_seconds_total 0.005000"),
+            "{text}"
+        );
     }
 
     #[test]

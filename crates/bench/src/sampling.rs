@@ -58,21 +58,17 @@ pub fn unit_fingerprint(point: &SweepPoint, spec: Spec, plan: &SamplePlan, unit:
 }
 
 /// Folds one sampled cell's unit outcomes (in unit order) into the
-/// cell's outcome and report: the first failed unit fails the cell;
-/// otherwise the unit counters merge into the cell's result, its
-/// duration is the units' sum, and it counts as resumed when every unit
-/// was restored from the journal.
-pub(crate) fn fold_units(
-    point: &SweepPoint,
-    spec: Spec,
-    units: Vec<CellOutcome>,
-) -> (CellOutcome, Option<SampleReport>) {
+/// cell's outcome, which carries its report: the first failed unit fails
+/// the cell; otherwise the unit counters merge into the cell's result,
+/// its duration is the units' sum, and it counts as resumed when every
+/// unit was restored from the journal.
+pub(crate) fn fold_units(point: &SweepPoint, spec: Spec, units: Vec<CellOutcome>) -> CellOutcome {
     let mut stats = Vec::with_capacity(units.len());
     let (mut duration, mut resumed) = (Duration::ZERO, true);
     for outcome in units {
         let s = match outcome {
             CellOutcome::Ok(s) => s,
-            failed => return (failed, None),
+            failed => return failed,
         };
         duration += s.duration;
         resumed &= s.resumed;
@@ -85,16 +81,14 @@ pub(crate) fn fold_units(
         depth_stages: point.depth.stages(),
         window: report.totals.clone(),
     };
-    (
-        CellOutcome::Ok(CellSuccess {
-            result,
-            resumed,
-            derived: false,
-            duration,
-            probes: None,
-        }),
-        Some(report),
-    )
+    CellOutcome::Ok(CellSuccess {
+        result,
+        resumed,
+        derived: false,
+        duration,
+        probes: None,
+        report: Some(Box::new(report)),
+    })
 }
 
 /// The confidence-interval table of a sampled sweep's `(point, report)`
@@ -102,7 +96,7 @@ pub(crate) fn fold_units(
 /// estimates with 95% half-widths, unit counts and coverage. Failed
 /// cells, which have no report, show a dash.
 pub(crate) fn ci_table<'a>(
-    cells: impl Iterator<Item = (&'a SweepPoint, &'a Option<SampleReport>)>,
+    cells: impl Iterator<Item = (&'a SweepPoint, Option<&'a SampleReport>)>,
 ) -> Table {
     let mut t = Table::new(vec![
         "workload".into(),
@@ -175,9 +169,12 @@ mod tests {
         )
     }
 
-    /// A sampled run's per-cell reports.
-    fn reports(run: &GridRun) -> &[Option<SampleReport>] {
-        run.reports.as_deref().expect("a sampled run")
+    /// The sampled estimate of a sampled run's completed cell `i`.
+    fn report(run: &GridRun, i: usize) -> &SampleReport {
+        let s = run.outcomes[i].success().expect("cell completed");
+        s.report
+            .as_deref()
+            .expect("a sampled cell carries its report")
     }
 
     #[test]
@@ -228,7 +225,7 @@ mod tests {
         let four = sampled(&points, &plan, 4, &traces, &Resilience::new());
         for sweep in [&one, &four] {
             assert!(sweep.outcomes[0].success().is_some(), "cell sampled");
-            let r = reports(sweep)[0].as_ref().expect("report present");
+            let r = report(sweep, 0);
             assert_eq!(r.units(), 4, "8k measure / (2*1k) stride");
             assert!((r.coverage() - 0.5).abs() < 0.01);
             assert!(r.ipc.mean > 0.0);
@@ -240,10 +237,7 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.cond_branches, b.cond_branches);
-        let (ra, rb) = (
-            reports(&one)[0].as_ref().unwrap(),
-            reports(&four)[0].as_ref().unwrap(),
-        );
+        let (ra, rb) = (report(&one, 0), report(&four, 0));
         assert_eq!(ra.ipc.mean.to_bits(), rb.ipc.mean.to_bits());
         assert_eq!(ra.ipc.stderr.to_bits(), rb.ipc.stderr.to_bits());
         let table = one.ci_table(|_| true).unwrap();
@@ -301,10 +295,7 @@ mod tests {
         assert_eq!(r.window.cycles, c.window.cycles);
         assert_eq!(r.window.committed, c.window.committed);
         assert_eq!(r.window.cond_branches, c.window.cond_branches);
-        let (rr, cr) = (
-            reports(&resumed)[0].as_ref().unwrap(),
-            reports(&clean)[0].as_ref().unwrap(),
-        );
+        let (rr, cr) = (report(&resumed, 0), report(&clean, 0));
         assert_eq!(rr.ipc.mean.to_bits(), cr.ipc.mean.to_bits());
         assert_eq!(rr.ipc.stderr.to_bits(), cr.ipc.stderr.to_bits());
         assert_eq!(rr.accuracy.mean.to_bits(), cr.accuracy.mean.to_bits());

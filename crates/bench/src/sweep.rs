@@ -162,18 +162,21 @@ impl TraceSet {
             }
         }
         let telemetry = res.telemetry.as_deref();
+        let count = ("workloads".to_string(), Json::Num(workloads.len() as f64));
         if let Some(t) = telemetry {
-            t.event(
-                "record_start",
-                vec![("workloads".to_string(), Json::Num(workloads.len() as f64))],
-            );
+            t.event("record_start", vec![count.clone()]);
         }
         let start = Instant::now();
         let traces = par_map(workloads, threads, |workload| {
             Self::obtain(workload, spec, dir)
         });
+        let record_elapsed = start.elapsed();
         if let Some(t) = telemetry {
-            t.record_phase(workloads.len(), start.elapsed());
+            let dur = (
+                "dur_us".to_string(),
+                Json::Num(record_elapsed.as_micros() as f64),
+            );
+            t.event("record_end", vec![count, dur]);
         }
         TraceSet {
             traces: workloads
@@ -182,7 +185,7 @@ impl TraceSet {
                 .zip(traces)
                 .map(|(w, (t, p))| (w, t.map(Arc::new), p))
                 .collect(),
-            record_elapsed: start.elapsed(),
+            record_elapsed,
         }
     }
 
@@ -235,7 +238,8 @@ impl TraceSet {
     /// Wall-clock time the record phase took (functional emulation
     /// and/or disk loads, across all workloads). Feeds the
     /// record-vs-replay phase breakdown in
-    /// [`crate::resilience::timing_summary`].
+    /// [`crate::RunTally::timing_summary`] and the metrics file's
+    /// record-phase seconds.
     pub fn record_elapsed(&self) -> Duration {
         self.record_elapsed
     }

@@ -89,6 +89,12 @@ impl PredictorConfig {
         ]
     }
 
+    /// This configuration's position in [`PredictorConfig::all`]: the
+    /// index journals, the rollup and the figure tables key it by.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Legend label used in the figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -293,6 +299,13 @@ impl SimParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_index_is_the_position_in_all() {
+        for c in PredictorConfig::all() {
+            assert_eq!(PredictorConfig::all()[c.index()], c, "{c}");
+        }
+    }
 
     #[test]
     fn table_4_latencies() {

@@ -29,7 +29,7 @@
 use std::sync::{Arc, OnceLock};
 
 use arvi::isa::{DynInst, Emulator};
-use arvi::sampling::SamplePlan;
+use arvi::sampling::{SamplePlan, SampleReport};
 use arvi::sim::{Depth, PredictorConfig, SimResult};
 use arvi::trace::{Trace, TraceReplayer, TraceWriter};
 use arvi::workloads::Benchmark;
@@ -56,6 +56,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 /// `points` on one worker, replaying `traces`, under `res`.
 fn run(points: &[SweepPoint], spec: Spec, traces: &TraceSet, res: &Resilience) -> GridRun {
     GridRun::run(points.to_vec(), spec, 1, false, traces, res, None)
+}
+
+/// The sampled estimate completed cell `i` of `run` carries, if any.
+fn report(run: &GridRun, i: usize) -> Option<&SampleReport> {
+    let s = run.outcomes[i].success().expect("cell completed");
+    s.report.as_deref()
 }
 
 /// Every point emulated live, one cell at a time ([`run_one`]).
@@ -371,12 +377,13 @@ fn unusable_recording_fails_only_its_cell() {
                     .unwrap_or_else(|| panic!("{label}: cell {i}: {:?}", run.outcomes[i]));
                 let c = clean.outcomes[i].success().expect("clean run completes");
                 assert_bit_identical(&s.result, &c.result, &label);
-            }
-            assert_eq!(run.reports.is_some(), plan.is_some(), "{label}");
-            if let (Some(r), Some(c)) = (&run.reports, &clean.reports) {
-                assert!(r[1].is_none(), "{label}: a failed cell has no estimate");
-                for i in [0, 2] {
-                    let (r, c) = (r[i].as_ref().unwrap(), c[i].as_ref().unwrap());
+                // Every completed cell carries an estimate iff the run
+                // was sampled; the failed cell 1 has no success to carry
+                // one.
+                let (r, c) = (report(&run, i), report(&clean, i));
+                assert_eq!(r.is_some(), plan.is_some(), "{label}: cell {i}");
+                assert_eq!(c.is_some(), plan.is_some(), "{label}: clean cell {i}");
+                if let (Some(r), Some(c)) = (r, c) {
                     assert_eq!(r.units(), c.units(), "{label}: cell {i}");
                     assert_eq!(r.ipc.mean.to_bits(), c.ipc.mean.to_bits(), "{label}");
                     assert_eq!(r.ipc.stderr.to_bits(), c.ipc.stderr.to_bits(), "{label}");
@@ -491,21 +498,19 @@ fn sampled_panic_fails_only_its_cell() {
     let sampled =
         |res: &Resilience| GridRun::run(points.clone(), spec, 2, false, &traces, res, Some(&plan));
     let clean = sampled(&Resilience::new());
-    let clean_reports = clean.reports.as_ref().expect("sampled");
 
     let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
     let faulted = sampled(&res);
-    let faulted_reports = faulted.reports.as_ref().expect("sampled");
     match &faulted.outcomes[1] {
         CellOutcome::Panicked { message } => {
             assert!(message.contains("injected fault"), "{message}")
         }
         other => panic!("cell 1: expected Panicked, got {other:?}"),
     }
-    assert!(
-        faulted_reports[1].is_none(),
-        "a failed cell has no estimate"
-    );
+    // A failed cell has no estimate: its CI row is all dashes.
+    let ci = faulted.ci_table(|_| true).expect("sampled cells").to_csv();
+    let row = ci.lines().nth(2).expect("cell 1's row");
+    assert!(row.ends_with(",-,-,-,-,-,-"), "{row}");
     for i in [0, 2] {
         let s = faulted.outcomes[i]
             .success()
@@ -513,8 +518,8 @@ fn sampled_panic_fails_only_its_cell() {
         let c = clean.outcomes[i].success().expect("clean run completes");
         assert_bit_identical(&s.result, &c.result, &points[i].to_string());
         let (r, cr) = (
-            faulted_reports[i].as_ref().expect("sampled"),
-            clean_reports[i].as_ref().expect("sampled"),
+            report(&faulted, i).expect("sampled"),
+            report(&clean, i).expect("sampled"),
         );
         assert_eq!(r.units(), cr.units(), "cell {i}: units");
         assert_eq!(r.ipc.mean.to_bits(), cr.ipc.mean.to_bits(), "cell {i}");

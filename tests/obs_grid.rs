@@ -18,6 +18,10 @@
 //! 5. **Structured events** — the resilient sweep's `--events-out`
 //!    JSONL log parses line by line with the expected span events, and
 //!    the Prometheus-style metrics export carries the cell outcomes.
+//! 6. **One tally** — under a panicked cell, a kill and a resume, the
+//!    metrics file, the rollup and the main-pass `cell_end` events agree
+//!    on the ok, failed, skipped and resumed cells, and the metrics text
+//!    is the same at 1 and 2 threads but for the summed cell time.
 
 use std::sync::Arc;
 
@@ -62,7 +66,7 @@ fn probed_grid(
     let mut probed = res.clone();
     probed.probes = true;
     let run = GridRun::run(points.to_vec(), spec, threads, false, traces, &probed, None);
-    ObsGrid::from_outcomes(&run.points, spec, run.outcomes, None)
+    ObsGrid::from_outcomes(&run.points, spec, run.outcomes, &run.tally, None)
 }
 
 #[test]
@@ -291,5 +295,158 @@ fn events_jsonl_and_metrics_export_from_a_resilient_sweep() {
         metrics.contains("# TYPE arvi_sweeps_total counter"),
         "{metrics}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run's `(ok, failed, skipped, resumed)` cell counts.
+type Counts = (usize, usize, usize, usize);
+
+/// A probed run of `points` on `threads` workers under `res`, with an
+/// event log and a metrics file in `dir` named after `tag`, folded into
+/// its rollup with the fold's events: the rollup, the metrics text and
+/// the event log.
+fn telemetry_run(
+    points: &[SweepPoint],
+    threads: usize,
+    traces: &TraceSet,
+    res: &Resilience,
+    dir: &std::path::Path,
+    tag: &str,
+) -> (ObsGrid, String, String) {
+    let (events, metrics) = (
+        dir.join(format!("{tag}.jsonl")),
+        dir.join(format!("{tag}.prom")),
+    );
+    let telemetry = Arc::new(SweepTelemetry::from_paths(Some(&events), Some(&metrics)).unwrap());
+    let mut res = res.clone();
+    res.probes = true;
+    res.telemetry = Some(Arc::clone(&telemetry));
+    let spec = tiny_spec();
+    let run = GridRun::run(points.to_vec(), spec, threads, false, traces, &res, None);
+    let rollup = ObsGrid::from_outcomes(
+        &run.points,
+        spec,
+        run.outcomes,
+        &run.tally,
+        Some(&telemetry),
+    );
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();
+    (rollup, read(&metrics), read(&events))
+}
+
+fn metric_counts(text: &str) -> Counts {
+    let value = |name: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or(0)
+    };
+    let cells = |outcome: &str| value(&format!("arvi_sweep_cells_total{{outcome=\"{outcome}\"}}"));
+    (
+        cells("ok"),
+        cells("panicked") + cells("trace-error"),
+        cells("skipped"),
+        value("arvi_sweep_resumed_cells_total"),
+    )
+}
+
+fn rollup_counts(g: &ObsGrid) -> Counts {
+    let skipped = g
+        .failed
+        .iter()
+        .filter(|(_, _, reason)| reason.starts_with("skipped"))
+        .count();
+    (g.completed, g.failed.len() - skipped, skipped, g.resumed)
+}
+
+/// The main pass's counts from the event log: its `cell_end` events
+/// (those without a `pass` field); a skipped cell has none.
+fn event_counts(log: &str) -> Counts {
+    let (mut cells, mut ok, mut failed, mut resumed, mut ended) = (0, 0, 0, 0, 0);
+    for line in log.lines() {
+        let j = Json::parse(line).unwrap();
+        let is = |field: &str, want: &str| matches!(j.get(field), Some(Json::Str(v)) if v == want);
+        if is("event", "sweep_start") {
+            cells = j.num("cells").unwrap() as usize;
+        }
+        if !is("event", "cell_end") || j.get("pass").is_some() {
+            continue;
+        }
+        ended += 1;
+        if is("outcome", "ok") {
+            ok += 1;
+            resumed += is("phase", "resumed") as usize;
+        } else {
+            failed += 1;
+        }
+    }
+    (ok, failed, cells - ended, resumed)
+}
+
+/// `text` without its summed-cell-time line, the one line wall-clock
+/// time changes between otherwise equal runs on a shared trace set.
+fn without_duration_sum(text: &str) -> String {
+    let lines = text.lines();
+    let kept: Vec<&str> = lines
+        .filter(|l| !l.starts_with("arvi_sweep_cell_duration_seconds_sum "))
+        .collect();
+    kept.join("\n")
+}
+
+#[test]
+fn metrics_rollup_and_events_agree_on_every_outcome() {
+    let spec = tiny_spec();
+    let workloads = small_workloads();
+    // No cell here has twins, so no derivation depends on the schedule.
+    let configs = [PredictorConfig::TwoLevelGskew, PredictorConfig::ArviCurrent];
+    let points = grid(&workloads, &[Depth::D20, Depth::D40], &configs);
+    assert_eq!(points.len(), 8);
+    let traces = TraceSet::record(&workloads, spec, 2, None);
+    let dir = temp_dir("tally");
+    let journal = dir.join("sweep.journal");
+    let agree = |(rollup, metrics, events): &(ObsGrid, String, String), want: Counts| {
+        assert_eq!(metric_counts(metrics), want, "metrics:\n{metrics}");
+        assert_eq!(rollup_counts(rollup), want, "rollup: {:?}", rollup.failed);
+        assert_eq!(event_counts(events), want, "events:\n{events}");
+    };
+
+    // Cell 1 panics and the run stops after 5 items: cells 0 and 2..=4
+    // complete, 5..=7 are never dispatched.
+    let faults = "panic-cell 1\nkill-after 5";
+    let res = Resilience::new()
+        .with_journal(&journal)
+        .with_plan(FaultPlan::parse(faults).unwrap());
+    let killed = telemetry_run(&points, 1, &traces, &res, &dir, "killed");
+    agree(&killed, (4, 1, 3, 0));
+    assert!(killed.1.contains("arvi_sweeps_total 1\n"), "{}", killed.1);
+
+    // Resumed from copies of that journal at 1 and 2 threads: the 4
+    // journaled cells restore, the other 4 run, and the metrics match.
+    let resumed: Vec<String> = [1, 2]
+        .into_iter()
+        .map(|threads| {
+            let copy = dir.join(format!("resume-{threads}.journal"));
+            std::fs::copy(&journal, &copy).unwrap();
+            let res = Resilience::new().with_journal(&copy).resuming();
+            let tag = format!("resumed-{threads}");
+            let run = telemetry_run(&points, threads, &traces, &res, &dir, &tag);
+            agree(&run, (8, 0, 0, 4));
+            without_duration_sum(&run.1)
+        })
+        .collect();
+    assert_eq!(resumed[0], resumed[1], "resumed metrics, 1 vs 2 threads");
+
+    // A panic alone is schedule-independent too: whichever worker runs
+    // it, the outcome rows come in one order.
+    let panicked: Vec<String> = [1, 2]
+        .into_iter()
+        .map(|threads| {
+            let res = Resilience::new().with_plan(FaultPlan::parse("panic-cell 1").unwrap());
+            let tag = format!("panicked-{threads}");
+            let run = telemetry_run(&points, threads, &traces, &res, &dir, &tag);
+            agree(&run, (7, 1, 0, 0));
+            without_duration_sum(&run.1)
+        })
+        .collect();
+    assert_eq!(panicked[0], panicked[1], "faulted metrics, 1 vs 2 threads");
     std::fs::remove_dir_all(&dir).ok();
 }

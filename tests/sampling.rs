@@ -183,8 +183,7 @@ fn merge_order_cannot_change_a_sampled_result() {
 /// with equal fingerprints render identical tables and JSON.
 fn sweep_fingerprint(sweep: &GridRun) -> String {
     let mut out = String::new();
-    let reports = sweep.reports.as_ref().expect("a sampled run");
-    for (point, (outcome, report)) in sweep.points.iter().zip(sweep.outcomes.iter().zip(reports)) {
+    for (point, outcome) in sweep.points.iter().zip(&sweep.outcomes) {
         let s = outcome
             .success()
             .unwrap_or_else(|| panic!("cell {point} did not complete: {outcome:?}"));
@@ -193,7 +192,7 @@ fn sweep_fingerprint(sweep: &GridRun) -> String {
             "{point} committed={} cycles={} branches={:?} mispredicts={}\n",
             w.committed, w.cycles, w.cond_branches, w.full_mispredicts
         ));
-        let r = report.as_ref().expect("sampled cells carry a report");
+        let r = s.report.as_ref().expect("sampled cells carry a report");
         out.push_str(&format!(
             "  ipc mean={:016x} stderr={:016x} ci={:016x} acc mean={:016x} stderr={:016x} \
              units={} coverage={:016x}\n",
@@ -371,12 +370,18 @@ fn sampled_estimates_track_the_full_run_across_suite_and_scenarios() {
         // prefix) leaves only the warm-model approximation and sampling
         // variance in the error.
         let plan = SamplePlan::systematic(k, spec.warmup + spec.measure, spec.measure / 40);
-        let reports = run(Some(&plan)).reports.expect("a sampled run");
+        let sampled = run(Some(&plan));
+        let reports: Vec<&SampleReport> = points
+            .iter()
+            .zip(&sampled.outcomes)
+            .map(|(point, o)| {
+                o.success()
+                    .and_then(|s| s.report.as_deref())
+                    .unwrap_or_else(|| panic!("{point} has no estimate"))
+            })
+            .collect();
         let mut cells = Vec::new();
         for ((point, full), report) in points.iter().zip(&full).zip(&reports) {
-            let report = report
-                .as_ref()
-                .unwrap_or_else(|| panic!("{point} has no estimate"));
             let cell = cell_error(&full.window, report);
             // The CI captures sampling variance; a near-zero-variance
             // cell can sit a fraction of a percent outside it on warm-up
@@ -389,7 +394,7 @@ fn sampled_estimates_track_the_full_run_across_suite_and_scenarios() {
             }
             cells.push(cell);
         }
-        let units = reports[0].as_ref().map_or(0, SampleReport::units);
+        let units = reports[0].units();
         let (mean_ipc, cover) = error_row(&mut table, &plan, units, &cells);
         if mean_ipc >= 8.0 {
             failures.push(format!(

@@ -35,7 +35,7 @@ use arvi::workloads::Benchmark;
 use arvi_bench::{
     anchor, cell_view, counters_to_json, fig5_cell, grid, maybe_obs_grid, obs_grid_json, read_json,
     run_flags_from_args, sites_to_json, CellOutcome, CellProbes, CellSuccess, FaultPlan, Fig6Data,
-    GridRun, ObsConfig, ObsGrid, Resilience, Spec, SweepPoint, TraceSet, Workload,
+    GridRun, ObsConfig, ObsGrid, Resilience, RunTally, Spec, SweepPoint, TraceSet, Workload,
 };
 
 fn tiny_spec() -> Spec {
@@ -66,7 +66,16 @@ fn probed() -> Resilience {
 }
 
 fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> String {
-    obs_grid_json(&ObsGrid::from_outcomes(points, spec, outcomes, None)).render()
+    let tally = RunTally::of(points, &outcomes);
+    obs_grid_json(&ObsGrid::from_outcomes(
+        points, spec, outcomes, &tally, None,
+    ))
+    .render()
+}
+
+/// A grid run's rollup.
+fn fold(run: GridRun, spec: Spec) -> ObsGrid {
+    ObsGrid::from_outcomes(&run.points, spec, run.outcomes, &run.tally, None)
 }
 
 /// `points` replayed over `traces` on `threads` workers under `res`.
@@ -96,8 +105,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
     );
     let traces = TraceSet::record(&workloads, spec, 2, None);
 
-    let standalone = run(&points, spec, 2, &traces, &probed()).outcomes;
-    let standalone = ObsGrid::from_outcomes(&points, spec, standalone, None);
+    let standalone = fold(run(&points, spec, 2, &traces, &probed()), spec);
     assert_eq!(
         standalone.completed,
         points.len(),
@@ -126,6 +134,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                 derived: false,
                 duration: Duration::ZERO,
                 probes: Some(Box::new(CellProbes { counters, sites })),
+                report: None,
             })
         })
         .collect();
@@ -334,11 +343,16 @@ fn resume_with_probes_reruns_only_cells_without_an_obs_entry() {
     // lines, the other 5 re-run, and the rollup matches a direct run.
     let res = probed().with_journal(&journal).resuming();
     let resumed = run(&points, spec, 2, &traces, &res);
-    let grid = ObsGrid::from_outcomes(&points, spec, resumed.outcomes.clone(), None);
+    let grid = ObsGrid::from_outcomes(
+        &points,
+        spec,
+        resumed.outcomes.clone(),
+        &resumed.tally,
+        None,
+    );
     assert_eq!(grid.completed, points.len(), "{:?}", grid.failed);
     assert_eq!(grid.resumed, 3);
-    let direct = run(&points, spec, 2, &traces, &probed()).outcomes;
-    let direct = ObsGrid::from_outcomes(&points, spec, direct, None);
+    let direct = fold(run(&points, spec, 2, &traces, &probed()), spec);
     assert_eq!(
         obs_grid_json(&grid).render(),
         obs_grid_json(&direct).render(),
