@@ -1,14 +1,16 @@
-//! Ablation studies of the design decisions DESIGN.md catalogues
-//! (Section "D" decisions): what each mechanism contributes to the
-//! headline result. Runs the full suite on the 20-stage machine under
+//! Ablation studies of the design decisions behind `ArviTuning`: what
+//! each mechanism contributes to the headline result. D2 keeps values
+//! whose ready bit is clear out of the BVIT index, D11 quality-gates a
+//! long-latency override, and the BVIT size bounds the capacity of the
+//! value signatures. Runs the full suite on the 20-stage machine under
 //! ARVI current value for each variant.
 //!
 //! Usage: `ablations [--quick]`
 //!
-//! Any other flag or a positional exits 2 before any work, with nothing
-//! on stdout.
+//! Any other flag, `--quick` twice or a positional exits 2 before any
+//! work, with nothing on stdout.
 
-use arvi_bench::{check_flags, Spec};
+use arvi_bench::{outln, CommandLine, Spec, Takes};
 use arvi_sim::{simulate, ArviTuning, Depth, PredictorConfig, SimParams};
 use arvi_stats::{amean, Table};
 use arvi_workloads::Benchmark;
@@ -51,13 +53,8 @@ fn mean_speedup_and_accuracy(tuning: ArviTuning, spec: Spec, base_ipcs: &[f64]) 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = check_flags(&args, &[("--quick", false)]) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let spec = if quick {
+    let line = CommandLine::from_env(&[("--quick", Takes::Nothing)], 0);
+    let spec = if line.has("--quick") {
         Spec::quick()
     } else {
         Spec {
@@ -114,11 +111,11 @@ fn main() {
             format!("{acc:.4}"),
         ]);
     }
-    println!(
+    outln!(
         "== ARVI design ablations (20-stage, current value, suite means) ==\n{}",
         table.to_text()
     );
-    println!(
+    outln!(
         "D2 shows why the ready bit gates values out of the index; D11 shows\n\
          why a long-latency override must be quality-gated; the BVIT rows\n\
          bound the capacity sensitivity of the value signatures."

@@ -15,8 +15,8 @@
 //! Default: `--dir .` (the repo root, where the reports are checked
 //! in).
 //!
-//! An unknown flag, a positional, or a flag without its value (or with
-//! another flag in its place) exits 2 before any work, writing no file.
+//! An unknown or repeated flag, a positional, or a flag without its
+//! value (or with another flag in its place) exits 2, writing no file.
 //!
 //! Exit codes: 2 on usage/parse errors, 1 when the output cannot be
 //! written. A history of zero or one reports is not an error: the table
@@ -25,25 +25,17 @@
 
 use std::path::Path;
 
-use arvi_bench::{bench_history, check_flags, flag_value, load_bench_history, write_text};
+use arvi_bench::{
+    bench_history, load_bench_history, out, usage_error, write_text, CommandLine, FlagTable, Takes,
+};
 
 /// Every flag `bench_history` accepts; each takes a value.
-const FLAGS: &[(&str, bool)] = &[("--dir", true), ("--out", true)];
+const FLAGS: &FlagTable = &[("--dir", Takes::Value), ("--out", Takes::Value)];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag| flag_value(&args, flag).map(|v| v.map(String::as_str));
-    let (dir, out) = check_flags(&args, FLAGS)
-        .and_then(|()| Ok((value("--dir")?, value("--out")?)))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-    let dir = dir.unwrap_or(".");
-    let files = load_bench_history(Path::new(dir)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let line = CommandLine::from_env(FLAGS, 0);
+    let dir = line.value("--dir").unwrap_or(".");
+    let files = load_bench_history(Path::new(dir)).unwrap_or_else(|e| usage_error(e));
     // A short history is not an error: a fresh checkout (or a repo
     // whose reports were pruned) still gets the table skeleton and an
     // advisory, exit 0, so CI steps can run unconditionally.
@@ -62,7 +54,7 @@ fn main() {
     }
 
     let report = bench_history(&files);
-    print!("{}", report.to_markdown());
+    out!("{}", report.to_markdown());
     eprintln!(
         "bench_history: {} reports (PR{}..PR{}), {} metrics, {} flagged",
         files.len(),
@@ -71,7 +63,7 @@ fn main() {
         report.trends.len(),
         report.regressions().count()
     );
-    if let Some(out) = out {
+    if let Some(out) = line.value("--out") {
         if let Err(e) = write_text(Path::new(out), &report.to_json().render()) {
             eprintln!("error: cannot write trend report: {e}");
             std::process::exit(1);

@@ -22,7 +22,8 @@
 //!                      [--obs-grid FILE [--trace-cycles START:END]]
 //!                      [--list-scenarios] [--list-benchmarks]`
 //!
-//! An unknown flag, a positional argument, or `--out` without a path
+//! An unknown flag, a positional argument, a repeated flag (only
+//! `--scenario` and `--scenario-file` repeat), or `--out` without a path
 //! exits 2 before any work, writing no file; an `--out` that cannot be
 //! written exits 1 naming the path. `--obs-grid FILE` puts the counter
 //! and site probes on every machine cell as it runs and writes the
@@ -33,9 +34,8 @@
 use std::sync::Arc;
 
 use arvi_bench::{
-    check_flags, flag_value, grid, handle_list_flags, maybe_obs_grid, obs_from_args,
-    scenario_workloads_from_args, threads_from_args, trace_dir_from_args, write_report, GridRun,
-    Json, Resilience, Spec, TraceSet, Workload,
+    grid, maybe_obs_grid, outln, usage_error, write_report, CommandLine, FlagTable, GridRun, Json,
+    RunFlags, Spec, Takes, TraceSet, Workload,
 };
 use arvi_predict::{Bimodal, DirectionPredictor, Gshare, GskewConfig, Local, TwoBcGskew};
 use arvi_sim::{Depth, PredictorConfig, SimResult};
@@ -154,48 +154,31 @@ fn markdown_table(reports: &[ScenarioReport]) -> String {
     out
 }
 
-/// Every flag `synth_report` accepts, and whether it takes a value.
-const FLAGS: &[(&str, bool)] = &[
-    ("--quick", false),
-    ("--threads", true),
-    ("--trace-dir", true),
-    ("--out", true),
-    ("--scenario", true),
-    ("--scenario-file", true),
-    ("--obs-grid", true),
-    ("--trace-cycles", true),
-    ("--list-scenarios", false),
-    ("--list-benchmarks", false),
+/// Every flag `synth_report` accepts, and what each takes.
+const FLAGS: &FlagTable = &[
+    ("--quick", Takes::Nothing),
+    ("--threads", Takes::Value),
+    ("--trace-dir", Takes::Value),
+    ("--out", Takes::Value),
+    ("--scenario", Takes::Values),
+    ("--scenario-file", Takes::Values),
+    ("--obs-grid", Takes::Value),
+    ("--trace-cycles", Takes::Value),
+    ("--list-scenarios", Takes::Nothing),
+    ("--list-benchmarks", Takes::Nothing),
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, threads, trace_dir, out_path) = check_flags(&args, FLAGS)
-        .and_then(|()| {
-            Ok((
-                obs_from_args(&args)?,
-                threads_from_args(&args)?,
-                trace_dir_from_args(&args)?,
-                flag_value(&args, "--out")?.cloned(),
-            ))
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-    if handle_list_flags(&args) {
+    let line = CommandLine::from_env(FLAGS, 0);
+    let flags = RunFlags::new(&line).unwrap_or_else(|e| usage_error(e));
+    if flags.print_lists() {
         return;
     }
-    let spec = Spec::from_args(&args);
-
-    let workloads = match scenario_workloads_from_args(&args) {
-        Ok(Some(w)) => w,
-        Ok(None) => Workload::curated_scenarios(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (spec, threads) = (flags.spec, flags.threads);
+    let workloads = flags
+        .workloads
+        .clone()
+        .unwrap_or_else(Workload::curated_scenarios);
 
     eprintln!(
         "synth_report: {} scenarios x ({} standalone + {} machine configs), \
@@ -208,13 +191,9 @@ fn main() {
     );
 
     // One recording per scenario feeds both layers and all configs.
-    let traces = TraceSet::record(&workloads, spec, threads, trace_dir.as_deref());
+    let traces = TraceSet::record(&workloads, spec, threads, flags.trace_dir.as_deref());
     let points = grid(&workloads, &[Depth::D20], &PredictorConfig::all());
-    let res = Resilience {
-        probes: obs.is_some(),
-        ..Resilience::new()
-    };
-    let run = GridRun::run(points, spec, threads, true, &traces, &res, None);
+    let run = GridRun::run(points, spec, threads, true, &traces, &flags.res, None);
     let machine = run.results(|_| true).unwrap_or_else(|incomplete| {
         eprintln!("{incomplete}");
         std::process::exit(3);
@@ -244,8 +223,8 @@ fn main() {
         })
         .collect();
 
-    println!("## Synthetic-scenario predictor characterization (20-stage)\n");
-    println!("{}", markdown_table(&reports));
+    outln!("## Synthetic-scenario predictor characterization (20-stage)\n");
+    outln!("{}", markdown_table(&reports));
 
     // The paper-style qualitative separation.
     let datadep: Vec<&ScenarioReport> = reports.iter().filter(|r| r.class() == "datadep").collect();
@@ -256,14 +235,12 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let max_spread = bias.iter().map(|r| r.spread()).fold(0.0, f64::max);
     if !datadep.is_empty() {
-        println!(
+        outln!(
             "separation: min ARVI margin over best baseline on datadep scenarios = {min_margin:+.4}"
         );
     }
     if !bias.is_empty() {
-        println!(
-            "convergence: max machine-config spread on fixed-bias scenarios = {max_spread:.4}"
-        );
+        outln!("convergence: max machine-config spread on fixed-bias scenarios = {max_spread:.4}");
     }
 
     let scenario_json: Vec<Json> = reports
@@ -350,7 +327,7 @@ fn main() {
             ]),
         ),
     ]);
-    if let Some(out_path) = out_path {
+    if let Some(out_path) = line.value("--out") {
         if let Err(e) = write_report(std::path::Path::new(&out_path), &report) {
             eprintln!("error: cannot write report: {e}");
             std::process::exit(1);
@@ -359,5 +336,5 @@ fn main() {
     }
 
     // The characterization's machine cells, probed in-pass (`--obs-grid`).
-    maybe_obs_grid(obs.as_ref(), run, spec, &traces, threads, None);
+    maybe_obs_grid(run, &flags, &traces);
 }

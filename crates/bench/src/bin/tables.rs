@@ -3,13 +3,11 @@
 //! Usage: `tables` — it takes no argument; any flag or positional exits
 //! 2 with nothing on stdout.
 
+use arvi_bench::{outln, paper_tables, CommandLine};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = arvi_bench::check_flags(&args, &[]) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    for (title, table) in arvi_bench::paper_tables() {
-        println!("== {title} ==\n{}\n", table.to_text());
+    CommandLine::from_env(&[], 0);
+    for (title, table) in paper_tables() {
+        outln!("== {title} ==\n{}\n", table.to_text());
     }
 }

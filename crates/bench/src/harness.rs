@@ -63,16 +63,6 @@ impl Spec {
             seed: 42,
         }
     }
-
-    /// The window `args` select: [`Spec::quick`] under `--quick`, the
-    /// default otherwise.
-    pub fn from_args(args: &[String]) -> Spec {
-        if args.iter().any(|a| a == "--quick") {
-            Spec::quick()
-        } else {
-            Spec::default()
-        }
-    }
 }
 
 /// Runs one (workload, depth, configuration) cell with live emulation.

@@ -3,7 +3,7 @@
 //!
 //! The figure sweeps run unprobed (the [`NullProbe`] machine —
 //! bit-identical and perf-guarded) unless `--obs-grid FILE` is given
-//! ([`obs_from_args`], which turns [`crate::Resilience::probes`] on).
+//! ([`crate::RunFlags::obs`], which turns [`crate::Resilience::probes`] on).
 //! Then the grid executor attaches the counter+site probes to every cell
 //! (and journals them on the cell's sweep-journal line), so each
 //! `(workload, depth, config)` cell is simulated once per invocation.
@@ -47,6 +47,7 @@ use crate::harness::{GridRun, Spec};
 use crate::report::{write_text, Json};
 use crate::resilience::{CellOutcome, RunTally};
 use crate::sweep::{SweepPoint, TraceSet};
+use crate::RunFlags;
 
 /// Rows in the rollup's `top` site tables.
 const TOP_SITES: usize = 10;
@@ -68,40 +69,6 @@ impl ObsConfig {
     /// path with its extension replaced by `trace.json`.
     pub fn trace_path(&self) -> Option<PathBuf> {
         self.trace.map(|_| self.grid.with_extension("trace.json"))
-    }
-}
-
-/// Parses the observability flags out of `args`:
-///
-/// * `--obs-grid PATH` — run counter+site probes over every cell of the
-///   sweep and write the `obs_grid.json` rollup to `PATH`.
-/// * `--trace-cycles START:END` — also trace the grid's [`anchor`]
-///   cells over that cycle window and write the Chrome trace to
-///   `<PATH minus extension>.trace.json`; needs `--obs-grid`.
-///
-/// Returns `Ok(None)` when neither flag is present.
-pub fn obs_from_args(args: &[String]) -> Result<Option<ObsConfig>, String> {
-    let grid = crate::flag_value(args, "--obs-grid")?;
-    let window = |win: &str| {
-        let (start, end) = win.split_once(':')?;
-        let (start, end): (u64, u64) = (start.parse().ok()?, end.parse().ok()?);
-        (start < end).then_some((start, end))
-    };
-    let trace = match crate::flag_value(args, "--trace-cycles")? {
-        Some(win) => Some(window(win).ok_or_else(|| {
-            format!("--trace-cycles: expected START:END with START < END, got `{win}`")
-        })?),
-        None => None,
-    };
-    match grid {
-        Some(grid) => Ok(Some(ObsConfig {
-            grid: PathBuf::from(grid),
-            trace,
-        })),
-        None if trace.is_some() => {
-            Err("--trace-cycles needs --obs-grid (the trace is written beside the rollup)".into())
-        }
-        None => Ok(None),
     }
 }
 
@@ -476,13 +443,37 @@ pub fn sites_from_json(j: &Json) -> Option<SiteProbe> {
     Some(p)
 }
 
+/// A rollup `top` table: the site count, the drops and the
+/// [`TOP_SITES`] most mispredicting sites, worst first, with their
+/// mispredicts spelled out.
+fn top_sites_json(sites: &SiteProbe) -> Json {
+    let row = |s: &SiteStats| {
+        Json::obj([
+            ("pc", n(s.pc)),
+            ("total", n(s.total)),
+            ("mispredicts", n(s.mispredicts())),
+            ("final_correct", n(s.final_correct)),
+            ("l1_correct", n(s.l1_correct)),
+            ("overrides", n(s.overrides)),
+            ("overrides_correcting", n(s.overrides_correcting)),
+            ("confident", n(s.confident)),
+            ("confident_wrong", n(s.confident_wrong)),
+            ("bvit_hits", n(s.bvit_hits)),
+            ("load_class", n(s.load_class)),
+        ])
+    };
+    let top = sites.top_sites(TOP_SITES).iter().map(row).collect();
+    Json::obj([
+        ("sites", n(sites.sites as u64)),
+        ("dropped", n(sites.dropped)),
+        ("top", Json::Arr(top)),
+    ])
+}
+
 /// The rollup document. Canonical: groups in point order, site tables
 /// sorted by PC, no timing or thread-count fields — so the same grid
 /// renders byte-identically across worker counts and across resume.
 pub fn obs_grid_json(grid: &ObsGrid) -> Json {
-    let top = |sites: &SiteProbe| {
-        Json::parse(&sites.to_json(TOP_SITES)).expect("SiteProbe emits valid JSON")
-    };
     Json::obj([
         (
             "spec",
@@ -522,7 +513,7 @@ pub fn obs_grid_json(grid: &ObsGrid) -> Json {
                             ("config_index", n(g.config.index() as u64)),
                             ("counters", counters_to_json(&g.counters)),
                             ("sites", sites_to_json(&g.sites)),
-                            ("top", top(&g.sites)),
+                            ("top", top_sites_json(&g.sites)),
                         ])
                     })
                     .collect(),
@@ -539,7 +530,7 @@ pub fn obs_grid_json(grid: &ObsGrid) -> Json {
                         ("dropped", n(grid.sites.dropped)),
                     ]),
                 ),
-                ("top", top(&grid.sites)),
+                ("top", top_sites_json(&grid.sites)),
             ]),
         ),
     ])
@@ -667,35 +658,23 @@ struct GroupSites {
 }
 
 impl GroupSites {
+    /// `group`'s site table, read back through [`sites_from_json`].
+    fn of(group: &Json, config: PredictorConfig) -> Option<GroupSites> {
+        let sites = sites_from_json(group.get("sites")?)?;
+        let table = sites
+            .iter()
+            .map(|s| (s.pc, (s.total, s.total.saturating_sub(s.final_correct))));
+        Some(GroupSites {
+            config,
+            correct: sites.iter().map(|s| s.final_correct).sum(),
+            total: sites.iter().map(|s| s.total).sum(),
+            table: table.collect(),
+        })
+    }
+
     fn accuracy(&self) -> f64 {
         self.correct as f64 / self.total.max(1) as f64
     }
-}
-
-fn group_sites(group: &Json, config: PredictorConfig) -> Option<GroupSites> {
-    let Some(Json::Arr(rows)) = group.get("sites.table") else {
-        return None;
-    };
-    let mut table = HashMap::with_capacity(rows.len());
-    let (mut correct, mut total) = (0u64, 0u64);
-    for row in rows {
-        let Json::Arr(v) = row else { return None };
-        match (v.first(), v.get(1), v.get(2)) {
-            (Some(Json::Num(pc)), Some(Json::Num(t)), Some(Json::Num(fc))) => {
-                let (t, fc) = (*t as u64, *fc as u64);
-                table.insert(*pc as u64, (t, t.saturating_sub(fc)));
-                correct += fc;
-                total += t;
-            }
-            _ => return None,
-        }
-    }
-    Some(GroupSites {
-        config,
-        correct,
-        total,
-        table,
-    })
 }
 
 /// Diffs the site tables of a grid rollup ([`obs_grid_json`] output)
@@ -710,7 +689,7 @@ pub fn attribution_diff(grid: &Json, top: usize) -> Result<Attribution, String> 
     // Machines in first-appearance order, each with its parsed groups.
     let mut machines: Vec<((&str, u64), Vec<GroupSites>)> = Vec::new();
     for (group, (workload, depth, config)) in rollup_groups(grid)? {
-        let parsed = group_sites(group, config)
+        let parsed = GroupSites::of(group, config)
             .ok_or_else(|| format!("malformed site table in workload `{workload}`"))?;
         match machines.iter_mut().find(|(m, _)| *m == (workload, depth)) {
             Some((_, groups)) => groups.push(parsed),
@@ -895,29 +874,23 @@ fn anchor_trace(
     ChromeTracer::render_merged(names.zip(&tracers))
 }
 
-/// Writes the `--obs-grid` rollup of a finished grid run when `cfg`
-/// asks for one, and under `--trace-cycles` the anchor cells' Chrome
+/// Writes the `--obs-grid` rollup of a finished grid run when `flags`
+/// ask for one, and under `--trace-cycles` the anchor cells' Chrome
 /// trace beside it; exits 1 when either cannot be written. The rollup
 /// folds the run's own probed outcomes — `--obs-grid` turned the grid
 /// executor's probes on for every cell — with the fold's events going
-/// to `telemetry`. The trace re-runs each completed anchor cell from
-/// `traces` up to the window's end, on `threads` workers. The experiment
-/// binaries call this after their tables.
-pub fn maybe_obs_grid(
-    cfg: Option<&ObsConfig>,
-    run: GridRun,
-    spec: Spec,
-    traces: &TraceSet,
-    threads: usize,
-    telemetry: Option<&SweepTelemetry>,
-) {
-    let Some(cfg) = cfg else { return };
+/// to the run's telemetry. The trace re-runs each completed anchor cell
+/// from `traces` up to the window's end, on the run's threads. The
+/// experiment binaries call this after their tables.
+pub fn maybe_obs_grid(run: GridRun, flags: &RunFlags, traces: &TraceSet) {
+    let Some(cfg) = &flags.obs else { return };
+    let (spec, telemetry) = (flags.spec, flags.res.telemetry.as_deref());
     let fail = |what: &str, e: std::io::Error| -> ! {
         eprintln!("error: cannot write {what}: {e}");
         std::process::exit(1);
     };
     if let (Some(path), Some(window)) = (cfg.trace_path(), cfg.trace) {
-        let trace = anchor_trace(&run, spec, traces, threads, window);
+        let trace = anchor_trace(&run, spec, traces, flags.threads, window);
         if let Err(e) = write_text(&path, &trace) {
             fail("chrome trace", e);
         }
@@ -948,26 +921,14 @@ mod tests {
     use super::*;
     use arvi_obs::Probe as _;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn flag_parsing() {
-        assert_eq!(obs_from_args(&args(&["--quick"])).unwrap(), None);
-        let cfg = obs_from_args(&args(&["--obs-grid", "grid.json"]))
-            .unwrap()
-            .unwrap();
+        let obs = |argv: &[&str]| crate::run_flags(argv).unwrap().obs;
+        assert_eq!(obs(&["--quick"]), None);
+        let cfg = obs(&["--obs-grid", "grid.json"]).unwrap();
         assert_eq!(cfg.grid, PathBuf::from("grid.json"));
         assert_eq!((cfg.trace, cfg.trace_path()), (None, None));
-        let cfg = obs_from_args(&args(&[
-            "--trace-cycles",
-            "100:900",
-            "--obs-grid",
-            "g.json",
-        ]))
-        .unwrap()
-        .unwrap();
+        let cfg = obs(&["--trace-cycles", "100:900", "--obs-grid", "g.json"]).unwrap();
         assert_eq!(cfg.trace, Some((100, 900)));
         assert_eq!(cfg.trace_path().unwrap(), PathBuf::from("g.trace.json"));
     }
@@ -1036,6 +997,14 @@ mod tests {
             sites_to_json(&back).render_compact(),
             j.render_compact(),
             "serialization is a fixpoint"
+        );
+        // The rollup's `top` table: 0x80 (= 128) is the one mispredict.
+        let top = top_sites_json(&s).render_compact();
+        assert!(
+            top.starts_with(
+                "{\"sites\":3,\"dropped\":3,\"top\":[{\"pc\":128,\"total\":1,\"mispredicts\":1,"
+            ),
+            "{top}"
         );
     }
 }

@@ -15,9 +15,9 @@
 //!   `catch_unwind` (on the workspace's one worker loop,
 //!   [`arvi_trace::par::par_map_caught`]), and each cell reports a
 //!   structured [`CellOutcome`] instead of aborting the grid; a failed
-//!   unit fails only its own cell. Panics whose message carries
-//!   [`arvi_trace::REPLAY_PANIC_PREFIX`] are classified as trace
-//!   failures, everything else as a generic cell panic.
+//!   unit fails only its own cell. Every caught panic is a
+//!   [`CellOutcome::Panicked`]: replay does not panic on verified
+//!   traces, so no panic is read as a trace failure.
 //! * **Missing recordings** — a cell with no usable recording
 //!   (recording failed, or the trace set lacks or under-covers its
 //!   workload) fails alone as [`CellOutcome::TraceError`], naming its
@@ -86,7 +86,7 @@ use arvi_sim::{
 };
 use arvi_stats::Accuracy;
 use arvi_trace::par::par_map_caught;
-use arvi_trace::{Trace, TraceReplayer, REPLAY_PANIC_PREFIX};
+use arvi_trace::{Trace, TraceReplayer};
 
 use crate::events::SweepTelemetry;
 use crate::harness::Spec;
@@ -126,15 +126,14 @@ pub struct CellSuccess {
 pub enum CellOutcome {
     /// The cell produced a result.
     Ok(CellSuccess),
-    /// The cell panicked (payload message attached). Trace-replay
-    /// panics are reported as [`CellOutcome::TraceError`] instead.
+    /// The cell panicked (payload message attached).
     Panicked {
         /// The panic payload, rendered.
         message: String,
     },
     /// The cell could not read its instruction stream: its workload has
-    /// no recording of the run's seed long enough for the window, replay
-    /// hit corruption, or a sampling unit could not seek its recording.
+    /// no recording of the run's seed long enough for the window, or a
+    /// sampling unit could not seek its recording.
     TraceError {
         /// What went wrong.
         message: String,
@@ -611,13 +610,8 @@ pub(crate) fn run_grid(
         },
         |idx, caught| {
             let cell = items[idx].0;
-            let outcome = caught.unwrap_or_else(|payload| {
-                let message = panic_message(payload.as_ref());
-                if message.contains(REPLAY_PANIC_PREFIX) {
-                    CellOutcome::TraceError { message }
-                } else {
-                    CellOutcome::Panicked { message }
-                }
+            let outcome = caught.unwrap_or_else(|payload| CellOutcome::Panicked {
+                message: panic_message(payload.as_ref()),
             });
             *slots[idx].lock().expect("item slot") = Some(outcome);
             let run = &cells[cell];

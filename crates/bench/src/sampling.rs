@@ -37,15 +37,6 @@ use crate::resilience::{cell_fingerprint, CellOutcome, CellSuccess};
 use crate::sweep::SweepPoint;
 use crate::workload::fnv1a;
 
-/// Parses a `--sample PLAN` argument pair out of `args`
-/// (`k:warmup:detail` or `stratified:k:warmup:detail`; see
-/// [`SamplePlan::parse`]). `Ok(None)` when the flag is absent.
-pub fn sample_plan_from_args(args: &[String]) -> Result<Option<SamplePlan>, String> {
-    crate::flag_value(args, "--sample")?
-        .map(|v| SamplePlan::parse(v))
-        .transpose()
-}
-
 /// Identity hash of one sampling unit of one cell: the cell fingerprint
 /// extended with the plan (whose placement determines the unit's trace
 /// positions) and the unit index. Journal entries written under a
@@ -179,15 +170,13 @@ mod tests {
 
     #[test]
     fn sample_flag_parses() {
-        let args = |l: &[&str]| l.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(sample_plan_from_args(&args(&["--quick"])).unwrap(), None);
-        let plan = sample_plan_from_args(&args(&["--sample", "4:1000:500"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(plan, SamplePlan::systematic(4, 1000, 500));
-        assert!(sample_plan_from_args(&args(&["--sample"])).is_err());
-        assert!(sample_plan_from_args(&args(&["--sample", "--quick"])).is_err());
-        assert!(sample_plan_from_args(&args(&["--sample", "nope"])).is_err());
+        let plan = |argv: &[&str]| crate::run_flags(argv).map(|f| f.plan);
+        assert_eq!(plan(&["--quick"]).unwrap(), None);
+        let parsed = plan(&["--sample", "4:1000:500"]).unwrap().unwrap();
+        assert_eq!(parsed, SamplePlan::systematic(4, 1000, 500));
+        assert!(plan(&["--sample"]).is_err());
+        assert!(plan(&["--sample", "--quick"]).is_err());
+        assert!(plan(&["--sample", "nope"]).is_err());
     }
 
     #[test]

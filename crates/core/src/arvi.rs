@@ -31,7 +31,7 @@ pub struct ArviConfig {
     /// Low bits of each register value hashed into the index (11 in the
     /// paper, matching the 11-bit BVIT index).
     pub value_bits: u32,
-    /// Ablation (design decision D2 in DESIGN.md): when set, *unavailable*
+    /// Ablation (design decision D2, ready-bit gating): when set, *unavailable*
     /// leaf registers contribute their stale shadow value to the index
     /// instead of being gated out by the ready bit.
     pub include_stale_values: bool,

@@ -15,10 +15,9 @@
 //! ALU instructions in the chain are redundant (their values are computed
 //! from other chain inputs) and are excluded by the `T` mark.
 //!
-//! One refinement over the paper's figure (design decision D1 in
-//! DESIGN.md): the branch's own source registers are also S-marked, which
-//! is equivalent to including the branch's own about-to-be-inserted RSE
-//! column. Without it, a branch reading a load result *directly* (with no
+//! One refinement over the paper's figure (design decision D1): the
+//! branch's own source registers are also S-marked, which is equivalent
+//! to including the branch's own about-to-be-inserted RSE column. Without it, a branch reading a load result *directly* (with no
 //! intermediate ALU op — e.g. `beq t1, key` after `ld t1, 0(ptr)`) would
 //! extract an empty set.
 

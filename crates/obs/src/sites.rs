@@ -231,38 +231,6 @@ impl SiteProbe {
         ));
         out
     }
-
-    /// Compact JSON: `{"sites":..,"dropped":..,"top":[{..},..]}` for
-    /// the top `n` sites.
-    pub fn to_json(&self, n: usize) -> String {
-        let mut out = format!(
-            "{{\"sites\":{},\"dropped\":{},\"top\":[",
-            self.sites, self.dropped
-        );
-        for (i, s) in self.top_sites(n).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pc\":{},\"total\":{},\"mispredicts\":{},\"final_correct\":{},\
-                 \"l1_correct\":{},\"overrides\":{},\"overrides_correcting\":{},\
-                 \"confident\":{},\"confident_wrong\":{},\"bvit_hits\":{},\"load_class\":{}}}",
-                s.pc,
-                s.total,
-                s.mispredicts(),
-                s.final_correct,
-                s.l1_correct,
-                s.overrides,
-                s.overrides_correcting,
-                s.confident,
-                s.confident_wrong,
-                s.bvit_hits,
-                s.load_class,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl Probe for SiteProbe {
@@ -398,9 +366,6 @@ mod tests {
         p.on_branch_resolve(0, 0x40, &res(true, false, false, false));
         let md = p.to_markdown(5);
         assert!(md.contains("0x40"), "{md}");
-        let json = p.to_json(5);
-        assert!(json.contains("\"pc\":64"), "{json}");
-        assert!(json.starts_with("{\"sites\":1,\"dropped\":0"), "{json}");
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! and the curated scenarios is pinned by the golden digests
 //! (`tests/golden_digests.rs`).
 //!
-//! Trace-driven approximations (DESIGN.md substitution 2): fetch always
-//! follows the correct path; a mispredicted branch stalls fetch until it
+//! Trace-driven approximations (the frontend sees only the committed
+//! stream, so there is no wrong path to fetch): fetch always follows the
+//! correct path; a mispredicted branch stalls fetch until it
 //! resolves, and a corrective level-2 override stalls fetch for the
 //! level-2 latency. Wrong-path pollution is not modeled.
 

@@ -4,8 +4,9 @@
 use arvi_predict::{ConfidenceConfig, GskewConfig};
 
 /// Tuning knobs for the ARVI second level — the design-decision ablations
-/// DESIGN.md catalogues (D2, D11). Defaults are the configuration used
-/// for the headline results.
+/// the `ablations` binary runs (D2: stale values in the index; D11:
+/// override gating). Defaults are the configuration used for the
+/// headline results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArviTuning {
     /// log2 of BVIT sets (11 in the paper: 2048 sets x 4 ways).
@@ -143,7 +144,7 @@ pub struct TlbConfig {
 ///
 /// The L1/L2/memory latency triples in the published table are corrupted
 /// in the available text; the values here are era-plausible substitutes
-/// that scale with pipeline depth (DESIGN.md substitution 3).
+/// that scale with pipeline depth.
 #[derive(Debug, Clone)]
 pub struct SimParams {
     /// Fetch/decode width (instructions per cycle).

@@ -63,7 +63,7 @@ pub mod store;
 
 pub use chunk::DEFAULT_CHUNK_INSTS;
 pub use file::FORMAT_VERSION;
-pub use replay::{TraceReplayer, REPLAY_PANIC_PREFIX};
+pub use replay::TraceReplayer;
 pub use store::{ChunkInfo, Trace, TraceWriter};
 
 use std::fmt;

@@ -13,10 +13,8 @@ use crate::TraceError;
 /// chunk. File-loaded traces are fully verified at load and in-memory
 /// recordings are trusted, so this firing means the bytes changed
 /// *after* verification — a program bug or memory corruption, not an
-/// input condition. The resilient sweep runner (`arvi-bench`) matches
-/// on this prefix to classify such a panic as a trace failure rather
-/// than a generic cell panic.
-pub const REPLAY_PANIC_PREFIX: &str = "trace replay:";
+/// input condition.
+const REPLAY_PANIC_PREFIX: &str = "trace replay:";
 
 #[cold]
 fn corrupt_chunk_panic(chunk: usize, trace: &Trace, e: crate::TraceError) -> ! {

@@ -7,8 +7,7 @@
 //! SimpleScalar PISA — binaries and reference inputs we cannot ship or
 //! run. Each benchmark here is instead a real program in the `arvi-isa`
 //! instruction set whose *branch and dataflow behaviour* is modeled on the
-//! published characterization of the original (see DESIGN.md §2 and §4):
-//! the programs execute genuine register dataflow, so the Data Dependence
+//! published characterization of the original: the programs execute genuine register dataflow, so the Data Dependence
 //! Table observes real chains and the ARVI predictor real value locality.
 //!
 //! ## Example

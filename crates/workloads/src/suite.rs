@@ -28,8 +28,8 @@ impl WorkloadSource for Benchmark {
 }
 
 /// One of the eight SPEC95 integer benchmarks the paper evaluates,
-/// reproduced here as a synthetic behavioural model (see DESIGN.md §2 for
-/// the substitution rationale).
+/// reproduced here as a synthetic behavioural model: the original
+/// binaries and reference inputs cannot be shipped or run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// Parser/compiler state machines, wide static branch population.

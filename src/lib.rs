@@ -32,12 +32,13 @@
 //! reuse the in-place APIs ([`core::Ddt::chain_into`],
 //! [`core::Tracker::leaf_set_into`]) with caller-held scratch, or the
 //! allocating wrappers when convenience wins. Experiment sweeps run in
-//! parallel via `arvi_bench::sweep` (deterministic: results are
-//! bit-identical to a sequential run). See `PERFORMANCE.md` for measured
-//! numbers and `BENCH_PR1.json` for the machine-readable trail.
+//! parallel on `arvi_trace::par`, the workspace's one worker loop
+//! (deterministic: results are bit-identical to a sequential run). See
+//! `PERFORMANCE.md` for measured numbers and every `BENCH_PR*.json` for
+//! the machine-readable trail, which the `bench_history` binary trends.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and experiment index.
+//! See `README.md` for a quickstart, the workspace inventory and the
+//! experiment binaries.
 
 pub use arvi_apps as apps;
 pub use arvi_core as core;

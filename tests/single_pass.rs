@@ -34,8 +34,8 @@ use arvi::stats::Table;
 use arvi::workloads::Benchmark;
 use arvi_bench::{
     anchor, cell_view, counters_to_json, fig5_cell, grid, maybe_obs_grid, obs_grid_json, read_json,
-    run_flags_from_args, sites_to_json, CellOutcome, CellProbes, CellSuccess, FaultPlan, Fig6Data,
-    GridRun, ObsConfig, ObsGrid, Resilience, RunTally, Spec, SweepPoint, TraceSet, Workload,
+    sites_to_json, CellOutcome, CellProbes, CellSuccess, CommandLine, FaultPlan, Fig6Data, GridRun,
+    ObsGrid, Resilience, RunFlags, RunTally, Spec, SweepPoint, TraceSet, Workload, RUN_FLAGS,
 };
 
 fn tiny_spec() -> Spec {
@@ -53,16 +53,15 @@ fn small_workloads() -> Vec<Workload> {
     ]
 }
 
-/// The policy and observability config the run flags `argv` parse to.
-fn flags(argv: &[&str]) -> (Resilience, ObsConfig) {
+/// The run setup the run flags `argv` parse to.
+fn flags(argv: &[&str]) -> RunFlags {
     let args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-    let flags = run_flags_from_args(&args).unwrap();
-    (flags.res, flags.obs.expect("an observability flag"))
+    RunFlags::new(&CommandLine::parse(&args, RUN_FLAGS, 0).unwrap()).unwrap()
 }
 
 /// The policy `--obs-grid` sets up: counters and sites on every cell.
 fn probed() -> Resilience {
-    flags(&["--obs-grid", "unused.json"]).0
+    flags(&["--obs-grid", "unused.json"]).res
 }
 
 fn rollup(points: &[SweepPoint], spec: Spec, outcomes: Vec<CellOutcome>) -> String {
@@ -180,7 +179,7 @@ fn main_pass_rollup_equals_standalone_and_results_equal_unprobed() {
                     .collect()
             };
             assert_eq!(derived(&main_pass), derived(&plain), "derived cells");
-            let (traced, _) = flags(&["--obs-grid", "unused.json", "--trace-cycles", "1000:3000"]);
+            let traced = flags(&["--obs-grid", "unused.json", "--trace-cycles", "1000:3000"]).res;
             let traced = run(&points, spec, 1, &traces, &traced);
             assert_eq!(derived(&traced), derived(&plain), "derived cells, traced");
         }
@@ -417,19 +416,18 @@ fn side_pass(
     (views, trace)
 }
 
-/// What `run` writes under `cfg` — each workload's `--cell` view of the
-/// rollup with `top` site rows, and the Chrome trace beside it when
-/// traced, replayed from `traces` on `threads` workers.
+/// What `run` writes under the run setup `flags` — each workload's
+/// `--cell` view of the rollup with `top` site rows, and the Chrome
+/// trace beside it when traced, replayed from `traces`.
 fn written(
     run: GridRun,
-    cfg: &ObsConfig,
-    spec: Spec,
+    flags: &RunFlags,
     traces: &TraceSet,
-    threads: usize,
     workloads: &[Workload],
     top: usize,
 ) -> (Vec<String>, Option<String>) {
-    maybe_obs_grid(Some(cfg), run, spec, traces, threads, None);
+    maybe_obs_grid(run, flags, traces);
+    let cfg = flags.obs.as_ref().expect("an observability flag");
     let rollup = read_json(&cfg.grid).expect("rollup written");
     let views = workloads
         .iter()
@@ -477,15 +475,18 @@ fn anchor_report_rides_the_grid_pass_in_every_mode() {
     let grid_flag = ["--obs-grid", rollup.to_str().unwrap()];
     let traced_flags = [&grid_flag[..], &["--trace-cycles", "1000:3000"]].concat();
     for argv in [&grid_flag[..], &traced_flags] {
-        let (res, cfg) = flags(argv);
+        let setup = flags(argv);
+        let (res, cfg) = (setup.res, setup.obs.expect("an observability flag"));
         let reference = side_pass(&workloads, depth, spec, cfg.trace, top, &traces);
         if let Some(trace) = &reference.1 {
             assert!(trace.contains("\"ph\":\"X\""), "the window saw events");
         }
         let check = |run: GridRun, threads: usize, mode: &str| {
             assert_eq!(cell_probes(&run), reference_probes, "{mode}: cell probes");
+            let mut setup = flags(argv);
+            (setup.spec, setup.threads) = (spec, threads);
             assert_eq!(
-                written(run, &cfg, spec, &traces, threads, &workloads, top),
+                written(run, &setup, &traces, &workloads, top),
                 reference,
                 "{mode}"
             );
